@@ -14,11 +14,12 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 
 from . import __version__, battery as bat, density as dens, odr_import, placement as plc
 from .config import (ConfigError, ScenarioConfig, apply_setting, dump_battery_params,
                      load_config)
-from .fleet_sim import World, replay
+from .fleet_sim import NoFreeSpot, World, replay
 from .roadnet import FormatError, RoadNetError, load_roadnet, save_roadnet
 from .trajectory import SchemaError, UnsortedSamples, read_csv, write_csv
 
@@ -48,12 +49,24 @@ def _provenance(seed, inputs) -> str:
 
 
 def _write_atomic(path: str, render) -> None:
+    """Render into a temp file of its own in path's directory, then rename it
+    onto path. Concurrent writers never share a temp file, and a failed
+    write removes its temp file."""
     buf = io.StringIO()
     render(buf)
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as f:
-        f.write(buf.getvalue())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with open(fd, "w", newline="") as f:
+            f.write(buf.getvalue())
+        # mkstemp creates the file private (0600); give it open()'s mode
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -71,6 +84,7 @@ def _load_scenario(args) -> ScenarioConfig:
             raise ConfigError(f"--set expects key=value, got {kv!r}")
         k, _, v = kv.partition("=")
         cfg = apply_setting(cfg, k.strip(), v.strip())
+    cfg.validate()
     return cfg
 
 
@@ -317,7 +331,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ConfigError as exc:
+    except (ConfigError, NoFreeSpot) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SchemaError, UnsortedSamples, FormatError, odr_import.OdrError,

@@ -7,6 +7,7 @@ density.*, placement.*). '#' starts a comment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .battery import BatteryParams
@@ -51,6 +52,17 @@ class ScenarioConfig:
             except ValueError:
                 raise ConfigError(f"bad policy '{self.policy}'")
         raise ConfigError(f"unknown policy '{self.policy}'")
+
+    def validate(self):
+        """Raise ConfigError for a step, duration or kin.* value no run can use."""
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
+        try:
+            self.kin.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _GROUPS = {"kin": KinematicsParams, "battery": BatteryParams,

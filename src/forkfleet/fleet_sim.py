@@ -13,12 +13,26 @@ conflicting pair yields via a horizon-based speed cap, and a hard proximity
 cap applies to both vehicles so that pairwise center distance provably never
 drops below d_safe between steps. A vehicle stopped by conflicts for longer
 than t_deadlock gets priority over its blockers.
+
+Pairs are found by a sort-and-sweep broad phase (Cohen et al., "I-COLLIDE",
+SI3D 1995): vehicles are swept in x order, and a pair is skipped once its x or
+y distance reaches
+
+    reach = max(trigger, d_safe + 2 * s_max * horizon) + 1 m
+
+where trigger is the hard-cap radius, s_max the largest |speed| in the fleet
+this step, and the extra metre absorbs float rounding. A skipped pair cannot
+cap: its gap is at least max(|dx|, |dy|) >= reach, so the hard cap (gap <
+trigger) does not fire, and its predicted miss distance over the horizon is
+at least gap - (|v_a| + |v_b|) * horizon >= d_safe + 1 m, so neither does the
+soft cap. Caps combine by min, which does not depend on the order pairs are
+visited in, so the caps equal those of testing all N(N-1)/2 pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import battery as bat
@@ -53,6 +67,18 @@ class KinematicsParams:
     d_safe: float = 3.0       # m minimum pairwise separation
     horizon: float = 5.0      # s conflict prediction horizon
     t_deadlock: float = 10.0  # s before a blocked vehicle gains priority
+
+    def validate(self):
+        """Raise ValueError unless every field is finite, t_deadlock >= 0 and
+        every other field > 0."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "t_deadlock":
+                ok, bound = value >= 0, ">= 0"
+            else:
+                ok, bound = value > 0, "> 0"
+            if not (math.isfinite(value) and ok):
+                raise ValueError(f"kin.{f.name} must be finite and {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -91,10 +117,22 @@ class _Route:
     seg_limits: list          # speed limit per segment
     vert_caps: list           # curvature speed cap per vertex
     s: float = 0.0
+    seg: int = 0              # segment cursor; only moves forward, as s does
 
     @property
     def total(self):
         return self.cumlen[-1]
+
+    def seg_at(self, s):
+        """Index of the segment holding arc length s, which must be at least
+        the s of the previous call. The scan resumes at the cursor: every
+        segment before it ends at or before the earlier s, so also before s."""
+        seg = self.seg
+        last = len(self.cumlen) - 2
+        while seg < last and s >= self.cumlen[seg + 1] - 1e-12:
+            seg += 1
+        self.seg = seg
+        return seg
 
 
 @dataclass
@@ -137,8 +175,12 @@ class World:
                  pickup_mass: float = 500.0, lift_height: float = 1.0):
         if dt <= 0:
             raise ValueError("dt must be positive")
+        kin.validate()  # the broad phase's reach bound needs finite, positive kin
         self.graph = graph
-        self.vehicles = list(vehicles)
+        self.vehicles = sorted(vehicles, key=lambda v: v.id)
+        # built in reverse so that, as in a scan, the first of duplicate ids wins
+        self._vehicles_by_id = {v.id: v for v in reversed(self.vehicles)}
+        self._spots_by_id = {s.id: s for s in reversed(graph.spots)}
         self.dt = dt
         self.rng = SplitMix64(seed)
         self.seed = seed
@@ -178,16 +220,16 @@ class World:
         return world
 
     def _spot_by_id(self, spot_id: int):
-        for s in self.graph.spots:
-            if s.id == spot_id:
-                return s
-        raise KeyError(f"no spot {spot_id}")
+        try:
+            return self._spots_by_id[spot_id]
+        except KeyError:
+            raise KeyError(f"no spot {spot_id}") from None
 
     def vehicle(self, vid: int) -> VehicleState:
-        for v in self.vehicles:
-            if v.id == vid:
-                return v
-        raise KeyError(f"no vehicle {vid}")
+        try:
+            return self._vehicles_by_id[vid]
+        except KeyError:
+            raise KeyError(f"no vehicle {vid}") from None
 
     # --- task assignment -----------------------------------------------------
 
@@ -274,7 +316,11 @@ class World:
     # --- collision avoidance -------------------------------------------------
 
     def resolve_conflicts(self):
-        """Per-vehicle speed caps for this step -> {vehicle_id: cap}."""
+        """Per-vehicle speed caps for this step -> {vehicle_id: cap}.
+
+        Sweeps the vehicles in x order and tests only pairs closer than
+        `reach` in both x and y (see the module docstring); each such pair
+        is tested with a = its lower id."""
         kin = self.kin
         dt = self.dt
         caps = {}
@@ -282,15 +328,30 @@ class World:
         def tighten(vid, cap):
             caps[vid] = min(caps.get(vid, math.inf), max(0.0, cap))
 
-        vs = sorted(self.vehicles, key=lambda v: v.id)
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                a, b = vs[i], vs[j]
+        trigger = kin.d_safe + 2.0 * (kin.v_max + kin.a_max * dt) * dt + 1.0
+        s_max = max((abs(v.speed) for v in self.vehicles), default=0.0)
+        reach = max(trigger, kin.d_safe + 2.0 * s_max * kin.horizon) + 1.0
+        vel = {v.id: (v.speed * math.cos(v.heading), v.speed * math.sin(v.heading))
+               for v in self.vehicles}
+        order = sorted(self.vehicles, key=lambda v: v.x)
+        xs = [v.x for v in order]
+        ys = [v.y for v in order]
+        n = len(order)
+        for i in range(n):
+            px, py = xs[i], ys[i]
+            for j in range(i + 1, n):
+                if xs[j] - px >= reach:
+                    break
+                dy = ys[j] - py
+                if dy >= reach or -dy >= reach:
+                    continue
+                p, q = order[i], order[j]
+                a, b = (p, q) if p.id < q.id else (q, p)
                 gap = math.hypot(b.x - a.x, b.y - a.y)
                 # soft horizon-based yielding
                 rx, ry = b.x - a.x, b.y - a.y
-                vax, vay = a.speed * math.cos(a.heading), a.speed * math.sin(a.heading)
-                vbx, vby = b.speed * math.cos(b.heading), b.speed * math.sin(b.heading)
+                vax, vay = vel[a.id]
+                vbx, vby = vel[b.id]
                 dvx, dvy = vbx - vax, vby - vay
                 dv2 = dvx * dvx + dvy * dvy
                 t_star = 0.0 if dv2 < 1e-12 else min(max(-(rx * dvx + ry * dvy) / dv2, 0.0),
@@ -304,7 +365,6 @@ class World:
                         yielder = a
                     tighten(yielder.id, (gap - kin.d_safe) / kin.horizon)
                 # hard proximity caps keep the pair >= d_safe across one step
-                trigger = kin.d_safe + 2.0 * (kin.v_max + kin.a_max * dt) * dt + 1.0
                 if gap < trigger:
                     slack = max(0.0, (gap - kin.d_safe) / dt)
                     # priority vehicle may close at most the whole slack
@@ -320,7 +380,7 @@ class World:
         dt = self.dt
         kin = self.kin
         if auto_assign:
-            for v in sorted(self.vehicles, key=lambda v: v.id):
+            for v in self.vehicles:
                 if self.ctl[v.id].phase == PHASE_IDLE:
                     try:
                         task = self.assign_task(v.id, policy)
@@ -328,7 +388,7 @@ class World:
                     except (NoFreeSpot, SpotOccupied):
                         pass
         caps = self.resolve_conflicts()
-        for v in sorted(self.vehicles, key=lambda v: v.id):
+        for v in self.vehicles:
             ctl = self.ctl[v.id]
             if ctl.phase == PHASE_IDLE:
                 v.speed = 0.0
@@ -357,16 +417,17 @@ class World:
                     ctl.phase = PHASE_IDLE
         self.step_count += 1
         t = self.clock
+        params = self.battery_params
+        prev_samples = self._prev_samples
         for v in self.vehicles:
-            prev = self._prev_samples[v.id]
-            cur = self._sample_of(v, t)
+            ctl = self.ctl[v.id]
             consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
-            draw, regen = bat.segment_energy(prev, cur, consts, self.battery_params)
-            self.ctl[v.id].soc_state = bat.apply_energy(
-                self.ctl[v.id].soc_state, draw, regen, self.battery_params)
-            v.soc = self.ctl[v.id].soc_state.soc
-            cur = replace(cur, soc=v.soc)
-            self._prev_samples[v.id] = cur
+            # segment_energy does not read the soc field of either sample
+            draw, regen = bat.segment_energy(prev_samples[v.id], self._sample_of(v, t),
+                                             consts, params)
+            ctl.soc_state = bat.apply_energy(ctl.soc_state, draw, regen, params)
+            v.soc = ctl.soc_state.soc
+            prev_samples[v.id] = self._sample_of(v, t)
         return events
 
     def _advance_drive(self, v, ctl, conflict_cap, events):
@@ -375,10 +436,7 @@ class World:
         route = ctl.route
         s = route.s
         total = route.total
-        # segment index at s
-        seg = 0
-        while seg < len(route.cumlen) - 2 and s >= route.cumlen[seg + 1] - 1e-12:
-            seg += 1
+        seg = route.seg_at(s)
         v_target = min(kin.v_max, route.seg_limits[seg] if route.seg_limits else kin.v_max)
 
         def envelope(cap, d):
@@ -432,9 +490,7 @@ class World:
         self._place_on_route(v, route, new_s)
 
     def _place_on_route(self, v, route, s):
-        seg = 0
-        while seg < len(route.cumlen) - 2 and s >= route.cumlen[seg + 1] - 1e-12:
-            seg += 1
+        seg = route.seg_at(s)
         (x0, y0), (x1, y1) = route.points[seg], route.points[seg + 1]
         seg_len = route.cumlen[seg + 1] - route.cumlen[seg]
         frac = (s - route.cumlen[seg]) / seg_len if seg_len > 0 else 1.0
@@ -450,9 +506,9 @@ class World:
     # --- recording / running ---------------------------------------------------
 
     def record_current(self):
+        """Append every vehicle's sample at the current clock, in id order."""
         t = self.clock
-        for v in sorted(self.vehicles, key=lambda v: v.id):
-            self.samples.append(self._sample_of(v, t))
+        self.samples.extend(self._sample_of(v, t) for v in self.vehicles)
 
     def run(self, duration: float, auto_assign: bool = True,
             policy=("random", None), record: bool = True):
@@ -466,12 +522,13 @@ class World:
         for _ in range(n_steps):
             self.step(auto_assign=auto_assign, policy=policy)
             if record:
-                self.record_current()
+                # the samples step() just built at this clock, SOC included
+                self.samples.extend(self._prev_samples[v.id] for v in self.vehicles)
         return self.samples
 
     def summary(self):
         out = []
-        for v in sorted(self.vehicles, key=lambda v: v.id):
+        for v in self.vehicles:
             ctl = self.ctl[v.id]
             out.append({
                 "vehicle_id": v.id,

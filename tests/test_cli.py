@@ -1,11 +1,16 @@
 import io
 import math
 import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
+import forkfleet
 from forkfleet import mapgen
-from forkfleet.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from forkfleet.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, _write_atomic,
+                           main)
 from forkfleet.roadnet import save_roadnet
 from forkfleet.trajectory import read_csv
 
@@ -74,6 +79,66 @@ class TestSimulate:
         bad.write_text("roadnet v1\nnode zero 0 0 0\n")
         assert main(["simulate", "--map", str(bad),
                      "--out-dir", str(tmp_path)]) == EXIT_INPUT
+
+
+class TestExitCodes:
+    """Bad top-level and kin.* inputs end in a one-line message, not a traceback."""
+
+    CASES = [
+        ([], EXIT_OK),
+        (["--set", "kin.d_safe=nan"], EXIT_CONFIG),
+        (["--set", "kin.b_max=0"], EXIT_CONFIG),
+        (["--set", "kin.v_max=-1"], EXIT_CONFIG),
+        (["--set", "kin.horizon=0"], EXIT_CONFIG),
+        (["--set", "kin.t_deadlock=inf"], EXIT_CONFIG),
+        (["--dt", "0"], EXIT_CONFIG),
+        (["--duration", "nan"], EXIT_CONFIG),
+        (["--vehicles", "20"], EXIT_CONFIG),  # the demo floor has 8 spots
+    ]
+
+    @pytest.mark.parametrize("extra,code", CASES, ids=[" ".join(c[0]) or "valid" for c in CASES])
+    def test_exit_code(self, tmp_path, map_file, extra, code):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(forkfleet.__file__)))
+        argv = ["simulate", "--map", map_file, "--out-dir", str(tmp_path / "out"),
+                "--vehicles", "6", "--duration", "2", *extra]
+        proc = subprocess.run([sys.executable, "-m", "forkfleet.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code != EXIT_OK:
+            assert proc.stderr.startswith("config error: ")
+            assert proc.stderr.count("\n") == 1
+
+
+class TestWriteAtomic:
+    TEXT = "# head\r\nt,x\n0,1.5\n"
+
+    def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _write_atomic(str(path), lambda f: f.write(self.TEXT))
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w", newline="") as f:
+            f.write(self.TEXT)
+        assert path.read_bytes() == plain.read_bytes() == self.TEXT.encode()
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain.csv"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # renaming a file onto a directory fails
+        with pytest.raises(OSError):
+            _write_atomic(str(target), lambda f: f.write(self.TEXT))
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir(target) == []
+
+    def test_failed_render_writes_nothing(self, tmp_path):
+        def render(f):
+            f.write("partial")
+            raise RuntimeError("render failed")
+        with pytest.raises(RuntimeError):
+            _write_atomic(str(tmp_path / "out.csv"), render)
+        assert os.listdir(tmp_path) == []
 
 
 class TestReplay:

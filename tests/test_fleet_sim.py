@@ -30,6 +30,24 @@ def one_way_corridor():
     return build_graph(wps, edges, spots)
 
 
+class TestKinematicsValidate:
+    def test_defaults_and_zero_deadlock_pass(self):
+        KinematicsParams().validate()
+        KinematicsParams(t_deadlock=0.0).validate()
+
+    @pytest.mark.parametrize("name", ["v_max", "a_max", "b_max", "a_lat_max", "lift_speed",
+                                      "d_safe", "horizon", "t_deadlock"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects(self, name, value):
+        with pytest.raises(ValueError, match=f"kin.{name}"):
+            KinematicsParams(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["v_max", "b_max", "d_safe", "horizon"])
+    def test_rejects_zero(self, name):
+        with pytest.raises(ValueError, match=f"kin.{name} must be finite and > 0"):
+            KinematicsParams(**{name: 0.0}).validate()
+
+
 class TestSpawnAndAssign:
     def test_spawn_marks_spots(self):
         g = mapgen.warehouse_map()
