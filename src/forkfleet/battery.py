@@ -12,7 +12,7 @@ against measured duty-cycle energies (e.g. VDI 2198 style cycles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .trajectory import UnsortedSamples, split_by_vehicle
 
@@ -42,14 +42,18 @@ class BatteryParams:
     g: float = G
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise OutOfRange(f"battery.{f.name} must be finite, got {value}")
         if not (self.capacity > 0):
-            raise OutOfRange("capacity must be positive")
+            raise OutOfRange("battery.capacity must be positive")
         if not (0 < self.eta_drive <= 1):
-            raise OutOfRange("eta_drive must be in (0, 1]")
+            raise OutOfRange("battery.eta_drive must be in (0, 1]")
         if not (0 <= self.eta_regen < 1):
-            raise OutOfRange("eta_regen must be in [0, 1)")
+            raise OutOfRange("battery.eta_regen must be in [0, 1)")
         if self.c_rr < 0 or self.c_steer < 0 or self.aux_power < 0:
-            raise OutOfRange("friction coefficients and aux_power must be >= 0")
+            raise OutOfRange("battery.c_rr, c_steer and aux_power must be >= 0")
 
 
 # validity intervals used by calibrate(); open bounds nudged inward
@@ -145,19 +149,19 @@ def apply_energy(state: SocState, draw: float, regen: float, p: BatteryParams) -
     return SocState(soc, cd, cr, state.initial_soc)
 
 
-def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams,
-                         initial_soc: float = 1.0):
+def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     """Integrate one vehicle's (or many vehicles') samples.
 
-    Returns (total_draw, total_regen, soc_series) where soc_series is a list
-    of (t, vehicle_id, soc) per sample.
+    Each vehicle starts from the soc of its first sample. Returns
+    (total_draw, total_regen, soc_series) where soc_series is a list of
+    (t, vehicle_id, soc) per sample, vehicles in id order.
     """
     per_vehicle = split_by_vehicle(samples)
     total_draw = total_regen = 0.0
     series = []
     for vid in sorted(per_vehicle):
         ss = per_vehicle[vid]
-        state = SocState(soc=ss[0].soc if ss[0].soc is not None else initial_soc)
+        state = SocState(ss[0].soc)
         series.append((ss[0].t, vid, state.soc))
         for a, b in zip(ss, ss[1:]):
             draw, regen = segment_energy(a, b, consts, p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -19,7 +20,7 @@ import tempfile
 from . import __version__, battery as bat, density as dens, odr_import, placement as plc
 from .config import (ConfigError, ScenarioConfig, apply_setting, dump_battery_params,
                      load_config)
-from .fleet_sim import NoFreeSpot, World, replay
+from .fleet_sim import NoFreeSpot, UnreachableDestination, World, replay
 from .roadnet import FormatError, RoadNetError, load_roadnet, save_roadnet
 from .trajectory import SchemaError, UnsortedSamples, read_csv, write_csv
 
@@ -101,6 +102,21 @@ def _load_map(path):
         return load_roadnet(f)
 
 
+def _read_trajectory(path):
+    _require_file(path)
+    with open(path) as f:
+        return read_csv(f)
+
+
+def _load_analysis_inputs(args):
+    """Scenario, map, trajectory CSV and provenance line of a command that
+    reads a trajectory, loaded in that order."""
+    cfg = _load_scenario(args)
+    graph = _load_map(cfg.map)
+    samples = _read_trajectory(args.trajectory)
+    return cfg, graph, samples, _provenance(cfg.seed, [cfg.map, args.trajectory])
+
+
 def _out(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
@@ -115,7 +131,10 @@ def cmd_simulate(args) -> int:
         graph, cfg.vehicles, dt=cfg.dt, seed=cfg.seed, kin=cfg.kin,
         battery_params=cfg.battery, fork_mass=cfg.fork_mass,
         pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
-    samples = world.run(cfg.duration, policy=cfg.policy_tuple())
+    policy = cfg.policy_tuple()
+    if policy[0] == "fixed" and all(s.id != policy[1] for s in graph.spots):
+        raise ConfigError(f"policy '{cfg.policy}': the map has no spot {policy[1]}")
+    samples = world.run(cfg.duration, policy=policy)
     prov = _provenance(cfg.seed, [cfg.map])
     _write_atomic(_out(args, "trajectory.csv"),
                   lambda f: write_csv(samples, f, header_comment=prov))
@@ -142,14 +161,9 @@ def _render_summary(world, f, prov):
 
 
 def cmd_replay(args) -> int:
-    cfg = _load_scenario(args)
-    graph = _load_map(cfg.map)
-    _require_file(args.trajectory)
-    with open(args.trajectory) as f:
-        samples = read_csv(f)
+    cfg, graph, samples, prov = _load_analysis_inputs(args)
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     out = replay(samples, graph, dt=cfg.dt, consts=consts, params=cfg.battery)
-    prov = _provenance(cfg.seed, [cfg.map, args.trajectory])
     _write_atomic(_out(args, "replay.csv"),
                   lambda f: write_csv(out, f, header_comment=prov))
     _write_atomic(_out(args, "soc.csv"), lambda f: _render_soc(out, f, prov))
@@ -168,14 +182,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze_density(args) -> int:
-    cfg = _load_scenario(args)
-    graph = _load_map(cfg.map)
-    _require_file(args.trajectory)
-    with open(args.trajectory) as f:
-        samples = read_csv(f)
-    dcfg = cfg.density
-    reports, episodes = dens.density_timeline(samples, graph, dcfg)
-    prov = _provenance(cfg.seed, [cfg.map, args.trajectory])
+    cfg, graph, samples, prov = _load_analysis_inputs(args)
+    reports, episodes = dens.density_timeline(samples, graph, cfg.density)
     _write_atomic(_out(args, "density.csv"),
                   lambda f: dens.write_report_csv(reports, f, header_comment=prov))
     _write_atomic(_out(args, "episodes.txt"),
@@ -184,38 +192,29 @@ def cmd_analyze_density(args) -> int:
 
 
 def cmd_place_chargers(args) -> int:
-    cfg = _load_scenario(args)
-    graph = _load_map(cfg.map)
-    _require_file(args.trajectory)
-    with open(args.trajectory) as f:
-        samples = read_csv(f)
+    cfg, graph, samples, prov = _load_analysis_inputs(args)
     pcfg = cfg.placement
     weights = plc.visit_weights(samples, graph, dwell_weighting=args.dwell)
     result = plc.place_chargers(graph, weights, pcfg.k, pcfg.min_separation, pcfg.d_scale)
     grid = plc.heatmap_for_graph(samples, graph, cell_size=pcfg.cell_size)
-    prov = _provenance(cfg.seed, [cfg.map, args.trajectory])
     _write_atomic(_out(args, "placement.csv"),
                   lambda f: plc.write_placement_csv(result, graph, f, header_comment=prov))
-    _write_atomic(_out(args, "heatmap.txt"),
-                  lambda f: plc.write_heatmap(grid, f, header_comment=prov))
-    _write_atomic(_out(args, "heatmap_cells.csv"),
-                  lambda f: plc.write_heatmap_nonzero_csv(grid, f))
+    _write_heatmap(args, grid, prov)
     return EXIT_OK
 
 
 def cmd_heatmap(args) -> int:
-    cfg = _load_scenario(args)
-    graph = _load_map(cfg.map)
-    _require_file(args.trajectory)
-    with open(args.trajectory) as f:
-        samples = read_csv(f)
+    cfg, graph, samples, prov = _load_analysis_inputs(args)
     grid = plc.heatmap_for_graph(samples, graph, cell_size=cfg.placement.cell_size)
-    prov = _provenance(cfg.seed, [cfg.map, args.trajectory])
+    _write_heatmap(args, grid, prov)
+    return EXIT_OK
+
+
+def _write_heatmap(args, grid, prov):
     _write_atomic(_out(args, "heatmap.txt"),
                   lambda f: plc.write_heatmap(grid, f, header_comment=prov))
     _write_atomic(_out(args, "heatmap_cells.csv"),
                   lambda f: plc.write_heatmap_nonzero_csv(grid, f))
-    return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
@@ -234,13 +233,14 @@ def cmd_calibrate(args) -> int:
             path = parts[0].strip()
             if not os.path.isabs(path):
                 path = os.path.join(manifest_dir, path)
-            _require_file(path)
+            samples = _read_trajectory(path)
             try:
                 measured = float(parts[1])
             except ValueError:
+                measured = math.nan
+            if not math.isfinite(measured):
                 raise SchemaError(f"manifest line {lineno}: bad energy value {parts[1]!r}")
-            with open(path) as tf:
-                cycles.append((read_csv(tf), measured))
+            cycles.append((samples, measured))
     free = [s.strip() for s in args.free.split(",") if s.strip()] if args.free else []
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     result = bat.calibrate(cycles, cfg.battery, free, consts=consts)
@@ -338,7 +338,8 @@ def main(argv=None) -> int:
             RoadNetError, bat.NonphysicalSegment) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (plc.InfeasibleSeparation, dens.EmptyFleet, bat.Underdetermined) as exc:
+    except (plc.InfeasibleSeparation, dens.EmptyFleet, bat.Underdetermined,
+            UnreachableDestination) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -54,15 +54,31 @@ class ScenarioConfig:
         raise ConfigError(f"unknown policy '{self.policy}'")
 
     def validate(self):
-        """Raise ConfigError for a step, duration or kin.* value no run can use."""
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
-        try:
-            self.kin.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """Raise ConfigError for a value no run can use: every number must be
+        finite and in range, kin.* and battery.* by their own validate()."""
+        d, p = self.density, self.placement
+        for key, value, low, strict in (
+                ("dt", self.dt, 0, True),
+                ("duration", self.duration, 0, False),
+                ("vehicles", self.vehicles, 0, False),
+                ("pickup_mass", self.pickup_mass, 0, False),
+                ("lift_height", self.lift_height, 0, False),
+                ("fork_mass", self.fork_mass, 0, False),
+                ("density.distance_threshold", d.distance_threshold, 0, False),
+                ("density.velocity_threshold", d.velocity_threshold, 0, False),
+                ("density.snapshot_interval", d.snapshot_interval, 0, True),
+                ("placement.k", p.k, 1, False),
+                ("placement.min_separation", p.min_separation, 0, False),
+                ("placement.d_scale", p.d_scale, 0, True),
+                ("placement.cell_size", p.cell_size, 0, True)):
+            if not (math.isfinite(value) and (value > low if strict else value >= low)):
+                raise ConfigError(f"{key} must be finite and {'>' if strict else '>='} {low}, "
+                                  f"got {value}")
+        for group in (self.kin, self.battery):
+            try:
+                group.validate()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 _GROUPS = {"kin": KinematicsParams, "battery": BatteryParams,

@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .roadnet import RoadGraph, dijkstra, nearest_node
+from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import sample_at, split_by_vehicle
-
-LINKAGE_SYMMETRIC_MIN = "symmetric_min"
-LINKAGE_DIRECTED_EITHER = "directed_either"
 
 
 class EmptyFleet(ValueError):
@@ -29,7 +26,6 @@ class EmptyFleet(ValueError):
 class DensityConfig:
     distance_threshold: float = 15.0   # m
     velocity_threshold: float = 0.5    # m/s
-    linkage: str = LINKAGE_SYMMETRIC_MIN
     snapshot_interval: float = 1.0     # s
 
 
@@ -65,22 +61,6 @@ class CriticalEpisode:
     centroid_node: int
 
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def snapshot_from_states(t: float, states, graph: RoadGraph) -> Snapshot:
     """Build a snapshot from (vehicle_id, x, y, speed) tuples.
 
@@ -113,7 +93,7 @@ def clusters(s: Snapshot, cfg: DensityConfig):
     t = cfg.distance_threshold
     for i in range(n):
         for j in range(i + 1, n):
-            # min() of the directed pair; DirectedEither yields the same relation
+            # min() of the directed pair: linked if either direction is in reach
             if min(s.dist[i][j], s.dist[j][i]) <= t:
                 uf.union(i, j)
     groups = {}

@@ -569,13 +569,9 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
             smp = sample_at(series, min(t, series[-1].t))
             regridded.append(smp)
             k += 1
-        state = bat.SocState(series[0].soc)
         if regridded:
-            regridded[0] = replace(regridded[0], soc=state.soc)
-        for i in range(1, len(regridded)):
-            draw, regen = bat.segment_energy(regridded[i - 1], regridded[i], consts, params)
-            state = bat.apply_energy(state, draw, regen, params)
-            regridded[i] = replace(regridded[i], soc=state.soc)
-        out.extend(regridded)
+            regridded[0] = replace(regridded[0], soc=series[0].soc)
+        _, _, socs = bat.integrate_trajectory(regridded, consts, params)
+        out.extend(replace(smp, soc=soc) for smp, (_, _, soc) in zip(regridded, socs))
     out.sort(key=lambda s: (s.t, s.vehicle_id))
     return out

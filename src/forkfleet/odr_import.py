@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .roadnet import Edge, RoadGraph, Waypoint, build_graph, normalize_heading
+from .roadnet import Edge, RoadGraph, UnionFind, Waypoint, build_graph, normalize_heading
 
 log = logging.getLogger(__name__)
 
@@ -244,18 +244,7 @@ def to_road_graph(desc: RoadDescription, spacing: float,
             chains[(road.id, "bwd")] = idxs
 
     # Merge chain endpoints across road links (union-find on raw indices).
-    parent = list(range(len(raw)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    uf = UnionFind(len(raw))
 
     def endpoint(road_id, direction, which):
         chain = chains.get((road_id, direction))
@@ -295,18 +284,18 @@ def to_road_graph(desc: RoadDescription, spacing: float,
                     raise GeometryGap(
                         f"linked roads {road.id}/{other.id} endpoints {gap:.4f} m apart"
                     )
-                union(a, b)
+                uf.union(a, b)
 
     # Compact merged nodes into dense ids, deterministically by raw order.
     rep_to_node = {}
     waypoints = []
     for i in range(len(raw)):
-        r = find(i)
+        r = uf.find(i)
         if r not in rep_to_node:
             rep_to_node[r] = len(waypoints)
             x, y, h = raw[r]
             waypoints.append(Waypoint(len(waypoints), x, y, h))
-    node_of = [rep_to_node[find(i)] for i in range(len(raw))]
+    node_of = [rep_to_node[uf.find(i)] for i in range(len(raw))]
     edge_objs = []
     seen = set()
     for a, b, length in edges:

@@ -21,15 +21,8 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def randrange(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is < 2^-50 for any practical n."""
         if n <= 0:
             raise ValueError("randrange needs n > 0")
         return self.next_u64() % n
-
-    def uniform_range(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()

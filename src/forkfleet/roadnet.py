@@ -37,10 +37,6 @@ class EmptyGraph(RoadNetError):
     pass
 
 
-class DegenerateGeometry(RoadNetError):
-    pass
-
-
 class FormatError(RoadNetError):
     """Malformed native roadnet file."""
 
@@ -232,38 +228,23 @@ def nearest_node(g: RoadGraph, x: float, y: float) -> int:
     return best_i
 
 
-def sample_polyline(points, spacing: float):
-    """Resample a polyline at equal arc-length steps <= spacing.
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving; a merged set's root is
+    its smallest member, so roots do not depend on the order of unions."""
 
-    Both endpoints are always included; headings come from the tangent of
-    the segment each sample lies on.
-    """
-    if len(points) < 2:
-        raise DegenerateGeometry("polyline needs at least 2 points")
-    if spacing <= 0:
-        raise DegenerateGeometry("spacing must be positive")
-    seg_len = []
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        seg_len.append(math.hypot(x1 - x0, y1 - y0))
-    total = sum(seg_len)
-    if total <= 0:
-        raise DegenerateGeometry("polyline has zero length")
-    n = max(1, math.ceil(total / spacing - 1e-12))
-    step = total / n
-    out = []
-    seg = 0
-    seg_start_s = 0.0
-    for i in range(n + 1):
-        s = min(i * step, total)
-        while seg < len(seg_len) - 1 and s > seg_start_s + seg_len[seg] + 1e-12:
-            seg_start_s += seg_len[seg]
-            seg += 1
-        (x0, y0), (x1, y1) = points[seg], points[seg + 1]
-        frac = (s - seg_start_s) / seg_len[seg] if seg_len[seg] > 0 else 0.0
-        frac = min(max(frac, 0.0), 1.0)
-        hdg = normalize_heading(math.atan2(y1 - y0, x1 - x0))
-        out.append(Waypoint(i, x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac, hdg))
-    return out
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 # --- native text format -----------------------------------------------------

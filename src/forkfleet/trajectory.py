@@ -52,7 +52,8 @@ def write_csv(samples, fileobj, header_comment: str = "") -> None:
 
 
 def read_csv(fileobj):
-    """Parse samples; raises SchemaError naming the first offending line."""
+    """Parse samples; raises SchemaError naming the first offending line,
+    including a line with a nan or infinite number."""
     samples = []
     header_seen = False
     last_t = {}
@@ -74,6 +75,10 @@ def read_csv(fileobj):
                                  float(parts[6]), float(parts[7]), float(parts[8]))
         except ValueError as exc:
             raise SchemaError(f"line {lineno}: {exc}") from exc
+        # 0 * v is 0 for every finite v and nan for nan and +-inf
+        if (0.0 * s.t + 0.0 * s.x + 0.0 * s.y + 0.0 * s.heading + 0.0 * s.speed
+                + 0.0 * s.fork_height + 0.0 * s.load_mass + 0.0 * s.soc != 0.0):
+            raise SchemaError(f"line {lineno}: non-finite value")
         if s.vehicle_id in last_t and s.t <= last_t[s.vehicle_id]:
             raise SchemaError(
                 f"line {lineno}: samples for vehicle {s.vehicle_id} not strictly increasing in t"

@@ -81,33 +81,107 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == EXIT_INPUT
 
 
-class TestExitCodes:
-    """Bad top-level and kin.* inputs end in a one-line message, not a traceback."""
+CSV_HEADER = "t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc\n"
+# two corridors with no road between them, one parking spot on each
+ONE_WAY_CORRIDORS = """roadnet v1
+node 0 0 0 0
+node 1 10 0 0
+node 2 0 20 0
+node 3 10 20 0
+edge 0 1 10 3 1
+edge 2 3 10 3 1
+spot 0 0 1 5
+spot 1 2 3 5
+"""
 
+
+class TestExitCodes:
+    """Bad inputs end in the documented exit code and a one-line message,
+    not a traceback. Each row: test id, full argv, exit code, stderr prefix.
+    {map} is the demo floor, {out} an output directory, {traj} a valid
+    trajectory CSV, {nan_traj} the same with x = nan on one line, {manifest}
+    a calibrate manifest whose energy is nan, {corridors} ONE_WAY_CORRIDORS."""
+
+    SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
+           "--duration", "2"]
+    CONFIG, INPUT, INFEASIBLE = "config error: ", "input error: ", "infeasible: "
     CASES = [
-        ([], EXIT_OK),
-        (["--set", "kin.d_safe=nan"], EXIT_CONFIG),
-        (["--set", "kin.b_max=0"], EXIT_CONFIG),
-        (["--set", "kin.v_max=-1"], EXIT_CONFIG),
-        (["--set", "kin.horizon=0"], EXIT_CONFIG),
-        (["--set", "kin.t_deadlock=inf"], EXIT_CONFIG),
-        (["--dt", "0"], EXIT_CONFIG),
-        (["--duration", "nan"], EXIT_CONFIG),
-        (["--vehicles", "20"], EXIT_CONFIG),  # the demo floor has 8 spots
+        ("valid", SIM, EXIT_OK, ""),
+        ("--set kin.d_safe=nan", [*SIM, "--set", "kin.d_safe=nan"], EXIT_CONFIG, CONFIG),
+        ("--set kin.b_max=0", [*SIM, "--set", "kin.b_max=0"], EXIT_CONFIG, CONFIG),
+        ("--set kin.v_max=-1", [*SIM, "--set", "kin.v_max=-1"], EXIT_CONFIG, CONFIG),
+        ("--set kin.horizon=0", [*SIM, "--set", "kin.horizon=0"], EXIT_CONFIG, CONFIG),
+        ("--set kin.t_deadlock=inf", [*SIM, "--set", "kin.t_deadlock=inf"], EXIT_CONFIG, CONFIG),
+        ("--dt 0", [*SIM, "--dt", "0"], EXIT_CONFIG, CONFIG),
+        ("--duration nan", [*SIM, "--duration", "nan"], EXIT_CONFIG, CONFIG),
+        ("--vehicles 20", [*SIM, "--vehicles", "20"], EXIT_CONFIG, CONFIG),  # 8 spots
+        ("--vehicles -1", [*SIM, "--vehicles", "-1"], EXIT_CONFIG, CONFIG),
+        ("--set battery.capacity=0", [*SIM, "--set", "battery.capacity=0"], EXIT_CONFIG, CONFIG),
+        ("--set battery.eta_drive=nan", [*SIM, "--set", "battery.eta_drive=nan"],
+         EXIT_CONFIG, CONFIG),
+        ("--set battery.eta_regen=1", [*SIM, "--set", "battery.eta_regen=1"], EXIT_CONFIG, CONFIG),
+        ("--set battery.c_rr=nan", [*SIM, "--set", "battery.c_rr=nan"], EXIT_CONFIG, CONFIG),
+        ("--set pickup_mass=nan", [*SIM, "--set", "pickup_mass=nan"], EXIT_CONFIG, CONFIG),
+        ("--set density.linkage=bogus", [*SIM, "--set", "density.linkage=bogus"],
+         EXIT_CONFIG, CONFIG),
+        ("--policy fixed:99", [*SIM, "--policy", "fixed:99"], EXIT_CONFIG, CONFIG),
+        ("place-chargers placement.k=0",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.k=0",
+          "{traj}"], EXIT_CONFIG, CONFIG),
+        ("place-chargers placement.cell_size=0",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "placement.cell_size=0", "{traj}"], EXIT_CONFIG, CONFIG),
+        ("place-chargers placement.d_scale=0",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "placement.d_scale=0", "{traj}"], EXIT_CONFIG, CONFIG),
+        ("heatmap placement.cell_size=-1",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.cell_size=-1",
+          "{traj}"], EXIT_CONFIG, CONFIG),
+        ("analyze-density density.snapshot_interval=0",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "density.snapshot_interval=0", "{traj}"], EXIT_CONFIG, CONFIG),
+        ("replay x=nan", ["replay", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
+         EXIT_INPUT, INPUT),
+        ("analyze-density x=nan",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
+         EXIT_INPUT, INPUT),
+        ("place-chargers x=nan",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
+         EXIT_INPUT, INPUT),
+        ("heatmap x=nan", ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
+         EXIT_INPUT, INPUT),
+        ("calibrate energy=nan",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{manifest}"], EXIT_INPUT, INPUT),
+        ("simulate unreachable spot",
+         ["simulate", "--map", "{corridors}", "--out-dir", "{out}", "--vehicles", "1",
+          "--duration", "5"], EXIT_INFEASIBLE, INFEASIBLE),
     ]
 
-    @pytest.mark.parametrize("extra,code", CASES, ids=[" ".join(c[0]) or "valid" for c in CASES])
-    def test_exit_code(self, tmp_path, map_file, extra, code):
+    @pytest.fixture()
+    def files(self, tmp_path, map_file):
+        rows = ["0,0,10,10,0,0,0,0,1\n", "1,0,11,10,0,1,0,0,0.99\n"]
+        paths = {"map": map_file, "out": str(tmp_path / "out")}
+        for name, text in (("traj", CSV_HEADER + "".join(rows)),
+                           ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
+                           ("manifest", "traj,nan\n"),
+                           ("corridors", ONE_WAY_CORRIDORS)):
+            paths[name] = str(tmp_path / name)
+            with open(paths[name], "w") as f:
+                f.write(text)
+        return paths
+
+    @pytest.mark.parametrize("argv,code,prefix", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_exit_code(self, files, argv, code, prefix):
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(forkfleet.__file__)))
-        argv = ["simulate", "--map", map_file, "--out-dir", str(tmp_path / "out"),
-                "--vehicles", "6", "--duration", "2", *extra]
+        argv = [a.format(**files) for a in argv]
         proc = subprocess.run([sys.executable, "-m", "forkfleet.cli", *argv],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         if code != EXIT_OK:
-            assert proc.stderr.startswith("config error: ")
+            assert proc.stderr.startswith(prefix)
             assert proc.stderr.count("\n") == 1
 
 

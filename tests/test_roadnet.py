@@ -5,11 +5,10 @@ import random
 import pytest
 
 from conftest import enumerate_shortest, line_graph, one_way_pair_graph, random_graph, square_graph
-from forkfleet.roadnet import (DanglingReference, DegenerateGeometry, EmptyGraph,
-                               Edge, FormatError, InvalidNode, NonPositiveLength,
-                               ParkingSpot, RoadGraph, SelfLoop, Waypoint, astar,
-                               build_graph, dijkstra, load_roadnet, nearest_node,
-                               sample_polyline, save_roadnet)
+from forkfleet.roadnet import (DanglingReference, EmptyGraph, Edge, FormatError,
+                               InvalidNode, NonPositiveLength, ParkingSpot, RoadGraph,
+                               SelfLoop, Waypoint, astar, build_graph, dijkstra,
+                               load_roadnet, nearest_node, save_roadnet)
 
 
 class TestBuildGraph:
@@ -155,28 +154,6 @@ class TestNearestNode:
             best = min(range(40),
                        key=lambda i: ((g.waypoints[i].x - x) ** 2 + (g.waypoints[i].y - y) ** 2, i))
             assert nearest_node(g, x, y) == best
-
-
-class TestSamplePolyline:
-    def test_straight_segment(self):
-        wps = sample_polyline([(0, 0), (10, 0)], 2.0)
-        assert [w.x for w in wps] == pytest.approx([0, 2, 4, 6, 8, 10])
-        assert all(w.heading == 0.0 for w in wps)
-
-    def test_large_spacing_keeps_endpoints(self):
-        wps = sample_polyline([(0, 0), (3, 4)], 100.0)
-        assert len(wps) == 2
-        assert (wps[-1].x, wps[-1].y) == (3, 4)
-
-    def test_l_shape(self):
-        wps = sample_polyline([(0, 0), (3, 0), (3, 4)], 1.0)
-        assert len(wps) == 8
-        arc = sum(math.dist((a.x, a.y), (b.x, b.y)) for a, b in zip(wps, wps[1:]))
-        assert arc == pytest.approx(7.0, rel=1e-12)
-
-    def test_zero_length(self):
-        with pytest.raises(DegenerateGeometry):
-            sample_polyline([(1, 1), (1, 1)], 1.0)
 
 
 class TestNativeFormat:
