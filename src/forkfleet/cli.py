@@ -171,6 +171,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if not 0.0 < args.spacing < math.inf:
+        raise ConfigError(f"--spacing must be finite and > 0, got {args.spacing}")
     _require_file(args.input)
     with open(args.input) as f:
         text = f.read()

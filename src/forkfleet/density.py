@@ -61,11 +61,13 @@ class CriticalEpisode:
     centroid_node: int
 
 
-def snapshot_from_states(t: float, states, graph: RoadGraph) -> Snapshot:
+def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None) -> Snapshot:
     """Build a snapshot from (vehicle_id, x, y, speed) tuples.
 
     One Dijkstra per distinct occupied node; vehicles sharing a node get
-    distance zero regardless of intra-edge offsets.
+    distance zero regardless of intra-edge offsets. `rows` ({node: distance
+    row}) reuses rows computed earlier on the same graph, and gains the new
+    ones.
     """
     if not states:
         raise EmptyFleet("snapshot of an empty fleet")
@@ -74,11 +76,12 @@ def snapshot_from_states(t: float, states, graph: RoadGraph) -> Snapshot:
     positions = [(s[1], s[2]) for s in states]
     speeds = [s[3] for s in states]
     nodes = [nearest_node(graph, x, y) for x, y in positions]
-    dist_from = {}
-    for node in set(nodes):
-        dist_from[node] = dijkstra(graph, node)
-    n = len(vids)
-    dmat = [[dist_from[nodes[i]][nodes[j]] for j in range(n)] for i in range(n)]
+    if rows is None:
+        rows = {}
+    for node in nodes:
+        if node not in rows:
+            rows[node] = dijkstra(graph, node)
+    dmat = [[rows[a][b] for b in nodes] for a in nodes]
     return Snapshot(t, vids, nodes, speeds, positions, dmat)
 
 
@@ -112,8 +115,8 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
     return ClusterReport(s.t, out, s)
 
 
-def analyze_snapshot(t, states, graph, cfg) -> ClusterReport:
-    s = snapshot_from_states(t, states, graph)
+def analyze_snapshot(t, states, graph, cfg, rows=None) -> ClusterReport:
+    s = snapshot_from_states(t, states, graph, rows)
     return flag_critical(clusters(s, cfg), s, cfg)
 
 
@@ -121,7 +124,9 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     """One ClusterReport per snapshot-interval tick over the trajectory span.
 
     Returns (reports, episodes). Critical clusters are stitched into
-    episodes across consecutive ticks by >= 50% member overlap.
+    episodes across consecutive ticks by >= 50% member overlap. The graph
+    does not change, so each occupied node's Dijkstra row is computed once
+    for the whole timeline.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
@@ -129,6 +134,7 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     t0 = min(ss[0].t for ss in per_vehicle.values())
     te = max(ss[-1].t for ss in per_vehicle.values())
     reports = []
+    rows = {}
     n_ticks = int(math.floor((te - t0) / cfg.snapshot_interval + 1e-9)) + 1
     for k in range(n_ticks):
         t = t0 + k * cfg.snapshot_interval
@@ -139,7 +145,7 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
                 states.append((vid, smp.x, smp.y, smp.speed))
         if not states:
             continue
-        reports.append(analyze_snapshot(t, states, graph, cfg))
+        reports.append(analyze_snapshot(t, states, graph, cfg, rows))
     episodes = _stitch_episodes(reports, graph, cfg)
     return reports, episodes
 

@@ -9,6 +9,7 @@ comparable. The occupancy heatmap provides the visual cross-check.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -137,37 +138,56 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
     d the symmetric-min network distance. Each round picks the best feasible
     node (>= min_separation from all picks, ties to the smaller id), then
     zeroes the weights it covers within min_separation.
+
+    Lazy greedy (Minoux 1978): covered nodes only leave the weighted set
+    and the feasible set only shrinks, so with weights >= 0 a node's score
+    can only fall between rounds, and a heap of scores from earlier rounds
+    bounds the current ones. A popped node whose fresh score still heads the
+    heap is the pick the full scan would make.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not d_scale > 0:
+        raise ValueError(f"d_scale must be > 0, got {d_scale}")
+    weights = list(weights)
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise ValueError("weights must be finite and >= 0")
     n = graph.n_nodes()
     if n == 0:
         raise InfeasibleSeparation("cannot place chargers on an empty graph")
     dist_rows = _all_pairs(graph)
-    remaining = list(weights)
+    weighted = [u for u in range(n) if weights[u] != 0.0]  # not yet covered
+
+    def score(node):
+        # ascending u, zero weights and unreachable u skipped: the same sum,
+        # term for term, as a scan over all u
+        row = dist_rows[node]
+        total = 0.0
+        for u in weighted:
+            d = min(dist_rows[u][node], row[u])
+            if math.isfinite(d):
+                total += weights[u] / (1.0 + d / d_scale)
+        return total
+
+    heap = [(-score(node), node) for node in range(n)]
+    heapq.heapify(heap)
     stations, scores = [], []
-    for _ in range(k):
-        best_node, best_score = None, 0.0
-        for node in range(n):
-            ok = all(_sym_dist(dist_rows, node, s) >= min_separation for s in stations)
-            if not ok:
-                continue
-            score = 0.0
-            for u in range(n):
-                if remaining[u] == 0.0:
-                    continue
-                d = _sym_dist(dist_rows, u, node)
-                if math.isfinite(d):
-                    score += remaining[u] / (1.0 + d / d_scale)
-            if score > best_score:
-                best_node, best_score = node, score
-        if best_node is None:
-            break
-        stations.append(best_node)
-        scores.append(best_score)
-        for u in range(n):
-            if _sym_dist(dist_rows, u, best_node) < min_separation:
-                remaining[u] = 0.0
+    while heap and len(stations) < k:
+        _, node = heapq.heappop(heap)
+        if not all(_sym_dist(dist_rows, node, s) >= min_separation for s in stations):
+            continue  # infeasible now, so for good
+        fresh = score(node)
+        if not fresh > 0.0:
+            continue  # covers no remaining weight now, so never again
+        if heap and (-fresh, node) > heap[0]:
+            heapq.heappush(heap, (-fresh, node))
+            continue
+        stations.append(node)
+        scores.append(fresh)
+        # a pick stays a candidate: with min_separation <= 0 it is still
+        # feasible and may be picked again, as the full scan would
+        heapq.heappush(heap, (-fresh, node))
+        weighted = [u for u in weighted if not _sym_dist(dist_rows, u, node) < min_separation]
     return PlacementResult(stations, scores, k, min_separation)
 
 

@@ -3,6 +3,12 @@
 Edge weights are geometric lengths in meters. Speed limits ride along on the
 edges for the simulator but never enter shortest-path weights. The graph is
 immutable after build_graph(), so concurrent read-only queries are safe.
+
+nearest_node() snaps through a uniform grid over the waypoints, built on the
+first query and cached on the graph (RoadGraph.snap_index). Its answer is the
+linear scan's, bit for bit: the same squared-distance expression, ties to the
+smallest id. The cache is never invalidated, so waypoints must not change
+after the first query.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ class RoadGraph:
     edges: list
     spots: list
     adjacency: list = field(default_factory=list)  # node -> list of edge indices
+    snap_index: Optional[SnapIndex] = field(default=None, repr=False, compare=False)
 
     def n_nodes(self) -> int:
         return len(self.waypoints)
@@ -217,15 +224,82 @@ def astar(g: RoadGraph, src: int, dst: int) -> Optional[Path]:
 
 
 def nearest_node(g: RoadGraph, x: float, y: float) -> int:
-    """Node minimizing Euclidean distance; ties go to the smallest id."""
+    """Node minimizing Euclidean distance; ties go to the smallest id.
+
+    A non-finite query returns node 0, as a scan finding no d < inf would.
+    """
     if g.n_nodes() == 0:
         raise EmptyGraph("nearest_node on empty graph")
-    best_i, best_d = 0, math.inf
-    for w in g.waypoints:
-        d = (w.x - x) ** 2 + (w.y - y) ** 2
-        if d < best_d:
-            best_d, best_i = d, w.node
-    return best_i
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return 0
+    if g.snap_index is None:
+        g.snap_index = SnapIndex(g)
+    return g.snap_index.nearest(x, y)
+
+
+# A node in a cell r rings away from the query's cell (clamped to the grid)
+# is at least (r - 1) cells away along x or y. The bound is shrunk by this
+# factor to absorb the rounding of cell indices and squared distances.
+_RING_SLACK = 1.0 - 1e-9
+
+
+def _clamp_cell(t: float, n: int) -> int:
+    if t < 1.0:
+        return 0
+    if t >= n:
+        return n - 1
+    return int(t)
+
+
+class SnapIndex:
+    """Uniform grid of waypoints for exact nearest-node queries.
+
+    Cells are squares of about one node's share of the bounding box (never
+    below the longer side over n, so a flat box does not explode the cell
+    count). A query searches ring by ring outward from its cell and stops
+    once a ring's lower bound exceeds the best distance found.
+    """
+
+    def __init__(self, g: RoadGraph):
+        self.x0, self.y0, x1, y1 = g.bounding_box()
+        w, h, n = x1 - self.x0, y1 - self.y0, g.n_nodes()
+        cell = max(math.sqrt(w * h / n), max(w, h) / n)
+        if 0.0 < cell < math.inf:
+            self.cell, self.nx, self.ny = cell, int(w / cell) + 1, int(h / cell) + 1
+        else:  # all nodes coincide, or the extent overflows: one cell
+            self.cell, self.nx, self.ny = 1.0, 1, 1
+        self.cells = [[] for _ in range(self.nx * self.ny)]
+        for wp in g.waypoints:  # ascending id within each cell
+            cx = _clamp_cell((wp.x - self.x0) / self.cell, self.nx)
+            cy = _clamp_cell((wp.y - self.y0) / self.cell, self.ny)
+            self.cells[cy * self.nx + cx].append((wp.x, wp.y, wp.node))
+
+    def nearest(self, x: float, y: float) -> int:
+        cell, nx, ny, cells = self.cell, self.nx, self.ny, self.cells
+        cx = _clamp_cell((x - self.x0) / cell, nx)
+        cy = _clamp_cell((y - self.y0) / cell, ny)
+        best_d, best_i = math.inf, 0
+        for r in range(max(cx, nx - 1 - cx, cy, ny - 1 - cy) + 1):
+            if r >= 2:
+                bound = (r - 1) * cell * _RING_SLACK
+                if bound * bound > best_d:
+                    break
+            # ring r: full rows cy - r and cy + r, then columns cx - r and
+            # cx + r between them, all clamped to the grid
+            lo, hi = max(cx - r, 0), min(cx + r, nx - 1)
+            ring = [range(yy * nx + lo, yy * nx + hi + 1)
+                    for yy in ((cy - r, cy + r) if r else (cy,)) if 0 <= yy < ny]
+            if r:
+                ylo, yhi = max(cy - r + 1, 0), min(cy + r - 1, ny - 1)
+                ring += [range(ylo * nx + xx, yhi * nx + xx + 1, nx)
+                         for xx in (cx - r, cx + r) if 0 <= xx < nx]
+            for ks in ring:
+                for k in ks:
+                    for wx, wy, i in cells[k]:
+                        d = (wx - x) ** 2 + (wy - y) ** 2
+                        if d < best_d or (d == best_d and i < best_i):
+                            best_d, best_i = d, i
+        return best_i
 
 
 class UnionFind:

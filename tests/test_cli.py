@@ -93,6 +93,15 @@ edge 2 3 10 3 1
 spot 0 0 1 5
 spot 1 2 3 5
 """
+# one straight two-way road, 50 m
+ONE_ROAD_ODR = """<OpenDRIVE>
+    <road id="1" length="50">
+      <planView><geometry s="0" x="0" y="0" hdg="0" length="50"><line/></geometry></planView>
+      <lanes><laneSection s="0">
+        <left><lane id="1" type="driving"/></left>
+        <right><lane id="-1" type="driving"/></right>
+      </laneSection></lanes>
+    </road></OpenDRIVE>"""
 
 
 class TestExitCodes:
@@ -100,7 +109,8 @@ class TestExitCodes:
     not a traceback. Each row: test id, full argv, exit code, stderr prefix.
     {map} is the demo floor, {out} an output directory, {traj} a valid
     trajectory CSV, {nan_traj} the same with x = nan on one line, {manifest}
-    a calibrate manifest whose energy is nan, {corridors} ONE_WAY_CORRIDORS."""
+    a calibrate manifest whose energy is nan, {corridors} ONE_WAY_CORRIDORS,
+    {odr} ONE_ROAD_ODR."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
            "--duration", "2"]
@@ -155,6 +165,14 @@ class TestExitCodes:
         ("simulate unreachable spot",
          ["simulate", "--map", "{corridors}", "--out-dir", "{out}", "--vehicles", "1",
           "--duration", "5"], EXIT_INFEASIBLE, INFEASIBLE),
+        ("convert --spacing 0", ["convert", "{odr}", "--out", "{out}", "--spacing", "0"],
+         EXIT_CONFIG, CONFIG),
+        ("convert --spacing nan", ["convert", "{odr}", "--out", "{out}", "--spacing", "nan"],
+         EXIT_CONFIG, CONFIG),
+        ("convert --spacing -1", ["convert", "{odr}", "--out", "{out}", "--spacing", "-1"],
+         EXIT_CONFIG, CONFIG),
+        ("convert --spacing inf", ["convert", "{odr}", "--out", "{out}", "--spacing", "inf"],
+         EXIT_CONFIG, CONFIG),
     ]
 
     @pytest.fixture()
@@ -164,7 +182,8 @@ class TestExitCodes:
         for name, text in (("traj", CSV_HEADER + "".join(rows)),
                            ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
                            ("manifest", "traj,nan\n"),
-                           ("corridors", ONE_WAY_CORRIDORS)):
+                           ("corridors", ONE_WAY_CORRIDORS),
+                           ("odr", ONE_ROAD_ODR)):
             paths[name] = str(tmp_path / name)
             with open(paths[name], "w") as f:
                 f.write(text)
@@ -237,14 +256,7 @@ class TestReplay:
 
 
 class TestConvert:
-    ODR = """<OpenDRIVE>
-    <road id="1" length="50">
-      <planView><geometry s="0" x="0" y="0" hdg="0" length="50"><line/></geometry></planView>
-      <lanes><laneSection s="0">
-        <left><lane id="1" type="driving"/></left>
-        <right><lane id="-1" type="driving"/></right>
-      </laneSection></lanes>
-    </road></OpenDRIVE>"""
+    ODR = ONE_ROAD_ODR
 
     def test_convert(self, tmp_path):
         src = tmp_path / "site.xodr"

@@ -1,14 +1,17 @@
 import io
 import math
+import random
 
 import pytest
 
-from conftest import line_graph, one_way_pair_graph
+from conftest import line_graph, one_way_pair_graph, random_graph
+from forkfleet import density
 from forkfleet.density import (Cluster, DensityConfig, EmptyFleet, UnionFind,
                                analyze_snapshot, clusters, density_timeline,
                                flag_critical, snapshot_from_states,
                                write_episode_summary, write_report_csv)
-from forkfleet.trajectory import TrajectorySample
+from forkfleet.roadnet import dijkstra
+from forkfleet.trajectory import TrajectorySample, sample_at, split_by_vehicle
 
 
 def states_on_line(positions_speeds):
@@ -185,6 +188,48 @@ class TestTimeline:
         by_t = {r.t: r for r in reports}
         assert len(by_t[0.0].snapshot.vehicle_ids) == 1
         assert len(by_t[6.0].snapshot.vehicle_ids) == 2
+
+
+class TestTimelineRows:
+    """density_timeline computes one Dijkstra row per snapped node for the
+    whole timeline, and its reports equal fresh per-tick snapshots."""
+
+    def wandering_fleet(self, graph, n_vehicles=6, n_steps=25):
+        """Vehicles hop between random nodes, some starting late."""
+        rnd = random.Random(2)
+        samples = []
+        for vid in range(n_vehicles):
+            for k in range(rnd.randrange(4), n_steps):
+                w = graph.waypoints[rnd.randrange(graph.n_nodes())]
+                samples.append(TrajectorySample(float(k), vid, w.x + rnd.uniform(-2, 2),
+                                                w.y + rnd.uniform(-2, 2), 0.0,
+                                                rnd.choice([0.0, 0.2, 1.5]), 0.0, 0.0, 1.0))
+        samples.sort(key=lambda s: (s.t, s.vehicle_id))
+        return samples
+
+    def test_one_dijkstra_per_snapped_node(self, monkeypatch):
+        graph = random_graph(seed=7, n_nodes=30)
+        cfg = DensityConfig(distance_threshold=30.0, velocity_threshold=0.5)
+        samples = self.wandering_fleet(graph)
+        sources = []
+
+        def counted(g, src):
+            sources.append(src)
+            return dijkstra(g, src)
+
+        monkeypatch.setattr(density, "dijkstra", counted)
+        reports, _ = density_timeline(samples, graph, cfg)
+        snapped = {node for rep in reports for node in rep.snapshot.nodes}
+        assert sorted(sources) == sorted(snapped)
+        # per-tick rows would cost more: the case does exercise the reuse
+        assert sum(len(set(rep.snapshot.nodes)) for rep in reports) > 2 * len(snapped)
+
+        per_vehicle = split_by_vehicle(samples)
+        for rep in reports:
+            states = [(vid, smp.x, smp.y, smp.speed) for vid in sorted(per_vehicle)
+                      for smp in [sample_at(per_vehicle[vid], rep.t)] if smp is not None]
+            fresh = analyze_snapshot(rep.t, states, graph, cfg)
+            assert rep == fresh  # clusters and the full Snapshot.dist included
 
 
 class TestUnionFind:

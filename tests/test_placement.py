@@ -3,13 +3,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import line_graph, random_graph
 from forkfleet.placement import (DegenerateGrid, HeatmapGrid, heatmap,
                                  heatmap_for_graph, place_chargers,
                                  score_placement, visit_weights, write_heatmap,
                                  write_heatmap_nonzero_csv, write_placement_csv)
-from forkfleet.roadnet import dijkstra
+from forkfleet.roadnet import Edge, Waypoint, build_graph, dijkstra
 from forkfleet.trajectory import TrajectorySample
 
 
@@ -160,6 +161,101 @@ class TestPlaceChargers:
         r1 = place_chargers(g, w, k=3)
         r2 = place_chargers(g, w, k=3)
         assert r1.stations == r2.stations and r1.scores == r2.scores
+
+
+def eager_place_chargers(graph, weights, k, min_separation, d_scale):
+    """Reference: the full greedy scan, every node scored in every round.
+    -> (stations, scores)."""
+    n = graph.n_nodes()
+    dist_rows = [dijkstra(graph, u) for u in range(n)]
+
+    def sym(a, b):
+        return min(dist_rows[a][b], dist_rows[b][a])
+
+    remaining = list(weights)
+    stations, scores = [], []
+    for _ in range(k):
+        best_node, best_score = None, 0.0
+        for node in range(n):
+            if not all(sym(node, s) >= min_separation for s in stations):
+                continue
+            score = 0.0
+            for u in range(n):
+                if remaining[u] == 0.0:
+                    continue
+                d = sym(u, node)
+                if math.isfinite(d):
+                    score += remaining[u] / (1.0 + d / d_scale)
+            if score > best_score:
+                best_node, best_score = node, score
+        if best_node is None:
+            break
+        stations.append(best_node)
+        scores.append(best_score)
+        for u in range(n):
+            if sym(u, best_node) < min_separation:
+                remaining[u] = 0.0
+    return stations, scores
+
+
+@st.composite
+def placement_cases(draw):
+    """(graph, weights, k, min_separation, d_scale) on small lattice graphs
+    with one-way edges and unconnected parts (some distances inf), integer
+    lengths (tied distances) and weights with many zeros and repeats (tied
+    scores)."""
+    n = draw(st.integers(1, 12))
+    pts = [(draw(st.integers(0, 4)), draw(st.integers(0, 4))) for _ in range(n)]
+    edges, seen = [], set()
+    for _ in range(draw(st.integers(0, 3 * n))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a == b or (a, b) in seen:
+            continue
+        seen.add((a, b))
+        chord = math.dist(pts[a], pts[b])
+        length = float(max(1, math.ceil(chord)) + draw(st.integers(0, 2)))
+        edges.append(Edge(a, b, length, 3.0, True))
+        if draw(st.booleans()) and (b, a) not in seen:  # two-way
+            seen.add((b, a))
+            edges.append(Edge(b, a, length, 3.0, True))
+    g = build_graph([Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)],
+                    edges)
+    weight = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 0.5]),
+                       st.floats(0.0, 10.0))
+    weights = [draw(weight) for _ in range(n)]
+    k = draw(st.integers(1, n))
+    # 0, inside the graph's span, at integer distances, beyond its diameter
+    min_sep = draw(st.one_of(st.sampled_from([0.0, 1e9, math.inf]),
+                             st.integers(0, 12).map(float), st.floats(0.0, 30.0)))
+    d_scale = draw(st.sampled_from([1.0, 3.0, 20.0]))
+    return g, weights, k, min_sep, d_scale
+
+
+class TestLazyGreedy:
+    @settings(max_examples=500, deadline=None)
+    @given(placement_cases())
+    def test_matches_eager_scan(self, case):
+        g, weights, k, min_sep, d_scale = case
+        res = place_chargers(g, weights, k, min_sep, d_scale)
+        assert (res.stations, res.scores) == eager_place_chargers(g, weights, k, min_sep,
+                                                                 d_scale)
+
+    def test_larger_graph_matches_eager_scan(self):
+        g = random_graph(seed=8, n_nodes=40)
+        w = [float(i % 4) for i in range(40)]
+        res = place_chargers(g, w, k=6, min_separation=20.0, d_scale=20.0)
+        assert len(res.stations) == 6
+        assert (res.stations, res.scores) == eager_place_chargers(g, w, 6, 20.0, 20.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            place_chargers(line_graph([10.0, 10.0]), [1.0, bad, 1.0], k=1)
+
+    @pytest.mark.parametrize("d_scale", [0.0, -20.0, math.nan])
+    def test_bad_d_scale_rejected(self, d_scale):
+        with pytest.raises(ValueError):
+            place_chargers(line_graph([10.0]), [1.0, 1.0], k=1, d_scale=d_scale)
 
 
 class TestScorePlacement:

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_shortest, line_graph, one_way_pair_graph, random_graph, square_graph
 from forkfleet.roadnet import (DanglingReference, EmptyGraph, Edge, FormatError,
@@ -154,6 +155,67 @@ class TestNearestNode:
             best = min(range(40),
                        key=lambda i: ((g.waypoints[i].x - x) ** 2 + (g.waypoints[i].y - y) ** 2, i))
             assert nearest_node(g, x, y) == best
+
+
+def scan_nearest(g, x, y):
+    """Reference: the linear scan over every waypoint that the grid replaced."""
+    best_i, best_d = 0, math.inf
+    for w in g.waypoints:
+        d = (w.x - x) ** 2 + (w.y - y) ** 2
+        if d < best_d:
+            best_d, best_i = d, w.node
+    return best_i
+
+
+# small integers give duplicate nodes, exact ties and queries on cell borders
+COORD = st.one_of(st.integers(-6, 6).map(float), st.floats(-300.0, 300.0))
+FAR = st.floats(-1e6, 1e6)
+NON_FINITE = [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+              (-math.inf, math.inf), (math.nan, math.inf)]
+
+
+@st.composite
+def snap_cases(draw):
+    """(graph, queries): random, single-node, one-row and one-column graphs
+    (zero-height or zero-width bbox); queries in and around the bbox, far
+    outside it and at exact midpoints between two nodes."""
+    shape = draw(st.sampled_from(["random", "single", "row", "column"]))
+    n = 1 if shape == "single" else draw(st.integers(1, 40))
+    pts = [(draw(COORD), draw(COORD)) for _ in range(n)]
+    if shape == "row":
+        pts = [(x, pts[0][1]) for x, _ in pts]
+    elif shape == "column":
+        pts = [(pts[0][0], y) for _, y in pts]
+    g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], [])
+    queries = [(draw(COORD), draw(COORD)) for _ in range(10)]
+    queries += [(draw(FAR), draw(FAR)) for _ in range(4)]
+    for _ in range(6):
+        (ax, ay), (bx, by) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        queries.append(((ax + bx) / 2, (ay + by) / 2))
+    return g, queries
+
+
+class TestNearestNodeGrid:
+    @settings(max_examples=400, deadline=None)
+    @given(snap_cases())
+    def test_matches_linear_scan(self, case):
+        g, queries = case
+        for x, y in queries:
+            assert nearest_node(g, x, y) == scan_nearest(g, x, y), (x, y)
+        for x, y in NON_FINITE:
+            assert nearest_node(g, x, y) == scan_nearest(g, x, y) == 0
+
+    def test_index_built_once(self):
+        g = random_graph(seed=5, n_nodes=30)
+        assert g.snap_index is None
+        nearest_node(g, 1.0, 2.0)
+        index = g.snap_index
+        nearest_node(g, 50.0, 60.0)
+        assert g.snap_index is index
+
+    def test_non_finite_query_before_index(self):
+        g = random_graph(seed=5, n_nodes=30)
+        assert nearest_node(g, math.nan, 1.0) == 0
 
 
 class TestNativeFormat:
