@@ -70,14 +70,14 @@ CHARGE_SUGGESTED = "charge_suggested"
 CRITICAL = "critical"
 
 
-def soc_band(soc: float, suggest_below: float = 0.5, critical_below: float = 0.2) -> str:
+def soc_band(soc: float) -> str:
     """Classify SOC: >=50% sufficient, below that a charge trip is suggested,
-    below the (configurable) 20% split the state is critical."""
+    below 20% the state is critical."""
     if not (0.0 <= soc <= 1.0):
         raise OutOfRange(f"soc {soc} outside [0, 1]")
-    if soc >= suggest_below:
+    if soc >= 0.5:
         return SUFFICIENT
-    if soc >= critical_below:
+    if soc >= 0.2:
         return CHARGE_SUGGESTED
     return CRITICAL
 
@@ -206,14 +206,16 @@ class CalibrationResult:
     converged: bool
 
 
-def calibrate(cycles, p0: BatteryParams, free, consts: VehicleConstants = VehicleConstants(),
-              max_sweeps: int = 200, rel_tol: float = 1e-9) -> CalibrationResult:
+def calibrate(cycles, p0: BatteryParams, free,
+              consts: VehicleConstants = VehicleConstants()) -> CalibrationResult:
     """Fit the free parameters to measured cycle energies.
 
     cycles: list of (samples, measured_joules). Coordinate descent over the
     free parameters, golden-section line search inside each parameter's
     validity range. The objective is the sum of squared energy residuals
-    and never increases across sweeps.
+    and never increases across sweeps. Descent stops once a sweep improves
+    the objective by less than 1e-9 of itself (converged) or after 200
+    sweeps.
     """
     free = list(free)
     for name in free:
@@ -234,7 +236,7 @@ def calibrate(cycles, p0: BatteryParams, free, consts: VehicleConstants = Vehicl
 
     converged = False
     sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, 201):
         sweeps = sweep
         prev = obj
         for name in free:
@@ -248,7 +250,7 @@ def calibrate(cycles, p0: BatteryParams, free, consts: VehicleConstants = Vehicl
                 p = replace(p, **{name: x})
                 obj = fx
         assert obj <= prev * (1 + 1e-15), "calibration objective increased"
-        if prev > 0 and (prev - obj) / prev < rel_tol:
+        if prev > 0 and (prev - obj) / prev < 1e-9:
             converged = True
             break
         if prev == 0:

@@ -3,8 +3,9 @@
 Subcommands: simulate, replay, convert, analyze-density, place-chargers,
 calibrate, heatmap. Exit codes: 0 success, 2 config/usage error, 3
 input-data error, 4 infeasible analysis. Flag > config file > default.
-Output files are written atomically (temp + rename) and carry a provenance
-header comment with tool version, seed and input digests.
+Output files are written atomically (temp + rename), and each starts with
+one provenance comment line: tool version, seed, a digest of the effective
+config and a digest of each input file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import __version__, battery as bat, density as dens, odr_import, placement as plc
 from .config import (ConfigError, ScenarioConfig, apply_setting, dump_battery_params,
@@ -44,16 +46,24 @@ def _digest(path: str) -> str:
     return h.hexdigest()[:12]
 
 
-def _provenance(seed, inputs) -> str:
+def _provenance(inputs, cfg=None) -> str:
+    """The provenance line of a command's files. cfg is the resolved scenario;
+    its digest leaves out the map path, which the input digests cover.
+    convert runs no scenario: seed 0 and no config digest."""
+    head = f"forkfleet {__version__} seed=0"
+    if cfg is not None:
+        config = hashlib.sha256(repr(replace(cfg, map="")).encode()).hexdigest()[:12]
+        head = f"forkfleet {__version__} seed={cfg.seed} config=sha256:{config}"
     digests = " ".join(f"{os.path.basename(p)}:sha256:{_digest(p)}" for p in inputs)
-    return f"forkfleet {__version__} seed={seed} inputs={digests}".rstrip()
+    return f"{head} inputs={digests}"
 
 
-def _write_atomic(path: str, render) -> None:
-    """Render into a temp file of its own in path's directory, then rename it
-    onto path. Concurrent writers never share a temp file, and a failed
-    write removes its temp file."""
+def _write_atomic(path: str, prov: str, render) -> None:
+    """Write '# prov', then render's text, into a temp file of its own in
+    path's directory, then rename it onto path. Concurrent writers never
+    share a temp file, and a failed write removes its temp file."""
     buf = io.StringIO()
+    buf.write(f"# {prov}\n")
     render(buf)
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
                                dir=os.path.dirname(path) or ".")
@@ -114,17 +124,16 @@ def _load_analysis_inputs(args):
     cfg = _load_scenario(args)
     graph = _load_map(cfg.map)
     samples = _read_trajectory(args.trajectory)
-    return cfg, graph, samples, _provenance(cfg.seed, [cfg.map, args.trajectory])
-
-
-def _out(args, name):
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    return cfg, graph, samples, _provenance([cfg.map, args.trajectory], cfg)
 
 
 # --- subcommands -------------------------------------------------------------
+# Each returns (provenance line, {file name: render(f)}) in write order; main
+# writes the files once every computation has succeeded. Renders look up
+# write_csv and _render_summary at call time, where a tracer or test may
+# have replaced them.
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg = _load_scenario(args)
     graph = _load_map(cfg.map)
     world = World.spawn_at_spots(
@@ -135,23 +144,21 @@ def cmd_simulate(args) -> int:
     if policy[0] == "fixed" and all(s.id != policy[1] for s in graph.spots):
         raise ConfigError(f"policy '{cfg.policy}': the map has no spot {policy[1]}")
     samples = world.run(cfg.duration, policy=policy)
-    prov = _provenance(cfg.seed, [cfg.map])
-    _write_atomic(_out(args, "trajectory.csv"),
-                  lambda f: write_csv(samples, f, header_comment=prov))
-    _write_atomic(_out(args, "soc.csv"), lambda f: _render_soc(samples, f, prov))
-    _write_atomic(_out(args, "summary.txt"), lambda f: _render_summary(world, f, prov))
-    return EXIT_OK
+    prov = _provenance([cfg.map], cfg)
+    return prov, {"trajectory.csv": lambda f: write_csv(samples, f),
+                  "soc.csv": lambda f: _render_soc(samples, f),
+                  "summary.txt": lambda f: _render_summary(world, f, prov)}
 
 
-def _render_soc(samples, f, prov):
-    f.write(f"# {prov}\n")
+def _render_soc(samples, f):
     f.write("t,vehicle_id,soc\n")
     for s in samples:
         f.write(f"{s.t:.12g},{s.vehicle_id},{s.soc:.12g}\n")
 
 
 def _render_summary(world, f, prov):
-    f.write(f"# {prov}\n")
+    # prov is unused (_write_atomic writes it); the benchmark's self-test
+    # replaces this function by one with this signature
     for row in world.summary():
         f.write(
             "vehicle {vehicle_id}: distance={distance_driven:.3f}m "
@@ -160,17 +167,15 @@ def _render_summary(world, f, prov):
             .format(**row))
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     out = replay(samples, graph, dt=cfg.dt, consts=consts, params=cfg.battery)
-    _write_atomic(_out(args, "replay.csv"),
-                  lambda f: write_csv(out, f, header_comment=prov))
-    _write_atomic(_out(args, "soc.csv"), lambda f: _render_soc(out, f, prov))
-    return EXIT_OK
+    return prov, {"replay.csv": lambda f: write_csv(out, f),
+                  "soc.csv": lambda f: _render_soc(out, f)}
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args):
     if not 0.0 < args.spacing < math.inf:
         raise ConfigError(f"--spacing must be finite and > 0, got {args.spacing}")
     _require_file(args.input)
@@ -178,48 +183,38 @@ def cmd_convert(args) -> int:
         text = f.read()
     desc = odr_import.parse_opendrive_subset(text)
     graph = odr_import.to_road_graph(desc, args.spacing)
-    prov = _provenance(0, [args.input])
-    _write_atomic(args.out, lambda f: save_roadnet(graph, f, header_comment=prov))
-    return EXIT_OK
+    return _provenance([args.input]), {args.out: lambda f: save_roadnet(graph, f)}
 
 
-def cmd_analyze_density(args) -> int:
+def cmd_analyze_density(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     reports, episodes = dens.density_timeline(samples, graph, cfg.density)
-    _write_atomic(_out(args, "density.csv"),
-                  lambda f: dens.write_report_csv(reports, f, header_comment=prov))
-    _write_atomic(_out(args, "episodes.txt"),
-                  lambda f: (f.write(f"# {prov}\n"), dens.write_episode_summary(episodes, f)))
-    return EXIT_OK
+    return prov, {"density.csv": lambda f: dens.write_report_csv(reports, f),
+                  "episodes.txt": lambda f: dens.write_episode_summary(episodes, f)}
 
 
-def cmd_place_chargers(args) -> int:
+def cmd_place_chargers(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     pcfg = cfg.placement
     weights = plc.visit_weights(samples, graph, dwell_weighting=args.dwell)
     result = plc.place_chargers(graph, weights, pcfg.k, pcfg.min_separation, pcfg.d_scale)
     grid = plc.heatmap_for_graph(samples, graph, cell_size=pcfg.cell_size)
-    _write_atomic(_out(args, "placement.csv"),
-                  lambda f: plc.write_placement_csv(result, graph, f, header_comment=prov))
-    _write_heatmap(args, grid, prov)
-    return EXIT_OK
+    return prov, {"placement.csv": lambda f: plc.write_placement_csv(result, graph, f),
+                  **_heatmap_files(grid)}
 
 
-def cmd_heatmap(args) -> int:
+def cmd_heatmap(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     grid = plc.heatmap_for_graph(samples, graph, cell_size=cfg.placement.cell_size)
-    _write_heatmap(args, grid, prov)
-    return EXIT_OK
+    return prov, _heatmap_files(grid)
 
 
-def _write_heatmap(args, grid, prov):
-    _write_atomic(_out(args, "heatmap.txt"),
-                  lambda f: plc.write_heatmap(grid, f, header_comment=prov))
-    _write_atomic(_out(args, "heatmap_cells.csv"),
-                  lambda f: plc.write_heatmap_nonzero_csv(grid, f))
+def _heatmap_files(grid):
+    return {"heatmap.txt": lambda f: plc.write_heatmap(grid, f),
+            "heatmap_cells.csv": lambda f: plc.write_heatmap_nonzero_csv(grid, f)}
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args):
     cfg = _load_scenario(args)
     _require_file(args.manifest)
     cycles = []
@@ -246,15 +241,12 @@ def cmd_calibrate(args) -> int:
     free = [s.strip() for s in args.free.split(",") if s.strip()] if args.free else []
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     result = bat.calibrate(cycles, cfg.battery, free, consts=consts)
-    prov = _provenance(cfg.seed, [args.manifest])
-    _write_atomic(_out(args, "fitted_params.cfg"),
-                  lambda f: dump_battery_params(result.params, f, header_comment=prov))
-    _write_atomic(_out(args, "residuals.txt"), lambda f: _render_residuals(result, f, prov))
-    return EXIT_OK
+    return _provenance([args.manifest], cfg), {
+        "fitted_params.cfg": lambda f: dump_battery_params(result.params, f),
+        "residuals.txt": lambda f: _render_residuals(result, f)}
 
 
-def _render_residuals(result, f, prov):
-    f.write(f"# {prov}\n")
+def _render_residuals(result, f):
     f.write(f"objective = {result.objective:.12g}\n")
     f.write(f"sweeps = {result.sweeps}\n")
     f.write(f"converged = {result.converged}\n")
@@ -264,61 +256,51 @@ def _render_residuals(result, f, prov):
 
 # --- argument wiring ---------------------------------------------------------
 
-def _common(p, with_map=True):
-    p.add_argument("--config", help="scenario config file (key = value lines)")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    if with_map:
-        p.add_argument("--map", help="roadnet v1 map file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override any config key (repeatable)")
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+# The flags of every command but convert; --map where the command loads a map.
+_SHARED = (_arg("--config", help="scenario config file (key = value lines)"),
+           _arg("--out-dir", default=".", help="output directory"),
+           _arg("--seed", type=int),
+           _arg("--dt", type=float),
+           _arg("--set", action="append", metavar="KEY=VALUE",
+                help="override any config key (repeatable)"))
+_MAP = _arg("--map", help="roadnet v1 map file")
+_TRAJECTORY = _arg("trajectory")
+
+# (name, help, function, arguments)
+_COMMANDS = (
+    ("simulate", "run a fleet scenario and record trajectories", cmd_simulate,
+     (*_SHARED, _MAP, _arg("--duration", type=float), _arg("--vehicles", type=int),
+      _arg("--policy", help="random | fixed:<spot_id>"))),
+    ("replay", "replay a trajectory CSV and recompute SOC", cmd_replay,
+     (*_SHARED, _MAP, _TRAJECTORY)),
+    ("convert", "convert an OpenDRIVE subset file to roadnet v1", cmd_convert,
+     (_arg("input"), _arg("--out", required=True), _arg("--spacing", type=float, default=2.0))),
+    ("analyze-density", "cluster vehicles by network distance over time", cmd_analyze_density,
+     (*_SHARED, _MAP, _TRAJECTORY)),
+    ("place-chargers", "compute charging station positions", cmd_place_chargers,
+     (*_SHARED, _MAP, _TRAJECTORY,
+      _arg("--dwell", action="store_true", help="weight nodes by dwell time"))),
+    ("heatmap", "occupancy heatmap from a trajectory CSV", cmd_heatmap,
+     (*_SHARED, _MAP, _TRAJECTORY)),
+    ("calibrate", "fit battery parameters to measured cycles", cmd_calibrate,
+     (*_SHARED, _arg("manifest", help="CSV manifest: trajectory_path,measured_joules"),
+      _arg("--free", default="", help="comma-separated free parameter names"))),
+)
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="forkfleet", description=__doc__)
     ap.add_argument("--version", action="version", version=f"forkfleet {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a fleet scenario and record trajectories")
-    _common(p)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--vehicles", type=int, default=None)
-    p.add_argument("--policy", default=None, help="random | fixed:<spot_id>")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("replay", help="replay a trajectory CSV and recompute SOC")
-    _common(p)
-    p.add_argument("trajectory")
-    p.set_defaults(func=cmd_replay)
-
-    p = sub.add_parser("convert", help="convert an OpenDRIVE subset file to roadnet v1")
-    p.add_argument("input")
-    p.add_argument("--out", required=True)
-    p.add_argument("--spacing", type=float, default=2.0)
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("analyze-density", help="cluster vehicles by network distance over time")
-    _common(p)
-    p.add_argument("trajectory")
-    p.set_defaults(func=cmd_analyze_density)
-
-    p = sub.add_parser("place-chargers", help="compute charging station positions")
-    _common(p)
-    p.add_argument("trajectory")
-    p.add_argument("--dwell", action="store_true", help="weight nodes by dwell time")
-    p.set_defaults(func=cmd_place_chargers)
-
-    p = sub.add_parser("heatmap", help="occupancy heatmap from a trajectory CSV")
-    _common(p)
-    p.add_argument("trajectory")
-    p.set_defaults(func=cmd_heatmap)
-
-    p = sub.add_parser("calibrate", help="fit battery parameters to measured cycles")
-    _common(p, with_map=False)
-    p.add_argument("manifest", help="CSV manifest: trajectory_path,measured_joules")
-    p.add_argument("--free", default="", help="comma-separated free parameter names")
-    p.set_defaults(func=cmd_calibrate)
+    for name, help_, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -329,7 +311,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        prov, files = args.func(args)
+        out_dir = getattr(args, "out_dir", "")  # convert's one file is its --out path
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        for name, render in files.items():
+            _write_atomic(os.path.join(out_dir, name), prov, render)
+        return EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -130,8 +130,6 @@ def load_config(fileobj, cfg: ScenarioConfig = None) -> ScenarioConfig:
     return cfg
 
 
-def dump_battery_params(p: BatteryParams, fileobj, header_comment: str = "") -> None:
-    if header_comment:
-        fileobj.write(f"# {header_comment}\n")
+def dump_battery_params(p: BatteryParams, fileobj) -> None:
     for name in ("capacity", "c_rr", "c_steer", "eta_drive", "eta_regen", "aux_power"):
         fileobj.write(f"battery.{name} = {getattr(p, name):.12g}\n")

@@ -202,11 +202,9 @@ def _stitch_episodes(reports, graph, cfg):
     return out
 
 
-def write_report_csv(reports, fileobj, header_comment: str = "") -> None:
+def write_report_csv(reports, fileobj) -> None:
     """CSV: t,cluster_id,member_ids(semicolon-joined),mean_speed,critical."""
     w = fileobj.write
-    if header_comment:
-        w(f"# {header_comment}\n")
     w("t,cluster_id,member_ids,mean_speed,critical\n")
     for rep in reports:
         for ci, c in enumerate(rep.clusters):

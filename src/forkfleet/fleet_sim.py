@@ -510,20 +510,17 @@ class World:
         t = self.clock
         self.samples.extend(self._sample_of(v, t) for v in self.vehicles)
 
-    def run(self, duration: float, auto_assign: bool = True,
-            policy=("random", None), record: bool = True):
+    def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
         """Step for the given duration, recording one sample per vehicle per
         step (plus the initial state). Returns the recorded samples."""
         n_steps = int(round(duration / self.dt))
         if n_steps <= 0:
             return []
-        if record:
-            self.record_current()
+        self.record_current()
         for _ in range(n_steps):
             self.step(auto_assign=auto_assign, policy=policy)
-            if record:
-                # the samples step() just built at this clock, SOC included
-                self.samples.extend(self._prev_samples[v.id] for v in self.vehicles)
+            # the samples step() just built at this clock, SOC included
+            self.samples.extend(self._prev_samples[v.id] for v in self.vehicles)
         return self.samples
 
     def summary(self):
@@ -566,7 +563,9 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
             t = t0 + k * dt
             if t > series[-1].t + 1e-9:
                 break
-            smp = sample_at(series, min(t, series[-1].t))
+            # k0's 1e-9 slack can put the first grid time just before the
+            # first sample, outside sample_at's own 1e-12
+            smp = sample_at(series, min(max(t, series[0].t), series[-1].t))
             regridded.append(smp)
             k += 1
         if regridded:

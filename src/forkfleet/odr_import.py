@@ -21,6 +21,7 @@ from .roadnet import Edge, RoadGraph, UnionFind, Waypoint, build_graph, normaliz
 log = logging.getLogger(__name__)
 
 SUPPORTED_GEOMETRY = ("line", "arc")
+SPEED_LIMIT = 4.0  # m/s on every imported edge: the subset reads no speed records
 
 
 class OdrError(ValueError):
@@ -197,6 +198,9 @@ def parse_opendrive_subset(text: str) -> RoadDescription:
                 if eid is None:
                     raise MissingAttribute(f"road {rid}: link without elementId")
                 contact = le.get("contactPoint", "start" if kind == "successor" else "end")
+                if contact not in ("start", "end"):
+                    raise MalformedDocument(f"road {rid}: {kind} contactPoint {contact!r} "
+                                            "is neither 'start' nor 'end'")
                 links.append(RoadLink(kind, eid, contact))
         roads.append(Road(rid, length, segments, left_count, right_count, links))
     if not roads:
@@ -204,13 +208,12 @@ def parse_opendrive_subset(text: str) -> RoadDescription:
     return RoadDescription(roads)
 
 
-def to_road_graph(desc: RoadDescription, spacing: float,
-                  default_speed_limit: float = 4.0) -> RoadGraph:
+def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
     """Sample every road's reference line and wire up directed edge chains.
 
     Forward chains carry right-lane traffic, backward chains left-lane
     traffic with reversed headings. Linked roads share junction nodes so
-    routes flow across road boundaries.
+    routes flow across road boundaries. Every edge gets SPEED_LIMIT.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
@@ -246,11 +249,15 @@ def to_road_graph(desc: RoadDescription, spacing: float,
     # Merge chain endpoints across road links (union-find on raw indices).
     uf = UnionFind(len(raw))
 
-    def endpoint(road_id, direction, which):
-        chain = chains.get((road_id, direction))
-        if chain is None:
-            return None
-        return chain[0] if which == "first" else chain[-1]
+    def arriving(road, end):
+        """Raw node where traffic reaches `end` of road, None without that lane."""
+        chain = chains.get((road.id, "fwd" if end == "end" else "bwd"))
+        return chain[-1] if chain else None
+
+    def leaving(road, end):
+        """Raw node where traffic leaves road at `end`, None without that lane."""
+        chain = chains.get((road.id, "bwd" if end == "end" else "fwd"))
+        return chain[0] if chain else None
 
     for road in desc.roads:
         for link in road.links:
@@ -258,23 +265,12 @@ def to_road_graph(desc: RoadDescription, spacing: float,
             if other is None:
                 log.warning("road %s: link to unknown road %s ignored", road.id, link.element_id)
                 continue
-            if link.kind == "successor":
-                # our geometric end touches the other's contact point
-                if link.contact_point == "start":
-                    pairs = [(endpoint(road.id, "fwd", "last"), endpoint(other.id, "fwd", "first")),
-                             (endpoint(other.id, "bwd", "last"), endpoint(road.id, "bwd", "first"))]
-                else:
-                    pairs = [(endpoint(road.id, "fwd", "last"), endpoint(other.id, "bwd", "first")),
-                             (endpoint(other.id, "fwd", "last"), endpoint(road.id, "bwd", "first"))]
-            else:
-                # our geometric start touches the other's contact point
-                if link.contact_point == "end":
-                    pairs = [(endpoint(other.id, "fwd", "last"), endpoint(road.id, "fwd", "first")),
-                             (endpoint(road.id, "bwd", "last"), endpoint(other.id, "bwd", "first"))]
-                else:
-                    pairs = [(endpoint(other.id, "bwd", "last"), endpoint(road.id, "fwd", "first")),
-                             (endpoint(road.id, "bwd", "last"), endpoint(other.id, "fwd", "first"))]
-            for a, b in pairs:
+            # a successor touches our end, a predecessor our start; traffic
+            # arriving at one road's touching end leaves by the other's
+            ours = "end" if link.kind == "successor" else "start"
+            theirs = link.contact_point
+            for a, b in ((arriving(road, ours), leaving(other, theirs)),
+                         (arriving(other, theirs), leaving(road, ours))):
                 if a is None or b is None:
                     continue
                 xa, ya, _ = raw[a]
@@ -303,5 +299,5 @@ def to_road_graph(desc: RoadDescription, spacing: float,
         if na == nb or (na, nb) in seen:
             continue
         seen.add((na, nb))
-        edge_objs.append(Edge(na, nb, length, default_speed_limit, True))
+        edge_objs.append(Edge(na, nb, length, SPEED_LIMIT, True))
     return build_graph(waypoints, edge_objs, [])

@@ -77,9 +77,9 @@ def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
     return grid
 
 
-def heatmap_for_graph(samples, graph: RoadGraph, cell_size: float = 2.0,
-                      margin: float = 2.0) -> HeatmapGrid:
-    """Heatmap sized to the graph bounding box plus a margin."""
+def heatmap_for_graph(samples, graph: RoadGraph, cell_size: float = 2.0) -> HeatmapGrid:
+    """Heatmap sized to the graph bounding box plus a 2 m margin."""
+    margin = 2.0
     x0, y0, x1, y1 = graph.bounding_box()
     ox, oy = x0 - margin, y0 - margin
     width = max(1, int(math.ceil((x1 - x0 + 2 * margin) / cell_size)))
@@ -213,10 +213,8 @@ def score_placement(result: PlacementResult, samples, graph: RoadGraph) -> float
 
 # --- file formats -----------------------------------------------------------
 
-def write_heatmap(grid: HeatmapGrid, fileobj, header_comment: str = "") -> None:
+def write_heatmap(grid: HeatmapGrid, fileobj) -> None:
     w = fileobj.write
-    if header_comment:
-        w(f"# {header_comment}\n")
     w(f"heatmap v1 {grid.origin_x:.12g} {grid.origin_y:.12g} "
       f"{grid.cell_size:.12g} {grid.width} {grid.height}\n")
     for row in grid.counts:
@@ -233,11 +231,8 @@ def write_heatmap_nonzero_csv(grid: HeatmapGrid, fileobj) -> None:
                 fileobj.write(f"{cx},{cy},{x:.12g},{y:.12g},{c}\n")
 
 
-def write_placement_csv(result: PlacementResult, graph: RoadGraph, fileobj,
-                        header_comment: str = "") -> None:
+def write_placement_csv(result: PlacementResult, graph: RoadGraph, fileobj) -> None:
     w = fileobj.write
-    if header_comment:
-        w(f"# {header_comment}\n")
     w("round,node_id,x,y,score\n")
     for i, (node, score) in enumerate(zip(result.stations, result.scores)):
         wp = graph.waypoints[node]

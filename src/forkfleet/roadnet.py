@@ -227,6 +227,7 @@ def nearest_node(g: RoadGraph, x: float, y: float) -> int:
     """Node minimizing Euclidean distance; ties go to the smallest id.
 
     A non-finite query returns node 0, as a scan finding no d < inf would.
+    A query whose squared distance to a node overflows raises RoadNetError.
     """
     if g.n_nodes() == 0:
         raise EmptyGraph("nearest_node on empty graph")
@@ -234,7 +235,11 @@ def nearest_node(g: RoadGraph, x: float, y: float) -> int:
         return 0
     if g.snap_index is None:
         g.snap_index = SnapIndex(g)
-    return g.snap_index.nearest(x, y)
+    try:
+        return g.snap_index.nearest(x, y)
+    except OverflowError as exc:
+        raise RoadNetError(f"point ({x!r}, {y!r}) is too far from the map to snap "
+                           "to a node") from exc
 
 
 # A node in a cell r rings away from the query's cell (clamped to the grid)
@@ -324,10 +329,8 @@ class UnionFind:
 # --- native text format -----------------------------------------------------
 # Header "roadnet v1", then node/edge/spot records, '#' comments.
 
-def save_roadnet(g: RoadGraph, fileobj, header_comment: str = "") -> None:
+def save_roadnet(g: RoadGraph, fileobj) -> None:
     w = fileobj.write
-    if header_comment:
-        w(f"# {header_comment}\n")
     w("roadnet v1\n")
     for wp in g.waypoints:
         w(f"node {wp.node} {wp.x:.12g} {wp.y:.12g} {wp.heading:.12g}\n")

@@ -40,10 +40,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_csv(samples, fileobj, header_comment: str = "") -> None:
+def write_csv(samples, fileobj) -> None:
     w = fileobj.write
-    if header_comment:
-        w(f"# {header_comment}\n")
     w(CSV_HEADER + "\n")
     for s in samples:
         w(",".join((_fmt(s.t), str(s.vehicle_id), _fmt(s.x), _fmt(s.y),

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -55,6 +57,15 @@ class TestSimulate:
                  open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read()
 
+    def test_provenance_identifies_the_config(self, tmp_path, map_file):
+        firsts = []
+        for name, dt in (("a", "0.1"), ("b", "0.2")):
+            _, out = simulate(tmp_path / name, map_file, "--dt", dt)
+            with open(os.path.join(out, "trajectory.csv")) as f:
+                firsts.append(f.readline())
+        assert firsts[0].startswith("# forkfleet ") and " config=sha256:" in firsts[0]
+        assert firsts[0] != firsts[1]
+
     def test_missing_map(self, tmp_path):
         assert main(["simulate", "--map", str(tmp_path / "nope.roadnet"),
                      "--out-dir", str(tmp_path)]) == EXIT_CONFIG
@@ -108,9 +119,10 @@ class TestExitCodes:
     """Bad inputs end in the documented exit code and a one-line message,
     not a traceback. Each row: test id, full argv, exit code, stderr prefix.
     {map} is the demo floor, {out} an output directory, {traj} a valid
-    trajectory CSV, {nan_traj} the same with x = nan on one line, {manifest}
-    a calibrate manifest whose energy is nan, {corridors} ONE_WAY_CORRIDORS,
-    {odr} ONE_ROAD_ODR."""
+    trajectory CSV, {nan_traj} the same with x = nan on one line, {far_traj}
+    the same with x = 1e200 (its squared distance to a node overflows),
+    {manifest} a calibrate manifest whose energy is nan, {corridors}
+    ONE_WAY_CORRIDORS, {odr} ONE_ROAD_ODR."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
            "--duration", "2"]
@@ -160,6 +172,12 @@ class TestExitCodes:
          EXIT_INPUT, INPUT),
         ("heatmap x=nan", ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
          EXIT_INPUT, INPUT),
+        ("analyze-density x=1e200",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{far_traj}"],
+         EXIT_INPUT, INPUT),
+        ("place-chargers x=1e200",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "{far_traj}"],
+         EXIT_INPUT, INPUT),
         ("calibrate energy=nan",
          ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{manifest}"], EXIT_INPUT, INPUT),
         ("simulate unreachable spot",
@@ -181,6 +199,7 @@ class TestExitCodes:
         paths = {"map": map_file, "out": str(tmp_path / "out")}
         for name, text in (("traj", CSV_HEADER + "".join(rows)),
                            ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
+                           ("far_traj", CSV_HEADER + rows[0] + "1,0,1e200,10,0,1,0,0,0.99\n"),
                            ("manifest", "traj,nan\n"),
                            ("corridors", ONE_WAY_CORRIDORS),
                            ("odr", ONE_ROAD_ODR)):
@@ -205,11 +224,12 @@ class TestExitCodes:
 
 
 class TestWriteAtomic:
-    TEXT = "# head\r\nt,x\n0,1.5\n"
+    BODY = "t,x\r\n0,1.5\n"
+    TEXT = "# head\n" + BODY
 
     def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
         path = tmp_path / "out.csv"
-        _write_atomic(str(path), lambda f: f.write(self.TEXT))
+        _write_atomic(str(path), "head", lambda f: f.write(self.BODY))
         plain = tmp_path / "plain.csv"
         with open(plain, "w", newline="") as f:
             f.write(self.TEXT)
@@ -221,7 +241,7 @@ class TestWriteAtomic:
         target = tmp_path / "taken"
         target.mkdir()  # renaming a file onto a directory fails
         with pytest.raises(OSError):
-            _write_atomic(str(target), lambda f: f.write(self.TEXT))
+            _write_atomic(str(target), "head", lambda f: f.write(self.BODY))
         assert os.listdir(tmp_path) == ["taken"]
         assert os.listdir(target) == []
 
@@ -230,8 +250,59 @@ class TestWriteAtomic:
             f.write("partial")
             raise RuntimeError("render failed")
         with pytest.raises(RuntimeError):
-            _write_atomic(str(tmp_path / "out.csv"), render)
+            _write_atomic(str(tmp_path / "out.csv"), "head", render)
         assert os.listdir(tmp_path) == []
+
+
+def sha256_12(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()[:12]
+
+
+class TestProvenance:
+    def test_every_file_starts_with_its_command_line(self, tmp_path, map_file):
+        _, sim = simulate(tmp_path, map_file)
+        traj = os.path.join(sim, "trajectory.csv")
+        odr = tmp_path / "site.xodr"
+        odr.write_text(ONE_ROAD_ODR)
+        manifest = tmp_path / "cycles.csv"
+        manifest.write_text(f"{traj},1000000\n")
+        os.makedirs(tmp_path / "convert")
+        out = {c: str(tmp_path / c) for c in
+               ("replay", "convert", "analyze-density", "place-chargers", "heatmap", "calibrate")}
+        runs = [  # command, argv, seed, inputs in provenance order, output dir, files
+            ("simulate", None, 5, [map_file], sim,
+             ["soc.csv", "summary.txt", "trajectory.csv"]),
+            ("replay", ["--map", map_file, traj], 0, [map_file, traj], out["replay"],
+             ["replay.csv", "soc.csv"]),
+            ("convert", [str(odr), "--out", os.path.join(out["convert"], "site.roadnet")], 0,
+             [str(odr)], out["convert"], ["site.roadnet"]),
+            ("analyze-density", ["--map", map_file, traj], 0, [map_file, traj],
+             out["analyze-density"], ["density.csv", "episodes.txt"]),
+            ("place-chargers", ["--map", map_file, traj], 0, [map_file, traj],
+             out["place-chargers"], ["heatmap.txt", "heatmap_cells.csv", "placement.csv"]),
+            ("heatmap", ["--map", map_file, traj], 0, [map_file, traj], out["heatmap"],
+             ["heatmap.txt", "heatmap_cells.csv"]),
+            ("calibrate", ["--free", "c_rr", str(manifest)], 0, [str(manifest)],
+             out["calibrate"], ["fitted_params.cfg", "residuals.txt"]),
+        ]
+        for command, argv, seed, inputs, out_dir, files in runs:
+            if argv is not None:
+                if command != "convert":
+                    argv = ["--out-dir", out_dir, *argv]
+                assert main([command, *argv]) == EXIT_OK, command
+            digests = " ".join(f"{os.path.basename(p)}:sha256:{sha256_12(p)}" for p in inputs)
+            config = "" if command == "convert" else r" config=sha256:[0-9a-f]{12}"
+            line = re.compile(rf"# forkfleet {re.escape(forkfleet.__version__)} seed={seed}"
+                              rf"{config} inputs={re.escape(digests)}\n")
+            assert sorted(os.listdir(out_dir)) == files, command
+            firsts = set()
+            for name in files:
+                with open(os.path.join(out_dir, name)) as f:
+                    firsts.add(f.readline())
+                    assert not any(ln.startswith("#") for ln in f), (command, name)
+            assert len(firsts) == 1, command
+            assert line.fullmatch(firsts.pop()), command
 
 
 class TestReplay:

@@ -77,7 +77,7 @@ class TestDump:
     def test_round_trips_through_loader(self):
         p = BatteryParams(c_rr=0.0123, eta_drive=0.9)
         buf = io.StringIO()
-        dump_battery_params(p, buf, header_comment="fit")
+        dump_battery_params(p, buf)
         buf.seek(0)
         cfg = load_config(buf)
         assert cfg.battery == p

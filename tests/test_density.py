@@ -247,11 +247,10 @@ class TestWriters:
         cfg = DensityConfig()
         rep = analyze_snapshot(2.5, states_on_line([(0, 0.1), (10, 0.1)]), g, cfg)
         buf = io.StringIO()
-        write_report_csv([rep], buf, header_comment="test run")
+        write_report_csv([rep], buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "# test run"
-        assert lines[1] == "t,cluster_id,member_ids,mean_speed,critical"
-        assert lines[2] == "2.5,0,0;1,0.1,1"
+        assert lines[0] == "t,cluster_id,member_ids,mean_speed,critical"
+        assert lines[1] == "2.5,0,0;1,0.1,1"
 
     def test_episode_summary(self):
         cfg = DensityConfig(distance_threshold=15.0, velocity_threshold=0.5)

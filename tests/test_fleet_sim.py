@@ -300,3 +300,18 @@ class TestReplay:
         out = replay(samples, g, dt=0.5)
         v1 = [s for s in out if s.vehicle_id == 1]
         assert [s.t for s in v1] == [0.5, 1.0]
+
+    def test_first_sample_just_after_a_grid_time(self):
+        # 1.30000000001 (12 significant digits, as write_csv writes) is within
+        # the regrid's 1e-9 slack after grid time 13 * 0.1
+        from forkfleet.trajectory import TrajectorySample
+        samples = [
+            TrajectorySample(0.0, 0, 10, 10, 0, 0, 0, 0, 1.0),
+            TrajectorySample(1.30000000001, 1, 20, 10, 0, 0, 0, 0, 0.9),
+            TrajectorySample(2.0, 0, 10, 10, 0, 0, 0, 0, 1.0),
+            TrajectorySample(2.0, 1, 20, 10, 0, 0, 0, 0, 0.9),
+        ]
+        out = replay(samples, mapgen.warehouse_map(), dt=0.1)
+        v1 = [s for s in out if s.vehicle_id == 1]
+        assert v1[0] == samples[1]
+        assert len(v1) == 8  # grid times 1.3, 1.4, ..., 2.0

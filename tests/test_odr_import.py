@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from forkfleet.odr_import import (GeometryGap, MalformedDocument, MissingAttribute,
                                   UnsupportedGeometry, parse_opendrive_subset,
                                   to_road_graph)
-from forkfleet.roadnet import astar, dijkstra
+from forkfleet.roadnet import astar, dijkstra, save_roadnet
 
 
 def road_xml(road_id, length, geometry, lanes="", link=""):
@@ -73,6 +74,14 @@ class TestParse:
         assert desc.roads[0].links[0].element_id == "2"
         assert desc.roads[1].links[0].element_id == "1"
 
+    def test_unknown_contact_point(self):
+        r1 = road_xml(1, 30.0,
+                      '<geometry s="0" x="0" y="0" hdg="0" length="30"><line/></geometry>',
+                      LANES_RIGHT,
+                      '<link><successor elementType="road" elementId="2" contactPoint="middle"/></link>')
+        with pytest.raises(MalformedDocument, match="contactPoint 'middle'"):
+            parse_opendrive_subset(doc(r1))
+
     def test_malformed_xml(self):
         with pytest.raises(MalformedDocument):
             parse_opendrive_subset("<OpenDRIVE><road")
@@ -122,6 +131,74 @@ class TestToRoadGraph:
         for w in g.waypoints:
             r = math.hypot(w.x - 0.0, w.y - 10.0)
             assert abs(r - 10.0) <= 1.0 ** 2 / (8 * 10.0)
+
+    # One case per (link kind, contactPoint): road 1 runs (0, 0) -> (10, 0),
+    # and road 2, given as (x, y, heading) of its start, touches it there.
+    # Both roads are two-way; the texts are the importer's output before its
+    # four cases became one rule.
+    LINK_CASES = [
+        ("successor", "start", (10, 0, 0),
+         "roadnet v1\n"
+         "node 0 0 0 0\n"
+         "node 1 10 0 0\n"
+         "node 2 10 0 -3.14159265359\n"
+         "node 3 0 0 -3.14159265359\n"
+         "node 4 20 0 0\n"
+         "node 5 20 0 -3.14159265359\n"
+         "edge 0 1 10 4 1\n"
+         "edge 2 3 10 4 1\n"
+         "edge 1 4 10 4 1\n"
+         "edge 5 2 10 4 1\n"),
+        ("successor", "end", (20, 0, math.pi),
+         "roadnet v1\n"
+         "node 0 0 0 0\n"
+         "node 1 10 0 0\n"
+         "node 2 10 0 -3.14159265359\n"
+         "node 3 0 0 -3.14159265359\n"
+         "node 4 20 0 -3.14159265359\n"
+         "node 5 20 0 0\n"
+         "edge 0 1 10 4 1\n"
+         "edge 2 3 10 4 1\n"
+         "edge 4 2 10 4 1\n"
+         "edge 1 5 10 4 1\n"),
+        ("predecessor", "end", (-10, 0, 0),
+         "roadnet v1\n"
+         "node 0 0 0 0\n"
+         "node 1 10 0 0\n"
+         "node 2 10 0 -3.14159265359\n"
+         "node 3 0 0 -3.14159265359\n"
+         "node 4 -10 0 0\n"
+         "node 5 -10 0 -3.14159265359\n"
+         "edge 0 1 10 4 1\n"
+         "edge 2 3 10 4 1\n"
+         "edge 4 0 10 4 1\n"
+         "edge 3 5 10 4 1\n"),
+        ("predecessor", "start", (0, 0, math.pi),
+         "roadnet v1\n"
+         "node 0 0 0 0\n"
+         "node 1 10 0 0\n"
+         "node 2 10 0 -3.14159265359\n"
+         "node 3 0 0 -3.14159265359\n"
+         "node 4 -10 1.22464679915e-15 -3.14159265359\n"
+         "node 5 -10 1.22464679915e-15 0\n"
+         "edge 0 1 10 4 1\n"
+         "edge 2 3 10 4 1\n"
+         "edge 3 4 10 4 1\n"
+         "edge 5 0 10 4 1\n"),
+    ]
+
+    @pytest.mark.parametrize("kind,contact,start,expected", LINK_CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in LINK_CASES])
+    def test_link_cases(self, kind, contact, start, expected):
+        x, y, hdg = start
+        link = f'<link><{kind} elementType="road" elementId="2" contactPoint="{contact}"/></link>'
+        r1 = road_xml(1, 10.0, '<geometry s="0" x="0" y="0" hdg="0" length="10"><line/></geometry>',
+                      LANES_BOTH, link)
+        r2 = road_xml(2, 10.0, f'<geometry s="0" x="{x}" y="{y}" hdg="{hdg}" length="10">'
+                      '<line/></geometry>', LANES_BOTH)
+        buf = io.StringIO()
+        save_roadnet(to_road_graph(parse_opendrive_subset(doc(r1, r2)), spacing=10.0), buf)
+        assert buf.getvalue() == expected
 
     def test_sampled_length_matches_declared(self):
         text = doc(road_xml(1, 10.0 * math.pi / 2,

@@ -277,11 +277,10 @@ class TestWriters:
     def test_heatmap_text(self):
         grid = HeatmapGrid(0.0, 0.0, 2.0, 2, 2, [[1, 0], [0, 3]])
         buf = io.StringIO()
-        write_heatmap(grid, buf, header_comment="demo")
+        write_heatmap(grid, buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "# demo"
-        assert lines[1] == "heatmap v1 0 0 2 2 2"
-        assert lines[2:] == ["1 0", "0 3"]
+        assert lines[0] == "heatmap v1 0 0 2 2 2"
+        assert lines[1:] == ["1 0", "0 3"]
 
     def test_nonzero_csv(self):
         grid = HeatmapGrid(0.0, 0.0, 2.0, 2, 2, [[1, 0], [0, 3]])

@@ -221,7 +221,7 @@ class TestNearestNodeGrid:
 class TestNativeFormat:
     def test_round_trip(self, warehouse):
         buf = io.StringIO()
-        save_roadnet(warehouse, buf, header_comment="fixture")
+        save_roadnet(warehouse, buf)
         buf.seek(0)
         g2 = load_roadnet(buf)
         assert g2.n_nodes() == warehouse.n_nodes()

@@ -20,7 +20,7 @@ class TestCsv:
             TrajectorySample(0.0, 1, 7.0, 3.0, math.pi, 0.0, 0.0, 0.0, 1.0),
         ]
         buf = io.StringIO()
-        write_csv(samples, buf, header_comment="run 1")
+        write_csv(samples, buf)
         buf.seek(0)
         back = read_csv(buf)
         assert len(back) == len(samples)
