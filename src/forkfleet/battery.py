@@ -82,32 +82,52 @@ def soc_band(soc: float) -> str:
     return CRITICAL
 
 
-def horizontal_work(v0: float, v1: float, ds: float, dheading: float, dt: float,
-                    mass: float, p: BatteryParams):
-    """Battery energy for one horizontal motion segment -> (draw, regen), J.
+def _features(dt, ds, v0, v1, dheading, mass, dh, lift_mass):
+    """One segment's parameter-free features: (dt, ds, mass, w_kin,
+    |dheading/dt|, dh, lift mass). The energy depends on the parameters only
+    through _energy, so calibrate() builds these once per cycle."""
+    if ds < 0 or dt <= 0:
+        raise NonphysicalSegment(f"ds={ds}, dt={dt}")
+    return dt, ds, mass, 0.5 * mass * (v1 * v1 - v0 * v0), abs(dheading / dt), dh, lift_mass
+
+
+def _energy(features, p: BatteryParams):
+    """The force balance: one segment's (draw, regen) in J from its features.
 
     Tractive work = kinetic change + rolling + steering friction. Positive
     tractive work is drawn through eta_drive; on braking only the kinetic
-    release net of friction can be recuperated.
+    release net of friction can be recuperated. Lifting draws through
+    eta_drive, lowering recuperates through eta_regen, and the auxiliary
+    load draws for dt seconds.
     """
-    if ds < 0 or dt <= 0:
-        raise NonphysicalSegment(f"ds={ds}, dt={dt}")
-    w_kin = 0.5 * mass * (v1 * v1 - v0 * v0)
-    friction = p.c_rr * mass * p.g * ds + p.c_steer * mass * abs(dheading / dt) * ds
+    dt, ds, mass, w_kin, rate, dh, lift_mass = features
+    g = p.g
+    friction = p.c_rr * mass * g * ds + p.c_steer * mass * rate * ds
     w_tr = w_kin + friction
     if w_tr >= 0:
-        return w_tr / p.eta_drive, 0.0
-    return 0.0, max(0.0, -w_kin - friction) * p.eta_regen
+        draw, regen = w_tr / p.eta_drive, 0.0
+    else:
+        draw, regen = 0.0, max(0.0, -w_kin - friction) * p.eta_regen
+    vd = vr = 0.0
+    if dh > 0:
+        vd = lift_mass * g * dh / p.eta_drive
+    elif dh < 0:
+        vr = lift_mass * g * (-dh) * p.eta_regen
+    return draw + vd + p.aux_power * dt, regen + vr
+
+
+def horizontal_work(v0: float, v1: float, ds: float, dheading: float, dt: float,
+                    mass: float, p: BatteryParams):
+    """Battery energy for one horizontal motion segment -> (draw, regen), J,
+    without the auxiliary load."""
+    _, ds, mass, w_kin, rate, _, _ = _features(dt, ds, v0, v1, dheading, mass, 0.0, 0.0)
+    # no lift, and no seconds of auxiliary load
+    return _energy((0.0, ds, mass, w_kin, rate, 0.0, 0.0), p)
 
 
 def vertical_work(dh: float, load_mass: float, fork_mass: float, p: BatteryParams):
     """Lift/lower energy -> (draw, regen), J."""
-    m = load_mass + fork_mass
-    if dh > 0:
-        return m * p.g * dh / p.eta_drive, 0.0
-    if dh < 0:
-        return 0.0, m * p.g * (-dh) * p.eta_regen
-    return 0.0, 0.0
+    return _energy((0.0, 0.0, 0.0, 0.0, 0.0, dh, load_mass + fork_mass), p)
 
 
 @dataclass(frozen=True)
@@ -128,18 +148,20 @@ class SocState:
             self.initial_soc = self.soc
 
 
-def segment_energy(a, b, consts: VehicleConstants, p: BatteryParams):
-    """Energy for the segment between two trajectory samples -> (draw, regen)."""
+def _segment_features(a, b, consts: VehicleConstants):
+    """Features of the segment between two trajectory samples."""
     dt = b.t - a.t
     if dt <= 0:
         raise UnsortedSamples(f"non-increasing sample times {a.t} -> {b.t}")
-    ds = 0.5 * (a.speed + b.speed) * dt  # trapezoidal in speed
-    dheading = math.remainder(b.heading - a.heading, 2.0 * math.pi)
-    mass = consts.truck_mass + a.load_mass
-    draw, regen = horizontal_work(a.speed, b.speed, ds, dheading, dt, mass, p)
-    vd, vr = vertical_work(b.fork_height - a.fork_height, b.load_mass,
-                           consts.fork_mass, p)
-    return draw + vd + p.aux_power * dt, regen + vr
+    return _features(dt, 0.5 * (a.speed + b.speed) * dt,  # trapezoidal in speed
+                     a.speed, b.speed, math.remainder(b.heading - a.heading, 2.0 * math.pi),
+                     consts.truck_mass + a.load_mass,
+                     b.fork_height - a.fork_height, b.load_mass + consts.fork_mass)
+
+
+def segment_energy(a, b, consts: VehicleConstants, p: BatteryParams):
+    """Energy for the segment between two trajectory samples -> (draw, regen)."""
+    return _energy(_segment_features(a, b, consts), p)
 
 
 def apply_energy(state: SocState, draw: float, regen: float, p: BatteryParams) -> SocState:
@@ -149,6 +171,13 @@ def apply_energy(state: SocState, draw: float, regen: float, p: BatteryParams) -
     return SocState(soc, cd, cr, state.initial_soc)
 
 
+def _vehicle_features(samples, consts: VehicleConstants):
+    """[(samples, segment features)] per vehicle, vehicles in id order."""
+    per_vehicle = split_by_vehicle(samples)
+    return [(ss, [_segment_features(a, b, consts) for a, b in zip(ss, ss[1:])])
+            for _, ss in sorted(per_vehicle.items())]
+
+
 def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     """Integrate one vehicle's (or many vehicles') samples.
 
@@ -156,15 +185,14 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     (total_draw, total_regen, soc_series) where soc_series is a list of
     (t, vehicle_id, soc) per sample, vehicles in id order.
     """
-    per_vehicle = split_by_vehicle(samples)
     total_draw = total_regen = 0.0
     series = []
-    for vid in sorted(per_vehicle):
-        ss = per_vehicle[vid]
+    for ss, features in _vehicle_features(samples, consts):
+        vid = ss[0].vehicle_id
         state = SocState(ss[0].soc)
         series.append((ss[0].t, vid, state.soc))
-        for a, b in zip(ss, ss[1:]):
-            draw, regen = segment_energy(a, b, consts, p)
+        for b, f in zip(ss[1:], features):
+            draw, regen = _energy(f, p)
             total_draw += draw
             total_regen += regen
             state = apply_energy(state, draw, regen, p)
@@ -172,9 +200,15 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     return total_draw, total_regen, series
 
 
-def _net_energy(samples, consts, p):
-    draw, regen, _ = integrate_trajectory(samples, consts, p)
-    return draw - regen
+def _net(features, p: BatteryParams):
+    """Total draw - total regen over a cycle's features, summed in the
+    order integrate_trajectory sums them."""
+    total_draw = total_regen = 0.0
+    for f in features:
+        draw, regen = _energy(f, p)
+        total_draw += draw
+        total_regen += regen
+    return total_draw - total_regen
 
 
 def _golden_section(f, lo, hi, iters=90):
@@ -224,14 +258,17 @@ def calibrate(cycles, p0: BatteryParams, free,
     if len(cycles) < len(free):
         raise Underdetermined(f"{len(cycles)} cycles for {len(free)} free parameters")
 
+    # the segments' features do not depend on the parameters: build them once
+    fits = [([seg for _, features in _vehicle_features(traj, consts) for seg in features],
+             measured) for traj, measured in cycles]
+
     def objective(p):
-        return sum((_net_energy(traj, consts, p) - measured) ** 2
-                   for traj, measured in cycles)
+        return sum((_net(features, p) - measured) ** 2 for features, measured in fits)
 
     p = p0
     obj = objective(p)
     if not free:
-        residuals = [_net_energy(traj, consts, p) - m for traj, m in cycles]
+        residuals = [_net(features, p) - m for features, m in fits]
         return CalibrationResult(p, residuals, obj, 0, True)
 
     converged = False
@@ -256,5 +293,5 @@ def calibrate(cycles, p0: BatteryParams, free,
         if prev == 0:
             converged = True
             break
-    residuals = [_net_energy(traj, consts, p) - m for traj, m in cycles]
+    residuals = [_net(features, p) - m for features, m in fits]
     return CalibrationResult(p, residuals, obj, sweeps, converged)

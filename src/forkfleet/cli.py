@@ -218,6 +218,7 @@ def cmd_calibrate(args):
     cfg = _load_scenario(args)
     _require_file(args.manifest)
     cycles = []
+    cycle_paths = []
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
     with open(args.manifest) as f:
         for lineno, line in enumerate(f, start=1):
@@ -231,6 +232,7 @@ def cmd_calibrate(args):
             if not os.path.isabs(path):
                 path = os.path.join(manifest_dir, path)
             samples = _read_trajectory(path)
+            cycle_paths.append(path)
             try:
                 measured = float(parts[1])
             except ValueError:
@@ -241,7 +243,7 @@ def cmd_calibrate(args):
     free = [s.strip() for s in args.free.split(",") if s.strip()] if args.free else []
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     result = bat.calibrate(cycles, cfg.battery, free, consts=consts)
-    return _provenance([args.manifest], cfg), {
+    return _provenance([args.manifest, *cycle_paths], cfg), {
         "fitted_params.cfg": lambda f: dump_battery_params(result.params, f),
         "residuals.txt": lambda f: _render_residuals(result, f)}
 

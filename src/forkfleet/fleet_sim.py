@@ -32,7 +32,7 @@ visited in, so the caps equal those of testing all N(N-1)/2 pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import battery as bat
@@ -512,11 +512,14 @@ class World:
 
     def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
         """Step for the given duration, recording one sample per vehicle per
-        step (plus the initial state). Returns the recorded samples."""
+        step (plus the initial state on the first run). Returns every sample
+        recorded so far."""
         n_steps = int(round(duration / self.dt))
         if n_steps <= 0:
             return []
-        self.record_current()
+        if not self.samples:
+            # a later run continues from the last sample already recorded
+            self.record_current()
         for _ in range(n_steps):
             self.step(auto_assign=auto_assign, policy=policy)
             # the samples step() just built at this clock, SOC included
@@ -537,6 +540,11 @@ class World:
                 "soc_band": bat.soc_band(v.soc),
             })
         return out
+
+
+def _with_soc(s, soc):
+    return TrajectorySample(s.t, s.vehicle_id, s.x, s.y, s.heading, s.speed,
+                            s.fork_height, s.load_mass, soc)
 
 
 def replay(samples, graph: RoadGraph, dt: float = 0.1,
@@ -569,8 +577,8 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
             regridded.append(smp)
             k += 1
         if regridded:
-            regridded[0] = replace(regridded[0], soc=series[0].soc)
+            regridded[0] = _with_soc(regridded[0], series[0].soc)
         _, _, socs = bat.integrate_trajectory(regridded, consts, params)
-        out.extend(replace(smp, soc=soc) for smp, (_, _, soc) in zip(regridded, socs))
+        out.extend(_with_soc(smp, soc) for smp, (_, _, soc) in zip(regridded, socs))
     out.sort(key=lambda s: (s.t, s.vehicle_id))
     return out

@@ -1,14 +1,19 @@
 import math
 import random
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
-                               NonphysicalSegment, OutOfRange, SUFFICIENT, SocState,
+                               CalibrationResult, NonphysicalSegment, OutOfRange,
+                               PARAM_BOUNDS, SUFFICIENT, SocState,
                                Underdetermined, VehicleConstants, apply_energy,
                                calibrate, horizontal_work, integrate_trajectory,
-                               segment_energy, soc_band, vertical_work, G)
-from forkfleet.trajectory import TrajectorySample, UnsortedSamples
+                               segment_energy, soc_band, vertical_work, G,
+                               _golden_section, _net, _vehicle_features)
+from forkfleet.trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
 
 FRICTIONLESS = BatteryParams(c_rr=0.0, c_steer=0.0, eta_drive=1.0, eta_regen=0.3,
                              aux_power=0.0)
@@ -251,3 +256,133 @@ class TestCalibrate:
     def test_underdetermined(self):
         with pytest.raises(Underdetermined):
             calibrate(self.cycles(1), BatteryParams(), ["c_rr", "eta_drive"])
+
+
+# --- the cached-feature kernel against the per-segment code it replaced -------
+
+def reference_segment_energy(a, b, consts, p):
+    """The force balance as segment_energy, horizontal_work and vertical_work
+    wrote it before the feature tuple, expression for expression."""
+    dt = b.t - a.t
+    if dt <= 0:
+        raise UnsortedSamples(f"non-increasing sample times {a.t} -> {b.t}")
+    ds = 0.5 * (a.speed + b.speed) * dt
+    dheading = math.remainder(b.heading - a.heading, 2.0 * math.pi)
+    mass = consts.truck_mass + a.load_mass
+    if ds < 0 or dt <= 0:
+        raise NonphysicalSegment(f"ds={ds}, dt={dt}")
+    w_kin = 0.5 * mass * (b.speed * b.speed - a.speed * a.speed)
+    friction = p.c_rr * mass * p.g * ds + p.c_steer * mass * abs(dheading / dt) * ds
+    w_tr = w_kin + friction
+    if w_tr >= 0:
+        draw, regen = w_tr / p.eta_drive, 0.0
+    else:
+        draw, regen = 0.0, max(0.0, -w_kin - friction) * p.eta_regen
+    m = b.load_mass + consts.fork_mass
+    dh = b.fork_height - a.fork_height
+    vd = vr = 0.0
+    if dh > 0:
+        vd = m * p.g * dh / p.eta_drive
+    elif dh < 0:
+        vr = m * p.g * (-dh) * p.eta_regen
+    return draw + vd + p.aux_power * dt, regen + vr
+
+
+def reference_net_energy(samples, consts, p):
+    """Total draw - total regen, vehicles in id order, one segment at a time."""
+    per_vehicle = split_by_vehicle(samples)
+    draw = regen = 0.0
+    for vid in sorted(per_vehicle):
+        ss = per_vehicle[vid]
+        for a, b in zip(ss, ss[1:]):
+            d, r = reference_segment_energy(a, b, consts, p)
+            draw += d
+            regen += r
+    return draw - regen
+
+
+def reference_calibrate(cycles, p0, free, consts):
+    """calibrate() as it was: every probe integrates every cycle afresh."""
+    def objective(p):
+        return sum((reference_net_energy(traj, consts, p) - measured) ** 2
+                   for traj, measured in cycles)
+
+    p = p0
+    obj = objective(p)
+    converged = False
+    sweeps = 0
+    for sweep in range(1, 201):
+        sweeps = sweep
+        prev = obj
+        for name in free:
+            lo, hi = PARAM_BOUNDS[name]
+            x, fx = _golden_section(lambda val: objective(replace(p, **{name: val})), lo, hi)
+            if fx < obj:
+                p = replace(p, **{name: x})
+                obj = fx
+        if prev == 0 or (prev - obj) / prev < 1e-9:
+            converged = True
+            break
+    residuals = [reference_net_energy(traj, consts, p) - m for traj, m in cycles]
+    return CalibrationResult(p, residuals, obj, sweeps, converged)
+
+
+@st.composite
+def trajectories(draw, max_vehicles=3, max_samples=12):
+    """Samples of 1-3 vehicles in (t, id) order: loads that change between
+    samples, forks that lift, hold and lower, headings that wrap past +-pi."""
+    samples = []
+    for vid in range(draw(st.integers(1, max_vehicles))):
+        t = draw(st.floats(0.0, 5.0))
+        heading = draw(st.floats(-4.0, 4.0))
+        for _ in range(draw(st.integers(1, max_samples))):
+            samples.append(TrajectorySample(
+                t, vid, 0.0, 0.0, heading, draw(st.floats(0.0, 3.0)),
+                draw(st.sampled_from([0.0, 0.0, 1.5, 3.0]) | st.floats(0.0, 3.0)),
+                draw(st.sampled_from([0.0, 500.0, 1200.0]) | st.floats(0.0, 2000.0)),
+                1.0))
+            t += draw(st.floats(0.01, 2.0))
+            heading += draw(st.floats(-7.0, 7.0))
+    samples.sort(key=lambda s: (s.t, s.vehicle_id))
+    return samples
+
+
+def battery_params():
+    return st.builds(BatteryParams, **{name: st.floats(lo, hi)
+                                       for name, (lo, hi) in PARAM_BOUNDS.items()})
+
+
+def vehicle_constants():
+    return st.builds(VehicleConstants, st.floats(500.0, 5000.0), st.floats(0.0, 300.0))
+
+
+class TestCachedFeatures:
+    @settings(max_examples=200, deadline=None)
+    @given(trajectories(), vehicle_constants(), battery_params())
+    def test_net_energy_matches_the_segment_loop(self, samples, consts, p):
+        draw, regen, _ = integrate_trajectory(samples, consts, p)
+        features = [f for _, fs in _vehicle_features(samples, consts) for f in fs]
+        net = _net(features, p)
+        assert net == draw - regen
+        assert net == reference_net_energy(samples, consts, p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(trajectories(max_vehicles=2, max_samples=8),
+                              st.floats(0.5, 1.5)), min_size=1, max_size=3),
+           vehicle_constants(), battery_params(), battery_params(),
+           st.sampled_from(sorted(PARAM_BOUNDS)))
+    def test_calibrate_matches_the_reference(self, cases, consts, truth, p0, name):
+        cycles = [(samples, reference_net_energy(samples, consts, truth) * scale)
+                  for samples, scale in cases]
+        assert (calibrate(cycles, p0, [name], consts)
+                == reference_calibrate(cycles, p0, [name], consts))
+
+    def test_calibrate_keeps_the_sample_checks(self):
+        p0 = BatteryParams()
+        backwards = [TrajectorySample(1.0, 0, 0, 0, 0, 0), TrajectorySample(0.5, 0, 0, 0, 0, 0)]
+        with pytest.raises(UnsortedSamples):
+            calibrate([(backwards, 1.0)], p0, ["c_rr"])
+        reversing = [TrajectorySample(0.0, 0, 0, 0, 0, -1.0),
+                     TrajectorySample(1.0, 0, 0, 0, 0, -1.0)]
+        with pytest.raises(NonphysicalSegment):
+            calibrate([(reversing, 1.0)], p0, ["c_rr"])

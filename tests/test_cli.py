@@ -283,7 +283,7 @@ class TestProvenance:
              out["place-chargers"], ["heatmap.txt", "heatmap_cells.csv", "placement.csv"]),
             ("heatmap", ["--map", map_file, traj], 0, [map_file, traj], out["heatmap"],
              ["heatmap.txt", "heatmap_cells.csv"]),
-            ("calibrate", ["--free", "c_rr", str(manifest)], 0, [str(manifest)],
+            ("calibrate", ["--free", "c_rr", str(manifest)], 0, [str(manifest), traj],
              out["calibrate"], ["fitted_params.cfg", "residuals.txt"]),
         ]
         for command, argv, seed, inputs, out_dir, files in runs:
@@ -400,6 +400,24 @@ class TestCalibrate:
                       if not line.startswith("#"))
         assert float(fitted["battery.c_rr"]) == pytest.approx(0.017, rel=1e-4)
         assert os.path.exists(os.path.join(out, "residuals.txt"))
+
+    def test_provenance_digests_the_cycle_files(self, tmp_path, map_file):
+        manifest = self.make_manifest(tmp_path, map_file, 2)
+
+        def first_line(out):
+            assert main(["calibrate", "--out-dir", out, "--free", "c_rr",
+                         manifest]) == EXIT_OK
+            with open(os.path.join(out, "fitted_params.cfg")) as f:
+                return f.readline()
+
+        before = first_line(str(tmp_path / "fit1"))
+        with open(manifest) as f:
+            cycle = f.readline().rsplit(",", 1)[0]
+        with open(cycle) as f:
+            lines = f.readlines()
+        with open(cycle, "w") as f:
+            f.writelines(lines[:len(lines) // 2])
+        assert first_line(str(tmp_path / "fit2")) != before
 
     def test_underdetermined(self, tmp_path, map_file):
         manifest = self.make_manifest(tmp_path, map_file, 1)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -10,7 +11,7 @@ from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
                                  SpotOccupied, UnreachableDestination,
                                  VehicleBusy, World, replay)
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
-from forkfleet.trajectory import split_by_vehicle
+from forkfleet.trajectory import read_csv, split_by_vehicle, write_csv
 
 
 def corridor_graph():
@@ -268,6 +269,19 @@ class TestFleet:
     def test_zero_duration_run(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
         assert w.run(0.0) == []
+
+    def test_second_run_continues_without_repeating_the_boundary(self):
+        w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
+        w.run(1.0)
+        samples = w.run(1.0)
+        for vid, ss in split_by_vehicle(samples).items():
+            times = [s.t for s in ss]
+            assert len(times) == 21  # t = 0, and 20 steps of 0.1 s
+            assert all(a < b for a, b in zip(times, times[1:])), (vid, times)
+        buf = io.StringIO()
+        write_csv(samples, buf)
+        buf.seek(0)
+        assert len(read_csv(buf)) == len(samples)
 
 
 class TestReplay:
