@@ -12,7 +12,7 @@ against measured duty-cycle energies (e.g. VDI 2198 style cycles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .trajectory import UnsortedSamples, split_by_vehicle
 
@@ -136,18 +136,6 @@ class VehicleConstants:
     fork_mass: float = 100.0
 
 
-@dataclass
-class SocState:
-    soc: float
-    cumulative_draw: float = 0.0
-    cumulative_regen: float = 0.0
-    initial_soc: float = None
-
-    def __post_init__(self):
-        if self.initial_soc is None:
-            self.initial_soc = self.soc
-
-
 def _segment_features(a, b, consts: VehicleConstants):
     """Features of the segment between two trajectory samples."""
     dt = b.t - a.t
@@ -164,13 +152,6 @@ def segment_energy(a, b, consts: VehicleConstants, p: BatteryParams):
     return _energy(_segment_features(a, b, consts), p)
 
 
-def apply_energy(state: SocState, draw: float, regen: float, p: BatteryParams) -> SocState:
-    cd = state.cumulative_draw + draw
-    cr = state.cumulative_regen + regen
-    soc = min(max(state.initial_soc - (cd - cr) / p.capacity, 0.0), 1.0)
-    return SocState(soc, cd, cr, state.initial_soc)
-
-
 def _vehicle_features(samples, consts: VehicleConstants):
     """[(samples, segment features)] per vehicle, vehicles in id order."""
     per_vehicle = split_by_vehicle(samples)
@@ -181,22 +162,27 @@ def _vehicle_features(samples, consts: VehicleConstants):
 def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     """Integrate one vehicle's (or many vehicles') samples.
 
-    Each vehicle starts from the soc of its first sample. Returns
-    (total_draw, total_regen, soc_series) where soc_series is a list of
-    (t, vehicle_id, soc) per sample, vehicles in id order.
+    Each vehicle starts from the soc of its first sample; its SOC after a
+    segment is that soc less the vehicle's net energy so far over the
+    capacity, clamped to [0, 1]. Returns (total_draw, total_regen,
+    soc_series) where soc_series is a list of (t, vehicle_id, soc) per
+    sample, vehicles in id order.
     """
     total_draw = total_regen = 0.0
     series = []
     for ss, features in _vehicle_features(samples, consts):
         vid = ss[0].vehicle_id
-        state = SocState(ss[0].soc)
-        series.append((ss[0].t, vid, state.soc))
+        initial = ss[0].soc
+        drawn = regenerated = 0.0
+        series.append((ss[0].t, vid, initial))
         for b, f in zip(ss[1:], features):
             draw, regen = _energy(f, p)
             total_draw += draw
             total_regen += regen
-            state = apply_energy(state, draw, regen, p)
-            series.append((b.t, vid, state.soc))
+            drawn += draw
+            regenerated += regen
+            series.append((b.t, vid,
+                           min(max(initial - (drawn - regenerated) / p.capacity, 0.0), 1.0)))
     return total_draw, total_regen, series
 
 

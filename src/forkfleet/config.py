@@ -87,8 +87,6 @@ _GROUPS = {"kin": KinematicsParams, "battery": BatteryParams,
 
 def _cast_like(current, raw, key):
     try:
-        if isinstance(current, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):

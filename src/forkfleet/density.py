@@ -12,7 +12,7 @@ sections, which is why both directions are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import sample_at, split_by_vehicle

@@ -2,8 +2,10 @@
 
 Single-threaded explicit-Euler world stepping: task assignment onto free
 parking spots, A* route planning, trapezoidal speed profiles with curvature
-slowdown, top-down collision avoidance, fork lift/lower phases, battery/SOC
-integration and trajectory recording. All randomness flows from one
+slowdown, top-down collision avoidance and fork lift/lower phases. step() is
+kinematics only; run() records one sample per vehicle per step and then
+integrates each truck's battery once over what it recorded, through
+battery.integrate_trajectory as replay does. All randomness flows from one
 splitmix64 generator seeded by the scenario seed, so (scenario, seed, dt)
 fully determines every emitted sample.
 
@@ -144,8 +146,9 @@ class _VehicleCtl:
     fork_target: float = 0.0
     current_spot: Optional[int] = None
     blocked_for: float = 0.0
-    soc_state: Optional[bat.SocState] = None
     distance_driven: float = 0.0
+    energy_drawn: float = 0.0
+    energy_regenerated: float = 0.0
     tasks_completed: int = 0
 
 
@@ -191,9 +194,8 @@ class World:
         self.lift_height = lift_height
         self.step_count = 0
         self.reserved = {}  # spot_id -> vehicle_id
-        self.ctl = {v.id: _VehicleCtl(soc_state=bat.SocState(v.soc)) for v in self.vehicles}
-        self._prev_samples = {v.id: self._sample_of(v, 0.0) for v in self.vehicles}
-        self.samples = []
+        self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
+        self._tracks = []  # per vehicle, in id order: every sample run() recorded
 
     @property
     def clock(self) -> float:
@@ -416,18 +418,6 @@ class World:
                     ctl.task = None
                     ctl.phase = PHASE_IDLE
         self.step_count += 1
-        t = self.clock
-        params = self.battery_params
-        prev_samples = self._prev_samples
-        for v in self.vehicles:
-            ctl = self.ctl[v.id]
-            consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
-            # segment_energy does not read the soc field of either sample
-            draw, regen = bat.segment_energy(prev_samples[v.id], self._sample_of(v, t),
-                                             consts, params)
-            ctl.soc_state = bat.apply_energy(ctl.soc_state, draw, regen, params)
-            v.soc = ctl.soc_state.soc
-            prev_samples[v.id] = self._sample_of(v, t)
         return events
 
     def _advance_drive(self, v, ctl, conflict_cap, events):
@@ -505,26 +495,31 @@ class World:
 
     # --- recording / running ---------------------------------------------------
 
-    def record_current(self):
-        """Append every vehicle's sample at the current clock, in id order."""
-        t = self.clock
-        self.samples.extend(self._sample_of(v, t) for v in self.vehicles)
-
     def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
         """Step for the given duration, recording one sample per vehicle per
-        step (plus the initial state on the first run). Returns every sample
-        recorded so far."""
+        step (plus the initial state on the first run). Then integrate each
+        vehicle's battery over all it recorded, from its soc when recording
+        began, and set its soc to the last value. Returns every sample
+        recorded so far, in (t, vehicle_id) order."""
         n_steps = int(round(duration / self.dt))
-        if n_steps <= 0:
-            return []
-        if not self.samples:
-            # a later run continues from the last sample already recorded
-            self.record_current()
-        for _ in range(n_steps):
-            self.step(auto_assign=auto_assign, policy=policy)
-            # the samples step() just built at this clock, SOC included
-            self.samples.extend(self._prev_samples[v.id] for v in self.vehicles)
-        return self.samples
+        tracks = self._tracks
+        if n_steps > 0:
+            if not tracks:
+                # a later run continues from the last sample already recorded
+                tracks[:] = [[self._sample_of(v, self.clock)] for v in self.vehicles]
+            for _ in range(n_steps):
+                self.step(auto_assign=auto_assign, policy=policy)
+                t = self.clock
+                for v, track in zip(self.vehicles, tracks):
+                    track.append(self._sample_of(v, t))
+            for v, track in zip(self.vehicles, tracks):
+                ctl = self.ctl[v.id]
+                consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
+                # replaced one vehicle at a time, so only one track is held twice
+                ctl.energy_drawn, ctl.energy_regenerated, track[:] = _integrate(
+                    track, consts, self.battery_params)
+                v.soc = track[-1].soc
+        return [s for tick in zip(*tracks) for s in tick]
 
     def summary(self):
         out = []
@@ -534,8 +529,8 @@ class World:
                 "vehicle_id": v.id,
                 "distance_driven": ctl.distance_driven,
                 "tasks_completed": ctl.tasks_completed,
-                "energy_drawn": ctl.soc_state.cumulative_draw,
-                "energy_regenerated": ctl.soc_state.cumulative_regen,
+                "energy_drawn": ctl.energy_drawn,
+                "energy_regenerated": ctl.energy_regenerated,
                 "final_soc": v.soc,
                 "soc_band": bat.soc_band(v.soc),
             })
@@ -545,6 +540,13 @@ class World:
 def _with_soc(s, soc):
     return TrajectorySample(s.t, s.vehicle_id, s.x, s.y, s.heading, s.speed,
                             s.fork_height, s.load_mass, soc)
+
+
+def _integrate(series, consts: bat.VehicleConstants, params: bat.BatteryParams):
+    """One vehicle's samples -> (drawn, regenerated, the samples with the SOC
+    integrated from the first one's)."""
+    drawn, regenerated, socs = bat.integrate_trajectory(series, consts, params)
+    return drawn, regenerated, [_with_soc(smp, soc) for smp, (_, _, soc) in zip(series, socs)]
 
 
 def replay(samples, graph: RoadGraph, dt: float = 0.1,
@@ -578,7 +580,6 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
             k += 1
         if regridded:
             regridded[0] = _with_soc(regridded[0], series[0].soc)
-        _, _, socs = bat.integrate_trajectory(regridded, consts, params)
-        out.extend(_with_soc(smp, soc) for smp, (_, _, soc) in zip(regridded, socs))
+        out.extend(_integrate(regridded, consts, params)[2])
     out.sort(key=lambda s: (s.t, s.vehicle_id))
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .roadnet import EmptyGraph, RoadGraph, dijkstra, nearest_node
 from .trajectory import split_by_vehicle

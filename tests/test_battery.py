@@ -1,18 +1,20 @@
 import math
 import random
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forkfleet import mapgen
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
                                CalibrationResult, NonphysicalSegment, OutOfRange,
-                               PARAM_BOUNDS, SUFFICIENT, SocState,
-                               Underdetermined, VehicleConstants, apply_energy,
-                               calibrate, horizontal_work, integrate_trajectory,
-                               segment_energy, soc_band, vertical_work, G,
-                               _golden_section, _net, _vehicle_features)
+                               PARAM_BOUNDS, SUFFICIENT, Underdetermined,
+                               VehicleConstants, calibrate, horizontal_work,
+                               integrate_trajectory, segment_energy, soc_band,
+                               vertical_work, G, _golden_section, _net,
+                               _vehicle_features)
+from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
 
 FRICTIONLESS = BatteryParams(c_rr=0.0, c_steer=0.0, eta_drive=1.0, eta_regen=0.3,
@@ -206,16 +208,24 @@ class TestSocBand:
             soc_band(1.5)
 
 
-class TestSocState:
+class TestSocSeries:
     def test_clamped_at_zero(self):
-        p = BatteryParams(capacity=100.0)
-        st = apply_energy(SocState(1.0), 1000.0, 0.0, p)
-        assert st.soc == 0.0
+        # 1000 J of auxiliary load from a 100 J battery
+        p = BatteryParams(capacity=100.0, aux_power=1000.0)
+        samples = [TrajectorySample(0.0, 0, 0, 0, 0, 0), TrajectorySample(1.0, 0, 0, 0, 0, 0)]
+        draw, _, series = integrate_trajectory(samples, VehicleConstants(), p)
+        assert draw == 1000.0
+        assert [soc for _, _, soc in series] == [1.0, 0.0]
 
     def test_regen_raises_soc(self):
-        p = BatteryParams(capacity=1000.0)
-        st = apply_energy(SocState(0.5), 0.0, 100.0, p)
-        assert st.soc == pytest.approx(0.6)
+        # lowering 20 kg by 1 m recuperates about 98 J into a 1000 J battery
+        p = BatteryParams(capacity=1000.0, aux_power=0.0, eta_regen=0.5)
+        samples = [TrajectorySample(0.0, 0, 0, 0, 0, 0, 1.0, 20.0, 0.5),
+                   TrajectorySample(1.0, 0, 0, 0, 0, 0, 0.0, 20.0, 0.5)]
+        draw, regen, series = integrate_trajectory(samples, VehicleConstants(3000, 0.0), p)
+        assert draw == 0.0 and regen == pytest.approx(20.0 * G * 0.5, rel=1e-12)
+        assert series[-1][2] == pytest.approx(0.5 + regen / 1000.0, rel=1e-12)
+        assert series[-1][2] > 0.5
 
 
 class TestCalibrate:
@@ -386,3 +396,90 @@ class TestCachedFeatures:
                      TrajectorySample(1.0, 0, 0, 0, 0, -1.0)]
         with pytest.raises(NonphysicalSegment):
             calibrate([(reversing, 1.0)], p0, ["c_rr"])
+
+
+# --- World.run's battery pass against the per-step update it replaced ---------
+
+@dataclass
+class ReferenceSocState:
+    """battery.SocState as it was."""
+    soc: float
+    cumulative_draw: float = 0.0
+    cumulative_regen: float = 0.0
+    initial_soc: float = None
+
+    def __post_init__(self):
+        if self.initial_soc is None:
+            self.initial_soc = self.soc
+
+
+def reference_apply_energy(state, draw, regen, p):
+    """battery.apply_energy as it was."""
+    cd = state.cumulative_draw + draw
+    cr = state.cumulative_regen + regen
+    soc = min(max(state.initial_soc - (cd - cr) / p.capacity, 0.0), 1.0)
+    return ReferenceSocState(soc, cd, cr, state.initial_soc)
+
+
+def reference_run(world, n_steps):
+    """World.run as it was: after every step, each vehicle's battery takes
+    that step's segment. -> (samples, {vehicle_id: ReferenceSocState})."""
+    def sample_of(v, t):
+        return TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed,
+                                v.fork_height, v.load_mass, v.soc)
+
+    states = {v.id: ReferenceSocState(v.soc) for v in world.vehicles}
+    prev = {v.id: sample_of(v, world.clock) for v in world.vehicles}
+    samples = list(prev.values())
+    for _ in range(n_steps):
+        world.step()
+        t = world.clock
+        for v in world.vehicles:
+            consts = VehicleConstants(v.truck_mass, world.fork_mass)
+            draw, regen = segment_energy(prev[v.id], sample_of(v, t), consts,
+                                         world.battery_params)
+            states[v.id] = reference_apply_energy(states[v.id], draw, regen,
+                                                  world.battery_params)
+            v.soc = states[v.id].soc
+            prev[v.id] = sample_of(v, t)
+            samples.append(prev[v.id])
+    return samples, states
+
+
+@st.composite
+def fleets(draw):
+    """(world factory, steps): a random warehouse map, 1-6 vehicles with
+    random initial SOC, a seed and a dt."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n_vehicles = draw(st.integers(1, min(6, nx * (ny + 1))))
+    n_spots = draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
+    seed = draw(st.integers(0, 2**32))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    socs = [draw(st.sampled_from([1.0, 0.8]) | st.floats(0.0, 1.0))
+            for _ in range(n_vehicles)]
+    p = BatteryParams(capacity=draw(st.sampled_from([1.0368e8, 1e5])))
+
+    def make():
+        g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
+        world = World.spawn_at_spots(g, n_vehicles, seed=seed, dt=dt, battery_params=p)
+        for v, soc in zip(world.vehicles, socs):
+            v.soc = soc
+        return world
+
+    return make, draw(st.integers(1, int(20.0 / dt)))
+
+
+class TestWorldBattery:
+    @settings(max_examples=100, deadline=None)
+    @given(fleets())
+    def test_run_matches_the_per_step_update(self, fleet):
+        make, n_steps = fleet
+        world = make()
+        samples = world.run(n_steps * world.dt)
+        ref_samples, states = reference_run(make(), n_steps)
+        assert samples == ref_samples
+        for row in world.summary():
+            state = states[row["vehicle_id"]]
+            assert row["energy_drawn"] == state.cumulative_draw
+            assert row["energy_regenerated"] == state.cumulative_regen
+            assert row["final_soc"] == state.soc

@@ -269,6 +269,21 @@ class TestFleet:
     def test_zero_duration_run(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
         assert w.run(0.0) == []
+        # after a run, a zero duration returns every sample recorded so far
+        w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
+        first = w.run(1.0)
+        assert len(first) == 22
+        assert w.run(0.0) == first
+        assert len(w.run(0.1)) == 24
+
+    def test_soc_set_after_construction_is_the_start(self):
+        w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
+        w.vehicles[0].soc = 0.8
+        socs = [s.soc for s in w.run(0.3) if s.vehicle_id == 0]
+        assert socs[0] == 0.8
+        assert all(0.8 - 1e-3 < soc <= 0.8 for soc in socs)
+        assert socs[-1] < 0.8
+        assert w.summary()[0]["final_soc"] == socs[-1]
 
     def test_second_run_continues_without_repeating_the_boundary(self):
         w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
