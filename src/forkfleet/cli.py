@@ -151,9 +151,10 @@ def cmd_simulate(args):
 
 
 def _render_soc(samples, f):
-    f.write("t,vehicle_id,soc\n")
+    w = f.write
+    w("t,vehicle_id,soc\n")
     for s in samples:
-        f.write(f"{s.t:.12g},{s.vehicle_id},{s.soc:.12g}\n")
+        w("%.12g,%s,%.12g\n" % (s.t, s.vehicle_id, s.soc))
 
 
 def _render_summary(world, f, prov):
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigError, NoFreeSpot) as exc:
+    except (ConfigError, NoFreeSpot, plc.DegenerateGrid) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SchemaError, UnsortedSamples, FormatError, odr_import.OdrError,

@@ -40,7 +40,7 @@ from typing import Optional
 from . import battery as bat
 from .rng import SplitMix64
 from .roadnet import Path, RoadGraph, astar, nearest_node
-from .trajectory import TrajectorySample, sample_at, split_by_vehicle
+from .trajectory import TrajectorySample, resample, split_by_vehicle
 
 
 class NoFreeSpot(RuntimeError):
@@ -428,24 +428,25 @@ class World:
         total = route.total
         seg = route.seg_at(s)
         v_target = min(kin.v_max, route.seg_limits[seg] if route.seg_limits else kin.v_max)
-
-        def envelope(cap, d):
-            # max speed now so that braking at b_max reaches `cap` after `d`,
-            # accounting for the distance already covered during this step
-            bd = kin.b_max * dt
-            return -bd + math.sqrt(bd * bd + cap * cap + 2.0 * kin.b_max * max(0.0, d))
-
+        # braking envelope: the max speed now so that braking at b_max reaches
+        # `cap` after `d`, accounting for the distance covered during this step:
+        #     -bd + sqrt(bd2 + cap * cap + two_b * max(0, d))
+        bd = kin.b_max * dt
+        bd2 = bd * bd
+        two_b = 2.0 * kin.b_max
+        # cap = 0 at the route's end; bd2 + 0 * 0 is bd2
+        v_target = min(v_target, -bd + math.sqrt(bd2 + two_b * max(0.0, total - s)))
         lookahead = kin.v_max * kin.v_max / (2.0 * kin.b_max) + kin.v_max * dt + 1.0
-        v_target = min(v_target, envelope(0.0, total - s))
         for j in range(seg + 1, len(route.points)):
             d = route.cumlen[j] - s
             if d > lookahead:
                 break
             cap = route.vert_caps[j]
             if math.isfinite(cap):
-                v_target = min(v_target, envelope(cap, d))
+                v_target = min(v_target, -bd + math.sqrt(bd2 + cap * cap + two_b * max(0.0, d)))
             if j < len(route.seg_limits):
-                v_target = min(v_target, envelope(route.seg_limits[j], d))
+                cap = route.seg_limits[j]
+                v_target = min(v_target, -bd + math.sqrt(bd2 + cap * cap + two_b * max(0.0, d)))
         if v_target >= v.speed:
             new_v = min(v_target, v.speed + kin.a_max * dt)
         else:
@@ -566,18 +567,18 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
     out = []
     for vid in sorted(per_vehicle):
         series = per_vehicle[vid]
-        k0 = math.ceil((series[0].t - t0) / dt - 1e-9)
-        regridded = []
-        k = k0
+        first, last = series[0].t, series[-1].t
+        times = []
+        k = math.ceil((first - t0) / dt - 1e-9)
         while True:
             t = t0 + k * dt
-            if t > series[-1].t + 1e-9:
+            if t > last + 1e-9:
                 break
-            # k0's 1e-9 slack can put the first grid time just before the
-            # first sample, outside sample_at's own 1e-12
-            smp = sample_at(series, min(max(t, series[0].t), series[-1].t))
-            regridded.append(smp)
+            # the first k's 1e-9 slack can put the first grid time just before the
+            # first sample, outside resample's own 1e-12
+            times.append(min(max(t, first), last))
             k += 1
+        regridded = resample(series, times)
         if regridded:
             regridded[0] = _with_soc(regridded[0], series[0].soc)
         out.extend(_integrate(regridded, consts, params)[2])

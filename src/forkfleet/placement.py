@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from .roadnet import EmptyGraph, RoadGraph, dijkstra, nearest_node
@@ -64,7 +65,8 @@ def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
             width: int, height: int) -> HeatmapGrid:
     """Count trajectory samples per grid cell; out-of-extent samples go to
     the overflow tally so conservation is exact."""
-    if cell_size <= 0 or width <= 0 or height <= 0:
+    # a list of more than sys.maxsize items cannot be made
+    if cell_size <= 0 or not (0 < width <= sys.maxsize and 0 < height <= sys.maxsize):
         raise DegenerateGrid(f"grid {width}x{height} at cell_size {cell_size}")
     grid = HeatmapGrid(origin_x, origin_y, cell_size, width, height,
                        [[0] * width for _ in range(height)])
@@ -82,8 +84,14 @@ def heatmap_for_graph(samples, graph: RoadGraph, cell_size: float = 2.0) -> Heat
     margin = 2.0
     x0, y0, x1, y1 = graph.bounding_box()
     ox, oy = x0 - margin, y0 - margin
-    width = max(1, int(math.ceil((x1 - x0 + 2 * margin) / cell_size)))
-    height = max(1, int(math.ceil((y1 - y0 + 2 * margin) / cell_size)))
+    cols = (x1 - x0 + 2 * margin) / cell_size
+    rows = (y1 - y0 + 2 * margin) / cell_size
+    # a subnormal cell_size makes these inf, which math.ceil cannot convert
+    if not (cols <= sys.maxsize and rows <= sys.maxsize):
+        raise DegenerateGrid(f"cell_size {cell_size} makes a {cols:.3g}x{rows:.3g} grid, "
+                             "too large to index")
+    width = max(1, int(math.ceil(cols)))
+    height = max(1, int(math.ceil(rows)))
     return heatmap(samples, ox, oy, cell_size, width, height)
 
 

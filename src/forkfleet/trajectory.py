@@ -9,7 +9,7 @@ with '#' are provenance comments and are skipped on read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 CSV_HEADER = "t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc"
@@ -23,8 +23,9 @@ class UnsortedSamples(ValueError):
     """Per-vehicle samples must be strictly increasing in t."""
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
+    """One vehicle's state at time t: an immutable, hashable named tuple
+    whose field order is the CSV column order."""
     t: float
     vehicle_id: int
     x: float
@@ -36,17 +37,16 @@ class TrajectorySample:
     soc: float = 1.0
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+# one CSV row from a sample's fields in column order: floats to 12
+# significant digits, the vehicle id as str() writes it
+_ROW = "%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 
 def write_csv(samples, fileobj) -> None:
     w = fileobj.write
     w(CSV_HEADER + "\n")
     for s in samples:
-        w(",".join((_fmt(s.t), str(s.vehicle_id), _fmt(s.x), _fmt(s.y),
-                    _fmt(s.heading), _fmt(s.speed), _fmt(s.fork_height),
-                    _fmt(s.load_mass), _fmt(s.soc))) + "\n")
+        w(_ROW % s)
 
 
 def read_csv(fileobj):
@@ -138,3 +138,30 @@ def sample_at(series, t: float):
     if a is b:
         return a
     return interpolate(a, b, min(max(t, a.t), b.t))
+
+
+def resample(series, times):
+    """[sample_at(series, t) for t in times] for non-decreasing times.
+
+    A forward cursor stands in for sample_at's binary search: the first
+    sample at or after t only moves forward as t does, so each time picks
+    the same pair (a, b) and makes the same interpolate call."""
+    if not series:
+        return [None for _ in times]
+    first, last = series[0].t - 1e-12, series[-1].t + 1e-12
+    end = len(series) - 1
+    out = []
+    i = 0
+    for t in times:
+        if t < first or t > last:
+            out.append(None)
+            continue
+        while i < end and series[i].t < t:
+            i += 1
+        b = series[i]
+        if b.t >= t and i > 0:
+            a = series[i - 1]
+            out.append(interpolate(a, b, min(max(t, a.t), b.t)))
+        else:
+            out.append(b)
+    return out

@@ -159,6 +159,16 @@ class TestExitCodes:
         ("heatmap placement.cell_size=-1",
          ["heatmap", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.cell_size=-1",
           "{traj}"], EXIT_CONFIG, CONFIG),
+        ("heatmap placement.cell_size=1e-300",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.cell_size=1e-300",
+          "{traj}"], EXIT_CONFIG, CONFIG),
+        ("place-chargers placement.cell_size=1e-300",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "placement.cell_size=1e-300", "{traj}"], EXIT_CONFIG, CONFIG),
+        # the bounding box over a subnormal cell size is inf cells wide
+        ("heatmap placement.cell_size=5e-324",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.cell_size=5e-324",
+          "{traj}"], EXIT_CONFIG, CONFIG),
         ("analyze-density density.snapshot_interval=0",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
           "--set", "density.snapshot_interval=0", "{traj}"], EXIT_CONFIG, CONFIG),

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,9 @@ class TestHeatmap:
             heatmap([], 0, 0, 0.0, 2, 2)
         with pytest.raises(DegenerateGrid):
             heatmap([], 0, 0, 1.0, 0, 2)
+        # raised before a row too long to index is asked for
+        with pytest.raises(DegenerateGrid):
+            heatmap([], 0, 0, 1.0, sys.maxsize + 1, 2)
 
     def test_for_graph_covers_all_nodes(self):
         g = random_graph(seed=1, n_nodes=25)

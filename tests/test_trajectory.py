@@ -2,10 +2,12 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from forkfleet.cli import _render_soc
 from forkfleet.trajectory import (CSV_HEADER, SchemaError, TrajectorySample,
                                   UnsortedSamples, interpolate, read_csv,
-                                  sample_at, split_by_vehicle, write_csv)
+                                  resample, sample_at, split_by_vehicle, write_csv)
 
 
 def smp(t, vid=0, x=0.0, y=0.0, heading=0.0, speed=0.0):
@@ -110,3 +112,92 @@ class TestSampleAt:
 
     def test_empty(self):
         assert sample_at([], 0.0) is None
+        assert resample([], [0.0, 0.0]) == [None, None]
+
+
+class TestResample:
+    """resample against one sample_at call per time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_samples_as_sample_at(self, data):
+        num = st.floats(-1e3, 1e3)
+        ts = sorted(set(data.draw(st.lists(num, min_size=1, max_size=8))))
+        series = [TrajectorySample(t, 3, data.draw(num), data.draw(num), data.draw(num),
+                                   data.draw(num), data.draw(num), data.draw(num),
+                                   data.draw(num)) for t in ts]
+        # exact hits, midpoints, and times just inside and outside the 1e-12 slack
+        near = [t + d for t in ts for d in (0.0, -5e-13, 5e-13, -2e-12, 2e-12)]
+        mids = [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+        times = sorted(data.draw(st.lists(st.sampled_from(near + mids) | st.floats(-1.1e3, 1.1e3),
+                                          max_size=30)))
+        got = resample(series, times)
+        want = [sample_at(series, t) for t in times]
+        assert [repr(s) for s in got] == [repr(s) for s in want]
+
+
+class TestSampleType:
+    KW = dict(t=1.0, vehicle_id=2, x=3.0, y=4.0, heading=0.5, speed=1.5)
+
+    def test_immutable(self):
+        s = TrajectorySample(**self.KW)
+        with pytest.raises(AttributeError):
+            s.x = 0.0
+
+    def test_keyword_defaults_equality_and_hash(self):
+        s = TrajectorySample(**self.KW)
+        assert (s.fork_height, s.load_mass, s.soc) == (0.0, 0.0, 1.0)
+        same = TrajectorySample(1.0, 2, 3.0, 4.0, 0.5, 1.5, 0.0, 0.0, 1.0)
+        assert s == same and hash(s) == hash(same) and len({s, same}) == 1
+        assert s != TrajectorySample(**self.KW, soc=0.5)
+
+    def test_repr(self):
+        assert repr(TrajectorySample(**self.KW)) == (
+            "TrajectorySample(t=1.0, vehicle_id=2, x=3.0, y=4.0, heading=0.5, speed=1.5, "
+            "fork_height=0.0, load_mass=0.0, soc=1.0)")
+
+
+# --- the row writers against the per-field code they replaced ----------------
+
+def _fmt(x):
+    return f"{x:.12g}"
+
+
+def per_field_write_csv(samples, fileobj):
+    w = fileobj.write
+    w(CSV_HEADER + "\n")
+    for s in samples:
+        w(",".join((_fmt(s.t), str(s.vehicle_id), _fmt(s.x), _fmt(s.y),
+                    _fmt(s.heading), _fmt(s.speed), _fmt(s.fork_height),
+                    _fmt(s.load_mass), _fmt(s.soc))) + "\n")
+
+
+def per_field_render_soc(samples, f):
+    f.write("t,vehicle_id,soc\n")
+    for s in samples:
+        f.write(f"{s.t:.12g},{s.vehicle_id},{s.soc:.12g}\n")
+
+
+# -0.0, subnormals, +-1e300 and integer-valued floats beside any float
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                                        3.0, -7.0, 2.0 ** 53, 1e15])
+SAMPLES = st.builds(TrajectorySample, t=FLOATS | st.integers(-10 ** 9, 10 ** 9),
+                    vehicle_id=st.integers(0, 64) | st.integers(-2 ** 70, 2 ** 70),
+                    x=FLOATS, y=FLOATS, heading=FLOATS, speed=FLOATS,
+                    fork_height=FLOATS, load_mass=FLOATS, soc=FLOATS)
+
+
+class TestRowWriters:
+    def test_header_is_the_field_order(self):
+        # write_csv formats a sample as one tuple, in field order
+        assert ",".join(TrajectorySample._fields) == CSV_HEADER
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SAMPLES, max_size=10))
+    def test_same_text_as_the_per_field_writers(self, samples):
+        for new, old in ((write_csv, per_field_write_csv),
+                         (_render_soc, per_field_render_soc)):
+            a, b = io.StringIO(), io.StringIO()
+            new(samples, a)
+            old(samples, b)
+            assert a.getvalue() == b.getvalue()
