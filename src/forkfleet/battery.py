@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .trajectory import UnsortedSamples, split_by_vehicle
+from .trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
 
 G = 9.80665
 
@@ -39,7 +39,6 @@ class BatteryParams:
     eta_drive: float = 0.85
     eta_regen: float = 0.2
     aux_power: float = 300.0        # W, idle electronics
-    g: float = G
 
     def validate(self):
         for f in fields(self):
@@ -101,8 +100,7 @@ def _energy(features, p: BatteryParams):
     load draws for dt seconds.
     """
     dt, ds, mass, w_kin, rate, dh, lift_mass = features
-    g = p.g
-    friction = p.c_rr * mass * g * ds + p.c_steer * mass * rate * ds
+    friction = p.c_rr * mass * G * ds + p.c_steer * mass * rate * ds
     w_tr = w_kin + friction
     if w_tr >= 0:
         draw, regen = w_tr / p.eta_drive, 0.0
@@ -110,19 +108,10 @@ def _energy(features, p: BatteryParams):
         draw, regen = 0.0, max(0.0, -w_kin - friction) * p.eta_regen
     vd = vr = 0.0
     if dh > 0:
-        vd = lift_mass * g * dh / p.eta_drive
+        vd = lift_mass * G * dh / p.eta_drive
     elif dh < 0:
-        vr = lift_mass * g * (-dh) * p.eta_regen
+        vr = lift_mass * G * (-dh) * p.eta_regen
     return draw + vd + p.aux_power * dt, regen + vr
-
-
-def horizontal_work(v0: float, v1: float, ds: float, dheading: float, dt: float,
-                    mass: float, p: BatteryParams):
-    """Battery energy for one horizontal motion segment -> (draw, regen), J,
-    without the auxiliary load."""
-    _, ds, mass, w_kin, rate, _, _ = _features(dt, ds, v0, v1, dheading, mass, 0.0, 0.0)
-    # no lift, and no seconds of auxiliary load
-    return _energy((0.0, ds, mass, w_kin, rate, 0.0, 0.0), p)
 
 
 def vertical_work(dh: float, load_mass: float, fork_mass: float, p: BatteryParams):
@@ -147,11 +136,6 @@ def _segment_features(a, b, consts: VehicleConstants):
                      b.fork_height - a.fork_height, b.load_mass + consts.fork_mass)
 
 
-def segment_energy(a, b, consts: VehicleConstants, p: BatteryParams):
-    """Energy for the segment between two trajectory samples -> (draw, regen)."""
-    return _energy(_segment_features(a, b, consts), p)
-
-
 def _vehicle_features(samples, consts: VehicleConstants):
     """[(samples, segment features)] per vehicle, vehicles in id order."""
     per_vehicle = split_by_vehicle(samples)
@@ -164,25 +148,23 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
 
     Each vehicle starts from the soc of its first sample; its SOC after a
     segment is that soc less the vehicle's net energy so far over the
-    capacity, clamped to [0, 1]. Returns (total_draw, total_regen,
-    soc_series) where soc_series is a list of (t, vehicle_id, soc) per
-    sample, vehicles in id order.
+    capacity, clamped to [0, 1]. Returns (total_draw, total_regen, the
+    samples with that SOC), vehicles in id order.
     """
     total_draw = total_regen = 0.0
     series = []
     for ss, features in _vehicle_features(samples, consts):
-        vid = ss[0].vehicle_id
         initial = ss[0].soc
         drawn = regenerated = 0.0
-        series.append((ss[0].t, vid, initial))
+        series.append(ss[0])
         for b, f in zip(ss[1:], features):
             draw, regen = _energy(f, p)
             total_draw += draw
             total_regen += regen
             drawn += draw
             regenerated += regen
-            series.append((b.t, vid,
-                           min(max(initial - (drawn - regenerated) / p.capacity, 0.0), 1.0)))
+            series.append(TrajectorySample(
+                *b[:8], min(max(initial - (drawn - regenerated) / p.capacity, 0.0), 1.0)))
     return total_draw, total_regen, series
 
 

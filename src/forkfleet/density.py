@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
-from .trajectory import sample_at, split_by_vehicle
+from .trajectory import resample, split_by_vehicle
 
 
 class EmptyFleet(ValueError):
@@ -136,13 +136,12 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     reports = []
     rows = {}
     n_ticks = int(math.floor((te - t0) / cfg.snapshot_interval + 1e-9)) + 1
-    for k in range(n_ticks):
-        t = t0 + k * cfg.snapshot_interval
-        states = []
-        for vid in sorted(per_vehicle):
-            smp = sample_at(per_vehicle[vid], t)
-            if smp is not None:
-                states.append((vid, smp.x, smp.y, smp.speed))
+    times = [t0 + k * cfg.snapshot_interval for k in range(n_ticks)]
+    vids = sorted(per_vehicle)
+    columns = [resample(per_vehicle[vid], times) for vid in vids]
+    for t, tick in zip(times, zip(*columns)):
+        states = [(vid, smp.x, smp.y, smp.speed)
+                  for vid, smp in zip(vids, tick) if smp is not None]
         if not states:
             continue
         reports.append(analyze_snapshot(t, states, graph, cfg, rows))

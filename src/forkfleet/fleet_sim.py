@@ -9,6 +9,9 @@ battery.integrate_trajectory as replay does. All randomness flows from one
 splitmix64 generator seeded by the scenario seed, so (scenario, seed, dt)
 fully determines every emitted sample.
 
+Spot occupancy is the world's own ({spot: vehicle} in World.claims), never
+written to the road graph, so one graph can back any number of worlds.
+
 Collision policy (ours; the underlying idea is only a top-down scheme with
 global knowledge of poses and velocities): the higher-id vehicle of a
 conflicting pair yields via a horizon-based speed cap, and a hard proximity
@@ -181,9 +184,11 @@ class World:
         kin.validate()  # the broad phase's reach bound needs finite, positive kin
         self.graph = graph
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
-        # built in reverse so that, as in a scan, the first of duplicate ids wins
-        self._vehicles_by_id = {v.id: v for v in reversed(self.vehicles)}
-        self._spots_by_id = {s.id: s for s in reversed(graph.spots)}
+        self._vehicles_by_id = {v.id: v for v in self.vehicles}
+        if len(self._vehicles_by_id) != len(self.vehicles):
+            raise ValueError("two vehicles with one id")
+        # in id order, so free_spots() lists them in id order
+        self._spots_by_id = {s.id: s for s in sorted(graph.spots, key=lambda s: s.id)}
         self.dt = dt
         self.rng = SplitMix64(seed)
         self.seed = seed
@@ -193,7 +198,7 @@ class World:
         self.pickup_mass = pickup_mass
         self.lift_height = lift_height
         self.step_count = 0
-        self.reserved = {}  # spot_id -> vehicle_id
+        self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
         self._tracks = []  # per vehicle, in id order: every sample run() recorded
 
@@ -205,20 +210,18 @@ class World:
 
     @classmethod
     def spawn_at_spots(cls, graph: RoadGraph, n_vehicles: int, **kwargs) -> "World":
-        """Place n vehicles on the first n parking spots."""
+        """Place vehicles 0..n-1 on the n parking spots of lowest id, each
+        claiming its spot."""
         if n_vehicles > len(graph.spots):
             raise NoFreeSpot(f"{n_vehicles} vehicles but only {len(graph.spots)} spots")
-        vehicles = []
-        spots = sorted(graph.spots, key=lambda s: s.id)
-        for i in range(n_vehicles):
-            spot = spots[i]
-            x, y = graph.spot_anchor_xy(spot)
-            hdg = graph.waypoints[spot.edge_src].heading
-            vehicles.append(VehicleState(id=i, x=x, y=y, heading=hdg))
-            spot.occupied_by = i
+        spots = sorted(graph.spots, key=lambda s: s.id)[:n_vehicles]
+        vehicles = [VehicleState(i, *graph.spot_anchor_xy(spot),
+                                 heading=graph.waypoints[spot.edge_src].heading)
+                    for i, spot in enumerate(spots)]
         world = cls(graph, vehicles, **kwargs)
-        for i in range(n_vehicles):
-            world.ctl[i].current_spot = spots[i].id
+        for i, spot in enumerate(spots):
+            world.ctl[i].current_spot = spot.id
+            world.claims[spot.id] = i
         return world
 
     def _spot_by_id(self, spot_id: int):
@@ -235,12 +238,9 @@ class World:
 
     # --- task assignment -----------------------------------------------------
 
-    def free_spots(self, exclude: Optional[int] = None):
-        out = []
-        for s in sorted(self.graph.spots, key=lambda s: s.id):
-            if s.occupied_by is None and s.id not in self.reserved and s.id != exclude:
-                out.append(s)
-        return out
+    def free_spots(self):
+        """The unclaimed spots, in id order."""
+        return [s for s in self._spots_by_id.values() if s.id not in self.claims]
 
     def assign_task(self, vehicle_id: int, policy=("random", None)) -> Task:
         ctl = self.ctl[vehicle_id]
@@ -248,18 +248,17 @@ class World:
             raise VehicleBusy(f"vehicle {vehicle_id} is in phase {ctl.phase}")
         kind, fixed_dest = policy
         if kind == "fixed":
-            spot = self._spot_by_id(fixed_dest)
-            if spot.occupied_by is not None or spot.id in self.reserved:
-                raise SpotOccupied(f"spot {fixed_dest} is occupied or reserved")
-            dest = spot
+            dest = self._spot_by_id(fixed_dest)
+            if dest.id in self.claims:
+                raise SpotOccupied(f"spot {fixed_dest} is claimed")
         else:
-            free = self.free_spots(exclude=ctl.current_spot)
+            free = self.free_spots()
             if not free:
-                raise NoFreeSpot("no unoccupied, unreserved parking spot available")
+                raise NoFreeSpot("no unclaimed parking spot available")
             dest = free[self.rng.randrange(len(free))]
         task = Task("pick_and_place", ctl.current_spot if ctl.current_spot is not None else -1,
                     dest.id, self.pickup_mass, self.lift_height)
-        self.reserved[dest.id] = vehicle_id
+        self.claims[dest.id] = vehicle_id
         ctl.task = task
         ctl.phase = PHASE_LIFT
         ctl.fork_target = task.lift_height
@@ -401,7 +400,7 @@ class World:
                     v.fork_height = ctl.fork_target
                     # load picked; leave the origin spot and drive off
                     if ctl.current_spot is not None:
-                        self._spot_by_id(ctl.current_spot).occupied_by = None
+                        del self.claims[ctl.current_spot]
                         ctl.current_spot = None
                     ctl.route = self._build_route(v.id, ctl.task)
                     ctl.phase = PHASE_DRIVE
@@ -469,11 +468,8 @@ class World:
             v.speed = 0.0
             ctl.phase = PHASE_LOWER
             ctl.fork_target = 0.0
-            spot = self._spot_by_id(ctl.task.dest_spot)
-            spot.occupied_by = v.id
-            del self.reserved[spot.id]
-            ctl.current_spot = spot.id
-            events.arrivals.append((v.id, spot.id))
+            ctl.current_spot = ctl.task.dest_spot
+            events.arrivals.append((v.id, ctl.current_spot))
             return
         ctl.distance_driven += new_s - s
         route.s = new_s
@@ -517,7 +513,7 @@ class World:
                 ctl = self.ctl[v.id]
                 consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
                 # replaced one vehicle at a time, so only one track is held twice
-                ctl.energy_drawn, ctl.energy_regenerated, track[:] = _integrate(
+                ctl.energy_drawn, ctl.energy_regenerated, track[:] = bat.integrate_trajectory(
                     track, consts, self.battery_params)
                 v.soc = track[-1].soc
         return [s for tick in zip(*tracks) for s in tick]
@@ -536,18 +532,6 @@ class World:
                 "soc_band": bat.soc_band(v.soc),
             })
         return out
-
-
-def _with_soc(s, soc):
-    return TrajectorySample(s.t, s.vehicle_id, s.x, s.y, s.heading, s.speed,
-                            s.fork_height, s.load_mass, soc)
-
-
-def _integrate(series, consts: bat.VehicleConstants, params: bat.BatteryParams):
-    """One vehicle's samples -> (drawn, regenerated, the samples with the SOC
-    integrated from the first one's)."""
-    drawn, regenerated, socs = bat.integrate_trajectory(series, consts, params)
-    return drawn, regenerated, [_with_soc(smp, soc) for smp, (_, _, soc) in zip(series, socs)]
 
 
 def replay(samples, graph: RoadGraph, dt: float = 0.1,
@@ -580,7 +564,7 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
             k += 1
         regridded = resample(series, times)
         if regridded:
-            regridded[0] = _with_soc(regridded[0], series[0].soc)
-        out.extend(_integrate(regridded, consts, params)[2])
+            regridded[0] = regridded[0]._replace(soc=series[0].soc)
+        out.extend(bat.integrate_trajectory(regridded, consts, params)[2])
     out.sort(key=lambda s: (s.t, s.vehicle_id))
     return out

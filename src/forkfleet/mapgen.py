@@ -13,11 +13,13 @@ import math
 
 from .roadnet import Edge, ParkingSpot, RoadGraph, Waypoint, build_graph
 
+SPUR_LEN = 5.0       # m from street to parking spot
+STREET_SPEED = 3.0   # m/s
+SPUR_SPEED = 1.5     # m/s
+
 
 def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
-                  node_spacing: float = 10.0, n_spots: int = 8,
-                  spur_len: float = 5.0, street_speed: float = 3.0,
-                  spur_speed: float = 1.5) -> RoadGraph:
+                  node_spacing: float = 10.0, n_spots: int = 8) -> RoadGraph:
     """Grid of (nx x ny) blocks; horizontal streets run east on even rows and
     west on odd rows, vertical streets alternate the same way."""
     if block % node_spacing != 0 or (block / 2.0) % node_spacing != 0:
@@ -49,23 +51,23 @@ def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
         xs = [i * node_spacing for i in range(nx * per_block + 1)]
         eastward = j == 0 or (j != ny and j % 2 == 0)
         if eastward:
-            add_chain([(x, y) for x in xs], 0.0, street_speed)
+            add_chain([(x, y) for x in xs], 0.0, STREET_SPEED)
         else:
-            add_chain([(x, y) for x in reversed(xs)], math.pi, street_speed)
+            add_chain([(x, y) for x in reversed(xs)], math.pi, STREET_SPEED)
     for i in range(nx + 1):
         x = i * block
         ys = [j * node_spacing for j in range(ny * per_block + 1)]
         northward = i == nx or (i != 0 and i % 2 == 1)
         if northward:
-            add_chain([(x, y) for y in ys], math.pi / 2, street_speed)
+            add_chain([(x, y) for y in ys], math.pi / 2, STREET_SPEED)
         else:
-            add_chain([(x, y) for y in reversed(ys)], -math.pi / 2, street_speed)
+            add_chain([(x, y) for y in reversed(ys)], -math.pi / 2, STREET_SPEED)
 
     # spur parking spots off horizontal street segment midpoints
     midpoints = []
     for j in range(ny + 1):
         y = j * block
-        dy = spur_len if j < ny else -spur_len
+        dy = SPUR_LEN if j < ny else -SPUR_LEN
         for i in range(nx):
             xm = i * block + block / 2.0
             midpoints.append((xm, y, dy))
@@ -82,8 +84,8 @@ def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
         m = nodes[(round(xm, 6), round(y, 6))]
         hdg = math.pi / 2 if dy > 0 else -math.pi / 2
         s = node_at(xm, y + dy, hdg)
-        edges.append(Edge(m, s, spur_len, spur_speed, True))
-        edges.append(Edge(s, m, spur_len, spur_speed, True))
-        spots.append(ParkingSpot(used, m, s, spur_len))
+        edges.append(Edge(m, s, SPUR_LEN, SPUR_SPEED, True))
+        edges.append(Edge(s, m, SPUR_LEN, SPUR_SPEED, True))
+        spots.append(ParkingSpot(used, m, s, SPUR_LEN))
         used += 1
     return build_graph(waypoints, edges, spots)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass
 
 from .roadnet import EmptyGraph, RoadGraph, dijkstra, nearest_node
 from .trajectory import split_by_vehicle
+
+
+MAX_CELLS = 10**7  # per heatmap; the L map at the default 2 m cell size has ~20k
 
 
 class DegenerateGrid(ValueError):
@@ -65,8 +67,7 @@ def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
             width: int, height: int) -> HeatmapGrid:
     """Count trajectory samples per grid cell; out-of-extent samples go to
     the overflow tally so conservation is exact."""
-    # a list of more than sys.maxsize items cannot be made
-    if cell_size <= 0 or not (0 < width <= sys.maxsize and 0 < height <= sys.maxsize):
+    if cell_size <= 0 or not (width > 0 and height > 0 and width * height <= MAX_CELLS):
         raise DegenerateGrid(f"grid {width}x{height} at cell_size {cell_size}")
     grid = HeatmapGrid(origin_x, origin_y, cell_size, width, height,
                        [[0] * width for _ in range(height)])
@@ -86,10 +87,10 @@ def heatmap_for_graph(samples, graph: RoadGraph, cell_size: float = 2.0) -> Heat
     ox, oy = x0 - margin, y0 - margin
     cols = (x1 - x0 + 2 * margin) / cell_size
     rows = (y1 - y0 + 2 * margin) / cell_size
-    # a subnormal cell_size makes these inf, which math.ceil cannot convert
-    if not (cols <= sys.maxsize and rows <= sys.maxsize):
+    # checked before math.ceil, which a subnormal cell_size's inf would stop
+    if not cols * rows <= MAX_CELLS:
         raise DegenerateGrid(f"cell_size {cell_size} makes a {cols:.3g}x{rows:.3g} grid, "
-                             "too large to index")
+                             f"more than {MAX_CELLS} cells")
     width = max(1, int(math.ceil(cols)))
     height = max(1, int(math.ceil(rows)))
     return heatmap(samples, ox, oy, cell_size, width, height)

@@ -2,7 +2,8 @@
 
 Edge weights are geometric lengths in meters. Speed limits ride along on the
 edges for the simulator but never enter shortest-path weights. The graph is
-immutable after build_graph(), so concurrent read-only queries are safe.
+immutable after build_graph(), so concurrent read-only queries are safe and
+one graph can back any number of simulations, each with its own spot claims.
 
 nearest_node() snaps through a uniform grid over the waypoints, built on the
 first query and cached on the graph (RoadGraph.snap_index). Its answer is the
@@ -72,13 +73,12 @@ class Edge:
     one_way: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParkingSpot:
     id: int
     edge_src: int
     edge_dst: int
     offset: float
-    occupied_by: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class RoadGraph:
 def build_graph(waypoints, edges, spots=()) -> RoadGraph:
     """Validate inputs and assemble adjacency.
 
-    Raises DanglingReference, NonPositiveLength or SelfLoop on bad input.
+    Raises a RoadNetError (DanglingReference, SelfLoop, ...) on bad input.
     """
     n = len(waypoints)
     for i, w in enumerate(waypoints):
@@ -145,7 +145,11 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
             )
         adjacency[e.src].append(ei)
     spot_list = []
+    spot_ids = set()
     for s in spots:
+        if s.id in spot_ids:
+            raise RoadNetError(f"two spots with id {s.id}")
+        spot_ids.add(s.id)
         found = None
         for ei in adjacency[s.edge_src] if 0 <= s.edge_src < n else []:
             if edges[ei].dst == s.edge_dst:

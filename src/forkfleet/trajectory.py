@@ -120,32 +120,14 @@ def interpolate(a: TrajectorySample, b: TrajectorySample, t: float) -> Trajector
     )
 
 
-def sample_at(series, t: float):
-    """Interpolated sample at time t, or None if t is outside the series span."""
-    if not series or t < series[0].t - 1e-12 or t > series[-1].t + 1e-12:
-        return None
-    lo, hi = 0, len(series) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if series[mid].t < t:
-            lo = mid + 1
-        else:
-            hi = mid
-    if series[lo].t >= t and lo > 0:
-        a, b = series[lo - 1], series[lo]
-    else:
-        a = b = series[lo]
-    if a is b:
-        return a
-    return interpolate(a, b, min(max(t, a.t), b.t))
-
-
 def resample(series, times):
-    """[sample_at(series, t) for t in times] for non-decreasing times.
+    """One vehicle's interpolated sample at each of the non-decreasing times,
+    or None where a time lies more than 1e-12 outside the series span.
 
-    A forward cursor stands in for sample_at's binary search: the first
-    sample at or after t only moves forward as t does, so each time picks
-    the same pair (a, b) and makes the same interpolate call."""
+    A time is interpolated between the first sample at or after it and the
+    one before; at or up to 1e-12 before the first sample it is the first,
+    and up to 1e-12 after the last it is the last. The first sample at or
+    after t only moves forward as t does, so a forward cursor finds it."""
     if not series:
         return [None for _ in times]
     first, last = series[0].t - 1e-12, series[-1].t + 1e-12

@@ -10,15 +10,21 @@ from forkfleet import mapgen
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
                                CalibrationResult, NonphysicalSegment, OutOfRange,
                                PARAM_BOUNDS, SUFFICIENT, Underdetermined,
-                               VehicleConstants, calibrate, horizontal_work,
-                               integrate_trajectory, segment_energy, soc_band,
-                               vertical_work, G, _golden_section, _net,
-                               _vehicle_features)
+                               VehicleConstants, calibrate, integrate_trajectory,
+                               soc_band, vertical_work, G, _energy, _features,
+                               _golden_section, _net, _vehicle_features)
 from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
 
 FRICTIONLESS = BatteryParams(c_rr=0.0, c_steer=0.0, eta_drive=1.0, eta_regen=0.3,
                              aux_power=0.0)
+
+
+def horizontal_work(v0, v1, ds, dheading, dt, mass, p):
+    """The kernel's (draw, regen) for one horizontal motion segment, without
+    the auxiliary load."""
+    _, ds, mass, w_kin, rate, _, _ = _features(dt, ds, v0, v1, dheading, mass, 0.0, 0.0)
+    return _energy((0.0, ds, mass, w_kin, rate, 0.0, 0.0), p)
 
 
 class TestHorizontalWork:
@@ -137,7 +143,7 @@ class TestIntegrateTrajectory:
         # cross-check the whole-trajectory totals against per-segment sums
         exp_draw = exp_regen = 0.0
         for a, b in zip(samples, samples[1:]):
-            d, r = segment_energy(a, b, consts, p)
+            d, r = reference_segment_energy(a, b, consts, p)
             exp_draw += d
             exp_regen += r
         assert draw == pytest.approx(exp_draw, rel=1e-12)
@@ -177,7 +183,7 @@ class TestIntegrateTrajectory:
     def test_soc_monotone_without_regen(self):
         p = BatteryParams(eta_regen=0.0, capacity=1e6)
         _, _, series = integrate_trajectory(drive_cycle(reps=5), VehicleConstants(), p)
-        socs = [s for (_, _, s) in series]
+        socs = [s.soc for s in series]
         assert all(a >= b for a, b in zip(socs, socs[1:]))
 
     def test_closed_loop_strictly_negative(self):
@@ -215,7 +221,7 @@ class TestSocSeries:
         samples = [TrajectorySample(0.0, 0, 0, 0, 0, 0), TrajectorySample(1.0, 0, 0, 0, 0, 0)]
         draw, _, series = integrate_trajectory(samples, VehicleConstants(), p)
         assert draw == 1000.0
-        assert [soc for _, _, soc in series] == [1.0, 0.0]
+        assert [s.soc for s in series] == [1.0, 0.0]
 
     def test_regen_raises_soc(self):
         # lowering 20 kg by 1 m recuperates about 98 J into a 1000 J battery
@@ -224,8 +230,8 @@ class TestSocSeries:
                    TrajectorySample(1.0, 0, 0, 0, 0, 0, 0.0, 20.0, 0.5)]
         draw, regen, series = integrate_trajectory(samples, VehicleConstants(3000, 0.0), p)
         assert draw == 0.0 and regen == pytest.approx(20.0 * G * 0.5, rel=1e-12)
-        assert series[-1][2] == pytest.approx(0.5 + regen / 1000.0, rel=1e-12)
-        assert series[-1][2] > 0.5
+        assert series[-1].soc == pytest.approx(0.5 + regen / 1000.0, rel=1e-12)
+        assert series[-1].soc > 0.5
 
 
 class TestCalibrate:
@@ -271,8 +277,8 @@ class TestCalibrate:
 # --- the cached-feature kernel against the per-segment code it replaced -------
 
 def reference_segment_energy(a, b, consts, p):
-    """The force balance as segment_energy, horizontal_work and vertical_work
-    wrote it before the feature tuple, expression for expression."""
+    """The force balance as the per-segment energy functions wrote it before
+    the feature tuple, expression for expression."""
     dt = b.t - a.t
     if dt <= 0:
         raise UnsortedSamples(f"non-increasing sample times {a.t} -> {b.t}")
@@ -282,7 +288,7 @@ def reference_segment_energy(a, b, consts, p):
     if ds < 0 or dt <= 0:
         raise NonphysicalSegment(f"ds={ds}, dt={dt}")
     w_kin = 0.5 * mass * (b.speed * b.speed - a.speed * a.speed)
-    friction = p.c_rr * mass * p.g * ds + p.c_steer * mass * abs(dheading / dt) * ds
+    friction = p.c_rr * mass * G * ds + p.c_steer * mass * abs(dheading / dt) * ds
     w_tr = w_kin + friction
     if w_tr >= 0:
         draw, regen = w_tr / p.eta_drive, 0.0
@@ -292,9 +298,9 @@ def reference_segment_energy(a, b, consts, p):
     dh = b.fork_height - a.fork_height
     vd = vr = 0.0
     if dh > 0:
-        vd = m * p.g * dh / p.eta_drive
+        vd = m * G * dh / p.eta_drive
     elif dh < 0:
-        vr = m * p.g * (-dh) * p.eta_regen
+        vr = m * G * (-dh) * p.eta_regen
     return draw + vd + p.aux_power * dt, regen + vr
 
 
@@ -436,8 +442,8 @@ def reference_run(world, n_steps):
         t = world.clock
         for v in world.vehicles:
             consts = VehicleConstants(v.truck_mass, world.fork_mass)
-            draw, regen = segment_energy(prev[v.id], sample_of(v, t), consts,
-                                         world.battery_params)
+            draw, regen = reference_segment_energy(prev[v.id], sample_of(v, t), consts,
+                                                   world.battery_params)
             states[v.id] = reference_apply_energy(states[v.id], draw, regen,
                                                   world.battery_params)
             v.soc = states[v.id].soc

@@ -121,8 +121,9 @@ class TestExitCodes:
     {map} is the demo floor, {out} an output directory, {traj} a valid
     trajectory CSV, {nan_traj} the same with x = nan on one line, {far_traj}
     the same with x = 1e200 (its squared distance to a node overflows),
-    {manifest} a calibrate manifest whose energy is nan, {corridors}
-    ONE_WAY_CORRIDORS, {odr} ONE_ROAD_ODR."""
+    {manifest} a calibrate manifest whose energy is nan, {dup_spots} the
+    demo floor with spot 1 renamed to 0, {corridors} ONE_WAY_CORRIDORS,
+    {odr} ONE_ROAD_ODR."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
            "--duration", "2"]
@@ -147,6 +148,7 @@ class TestExitCodes:
         ("--set density.linkage=bogus", [*SIM, "--set", "density.linkage=bogus"],
          EXIT_CONFIG, CONFIG),
         ("--policy fixed:99", [*SIM, "--policy", "fixed:99"], EXIT_CONFIG, CONFIG),
+        ("--set battery.g=9.81", [*SIM, "--set", "battery.g=9.81"], EXIT_CONFIG, CONFIG),
         ("place-chargers placement.k=0",
          ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.k=0",
           "{traj}"], EXIT_CONFIG, CONFIG),
@@ -165,6 +167,13 @@ class TestExitCodes:
         ("place-chargers placement.cell_size=1e-300",
          ["place-chargers", "--map", "{map}", "--out-dir", "{out}",
           "--set", "placement.cell_size=1e-300", "{traj}"], EXIT_CONFIG, CONFIG),
+        # 84 x 64 m over 1e-16 m cells: finite, but far more than MAX_CELLS
+        ("heatmap placement.cell_size=1e-16",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.cell_size=1e-16",
+          "{traj}"], EXIT_CONFIG, CONFIG),
+        ("place-chargers placement.cell_size=1e-16",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "placement.cell_size=1e-16", "{traj}"], EXIT_CONFIG, CONFIG),
         # the bounding box over a subnormal cell size is inf cells wide
         ("heatmap placement.cell_size=5e-324",
          ["heatmap", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.cell_size=5e-324",
@@ -190,6 +199,9 @@ class TestExitCodes:
          EXIT_INPUT, INPUT),
         ("calibrate energy=nan",
          ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{manifest}"], EXIT_INPUT, INPUT),
+        ("simulate two spots with one id",
+         ["simulate", "--map", "{dup_spots}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT),
         ("simulate unreachable spot",
          ["simulate", "--map", "{corridors}", "--out-dir", "{out}", "--vehicles", "1",
           "--duration", "5"], EXIT_INFEASIBLE, INFEASIBLE),
@@ -207,10 +219,14 @@ class TestExitCodes:
     def files(self, tmp_path, map_file):
         rows = ["0,0,10,10,0,0,0,0,1\n", "1,0,11,10,0,1,0,0,0.99\n"]
         paths = {"map": map_file, "out": str(tmp_path / "out")}
+        with open(map_file) as f:
+            floor = f.read()
+        assert "\nspot 1 " in floor
         for name, text in (("traj", CSV_HEADER + "".join(rows)),
                            ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
                            ("far_traj", CSV_HEADER + rows[0] + "1,0,1e200,10,0,1,0,0,0.99\n"),
                            ("manifest", "traj,nan\n"),
+                           ("dup_spots", floor.replace("\nspot 1 ", "\nspot 0 ")),
                            ("corridors", ONE_WAY_CORRIDORS),
                            ("odr", ONE_ROAD_ODR)):
             paths[name] = str(tmp_path / name)

@@ -133,10 +133,10 @@ def test_vehicle_order_does_not_matter():
             x, y = g.spot_anchor_xy(spot)
             vehicles.append(VehicleState(id=i, x=x, y=y,
                                          heading=g.waypoints[spot.edge_src].heading))
-            spot.occupied_by = i
         world = World(g, [vehicles[i] for i in order], seed=4)
         for i, spot in enumerate(spots):
             world.ctl[i].current_spot = spot.id
+            world.claims[spot.id] = i
         return world.run(60.0)
 
     assert run([5, 2, 0, 4, 1, 3]) == run(range(6))

@@ -11,7 +11,8 @@ from forkfleet.density import (Cluster, DensityConfig, EmptyFleet, UnionFind,
                                flag_critical, snapshot_from_states,
                                write_episode_summary, write_report_csv)
 from forkfleet.roadnet import dijkstra
-from forkfleet.trajectory import TrajectorySample, sample_at, split_by_vehicle
+from forkfleet.trajectory import TrajectorySample, split_by_vehicle
+from test_trajectory import sample_at
 
 
 def states_on_line(positions_speeds):

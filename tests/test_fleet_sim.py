@@ -3,13 +3,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forkfleet import mapgen
 from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
                                  PHASE_IDLE, PHASE_LIFT, PHASE_LOWER,
                                  SpotOccupied, UnreachableDestination,
-                                 VehicleBusy, World, replay)
+                                 VehicleBusy, VehicleState, World, replay)
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
 from forkfleet.trajectory import read_csv, split_by_vehicle, write_csv
 
@@ -55,7 +56,7 @@ class TestSpawnAndAssign:
         w = World.spawn_at_spots(g, 3, seed=1)
         assert len(w.vehicles) == 3
         spots = sorted(g.spots, key=lambda s: s.id)
-        assert [s.occupied_by for s in spots[:3]] == [0, 1, 2]
+        assert w.claims == {s.id: i for i, s in enumerate(spots[:3])}
         for i in range(3):
             ax, ay = g.spot_anchor_xy(spots[i])
             v = w.vehicle(i)
@@ -70,7 +71,7 @@ class TestSpawnAndAssign:
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
         task = w.assign_task(0, policy=("fixed", 1))
         assert task.dest_spot == 1
-        assert w.reserved[1] == 0
+        assert w.claims[1] == 0
         assert w.ctl[0].phase == PHASE_LIFT
         assert w.vehicle(0).load_mass == w.pickup_mass
 
@@ -104,7 +105,7 @@ class TestRouting:
         # vehicle parked at the downstream spot cannot drive back
         w = World.spawn_at_spots(g, 2, seed=0)
         w.vehicles = [w.vehicle(1)]
-        g.spots[0].occupied_by = None
+        del w.claims[0]
         with pytest.raises(UnreachableDestination):
             task = w.assign_task(1, policy=("fixed", 0))
             w.plan_route(1, task)
@@ -139,10 +140,7 @@ class TestDriveKinematics:
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
         w.assign_task(0, policy=("fixed", 1))
         drive_duration(w, 0)
-        g = w.graph
-        assert g.spots[1].occupied_by == 0
-        assert g.spots[0].occupied_by is None
-        assert w.reserved == {}
+        assert w.claims == {1: 0}  # spot 0 released, spot 1 held
         v = w.vehicle(0)
         assert (v.x, v.y) == pytest.approx((20.0, 0.0), abs=1e-9)
         assert v.fork_height == 0.0 and v.load_mass == 0.0
@@ -192,6 +190,16 @@ class TestDriveKinematics:
         assert min(corner_speeds) < 1.0  # well below the 3.0 cruise
 
 
+def claims_of(world):
+    """{spot: vehicle} from each vehicle's own spot and task destination;
+    fails if two vehicles name one spot."""
+    out = {}
+    for vid, ctl in world.ctl.items():
+        for spot in {ctl.current_spot, ctl.task.dest_spot if ctl.task else None} - {None}:
+            assert out.setdefault(spot, vid) == vid, f"vehicles {out[spot]} and {vid}: spot {spot}"
+    return out
+
+
 def min_pairwise_separation(samples):
     best = math.inf
     for tick in split_by_time(samples):
@@ -221,14 +229,31 @@ class TestFleet:
         w.run(180.0)
         done = [w.ctl[v.id].tasks_completed for v in w.vehicles]
         assert all(n >= 1 for n in done)
-        owners = [s.occupied_by for s in g.spots if s.occupied_by is not None]
-        assert sorted(set(owners)) == sorted(owners)  # no double occupancy
-        # every reservation belongs to a vehicle still working its task
-        holders = list(w.reserved.values())
-        assert sorted(set(holders)) == sorted(holders)
-        for spot_id, vid in w.reserved.items():
-            assert w.ctl[vid].task is not None
-            assert w.ctl[vid].task.dest_spot == spot_id
+        assert w.claims == claims_of(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32), st.data())
+    def test_claims_are_positions_and_destinations(self, nx, ny, seed, data):
+        # after every step, claims hold exactly each vehicle's spot and
+        # destination, and no spot is named by two vehicles
+        n_vehicles = data.draw(st.integers(1, min(6, nx * (ny + 1))))
+        n_spots = data.draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
+        g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
+        w = World.spawn_at_spots(g, n_vehicles, seed=seed)
+        for _ in range(400):
+            w.step()
+            assert w.claims == claims_of(w)
+
+    def test_one_graph_backs_many_worlds(self):
+        g = mapgen.warehouse_map()
+        World.spawn_at_spots(g, 4, seed=3).run(47.0)
+        again = World.spawn_at_spots(g, 2, seed=3).run(60.0)
+        assert again == World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=3).run(60.0)
+
+    def test_duplicate_vehicle_ids_rejected(self):
+        g = corridor_graph()
+        with pytest.raises(ValueError, match="two vehicles with one id"):
+            World(g, [VehicleState(0, 0.0, 0.0, 0.0), VehicleState(0, 21.0, 0.0, 0.0)])
 
     def test_determinism(self):
         def run_once():

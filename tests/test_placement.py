@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import line_graph, random_graph
-from forkfleet.placement import (DegenerateGrid, HeatmapGrid, heatmap,
+from forkfleet.placement import (MAX_CELLS, DegenerateGrid, HeatmapGrid, heatmap,
                                  heatmap_for_graph, place_chargers,
                                  score_placement, visit_weights, write_heatmap,
                                  write_heatmap_nonzero_csv, write_placement_csv)
@@ -41,6 +41,12 @@ class TestHeatmap:
         # raised before a row too long to index is asked for
         with pytest.raises(DegenerateGrid):
             heatmap([], 0, 0, 1.0, sys.maxsize + 1, 2)
+
+    def test_cell_cap(self):
+        # 10,010,000 cells: refused before a row is made
+        assert 10_000 * 1_000 == MAX_CELLS
+        with pytest.raises(DegenerateGrid, match="grid 10000x1001"):
+            heatmap([], 0, 0, 1.0, 10_000, 1_001)
 
     def test_for_graph_covers_all_nodes(self):
         g = random_graph(seed=1, n_nodes=25)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import enumerate_shortest, line_graph, one_way_pair_graph, random_graph, square_graph
 from forkfleet.roadnet import (DanglingReference, EmptyGraph, Edge, FormatError,
                                InvalidNode, NonPositiveLength, ParkingSpot, RoadGraph,
-                               SelfLoop, Waypoint, astar, build_graph, dijkstra,
-                               load_roadnet, nearest_node, save_roadnet)
+                               RoadNetError, SelfLoop, Waypoint, astar, build_graph,
+                               dijkstra, load_roadnet, nearest_node, save_roadnet)
 
 
 class TestBuildGraph:
@@ -47,6 +47,12 @@ class TestBuildGraph:
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         with pytest.raises(DanglingReference):
             build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], [ParkingSpot(0, 1, 0, 2.0)])
+
+    def test_duplicate_spot_id(self):
+        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        spots = [ParkingSpot(3, 0, 1, 1.0), ParkingSpot(3, 0, 1, 4.0)]
+        with pytest.raises(RoadNetError, match="two spots with id 3"):
+            build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], spots)
 
 
 class TestDijkstra:

@@ -7,7 +7,28 @@ from hypothesis import given, settings, strategies as st
 from forkfleet.cli import _render_soc
 from forkfleet.trajectory import (CSV_HEADER, SchemaError, TrajectorySample,
                                   UnsortedSamples, interpolate, read_csv,
-                                  resample, sample_at, split_by_vehicle, write_csv)
+                                  resample, split_by_vehicle, write_csv)
+
+
+def sample_at(series, t: float):
+    """The reference for resample: one vehicle's interpolated sample at time
+    t by binary search, or None if t is outside the series span."""
+    if not series or t < series[0].t - 1e-12 or t > series[-1].t + 1e-12:
+        return None
+    lo, hi = 0, len(series) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if series[mid].t < t:
+            lo = mid + 1
+        else:
+            hi = mid
+    if series[lo].t >= t and lo > 0:
+        a, b = series[lo - 1], series[lo]
+    else:
+        a = b = series[lo]
+    if a is b:
+        return a
+    return interpolate(a, b, min(max(t, a.t), b.t))
 
 
 def smp(t, vid=0, x=0.0, y=0.0, heading=0.0, speed=0.0):
