@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigError, NoFreeSpot, plc.DegenerateGrid) as exc:
+    except (ConfigError, NoFreeSpot, plc.DegenerateGrid, dens.TooManyTicks) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SchemaError, UnsortedSamples, FormatError, odr_import.OdrError,

@@ -18,7 +18,14 @@ from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
 
+MAX_TICKS = 10**6  # per timeline; 60 s at the default 1 s interval has 61
+
+
 class EmptyFleet(ValueError):
+    pass
+
+
+class TooManyTicks(ValueError):
     pass
 
 
@@ -31,6 +38,9 @@ class DensityConfig:
 
 @dataclass
 class Snapshot:
+    """Vehicles at one instant. In a density_timeline snapshot, dist holds
+    the exact distance where it is <= distance_threshold and inf elsewhere;
+    without a limit, snapshot_from_states gives the full distances."""
     t: float
     vehicle_ids: list
     nodes: list       # snapped NodeId per vehicle
@@ -61,13 +71,14 @@ class CriticalEpisode:
     centroid_node: int
 
 
-def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None) -> Snapshot:
+def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
+                         limit: float = math.inf) -> Snapshot:
     """Build a snapshot from (vehicle_id, x, y, speed) tuples.
 
     One Dijkstra per distinct occupied node; vehicles sharing a node get
     distance zero regardless of intra-edge offsets. `rows` ({node: distance
-    row}) reuses rows computed earlier on the same graph, and gains the new
-    ones.
+    row}) reuses rows computed earlier on the same graph with the same
+    `limit`, and gains the new ones. Distances above `limit` read inf.
     """
     if not states:
         raise EmptyFleet("snapshot of an empty fleet")
@@ -80,7 +91,7 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None) -> Snaps
         rows = {}
     for node in nodes:
         if node not in rows:
-            rows[node] = dijkstra(graph, node)
+            rows[node] = dijkstra(graph, node, limit)
     dmat = [[rows[a][b] for b in nodes] for a in nodes]
     return Snapshot(t, vids, nodes, speeds, positions, dmat)
 
@@ -115,8 +126,8 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
     return ClusterReport(s.t, out, s)
 
 
-def analyze_snapshot(t, states, graph, cfg, rows=None) -> ClusterReport:
-    s = snapshot_from_states(t, states, graph, rows)
+def analyze_snapshot(t, states, graph, cfg, rows=None, limit=math.inf) -> ClusterReport:
+    s = snapshot_from_states(t, states, graph, rows, limit)
     return flag_critical(clusters(s, cfg), s, cfg)
 
 
@@ -126,7 +137,11 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     Returns (reports, episodes). Critical clusters are stitched into
     episodes across consecutive ticks by >= 50% member overlap. The graph
     does not change, so each occupied node's Dijkstra row is computed once
-    for the whole timeline.
+    for the whole timeline, and only out to distance_threshold: clustering
+    reads no distance beyond it. A report's Snapshot.dist is therefore exact
+    within distance_threshold and inf beyond it, and its clusters are those
+    of the full distances. More than MAX_TICKS ticks raise TooManyTicks
+    before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
@@ -135,7 +150,11 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     te = max(ss[-1].t for ss in per_vehicle.values())
     reports = []
     rows = {}
-    n_ticks = int(math.floor((te - t0) / cfg.snapshot_interval + 1e-9)) + 1
+    intervals = (te - t0) / cfg.snapshot_interval + 1e-9
+    if not intervals < MAX_TICKS:
+        raise TooManyTicks(f"density.snapshot_interval {cfg.snapshot_interval!r} over "
+                           f"{te - t0:.12g} s makes {intervals:.3g} ticks, more than {MAX_TICKS}")
+    n_ticks = int(math.floor(intervals)) + 1
     times = [t0 + k * cfg.snapshot_interval for k in range(n_ticks)]
     vids = sorted(per_vehicle)
     columns = [resample(per_vehicle[vid], times) for vid in vids]
@@ -144,7 +163,7 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
                   for vid, smp in zip(vids, tick) if smp is not None]
         if not states:
             continue
-        reports.append(analyze_snapshot(t, states, graph, cfg, rows))
+        reports.append(analyze_snapshot(t, states, graph, cfg, rows, cfg.distance_threshold))
     episodes = _stitch_episodes(reports, graph, cfg)
     return reports, episodes
 

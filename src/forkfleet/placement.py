@@ -131,12 +131,22 @@ class PlacementResult:
     min_separation: float
 
 
-def _sym_dist(dist_rows, a, b):
-    return min(dist_rows[a][b], dist_rows[b][a])
+def _path_factor(graph: RoadGraph) -> float:
+    """f with f * hypot(a, b) <= d(a, b) in floats for every pair of nodes.
 
-
-def _all_pairs(graph: RoadGraph):
-    return [dijkstra(graph, u) for u in range(graph.n_nodes())]
+    Each edge is at least f times its chord, so by the triangle inequality
+    each path is at least f times the straight line between its ends. The
+    smallest length/chord ratio (1.0 without a chord > 0) is shrunk by 1e-9,
+    which absorbs the rounding of chords and of path sums. 0.0 when f times
+    the map's extent is not finite.
+    """
+    wps = graph.waypoints
+    chords = ((e.length, math.hypot(wps[e.dst].x - wps[e.src].x, wps[e.dst].y - wps[e.src].y))
+              for e in graph.edges)
+    f = min((length / chord for length, chord in chords if chord > 0), default=1.0)
+    f *= 1.0 - 1e-9
+    x0, y0, x1, y1 = graph.bounding_box()
+    return f if math.isfinite(f * math.hypot(x1 - x0, y1 - y0)) else 0.0
 
 
 def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25.0,
@@ -150,9 +160,19 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
 
     Lazy greedy (Minoux 1978): covered nodes only leave the weighted set
     and the feasible set only shrinks, so with weights >= 0 a node's score
-    can only fall between rounds, and a heap of scores from earlier rounds
-    bounds the current ones. A popped node whose fresh score still heads the
-    heap is the pick the full scan would make.
+    can only fall between rounds. Every heap key is an upper bound of its
+    node's current score, and a popped node whose fresh score still heads
+    the heap is the pick the full scan would make.
+
+    Lazy rows: the keys start as coordinate bounds, not scores, so only the
+    Dijkstra rows of the weighted nodes are computed up front. A bound sums
+    weights[u] / (1 + f * hypot(u, node) / d_scale) over the weighted u in
+    ascending order, f from _path_factor. Term by term f * hypot is at most
+    the distance either way, and rounded + and / are monotone, so the bound
+    is >= the score in floats. A popped node without a row is checked
+    against the stations' rows, then its bound is refreshed over the weight
+    still uncovered, and only if that still heads the heap is its row
+    computed. Most nodes never get that far.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -164,28 +184,54 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
     n = graph.n_nodes()
     if n == 0:
         raise InfeasibleSeparation("cannot place chargers on an empty graph")
-    dist_rows = _all_pairs(graph)
     weighted = [u for u in range(n) if weights[u] != 0.0]  # not yet covered
+    rows = [None] * n  # forward Dijkstra rows, computed on demand
+    for u in weighted:
+        rows[u] = dijkstra(graph, u)
 
-    def score(node):
-        # ascending u, zero weights and unreachable u skipped: the same sum,
-        # term for term, as a scan over all u
-        row = dist_rows[node]
+    f = _path_factor(graph)
+    # without a finite factor every node is put at one point, which leaves
+    # the weights alone as the bound
+    xy = [(p.x, p.y) if f else (0.0, 0.0) for p in graph.waypoints]
+
+    def bound(node):
+        x, y = xy[node]
         total = 0.0
         for u in weighted:
-            d = min(dist_rows[u][node], row[u])
+            ux, uy = xy[u]
+            total += weights[u] / (1.0 + f * math.hypot(ux - x, uy - y) / d_scale)
+        return total
+
+    def score(node, row):
+        # ascending u, zero weights and unreachable u skipped: the same sum,
+        # term for term, as a scan over all u
+        total = 0.0
+        for u in weighted:
+            d = min(rows[u][node], row[u])
             if math.isfinite(d):
                 total += weights[u] / (1.0 + d / d_scale)
         return total
 
-    heap = [(-score(node), node) for node in range(n)]
+    heap = [(-bound(node), node) for node in range(n)]
     heapq.heapify(heap)
     stations, scores = [], []
-    while heap and len(stations) < k:
+    # with nothing left to cover every score is 0 and no node can be picked
+    while heap and weighted and len(stations) < k:
         _, node = heapq.heappop(heap)
-        if not all(_sym_dist(dist_rows, node, s) >= min_separation for s in stations):
-            continue  # infeasible now, so for good
-        fresh = score(node)
+        # infeasible now, so for good; the stations' rows are checked first,
+        # since the node's own row may not exist yet
+        if not all(rows[s][node] >= min_separation for s in stations):
+            continue
+        if rows[node] is None:
+            b = bound(node)
+            if heap and (-b, node) > heap[0]:
+                heapq.heappush(heap, (-b, node))
+                continue
+            rows[node] = dijkstra(graph, node)
+        row = rows[node]
+        if not all(row[s] >= min_separation for s in stations):
+            continue
+        fresh = score(node, row)
         if not fresh > 0.0:
             continue  # covers no remaining weight now, so never again
         if heap and (-fresh, node) > heap[0]:
@@ -196,7 +242,8 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
         # a pick stays a candidate: with min_separation <= 0 it is still
         # feasible and may be picked again, as the full scan would
         heapq.heappush(heap, (-fresh, node))
-        weighted = [u for u in weighted if not _sym_dist(dist_rows, u, node) < min_separation]
+        weighted = [u for u in weighted
+                    if not (rows[u][node] < min_separation or row[u] < min_separation)]
     return PlacementResult(stations, scores, k, min_separation)
 
 

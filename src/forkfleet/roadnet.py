@@ -165,8 +165,13 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
     return RoadGraph(list(waypoints), list(edges), spot_list, adjacency)
 
 
-def dijkstra(g: RoadGraph, src: int) -> list:
-    """Single-source shortest distances (meters); unreachable = +inf."""
+def dijkstra(g: RoadGraph, src: int, limit: float = math.inf) -> list:
+    """Single-source shortest distances (meters); unreachable = +inf.
+
+    With a `limit`, no label above it is made. A node at distance d <= limit
+    is reached only through nodes at distance <= d, so its entry is the same
+    float as in the full row; every other entry is +inf.
+    """
     n = g.n_nodes()
     if not (0 <= src < n):
         raise InvalidNode(f"node {src} not in graph of {n} nodes")
@@ -182,7 +187,7 @@ def dijkstra(g: RoadGraph, src: int) -> list:
         for ei in g.adjacency[u]:
             e = g.edges[ei]
             nd = d + e.length
-            if nd < dist[e.dst]:
+            if nd < dist[e.dst] and nd <= limit:
                 dist[e.dst] = nd
                 heapq.heappush(heap, (nd, e.dst))
     return dist

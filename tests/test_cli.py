@@ -181,6 +181,14 @@ class TestExitCodes:
         ("analyze-density density.snapshot_interval=0",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
           "--set", "density.snapshot_interval=0", "{traj}"], EXIT_CONFIG, CONFIG),
+        # 1 s of trajectory over 1e-12 s ticks: 1e12 ticks, more than MAX_TICKS
+        ("analyze-density density.snapshot_interval=1e-12",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "density.snapshot_interval=1e-12", "{traj}"], EXIT_CONFIG, CONFIG),
+        # 1 s over a subnormal interval is inf ticks, which math.floor refuses
+        ("analyze-density density.snapshot_interval=5e-324",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "density.snapshot_interval=5e-324", "{traj}"], EXIT_CONFIG, CONFIG),
         ("replay x=nan", ["replay", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
          EXIT_INPUT, INPUT),
         ("analyze-density x=nan",

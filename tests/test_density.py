@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import line_graph, one_way_pair_graph, random_graph
 from forkfleet import density
-from forkfleet.density import (Cluster, DensityConfig, EmptyFleet, UnionFind,
+from forkfleet.density import (Cluster, DensityConfig, EmptyFleet, TooManyTicks, UnionFind,
                                analyze_snapshot, clusters, density_timeline,
                                flag_critical, snapshot_from_states,
                                write_episode_summary, write_report_csv)
@@ -190,10 +191,20 @@ class TestTimeline:
         assert len(by_t[0.0].snapshot.vehicle_ids) == 1
         assert len(by_t[6.0].snapshot.vehicle_ids) == 2
 
+    def test_tick_cap(self, monkeypatch):
+        samples = stopped_pair_trajectory(1.0, 2.0, 4.0)  # 0..4 s: 5 ticks at 1 s
+        monkeypatch.setattr(density, "MAX_TICKS", 5)
+        reports, _ = density_timeline(samples, self.graph(), DensityConfig())
+        assert len(reports) == 5
+        monkeypatch.setattr(density, "MAX_TICKS", 4)
+        with pytest.raises(TooManyTicks, match="more than 4"):
+            density_timeline(samples, self.graph(), DensityConfig())
+
 
 class TestTimelineRows:
     """density_timeline computes one Dijkstra row per snapped node for the
-    whole timeline, and its reports equal fresh per-tick snapshots."""
+    whole timeline, cut off at the distance threshold; its reports have the
+    clusters of fresh per-tick snapshots."""
 
     def wandering_fleet(self, graph, n_vehicles=6, n_steps=25):
         """Vehicles hop between random nodes, some starting late."""
@@ -214,9 +225,9 @@ class TestTimelineRows:
         samples = self.wandering_fleet(graph)
         sources = []
 
-        def counted(g, src):
+        def counted(g, src, limit=math.inf):
             sources.append(src)
-            return dijkstra(g, src)
+            return dijkstra(g, src, limit)
 
         monkeypatch.setattr(density, "dijkstra", counted)
         reports, _ = density_timeline(samples, graph, cfg)
@@ -226,11 +237,20 @@ class TestTimelineRows:
         assert sum(len(set(rep.snapshot.nodes)) for rep in reports) > 2 * len(snapped)
 
         per_vehicle = split_by_vehicle(samples)
+        cut_entries = 0
         for rep in reports:
             states = [(vid, smp.x, smp.y, smp.speed) for vid in sorted(per_vehicle)
                       for smp in [sample_at(per_vehicle[vid], rep.t)] if smp is not None]
             fresh = analyze_snapshot(rep.t, states, graph, cfg)
-            assert rep == fresh  # clusters and the full Snapshot.dist included
+            assert rep.t == fresh.t and rep.clusters == fresh.clusters
+            # the timeline's rows stop at the threshold: each entry is the
+            # fresh one where that is within it and inf beyond
+            cut = [[d if d <= cfg.distance_threshold else math.inf for d in row]
+                   for row in fresh.snapshot.dist]
+            assert rep.snapshot == dataclasses.replace(fresh.snapshot, dist=cut)
+            cut_entries += sum(math.isfinite(d) and d > cfg.distance_threshold
+                               for row in fresh.snapshot.dist for d in row)
+        assert cut_entries > 0  # the case does exercise the bound
 
 
 class TestUnionFind:

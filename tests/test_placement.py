@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import line_graph, random_graph
+from forkfleet import placement
+from forkfleet.mapgen import warehouse_map
 from forkfleet.placement import (MAX_CELLS, DegenerateGrid, HeatmapGrid, heatmap,
                                  heatmap_for_graph, place_chargers,
                                  score_placement, visit_weights, write_heatmap,
@@ -208,22 +210,34 @@ def eager_place_chargers(graph, weights, k, min_separation, d_scale):
     return stations, scores
 
 
+# offsets of up to 1e-6 m off the lattice: nearby points get tiny chords
+NUDGE = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6))
+
+
 @st.composite
 def placement_cases(draw):
     """(graph, weights, k, min_separation, d_scale) on small lattice graphs
     with one-way edges and unconnected parts (some distances inf), integer
     lengths (tied distances) and weights with many zeros and repeats (tied
-    scores)."""
+    scores). The weak spots of the coordinate bound are drawn too: repeated
+    points (chord 0), points nudged off the lattice (tiny chords) and edges
+    up to 1e-6 shorter than their chord, as build_graph allows, so that the
+    smallest length/chord ratio can fall well below 1."""
     n = draw(st.integers(1, 12))
-    pts = [(draw(st.integers(0, 4)), draw(st.integers(0, 4))) for _ in range(n)]
+    pts = [(draw(st.integers(0, 4)) + draw(NUDGE), draw(st.integers(0, 4)) + draw(NUDGE))
+           for _ in range(n)]
     edges, seen = [], set()
     for _ in range(draw(st.integers(0, 3 * n))):
         a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         if a == b or (a, b) in seen:
             continue
         seen.add((a, b))
-        chord = math.dist(pts[a], pts[b])
-        length = float(max(1, math.ceil(chord)) + draw(st.integers(0, 2)))
+        # build_graph's own chord expression, so a cut of 1e-6 is accepted
+        chord = math.hypot(pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
+        if draw(st.booleans()):
+            length = float(max(1, math.ceil(chord)) + draw(st.integers(0, 2)))
+        else:  # shorter than the chord; never below 5e-7, as lengths are > 0
+            length = max(chord - draw(st.floats(0.0, 1e-6)), 5e-7)
         edges.append(Edge(a, b, length, 3.0, True))
         if draw(st.booleans()) and (b, a) not in seen:  # two-way
             seen.add((b, a))
@@ -237,7 +251,7 @@ def placement_cases(draw):
     # 0, inside the graph's span, at integer distances, beyond its diameter
     min_sep = draw(st.one_of(st.sampled_from([0.0, 1e9, math.inf]),
                              st.integers(0, 12).map(float), st.floats(0.0, 30.0)))
-    d_scale = draw(st.sampled_from([1.0, 3.0, 20.0]))
+    d_scale = draw(st.sampled_from([1e-6, 1.0, 3.0, 20.0]))
     return g, weights, k, min_sep, d_scale
 
 
@@ -249,6 +263,50 @@ class TestLazyGreedy:
         res = place_chargers(g, weights, k, min_sep, d_scale)
         assert (res.stations, res.scores) == eager_place_chargers(g, weights, k, min_sep,
                                                                  d_scale)
+
+    def test_bound_follows_edges_shorter_than_chords(self):
+        # a hub 1e-6 m from three weighted leaves over 1e-8 m edges, which
+        # build_graph allows: a bound taking paths to be at least the straight
+        # line would rank the hub below a leaf, though the hub scores best
+        pts = [(0.0, 0.0), (1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6)]
+        edges = [Edge(a, b, 1e-8, 3.0, True) for leaf in (1, 2, 3)
+                 for a, b in ((0, leaf), (leaf, 0))]
+        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        w = [0.0, 1.0, 1.0, 1.0]
+        res = place_chargers(g, w, k=1, min_separation=0.0, d_scale=1e-6)
+        assert res.stations == [0]
+        assert (res.stations, res.scores) == eager_place_chargers(g, w, 1, 0.0, 1e-6)
+
+    def test_map_too_wide_for_a_bound(self):
+        # nodes 2e308 m apart joined by an inf-length edge: length/chord is
+        # inf/inf = nan, so the weights alone must serve as the bound
+        pts = [(-1e308, 0.0), (1e308, 0.0), (0.0, 0.0), (3.0, 0.0), (6.0, 0.0), (9.0, 0.0)]
+        edges = [Edge(0, 1, math.inf, 3.0), Edge(1, 0, math.inf, 3.0)]
+        for a in range(2, 5):
+            edges += [Edge(a, a + 1, 3.0, 3.0), Edge(a + 1, a, 3.0, 3.0)]
+        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        w = [1.0, 1.0, 0.0, 1.0, 5.0, 0.0]
+        for k in (1, 2, 3):
+            res = place_chargers(g, w, k, 2.0, 3.0)
+            assert (res.stations, res.scores) == eager_place_chargers(g, w, k, 2.0, 3.0)
+
+    def test_rows_only_where_needed(self, monkeypatch):
+        g = warehouse_map()
+        n = g.n_nodes()
+        w = [1.0 + i % 3 if i % 6 == 0 else 0.0 for i in range(n)]  # sparse
+        sources = []
+
+        def counted(graph, src, limit=math.inf):
+            sources.append(src)
+            return dijkstra(graph, src, limit)
+
+        monkeypatch.setattr(placement, "dijkstra", counted)
+        res = place_chargers(g, w, k=4, min_separation=15.0, d_scale=20.0)
+        # every weighted node's row, once each, but not every node's
+        assert {u for u in range(n) if w[u]} <= set(sources)
+        assert len(set(sources)) == len(sources) < n
+        assert len(res.stations) == 4
+        assert (res.stations, res.scores) == eager_place_chargers(g, w, 4, 15.0, 20.0)
 
     def test_larger_graph_matches_eager_scan(self):
         g = random_graph(seed=8, n_nodes=40)

@@ -55,6 +55,24 @@ class TestBuildGraph:
             build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], spots)
 
 
+@st.composite
+def bounded_row_cases(draw):
+    """(graph, source, limit) over random_graph seeds. Some graphs get
+    integer lengths on a small extent, so many distances tie, some of them
+    exactly at the limit; limits include 0, inf, integers and entries of
+    the full row itself."""
+    n = draw(st.integers(1, 25))
+    g = random_graph(seed=draw(st.integers(0, 10**6)), n_nodes=n,
+                     extent=draw(st.sampled_from([5.0, 100.0])))
+    if draw(st.booleans()):  # ceil keeps every length >= its chord
+        g = build_graph(g.waypoints, [Edge(e.src, e.dst, float(math.ceil(e.length)),
+                                           e.speed_limit) for e in g.edges])
+    src = draw(st.integers(0, n - 1))
+    limit = draw(st.one_of(st.sampled_from([0.0, math.inf]), st.integers(0, 30).map(float),
+                           st.floats(0.0, 300.0), st.sampled_from(dijkstra(g, src))))
+    return g, src, limit
+
+
 class TestDijkstra:
     def test_src_is_zero(self):
         g = square_graph()
@@ -85,6 +103,14 @@ class TestDijkstra:
         for _ in range(200):
             a, b, c = rnd.randrange(15), rnd.randrange(15), rnd.randrange(15)
             assert dist[a][c] <= dist[a][b] + dist[b][c] + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_row_cases())
+    def test_bounded_row_is_cut_full_row(self, case):
+        g, src, limit = case
+        full = dijkstra(g, src)
+        cut = [d if d <= limit else math.inf for d in full]
+        assert dijkstra(g, src, limit) == cut  # == on floats: the same bits
 
 
 class TestAstar:
