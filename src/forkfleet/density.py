@@ -18,7 +18,13 @@ from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
 
-MAX_TICKS = 10**6  # per timeline; 60 s at the default 1 s interval has 61
+# A timeline holds per tick a vehicles x vehicles distance matrix, and per
+# vehicle and per tick about 64 matrix entries' worth of samples, states and
+# snapshot fields, so ticks x (vehicles + 1) x (vehicles + 64) counts what it
+# allocates in entries of about 8 to 12 bytes (measured with tracemalloc for 1
+# to 64 vehicles). 10^8 is about 1 GB; 60 s of 64 vehicles at the default 1 s
+# interval is 5 x 10^5.
+MAX_ENTRIES = 10**8
 
 
 class EmptyFleet(ValueError):
@@ -38,9 +44,10 @@ class DensityConfig:
 
 @dataclass
 class Snapshot:
-    """Vehicles at one instant. In a density_timeline snapshot, dist holds
-    the exact distance where it is <= distance_threshold and inf elsewhere;
-    without a limit, snapshot_from_states gives the full distances."""
+    """Vehicles at one instant. From analyze_snapshot and density_timeline,
+    dist holds the exact distance where it is <= distance_threshold and inf
+    elsewhere; without a limit, snapshot_from_states gives the full
+    distances."""
     t: float
     vehicle_ids: list
     nodes: list       # snapped NodeId per vehicle
@@ -126,8 +133,10 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
     return ClusterReport(s.t, out, s)
 
 
-def analyze_snapshot(t, states, graph, cfg, rows=None, limit=math.inf) -> ClusterReport:
-    s = snapshot_from_states(t, states, graph, rows, limit)
+def analyze_snapshot(t, states, graph, cfg, rows=None) -> ClusterReport:
+    """Cluster and flag one instant. Clustering reads no distance beyond
+    distance_threshold, so the rows (and `rows`) stop there."""
+    s = snapshot_from_states(t, states, graph, rows, cfg.distance_threshold)
     return flag_critical(clusters(s, cfg), s, cfg)
 
 
@@ -140,8 +149,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     for the whole timeline, and only out to distance_threshold: clustering
     reads no distance beyond it. A report's Snapshot.dist is therefore exact
     within distance_threshold and inf beyond it, and its clusters are those
-    of the full distances. More than MAX_TICKS ticks raise TooManyTicks
-    before any tick is made.
+    of the full distances. A timeline of more than MAX_ENTRIES raises
+    TooManyTicks before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
@@ -151,10 +160,13 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     reports = []
     rows = {}
     intervals = (te - t0) / cfg.snapshot_interval + 1e-9
-    if not intervals < MAX_TICKS:
+    # an inf or huge count is past the cap whatever the fleet
+    n_ticks = math.floor(intervals) + 1 if intervals < MAX_ENTRIES else math.inf
+    n = len(per_vehicle)
+    if n_ticks * (n + 1) * (n + 64) > MAX_ENTRIES:
         raise TooManyTicks(f"density.snapshot_interval {cfg.snapshot_interval!r} over "
-                           f"{te - t0:.12g} s makes {intervals:.3g} ticks, more than {MAX_TICKS}")
-    n_ticks = int(math.floor(intervals)) + 1
+                           f"{te - t0:.12g} s makes {n_ticks:.3g} ticks of {n} vehicles, "
+                           f"more than {MAX_ENTRIES} entries")
     times = [t0 + k * cfg.snapshot_interval for k in range(n_ticks)]
     vids = sorted(per_vehicle)
     columns = [resample(per_vehicle[vid], times) for vid in vids]
@@ -163,7 +175,7 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
                   for vid, smp in zip(vids, tick) if smp is not None]
         if not states:
             continue
-        reports.append(analyze_snapshot(t, states, graph, cfg, rows, cfg.distance_threshold))
+        reports.append(analyze_snapshot(t, states, graph, cfg, rows))
     episodes = _stitch_episodes(reports, graph, cfg)
     return reports, episodes
 

@@ -164,8 +164,10 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
     node's current score, and a popped node whose fresh score still heads
     the heap is the pick the full scan would make.
 
-    Lazy rows: the keys start as coordinate bounds, not scores, so only the
-    Dijkstra rows of the weighted nodes are computed up front. A bound sums
+    Lazy rows: only the Dijkstra rows of the weighted nodes are computed up
+    front. Their keys start as their scores, and every other node's as a
+    coordinate bound, so with every node weighted this is the plain lazy
+    greedy over all rows. A bound sums
     weights[u] / (1 + f * hypot(u, node) / d_scale) over the weighted u in
     ascending order, f from _path_factor. Term by term f * hypot is at most
     the distance either way, and rounded + and / are monotone, so the bound
@@ -212,7 +214,8 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
                 total += weights[u] / (1.0 + d / d_scale)
         return total
 
-    heap = [(-bound(node), node) for node in range(n)]
+    heap = [(-(bound(node) if rows[node] is None else score(node, rows[node])), node)
+            for node in range(n)]
     heapq.heapify(heap)
     stations, scores = [], []
     # with nothing left to cover every score is 0 and no node can be picked

@@ -181,10 +181,14 @@ class TestExitCodes:
         ("analyze-density density.snapshot_interval=0",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
           "--set", "density.snapshot_interval=0", "{traj}"], EXIT_CONFIG, CONFIG),
-        # 1 s of trajectory over 1e-12 s ticks: 1e12 ticks, more than MAX_TICKS
+        # 1 s of one vehicle over 1e-12 s ticks: 1e12 ticks
         ("analyze-density density.snapshot_interval=1e-12",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
           "--set", "density.snapshot_interval=1e-12", "{traj}"], EXIT_CONFIG, CONFIG),
+        # 833,334 ticks: fewer than 10^6, but 1.08e8 entries, more than MAX_ENTRIES
+        ("analyze-density density.snapshot_interval=1.2e-6",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
+          "--set", "density.snapshot_interval=1.2e-6", "{traj}"], EXIT_CONFIG, CONFIG),
         # 1 s over a subnormal interval is inf ticks, which math.floor refuses
         ("analyze-density density.snapshot_interval=5e-324",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import random
@@ -191,20 +190,21 @@ class TestTimeline:
         assert len(by_t[0.0].snapshot.vehicle_ids) == 1
         assert len(by_t[6.0].snapshot.vehicle_ids) == 2
 
-    def test_tick_cap(self, monkeypatch):
-        samples = stopped_pair_trajectory(1.0, 2.0, 4.0)  # 0..4 s: 5 ticks at 1 s
-        monkeypatch.setattr(density, "MAX_TICKS", 5)
+    def test_entry_cap(self, monkeypatch):
+        # 0..4 s: 5 ticks at 1 s of 2 vehicles, 5 x 3 x 66 = 990 entries
+        samples = stopped_pair_trajectory(1.0, 2.0, 4.0)
+        monkeypatch.setattr(density, "MAX_ENTRIES", 990)
         reports, _ = density_timeline(samples, self.graph(), DensityConfig())
         assert len(reports) == 5
-        monkeypatch.setattr(density, "MAX_TICKS", 4)
-        with pytest.raises(TooManyTicks, match="more than 4"):
+        monkeypatch.setattr(density, "MAX_ENTRIES", 989)
+        with pytest.raises(TooManyTicks, match="5 ticks of 2 vehicles, more than 989"):
             density_timeline(samples, self.graph(), DensityConfig())
 
 
 class TestTimelineRows:
     """density_timeline computes one Dijkstra row per snapped node for the
-    whole timeline, cut off at the distance threshold; its reports have the
-    clusters of fresh per-tick snapshots."""
+    whole timeline, cut off at the distance threshold; its reports equal
+    fresh per-tick snapshots."""
 
     def wandering_fleet(self, graph, n_vehicles=6, n_steps=25):
         """Vehicles hop between random nodes, some starting late."""
@@ -242,14 +242,16 @@ class TestTimelineRows:
             states = [(vid, smp.x, smp.y, smp.speed) for vid in sorted(per_vehicle)
                       for smp in [sample_at(per_vehicle[vid], rep.t)] if smp is not None]
             fresh = analyze_snapshot(rep.t, states, graph, cfg)
-            assert rep.t == fresh.t and rep.clusters == fresh.clusters
-            # the timeline's rows stop at the threshold: each entry is the
-            # fresh one where that is within it and inf beyond
-            cut = [[d if d <= cfg.distance_threshold else math.inf for d in row]
-                   for row in fresh.snapshot.dist]
-            assert rep.snapshot == dataclasses.replace(fresh.snapshot, dist=cut)
+            assert rep == fresh  # clusters and Snapshot.dist included
+            # the rows stop at the threshold: each entry is the full one
+            # where that is within it and inf beyond, and the clusters are
+            # those of the full distances
+            full = snapshot_from_states(rep.t, states, graph)
+            assert rep.snapshot.dist == [[d if d <= cfg.distance_threshold else math.inf
+                                          for d in row] for row in full.dist]
+            assert clusters(rep.snapshot, cfg) == clusters(full, cfg)
             cut_entries += sum(math.isfinite(d) and d > cfg.distance_threshold
-                               for row in fresh.snapshot.dist for d in row)
+                               for row in full.dist for d in row)
         assert cut_entries > 0  # the case does exercise the bound
 
 
