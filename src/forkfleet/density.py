@@ -18,11 +18,11 @@ from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
 
-# A timeline holds per tick a vehicles x vehicles distance matrix, and per
-# vehicle and per tick about 64 matrix entries' worth of samples, states and
-# snapshot fields, so ticks x (vehicles + 1) x (vehicles + 64) counts what it
-# allocates in entries of about 8 to 12 bytes (measured with tracemalloc for 1
-# to 64 vehicles). 10^8 is about 1 GB; 60 s of 64 vehicles at the default 1 s
+# What a timeline holds, in entries of about 8 to 12 bytes: per tick a
+# vehicles x vehicles distance matrix, plus about 64 entries' worth per tick
+# and per vehicle (samples, states, snapshot fields), which makes
+# ticks x (vehicles + 1) x (vehicles + 64) (fit with tracemalloc for 1 to 64
+# vehicles). 10^8 is about 1 GB; 60 s of 64 vehicles at the default 1 s
 # interval is 5 x 10^5.
 MAX_ENTRIES = 10**8
 
@@ -149,8 +149,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     for the whole timeline, and only out to distance_threshold: clustering
     reads no distance beyond it. A report's Snapshot.dist is therefore exact
     within distance_threshold and inf beyond it, and its clusters are those
-    of the full distances. A timeline of more than MAX_ENTRIES raises
-    TooManyTicks before any tick is made.
+    of the full distances. A timeline of more than MAX_ENTRIES entries
+    raises TooManyTicks before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
