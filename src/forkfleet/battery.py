@@ -153,19 +153,28 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     """
     total_draw = total_regen = 0.0
     series = []
-    for ss, features in _vehicle_features(samples, consts):
-        initial = ss[0].soc
-        drawn = regenerated = 0.0
+    for _, ss in sorted(split_by_vehicle(samples).items()):
         series.append(ss[0])
-        for b, f in zip(ss[1:], features):
-            draw, regen = _energy(f, p)
+        for draw, regen, sample in soc_steps(ss, consts, p, ss[0].soc):
             total_draw += draw
             total_regen += regen
-            drawn += draw
-            regenerated += regen
-            series.append(TrajectorySample(
-                *b[:8], min(max(initial - (drawn - regenerated) / p.capacity, 0.0), 1.0)))
+            series.append(sample)
     return total_draw, total_regen, series
+
+
+def soc_steps(ss, consts: VehicleConstants, p: BatteryParams, initial: float,
+              drawn: float = 0.0, regenerated: float = 0.0):
+    """Yield (draw, regen, sample with SOC) for each of one vehicle's samples
+    ss[1:]. Its SOC is `initial` less the net energy over the capacity,
+    clamped to [0, 1], the running sums continuing from drawn and
+    regenerated: so a vehicle's samples integrated in pieces get the same
+    bits as integrated at once."""
+    for a, b in zip(ss, ss[1:]):
+        draw, regen = _energy(_segment_features(a, b, consts), p)
+        drawn += draw
+        regenerated += regen
+        yield draw, regen, TrajectorySample(
+            *b[:8], min(max(initial - (drawn - regenerated) / p.capacity, 0.0), 1.0))
 
 
 def _net(features, p: BatteryParams):

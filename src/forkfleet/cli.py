@@ -104,6 +104,8 @@ def _require_file(path: str):
         raise CliError("missing required file path", EXIT_CONFIG)
     if not os.path.exists(path):
         raise CliError(f"file not found: {path}", EXIT_CONFIG)
+    if not os.path.isfile(path):
+        raise CliError(f"not a regular file: {path}", EXIT_CONFIG)
 
 
 def _load_map(path):
@@ -324,7 +326,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigError, NoFreeSpot, plc.DegenerateGrid, dens.TooManyTicks) as exc:
+    except (ConfigError, NoFreeSpot, plc.DegenerateGrid, dens.TooManyTicks,
+            odr_import.TooManyPoints) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SchemaError, UnsortedSamples, FormatError, odr_import.OdrError,

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
 
-# What a timeline holds, in entries of about 8 to 12 bytes: per tick a
-# vehicles x vehicles distance matrix, plus about 64 entries' worth per tick
-# and per vehicle (samples, states, snapshot fields), which makes
-# ticks x (vehicles + 1) x (vehicles + 64) (fit with tracemalloc for 1 to 64
-# vehicles). 10^8 is about 1 GB; 60 s of 64 vehicles at the default 1 s
-# interval is 5 x 10^5.
+# A timeline's peak, in entries of 8 bytes: ticks x (vehicles + 1) x this
+# (resampled samples, snapshots, clusters; a tick costs about one vehicle of
+# its own), fit with tracemalloc for 1 to 256 vehicles. Rows are held once per
+# timeline. 10^8 is 800 MB; an hour of 256 vehicles at 1 s is 8.1 x 10^7.
+ENTRIES_PER_VEHICLE_TICK = 88
 MAX_ENTRIES = 10**8
 
 
@@ -44,16 +45,20 @@ class DensityConfig:
 
 @dataclass
 class Snapshot:
-    """Vehicles at one instant. From analyze_snapshot and density_timeline,
-    dist holds the exact distance where it is <= distance_threshold and inf
-    elsewhere; without a limit, snapshot_from_states gives the full
-    distances."""
+    """Vehicles at one instant. rows maps each occupied node (in a timeline,
+    every node occupied so far) to its finite distances {node: d}, cut at
+    the limit snapshot_from_states was given."""
     t: float
     vehicle_ids: list
     nodes: list       # snapped NodeId per vehicle
     speeds: list
     positions: list   # (x, y) per vehicle
-    dist: list        # dist[i][j] = directed network distance i -> j
+    rows: dict
+
+    @cached_property
+    def dist(self):
+        """dist[i][j] = directed network distance i -> j; inf past the rows."""
+        return [[self.rows[a].get(b, math.inf) for b in self.nodes] for a in self.nodes]
 
 
 @dataclass
@@ -83,9 +88,10 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
     """Build a snapshot from (vehicle_id, x, y, speed) tuples.
 
     One Dijkstra per distinct occupied node; vehicles sharing a node get
-    distance zero regardless of intra-edge offsets. `rows` ({node: distance
-    row}) reuses rows computed earlier on the same graph with the same
-    `limit`, and gains the new ones. Distances above `limit` read inf.
+    distance zero regardless of intra-edge offsets. `rows` ({node: {node:
+    distance}}) reuses rows computed earlier on the same graph with the same
+    `limit`, gains the new ones and becomes the snapshot's rows. A row holds
+    no distance above `limit`.
     """
     if not states:
         raise EmptyFleet("snapshot of an empty fleet")
@@ -98,27 +104,32 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
         rows = {}
     for node in nodes:
         if node not in rows:
-            rows[node] = dijkstra(graph, node, limit)
-    dmat = [[rows[a][b] for b in nodes] for a in nodes]
-    return Snapshot(t, vids, nodes, speeds, positions, dmat)
+            row = dijkstra(graph, node, limit)
+            fin = list(map(math.isfinite, row))
+            rows[node] = dict(zip(compress(range(len(row)), fin), compress(row, fin)))
+    return Snapshot(t, vids, nodes, speeds, positions, rows)
 
 
 def clusters(s: Snapshot, cfg: DensityConfig):
-    """Partition vehicles into clusters of the thresholded link relation.
-
-    Returns a list of member-index lists (indices into the snapshot arrays),
-    each sorted, ordered by smallest member. Singletons are allowed.
+    """Partition vehicles into clusters of the thresholded link relation:
+    member-index lists (indices into the snapshot arrays), each sorted,
+    ordered by smallest member; singletons are allowed. Vehicles at one node
+    are 0 m apart; occupied nodes a and b link when b is in a's row within
+    the threshold, either direction as min() of the directed pair. UnionFind
+    roots are smallest members, whatever the order of the unions.
     """
-    n = len(s.vehicle_ids)
-    uf = UnionFind(n)
+    uf = UnionFind(len(s.vehicle_ids))
+    first = {}   # occupied node -> its smallest vehicle index
+    for i, node in enumerate(s.nodes):
+        uf.union(first.setdefault(node, i), i)
     t = cfg.distance_threshold
-    for i in range(n):
-        for j in range(i + 1, n):
-            # min() of the directed pair: linked if either direction is in reach
-            if min(s.dist[i][j], s.dist[j][i]) <= t:
-                uf.union(i, j)
+    for a, i in first.items():
+        row = s.rows[a]
+        for b in row.keys() & first.keys():   # walks the smaller side
+            if row[b] <= t:
+                uf.union(i, first[b])
     groups = {}
-    for i in range(n):
+    for i in range(len(s.vehicle_ids)):
         groups.setdefault(uf.find(i), []).append(i)
     return [groups[r] for r in sorted(groups)]
 
@@ -134,8 +145,8 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
 
 
 def analyze_snapshot(t, states, graph, cfg, rows=None) -> ClusterReport:
-    """Cluster and flag one instant. Clustering reads no distance beyond
-    distance_threshold, so the rows (and `rows`) stop there."""
+    """Cluster and flag one instant over rows (and `rows`) cut at
+    distance_threshold, since clustering reads no distance beyond it."""
     s = snapshot_from_states(t, states, graph, rows, cfg.distance_threshold)
     return flag_critical(clusters(s, cfg), s, cfg)
 
@@ -146,11 +157,9 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     Returns (reports, episodes). Critical clusters are stitched into
     episodes across consecutive ticks by >= 50% member overlap. The graph
     does not change, so each occupied node's Dijkstra row is computed once
-    for the whole timeline, and only out to distance_threshold: clustering
-    reads no distance beyond it. A report's Snapshot.dist is therefore exact
-    within distance_threshold and inf beyond it, and its clusters are those
-    of the full distances. A timeline of more than MAX_ENTRIES entries
-    raises TooManyTicks before any tick is made.
+    for the whole timeline, out to distance_threshold, and every report's
+    Snapshot.rows is that one cache. A timeline of more than MAX_ENTRIES
+    entries raises TooManyTicks before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
@@ -163,7 +172,7 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     # an inf or huge count is past the cap whatever the fleet
     n_ticks = math.floor(intervals) + 1 if intervals < MAX_ENTRIES else math.inf
     n = len(per_vehicle)
-    if n_ticks * (n + 1) * (n + 64) > MAX_ENTRIES:
+    if n_ticks * (n + 1) * ENTRIES_PER_VEHICLE_TICK > MAX_ENTRIES:
         raise TooManyTicks(f"density.snapshot_interval {cfg.snapshot_interval!r} over "
                            f"{te - t0:.12g} s makes {n_ticks:.3g} ticks of {n} vehicles, "
                            f"more than {MAX_ENTRIES} entries")
@@ -176,8 +185,7 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
         if not states:
             continue
         reports.append(analyze_snapshot(t, states, graph, cfg, rows))
-    episodes = _stitch_episodes(reports, graph, cfg)
-    return reports, episodes
+    return reports, _stitch_episodes(reports, graph)
 
 
 def _overlap_ok(a, b):
@@ -192,44 +200,34 @@ def _centroid_node(members, report, graph):
     return nearest_node(graph, cx, cy)
 
 
-def _stitch_episodes(reports, graph, cfg):
+def _stitch_episodes(reports, graph):
     episodes = []
-    # active: list of dicts {members, start, peak_size, peak_report}
+    # active: dicts {members, start, end, peak_size, peak: (members, report)}
     active = []
     for rep in reports:
         crit = [c.members for c in rep.clusters if c.critical]
         next_active = []
         matched_prev = set()
         for members in crit:
-            hit = None
             for ai, a in enumerate(active):
                 if ai not in matched_prev and _overlap_ok(a["members"], members):
-                    hit = ai
+                    matched_prev.add(ai)
+                    a["members"] = members
+                    a["end"] = rep.t
+                    if len(members) > a["peak_size"]:
+                        a["peak_size"] = len(members)
+                        a["peak"] = (members, rep)
+                    next_active.append(a)
                     break
-            if hit is not None:
-                matched_prev.add(hit)
-                a = active[hit]
-                a["members"] = members
-                a["end"] = rep.t
-                if len(members) > a["peak_size"]:
-                    a["peak_size"] = len(members)
-                    a["peak_members"] = members
-                    a["peak_report"] = rep
-                next_active.append(a)
             else:
                 next_active.append({"members": members, "start": rep.t, "end": rep.t,
-                                    "peak_size": len(members), "peak_members": members,
-                                    "peak_report": rep})
-        for ai, a in enumerate(active):
-            if ai not in matched_prev:
-                episodes.append(a)
+                                    "peak_size": len(members), "peak": (members, rep)})
+        episodes += [a for ai, a in enumerate(active) if ai not in matched_prev]
         active = next_active
     episodes.extend(active)
-    out = []
-    for a in sorted(episodes, key=lambda e: (e["start"], e["end"])):
-        out.append(CriticalEpisode(a["start"], a["end"], a["peak_size"],
-                                   _centroid_node(a["peak_members"], a["peak_report"], graph)))
-    return out
+    return [CriticalEpisode(a["start"], a["end"], a["peak_size"],
+                            _centroid_node(*a["peak"], graph))
+            for a in sorted(episodes, key=lambda e: (e["start"], e["end"]))]
 
 
 def write_report_csv(reports, fileobj) -> None:

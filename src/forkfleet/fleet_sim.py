@@ -4,10 +4,10 @@ Single-threaded explicit-Euler world stepping: task assignment onto free
 parking spots, A* route planning, trapezoidal speed profiles with curvature
 slowdown, top-down collision avoidance and fork lift/lower phases. step() is
 kinematics only; run() records one sample per vehicle per step and then
-integrates each truck's battery once over what it recorded, through
-battery.integrate_trajectory as replay does. All randomness flows from one
-splitmix64 generator seeded by the scenario seed, so (scenario, seed, dt)
-fully determines every emitted sample.
+integrates each truck's battery over what that run recorded, through
+battery.soc_steps, the loop behind replay's integrate_trajectory. All
+randomness flows from one splitmix64 generator seeded by the scenario seed,
+so (scenario, seed, dt) fully determines every emitted sample.
 
 Spot occupancy is the world's own ({spot: vehicle} in World.claims), never
 written to the road graph, so one graph can back any number of worlds.
@@ -495,9 +495,10 @@ class World:
     def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
         """Step for the given duration, recording one sample per vehicle per
         step (plus the initial state on the first run). Then integrate each
-        vehicle's battery over all it recorded, from its soc when recording
-        began, and set its soc to the last value. Returns every sample
-        recorded so far, in (t, vehicle_id) order."""
+        vehicle's battery over the samples this run recorded, continuing from
+        its soc when recording began and its energy sums so far, and set its
+        soc to the last value. Returns every sample recorded so far, in
+        (t, vehicle_id) order."""
         n_steps = int(round(duration / self.dt))
         tracks = self._tracks
         if n_steps > 0:
@@ -511,10 +512,14 @@ class World:
                     track.append(self._sample_of(v, t))
             for v, track in zip(self.vehicles, tracks):
                 ctl = self.ctl[v.id]
+                last = len(track) - 1 - n_steps  # the last sample with its soc
                 consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
-                # replaced one vehicle at a time, so only one track is held twice
-                ctl.energy_drawn, ctl.energy_regenerated, track[:] = bat.integrate_trajectory(
-                    track, consts, self.battery_params)
+                steps = bat.soc_steps(track[last:], consts, self.battery_params, track[0].soc,
+                                      ctl.energy_drawn, ctl.energy_regenerated)
+                for k, (draw, regen, sample) in enumerate(steps, start=last + 1):
+                    ctl.energy_drawn += draw
+                    ctl.energy_regenerated += regen
+                    track[k] = sample
                 v.soc = track[-1].soc
         return [s for tick in zip(*tracks) for s in tick]
 

@@ -22,6 +22,10 @@ log = logging.getLogger(__name__)
 
 SUPPORTED_GEOMETRY = ("line", "arc")
 SPEED_LIMIT = 4.0  # m/s on every imported edge: the subset reads no speed records
+# Sample points (road length over spacing, summed) per conversion: a 10 km
+# site at 1 m has 10^4. Two-lane roads peak at about 1.9 kB a point
+# (tracemalloc), so 10^5 is about 190 MB.
+MAX_POINTS = 10**5
 
 
 class OdrError(ValueError):
@@ -37,6 +41,10 @@ class UnsupportedGeometry(OdrError):
 
 
 class MissingAttribute(OdrError):
+    pass
+
+
+class TooManyPoints(ValueError):
     pass
 
 
@@ -113,9 +121,12 @@ def _attr(elem, name, road_id, cast=float):
     if v is None:
         raise MissingAttribute(f"road {road_id}: <{elem.tag}> missing attribute '{name}'")
     try:
-        return cast(v)
+        value = cast(v)
     except ValueError as exc:
         raise MalformedDocument(f"road {road_id}: bad value for '{name}': {v!r}") from exc
+    if not math.isfinite(value):
+        raise MalformedDocument(f"road {road_id}: non-finite value for '{name}': {v!r}")
+    return value
 
 
 def parse_opendrive_subset(text: str) -> RoadDescription:
@@ -220,6 +231,11 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
     for road in desc.roads:
         if road.length <= 0:
             raise DegenerateRoad(f"road {road.id} has zero length")
+    # summed before math.ceil, which an inf quotient would stop
+    n_points = sum(road.length / spacing for road in desc.roads)
+    if not n_points <= MAX_POINTS:
+        raise TooManyPoints(f"spacing {spacing!r} makes {n_points:.3g} sample points, "
+                            f"more than {MAX_POINTS}")
 
     raw = []   # (x, y, heading) per raw node
     edges = []

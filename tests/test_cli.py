@@ -121,13 +121,16 @@ class TestExitCodes:
     {map} is the demo floor, {out} an output directory, {traj} a valid
     trajectory CSV, {nan_traj} the same with x = nan on one line, {far_traj}
     the same with x = 1e200 (its squared distance to a node overflows),
-    {manifest} a calibrate manifest whose energy is nan, {dup_spots} the
-    demo floor with spot 1 renamed to 0, {corridors} ONE_WAY_CORRIDORS,
-    {odr} ONE_ROAD_ODR."""
+    {manifest} a calibrate manifest whose energy is nan, {dir_manifest} one
+    whose cycle is a directory, {dup_spots} the demo floor with spot 1
+    renamed to 0, {corridors} ONE_WAY_CORRIDORS, {odr} ONE_ROAD_ODR and
+    {odr_nan}, {odr_inf}, {odr_huge} the same with its length nan, inf or
+    1e308, and {dir} a directory."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
            "--duration", "2"]
     CONFIG, INPUT, INFEASIBLE = "config error: ", "input error: ", "infeasible: "
+    ERROR = "error: "
     CASES = [
         ("valid", SIM, EXIT_OK, ""),
         ("--set kin.d_safe=nan", [*SIM, "--set", "kin.d_safe=nan"], EXIT_CONFIG, CONFIG),
@@ -185,7 +188,8 @@ class TestExitCodes:
         ("analyze-density density.snapshot_interval=1e-12",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
           "--set", "density.snapshot_interval=1e-12", "{traj}"], EXIT_CONFIG, CONFIG),
-        # 833,334 ticks: fewer than 10^6, but 1.08e8 entries, more than MAX_ENTRIES
+        # 833,334 ticks of 1 vehicle: 833,334 x 2 x 88 = 1.47e8 entries, more
+        # than MAX_ENTRIES
         ("analyze-density density.snapshot_interval=1.2e-6",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
           "--set", "density.snapshot_interval=1.2e-6", "{traj}"], EXIT_CONFIG, CONFIG),
@@ -225,12 +229,30 @@ class TestExitCodes:
          EXIT_CONFIG, CONFIG),
         ("convert --spacing inf", ["convert", "{odr}", "--out", "{out}", "--spacing", "inf"],
          EXIT_CONFIG, CONFIG),
+        # 50 m at 1e-300 m: 5e301 sample points, more than MAX_POINTS
+        ("convert --spacing 1e-300",
+         ["convert", "{odr}", "--out", "{out}", "--spacing", "1e-300"], EXIT_CONFIG, CONFIG),
+        ("convert length=nan", ["convert", "{odr_nan}", "--out", "{out}"], EXIT_INPUT, INPUT),
+        ("convert length=inf", ["convert", "{odr_inf}", "--out", "{out}"], EXIT_INPUT, INPUT),
+        ("convert length=1e308", ["convert", "{odr_huge}", "--out", "{out}"],
+         EXIT_CONFIG, CONFIG),
+        ("simulate --config a directory", [*SIM, "--config", "{dir}"], EXIT_CONFIG, ERROR),
+        ("analyze-density --map a directory",
+         ["analyze-density", "--map", "{dir}", "--out-dir", "{out}", "{traj}"],
+         EXIT_CONFIG, ERROR),
+        ("heatmap trajectory a directory",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{dir}"], EXIT_CONFIG, ERROR),
+        ("calibrate manifest a directory",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{dir}"], EXIT_CONFIG, ERROR),
+        ("calibrate cycle a directory",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{dir_manifest}"],
+         EXIT_CONFIG, ERROR),
     ]
 
     @pytest.fixture()
     def files(self, tmp_path, map_file):
         rows = ["0,0,10,10,0,0,0,0,1\n", "1,0,11,10,0,1,0,0,0.99\n"]
-        paths = {"map": map_file, "out": str(tmp_path / "out")}
+        paths = {"map": map_file, "out": str(tmp_path / "out"), "dir": str(tmp_path)}
         with open(map_file) as f:
             floor = f.read()
         assert "\nspot 1 " in floor
@@ -238,9 +260,13 @@ class TestExitCodes:
                            ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
                            ("far_traj", CSV_HEADER + rows[0] + "1,0,1e200,10,0,1,0,0,0.99\n"),
                            ("manifest", "traj,nan\n"),
+                           ("dir_manifest", ".,1000\n"),
                            ("dup_spots", floor.replace("\nspot 1 ", "\nspot 0 ")),
                            ("corridors", ONE_WAY_CORRIDORS),
-                           ("odr", ONE_ROAD_ODR)):
+                           ("odr", ONE_ROAD_ODR),
+                           ("odr_nan", ONE_ROAD_ODR.replace('length="50"', 'length="nan"')),
+                           ("odr_inf", ONE_ROAD_ODR.replace('length="50"', 'length="inf"')),
+                           ("odr_huge", ONE_ROAD_ODR.replace('length="50"', 'length="1e308"'))):
             paths[name] = str(tmp_path / name)
             with open(paths[name], "w") as f:
                 f.write(text)

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,21 @@ from test_trajectory import sample_at
 def states_on_line(positions_speeds):
     """(x, speed) pairs -> state tuples on the x axis, ids in order."""
     return [(i, x, 0.0, v) for i, (x, v) in enumerate(positions_speeds)]
+
+
+def pair_clusters(dist, threshold):
+    """clusters() by its definition: every vehicle pair linked when the
+    smaller directed distance is within the threshold."""
+    n = len(dist)
+    uf = UnionFind(n)
+    for i in range(n):
+        for j in range(i):
+            if min(dist[i][j], dist[j][i]) <= threshold:
+                uf.union(i, j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
 
 
 class TestSnapshot:
@@ -117,6 +134,27 @@ class TestFlagCritical:
         assert not rep.clusters[0].critical
 
 
+def wandering_fleet(graph, n_vehicles=6, n_steps=25):
+    """Vehicles hop between random nodes, some starting late."""
+    rnd = random.Random(2)
+    samples = []
+    for vid in range(n_vehicles):
+        for k in range(rnd.randrange(4), n_steps):
+            w = graph.waypoints[rnd.randrange(graph.n_nodes())]
+            samples.append(TrajectorySample(float(k), vid, w.x + rnd.uniform(-2, 2),
+                                            w.y + rnd.uniform(-2, 2), 0.0,
+                                            rnd.choice([0.0, 0.2, 1.5]), 0.0, 0.0, 1.0))
+    samples.sort(key=lambda s: (s.t, s.vehicle_id))
+    return samples
+
+
+def tick_states(samples, t):
+    """The state tuples of the vehicles present at t."""
+    per_vehicle = split_by_vehicle(samples)
+    return [(vid, smp.x, smp.y, smp.speed) for vid in sorted(per_vehicle)
+            for smp in [sample_at(per_vehicle[vid], t)] if smp is not None]
+
+
 def stopped_pair_trajectory(t_jam_start, t_jam_end, t_total, dt=1.0):
     """Two vehicles approach, sit 5 m apart during the jam window, then leave."""
     samples = []
@@ -191,38 +229,58 @@ class TestTimeline:
         assert len(by_t[6.0].snapshot.vehicle_ids) == 2
 
     def test_entry_cap(self, monkeypatch):
-        # 0..4 s: 5 ticks at 1 s of 2 vehicles, 5 x 3 x 66 = 990 entries
+        # 0..4 s: 5 ticks at 1 s of 2 vehicles, 5 x 3 x 88 = 1320 entries
         samples = stopped_pair_trajectory(1.0, 2.0, 4.0)
-        monkeypatch.setattr(density, "MAX_ENTRIES", 990)
+        assert density.ENTRIES_PER_VEHICLE_TICK == 88
+        monkeypatch.setattr(density, "MAX_ENTRIES", 1320)
         reports, _ = density_timeline(samples, self.graph(), DensityConfig())
         assert len(reports) == 5
-        monkeypatch.setattr(density, "MAX_ENTRIES", 989)
-        with pytest.raises(TooManyTicks, match="5 ticks of 2 vehicles, more than 989"):
+        monkeypatch.setattr(density, "MAX_ENTRIES", 1319)
+        with pytest.raises(TooManyTicks, match="5 ticks of 2 vehicles, more than 1319"):
             density_timeline(samples, self.graph(), DensityConfig())
+
+    def test_an_hour_of_256_vehicles_fits(self, monkeypatch):
+        # 3601 ticks of 256 vehicles: 8.1e7 entries, under MAX_ENTRIES; no tick
+        # is made, since resample is stopped at its first call
+        samples = [TrajectorySample(t, vid, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+                   for t in (0.0, 3600.0) for vid in range(256)]
+
+        class Ticks(Exception):
+            pass
+
+        def stop(series, times):
+            raise Ticks(len(times))
+        monkeypatch.setattr(density, "resample", stop)
+        with pytest.raises(Ticks) as exc:
+            density_timeline(samples, self.graph(), DensityConfig())
+        assert exc.value.args == (3601,)
+
+    def test_entry_model_bounds_the_peak(self):
+        # what the cap counts for a timeline, in entries of 8 bytes, bounds
+        # the memory it allocates
+        graph = random_graph(seed=5, n_nodes=30)
+        samples = wandering_fleet(graph, n_vehicles=8, n_steps=40)
+        cfg = DensityConfig(distance_threshold=30.0, snapshot_interval=0.3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports, _ = density_timeline(samples, graph, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 131
+        assert peak <= 8 * len(reports) * (8 + 1) * density.ENTRIES_PER_VEHICLE_TICK
 
 
 class TestTimelineRows:
     """density_timeline computes one Dijkstra row per snapped node for the
     whole timeline, cut off at the distance threshold; its reports equal
-    fresh per-tick snapshots."""
-
-    def wandering_fleet(self, graph, n_vehicles=6, n_steps=25):
-        """Vehicles hop between random nodes, some starting late."""
-        rnd = random.Random(2)
-        samples = []
-        for vid in range(n_vehicles):
-            for k in range(rnd.randrange(4), n_steps):
-                w = graph.waypoints[rnd.randrange(graph.n_nodes())]
-                samples.append(TrajectorySample(float(k), vid, w.x + rnd.uniform(-2, 2),
-                                                w.y + rnd.uniform(-2, 2), 0.0,
-                                                rnd.choice([0.0, 0.2, 1.5]), 0.0, 0.0, 1.0))
-        samples.sort(key=lambda s: (s.t, s.vehicle_id))
-        return samples
+    fresh per-tick snapshots but for sharing one row cache."""
 
     def test_one_dijkstra_per_snapped_node(self, monkeypatch):
         graph = random_graph(seed=7, n_nodes=30)
         cfg = DensityConfig(distance_threshold=30.0, velocity_threshold=0.5)
-        samples = self.wandering_fleet(graph)
+        samples = wandering_fleet(graph)
         sources = []
 
         def counted(g, src, limit=math.inf):
@@ -235,24 +293,44 @@ class TestTimelineRows:
         assert sorted(sources) == sorted(snapped)
         # per-tick rows would cost more: the case does exercise the reuse
         assert sum(len(set(rep.snapshot.nodes)) for rep in reports) > 2 * len(snapped)
+        # the reports share one row cache and build no distance matrix
+        assert all(rep.snapshot.rows is reports[0].snapshot.rows for rep in reports)
+        assert all("dist" not in vars(rep.snapshot) for rep in reports)
 
-        per_vehicle = split_by_vehicle(samples)
-        cut_entries = 0
         for rep in reports:
-            states = [(vid, smp.x, smp.y, smp.speed) for vid in sorted(per_vehicle)
-                      for smp in [sample_at(per_vehicle[vid], rep.t)] if smp is not None]
-            fresh = analyze_snapshot(rep.t, states, graph, cfg)
-            assert rep == fresh  # clusters and Snapshot.dist included
-            # the rows stop at the threshold: each entry is the full one
-            # where that is within it and inf beyond, and the clusters are
-            # those of the full distances
-            full = snapshot_from_states(rep.t, states, graph)
-            assert rep.snapshot.dist == [[d if d <= cfg.distance_threshold else math.inf
-                                          for d in row] for row in full.dist]
-            assert clusters(rep.snapshot, cfg) == clusters(full, cfg)
-            cut_entries += sum(math.isfinite(d) and d > cfg.distance_threshold
-                               for row in full.dist for d in row)
-        assert cut_entries > 0  # the case does exercise the bound
+            fresh = analyze_snapshot(rep.t, tick_states(samples, rep.t), graph, cfg)
+            assert rep.clusters == fresh.clusters
+            for field in dataclasses.fields(density.Snapshot):
+                if field.name != "rows":
+                    assert getattr(rep.snapshot, field.name) == getattr(fresh.snapshot, field.name)
+            assert rep.snapshot.dist == fresh.snapshot.dist
+
+    @pytest.mark.parametrize("threshold", [5.0, 15.0, 30.0])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_clusters_are_those_of_full_rows(self, seed, threshold):
+        """Rows cut at the threshold hold each full entry within it and none
+        beyond, and cluster as every vehicle pair of the full rows does."""
+        graph = random_graph(seed=seed, n_nodes=30, extent=50.0)
+        cfg = DensityConfig(distance_threshold=threshold, velocity_threshold=0.5)
+        samples = wandering_fleet(graph, n_vehicles=12)
+        reports, _ = density_timeline(samples, graph, cfg)
+        cut_entries = shared = one_way = 0
+        for rep in reports:
+            full = snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
+            d = full.dist
+            assert rep.snapshot.dist == [[x if x <= threshold else math.inf for x in row]
+                                         for row in d]
+            part = pair_clusters(d, threshold)
+            assert clusters(full, cfg) == part
+            assert [c.members for c in rep.clusters] == [
+                [full.vehicle_ids[i] for i in members] for members in part]
+            cut_entries += sum(math.isfinite(x) and x > threshold for row in d for x in row)
+            shared += len(full.nodes) - len(set(full.nodes))
+            one_way += sum((d[i][j] <= threshold) != (d[j][i] <= threshold)
+                           for i in range(len(d)) for j in range(i))
+        # the case exercises the bound, vehicles at one node, and pairs
+        # linked in one direction only
+        assert cut_entries > 0 and shared > 0 and one_way > 0
 
 
 class TestUnionFind:

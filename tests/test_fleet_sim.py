@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forkfleet import mapgen
+from forkfleet import battery, mapgen
 from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
                                  PHASE_IDLE, PHASE_LIFT, PHASE_LOWER,
@@ -322,6 +322,31 @@ class TestFleet:
         write_csv(samples, buf)
         buf.seek(0)
         assert len(read_csv(buf)) == len(samples)
+
+    def test_short_runs_match_one_long_run(self, monkeypatch):
+        # each run integrates only the samples it recorded, continuing the
+        # energy sums, so 60 short runs give one long run's bits and energy calls
+        calls = []
+        energy = battery._energy
+
+        def counted(features, p):
+            calls.append(features)
+            return energy(features, p)
+
+        monkeypatch.setattr(battery, "_energy", counted)
+        whole = World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=4)
+        expected = whole.run(6.0)
+        n_whole = len(calls)
+        pieces = World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=4)
+        for _ in range(60):
+            samples = pieces.run(0.1)
+        assert samples == expected
+        assert pieces.summary() == whole.summary()
+        assert n_whole == 4 * 60 and len(calls) == 2 * n_whole
+
+    def test_a_fleet_of_none_runs(self):
+        w = World.spawn_at_spots(mapgen.warehouse_map(), 0, seed=4)
+        assert w.run(1.0) == [] and w.run(1.0) == [] and w.summary() == []
 
 
 class TestReplay:
