@@ -14,20 +14,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from . import ConfigError, Infeasible, InputError
 from .trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
 
 G = 9.80665
 
 
-class NonphysicalSegment(ValueError):
+class NonphysicalSegment(InputError):
     pass
 
 
-class OutOfRange(ValueError):
+class OutOfRange(ConfigError):
     pass
 
 
-class Underdetermined(ValueError):
+class Underdetermined(Infeasible):
     pass
 
 

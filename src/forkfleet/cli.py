@@ -19,23 +19,19 @@ import sys
 import tempfile
 from dataclasses import replace
 
-from . import __version__, battery as bat, density as dens, odr_import, placement as plc
-from .config import (ConfigError, ScenarioConfig, apply_setting, dump_battery_params,
-                     load_config)
-from .fleet_sim import NoFreeSpot, UnreachableDestination, World, replay
-from .roadnet import FormatError, RoadNetError, load_roadnet, save_roadnet
-from .trajectory import SchemaError, UnsortedSamples, read_csv, write_csv
+from . import (ConfigError, ForkfleetError, Infeasible, InputError, __version__,
+               battery as bat, density as dens, odr_import, placement as plc)
+from .config import ScenarioConfig, apply_setting, dump_battery_params, load_config
+from .fleet_sim import World, replay
+from .roadnet import load_roadnet, save_roadnet
+from .trajectory import SchemaError, read_csv, write_csv
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INPUT = 3
-EXIT_INFEASIBLE = 4
+EXIT_CONFIG, EXIT_INPUT, EXIT_INFEASIBLE = ConfigError.code, InputError.code, Infeasible.code
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+class CliError(ConfigError):
+    label = "error"
 
 
 def _digest(path: str) -> str:
@@ -101,11 +97,11 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def _require_file(path: str):
     if not path:
-        raise CliError("missing required file path", EXIT_CONFIG)
+        raise CliError("missing required file path")
     if not os.path.exists(path):
-        raise CliError(f"file not found: {path}", EXIT_CONFIG)
+        raise CliError(f"file not found: {path}")
     if not os.path.isfile(path):
-        raise CliError(f"not a regular file: {path}", EXIT_CONFIG)
+        raise CliError(f"not a regular file: {path}")
 
 
 def _load_map(path):
@@ -179,8 +175,6 @@ def cmd_replay(args):
 
 
 def cmd_convert(args):
-    if not 0.0 < args.spacing < math.inf:
-        raise ConfigError(f"--spacing must be finite and > 0, got {args.spacing}")
     _require_file(args.input)
     with open(args.input) as f:
         text = f.read()
@@ -317,27 +311,21 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         prov, files = args.func(args)
-        out_dir = getattr(args, "out_dir", "")  # convert's one file is its --out path
+    except ForkfleetError as exc:  # its class carries the exit code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.code
+    out_dir = getattr(args, "out_dir", "")  # convert's one file is its --out path
+    path = out_dir
+    try:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
         for name, render in files.items():
-            _write_atomic(os.path.join(out_dir, name), prov, render)
-        return EXIT_OK
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ConfigError, NoFreeSpot, plc.DegenerateGrid, dens.TooManyTicks,
-            odr_import.TooManyPoints) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+            path = os.path.join(out_dir, name)
+            _write_atomic(path, prov, render)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SchemaError, UnsortedSamples, FormatError, odr_import.OdrError,
-            RoadNetError, bat.NonphysicalSegment) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (plc.InfeasibleSeparation, dens.EmptyFleet, bat.Underdetermined,
-            UnreachableDestination) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

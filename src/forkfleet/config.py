@@ -10,13 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from . import ConfigError  # re-exported: callers catch it from here
 from .battery import BatteryParams
 from .density import DensityConfig
 from .fleet_sim import KinematicsParams
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -74,11 +71,8 @@ class ScenarioConfig:
             if not (math.isfinite(value) and (value > low if strict else value >= low)):
                 raise ConfigError(f"{key} must be finite and {'>' if strict else '>='} {low}, "
                                   f"got {value}")
-        for group in (self.kin, self.battery):
-            try:
-                group.validate()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        self.kin.validate()
+        self.battery.validate()
 
 
 _GROUPS = {"kin": KinematicsParams, "battery": BatteryParams,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
+from . import ConfigError, Infeasible
 from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
@@ -28,11 +29,11 @@ ENTRIES_PER_VEHICLE_TICK = 88
 MAX_ENTRIES = 10**8
 
 
-class EmptyFleet(ValueError):
+class EmptyFleet(Infeasible):
     pass
 
 
-class TooManyTicks(ValueError):
+class TooManyTicks(ConfigError):
     pass
 
 

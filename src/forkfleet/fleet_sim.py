@@ -40,25 +40,25 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from . import battery as bat
+from . import ConfigError, Infeasible, battery as bat
 from .rng import SplitMix64
 from .roadnet import Path, RoadGraph, astar, nearest_node
 from .trajectory import TrajectorySample, resample, split_by_vehicle
 
 
-class NoFreeSpot(RuntimeError):
+class NoFreeSpot(ConfigError):
     pass
 
 
-class VehicleBusy(RuntimeError):
+class VehicleBusy(ConfigError):
     pass
 
 
-class SpotOccupied(RuntimeError):
+class SpotOccupied(ConfigError):
     pass
 
 
-class UnreachableDestination(RuntimeError):
+class UnreachableDestination(Infeasible):
     pass
 
 
@@ -74,7 +74,7 @@ class KinematicsParams:
     t_deadlock: float = 10.0  # s before a blocked vehicle gains priority
 
     def validate(self):
-        """Raise ValueError unless every field is finite, t_deadlock >= 0 and
+        """Raise ConfigError unless every field is finite, t_deadlock >= 0 and
         every other field > 0."""
         for f in fields(self):
             value = getattr(self, f.name)
@@ -83,13 +83,11 @@ class KinematicsParams:
             else:
                 ok, bound = value > 0, "> 0"
             if not (math.isfinite(value) and ok):
-                raise ValueError(f"kin.{f.name} must be finite and {bound}, got {value}")
+                raise ConfigError(f"kin.{f.name} must be finite and {bound}, got {value}")
 
 
 @dataclass(frozen=True)
 class Task:
-    kind: str                 # "pick_and_place" | "relocate"
-    origin_spot: int
     dest_spot: int
     pickup_mass: float
     lift_height: float
@@ -106,7 +104,6 @@ class VehicleState:
     load_mass: float = 0.0
     fork_height: float = 0.0
     soc: float = 1.0
-    max_load: float = 2000.0
 
 
 PHASE_IDLE = "idle"
@@ -179,8 +176,8 @@ class World:
                  battery_params: bat.BatteryParams = bat.BatteryParams(),
                  fork_mass: float = 100.0,
                  pickup_mass: float = 500.0, lift_height: float = 1.0):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ConfigError(f"dt must be finite and > 0, got {dt}")
         kin.validate()  # the broad phase's reach bound needs finite, positive kin
         self.graph = graph
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
@@ -256,8 +253,7 @@ class World:
             if not free:
                 raise NoFreeSpot("no unclaimed parking spot available")
             dest = free[self.rng.randrange(len(free))]
-        task = Task("pick_and_place", ctl.current_spot if ctl.current_spot is not None else -1,
-                    dest.id, self.pickup_mass, self.lift_height)
+        task = Task(dest.id, self.pickup_mass, self.lift_height)
         self.claims[dest.id] = vehicle_id
         ctl.task = task
         ctl.phase = PHASE_LIFT

@@ -16,6 +16,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import ConfigError, InputError
 from .roadnet import Edge, RoadGraph, UnionFind, Waypoint, build_graph, normalize_heading
 
 log = logging.getLogger(__name__)
@@ -28,31 +29,27 @@ SPEED_LIMIT = 4.0  # m/s on every imported edge: the subset reads no speed recor
 MAX_POINTS = 10**5
 
 
-class OdrError(ValueError):
+class MalformedDocument(InputError):
     pass
 
 
-class MalformedDocument(OdrError):
+class UnsupportedGeometry(InputError):
     pass
 
 
-class UnsupportedGeometry(OdrError):
+class MissingAttribute(InputError):
     pass
 
 
-class MissingAttribute(OdrError):
+class TooManyPoints(ConfigError):
     pass
 
 
-class TooManyPoints(ValueError):
+class GeometryGap(InputError):
     pass
 
 
-class GeometryGap(OdrError):
-    pass
-
-
-class DegenerateRoad(OdrError):
+class DegenerateRoad(InputError):
     pass
 
 
@@ -226,8 +223,8 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
     traffic with reversed headings. Linked roads share junction nodes so
     routes flow across road boundaries. Every edge gets SPEED_LIMIT.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0.0 < spacing < math.inf:
+        raise ConfigError(f"spacing must be finite and > 0, got {spacing}")
     for road in desc.roads:
         if road.length <= 0:
             raise DegenerateRoad(f"road {road.id} has zero length")

@@ -13,6 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from . import ConfigError
 from .roadnet import EmptyGraph, RoadGraph, dijkstra, nearest_node
 from .trajectory import split_by_vehicle
 
@@ -20,11 +21,7 @@ from .trajectory import split_by_vehicle
 MAX_CELLS = 10**7  # per heatmap; the L map at the default 2 m cell size has ~20k
 
 
-class DegenerateGrid(ValueError):
-    pass
-
-
-class InfeasibleSeparation(ValueError):
+class DegenerateGrid(ConfigError):
     pass
 
 
@@ -102,8 +99,6 @@ def visit_weights(samples, graph: RoadGraph, dwell_weighting: bool = False):
     Count weighting adds 1 per sample; dwell weighting adds the time gap to
     the previous sample of the same vehicle (first sample counts 0 s).
     """
-    if graph.n_nodes() == 0:
-        raise EmptyGraph("visit_weights on empty graph")
     weights = [0.0] * graph.n_nodes()
     if not dwell_weighting:
         for s in samples:
@@ -185,7 +180,7 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
         raise ValueError("weights must be finite and >= 0")
     n = graph.n_nodes()
     if n == 0:
-        raise InfeasibleSeparation("cannot place chargers on an empty graph")
+        raise EmptyGraph("place_chargers on empty graph")
     weighted = [u for u in range(n) if weights[u] != 0.0]  # not yet covered
     rows = [None] * n  # forward Dijkstra rows, computed on demand
     for u in weighted:

@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import InputError
 
-class RoadNetError(ValueError):
+
+class RoadNetError(InputError):
     pass
 
 
@@ -113,6 +115,8 @@ class RoadGraph:
         return (wa.x + (wb.x - wa.x) * frac, wa.y + (wb.y - wa.y) * frac)
 
     def bounding_box(self):
+        if not self.waypoints:
+            raise EmptyGraph("bounding_box of an empty graph")
         xs = [w.x for w in self.waypoints]
         ys = [w.y for w in self.waypoints]
         return min(xs), min(ys), max(xs), max(ys)
@@ -127,8 +131,8 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
     for i, w in enumerate(waypoints):
         if w.node != i:
             raise DanglingReference(f"waypoint at index {i} carries node id {w.node}")
-        if not (math.isfinite(w.x) and math.isfinite(w.y)):
-            raise RoadNetError(f"non-finite coordinates at node {i}")
+        if not (math.isfinite(w.x) and math.isfinite(w.y) and math.isfinite(w.heading)):
+            raise RoadNetError(f"non-finite coordinates or heading at node {i}")
     adjacency = [[] for _ in range(n)]
     for ei, e in enumerate(edges):
         if not (0 <= e.src < n) or not (0 <= e.dst < n):
@@ -137,6 +141,8 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
             raise SelfLoop(f"self-loop at node {e.src}")
         if not (e.length > 0):
             raise NonPositiveLength(f"edge {e.src}->{e.dst} has length {e.length}")
+        if not 0.0 < e.speed_limit < math.inf:
+            raise RoadNetError(f"edge {e.src}->{e.dst} has speed limit {e.speed_limit}")
         wa, wb = waypoints[e.src], waypoints[e.dst]
         chord = math.hypot(wb.x - wa.x, wb.y - wa.y)
         if e.length < chord - 1e-6:
@@ -357,6 +363,8 @@ def load_roadnet(fileobj) -> RoadGraph:
     waypoints, edges, spots = [], [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
+        if parts[0] not in ("node", "edge", "spot"):
+            raise FormatError(f"unknown record '{parts[0]}' at line {lineno}")
         try:
             if parts[0] == "node":
                 waypoints.append(Waypoint(int(parts[1]), float(parts[2]),
@@ -364,14 +372,10 @@ def load_roadnet(fileobj) -> RoadGraph:
             elif parts[0] == "edge":
                 edges.append(Edge(int(parts[1]), int(parts[2]), float(parts[3]),
                                   float(parts[4]), parts[5] == "1"))
-            elif parts[0] == "spot":
+            else:
                 spots.append(ParkingSpot(int(parts[1]), int(parts[2]),
                                          int(parts[3]), float(parts[4])))
-            else:
-                raise FormatError(f"unknown record '{parts[0]}' at line {lineno}")
         except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
             raise FormatError(f"bad record at line {lineno}: {ln!r}") from exc
     waypoints.sort(key=lambda w: w.node)
     return build_graph(waypoints, edges, spots)

@@ -11,15 +11,17 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import InputError
+
 
 CSV_HEADER = "t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc"
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """Trajectory CSV does not match the documented schema."""
 
 
-class UnsortedSamples(ValueError):
+class UnsortedSamples(InputError):
     """Per-vehicle samples must be strictly increasing in t."""
 
 

@@ -121,9 +121,11 @@ class TestExitCodes:
     {map} is the demo floor, {out} an output directory, {traj} a valid
     trajectory CSV, {nan_traj} the same with x = nan on one line, {far_traj}
     the same with x = 1e200 (its squared distance to a node overflows),
-    {manifest} a calibrate manifest whose energy is nan, {dir_manifest} one
-    whose cycle is a directory, {dup_spots} the demo floor with spot 1
-    renamed to 0, {corridors} ONE_WAY_CORRIDORS, {odr} ONE_ROAD_ODR and
+    {manifest} a calibrate manifest whose energy is nan, {good_manifest} one
+    naming {traj} with a finite energy, {dir_manifest} one whose cycle is a
+    directory, {dup_spots} the demo floor with spot 1 renamed to 0,
+    {corridors} ONE_WAY_CORRIDORS, {nan_heading} the same with node 1's
+    heading nan, {no_nodes} a map with no nodes, {odr} ONE_ROAD_ODR and
     {odr_nan}, {odr_inf}, {odr_huge} the same with its length nan, inf or
     1e308, and {dir} a directory."""
 
@@ -215,9 +217,17 @@ class TestExitCodes:
          EXIT_INPUT, INPUT),
         ("calibrate energy=nan",
          ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{manifest}"], EXIT_INPUT, INPUT),
+        ("calibrate --free bogus",
+         ["calibrate", "--out-dir", "{out}", "--free", "bogus", "{good_manifest}"],
+         EXIT_CONFIG, CONFIG),
         ("simulate two spots with one id",
          ["simulate", "--map", "{dup_spots}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT),
+        ("simulate heading=nan",
+         ["simulate", "--map", "{nan_heading}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT),
+        ("heatmap on a map with no nodes",
+         ["heatmap", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"], EXIT_INPUT, INPUT),
         ("simulate unreachable spot",
          ["simulate", "--map", "{corridors}", "--out-dir", "{out}", "--vehicles", "1",
           "--duration", "5"], EXIT_INFEASIBLE, INFEASIBLE),
@@ -247,6 +257,10 @@ class TestExitCodes:
         ("calibrate cycle a directory",
          ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{dir_manifest}"],
          EXIT_CONFIG, ERROR),
+        ("--out-dir a regular file", [*SIM[:3], "--out-dir", "{traj}", *SIM[5:]],
+         EXIT_CONFIG, ERROR),
+        ("convert --out into a missing directory",
+         ["convert", "{odr}", "--out", "{out}/site.roadnet"], EXIT_CONFIG, ERROR),
     ]
 
     @pytest.fixture()
@@ -260,9 +274,13 @@ class TestExitCodes:
                            ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
                            ("far_traj", CSV_HEADER + rows[0] + "1,0,1e200,10,0,1,0,0,0.99\n"),
                            ("manifest", "traj,nan\n"),
+                           ("good_manifest", "traj,1000\n"),
                            ("dir_manifest", ".,1000\n"),
                            ("dup_spots", floor.replace("\nspot 1 ", "\nspot 0 ")),
                            ("corridors", ONE_WAY_CORRIDORS),
+                           ("nan_heading",
+                            ONE_WAY_CORRIDORS.replace("node 1 10 0 0", "node 1 10 0 nan")),
+                           ("no_nodes", "roadnet v1\n"),
                            ("odr", ONE_ROAD_ODR),
                            ("odr_nan", ONE_ROAD_ODR.replace('length="50"', 'length="nan"')),
                            ("odr_inf", ONE_ROAD_ODR.replace('length="50"', 'length="inf"')),

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forkfleet import battery, mapgen
+from forkfleet import ConfigError, battery, mapgen
 from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
                                  PHASE_IDLE, PHASE_LIFT, PHASE_LOWER,
@@ -41,12 +41,12 @@ class TestKinematicsValidate:
                                       "d_safe", "horizon", "t_deadlock"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_rejects(self, name, value):
-        with pytest.raises(ValueError, match=f"kin.{name}"):
+        with pytest.raises(ConfigError, match=f"kin.{name}"):
             KinematicsParams(**{name: value}).validate()
 
     @pytest.mark.parametrize("name", ["v_max", "b_max", "d_safe", "horizon"])
     def test_rejects_zero(self, name):
-        with pytest.raises(ValueError, match=f"kin.{name} must be finite and > 0"):
+        with pytest.raises(ConfigError, match=f"kin.{name} must be finite and > 0"):
             KinematicsParams(**{name: 0.0}).validate()
 
 
@@ -249,6 +249,11 @@ class TestFleet:
         World.spawn_at_spots(g, 4, seed=3).run(47.0)
         again = World.spawn_at_spots(g, 2, seed=3).run(60.0)
         assert again == World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=3).run(60.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_dt_not_finite_and_positive_rejected(self, dt):
+        with pytest.raises(ConfigError, match="dt must be finite and > 0"):
+            World(corridor_graph(), [], dt=dt)
 
     def test_duplicate_vehicle_ids_rejected(self):
         g = corridor_graph()

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from forkfleet import ConfigError
 from forkfleet.odr_import import (GeometryGap, MalformedDocument, MissingAttribute,
                                   UnsupportedGeometry, parse_opendrive_subset,
                                   to_road_graph)
@@ -113,6 +114,11 @@ class TestToRoadGraph:
         g = to_road_graph(parse_opendrive_subset(text), spacing=2.0)
         assert g.n_nodes() == 12  # 6 per direction
         assert len(g.edges) == 10  # 5 each way
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+    def test_spacing_not_finite_and_positive(self, spacing):
+        with pytest.raises(ConfigError, match="spacing must be finite and > 0"):
+            to_road_graph(parse_opendrive_subset(STRAIGHT_50), spacing)
 
     def test_one_directional_road_is_one_way(self):
         g = to_road_graph(parse_opendrive_subset(STRAIGHT_50), spacing=10.0)

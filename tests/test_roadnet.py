@@ -54,6 +54,22 @@ class TestBuildGraph:
         with pytest.raises(RoadNetError, match="two spots with id 3"):
             build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], spots)
 
+    @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
+    def test_non_finite_heading(self, heading):
+        with pytest.raises(RoadNetError, match="at node 1"):
+            build_graph([Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, heading)],
+                        [Edge(0, 1, 5.0, 1.0, True)])
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, math.nan, math.inf])
+    def test_speed_limit_not_finite_and_positive(self, limit):
+        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        with pytest.raises(RoadNetError, match="speed limit"):
+            build_graph(wps, [Edge(0, 1, 5.0, limit, True)])
+
+    def test_empty_bounding_box(self):
+        with pytest.raises(EmptyGraph):
+            build_graph([], []).bounding_box()
+
 
 @st.composite
 def bounded_row_cases(draw):
