@@ -1,5 +1,8 @@
 """Headless electric forklift fleet simulator and trajectory analyses."""
 
+import math
+from dataclasses import field, fields, is_dataclass
+
 __version__ = "0.1.0"
 
 
@@ -21,3 +24,39 @@ class InputError(ForkfleetError):
 class Infeasible(ForkfleetError):
     """Valid input on which the run or analysis has no answer."""
     code, label = 4, "infeasible"
+
+
+def records(f):
+    """Yield (line number in the file, stripped line) for each line of f that
+    is neither blank nor a '#' comment: the one reading rule of every line
+    format, so each error can name the file's own line."""
+    for lineno, raw in enumerate(f, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def setting(default, low, high=math.inf, ends="[]"):
+    """A numeric config field whose valid values are the finite ones from low
+    to high; ends[0] and ends[1] are '(' / ')' for an open end, '[' / ']'
+    for a closed one."""
+    return field(default=default, metadata={"range": (low, high, ends)})
+
+
+def check_ranges(obj, prefix=""):
+    """Raise ConfigError naming the first setting() field of dataclass obj, or
+    of a dataclass in one of its fields, whose value is out of its range."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            check_ranges(value, f"{prefix}{f.name}.")
+        if "range" not in f.metadata:
+            continue
+        low, high, ends = f.metadata["range"]
+        # comparisons, not math.isfinite, so an int of any size is compared exactly
+        if not (-math.inf < value < math.inf
+                and (low < value if ends[0] == "(" else low <= value)
+                and (value < high if ends[1] == ")" else value <= high)):
+            bound = (f"{'>' if ends[0] == '(' else '>='} {low}" if high == math.inf
+                     else f"in {ends[0]}{low}, {high}{ends[1]}")
+            raise ConfigError(f"{prefix}{f.name} must be finite and {bound}, got {value}")

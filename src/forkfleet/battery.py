@@ -12,9 +12,9 @@ against measured duty-cycle energies (e.g. VDI 2198 style cycles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-from . import ConfigError, Infeasible, InputError
+from . import ConfigError, Infeasible, InputError, setting
 from .trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
 
 G = 9.80665
@@ -34,26 +34,12 @@ class Underdetermined(Infeasible):
 
 @dataclass(frozen=True)
 class BatteryParams:
-    capacity: float = 1.0368e8      # J (28.8 kWh placeholder)
-    c_rr: float = 0.02              # rolling resistance coefficient
-    c_steer: float = 0.05           # N*s/(kg*rad), linear in |heading rate|
-    eta_drive: float = 0.85
-    eta_regen: float = 0.2
-    aux_power: float = 300.0        # W, idle electronics
-
-    def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise OutOfRange(f"battery.{f.name} must be finite, got {value}")
-        if not (self.capacity > 0):
-            raise OutOfRange("battery.capacity must be positive")
-        if not (0 < self.eta_drive <= 1):
-            raise OutOfRange("battery.eta_drive must be in (0, 1]")
-        if not (0 <= self.eta_regen < 1):
-            raise OutOfRange("battery.eta_regen must be in [0, 1)")
-        if self.c_rr < 0 or self.c_steer < 0 or self.aux_power < 0:
-            raise OutOfRange("battery.c_rr, c_steer and aux_power must be >= 0")
+    capacity: float = setting(1.0368e8, 0, ends="(]")   # J (28.8 kWh placeholder)
+    c_rr: float = setting(0.02, 0)          # rolling resistance coefficient
+    c_steer: float = setting(0.05, 0)       # N*s/(kg*rad), linear in |heading rate|
+    eta_drive: float = setting(0.85, 0, 1, "(]")
+    eta_regen: float = setting(0.2, 0, 1, "[)")
+    aux_power: float = setting(300.0, 0)    # W, idle electronics
 
 
 # validity intervals used by calibrate(); open bounds nudged inward

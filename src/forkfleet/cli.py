@@ -20,7 +20,8 @@ import tempfile
 from dataclasses import replace
 
 from . import (ConfigError, ForkfleetError, Infeasible, InputError, __version__,
-               battery as bat, density as dens, odr_import, placement as plc)
+               battery as bat, check_ranges, density as dens, odr_import, placement as plc,
+               records)
 from .config import ScenarioConfig, apply_setting, dump_battery_params, load_config
 from .fleet_sim import World, replay
 from .roadnet import load_roadnet, save_roadnet
@@ -77,11 +78,8 @@ def _write_atomic(path: str, prov: str, render) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    if getattr(args, "config", None):
-        _require_file(args.config)
-        with open(args.config) as f:
-            cfg = load_config(f, cfg)
+    config = getattr(args, "config", None)
+    cfg = _read_input(config, load_config) if config else ScenarioConfig()
     for flag in ("map", "seed", "dt", "duration", "vehicles", "policy"):
         v = getattr(args, flag, None)
         if v is not None:
@@ -91,37 +89,36 @@ def _load_scenario(args) -> ScenarioConfig:
             raise ConfigError(f"--set expects key=value, got {kv!r}")
         k, _, v = kv.partition("=")
         cfg = apply_setting(cfg, k.strip(), v.strip())
-    cfg.validate()
+    check_ranges(cfg)
     return cfg
 
 
-def _require_file(path: str):
+def _read_input(path: str, parse):
+    """parse(f) of the UTF-8 text file at path: the one place an input file is
+    opened. Text that is not UTF-8 is an input error; a path that names no
+    regular file, or one that cannot be read, is the caller's error."""
     if not path:
         raise CliError("missing required file path")
     if not os.path.exists(path):
         raise CliError(f"file not found: {path}")
     if not os.path.isfile(path):
         raise CliError(f"not a regular file: {path}")
-
-
-def _load_map(path):
-    _require_file(path)
-    with open(path) as f:
-        return load_roadnet(f)
-
-
-def _read_trajectory(path):
-    _require_file(path)
-    with open(path) as f:
-        return read_csv(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's current chunk, not the file's start
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _load_analysis_inputs(args):
     """Scenario, map, trajectory CSV and provenance line of a command that
     reads a trajectory, loaded in that order."""
     cfg = _load_scenario(args)
-    graph = _load_map(cfg.map)
-    samples = _read_trajectory(args.trajectory)
+    graph = _read_input(cfg.map, load_roadnet)
+    samples = _read_input(args.trajectory, read_csv)
     return cfg, graph, samples, _provenance([cfg.map, args.trajectory], cfg)
 
 
@@ -133,7 +130,7 @@ def _load_analysis_inputs(args):
 
 def cmd_simulate(args):
     cfg = _load_scenario(args)
-    graph = _load_map(cfg.map)
+    graph = _read_input(cfg.map, load_roadnet)
     world = World.spawn_at_spots(
         graph, cfg.vehicles, dt=cfg.dt, seed=cfg.seed, kin=cfg.kin,
         battery_params=cfg.battery, fork_mass=cfg.fork_mass,
@@ -175,10 +172,7 @@ def cmd_replay(args):
 
 
 def cmd_convert(args):
-    _require_file(args.input)
-    with open(args.input) as f:
-        text = f.read()
-    desc = odr_import.parse_opendrive_subset(text)
+    desc = _read_input(args.input, lambda f: odr_import.parse_opendrive_subset(f.read()))
     graph = odr_import.to_road_graph(desc, args.spacing)
     return _provenance([args.input]), {args.out: lambda f: save_roadnet(graph, f)}
 
@@ -213,30 +207,25 @@ def _heatmap_files(grid):
 
 def cmd_calibrate(args):
     cfg = _load_scenario(args)
-    _require_file(args.manifest)
     cycles = []
     cycle_paths = []
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    with open(args.manifest) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.rsplit(",", 1)
-            if len(parts) != 2:
-                raise SchemaError(f"manifest line {lineno}: expected 'path,measured_joules'")
-            path = parts[0].strip()
-            if not os.path.isabs(path):
-                path = os.path.join(manifest_dir, path)
-            samples = _read_trajectory(path)
-            cycle_paths.append(path)
-            try:
-                measured = float(parts[1])
-            except ValueError:
-                measured = math.nan
-            if not math.isfinite(measured):
-                raise SchemaError(f"manifest line {lineno}: bad energy value {parts[1]!r}")
-            cycles.append((samples, measured))
+    for lineno, line in _read_input(args.manifest, lambda f: list(records(f))):
+        parts = line.rsplit(",", 1)
+        if len(parts) != 2:
+            raise SchemaError(f"manifest line {lineno}: expected 'path,measured_joules'")
+        path = parts[0].strip()
+        if not os.path.isabs(path):
+            path = os.path.join(manifest_dir, path)
+        samples = _read_input(path, read_csv)
+        cycle_paths.append(path)
+        try:
+            measured = float(parts[1])
+        except ValueError:
+            measured = math.nan
+        if not math.isfinite(measured):
+            raise SchemaError(f"manifest line {lineno}: bad energy value {parts[1]!r}")
+        cycles.append((samples, measured))
     free = [s.strip() for s in args.free.split(",") if s.strip()] if args.free else []
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     result = bat.calibrate(cycles, cfg.battery, free, consts=consts)

@@ -7,10 +7,9 @@ density.*, placement.*). '#' starts a comment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 
-from . import ConfigError  # re-exported: callers catch it from here
+from . import ConfigError, records, setting  # ConfigError: re-exported
 from .battery import BatteryParams
 from .density import DensityConfig
 from .fleet_sim import KinematicsParams
@@ -18,23 +17,23 @@ from .fleet_sim import KinematicsParams
 
 @dataclass
 class PlacementConfig:
-    k: int = 5
-    min_separation: float = 25.0
-    d_scale: float = 20.0
-    cell_size: float = 2.0
+    k: int = setting(5, 1)
+    min_separation: float = setting(25.0, 0)
+    d_scale: float = setting(20.0, 0, ends="(]")
+    cell_size: float = setting(2.0, 0, ends="(]")
 
 
 @dataclass
 class ScenarioConfig:
     map: str = ""
-    vehicles: int = 3
-    seed: int = 0
-    dt: float = 0.1
-    duration: float = 60.0
+    vehicles: int = setting(3, 0)
+    seed: int = 0                   # any int: the generator takes it mod 2^64
+    dt: float = setting(0.1, 0, ends="(]")
+    duration: float = setting(60.0, 0)
     policy: str = "random"          # "random" | "fixed:<spot_id>"
-    pickup_mass: float = 500.0
-    lift_height: float = 1.0
-    fork_mass: float = 100.0
+    pickup_mass: float = setting(500.0, 0)
+    lift_height: float = setting(1.0, 0)
+    fork_mass: float = setting(100.0, 0)
     kin: KinematicsParams = field(default_factory=KinematicsParams)
     battery: BatteryParams = field(default_factory=BatteryParams)
     density: DensityConfig = field(default_factory=DensityConfig)
@@ -49,30 +48,6 @@ class ScenarioConfig:
             except ValueError:
                 raise ConfigError(f"bad policy '{self.policy}'")
         raise ConfigError(f"unknown policy '{self.policy}'")
-
-    def validate(self):
-        """Raise ConfigError for a value no run can use: every number must be
-        finite and in range, kin.* and battery.* by their own validate()."""
-        d, p = self.density, self.placement
-        for key, value, low, strict in (
-                ("dt", self.dt, 0, True),
-                ("duration", self.duration, 0, False),
-                ("vehicles", self.vehicles, 0, False),
-                ("pickup_mass", self.pickup_mass, 0, False),
-                ("lift_height", self.lift_height, 0, False),
-                ("fork_mass", self.fork_mass, 0, False),
-                ("density.distance_threshold", d.distance_threshold, 0, False),
-                ("density.velocity_threshold", d.velocity_threshold, 0, False),
-                ("density.snapshot_interval", d.snapshot_interval, 0, True),
-                ("placement.k", p.k, 1, False),
-                ("placement.min_separation", p.min_separation, 0, False),
-                ("placement.d_scale", p.d_scale, 0, True),
-                ("placement.cell_size", p.cell_size, 0, True)):
-            if not (math.isfinite(value) and (value > low if strict else value >= low)):
-                raise ConfigError(f"{key} must be finite and {'>' if strict else '>='} {low}, "
-                                  f"got {value}")
-        self.kin.validate()
-        self.battery.validate()
 
 
 _GROUPS = {"kin": KinematicsParams, "battery": BatteryParams,
@@ -109,12 +84,10 @@ def apply_setting(cfg: ScenarioConfig, key: str, raw: str, where: str = "") -> S
     return replace(cfg, **{key: value})
 
 
-def load_config(fileobj, cfg: ScenarioConfig = None) -> ScenarioConfig:
-    cfg = cfg or ScenarioConfig()
-    for lineno, raw in enumerate(fileobj, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+def load_config(fileobj) -> ScenarioConfig:
+    cfg = ScenarioConfig()
+    for lineno, line in records(fileobj):
+        line = line.split("#", 1)[0].rstrip()  # a '#' after the value starts a comment
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
@@ -123,5 +96,5 @@ def load_config(fileobj, cfg: ScenarioConfig = None) -> ScenarioConfig:
 
 
 def dump_battery_params(p: BatteryParams, fileobj) -> None:
-    for name in ("capacity", "c_rr", "c_steer", "eta_drive", "eta_regen", "aux_power"):
-        fileobj.write(f"battery.{name} = {getattr(p, name):.12g}\n")
+    for f in fields(p):
+        fileobj.write(f"battery.{f.name} = {getattr(p, f.name):.12g}\n")

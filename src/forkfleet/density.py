@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from . import ConfigError, Infeasible
+from . import ConfigError, Infeasible, setting
 from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
@@ -39,9 +39,9 @@ class TooManyTicks(ConfigError):
 
 @dataclass(frozen=True)
 class DensityConfig:
-    distance_threshold: float = 15.0   # m
-    velocity_threshold: float = 0.5    # m/s
-    snapshot_interval: float = 1.0     # s
+    distance_threshold: float = setting(15.0, 0)             # m
+    velocity_threshold: float = setting(0.5, 0)              # m/s
+    snapshot_interval: float = setting(1.0, 0, ends="(]")    # s
 
 
 @dataclass
@@ -71,9 +71,12 @@ class Cluster:
 
 @dataclass
 class ClusterReport:
+    """One instant's clusters, with the snapshot's vehicle ids and positions
+    but not its rows, which a timeline shares across ticks."""
     t: float
     clusters: list
-    snapshot: Snapshot = None
+    vehicle_ids: list
+    positions: list
 
 
 @dataclass
@@ -142,7 +145,7 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
         mean_speed = sum(s.speeds[i] for i in members) / len(members)
         critical = len(members) >= 2 and mean_speed < cfg.velocity_threshold
         out.append(Cluster([s.vehicle_ids[i] for i in members], mean_speed, critical))
-    return ClusterReport(s.t, out, s)
+    return ClusterReport(s.t, out, s.vehicle_ids, s.positions)
 
 
 def analyze_snapshot(t, states, graph, cfg, rows=None) -> ClusterReport:
@@ -158,8 +161,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     Returns (reports, episodes). Critical clusters are stitched into
     episodes across consecutive ticks by >= 50% member overlap. The graph
     does not change, so each occupied node's Dijkstra row is computed once
-    for the whole timeline, out to distance_threshold, and every report's
-    Snapshot.rows is that one cache. A timeline of more than MAX_ENTRIES
+    for the whole timeline, out to distance_threshold; no report keeps that
+    cache, so it is freed on return. A timeline of more than MAX_ENTRIES
     entries raises TooManyTicks before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
@@ -195,9 +198,9 @@ def _overlap_ok(a, b):
 
 
 def _centroid_node(members, report, graph):
-    idx = [report.snapshot.vehicle_ids.index(v) for v in members]
-    cx = sum(report.snapshot.positions[i][0] for i in idx) / len(idx)
-    cy = sum(report.snapshot.positions[i][1] for i in idx) / len(idx)
+    idx = [report.vehicle_ids.index(v) for v in members]
+    cx = sum(report.positions[i][0] for i in idx) / len(idx)
+    cy = sum(report.positions[i][1] for i in idx) / len(idx)
     return nearest_node(graph, cx, cy)
 
 

@@ -37,10 +37,10 @@ visited in, so the caps equal those of testing all N(N-1)/2 pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
-from . import ConfigError, Infeasible, battery as bat
+from . import ConfigError, Infeasible, battery as bat, check_ranges, setting
 from .rng import SplitMix64
 from .roadnet import Path, RoadGraph, astar, nearest_node
 from .trajectory import TrajectorySample, resample, split_by_vehicle
@@ -64,26 +64,17 @@ class UnreachableDestination(Infeasible):
 
 @dataclass(frozen=True)
 class KinematicsParams:
-    v_max: float = 4.0        # m/s
-    a_max: float = 1.0        # m/s^2 accelerating
-    b_max: float = 1.5        # m/s^2 braking
-    a_lat_max: float = 1.0    # m/s^2 lateral, for curve slowdown
-    lift_speed: float = 0.3   # m/s fork travel
-    d_safe: float = 3.0       # m minimum pairwise separation
-    horizon: float = 5.0      # s conflict prediction horizon
-    t_deadlock: float = 10.0  # s before a blocked vehicle gains priority
+    v_max: float = setting(4.0, 0, ends="(]")        # m/s
+    a_max: float = setting(1.0, 0, ends="(]")        # m/s^2 accelerating
+    b_max: float = setting(1.5, 0, ends="(]")        # m/s^2 braking
+    a_lat_max: float = setting(1.0, 0, ends="(]")    # m/s^2 lateral, for curve slowdown
+    lift_speed: float = setting(0.3, 0, ends="(]")   # m/s fork travel
+    d_safe: float = setting(3.0, 0, ends="(]")       # m minimum pairwise separation
+    horizon: float = setting(5.0, 0, ends="(]")      # s conflict prediction horizon
+    t_deadlock: float = setting(10.0, 0)             # s before a blocked vehicle gains priority
 
     def validate(self):
-        """Raise ConfigError unless every field is finite, t_deadlock >= 0 and
-        every other field > 0."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "t_deadlock":
-                ok, bound = value >= 0, ">= 0"
-            else:
-                ok, bound = value > 0, "> 0"
-            if not (math.isfinite(value) and ok):
-                raise ConfigError(f"kin.{f.name} must be finite and {bound}, got {value}")
+        check_ranges(self, "kin.")
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,7 @@ class World:
         self.step_count = 0
         self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
-        self._tracks = []  # per vehicle, in id order: every sample run() recorded
+        self._samples = []  # every sample run() recorded, in (t, vehicle_id) order
 
     @property
     def clock(self) -> float:
@@ -496,28 +487,33 @@ class World:
         soc to the last value. Returns every sample recorded so far, in
         (t, vehicle_id) order."""
         n_steps = int(round(duration / self.dt))
-        tracks = self._tracks
+        samples = self._samples
+        vehicles = self.vehicles
         if n_steps > 0:
-            if not tracks:
-                # a later run continues from the last sample already recorded
-                tracks[:] = [[self._sample_of(v, self.clock)] for v in self.vehicles]
+            if not samples:
+                # a later run continues from the last tick already recorded
+                samples += [self._sample_of(v, self.clock) for v in vehicles]
             for _ in range(n_steps):
                 self.step(auto_assign=auto_assign, policy=policy)
                 t = self.clock
-                for v, track in zip(self.vehicles, tracks):
-                    track.append(self._sample_of(v, t))
-            for v, track in zip(self.vehicles, tracks):
+                samples += [self._sample_of(v, t) for v in vehicles]
+            # samples is time-major, n per tick, so vehicle i's samples are the
+            # stride samples[i::n]; an empty fleet takes no stride (step 0)
+            n = len(vehicles)
+            last = len(samples) - n * (n_steps + 1)  # start of the last tick with its soc
+            for i, v in enumerate(vehicles):
                 ctl = self.ctl[v.id]
-                last = len(track) - 1 - n_steps  # the last sample with its soc
                 consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
-                steps = bat.soc_steps(track[last:], consts, self.battery_params, track[0].soc,
-                                      ctl.energy_drawn, ctl.energy_regenerated)
-                for k, (draw, regen, sample) in enumerate(steps, start=last + 1):
+                steps = bat.soc_steps(samples[last + i::n], consts, self.battery_params,
+                                      samples[i].soc, ctl.energy_drawn, ctl.energy_regenerated)
+                track = []
+                for draw, regen, sample in steps:
                     ctl.energy_drawn += draw
                     ctl.energy_regenerated += regen
-                    track[k] = sample
+                    track.append(sample)
+                samples[last + n + i::n] = track
                 v.soc = track[-1].soc
-        return [s for tick in zip(*tracks) for s in tick]
+        return samples[:]
 
     def summary(self):
         out = []

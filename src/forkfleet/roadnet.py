@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import InputError
+from . import InputError, records
 
 
 class RoadNetError(InputError):
@@ -356,12 +356,11 @@ def save_roadnet(g: RoadGraph, fileobj) -> None:
 
 
 def load_roadnet(fileobj) -> RoadGraph:
-    lines = [ln.strip() for ln in fileobj]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0].split() != ["roadnet", "v1"]:
+    lines = records(fileobj)
+    if next(lines, (0, ""))[1].split() != ["roadnet", "v1"]:
         raise FormatError("missing 'roadnet v1' header")
     waypoints, edges, spots = [], [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines:
         parts = ln.split()
         if parts[0] not in ("node", "edge", "spot"):
             raise FormatError(f"unknown record '{parts[0]}' at line {lineno}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import InputError
+from . import InputError, records
 
 
 CSV_HEADER = "t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc"
@@ -55,17 +55,14 @@ def read_csv(fileobj):
     """Parse samples; raises SchemaError naming the first offending line,
     including a line with a nan or infinite number."""
     samples = []
-    header_seen = False
     last_t = {}
-    for lineno, raw in enumerate(fileobj, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != CSV_HEADER:
-                raise SchemaError(f"line {lineno}: expected header '{CSV_HEADER}'")
-            header_seen = True
-            continue
+    lines = records(fileobj)
+    lineno, header = next(lines, (1, None))
+    if header is None:
+        raise SchemaError("line 1: empty file, header missing")
+    if header != CSV_HEADER:
+        raise SchemaError(f"line {lineno}: expected header '{CSV_HEADER}'")
+    for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != 9:
             raise SchemaError(f"line {lineno}: expected 9 columns, got {len(parts)}")
@@ -85,8 +82,6 @@ def read_csv(fileobj):
             )
         last_t[s.vehicle_id] = s.t
         samples.append(s)
-    if not header_seen:
-        raise SchemaError("line 1: empty file, header missing")
     return samples
 
 

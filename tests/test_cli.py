@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import forkfleet
-from forkfleet import mapgen
+from forkfleet import cli, mapgen
 from forkfleet.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, _write_atomic,
                            main)
 from forkfleet.roadnet import save_roadnet
@@ -127,7 +127,11 @@ class TestExitCodes:
     {corridors} ONE_WAY_CORRIDORS, {nan_heading} the same with node 1's
     heading nan, {no_nodes} a map with no nodes, {odr} ONE_ROAD_ODR and
     {odr_nan}, {odr_inf}, {odr_huge} the same with its length nan, inf or
-    1e308, and {dir} a directory."""
+    1e308, {dir} a directory, and {latin1_map}, {latin1_traj}, {latin1_cfg},
+    {latin1_manifest}, {latin1_odr} the same kind of file with one byte that
+    is not UTF-8 ({latin1_cycle} names {latin1_traj} as its cycle). Rows run
+    main in-process; test_run_as_a_module runs two of them through
+    `python -m forkfleet.cli`."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
            "--duration", "2"]
@@ -144,6 +148,8 @@ class TestExitCodes:
         ("--duration nan", [*SIM, "--duration", "nan"], EXIT_CONFIG, CONFIG),
         ("--vehicles 20", [*SIM, "--vehicles", "20"], EXIT_CONFIG, CONFIG),  # 8 spots
         ("--vehicles -1", [*SIM, "--vehicles", "-1"], EXIT_CONFIG, CONFIG),
+        # an int too large for a float: the range check must not convert it
+        ("--vehicles 10**400", [*SIM, "--vehicles", "1" + "0" * 400], EXIT_CONFIG, CONFIG),
         ("--set battery.capacity=0", [*SIM, "--set", "battery.capacity=0"], EXIT_CONFIG, CONFIG),
         ("--set battery.eta_drive=nan", [*SIM, "--set", "battery.eta_drive=nan"],
          EXIT_CONFIG, CONFIG),
@@ -261,6 +267,24 @@ class TestExitCodes:
          EXIT_CONFIG, ERROR),
         ("convert --out into a missing directory",
          ["convert", "{odr}", "--out", "{out}/site.roadnet"], EXIT_CONFIG, ERROR),
+        ("simulate map not UTF-8",
+         ["simulate", "--map", "{latin1_map}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT),
+        ("heatmap trajectory not UTF-8",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{latin1_traj}"], EXIT_INPUT, INPUT),
+        ("simulate --config not UTF-8", [*SIM, "--config", "{latin1_cfg}"], EXIT_INPUT, INPUT),
+        ("calibrate manifest not UTF-8",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{latin1_manifest}"],
+         EXIT_INPUT, INPUT),
+        ("calibrate cycle not UTF-8",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{latin1_cycle}"],
+         EXIT_INPUT, INPUT),
+        ("convert input not UTF-8", ["convert", "{latin1_odr}", "--out", "{out}"],
+         EXIT_INPUT, INPUT),
+        # a regular file whose read fails (EIO at address 0)
+        ("analyze-density --map unreadable",
+         ["analyze-density", "--map", "/proc/self/mem", "--out-dir", "{out}", "{traj}"],
+         EXIT_CONFIG, ERROR),
     ]
 
     @pytest.fixture()
@@ -284,25 +308,85 @@ class TestExitCodes:
                            ("odr", ONE_ROAD_ODR),
                            ("odr_nan", ONE_ROAD_ODR.replace('length="50"', 'length="nan"')),
                            ("odr_inf", ONE_ROAD_ODR.replace('length="50"', 'length="inf"')),
-                           ("odr_huge", ONE_ROAD_ODR.replace('length="50"', 'length="1e308"'))):
+                           ("odr_huge", ONE_ROAD_ODR.replace('length="50"', 'length="1e308"')),
+                           # 0xe9 is e-acute in Latin-1 and no UTF-8 sequence
+                           ("latin1_map", floor.replace("\nnode 1 ", "\nnode 1 \xe9")),
+                           ("latin1_traj", CSV_HEADER + rows[0] + "# caf\xe9\n" + rows[1]),
+                           ("latin1_cfg", "vehicles = 2  # caf\xe9\n"),
+                           ("latin1_manifest", "traj,1000  # caf\xe9\n"),
+                           ("latin1_cycle", "latin1_traj,1000\n"),
+                           ("latin1_odr", ONE_ROAD_ODR.replace('id="1"', 'id="caf\xe9"'))):
             paths[name] = str(tmp_path / name)
-            with open(paths[name], "w") as f:
+            with open(paths[name], "w", encoding="latin-1") as f:
                 f.write(text)
         return paths
 
     @pytest.mark.parametrize("argv,code,prefix", [c[1:] for c in CASES],
                              ids=[c[0] for c in CASES])
-    def test_exit_code(self, files, argv, code, prefix):
+    def test_exit_code(self, files, capsys, argv, code, prefix):
+        argv = [a.format(**files) for a in argv]
+        try:
+            got = main(argv)
+        except BaseException as exc:  # the contract: main returns, whatever the input
+            pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+        err = capsys.readouterr().err
+        assert got == code, err
+        if code != EXIT_OK:
+            assert err.startswith(prefix)
+            assert err.count("\n") == 1
+
+    def test_run_as_a_module(self, files):
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(forkfleet.__file__)))
-        argv = [a.format(**files) for a in argv]
-        proc = subprocess.run([sys.executable, "-m", "forkfleet.cli", *argv],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == code, proc.stderr
-        assert "Traceback" not in proc.stderr
-        if code != EXIT_OK:
-            assert proc.stderr.startswith(prefix)
-            assert proc.stderr.count("\n") == 1
+        for name in ("valid", "simulate map not UTF-8"):
+            argv, code, prefix = next(c[1:] for c in self.CASES if c[0] == name)
+            argv = [a.format(**files) for a in argv]
+            proc = subprocess.run([sys.executable, "-m", "forkfleet.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == int(code != 0)
+
+    def test_decode_error_names_the_file(self, files, capsys):
+        assert main(["heatmap", "--map", files["map"], "--out-dir", files["out"],
+                     files["latin1_traj"]]) == EXIT_INPUT
+        assert capsys.readouterr().err == (f"input error: {files['latin1_traj']} is not "
+                                           "UTF-8 text: invalid continuation byte\n")
+
+    def test_read_failure_names_the_file(self, files, capsys, monkeypatch):
+        def failing_open(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)  # shadows the builtin
+        assert main(["heatmap", "--map", files["map"], "--out-dir", files["out"],
+                     files["traj"]]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot read {files['map']}: Permission denied\n"
+
+
+class TestLineNumbers:
+    """Every line format skips blank and '#' lines, and its errors name the
+    file's own line: here line 5, after a provenance line and a blank line."""
+
+    @pytest.mark.parametrize("kind,text,message", [
+        ("map", "# prov\nroadnet v1\n\nnode 0 0 0 0\nnode x 0 0 0\n",
+         "input error: bad record at line 5: 'node x 0 0 0'\n"),
+        ("trajectory", "# prov\n" + CSV_HEADER + "\n0,0,10,10,0,0,0,0,1\n0,0,x,10,0,0,0,0,1\n",
+         "input error: line 5: could not convert string to float: 'x'\n"),
+        ("config", "# prov\nseed = 1\n\nvehicles = 2\nnot a setting\n",
+         "config error: line 5: expected 'key = value', got 'not a setting'\n"),
+        ("manifest", "# prov\ntraj,1000\n\ntraj,1000\nonly-one-field\n",
+         "input error: manifest line 5: expected 'path,measured_joules'\n"),
+    ], ids=["map", "trajectory", "config", "manifest"])
+    def test_error_names_the_file_line(self, tmp_path, map_file, capsys, kind, text, message):
+        (tmp_path / "traj").write_text(CSV_HEADER + "0,0,10,10,0,0,0,0,1\n")
+        bad = str(tmp_path / kind)
+        with open(bad, "w") as f:
+            f.write(text)
+        out = str(tmp_path / "out")
+        argv = {"map": ["heatmap", "--map", bad, "--out-dir", out, str(tmp_path / "traj")],
+                "trajectory": ["heatmap", "--map", map_file, "--out-dir", out, bad],
+                "config": ["simulate", "--map", map_file, "--config", bad, "--out-dir", out],
+                "manifest": ["calibrate", "--out-dir", out, bad]}[kind]
+        assert main(argv) == (EXIT_CONFIG if kind == "config" else EXIT_INPUT)
+        assert capsys.readouterr().err == message
 
 
 class TestWriteAtomic:

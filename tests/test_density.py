@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import random
@@ -225,8 +224,8 @@ class TestTimeline:
         ]
         reports, _ = density_timeline(samples, self.graph(), cfg)
         by_t = {r.t: r for r in reports}
-        assert len(by_t[0.0].snapshot.vehicle_ids) == 1
-        assert len(by_t[6.0].snapshot.vehicle_ids) == 2
+        assert len(by_t[0.0].vehicle_ids) == 1
+        assert len(by_t[6.0].vehicle_ids) == 2
 
     def test_entry_cap(self, monkeypatch):
         # 0..4 s: 5 ticks at 1 s of 2 vehicles, 5 x 3 x 88 = 1320 entries
@@ -275,7 +274,7 @@ class TestTimeline:
 class TestTimelineRows:
     """density_timeline computes one Dijkstra row per snapped node for the
     whole timeline, cut off at the distance threshold; its reports equal
-    fresh per-tick snapshots but for sharing one row cache."""
+    those of fresh per-tick snapshots and keep none of the rows."""
 
     def test_one_dijkstra_per_snapped_node(self, monkeypatch):
         graph = random_graph(seed=7, n_nodes=30)
@@ -289,21 +288,39 @@ class TestTimelineRows:
 
         monkeypatch.setattr(density, "dijkstra", counted)
         reports, _ = density_timeline(samples, graph, cfg)
-        snapped = {node for rep in reports for node in rep.snapshot.nodes}
-        assert sorted(sources) == sorted(snapped)
+        timeline_sources = sorted(sources)
+        fresh = [snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
+                 for rep in reports]
+        snapped = {node for s in fresh for node in s.nodes}
+        assert timeline_sources == sorted(snapped)
         # per-tick rows would cost more: the case does exercise the reuse
-        assert sum(len(set(rep.snapshot.nodes)) for rep in reports) > 2 * len(snapped)
-        # the reports share one row cache and build no distance matrix
-        assert all(rep.snapshot.rows is reports[0].snapshot.rows for rep in reports)
-        assert all("dist" not in vars(rep.snapshot) for rep in reports)
+        assert sum(len(set(s.nodes)) for s in fresh) > 2 * len(snapped)
 
-        for rep in reports:
-            fresh = analyze_snapshot(rep.t, tick_states(samples, rep.t), graph, cfg)
-            assert rep.clusters == fresh.clusters
-            for field in dataclasses.fields(density.Snapshot):
-                if field.name != "rows":
-                    assert getattr(rep.snapshot, field.name) == getattr(fresh.snapshot, field.name)
-            assert rep.snapshot.dist == fresh.snapshot.dist
+        for rep, s in zip(reports, fresh):
+            assert rep == flag_critical(clusters(s, cfg), s, cfg)
+            assert rep == analyze_snapshot(rep.t, tick_states(samples, rep.t), graph, cfg)
+
+    def test_reports_hold_no_rows(self):
+        """Rows at a wide threshold hold every node in reach of every occupied
+        node; the timeline frees them on return, and its reports hold a small
+        part of what the rows cost."""
+        graph = random_graph(seed=7, n_nodes=200)
+        cfg = DensityConfig(distance_threshold=1e9, velocity_threshold=0.5)
+        samples = wandering_fleet(graph, n_vehicles=12)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports, episodes = density_timeline(samples, graph, cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+            rows = {}
+            for rep in reports:
+                snapshot_from_states(rep.t, tick_states(samples, rep.t), graph, rows,
+                                     cfg.distance_threshold)
+            rows_cost = tracemalloc.get_traced_memory()[0] - base - held
+        finally:
+            tracemalloc.stop()
+        assert len(rows) > 100 and all(len(row) == 200 for row in rows.values())
+        assert held < rows_cost / 10
 
     @pytest.mark.parametrize("threshold", [5.0, 15.0, 30.0])
     @pytest.mark.parametrize("seed", [3, 7, 11])
@@ -316,10 +333,11 @@ class TestTimelineRows:
         reports, _ = density_timeline(samples, graph, cfg)
         cut_entries = shared = one_way = 0
         for rep in reports:
-            full = snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
+            states = tick_states(samples, rep.t)
+            full = snapshot_from_states(rep.t, states, graph)
             d = full.dist
-            assert rep.snapshot.dist == [[x if x <= threshold else math.inf for x in row]
-                                         for row in d]
+            cut = snapshot_from_states(rep.t, states, graph, limit=threshold)
+            assert cut.dist == [[x if x <= threshold else math.inf for x in row] for row in d]
             part = pair_clusters(d, threshold)
             assert clusters(full, cfg) == part
             assert [c.members for c in rep.clusters] == [
