@@ -188,7 +188,7 @@ class World:
         self.step_count = 0
         self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
-        self._samples = []  # every sample run() recorded, in (t, vehicle_id) order
+        self._tracks = []  # per vehicle, in id order: every sample run() recorded
 
     @property
     def clock(self) -> float:
@@ -487,33 +487,28 @@ class World:
         soc to the last value. Returns every sample recorded so far, in
         (t, vehicle_id) order."""
         n_steps = int(round(duration / self.dt))
-        samples = self._samples
-        vehicles = self.vehicles
+        tracks = self._tracks
         if n_steps > 0:
-            if not samples:
-                # a later run continues from the last tick already recorded
-                samples += [self._sample_of(v, self.clock) for v in vehicles]
+            if not tracks:
+                # a later run continues from the last sample already recorded
+                tracks[:] = [[self._sample_of(v, self.clock)] for v in self.vehicles]
             for _ in range(n_steps):
                 self.step(auto_assign=auto_assign, policy=policy)
                 t = self.clock
-                samples += [self._sample_of(v, t) for v in vehicles]
-            # samples is time-major, n per tick, so vehicle i's samples are the
-            # stride samples[i::n]; an empty fleet takes no stride (step 0)
-            n = len(vehicles)
-            last = len(samples) - n * (n_steps + 1)  # start of the last tick with its soc
-            for i, v in enumerate(vehicles):
+                for v, track in zip(self.vehicles, tracks):
+                    track.append(self._sample_of(v, t))
+            for v, track in zip(self.vehicles, tracks):
                 ctl = self.ctl[v.id]
+                last = len(track) - 1 - n_steps  # the last sample with its soc
                 consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
-                steps = bat.soc_steps(samples[last + i::n], consts, self.battery_params,
-                                      samples[i].soc, ctl.energy_drawn, ctl.energy_regenerated)
-                track = []
-                for draw, regen, sample in steps:
+                steps = bat.soc_steps(track[last:], consts, self.battery_params, track[0].soc,
+                                      ctl.energy_drawn, ctl.energy_regenerated)
+                for k, (draw, regen, sample) in enumerate(steps, start=last + 1):
                     ctl.energy_drawn += draw
                     ctl.energy_regenerated += regen
-                    track.append(sample)
-                samples[last + n + i::n] = track
+                    track[k] = sample
                 v.soc = track[-1].soc
-        return samples[:]
+        return [s for tick in zip(*tracks) for s in tick]
 
     def summary(self):
         out = []

@@ -280,19 +280,25 @@ class TestTimelineRows:
         graph = random_graph(seed=7, n_nodes=30)
         cfg = DensityConfig(distance_threshold=30.0, velocity_threshold=0.5)
         samples = wandering_fleet(graph)
-        sources = []
+        calls = []
 
         def counted(g, src, limit=math.inf):
-            sources.append(src)
+            calls.append((src, limit))
             return dijkstra(g, src, limit)
 
-        monkeypatch.setattr(density, "dijkstra", counted)
-        reports, _ = density_timeline(samples, graph, cfg)
-        timeline_sources = sorted(sources)
+        def no_matrix(snapshot):
+            raise AssertionError("the timeline built a vehicles x vehicles matrix")
+
+        with monkeypatch.context() as m:
+            m.setattr(density, "dijkstra", counted)
+            m.setattr(density.Snapshot, "dist", property(no_matrix))
+            reports, _ = density_timeline(samples, graph, cfg)
+        # every row is cut at the threshold
+        assert {limit for _, limit in calls} == {cfg.distance_threshold}
         fresh = [snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
                  for rep in reports]
         snapped = {node for s in fresh for node in s.nodes}
-        assert timeline_sources == sorted(snapped)
+        assert sorted(src for src, _ in calls) == sorted(snapped)
         # per-tick rows would cost more: the case does exercise the reuse
         assert sum(len(set(s.nodes)) for s in fresh) > 2 * len(snapped)
 
@@ -324,19 +330,27 @@ class TestTimelineRows:
 
     @pytest.mark.parametrize("threshold", [5.0, 15.0, 30.0])
     @pytest.mark.parametrize("seed", [3, 7, 11])
-    def test_clusters_are_those_of_full_rows(self, seed, threshold):
-        """Rows cut at the threshold hold each full entry within it and none
-        beyond, and cluster as every vehicle pair of the full rows does."""
+    def test_clusters_are_those_of_full_rows(self, seed, threshold, monkeypatch):
+        """The timeline's rows, cut at the threshold, hold each full entry
+        within it and none beyond, and cluster as every vehicle pair of the
+        full rows does."""
         graph = random_graph(seed=seed, n_nodes=30, extent=50.0)
         cfg = DensityConfig(distance_threshold=threshold, velocity_threshold=0.5)
         samples = wandering_fleet(graph, n_vehicles=12)
-        reports, _ = density_timeline(samples, graph, cfg)
+        snapshots = []
+
+        def kept(*args, **kwargs):
+            snapshots.append(snapshot_from_states(*args, **kwargs))
+            return snapshots[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(density, "snapshot_from_states", kept)
+            reports, _ = density_timeline(samples, graph, cfg)
+        assert [s.t for s in snapshots] == [rep.t for rep in reports]
         cut_entries = shared = one_way = 0
-        for rep in reports:
-            states = tick_states(samples, rep.t)
-            full = snapshot_from_states(rep.t, states, graph)
+        for rep, cut in zip(reports, snapshots):
+            full = snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
             d = full.dist
-            cut = snapshot_from_states(rep.t, states, graph, limit=threshold)
             assert cut.dist == [[x if x <= threshold else math.inf for x in row] for row in d]
             part = pair_clusters(d, threshold)
             assert clusters(full, cfg) == part
