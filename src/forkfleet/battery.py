@@ -12,7 +12,7 @@ against measured duty-cycle energies (e.g. VDI 2198 style cycles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import ConfigError, Infeasible, InputError, setting
 from .trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
@@ -71,14 +71,15 @@ def soc_band(soc: float) -> str:
 def _features(dt, ds, v0, v1, dheading, mass, dh, lift_mass):
     """One segment's parameter-free features: (dt, ds, mass, w_kin,
     |dheading/dt|, dh, lift mass). The energy depends on the parameters only
-    through _energy, so calibrate() builds these once per cycle."""
+    through _energies, so calibrate() builds these once per cycle."""
     if ds < 0 or dt <= 0:
         raise NonphysicalSegment(f"ds={ds}, dt={dt}")
     return dt, ds, mass, 0.5 * mass * (v1 * v1 - v0 * v0), abs(dheading / dt), dh, lift_mass
 
 
-def _energy(features, p: BatteryParams):
-    """The force balance: one segment's (draw, regen) in J from its features.
+def _energies(features, p: BatteryParams):
+    """The force balance: yield each segment's (draw, regen) in J from its
+    features, reading p's fields once.
 
     Tractive work = kinetic change + rolling + steering friction. Positive
     tractive work is drawn through eta_drive; on braking only the kinetic
@@ -86,24 +87,26 @@ def _energy(features, p: BatteryParams):
     eta_drive, lowering recuperates through eta_regen, and the auxiliary
     load draws for dt seconds.
     """
-    dt, ds, mass, w_kin, rate, dh, lift_mass = features
-    friction = p.c_rr * mass * G * ds + p.c_steer * mass * rate * ds
-    w_tr = w_kin + friction
-    if w_tr >= 0:
-        draw, regen = w_tr / p.eta_drive, 0.0
-    else:
-        draw, regen = 0.0, max(0.0, -w_kin - friction) * p.eta_regen
-    vd = vr = 0.0
-    if dh > 0:
-        vd = lift_mass * G * dh / p.eta_drive
-    elif dh < 0:
-        vr = lift_mass * G * (-dh) * p.eta_regen
-    return draw + vd + p.aux_power * dt, regen + vr
+    c_rr, c_steer, eta_drive, eta_regen, aux_power = (
+        p.c_rr, p.c_steer, p.eta_drive, p.eta_regen, p.aux_power)
+    for dt, ds, mass, w_kin, rate, dh, lift_mass in features:
+        friction = c_rr * mass * G * ds + c_steer * mass * rate * ds
+        w_tr = w_kin + friction
+        if w_tr >= 0:
+            draw, regen = w_tr / eta_drive, 0.0
+        else:
+            draw, regen = 0.0, max(0.0, -w_kin - friction) * eta_regen
+        vd = vr = 0.0
+        if dh > 0:
+            vd = lift_mass * G * dh / eta_drive
+        elif dh < 0:
+            vr = lift_mass * G * (-dh) * eta_regen
+        yield draw + vd + aux_power * dt, regen + vr
 
 
 def vertical_work(dh: float, load_mass: float, fork_mass: float, p: BatteryParams):
     """Lift/lower energy -> (draw, regen), J."""
-    return _energy((0.0, 0.0, 0.0, 0.0, 0.0, dh, load_mass + fork_mass), p)
+    return next(_energies([(0.0, 0.0, 0.0, 0.0, 0.0, dh, load_mass + fork_mass)], p))
 
 
 @dataclass(frozen=True)
@@ -156,8 +159,8 @@ def soc_steps(ss, consts: VehicleConstants, p: BatteryParams, initial: float,
     clamped to [0, 1], the running sums continuing from drawn and
     regenerated: so a vehicle's samples integrated in pieces get the same
     bits as integrated at once."""
-    for a, b in zip(ss, ss[1:]):
-        draw, regen = _energy(_segment_features(a, b, consts), p)
+    features = (_segment_features(a, b, consts) for a, b in zip(ss, ss[1:]))
+    for b, (draw, regen) in zip(ss[1:], _energies(features, p)):
         drawn += draw
         regenerated += regen
         yield draw, regen, TrajectorySample(
@@ -168,8 +171,7 @@ def _net(features, p: BatteryParams):
     """Total draw - total regen over a cycle's features, summed in the
     order integrate_trajectory sums them."""
     total_draw = total_regen = 0.0
-    for f in features:
-        draw, regen = _energy(f, p)
+    for draw, regen in _energies(features, p):
         total_draw += draw
         total_regen += regen
     return total_draw - total_regen
@@ -219,6 +221,8 @@ def calibrate(cycles, p0: BatteryParams, free,
     for name in free:
         if name not in PARAM_BOUNDS:
             raise OutOfRange(f"unknown free parameter '{name}'")
+        if free.count(name) > 1:
+            raise OutOfRange(f"free parameter '{name}' named more than once")
     if len(cycles) < len(free):
         raise Underdetermined(f"{len(cycles)} cycles for {len(free)} free parameters")
 
@@ -226,15 +230,20 @@ def calibrate(cycles, p0: BatteryParams, free,
     fits = [([seg for _, features in _vehicle_features(traj, consts) for seg in features],
              measured) for traj, measured in cycles]
 
-    def objective(p):
-        return sum((_net(features, p) - measured) ** 2 for features, measured in fits)
+    def residuals(p):
+        return [_net(features, p) - measured for features, measured in fits]
 
     p = p0
-    obj = objective(p)
+    res = residuals(p)
+    obj = sum(r ** 2 for r in res)
     if not free:
-        residuals = [_net(features, p) - m for features, m in fits]
-        return CalibrationResult(p, residuals, obj, 0, True)
+        return CalibrationResult(p, res, obj, 0, True)
 
+    # The objective depends on p's bits alone, so a line search whose other
+    # coordinates are unchanged probes the same points as its last run: keep
+    # each parameter's last search, its values keyed by repr (0.0 == -0.0,
+    # but their reprs differ) and tagged with the other coordinates' reprs.
+    searches = {}  # name -> (tag, {repr(value): objective})
     converged = False
     sweeps = 0
     for sweep in range(1, 201):
@@ -242,9 +251,16 @@ def calibrate(cycles, p0: BatteryParams, free,
         prev = obj
         for name in free:
             lo, hi = PARAM_BOUNDS[name]
+            tag = [repr(getattr(p, g.name)) for g in fields(p) if g.name != name]
+            if name not in searches or searches[name][0] != tag:
+                searches[name] = (tag, {})
+            seen = searches[name][1]
 
-            def f(val, _name=name):
-                return objective(replace(p, **{_name: val}))
+            def f(val, _name=name, _seen=seen):
+                key = repr(val)
+                if key not in _seen:
+                    _seen[key] = sum(r ** 2 for r in residuals(replace(p, **{_name: val})))
+                return _seen[key]
 
             x, fx = _golden_section(f, lo, hi)
             if fx < obj:
@@ -257,5 +273,4 @@ def calibrate(cycles, p0: BatteryParams, free,
         if prev == 0:
             converged = True
             break
-    residuals = [_net(features, p) - m for features, m in fits]
-    return CalibrationResult(p, residuals, obj, sweeps, converged)
+    return CalibrationResult(p, residuals(p), obj, sweeps, converged)

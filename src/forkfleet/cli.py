@@ -95,8 +95,9 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def _read_input(path: str, parse):
     """parse(f) of the UTF-8 text file at path: the one place an input file is
-    opened. Text that is not UTF-8 is an input error; a path that names no
-    regular file, or one that cannot be read, is the caller's error."""
+    opened. A leading byte-order mark is dropped. Text that is not UTF-8 is an
+    input error; a path that names no regular file, or one that cannot be
+    read, is the caller's error."""
     if not path:
         raise CliError("missing required file path")
     if not os.path.exists(path):
@@ -104,7 +105,7 @@ def _read_input(path: str, parse):
     if not os.path.isfile(path):
         raise CliError(f"not a regular file: {path}")
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return parse(f)
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoder's current chunk, not the file's start

@@ -6,12 +6,12 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forkfleet import mapgen
+from forkfleet import battery, mapgen
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
                                CalibrationResult, NonphysicalSegment, OutOfRange,
                                PARAM_BOUNDS, SUFFICIENT, Underdetermined,
                                VehicleConstants, calibrate, integrate_trajectory,
-                               soc_band, vertical_work, G, _energy, _features,
+                               soc_band, vertical_work, G, _energies, _features,
                                _golden_section, _net, _vehicle_features)
 from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
@@ -24,7 +24,7 @@ def horizontal_work(v0, v1, ds, dheading, dt, mass, p):
     """The kernel's (draw, regen) for one horizontal motion segment, without
     the auxiliary load."""
     _, ds, mass, w_kin, rate, _, _ = _features(dt, ds, v0, v1, dheading, mass, 0.0, 0.0)
-    return _energy((0.0, ds, mass, w_kin, rate, 0.0, 0.0), p)
+    return next(_energies([(0.0, ds, mass, w_kin, rate, 0.0, 0.0)], p))
 
 
 class TestHorizontalWork:
@@ -273,6 +273,29 @@ class TestCalibrate:
         with pytest.raises(Underdetermined):
             calibrate(self.cycles(1), BatteryParams(), ["c_rr", "eta_drive"])
 
+    def test_a_parameter_named_twice(self):
+        # one cycle is also too few for two names; the repeated name is reported
+        with pytest.raises(OutOfRange, match="'c_rr'"):
+            calibrate(self.cycles(1), BatteryParams(), ["c_rr", "c_rr"])
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # sweep 2's line search repeats sweep 1's, whose points (and those its
+        # interval repeats below float resolution) come from the cache
+        calls = []
+        net = battery._net
+
+        def counted(features, p):
+            calls.append((id(features), repr(p)))
+            return net(features, p)
+
+        monkeypatch.setattr(battery, "_net", counted)
+        res = calibrate(self.cycles(3), BatteryParams(c_rr=0.05, aux_power=0.0), ["c_rr"])
+        assert res.sweeps >= 2
+        search, final = calls[:-3], calls[-3:]
+        assert len(set(search)) == len(search)
+        assert len(search) == 3 * len({p for _, p in search})
+        assert {p for _, p in final} == {repr(res.params)}
+
 
 # --- the cached-feature kernel against the per-segment code it replaced -------
 
@@ -392,6 +415,19 @@ class TestCachedFeatures:
                   for samples, scale in cases]
         assert (calibrate(cycles, p0, [name], consts)
                 == reference_calibrate(cycles, p0, [name], consts))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(trajectories(max_vehicles=1, max_samples=4),
+                              st.floats(0.5, 1.5)), min_size=2, max_size=2),
+           vehicle_constants(), battery_params(), battery_params(),
+           st.lists(st.sampled_from(sorted(PARAM_BOUNDS)), min_size=2, max_size=2,
+                    unique=True))
+    def test_two_parameters_match_the_reference(self, cases, consts, truth, p0, names):
+        # a line search is reused only while the other parameter is unchanged
+        cycles = [(samples, reference_net_energy(samples, consts, truth) * scale)
+                  for samples, scale in cases]
+        assert (calibrate(cycles, p0, names, consts)
+                == reference_calibrate(cycles, p0, names, consts))
 
     def test_calibrate_keeps_the_sample_checks(self):
         p0 = BatteryParams()

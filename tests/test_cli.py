@@ -226,6 +226,10 @@ class TestExitCodes:
         ("calibrate --free bogus",
          ["calibrate", "--out-dir", "{out}", "--free", "bogus", "{good_manifest}"],
          EXIT_CONFIG, CONFIG),
+        # one cycle would also be too few for two parameters: the name comes first
+        ("calibrate --free c_rr,c_rr",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr,c_rr", "{good_manifest}"],
+         EXIT_CONFIG, CONFIG),
         ("simulate two spots with one id",
          ["simulate", "--map", "{dup_spots}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT),
@@ -359,6 +363,45 @@ class TestExitCodes:
         assert main(["heatmap", "--map", files["map"], "--out-dir", files["out"],
                      files["traj"]]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot read {files['map']}: Permission denied\n"
+
+
+class TestByteOrderMark:
+    """A UTF-8 input may start with a byte-order mark: the marked files give
+    the output bodies the unmarked ones give."""
+
+    ROWS = CSV_HEADER + "0,0,10,10,0,0,0,0,1\n1,0,11,10,0,1,0,0,0.99\n"
+
+    @pytest.mark.parametrize("inputs,argv", [
+        (("map", "traj"), ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{traj}"]),
+        (("map", "cfg"), ["simulate", "--map", "{map}", "--config", "{cfg}", "--out-dir",
+                          "{out}"]),
+        (("manifest", "traj"), ["calibrate", "--free", "c_rr", "--out-dir", "{out}",
+                                "{manifest}"]),
+        (("odr",), ["convert", "{odr}", "--out", "{out}"]),
+    ], ids=["heatmap", "simulate", "calibrate", "convert"])
+    def test_marked_inputs_give_the_same_bodies(self, tmp_path, map_file, inputs, argv):
+        with open(map_file) as f:
+            texts = {"map": f.read(), "traj": self.ROWS, "manifest": "traj,1000\n",
+                     "cfg": "vehicles = 2\nduration = 2\n", "odr": ONE_ROAD_ODR}
+        bodies = []
+        for mark in ("", "\ufeff"):
+            d = tmp_path / f"mark{len(mark)}"
+            d.mkdir()
+            paths = {"out": str(d / "out")}
+            for name in inputs:
+                paths[name] = str(d / name)
+                with open(paths[name], "w", encoding="utf-8") as f:
+                    f.write(mark + texts[name])
+            assert main([a.format(**paths) for a in argv]) == EXIT_OK
+            out = paths["out"]
+            outs = ([os.path.join(out, n) for n in sorted(os.listdir(out))]
+                    if os.path.isdir(out) else [out])
+            bodies.append([])
+            for path in outs:
+                with open(path, encoding="utf-8") as f:
+                    bodies[-1].append((os.path.basename(path),
+                                       [ln for ln in f if not ln.startswith("#")]))
+        assert bodies[0] == bodies[1] and all(lines for _, lines in bodies[0])
 
 
 class TestLineNumbers:

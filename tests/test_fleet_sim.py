@@ -330,15 +330,16 @@ class TestFleet:
 
     def test_short_runs_match_one_long_run(self, monkeypatch):
         # each run integrates only the samples it recorded, continuing the
-        # energy sums, so 60 short runs give one long run's bits and energy calls
+        # energy sums, so 60 short runs give one long run's bits and segments
         calls = []
-        energy = battery._energy
+        energies = battery._energies
 
         def counted(features, p):
-            calls.append(features)
-            return energy(features, p)
+            for energy in energies(features, p):
+                calls.append(energy)
+                yield energy
 
-        monkeypatch.setattr(battery, "_energy", counted)
+        monkeypatch.setattr(battery, "_energies", counted)
         whole = World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=4)
         expected = whole.run(6.0)
         n_whole = len(calls)
