@@ -94,10 +94,10 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def _read_input(path: str, parse):
-    """parse(f) of the UTF-8 text file at path: the one place an input file is
-    opened. A leading byte-order mark is dropped. Text that is not UTF-8 is an
-    input error; a path that names no regular file, or one that cannot be
-    read, is the caller's error."""
+    """parse(f) of the UTF-8 text file at path, or of its bytes through f.buffer:
+    the one place an input file is opened. A leading byte-order mark is dropped
+    from the text. Text that is not UTF-8 is an input error; a path that names
+    no regular file, or one that cannot be read, is the caller's error."""
     if not path:
         raise CliError("missing required file path")
     if not os.path.exists(path):
@@ -173,7 +173,8 @@ def cmd_replay(args):
 
 
 def cmd_convert(args):
-    desc = _read_input(args.input, lambda f: odr_import.parse_opendrive_subset(f.read()))
+    # the bytes, so the XML parser decodes them as the document declares
+    desc = _read_input(args.input, lambda f: odr_import.parse_opendrive_subset(f.buffer.read()))
     graph = odr_import.to_road_graph(desc, args.spacing)
     return _provenance([args.input]), {args.out: lambda f: save_roadnet(graph, f)}
 

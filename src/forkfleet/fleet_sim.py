@@ -108,7 +108,7 @@ class _Route:
     points: list              # (x, y) polyline
     cumlen: list              # arc length at each point
     seg_limits: list          # speed limit per segment
-    vert_caps: list           # curvature speed cap per vertex
+    caps: list                # per vertex: min(curvature cap, its segment's limit); inf last
     s: float = 0.0
     seg: int = 0              # segment cursor; only moves forward, as s does
 
@@ -276,11 +276,9 @@ class World:
                       v.y - self.graph.waypoints[path.nodes[0]].y) > 1e-9:
             pts.append((v.x, v.y))
             limits.append(self.kin.v_max)
-        for node in path.nodes:
-            wp = self.graph.waypoints[node]
-            pts.append((wp.x, wp.y))
-        for a, b in zip(path.nodes, path.nodes[1:]):
-            limits.append(self.graph.edge_between(a, b).speed_limit)
+        pts += [(self.graph.waypoints[n].x, self.graph.waypoints[n].y) for n in path.nodes]
+        limits += [self.graph.edge_between(a, b).speed_limit
+                   for a, b in zip(path.nodes, path.nodes[1:])]
         if spot.offset > 1e-9:
             pts.append(self.graph.spot_anchor_xy(spot))
             limits.append(self.graph.edge_between(spot.edge_src, spot.edge_dst).speed_limit)
@@ -294,11 +292,11 @@ class World:
         cum = [0.0]
         for a, b in zip(pts, pts[1:]):
             cum.append(cum[-1] + math.dist(a, b))
-        caps = [math.inf] * len(pts)
+        caps = limits + [math.inf]
         for i in range(1, len(pts) - 1):
             r = _menger_radius(pts[i - 1], pts[i], pts[i + 1])
             if math.isfinite(r):
-                caps[i] = math.sqrt(self.kin.a_lat_max * r)
+                caps[i] = min(caps[i], math.sqrt(self.kin.a_lat_max * r))
         return _Route(pts, cum, limits, caps)
 
     # --- collision avoidance -------------------------------------------------
@@ -417,6 +415,8 @@ class World:
         # braking envelope: the max speed now so that braking at b_max reaches
         # `cap` after `d`, accounting for the distance covered during this step:
         #     -bd + sqrt(bd2 + cap * cap + two_b * max(0, d))
+        # It is non-decreasing in cap under rounding, so the envelope of a
+        # vertex's min cap is the min of its caps' envelopes, and inf's is inf.
         bd = kin.b_max * dt
         bd2 = bd * bd
         two_b = 2.0 * kin.b_max
@@ -427,12 +427,8 @@ class World:
             d = route.cumlen[j] - s
             if d > lookahead:
                 break
-            cap = route.vert_caps[j]
-            if math.isfinite(cap):
-                v_target = min(v_target, -bd + math.sqrt(bd2 + cap * cap + two_b * max(0.0, d)))
-            if j < len(route.seg_limits):
-                cap = route.seg_limits[j]
-                v_target = min(v_target, -bd + math.sqrt(bd2 + cap * cap + two_b * max(0.0, d)))
+            cap = route.caps[j]
+            v_target = min(v_target, -bd + math.sqrt(bd2 + cap * cap + two_b * max(0.0, d)))
         if v_target >= v.speed:
             new_v = min(v_target, v.speed + kin.a_max * dt)
         else:

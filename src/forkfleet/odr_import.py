@@ -14,7 +14,6 @@ import logging
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import ConfigError, InputError
 from .roadnet import Edge, RoadGraph, UnionFind, Waypoint, build_graph, normalize_heading
@@ -106,12 +105,6 @@ class Road:
 class RoadDescription:
     roads: list
 
-    def road_by_id(self, rid: str) -> Optional[Road]:
-        for r in self.roads:
-            if r.id == rid:
-                return r
-        return None
-
 
 def _attr(elem, name, road_id, cast=float):
     v = elem.get(name)
@@ -126,10 +119,21 @@ def _attr(elem, name, road_id, cast=float):
     return value
 
 
-def parse_opendrive_subset(text: str) -> RoadDescription:
+def _lane_count(lanes_el, side):
+    """Driving lanes on one side ("left" or "right"): the most of any lane
+    section, each read from its first <left> or <right> element."""
+    sections = lanes_el.findall("laneSection") if lanes_el is not None else []
+    side_els = [section.find(side) for section in sections]
+    return max((sum(lane.get("type", "driving") == "driving" for lane in el.findall("lane"))
+                for el in side_els if el is not None), default=0)
+
+
+def parse_opendrive_subset(document) -> RoadDescription:
+    """Parse OpenDRIVE text, or bytes in the encoding their XML declaration names."""
     try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
+        root = ET.fromstring(document)
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        # LookupError, ValueError: a declared encoding the parser cannot use
         raise MalformedDocument(f"not well-formed XML: {exc}") from exc
     roads = []
     for road_el in root.iter("road"):
@@ -174,23 +178,6 @@ def parse_opendrive_subset(text: str) -> RoadDescription:
             raise MalformedDocument(
                 f"road {rid}: declared length {length} != segment sum {seg_total}"
             )
-        left_count = right_count = 0
-        lanes_el = road_el.find("lanes")
-        if lanes_el is not None:
-            for section in lanes_el.findall("laneSection"):
-                lc = rc = 0
-                for side in ("left", "right"):
-                    side_el = section.find(side)
-                    if side_el is None:
-                        continue
-                    n = sum(1 for lane in side_el.findall("lane")
-                            if lane.get("type", "driving") == "driving")
-                    if side == "left":
-                        lc = n
-                    else:
-                        rc = n
-                left_count = max(left_count, lc)
-                right_count = max(right_count, rc)
         links = []
         link_el = road_el.find("link")
         if link_el is not None:
@@ -210,7 +197,9 @@ def parse_opendrive_subset(text: str) -> RoadDescription:
                     raise MalformedDocument(f"road {rid}: {kind} contactPoint {contact!r} "
                                             "is neither 'start' nor 'end'")
                 links.append(RoadLink(kind, eid, contact))
-        roads.append(Road(rid, length, segments, left_count, right_count, links))
+        lanes_el = road_el.find("lanes")
+        roads.append(Road(rid, length, segments, _lane_count(lanes_el, "left"),
+                          _lane_count(lanes_el, "right"), links))
     if not roads:
         raise MalformedDocument("document contains no <road> elements")
     return RoadDescription(roads)
@@ -242,22 +231,14 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
         n = max(1, math.ceil(road.length / spacing - 1e-12))
         step = road.length / n
         pts = [road.point_at(i * step) for i in range(n + 1)]
-        if road.right_count > 0:
-            idxs = []
-            for (x, y, h) in pts:
-                idxs.append(len(raw))
-                raw.append((x, y, normalize_heading(h)))
-            for a, b in zip(idxs, idxs[1:]):
-                edges.append([a, b, step])
-            chains[(road.id, "fwd")] = idxs
-        if road.left_count > 0:
-            idxs = []
-            for (x, y, h) in reversed(pts):
-                idxs.append(len(raw))
-                raw.append((x, y, normalize_heading(h + math.pi)))
-            for a, b in zip(idxs, idxs[1:]):
-                edges.append([a, b, step])
-            chains[(road.id, "bwd")] = idxs
+        # h + 0.0 turns only -0.0 into 0.0, which normalize_heading maps alike
+        for direction, lanes, chain_pts, turn in (("fwd", road.right_count, pts, 0.0),
+                                                  ("bwd", road.left_count, pts[::-1], math.pi)):
+            if lanes > 0:
+                idxs = list(range(len(raw), len(raw) + len(chain_pts)))
+                raw += [(x, y, normalize_heading(h + turn)) for x, y, h in chain_pts]
+                edges += [[a, b, step] for a, b in zip(idxs, idxs[1:])]
+                chains[(road.id, direction)] = idxs
 
     # Merge chain endpoints across road links (union-find on raw indices).
     uf = UnionFind(len(raw))
@@ -272,9 +253,10 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
         chain = chains.get((road.id, "bwd" if end == "end" else "fwd"))
         return chain[0] if chain else None
 
+    by_id = {road.id: road for road in reversed(desc.roads)}  # the first of an id wins
     for road in desc.roads:
         for link in road.links:
-            other = desc.road_by_id(link.element_id)
+            other = by_id.get(link.element_id)
             if other is None:
                 log.warning("road %s: link to unknown road %s ignored", road.id, link.element_id)
                 continue
@@ -305,12 +287,9 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
             x, y, h = raw[r]
             waypoints.append(Waypoint(len(waypoints), x, y, h))
     node_of = [rep_to_node[uf.find(i)] for i in range(len(raw))]
-    edge_objs = []
-    seen = set()
+    edge_objs = {}  # (src, dst) -> the first edge between them
     for a, b, length in edges:
         na, nb = node_of[a], node_of[b]
-        if na == nb or (na, nb) in seen:
-            continue
-        seen.add((na, nb))
-        edge_objs.append(Edge(na, nb, length, SPEED_LIMIT, True))
-    return build_graph(waypoints, edge_objs, [])
+        if na != nb:
+            edge_objs.setdefault((na, nb), Edge(na, nb, length, SPEED_LIMIT, True))
+    return build_graph(waypoints, list(edge_objs.values()), [])

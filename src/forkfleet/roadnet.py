@@ -4,16 +4,19 @@ Edge weights are geometric lengths in meters. Speed limits ride along on the
 edges for the simulator but never enter shortest-path weights. The graph is
 immutable after build_graph(), so concurrent read-only queries are safe and
 one graph can back any number of simulations, each with its own spot claims.
+adjacency[u] holds u's outgoing Edges in input order, and edge_between() is
+the one lookup of an edge by its (src, dst) pair.
 
-nearest_node() snaps through a uniform grid over the waypoints, built on the
-first query and cached on the graph (RoadGraph.snap_index). Its answer is the
-linear scan's, bit for bit: the same squared-distance expression, ties to the
-smallest id. The cache is never invalidated, so waypoints must not change
+nearest_node() snaps through a uniform grid over the waypoints,
+RoadGraph.snap_index, a cached property built on the first query. Its answer
+is the linear scan's, bit for bit: the same squared-distance expression, ties
+to the smallest id. The grid is never rebuilt, so waypoints must not change
 after the first query.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -94,16 +97,19 @@ class RoadGraph:
     waypoints: list
     edges: list
     spots: list
-    adjacency: list = field(default_factory=list)  # node -> list of edge indices
-    snap_index: Optional[SnapIndex] = field(default=None, repr=False, compare=False)
+    adjacency: list = field(default_factory=list)  # node -> its outgoing Edges
+
+    @functools.cached_property
+    def snap_index(self) -> SnapIndex:
+        return SnapIndex(self)
 
     def n_nodes(self) -> int:
         return len(self.waypoints)
 
     def edge_between(self, a: int, b: int) -> Optional[Edge]:
-        for ei in self.adjacency[a]:
-            if self.edges[ei].dst == b:
-                return self.edges[ei]
+        for e in self.adjacency[a]:
+            if e.dst == b:
+                return e
         return None
 
     def spot_anchor_xy(self, spot: ParkingSpot):
@@ -134,12 +140,12 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
         if not (math.isfinite(w.x) and math.isfinite(w.y) and math.isfinite(w.heading)):
             raise RoadNetError(f"non-finite coordinates or heading at node {i}")
     adjacency = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
+    for e in edges:
         if not (0 <= e.src < n) or not (0 <= e.dst < n):
             raise DanglingReference(f"edge {e.src}->{e.dst} references a missing node")
         if e.src == e.dst:
             raise SelfLoop(f"self-loop at node {e.src}")
-        if not (e.length > 0):
+        if not 0.0 < e.length < math.inf:
             raise NonPositiveLength(f"edge {e.src}->{e.dst} has length {e.length}")
         if not 0.0 < e.speed_limit < math.inf:
             raise RoadNetError(f"edge {e.src}->{e.dst} has speed limit {e.speed_limit}")
@@ -149,26 +155,22 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
             raise NonPositiveLength(
                 f"edge {e.src}->{e.dst} length {e.length} shorter than chord {chord}"
             )
-        adjacency[e.src].append(ei)
-    spot_list = []
+        adjacency[e.src].append(e)
+    g = RoadGraph(list(waypoints), list(edges), [], adjacency)
     spot_ids = set()
     for s in spots:
         if s.id in spot_ids:
             raise RoadNetError(f"two spots with id {s.id}")
         spot_ids.add(s.id)
-        found = None
-        for ei in adjacency[s.edge_src] if 0 <= s.edge_src < n else []:
-            if edges[ei].dst == s.edge_dst:
-                found = edges[ei]
-                break
+        found = g.edge_between(s.edge_src, s.edge_dst) if 0 <= s.edge_src < n else None
         if found is None:
             raise DanglingReference(
                 f"spot {s.id} anchors to missing edge {s.edge_src}->{s.edge_dst}"
             )
         if not (0 <= s.offset <= found.length):
             raise RoadNetError(f"spot {s.id} offset {s.offset} outside edge")
-        spot_list.append(s)
-    return RoadGraph(list(waypoints), list(edges), spot_list, adjacency)
+        g.spots.append(s)
+    return g
 
 
 def dijkstra(g: RoadGraph, src: int, limit: float = math.inf) -> list:
@@ -190,8 +192,7 @@ def dijkstra(g: RoadGraph, src: int, limit: float = math.inf) -> list:
         if done[u]:
             continue
         done[u] = True
-        for ei in g.adjacency[u]:
-            e = g.edges[ei]
+        for e in g.adjacency[u]:
             nd = d + e.length
             if nd < dist[e.dst] and nd <= limit:
                 dist[e.dst] = nd
@@ -227,8 +228,7 @@ def astar(g: RoadGraph, src: int, dst: int) -> Optional[Path]:
             continue
         if u == dst:
             return Path(path, gc)
-        for ei in g.adjacency[u]:
-            e = g.edges[ei]
+        for e in g.adjacency[u]:
             ng = gc + e.length
             npath = path + (e.dst,)
             cur = best.get(e.dst)
@@ -248,8 +248,6 @@ def nearest_node(g: RoadGraph, x: float, y: float) -> int:
         raise EmptyGraph("nearest_node on empty graph")
     if not (math.isfinite(x) and math.isfinite(y)):
         return 0
-    if g.snap_index is None:
-        g.snap_index = SnapIndex(g)
     try:
         return g.snap_index.nearest(x, y)
     except OverflowError as exc:
@@ -304,16 +302,14 @@ class SnapIndex:
                 bound = (r - 1) * cell * _RING_SLACK
                 if bound * bound > best_d:
                     break
-            # ring r: full rows cy - r and cy + r, then columns cx - r and
-            # cx + r between them, all clamped to the grid
+            # ring r, row by row and clamped to the grid: the whole row
+            # cx - r .. cx + r where |yy - cy| = r, else its cells cx - r and cx + r
             lo, hi = max(cx - r, 0), min(cx + r, nx - 1)
-            ring = [range(yy * nx + lo, yy * nx + hi + 1)
-                    for yy in ((cy - r, cy + r) if r else (cy,)) if 0 <= yy < ny]
-            if r:
-                ylo, yhi = max(cy - r + 1, 0), min(cy + r - 1, ny - 1)
-                ring += [range(ylo * nx + xx, yhi * nx + xx + 1, nx)
-                         for xx in (cx - r, cx + r) if 0 <= xx < nx]
-            for ks in ring:
+            for yy in range(max(cy - r, 0), min(cy + r, ny - 1) + 1):
+                if yy - cy in (-r, r):
+                    ks = range(yy * nx + lo, yy * nx + hi + 1)
+                else:
+                    ks = [yy * nx + xx for xx in (cx - r, cx + r) if 0 <= xx < nx]
                 for k in ks:
                     for wx, wy, i in cells[k]:
                         d = (wx - x) ** 2 + (wy - y) ** 2

@@ -79,8 +79,7 @@ def enumerate_shortest(graph, src, dst):
         if node == dst:
             best = dist
             return
-        for ei in graph.adjacency[node]:
-            e = graph.edges[ei]
+        for e in graph.adjacency[node]:
             if e.dst not in visited:
                 walk(e.dst, dist + e.length, visited | {e.dst})
 

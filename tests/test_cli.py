@@ -104,6 +104,17 @@ edge 2 3 10 3 1
 spot 0 0 1 5
 spot 1 2 3 5
 """
+# node 0 -> 1 -> 2 with an infinite second edge and a spot at its far end
+INF_EDGE = """roadnet v1
+node 0 0 0 0
+node 1 10 0 0
+node 2 20 0 0
+edge 0 1 10 3 1
+edge 1 2 inf 3 1
+spot 0 0 1 5
+spot 1 1 2 inf
+"""
+DECLARED = '<?xml version="1.0" encoding="%s"?>\n'
 # one straight two-way road, 50 m
 ONE_ROAD_ODR = """<OpenDRIVE>
     <road id="1" length="50">
@@ -125,12 +136,14 @@ class TestExitCodes:
     naming {traj} with a finite energy, {dir_manifest} one whose cycle is a
     directory, {dup_spots} the demo floor with spot 1 renamed to 0,
     {corridors} ONE_WAY_CORRIDORS, {nan_heading} the same with node 1's
-    heading nan, {no_nodes} a map with no nodes, {odr} ONE_ROAD_ODR and
-    {odr_nan}, {odr_inf}, {odr_huge} the same with its length nan, inf or
-    1e308, {dir} a directory, and {latin1_map}, {latin1_traj}, {latin1_cfg},
-    {latin1_manifest}, {latin1_odr} the same kind of file with one byte that
-    is not UTF-8 ({latin1_cycle} names {latin1_traj} as its cycle). Rows run
-    main in-process; test_run_as_a_module runs two of them through
+    heading nan, {inf_edge} INF_EDGE, {no_nodes} a map with no nodes, {odr}
+    ONE_ROAD_ODR and {odr_nan}, {odr_inf}, {odr_huge} the same with its
+    length nan, inf or 1e308, {bogus_odr}, {utf32_odr} the same declaring an
+    encoding the XML parser does not know or cannot use, {dir} a directory,
+    and {latin1_map}, {latin1_traj}, {latin1_cfg}, {latin1_manifest},
+    {latin1_odr} the same kind of file with one byte that is not UTF-8
+    ({latin1_cycle} names {latin1_traj} as its cycle). Rows run main
+    in-process; test_run_as_a_module runs two of them through
     `python -m forkfleet.cli`."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
@@ -236,6 +249,9 @@ class TestExitCodes:
         ("simulate heading=nan",
          ["simulate", "--map", "{nan_heading}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT),
+        ("simulate edge length inf",
+         ["simulate", "--map", "{inf_edge}", "--out-dir", "{out}", "--vehicles", "1",
+          "--policy", "fixed:1", "--duration", "2"], EXIT_INPUT, INPUT),
         ("heatmap on a map with no nodes",
          ["heatmap", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"], EXIT_INPUT, INPUT),
         ("simulate unreachable spot",
@@ -285,6 +301,10 @@ class TestExitCodes:
          EXIT_INPUT, INPUT),
         ("convert input not UTF-8", ["convert", "{latin1_odr}", "--out", "{out}"],
          EXIT_INPUT, INPUT),
+        ("convert unknown declared encoding", ["convert", "{bogus_odr}", "--out", "{out}"],
+         EXIT_INPUT, INPUT),
+        ("convert multi-byte declared encoding",
+         ["convert", "{utf32_odr}", "--out", "{out}"], EXIT_INPUT, INPUT),
         # a regular file whose read fails (EIO at address 0)
         ("analyze-density --map unreadable",
          ["analyze-density", "--map", "/proc/self/mem", "--out-dir", "{out}", "{traj}"],
@@ -308,6 +328,7 @@ class TestExitCodes:
                            ("corridors", ONE_WAY_CORRIDORS),
                            ("nan_heading",
                             ONE_WAY_CORRIDORS.replace("node 1 10 0 0", "node 1 10 0 nan")),
+                           ("inf_edge", INF_EDGE),
                            ("no_nodes", "roadnet v1\n"),
                            ("odr", ONE_ROAD_ODR),
                            ("odr_nan", ONE_ROAD_ODR.replace('length="50"', 'length="nan"')),
@@ -319,7 +340,9 @@ class TestExitCodes:
                            ("latin1_cfg", "vehicles = 2  # caf\xe9\n"),
                            ("latin1_manifest", "traj,1000  # caf\xe9\n"),
                            ("latin1_cycle", "latin1_traj,1000\n"),
-                           ("latin1_odr", ONE_ROAD_ODR.replace('id="1"', 'id="caf\xe9"'))):
+                           ("latin1_odr", ONE_ROAD_ODR.replace('id="1"', 'id="caf\xe9"')),
+                           ("bogus_odr", DECLARED % "bogus" + ONE_ROAD_ODR),
+                           ("utf32_odr", DECLARED % "UTF-32" + ONE_ROAD_ODR)):
             paths[name] = str(tmp_path / name)
             with open(paths[name], "w", encoding="latin-1") as f:
                 f.write(text)
@@ -363,6 +386,22 @@ class TestExitCodes:
         assert main(["heatmap", "--map", files["map"], "--out-dir", files["out"],
                      files["traj"]]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot read {files['map']}: Permission denied\n"
+
+
+class TestDeclaredEncoding:
+    """convert decodes an OpenDRIVE file as its XML declaration says: a
+    Latin-1 file that declares so converts to the body of its UTF-8 twin."""
+
+    def test_declared_latin1_gives_the_utf8_body(self, tmp_path):
+        odr = ONE_ROAD_ODR.replace('id="1"', 'id="caf\xe9"')
+        bodies = []
+        for name, data in (("latin1", (DECLARED % "ISO-8859-1" + odr).encode("latin-1")),
+                           ("utf8", odr.encode("utf-8"))):
+            src, out = tmp_path / f"{name}.xodr", tmp_path / f"{name}.roadnet"
+            src.write_bytes(data)
+            assert main(["convert", str(src), "--out", str(out)]) == EXIT_OK
+            bodies.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
+        assert bodies[0] == bodies[1] and bodies[0]
 
 
 class TestByteOrderMark:

@@ -1,5 +1,6 @@
-"""Dead-code guard: every top-level public def and class in the package has a
-user in the package itself, or a reason below why only others call it."""
+"""Dead-code guard: every top-level public def and class in the package, and
+every public method of a public class, has a user in the package itself (a
+reference to its name), or a reason below why only others call it."""
 
 import ast
 import pathlib
@@ -13,18 +14,27 @@ CALLED_FROM_OUTSIDE = {
     "warehouse_map": "the README's quick start and the benchmark build maps with it",
     "vertical_work": "acceptance test c3 checks the lift energy with it",
     "score_placement": "acceptance test c7 scores placements with it",
+    "top_decile_cells": "acceptance test c7 and test_placement.py read heatmap hot spots with it",
 }
 
 
+def public_defs(body):
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def defined_and_referenced():
-    """({public top-level name: file}, {every name the package refers to})."""
+    """({public top-level name or public method name: where}, {every name the
+    package refers to})."""
     defined, referenced = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = path.name
+        for node in public_defs(tree.body):
+            defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                for method in public_defs(node.body):
+                    defined[method.name] = f"{path.name} {node.name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)

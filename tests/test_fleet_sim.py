@@ -111,6 +111,27 @@ class TestRouting:
             w.plan_route(1, task)
 
 
+def braking_envelope(b_max, dt, cap, d):
+    """The speed World._advance_drive allows now so that braking at b_max
+    reaches `cap` after `d`, written as it writes it."""
+    bd = b_max * dt
+    bd2 = bd * bd
+    two_b = 2.0 * b_max
+    return -bd + math.sqrt(bd2 + cap * cap + two_b * max(0.0, d))
+
+
+CAP = st.one_of(st.floats(0.0, 1e3), st.just(math.inf))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-4, 10.0), CAP, CAP, st.floats(-10.0, 1e4))
+def test_envelope_of_min_cap_is_min_of_envelopes(b_max, dt, a, b, d):
+    """A route keeps one cap per vertex, the min of its curvature cap and the
+    next segment's limit: exact because the envelope is non-decreasing in cap."""
+    envelopes = (braking_envelope(b_max, dt, a, d), braking_envelope(b_max, dt, b, d))
+    assert braking_envelope(b_max, dt, min(a, b), d) == min(envelopes)
+
+
 def drive_duration(world, vid):
     """Run until the task completes; return (drive_time, total_time)."""
     t_drive_start = t_drive_end = None

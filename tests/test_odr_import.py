@@ -83,6 +83,24 @@ class TestParse:
         with pytest.raises(MalformedDocument, match="contactPoint 'middle'"):
             parse_opendrive_subset(doc(r1))
 
+    @pytest.mark.parametrize("lanes,counts", [
+        ("", (0, 0)),
+        # type defaults to driving; only each section's first <right> counts
+        ('<laneSection s="0"><left><lane id="1" type="sidewalk"/></left>'
+         '<right><lane id="-1"/><lane id="-2" type="driving"/></right>'
+         '<right><lane id="-3"/></right></laneSection>'
+         '<laneSection s="5"><left><lane id="1"/></left></laneSection>', (1, 2)),
+    ], ids=["no sections", "most of any section"])
+    def test_lane_counts(self, lanes, counts):
+        geom = '<geometry s="0" x="0" y="0" hdg="0" length="10"><line/></geometry>'
+        road = parse_opendrive_subset(doc(road_xml(1, 10.0, geom, lanes))).roads[0]
+        assert (road.left_count, road.right_count) == counts
+
+    def test_bytes_follow_the_xml_declaration(self):
+        text = '<?xml version="1.0" encoding="ISO-8859-1"?>\n' + STRAIGHT_50.replace(
+            'id="1"', 'id="caf\xe9"')
+        assert parse_opendrive_subset(text.encode("latin-1")).roads[0].id == "caf\xe9"
+
     def test_malformed_xml(self):
         with pytest.raises(MalformedDocument):
             parse_opendrive_subset("<OpenDRIVE><road")

@@ -278,10 +278,12 @@ class TestLazyGreedy:
         assert (res.stations, res.scores) == eager_place_chargers(g, w, 1, 0.0, 1e-6)
 
     def test_map_too_wide_for_a_bound(self):
-        # nodes 2e308 m apart joined by an inf-length edge: length/chord is
-        # inf/inf = nan, so the weights alone must serve as the bound
+        # nodes 2e308 m apart, each joined to the line by a 1e308 m edge (an
+        # inf length is an input error): the map's extent overflows, so f
+        # times it is not finite and the weights alone must serve as the bound
         pts = [(-1e308, 0.0), (1e308, 0.0), (0.0, 0.0), (3.0, 0.0), (6.0, 0.0), (9.0, 0.0)]
-        edges = [Edge(0, 1, math.inf, 3.0), Edge(1, 0, math.inf, 3.0)]
+        edges = [Edge(0, 2, 1e308, 3.0), Edge(2, 0, 1e308, 3.0),
+                 Edge(1, 5, 1e308, 3.0), Edge(5, 1, 1e308, 3.0)]
         for a in range(2, 5):
             edges += [Edge(a, a + 1, 3.0, 3.0), Edge(a + 1, a, 3.0, 3.0)]
         g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
@@ -289,6 +291,20 @@ class TestLazyGreedy:
         for k in (1, 2, 3):
             res = place_chargers(g, w, k, 2.0, 3.0)
             assert (res.stations, res.scores) == eager_place_chargers(g, w, k, 2.0, 3.0)
+
+    def test_map_too_small_for_a_bound(self):
+        # nodes within 5e-324 m of each other: every length/chord is inf, so
+        # f is inf, f * hypot(0) is nan, and the weights alone must serve as
+        # the bound; hub 1, unweighted, scores best
+        pts = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (5e-324, 5e-324)]
+        edges = [Edge(a, b, 1.0 if 1 in (a, b) else 100.0, 3.0)
+                 for a in range(4) for b in range(4) if a != b]
+        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        w = [1.0, 0.0, 1.0, 1.0]
+        for k in (1, 2):
+            res = place_chargers(g, w, k, 0.5, 3.0)
+            assert res.stations[0] == 1
+            assert (res.stations, res.scores) == eager_place_chargers(g, w, k, 0.5, 3.0)
 
     def test_rows_only_where_needed(self, monkeypatch):
         g = warehouse_map()

@@ -38,6 +38,12 @@ class TestBuildGraph:
         with pytest.raises(NonPositiveLength):
             build_graph(wps, [Edge(0, 1, 0.0, 1.0, True)])
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_non_finite_length(self, length):
+        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        with pytest.raises(NonPositiveLength):
+            build_graph(wps, [Edge(0, 1, length, 1.0, True)])
+
     def test_length_shorter_than_chord(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         with pytest.raises(NonPositiveLength):
@@ -129,7 +135,41 @@ class TestDijkstra:
         assert dijkstra(g, src, limit) == cut  # == on floats: the same bits
 
 
+@st.composite
+def sparse_graphs(draw):
+    """Graphs of 1-12 nodes on a small integer grid with up to 4n random
+    edges, all one-way or all two-way, so some nodes are unreachable.
+    Lengths are the chord times [1, 1.5] plus 1e-9, or the chord rounded up
+    plus 1, so equal-length routes tie; both keep A*'s heuristic admissible."""
+    n = draw(st.integers(1, 12))
+    pts = [(draw(st.integers(0, 20)), draw(st.integers(0, 20))) for _ in range(n)]
+    two_way, integer = draw(st.booleans()), draw(st.booleans())
+    edges, seen = [], set()
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4 * n)):
+        for src, dst in ((a, b), (b, a)) if two_way else ((a, b),):
+            if src != dst and (src, dst) not in seen:
+                seen.add((src, dst))
+                chord = math.dist(pts[src], pts[dst])
+                length = (math.ceil(chord) + 1.0 if integer
+                          else chord * draw(st.floats(1.0, 1.5)) + 1e-9)
+                edges.append(Edge(src, dst, length, 3.0, not two_way))
+    return build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+
+
 class TestAstar:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_graphs())
+    def test_matches_dijkstra_with_unreachable_nodes(self, g):
+        for s in range(g.n_nodes()):
+            dist = dijkstra(g, s)
+            for d in range(g.n_nodes()):
+                p = astar(g, s, d)
+                if math.isinf(dist[d]):
+                    assert p is None
+                else:
+                    assert p.total_length == dist[d]
+
     def test_identity(self):
         g = square_graph()
         p = astar(g, 1, 1)
@@ -255,7 +295,7 @@ class TestNearestNodeGrid:
 
     def test_index_built_once(self):
         g = random_graph(seed=5, n_nodes=30)
-        assert g.snap_index is None
+        assert "snap_index" not in vars(g)
         nearest_node(g, 1.0, 2.0)
         index = g.snap_index
         nearest_node(g, 50.0, 60.0)
