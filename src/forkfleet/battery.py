@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import pairwise, tee
 
 from . import ConfigError, Infeasible, InputError, setting
 from .trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
@@ -152,15 +153,16 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     return total_draw, total_regen, series
 
 
-def soc_steps(ss, consts: VehicleConstants, p: BatteryParams, initial: float,
-              drawn: float = 0.0, regenerated: float = 0.0):
+def soc_steps(samples, consts: VehicleConstants, p: BatteryParams, initial: float):
     """Yield (draw, regen, sample with SOC) for each of one vehicle's samples
-    ss[1:]. Its SOC is `initial` less the net energy over the capacity,
-    clamped to [0, 1], the running sums continuing from drawn and
-    regenerated: so a vehicle's samples integrated in pieces get the same
-    bits as integrated at once."""
-    features = (_segment_features(a, b, consts) for a, b in zip(ss, ss[1:]))
-    for b, (draw, regen) in zip(ss[1:], _energies(features, p)):
+    after the first. Its SOC is `initial` less the net energy so far over the
+    capacity, clamped to [0, 1]. samples may be any iterable: it is read
+    pairwise and lazily, one sample per yield after the first two, so a
+    caller can feed it one sample per step."""
+    drawn = regenerated = 0.0
+    pairs, ends = tee(pairwise(samples))
+    features = (_segment_features(a, b, consts) for a, b in pairs)
+    for (_, b), (draw, regen) in zip(ends, _energies(features, p)):
         drawn += draw
         regenerated += regen
         yield draw, regen, TrajectorySample(

@@ -3,16 +3,17 @@
 Subcommands: simulate, replay, convert, analyze-density, place-chargers,
 calibrate, heatmap. Exit codes: 0 success, 2 config/usage error, 3
 input-data error, 4 infeasible analysis. Flag > config file > default.
-Output files are written atomically (temp + rename), and each starts with
-one provenance comment line: tool version, seed, a digest of the effective
+Output files are written into temp files, simulate's tick by tick, and
+renamed together once the command has succeeded; each starts with one
+provenance comment line: tool version, seed, a digest of the effective
 config and a digest of each input file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import io
 import math
 import os
 import sys
@@ -55,25 +56,32 @@ def _provenance(inputs, cfg=None) -> str:
     return f"{head} inputs={digests}"
 
 
-def _write_atomic(path: str, prov: str, render) -> None:
-    """Write '# prov', then render's text, into a temp file of its own in
-    path's directory, then rename it onto path. Concurrent writers never
-    share a temp file, and a failed write removes its temp file."""
-    buf = io.StringIO()
-    buf.write(f"# {prov}\n")
-    render(buf)
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                               dir=os.path.dirname(path) or ".")
+def _write_atomic(paths, prov: str, render) -> None:
+    """Write '# prov' into a temp file of its own in each path's directory,
+    call render with those files open in paths' order, and once it has
+    returned rename each onto its path. Concurrent writers never share a
+    temp file, and on any exception every temp file is removed."""
+    tmps = []
     try:
-        with open(fd, "w", newline="") as f:
-            f.write(buf.getvalue())
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                           dir=os.path.dirname(path) or ".")
+                tmps.append(tmp)
+                files.append(stack.enter_context(open(fd, "w", newline="")))
+                files[-1].write(f"# {prov}\n")
+            render(*files)
         # mkstemp creates the file private (0600); give it open()'s mode
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for tmp, path in zip(tmps, paths):
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):  # renamed already
+                os.unlink(tmp)
         raise
 
 
@@ -124,10 +132,10 @@ def _load_analysis_inputs(args):
 
 
 # --- subcommands -------------------------------------------------------------
-# Each returns (provenance line, {file name: render(f)}) in write order; main
-# writes the files once every computation has succeeded. Renders look up
-# write_csv and _render_summary at call time, where a tracer or test may
-# have replaced them.
+# Each returns (provenance line, file names, render); main calls render with
+# one open temp file per name. simulate steps its fleet inside render. Renders
+# look up write_csv and _render_summary at call time, where a tracer or test
+# may have replaced them.
 
 def cmd_simulate(args):
     cfg = _load_scenario(args)
@@ -139,16 +147,22 @@ def cmd_simulate(args):
     policy = cfg.policy_tuple()
     if policy[0] == "fixed" and all(s.id != policy[1] for s in graph.spots):
         raise ConfigError(f"policy '{cfg.policy}': the map has no spot {policy[1]}")
-    samples = world.run(cfg.duration, policy=policy)
     prov = _provenance([cfg.map], cfg)
-    return prov, {"trajectory.csv": lambda f: write_csv(samples, f),
-                  "soc.csv": lambda f: _render_soc(samples, f),
-                  "summary.txt": lambda f: _render_summary(world, f, prov)}
+
+    def render(trajectory, soc, summary):
+        write_csv((), trajectory)  # the headers
+        _render_soc((), soc)
+        for tick in world.ticks(cfg.duration, policy=policy):
+            write_csv(tick, trajectory, header=False)
+            _render_soc(tick, soc, header=False)
+        _render_summary(world, summary, prov)
+    return prov, ("trajectory.csv", "soc.csv", "summary.txt"), render
 
 
-def _render_soc(samples, f):
+def _render_soc(samples, f, header=True):
     w = f.write
-    w("t,vehicle_id,soc\n")
+    if header:
+        w("t,vehicle_id,soc\n")
     for s in samples:
         w("%.12g,%s,%.12g\n" % (s.t, s.vehicle_id, s.soc))
 
@@ -168,22 +182,28 @@ def cmd_replay(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     out = replay(samples, graph, dt=cfg.dt, consts=consts, params=cfg.battery)
-    return prov, {"replay.csv": lambda f: write_csv(out, f),
-                  "soc.csv": lambda f: _render_soc(out, f)}
+
+    def render(replayed, soc):
+        write_csv(out, replayed)
+        _render_soc(out, soc)
+    return prov, ("replay.csv", "soc.csv"), render
 
 
 def cmd_convert(args):
     # the bytes, so the XML parser decodes them as the document declares
     desc = _read_input(args.input, lambda f: odr_import.parse_opendrive_subset(f.buffer.read()))
     graph = odr_import.to_road_graph(desc, args.spacing)
-    return _provenance([args.input]), {args.out: lambda f: save_roadnet(graph, f)}
+    return _provenance([args.input]), (args.out,), lambda f: save_roadnet(graph, f)
 
 
 def cmd_analyze_density(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     reports, episodes = dens.density_timeline(samples, graph, cfg.density)
-    return prov, {"density.csv": lambda f: dens.write_report_csv(reports, f),
-                  "episodes.txt": lambda f: dens.write_episode_summary(episodes, f)}
+
+    def render(density, summary):
+        dens.write_report_csv(reports, density)
+        dens.write_episode_summary(episodes, summary)
+    return prov, ("density.csv", "episodes.txt"), render
 
 
 def cmd_place_chargers(args):
@@ -192,19 +212,25 @@ def cmd_place_chargers(args):
     weights = plc.visit_weights(samples, graph, dwell_weighting=args.dwell)
     result = plc.place_chargers(graph, weights, pcfg.k, pcfg.min_separation, pcfg.d_scale)
     grid = plc.heatmap_for_graph(samples, graph, cell_size=pcfg.cell_size)
-    return prov, {"placement.csv": lambda f: plc.write_placement_csv(result, graph, f),
-                  **_heatmap_files(grid)}
+
+    def render(placement, *heatmap):
+        plc.write_placement_csv(result, graph, placement)
+        _render_heatmap(grid, *heatmap)
+    return prov, ("placement.csv", *_HEATMAP_FILES), render
 
 
 def cmd_heatmap(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     grid = plc.heatmap_for_graph(samples, graph, cell_size=cfg.placement.cell_size)
-    return prov, _heatmap_files(grid)
+    return prov, _HEATMAP_FILES, lambda *heatmap: _render_heatmap(grid, *heatmap)
 
 
-def _heatmap_files(grid):
-    return {"heatmap.txt": lambda f: plc.write_heatmap(grid, f),
-            "heatmap_cells.csv": lambda f: plc.write_heatmap_nonzero_csv(grid, f)}
+_HEATMAP_FILES = ("heatmap.txt", "heatmap_cells.csv")
+
+
+def _render_heatmap(grid, text, cells):
+    plc.write_heatmap(grid, text)
+    plc.write_heatmap_nonzero_csv(grid, cells)
 
 
 def cmd_calibrate(args):
@@ -231,9 +257,12 @@ def cmd_calibrate(args):
     free = [s.strip() for s in args.free.split(",") if s.strip()] if args.free else []
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     result = bat.calibrate(cycles, cfg.battery, free, consts=consts)
-    return _provenance([args.manifest, *cycle_paths], cfg), {
-        "fitted_params.cfg": lambda f: dump_battery_params(result.params, f),
-        "residuals.txt": lambda f: _render_residuals(result, f)}
+
+    def render(fitted, residuals):
+        dump_battery_params(result.params, fitted)
+        _render_residuals(result, residuals)
+    prov = _provenance([args.manifest, *cycle_paths], cfg)
+    return prov, ("fitted_params.cfg", "residuals.txt"), render
 
 
 def _render_residuals(result, f):
@@ -300,22 +329,21 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    out_dir = getattr(args, "out_dir", "")  # convert's one file is its --out path
     try:
-        prov, files = args.func(args)
+        prov, names, render = args.func(args)
+        paths = [os.path.join(out_dir, name) for name in names]
+        try:
+            if out_dir:
+                os.makedirs(out_dir, exist_ok=True)
+            _write_atomic(paths, prov, render)
+        except OSError as exc:
+            print(f"error: cannot write {out_dir or paths[0]}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     except ForkfleetError as exc:  # its class carries the exit code and label
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.code
-    out_dir = getattr(args, "out_dir", "")  # convert's one file is its --out path
-    path = out_dir
-    try:
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        for name, render in files.items():
-            path = os.path.join(out_dir, name)
-            _write_atomic(path, prov, render)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -3,9 +3,9 @@
 Single-threaded explicit-Euler world stepping: task assignment onto free
 parking spots, A* route planning, trapezoidal speed profiles with curvature
 slowdown, top-down collision avoidance and fork lift/lower phases. step() is
-kinematics only; run() records one sample per vehicle per step and then
-integrates each truck's battery over what that run recorded, through
-battery.soc_steps, the loop behind replay's integrate_trajectory. All
+kinematics only; ticks() streams one sample per vehicle per step, each with
+its SOC from battery.soc_steps (the loop behind replay's integrate_trajectory),
+holding one tick at a time, and run() collects the ticks into a list. All
 randomness flows from one splitmix64 generator seeded by the scenario seed,
 so (scenario, seed, dt) fully determines every emitted sample.
 
@@ -37,6 +37,7 @@ visited in, so the caps equal those of testing all N(N-1)/2 pairs.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -188,7 +189,8 @@ class World:
         self.step_count = 0
         self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
-        self._tracks = []  # per vehicle, in id order: every sample run() recorded
+        self._feeds = None  # per vehicle: (it, its ctl, its queue's append, its soc_steps)
+        self._history = []  # every sample run() recorded
 
     @property
     def clock(self) -> float:
@@ -475,36 +477,41 @@ class World:
 
     # --- recording / running ---------------------------------------------------
 
-    def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
-        """Step for the given duration, recording one sample per vehicle per
-        step (plus the initial state on the first run). Then integrate each
-        vehicle's battery over the samples this run recorded, continuing from
-        its soc when recording began and its energy sums so far, and set its
-        soc to the last value. Returns every sample recorded so far, in
-        (t, vehicle_id) order."""
+    def ticks(self, duration: float, auto_assign: bool = True, policy=("random", None)):
+        """Step for the given duration, yielding each step's samples, one per
+        vehicle in id order, after the initial state if no tick came before.
+        Each sample gets its SOC as it is made, from its vehicle's
+        battery.soc_steps fed one sample per step; soc and energy sums follow."""
         n_steps = int(round(duration / self.dt))
-        tracks = self._tracks
-        if n_steps > 0:
-            if not tracks:
-                # a later run continues from the last sample already recorded
-                tracks[:] = [[self._sample_of(v, self.clock)] for v in self.vehicles]
-            for _ in range(n_steps):
-                self.step(auto_assign=auto_assign, policy=policy)
-                t = self.clock
-                for v, track in zip(self.vehicles, tracks):
-                    track.append(self._sample_of(v, t))
-            for v, track in zip(self.vehicles, tracks):
-                ctl = self.ctl[v.id]
-                last = len(track) - 1 - n_steps  # the last sample with its soc
+        if n_steps > 0 and self._feeds is None:
+            tick = [self._sample_of(v, self.clock) for v in self.vehicles]
+            self._feeds = []
+            for v, sample in zip(self.vehicles, tick):
+                queue = deque([sample])
                 consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
-                steps = bat.soc_steps(track[last:], consts, self.battery_params, track[0].soc,
-                                      ctl.energy_drawn, ctl.energy_regenerated)
-                for k, (draw, regen, sample) in enumerate(steps, start=last + 1):
-                    ctl.energy_drawn += draw
-                    ctl.energy_regenerated += regen
-                    track[k] = sample
-                v.soc = track[-1].soc
-        return [s for tick in zip(*tracks) for s in tick]
+                self._feeds.append((v, self.ctl[v.id], queue.append, bat.soc_steps(
+                    iter(queue.popleft, None), consts, self.battery_params, sample.soc)))
+            yield tick
+        for _ in range(n_steps):
+            self.step(auto_assign=auto_assign, policy=policy)
+            t = self.clock
+            tick = []
+            for v, ctl, feed, steps in self._feeds:
+                feed(self._sample_of(v, t))
+                draw, regen, sample = next(steps)
+                ctl.energy_drawn += draw
+                ctl.energy_regenerated += regen
+                v.soc = sample.soc
+                tick.append(sample)
+            yield tick
+
+    def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
+        """ticks() for the given duration, appended to one time-major history.
+        Returns every sample run() has recorded so far, in (t, vehicle_id)
+        order."""
+        for tick in self.ticks(duration, auto_assign, policy):
+            self._history += tick
+        return list(self._history)
 
     def summary(self):
         out = []

@@ -44,9 +44,11 @@ class TrajectorySample(NamedTuple):
 _ROW = "%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 
-def write_csv(samples, fileobj) -> None:
+def write_csv(samples, fileobj, header: bool = True) -> None:
+    """The header line, unless header is False, then one row per sample."""
     w = fileobj.write
-    w(CSV_HEADER + "\n")
+    if header:
+        w(CSV_HEADER + "\n")
     for s in samples:
         w(_ROW % s)
 

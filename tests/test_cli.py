@@ -2,19 +2,25 @@ import hashlib
 import io
 import math
 import os
+import pathlib
 import re
 import stat
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import forkfleet
 from forkfleet import cli, mapgen
 from forkfleet.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, _write_atomic,
                            main)
-from forkfleet.roadnet import save_roadnet
-from forkfleet.trajectory import read_csv
+from forkfleet.config import ScenarioConfig
+from forkfleet.fleet_sim import World
+from forkfleet.roadnet import load_roadnet, save_roadnet
+from forkfleet.trajectory import read_csv, write_csv
 
 
 @pytest.fixture()
@@ -477,7 +483,7 @@ class TestWriteAtomic:
 
     def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
         path = tmp_path / "out.csv"
-        _write_atomic(str(path), "head", lambda f: f.write(self.BODY))
+        _write_atomic([str(path)], "head", lambda f: f.write(self.BODY))
         plain = tmp_path / "plain.csv"
         with open(plain, "w", newline="") as f:
             f.write(self.TEXT)
@@ -489,7 +495,7 @@ class TestWriteAtomic:
         target = tmp_path / "taken"
         target.mkdir()  # renaming a file onto a directory fails
         with pytest.raises(OSError):
-            _write_atomic(str(target), "head", lambda f: f.write(self.BODY))
+            _write_atomic([str(target)], "head", lambda f: f.write(self.BODY))
         assert os.listdir(tmp_path) == ["taken"]
         assert os.listdir(target) == []
 
@@ -498,8 +504,76 @@ class TestWriteAtomic:
             f.write("partial")
             raise RuntimeError("render failed")
         with pytest.raises(RuntimeError):
-            _write_atomic(str(tmp_path / "out.csv"), "head", render)
+            _write_atomic([str(tmp_path / "out.csv")], "head", render)
         assert os.listdir(tmp_path) == []
+
+
+class TestStreamedSimulate:
+    """simulate writes its CSVs tick by tick into temp files and renames them
+    only once the whole run has succeeded."""
+    NAMES = ("trajectory.csv", "soc.csv", "summary.txt")
+
+    def test_a_failed_run_leaves_earlier_outputs(self, tmp_path, map_file, capsys):
+        code, out = simulate(tmp_path, map_file)
+        assert code == EXIT_OK
+        before = {name: (tmp_path / "out" / name).read_bytes() for name in self.NAMES}
+        corridors = tmp_path / "corridors.roadnet"
+        corridors.write_text(ONE_WAY_CORRIDORS)
+        capsys.readouterr()
+        # the truck lifts for 3.3 s and then finds no route: the run fails
+        # after its first ticks are already in the temp files
+        assert main(["simulate", "--map", str(corridors), "--out-dir", out,
+                     "--vehicles", "1", "--duration", "5"]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in self.NAMES} == before
+        assert sorted(os.listdir(out)) == sorted(self.NAMES)  # no *.tmp left
+
+    def test_memory_is_flat_in_duration(self, tmp_path, map_file):
+        # holding every sample would grow the peak about 6x from 10 s to 100 s
+        def peak(duration):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--map", map_file, "--out-dir", str(tmp_path / "out"),
+                             "--vehicles", "4", "--duration", duration]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        short, long = peak("10"), peak("100")
+        assert long <= 1.5 * short, (short, long)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.data())
+    def test_stream_equals_the_list_path(self, nx, ny, data):
+        n_spots = data.draw(st.integers(1, min(6, nx * (ny + 1))))
+        vehicles = data.draw(st.integers(0, n_spots))
+        seed = data.draw(st.integers(0, 2**32))
+        dt = data.draw(st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+        duration = data.draw(st.sampled_from([0.0, 0.5, 2.5, 6.0]))
+        with tempfile.TemporaryDirectory() as d:
+            map_path = os.path.join(d, "floor.roadnet")
+            with open(map_path, "w") as f:
+                save_roadnet(mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots), f)
+            runs = []
+            for out in ("a", "b"):
+                assert main(["simulate", "--map", map_path, "--out-dir", os.path.join(d, out),
+                             "--vehicles", str(vehicles), "--seed", str(seed), "--dt", repr(dt),
+                             "--duration", repr(duration)]) == EXIT_OK
+                runs.append({name: pathlib.Path(d, out, name).read_bytes()
+                             for name in self.NAMES})
+            assert runs[0] == runs[1]
+            with open(map_path) as f:
+                graph = load_roadnet(f)
+        cfg = ScenarioConfig()
+        world = World.spawn_at_spots(
+            graph, vehicles, dt=dt, seed=seed, kin=cfg.kin, battery_params=cfg.battery,
+            fork_mass=cfg.fork_mass, pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
+        samples = world.run(duration, policy=cfg.policy_tuple())
+        trajectory, soc = io.StringIO(), io.StringIO()
+        write_csv(samples, trajectory)
+        cli._render_soc(samples, soc)
+        for name, body in (("trajectory.csv", trajectory), ("soc.csv", soc)):
+            assert runs[0][name].decode().split("\n", 1)[1] == body.getvalue(), name
 
 
 def sha256_12(path):

@@ -15,6 +15,7 @@ CALLED_FROM_OUTSIDE = {
     "vertical_work": "acceptance test c3 checks the lift energy with it",
     "score_placement": "acceptance test c7 scores placements with it",
     "top_decile_cells": "acceptance test c7 and test_placement.py read heatmap hot spots with it",
+    "run": "the tests take a run's samples as one list from it, beside the CLI's stream",
 }
 
 
