@@ -5,15 +5,15 @@ resistance, gravity on forks/load, constant auxiliary power. Aerodynamic
 drag is omitted (negligible at forklift speeds). Regeneration applies only
 to kinetic and potential energy release, never to friction terms.
 
-Default numeric parameter values are placeholders; calibrate() fits them
-against measured duty-cycle energies (e.g. VDI 2198 style cycles).
+SOC is integrated in one place, a SocMeter per vehicle. Default numeric
+parameter values are placeholders; calibrate() fits them against measured
+duty-cycle energies (e.g. VDI 2198 style cycles).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from itertools import pairwise, tee
+from dataclasses import dataclass, replace
 
 from . import ConfigError, Infeasible, InputError, setting
 from .trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
@@ -128,45 +128,51 @@ def _segment_features(a, b, consts: VehicleConstants):
 
 
 def _vehicle_features(samples, consts: VehicleConstants):
-    """[(samples, segment features)] per vehicle, vehicles in id order."""
-    per_vehicle = split_by_vehicle(samples)
-    return [(ss, [_segment_features(a, b, consts) for a, b in zip(ss, ss[1:])])
-            for _, ss in sorted(per_vehicle.items())]
+    """Every segment's features, vehicles in id order."""
+    return [_segment_features(a, b, consts)
+            for _, ss in sorted(split_by_vehicle(samples).items()) for a, b in zip(ss, ss[1:])]
+
+
+class SocMeter:
+    """One vehicle's running energy sums and SOC, fed its samples in time
+    order after `first`. Its SOC is first's soc less the net energy so far
+    over the capacity, clamped to [0, 1]."""
+
+    def __init__(self, first, consts: VehicleConstants, p: BatteryParams):
+        self.last = first
+        self.consts = consts
+        self.p = p
+        self.initial = first.soc
+        self.drawn = self.regenerated = 0.0
+
+    def add(self, sample):
+        """Integrate the segment from the last sample to this one -> (draw,
+        regen, the sample with the SOC after it)."""
+        draw, regen = next(_energies((_segment_features(self.last, sample, self.consts),),
+                                     self.p))
+        self.last = sample
+        self.drawn += draw
+        self.regenerated += regen
+        return draw, regen, TrajectorySample(*sample[:8], min(max(
+            self.initial - (self.drawn - self.regenerated) / self.p.capacity, 0.0), 1.0))
 
 
 def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
-    """Integrate one vehicle's (or many vehicles') samples.
-
-    Each vehicle starts from the soc of its first sample; its SOC after a
-    segment is that soc less the vehicle's net energy so far over the
-    capacity, clamped to [0, 1]. Returns (total_draw, total_regen, the
-    samples with that SOC), vehicles in id order.
+    """Integrate one vehicle's (or many vehicles') samples, each vehicle
+    through a SocMeter from its first sample. Returns (total_draw,
+    total_regen, the samples with their SOC), vehicles in id order.
     """
     total_draw = total_regen = 0.0
     series = []
     for _, ss in sorted(split_by_vehicle(samples).items()):
         series.append(ss[0])
-        for draw, regen, sample in soc_steps(ss, consts, p, ss[0].soc):
+        meter = SocMeter(ss[0], consts, p)
+        for b in ss[1:]:
+            draw, regen, sample = meter.add(b)
             total_draw += draw
             total_regen += regen
             series.append(sample)
     return total_draw, total_regen, series
-
-
-def soc_steps(samples, consts: VehicleConstants, p: BatteryParams, initial: float):
-    """Yield (draw, regen, sample with SOC) for each of one vehicle's samples
-    after the first. Its SOC is `initial` less the net energy so far over the
-    capacity, clamped to [0, 1]. samples may be any iterable: it is read
-    pairwise and lazily, one sample per yield after the first two, so a
-    caller can feed it one sample per step."""
-    drawn = regenerated = 0.0
-    pairs, ends = tee(pairwise(samples))
-    features = (_segment_features(a, b, consts) for a, b in pairs)
-    for (_, b), (draw, regen) in zip(ends, _energies(features, p)):
-        drawn += draw
-        regenerated += regen
-        yield draw, regen, TrajectorySample(
-            *b[:8], min(max(initial - (drawn - regenerated) / p.capacity, 0.0), 1.0))
 
 
 def _net(features, p: BatteryParams):
@@ -229,8 +235,7 @@ def calibrate(cycles, p0: BatteryParams, free,
         raise Underdetermined(f"{len(cycles)} cycles for {len(free)} free parameters")
 
     # the segments' features do not depend on the parameters: build them once
-    fits = [([seg for _, features in _vehicle_features(traj, consts) for seg in features],
-             measured) for traj, measured in cycles]
+    fits = [(_vehicle_features(traj, consts), measured) for traj, measured in cycles]
 
     def residuals(p):
         return [_net(features, p) - measured for features, measured in fits]
@@ -241,38 +246,27 @@ def calibrate(cycles, p0: BatteryParams, free,
     if not free:
         return CalibrationResult(p, res, obj, 0, True)
 
-    # The objective depends on p's bits alone, so a line search whose other
-    # coordinates are unchanged probes the same points as its last run: keep
-    # each parameter's last search, its values keyed by repr (0.0 == -0.0,
-    # but their reprs differ) and tagged with the other coordinates' reprs.
-    searches = {}  # name -> (tag, {repr(value): objective})
+    # The objective depends on the point's bits alone, so each point is
+    # evaluated once, keyed by its repr (0.0 == -0.0, but their reprs differ).
+    memo = {}
+
+    def objective(q):
+        key = repr(q)
+        if key not in memo:
+            memo[key] = sum(r ** 2 for r in residuals(q))
+        return memo[key]
+
     converged = False
-    sweeps = 0
-    for sweep in range(1, 201):
-        sweeps = sweep
+    for sweeps in range(1, 201):
         prev = obj
         for name in free:
             lo, hi = PARAM_BOUNDS[name]
-            tag = [repr(getattr(p, g.name)) for g in fields(p) if g.name != name]
-            if name not in searches or searches[name][0] != tag:
-                searches[name] = (tag, {})
-            seen = searches[name][1]
-
-            def f(val, _name=name, _seen=seen):
-                key = repr(val)
-                if key not in _seen:
-                    _seen[key] = sum(r ** 2 for r in residuals(replace(p, **{_name: val})))
-                return _seen[key]
-
-            x, fx = _golden_section(f, lo, hi)
+            x, fx = _golden_section(lambda val: objective(replace(p, **{name: val})), lo, hi)
             if fx < obj:
                 p = replace(p, **{name: x})
                 obj = fx
         assert obj <= prev * (1 + 1e-15), "calibration objective increased"
-        if prev > 0 and (prev - obj) / prev < 1e-9:
-            converged = True
-            break
-        if prev == 0:
+        if prev == 0 or (prev - obj) / prev < 1e-9:
             converged = True
             break
     return CalibrationResult(p, residuals(p), obj, sweeps, converged)

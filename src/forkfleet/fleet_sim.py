@@ -4,7 +4,7 @@ Single-threaded explicit-Euler world stepping: task assignment onto free
 parking spots, A* route planning, trapezoidal speed profiles with curvature
 slowdown, top-down collision avoidance and fork lift/lower phases. step() is
 kinematics only; ticks() streams one sample per vehicle per step, each with
-its SOC from battery.soc_steps (the loop behind replay's integrate_trajectory),
+its SOC from its vehicle's battery.SocMeter (as in replay's integrate_trajectory),
 holding one tick at a time, and run() collects the ticks into a list. All
 randomness flows from one splitmix64 generator seeded by the scenario seed,
 so (scenario, seed, dt) fully determines every emitted sample.
@@ -37,7 +37,6 @@ visited in, so the caps equal those of testing all N(N-1)/2 pairs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,6 +44,11 @@ from . import ConfigError, Infeasible, battery as bat, check_ranges, setting
 from .rng import SplitMix64
 from .roadnet import Path, RoadGraph, astar, nearest_node
 from .trajectory import TrajectorySample, resample, split_by_vehicle
+
+
+# replay's grid over all vehicles: about 470 B a point at its peak (tracemalloc,
+# 2-8 vehicles), so 1.9 GB; an hour of 64 vehicles at 0.1 s is 2.3 x 10^6 points
+MAX_GRID_POINTS = 4 * 10**6
 
 
 class NoFreeSpot(ConfigError):
@@ -135,12 +139,9 @@ class _VehicleCtl:
     phase: str = PHASE_IDLE
     task: Optional[Task] = None
     route: Optional[_Route] = None
-    fork_target: float = 0.0
     current_spot: Optional[int] = None
     blocked_for: float = 0.0
     distance_driven: float = 0.0
-    energy_drawn: float = 0.0
-    energy_regenerated: float = 0.0
     tasks_completed: int = 0
 
 
@@ -180,7 +181,6 @@ class World:
         self._spots_by_id = {s.id: s for s in sorted(graph.spots, key=lambda s: s.id)}
         self.dt = dt
         self.rng = SplitMix64(seed)
-        self.seed = seed
         self.kin = kin
         self.battery_params = battery_params
         self.fork_mass = fork_mass
@@ -189,7 +189,7 @@ class World:
         self.step_count = 0
         self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
-        self._feeds = None  # per vehicle: (it, its ctl, its queue's append, its soc_steps)
+        self._meters = {}  # vehicle_id -> its battery.SocMeter, from the first tick on
         self._history = []  # every sample run() recorded
 
     @property
@@ -250,7 +250,6 @@ class World:
         self.claims[dest.id] = vehicle_id
         ctl.task = task
         ctl.phase = PHASE_LIFT
-        ctl.fork_target = task.lift_height
         self.vehicle(vehicle_id).load_mass = task.pickup_mass
         return task
 
@@ -382,9 +381,9 @@ class World:
                 v.speed = 0.0
             elif ctl.phase == PHASE_LIFT:
                 v.speed = 0.0
-                v.fork_height = min(ctl.fork_target, v.fork_height + kin.lift_speed * dt)
-                if v.fork_height >= ctl.fork_target - 1e-12:
-                    v.fork_height = ctl.fork_target
+                v.fork_height = min(ctl.task.lift_height, v.fork_height + kin.lift_speed * dt)
+                if v.fork_height >= ctl.task.lift_height - 1e-12:
+                    v.fork_height = ctl.task.lift_height
                     # load picked; leave the origin spot and drive off
                     if ctl.current_spot is not None:
                         del self.claims[ctl.current_spot]
@@ -452,7 +451,6 @@ class World:
             route.s = new_s
             v.speed = 0.0
             ctl.phase = PHASE_LOWER
-            ctl.fork_target = 0.0
             ctl.current_spot = ctl.task.dest_spot
             events.arrivals.append((v.id, ctl.current_spot))
             return
@@ -481,26 +479,23 @@ class World:
         """Step for the given duration, yielding each step's samples, one per
         vehicle in id order, after the initial state if no tick came before.
         Each sample gets its SOC as it is made, from its vehicle's
-        battery.soc_steps fed one sample per step; soc and energy sums follow."""
-        n_steps = int(round(duration / self.dt))
-        if n_steps > 0 and self._feeds is None:
+        battery.SocMeter, which holds the vehicle's energy sums; soc follows."""
+        steps = duration / self.dt
+        if not math.isfinite(steps):
+            raise ConfigError(f"duration {duration} / dt {self.dt} is not a finite step count")
+        n_steps = int(round(steps))
+        if n_steps > 0 and not self._meters:
             tick = [self._sample_of(v, self.clock) for v in self.vehicles]
-            self._feeds = []
-            for v, sample in zip(self.vehicles, tick):
-                queue = deque([sample])
-                consts = bat.VehicleConstants(v.truck_mass, self.fork_mass)
-                self._feeds.append((v, self.ctl[v.id], queue.append, bat.soc_steps(
-                    iter(queue.popleft, None), consts, self.battery_params, sample.soc)))
+            self._meters = {
+                v.id: bat.SocMeter(s, bat.VehicleConstants(v.truck_mass, self.fork_mass),
+                                   self.battery_params) for v, s in zip(self.vehicles, tick)}
             yield tick
         for _ in range(n_steps):
             self.step(auto_assign=auto_assign, policy=policy)
             t = self.clock
             tick = []
-            for v, ctl, feed, steps in self._feeds:
-                feed(self._sample_of(v, t))
-                draw, regen, sample = next(steps)
-                ctl.energy_drawn += draw
-                ctl.energy_regenerated += regen
+            for v, meter in zip(self.vehicles, self._meters.values()):
+                sample = meter.add(self._sample_of(v, t))[2]
                 v.soc = sample.soc
                 tick.append(sample)
             yield tick
@@ -517,12 +512,13 @@ class World:
         out = []
         for v in self.vehicles:
             ctl = self.ctl[v.id]
+            meter = self._meters.get(v.id)
             out.append({
                 "vehicle_id": v.id,
                 "distance_driven": ctl.distance_driven,
                 "tasks_completed": ctl.tasks_completed,
-                "energy_drawn": ctl.energy_drawn,
-                "energy_regenerated": ctl.energy_regenerated,
+                "energy_drawn": meter.drawn if meter else 0.0,
+                "energy_regenerated": meter.regenerated if meter else 0.0,
                 "final_soc": v.soc,
                 "soc_band": bat.soc_band(v.soc),
             })
@@ -543,6 +539,12 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
     if not per_vehicle:
         return []
     t0 = min(ss[0].t for ss in per_vehicle.values())
+    # bound the grid before making it: each span over dt, the 1e-9 slack at both
+    # ends, and t0 + k * dt's rounding, which repeats times finer than their ulp
+    points = sum((ss[-1].t - ss[0].t + 2e-9 + 2**-50 * (abs(t0) + abs(ss[-1].t))) / dt + 2
+                 for ss in per_vehicle.values())
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(f"replay at dt {dt} makes more than {MAX_GRID_POINTS} grid points")
     out = []
     for vid in sorted(per_vehicle):
         series = per_vehicle[vid]

@@ -400,7 +400,7 @@ class TestCachedFeatures:
     @given(trajectories(), vehicle_constants(), battery_params())
     def test_net_energy_matches_the_segment_loop(self, samples, consts, p):
         draw, regen, _ = integrate_trajectory(samples, consts, p)
-        features = [f for _, fs in _vehicle_features(samples, consts) for f in fs]
+        features = _vehicle_features(samples, consts)
         net = _net(features, p)
         assert net == draw - regen
         assert net == reference_net_energy(samples, consts, p)
@@ -525,3 +525,29 @@ class TestWorldBattery:
             assert row["energy_drawn"] == state.cumulative_draw
             assert row["energy_regenerated"] == state.cumulative_regen
             assert row["final_soc"] == state.soc
+
+    @settings(max_examples=100, deadline=None)
+    @given(fleets())
+    def test_run_matches_integrate_trajectory(self, fleet):
+        # the SocMeter's two callers: World.ticks per step, integrate_trajectory
+        # over a whole series
+        make, n_steps = fleet
+        world = make()
+        samples = world.run(n_steps * world.dt)
+        totals = [integrate_trajectory([s for s in samples if s.vehicle_id == v.id],
+                                       VehicleConstants(v.truck_mass, world.fork_mass),
+                                       world.battery_params)
+                  for v in world.vehicles]
+        integrated = sorted((s for _, _, series in totals for s in series),
+                            key=lambda s: (s.t, s.vehicle_id))
+        assert samples == integrated
+        for row, (draw, regen, _) in zip(world.summary(), totals):
+            assert row["energy_drawn"] == draw
+            assert row["energy_regenerated"] == regen
+
+    def test_summary_before_any_tick(self):
+        world = World.spawn_at_spots(mapgen.warehouse_map(), 3)
+        for _ in range(2):  # a run of no steps makes no tick
+            assert [(row["energy_drawn"], row["energy_regenerated"])
+                    for row in world.summary()] == [(0.0, 0.0)] * 3
+            world.run(0.0)

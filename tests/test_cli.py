@@ -148,7 +148,8 @@ class TestExitCodes:
     encoding the XML parser does not know or cannot use, {dir} a directory,
     and {latin1_map}, {latin1_traj}, {latin1_cfg}, {latin1_manifest},
     {latin1_odr} the same kind of file with one byte that is not UTF-8
-    ({latin1_cycle} names {latin1_traj} as its cycle). Rows run main
+    ({latin1_cycle} names {latin1_traj} as its cycle), {late_traj} one vehicle
+    at t = 1e300 and {far_t_traj} two vehicles at t = -1e308 and 1e308. Rows run main
     in-process; test_run_as_a_module runs two of them through
     `python -m forkfleet.cli`."""
 
@@ -165,6 +166,9 @@ class TestExitCodes:
         ("--set kin.t_deadlock=inf", [*SIM, "--set", "kin.t_deadlock=inf"], EXIT_CONFIG, CONFIG),
         ("--dt 0", [*SIM, "--dt", "0"], EXIT_CONFIG, CONFIG),
         ("--duration nan", [*SIM, "--duration", "nan"], EXIT_CONFIG, CONFIG),
+        # each finite, but duration / dt is inf steps, which int() refuses
+        ("--duration 1e308 --dt 1e-300", [*SIM, "--duration", "1e308", "--dt", "1e-300"],
+         EXIT_CONFIG, CONFIG),
         ("--vehicles 20", [*SIM, "--vehicles", "20"], EXIT_CONFIG, CONFIG),  # 8 spots
         ("--vehicles -1", [*SIM, "--vehicles", "-1"], EXIT_CONFIG, CONFIG),
         # an int too large for a float: the range check must not convert it
@@ -226,6 +230,16 @@ class TestExitCodes:
           "--set", "density.snapshot_interval=5e-324", "{traj}"], EXIT_CONFIG, CONFIG),
         ("replay x=nan", ["replay", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
          EXIT_INPUT, INPUT),
+        # 1 s of one vehicle at 1e-7 s: 10^7 grid points, more than MAX_GRID_POINTS
+        ("replay --dt 1e-7",
+         ["replay", "--map", "{map}", "--out-dir", "{out}", "--dt", "1e-7", "{traj}"],
+         EXIT_CONFIG, CONFIG),
+        # t + dt == t at 1e300: the grid times never pass the last sample's
+        ("replay t=1e300", ["replay", "--map", "{map}", "--out-dir", "{out}", "{late_traj}"],
+         EXIT_CONFIG, CONFIG),
+        # the second vehicle's first grid index is inf
+        ("replay t=+-1e308", ["replay", "--map", "{map}", "--out-dir", "{out}", "{far_t_traj}"],
+         EXIT_CONFIG, CONFIG),
         ("analyze-density x=nan",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
          EXIT_INPUT, INPUT),
@@ -327,6 +341,9 @@ class TestExitCodes:
         for name, text in (("traj", CSV_HEADER + "".join(rows)),
                            ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
                            ("far_traj", CSV_HEADER + rows[0] + "1,0,1e200,10,0,1,0,0,0.99\n"),
+                           ("late_traj", CSV_HEADER + "1e300,0,10,10,0,0,0,0,1\n"),
+                           ("far_t_traj", CSV_HEADER + "-1e308,1,10,10,0,0,0,0,1\n"
+                                                       "1e308,0,10,10,0,0,0,0,1\n"),
                            ("manifest", "traj,nan\n"),
                            ("good_manifest", "traj,1000\n"),
                            ("dir_manifest", ".,1000\n"),
@@ -519,15 +536,20 @@ class TestStreamedSimulate:
         before = {name: (tmp_path / "out" / name).read_bytes() for name in self.NAMES}
         corridors = tmp_path / "corridors.roadnet"
         corridors.write_text(ONE_WAY_CORRIDORS)
-        capsys.readouterr()
         # the truck lifts for 3.3 s and then finds no route: the run fails
-        # after its first ticks are already in the temp files
-        assert main(["simulate", "--map", str(corridors), "--out-dir", out,
-                     "--vehicles", "1", "--duration", "5"]) == EXIT_INFEASIBLE
-        err = capsys.readouterr().err
-        assert err.startswith("infeasible: ") and err.count("\n") == 1
-        assert {name: (tmp_path / "out" / name).read_bytes() for name in self.NAMES} == before
-        assert sorted(os.listdir(out)) == sorted(self.NAMES)  # no *.tmp left
+        # after its first ticks are already in the temp files; duration / dt
+        # is inf steps: the run fails after the headers, before its first tick
+        for argv, code, prefix in (
+                (["--map", str(corridors), "--vehicles", "1", "--duration", "5"],
+                 EXIT_INFEASIBLE, "infeasible: "),
+                (["--map", map_file, "--duration", "1e308", "--dt", "1e-300"],
+                 EXIT_CONFIG, "config error: duration 1e+308 / dt 1e-300 ")):
+            capsys.readouterr()
+            assert main(["simulate", "--out-dir", out, *argv]) == code
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and err.count("\n") == 1
+            assert {name: (tmp_path / "out" / name).read_bytes() for name in self.NAMES} == before
+            assert sorted(os.listdir(out)) == sorted(self.NAMES)  # no *.tmp left
 
     def test_memory_is_flat_in_duration(self, tmp_path, map_file):
         # holding every sample would grow the peak about 6x from 10 s to 100 s
