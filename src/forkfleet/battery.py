@@ -5,7 +5,7 @@ resistance, gravity on forks/load, constant auxiliary power. Aerodynamic
 drag is omitted (negligible at forklift speeds). Regeneration applies only
 to kinetic and potential energy release, never to friction terms.
 
-SOC is integrated in one place, a SocMeter per vehicle. Default numeric
+SOC is integrated in one place, a SocMeter over a fleet. Default numeric
 parameter values are placeholders; calibrate() fits them against measured
 duty-cycle energies (e.g. VDI 2198 style cycles).
 """
@@ -117,14 +117,15 @@ class VehicleConstants:
 
 
 def _segment_features(a, b, consts: VehicleConstants):
-    """Features of the segment between two trajectory samples."""
-    dt = b.t - a.t
+    """Features of the segment between two samples of one vehicle, read by
+    position: b may be a sample's first eight fields (all but soc)."""
+    dt = b[0] - a[0]
     if dt <= 0:
-        raise UnsortedSamples(f"non-increasing sample times {a.t} -> {b.t}")
-    return _features(dt, 0.5 * (a.speed + b.speed) * dt,  # trapezoidal in speed
-                     a.speed, b.speed, math.remainder(b.heading - a.heading, 2.0 * math.pi),
-                     consts.truck_mass + a.load_mass,
-                     b.fork_height - a.fork_height, b.load_mass + consts.fork_mass)
+        raise UnsortedSamples(f"non-increasing sample times {a[0]} -> {b[0]}")
+    # t, vehicle_id, x, y, heading, speed, fork_height, load_mass at 0..7
+    return _features(dt, 0.5 * (a[5] + b[5]) * dt,  # trapezoidal in speed
+                     a[5], b[5], math.remainder(b[4] - a[4], 2.0 * math.pi),
+                     consts.truck_mass + a[7], b[6] - a[6], b[7] + consts.fork_mass)
 
 
 def _vehicle_features(samples, consts: VehicleConstants):
@@ -134,45 +135,57 @@ def _vehicle_features(samples, consts: VehicleConstants):
 
 
 class SocMeter:
-    """One vehicle's running energy sums and SOC, fed its samples in time
-    order after `first`. Its SOC is first's soc less the net energy so far
-    over the capacity, clamped to [0, 1]."""
+    """A fleet's running energy sums and SOC, each vehicle fed its samples in
+    time order after its first. A vehicle's SOC is its first sample's soc less
+    its net energy so far over the capacity, clamped to [0, 1]. drawn and
+    regenerated sum every segment in the order they were fed."""
 
-    def __init__(self, first, consts: VehicleConstants, p: BatteryParams):
-        self.last = first
-        self.consts = consts
+    def __init__(self, firsts, consts, p: BatteryParams):
+        # vehicle_id -> [last sample, VehicleConstants, initial soc, drawn, regenerated]
+        self._vehicles = {s.vehicle_id: [s, c, s.soc, 0.0, 0.0] for s, c in zip(firsts, consts)}
         self.p = p
-        self.initial = first.soc
         self.drawn = self.regenerated = 0.0
 
-    def add(self, sample):
-        """Integrate the segment from the last sample to this one -> (draw,
-        regen, the sample with the SOC after it)."""
-        draw, regen = next(_energies((_segment_features(self.last, sample, self.consts),),
-                                     self.p))
-        self.last = sample
-        self.drawn += draw
-        self.regenerated += regen
-        return draw, regen, TrajectorySample(*sample[:8], min(max(
-            self.initial - (self.drawn - self.regenerated) / self.p.capacity, 0.0), 1.0))
+    def energy(self, vehicle_id):
+        """(drawn, regenerated) of one vehicle so far, J."""
+        return tuple(self._vehicles[vehicle_id][3:])
+
+    def add(self, states):
+        """Integrate each state's segment from its vehicle's last sample, in
+        order and through one _energies pass; a state is a sample's first
+        eight fields. -> the samples, each with the SOC after its segment."""
+        rows = [self._vehicles[s[1]] for s in states]
+        features = []
+        for row, s in zip(rows, states):
+            features.append(_segment_features(row[0], s, row[1]))
+            row[0] = s
+        capacity = self.p.capacity
+        drawn, regenerated = self.drawn, self.regenerated
+        out = []
+        for row, s, (draw, regen) in zip(rows, states, _energies(features, self.p)):
+            drawn += draw
+            regenerated += regen
+            row[3] += draw
+            row[4] += regen
+            soc = row[2] - (row[3] - row[4]) / capacity
+            soc = 0.0 if 0.0 > soc else soc  # max(soc, 0.0), then min(soc, 1.0)
+            out.append(TrajectorySample(*s, 1.0 if 1.0 < soc else soc))
+        self.drawn, self.regenerated = drawn, regenerated
+        return out
 
 
 def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
-    """Integrate one vehicle's (or many vehicles') samples, each vehicle
-    through a SocMeter from its first sample. Returns (total_draw,
+    """Integrate one vehicle's (or many vehicles') samples through a SocMeter,
+    each vehicle from its first sample and in one pass. Returns (total_draw,
     total_regen, the samples with their SOC), vehicles in id order.
     """
-    total_draw = total_regen = 0.0
+    per_vehicle = [ss for _, ss in sorted(split_by_vehicle(samples).items())]
+    meter = SocMeter([ss[0] for ss in per_vehicle], [consts] * len(per_vehicle), p)
     series = []
-    for _, ss in sorted(split_by_vehicle(samples).items()):
+    for ss in per_vehicle:
         series.append(ss[0])
-        meter = SocMeter(ss[0], consts, p)
-        for b in ss[1:]:
-            draw, regen, sample = meter.add(b)
-            total_draw += draw
-            total_regen += regen
-            series.append(sample)
-    return total_draw, total_regen, series
+        series += meter.add([s[:8] for s in ss[1:]])
+    return meter.drawn, meter.regenerated, series
 
 
 def _net(features, p: BatteryParams):

@@ -154,15 +154,16 @@ def cmd_simulate(args):
         _render_soc((), soc)
         for tick in world.ticks(cfg.duration, policy=policy):
             write_csv(tick, trajectory, header=False)
-            _render_soc(tick, soc, header=False)
+            if tick:  # _render_soc's rows; a tick's samples share one t, formatted once
+                t = "%.12g," % tick[0].t
+                soc.write("".join([t + "%s,%.12g\n" % (s.vehicle_id, s.soc) for s in tick]))
         _render_summary(world, summary, prov)
     return prov, ("trajectory.csv", "soc.csv", "summary.txt"), render
 
 
-def _render_soc(samples, f, header=True):
+def _render_soc(samples, f):
     w = f.write
-    if header:
-        w("t,vehicle_id,soc\n")
+    w("t,vehicle_id,soc\n")
     for s in samples:
         w("%.12g,%s,%.12g\n" % (s.t, s.vehicle_id, s.soc))
 

@@ -3,11 +3,12 @@
 Single-threaded explicit-Euler world stepping: task assignment onto free
 parking spots, A* route planning, trapezoidal speed profiles with curvature
 slowdown, top-down collision avoidance and fork lift/lower phases. step() is
-kinematics only; ticks() streams one sample per vehicle per step, each with
-its SOC from its vehicle's battery.SocMeter (as in replay's integrate_trajectory),
-holding one tick at a time, and run() collects the ticks into a list. All
-randomness flows from one splitmix64 generator seeded by the scenario seed,
-so (scenario, seed, dt) fully determines every emitted sample.
+kinematics only; ticks() streams one sample per vehicle per step, a step's
+samples made with their SOC by one add to the fleet's battery.SocMeter (as
+replay's integrate_trajectory does per vehicle series), holding one tick at a
+time, and run() collects the ticks into a list. All randomness flows from one
+splitmix64 generator seeded by the scenario seed, so (scenario, seed, dt)
+fully determines every emitted sample.
 
 Spot occupancy is the world's own ({spot: vehicle} in World.claims), never
 written to the road graph, so one graph can back any number of worlds.
@@ -113,24 +114,10 @@ class _Route:
     points: list              # (x, y) polyline
     cumlen: list              # arc length at each point
     seg_limits: list          # speed limit per segment
+    headings: list            # heading of each segment
     caps: list                # per vertex: min(curvature cap, its segment's limit); inf last
-    s: float = 0.0
-    seg: int = 0              # segment cursor; only moves forward, as s does
-
-    @property
-    def total(self):
-        return self.cumlen[-1]
-
-    def seg_at(self, s):
-        """Index of the segment holding arc length s, which must be at least
-        the s of the previous call. The scan resumes at the cursor: every
-        segment before it ends at or before the earlier s, so also before s."""
-        seg = self.seg
-        last = len(self.cumlen) - 2
-        while seg < last and s >= self.cumlen[seg + 1] - 1e-12:
-            seg += 1
-        self.seg = seg
-        return seg
+    s: float = 0.0            # arc length driven
+    seg: int = 0              # the segment holding s; only moves forward, as s does
 
 
 @dataclass
@@ -189,7 +176,7 @@ class World:
         self.step_count = 0
         self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
-        self._meters = {}  # vehicle_id -> its battery.SocMeter, from the first tick on
+        self._meter = None  # the fleet's battery.SocMeter, from the first tick on
         self._history = []  # every sample run() recorded
 
     @property
@@ -298,66 +285,68 @@ class World:
             r = _menger_radius(pts[i - 1], pts[i], pts[i + 1])
             if math.isfinite(r):
                 caps[i] = min(caps[i], math.sqrt(self.kin.a_lat_max * r))
-        return _Route(pts, cum, limits, caps)
+        headings = [math.atan2(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+        return _Route(pts, cum, limits, headings, caps)
 
     # --- collision avoidance -------------------------------------------------
 
     def resolve_conflicts(self):
         """Per-vehicle speed caps for this step -> {vehicle_id: cap}.
 
-        Sweeps the vehicles in x order and tests only pairs closer than
-        `reach` in both x and y (see the module docstring); each such pair
-        is tested with a = its lower id."""
+        Sweeps one (x, y, id, vx, vy, speed) row per vehicle in x order and
+        tests only pairs closer than `reach` in both x and y (see the module
+        docstring); each such pair is tested with a = its lower id. A cap is
+        min(its caps so far, max(0.0, cap)), each min and max written as the
+        comparison that gives its bits."""
         kin = self.kin
         dt = self.dt
+        d_safe, horizon, t_deadlock, v_max = kin.d_safe, kin.horizon, kin.t_deadlock, kin.v_max
+        a_max_dt = kin.a_max * dt
+        ctl, hypot, inf = self.ctl, math.hypot, math.inf
         caps = {}
-
-        def tighten(vid, cap):
-            caps[vid] = min(caps.get(vid, math.inf), max(0.0, cap))
-
-        trigger = kin.d_safe + 2.0 * (kin.v_max + kin.a_max * dt) * dt + 1.0
-        s_max = max((abs(v.speed) for v in self.vehicles), default=0.0)
-        reach = max(trigger, kin.d_safe + 2.0 * s_max * kin.horizon) + 1.0
-        vel = {v.id: (v.speed * math.cos(v.heading), v.speed * math.sin(v.heading))
-               for v in self.vehicles}
-        order = sorted(self.vehicles, key=lambda v: v.x)
-        xs = [v.x for v in order]
-        ys = [v.y for v in order]
-        n = len(order)
-        for i in range(n):
-            px, py = xs[i], ys[i]
-            for j in range(i + 1, n):
-                if xs[j] - px >= reach:
+        trigger = d_safe + 2.0 * (v_max + a_max_dt) * dt + 1.0
+        rows = sorted([(v.x, v.y, v.id, v.speed * math.cos(v.heading),
+                        v.speed * math.sin(v.heading), v.speed) for v in self.vehicles])
+        s_max = max([abs(row[5]) for row in rows], default=0.0)
+        reach = max(trigger, d_safe + 2.0 * s_max * horizon) + 1.0
+        for i, p in enumerate(rows):
+            px, py = p[0], p[1]
+            for q in rows[i + 1:]:
+                if q[0] - px >= reach:
                     break
-                dy = ys[j] - py
+                dy = q[1] - py
                 if dy >= reach or -dy >= reach:
                     continue
-                p, q = order[i], order[j]
-                a, b = (p, q) if p.id < q.id else (q, p)
-                gap = math.hypot(b.x - a.x, b.y - a.y)
+                ax, ay, aid, avx, avy, aspeed = p if p[2] < q[2] else q
+                bx, by, bid, bvx, bvy, _ = q if p[2] < q[2] else p
+                rx, ry = bx - ax, by - ay
+                gap = hypot(rx, ry)
                 # soft horizon-based yielding
-                rx, ry = b.x - a.x, b.y - a.y
-                vax, vay = vel[a.id]
-                vbx, vby = vel[b.id]
-                dvx, dvy = vbx - vax, vby - vay
+                dvx, dvy = bvx - avx, bvy - avy
                 dv2 = dvx * dvx + dvy * dvy
-                t_star = 0.0 if dv2 < 1e-12 else min(max(-(rx * dvx + ry * dvy) / dv2, 0.0),
-                                                     kin.horizon)
-                min_sep = math.hypot(rx + dvx * t_star, ry + dvy * t_star)
-                if min_sep < kin.d_safe:
+                t_star = 0.0 if dv2 < 1e-12 else -(rx * dvx + ry * dvy) / dv2
+                t_star = 0.0 if 0.0 > t_star else t_star
+                t_star = horizon if horizon < t_star else t_star
+                if hypot(rx + dvx * t_star, ry + dvy * t_star) < d_safe:
                     # deadlock breaker: a long-blocked yielder gains priority
-                    yielder = b
-                    if (self.ctl[b.id].blocked_for > kin.t_deadlock
-                            and self.ctl[a.id].blocked_for <= kin.t_deadlock):
-                        yielder = a
-                    tighten(yielder.id, (gap - kin.d_safe) / kin.horizon)
+                    yielder = bid
+                    if ctl[bid].blocked_for > t_deadlock and ctl[aid].blocked_for <= t_deadlock:
+                        yielder = aid
+                    cap = (gap - d_safe) / horizon
+                    cap = cap if cap > 0.0 else 0.0
+                    old = caps.get(yielder, inf)
+                    caps[yielder] = cap if cap < old else old
                 # hard proximity caps keep the pair >= d_safe across one step
                 if gap < trigger:
-                    slack = max(0.0, (gap - kin.d_safe) / dt)
+                    slack = (gap - d_safe) / dt
+                    slack = slack if slack > 0.0 else 0.0
                     # priority vehicle may close at most the whole slack
-                    tighten(a.id, slack)
-                    a_bound = min(kin.v_max, a.speed + kin.a_max * dt, slack)
-                    tighten(b.id, slack - a_bound)
+                    old = caps.get(aid, inf)
+                    caps[aid] = slack if slack < old else old
+                    cap = slack - min(v_max, aspeed + a_max_dt, slack)
+                    cap = cap if cap > 0.0 else 0.0
+                    old = caps.get(bid, inf)
+                    caps[bid] = cap if cap < old else old
         return caps
 
     # --- stepping ------------------------------------------------------------
@@ -366,18 +355,26 @@ class World:
         events = StepEvents()
         dt = self.dt
         kin = self.kin
+        vehicles = self.vehicles
+        ctls = [self.ctl[v.id] for v in vehicles]
         if auto_assign:
-            for v in self.vehicles:
-                if self.ctl[v.id].phase == PHASE_IDLE:
+            for v, ctl in zip(vehicles, ctls):
+                if ctl.phase == PHASE_IDLE:
                     try:
                         task = self.assign_task(v.id, policy)
                         events.assignments.append((v.id, task))
                     except (NoFreeSpot, SpotOccupied):
                         pass
         caps = self.resolve_conflicts()
-        for v in self.vehicles:
-            ctl = self.ctl[v.id]
-            if ctl.phase == PHASE_IDLE:
+        # the drive's kin-only constants: b_max * dt, its square, 2 * b_max, the
+        # braking envelope's lookahead and a_max * dt
+        bd = kin.b_max * dt
+        drive = (bd, bd * bd, 2.0 * kin.b_max,
+                 kin.v_max * kin.v_max / (2.0 * kin.b_max) + kin.v_max * dt + 1.0, kin.a_max * dt)
+        for v, ctl in zip(vehicles, ctls):
+            if ctl.phase == PHASE_DRIVE:
+                self._advance_drive(v, ctl, caps.get(v.id, math.inf), events, drive)
+            elif ctl.phase == PHASE_IDLE:
                 v.speed = 0.0
             elif ctl.phase == PHASE_LIFT:
                 v.speed = 0.0
@@ -390,8 +387,6 @@ class World:
                         ctl.current_spot = None
                     ctl.route = self._build_route(v.id, ctl.task)
                     ctl.phase = PHASE_DRIVE
-            elif ctl.phase == PHASE_DRIVE:
-                self._advance_drive(v, ctl, caps.get(v.id, math.inf), events)
             elif ctl.phase == PHASE_LOWER:
                 v.speed = 0.0
                 v.fork_height = max(0.0, v.fork_height - kin.lift_speed * dt)
@@ -405,99 +400,105 @@ class World:
         self.step_count += 1
         return events
 
-    def _advance_drive(self, v, ctl, conflict_cap, events):
-        kin = self.kin
+    def _advance_drive(self, v, ctl, conflict_cap, events, drive):
+        """Move a driving vehicle one step along its route. Each min and max of
+        two floats is written as the comparison that gives its bits."""
+        bd, bd2, two_b, lookahead, a_max_dt = drive
+        v_max = self.kin.v_max
         dt = self.dt
         route = ctl.route
+        cumlen = route.cumlen
         s = route.s
-        total = route.total
-        seg = route.seg_at(s)
-        v_target = min(kin.v_max, route.seg_limits[seg] if route.seg_limits else kin.v_max)
+        total = cumlen[-1]
+        seg = route.seg
+        limit = route.seg_limits[seg] if route.seg_limits else v_max
+        v_target = limit if limit < v_max else v_max
         # braking envelope: the max speed now so that braking at b_max reaches
         # `cap` after `d`, accounting for the distance covered during this step:
         #     -bd + sqrt(bd2 + cap * cap + two_b * max(0, d))
         # It is non-decreasing in cap under rounding, so the envelope of a
         # vertex's min cap is the min of its caps' envelopes, and inf's is inf.
-        bd = kin.b_max * dt
-        bd2 = bd * bd
-        two_b = 2.0 * kin.b_max
         # cap = 0 at the route's end; bd2 + 0 * 0 is bd2
-        v_target = min(v_target, -bd + math.sqrt(bd2 + two_b * max(0.0, total - s)))
-        lookahead = kin.v_max * kin.v_max / (2.0 * kin.b_max) + kin.v_max * dt + 1.0
-        for j in range(seg + 1, len(route.points)):
-            d = route.cumlen[j] - s
+        d = total - s
+        envelope = -bd + math.sqrt(bd2 + two_b * (d if d > 0.0 else 0.0))
+        v_target = envelope if envelope < v_target else v_target
+        caps = route.caps
+        for j in range(seg + 1, len(cumlen)):
+            d = cumlen[j] - s
             if d > lookahead:
                 break
-            cap = route.caps[j]
-            v_target = min(v_target, -bd + math.sqrt(bd2 + cap * cap + two_b * max(0.0, d)))
-        if v_target >= v.speed:
-            new_v = min(v_target, v.speed + kin.a_max * dt)
+            cap = caps[j]
+            envelope = -bd + math.sqrt(bd2 + cap * cap + two_b * (d if d > 0.0 else 0.0))
+            v_target = envelope if envelope < v_target else v_target
+        speed = v.speed
+        if v_target >= speed:
+            new_v = speed + a_max_dt
+            new_v = new_v if new_v < v_target else v_target
         else:
-            new_v = max(v_target, v.speed - kin.b_max * dt)
-        new_v = min(new_v, conflict_cap)
+            new_v = speed - bd
+            new_v = new_v if new_v > v_target else v_target
+        new_v = conflict_cap if conflict_cap < new_v else new_v
         if new_v < 0.01 and conflict_cap < 0.01:
             ctl.blocked_for += dt
         else:
             ctl.blocked_for = 0.0
         # trapezoidal displacement, but never beyond the conflict cap so the
         # pairwise separation argument stays valid
-        v_eff = min(0.5 * (v.speed + new_v), conflict_cap)
-        new_s = s + v_eff * dt
-        if new_s >= total - 1e-9:
+        v_eff = 0.5 * (speed + new_v)
+        new_s = s + (conflict_cap if conflict_cap < v_eff else v_eff) * dt
+        arrived = new_s >= total - 1e-9
+        if arrived:
             new_s = total
             new_v = 0.0
-            self._place_on_route(v, route, new_s)
-            ctl.distance_driven += new_s - s
-            route.s = new_s
-            v.speed = 0.0
-            ctl.phase = PHASE_LOWER
-            ctl.current_spot = ctl.task.dest_spot
-            events.arrivals.append((v.id, ctl.current_spot))
-            return
+        # place the vehicle at new_s. Its segment's scan resumes at s's: every
+        # segment before that ends at or before s, so also before new_s.
+        last = len(cumlen) - 2
+        while seg < last and new_s >= cumlen[seg + 1] - 1e-12:
+            seg += 1
+        route.seg = seg
+        (x0, y0), (x1, y1) = route.points[seg], route.points[seg + 1]
+        seg_len = cumlen[seg + 1] - cumlen[seg]
+        frac = (new_s - cumlen[seg]) / seg_len if seg_len > 0 else 1.0
+        frac = 0.0 if 0.0 > frac else frac
+        frac = 1.0 if 1.0 < frac else frac
+        v.x = x0 + (x1 - x0) * frac
+        v.y = y0 + (y1 - y0) * frac
+        v.heading = route.headings[seg]
         ctl.distance_driven += new_s - s
         route.s = new_s
         v.speed = new_v
-        self._place_on_route(v, route, new_s)
-
-    def _place_on_route(self, v, route, s):
-        seg = route.seg_at(s)
-        (x0, y0), (x1, y1) = route.points[seg], route.points[seg + 1]
-        seg_len = route.cumlen[seg + 1] - route.cumlen[seg]
-        frac = (s - route.cumlen[seg]) / seg_len if seg_len > 0 else 1.0
-        frac = min(max(frac, 0.0), 1.0)
-        v.x = x0 + (x1 - x0) * frac
-        v.y = y0 + (y1 - y0) * frac
-        v.heading = math.atan2(y1 - y0, x1 - x0)
-
-    def _sample_of(self, v, t):
-        return TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed,
-                                v.fork_height, v.load_mass, v.soc)
+        if arrived:
+            ctl.phase = PHASE_LOWER
+            ctl.current_spot = ctl.task.dest_spot
+            events.arrivals.append((v.id, ctl.current_spot))
 
     # --- recording / running ---------------------------------------------------
 
     def ticks(self, duration: float, auto_assign: bool = True, policy=("random", None)):
         """Step for the given duration, yielding each step's samples, one per
         vehicle in id order, after the initial state if no tick came before.
-        Each sample gets its SOC as it is made, from its vehicle's
-        battery.SocMeter, which holds the vehicle's energy sums; soc follows."""
+        Each step's samples are made with their SOC by one add to the fleet's
+        battery.SocMeter, which holds the vehicles' energy sums; soc follows."""
         steps = duration / self.dt
         if not math.isfinite(steps):
             raise ConfigError(f"duration {duration} / dt {self.dt} is not a finite step count")
         n_steps = int(round(steps))
-        if n_steps > 0 and not self._meters:
-            tick = [self._sample_of(v, self.clock) for v in self.vehicles]
-            self._meters = {
-                v.id: bat.SocMeter(s, bat.VehicleConstants(v.truck_mass, self.fork_mass),
-                                   self.battery_params) for v, s in zip(self.vehicles, tick)}
+        vehicles = self.vehicles
+        if n_steps > 0 and self._meter is None:
+            t = self.clock
+            tick = [TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed, v.fork_height,
+                                     v.load_mass, v.soc) for v in vehicles]
+            self._meter = bat.SocMeter(
+                tick, [bat.VehicleConstants(v.truck_mass, self.fork_mass) for v in vehicles],
+                self.battery_params)
             yield tick
         for _ in range(n_steps):
             self.step(auto_assign=auto_assign, policy=policy)
             t = self.clock
-            tick = []
-            for v, meter in zip(self.vehicles, self._meters.values()):
-                sample = meter.add(self._sample_of(v, t))[2]
-                v.soc = sample.soc
-                tick.append(sample)
+            tick = self._meter.add([(t, v.id, v.x, v.y, v.heading, v.speed, v.fork_height,
+                                     v.load_mass) for v in vehicles])
+            for v, sample in zip(vehicles, tick):
+                v.soc = sample[8]
             yield tick
 
     def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
@@ -512,13 +513,13 @@ class World:
         out = []
         for v in self.vehicles:
             ctl = self.ctl[v.id]
-            meter = self._meters.get(v.id)
+            drawn, regenerated = self._meter.energy(v.id) if self._meter else (0.0, 0.0)
             out.append({
                 "vehicle_id": v.id,
                 "distance_driven": ctl.distance_driven,
                 "tasks_completed": ctl.tasks_completed,
-                "energy_drawn": meter.drawn if meter else 0.0,
-                "energy_regenerated": meter.regenerated if meter else 0.0,
+                "energy_drawn": drawn,
+                "energy_regenerated": regenerated,
                 "final_soc": v.soc,
                 "soc_band": bat.soc_band(v.soc),
             })
@@ -557,7 +558,11 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
                 break
             # the first k's 1e-9 slack can put the first grid time just before the
             # first sample, outside resample's own 1e-12
-            times.append(min(max(t, first), last))
+            t = min(max(t, first), last)
+            if times and t <= times[-1]:
+                raise ConfigError(f"replay at dt {dt}: grid time {t} repeats, since dt is "
+                                  "finer than the sample times resolve")
+            times.append(t)
             k += 1
         regridded = resample(series, times)
         if regridded:

@@ -491,7 +491,8 @@ def reference_run(world, n_steps):
 @st.composite
 def fleets(draw):
     """(world factory, steps): a random warehouse map, 1-6 vehicles with
-    random initial SOC, a seed and a dt."""
+    random initial SOC and truck mass, a seed, a dt, a fork mass and battery
+    parameters."""
     nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     n_vehicles = draw(st.integers(1, min(6, nx * (ny + 1))))
     n_spots = draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
@@ -499,13 +500,17 @@ def fleets(draw):
     dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
     socs = [draw(st.sampled_from([1.0, 0.8]) | st.floats(0.0, 1.0))
             for _ in range(n_vehicles)]
-    p = BatteryParams(capacity=draw(st.sampled_from([1.0368e8, 1e5])))
+    masses = [draw(st.just(3000.0) | st.floats(500.0, 5000.0)) for _ in range(n_vehicles)]
+    fork_mass = draw(st.just(100.0) | st.floats(0.0, 300.0))
+    p = replace(draw(st.just(BatteryParams()) | battery_params()),
+                capacity=draw(st.sampled_from([1.0368e8, 1e5, 1e4])))
 
     def make():
         g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
-        world = World.spawn_at_spots(g, n_vehicles, seed=seed, dt=dt, battery_params=p)
-        for v, soc in zip(world.vehicles, socs):
-            v.soc = soc
+        world = World.spawn_at_spots(g, n_vehicles, seed=seed, dt=dt, battery_params=p,
+                                     fork_mass=fork_mass)
+        for v, soc, mass in zip(world.vehicles, socs, masses):
+            v.soc, v.truck_mass = soc, mass
         return world
 
     return make, draw(st.integers(1, int(20.0 / dt)))
@@ -551,3 +556,91 @@ class TestWorldBattery:
             assert [(row["energy_drawn"], row["energy_regenerated"])
                     for row in world.summary()] == [(0.0, 0.0)] * 3
             world.run(0.0)
+
+
+# --- the fleet SocMeter against one segment at a time ---------------------------
+
+def reference_segment_features(a, b, consts):
+    """battery._segment_features as it was, by field name."""
+    dt = b.t - a.t
+    if dt <= 0:
+        raise UnsortedSamples(f"non-increasing sample times {a.t} -> {b.t}")
+    return _features(dt, 0.5 * (a.speed + b.speed) * dt,
+                     a.speed, b.speed, math.remainder(b.heading - a.heading, 2.0 * math.pi),
+                     consts.truck_mass + a.load_mass,
+                     b.fork_height - a.fork_height, b.load_mass + consts.fork_mass)
+
+
+class ReferenceSocMeter:
+    """battery.SocMeter as it was: one vehicle, fed one sample per add, each
+    segment through an _energies generator of its own."""
+
+    def __init__(self, first, consts, p):
+        self.last = first
+        self.consts = consts
+        self.p = p
+        self.initial = first.soc
+        self.drawn = self.regenerated = 0.0
+
+    def add(self, sample):
+        draw, regen = next(_energies((reference_segment_features(self.last, sample, self.consts),),
+                                     self.p))
+        self.last = sample
+        self.drawn += draw
+        self.regenerated += regen
+        return draw, regen, TrajectorySample(*sample[:8], min(max(
+            self.initial - (self.drawn - self.regenerated) / self.p.capacity, 0.0), 1.0))
+
+
+def reference_metered_run(world, n_steps):
+    """World.ticks as it was: after every step, each vehicle's own meter takes
+    its new sample. -> (samples, {vehicle_id: ReferenceSocMeter})."""
+    def sample_of(v, t):
+        return TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed,
+                                v.fork_height, v.load_mass, v.soc)
+
+    samples = [sample_of(v, world.clock) for v in world.vehicles]
+    meters = {s.vehicle_id: ReferenceSocMeter(s, VehicleConstants(v.truck_mass, world.fork_mass),
+                                              world.battery_params)
+              for v, s in zip(world.vehicles, samples)}
+    for _ in range(n_steps):
+        world.step()
+        for v in world.vehicles:
+            sample = meters[v.id].add(sample_of(v, world.clock))[2]
+            v.soc = sample.soc
+            samples.append(sample)
+    return samples, meters
+
+
+def reference_integrate(samples, consts, p):
+    """integrate_trajectory as it was: each vehicle's meter fed one sample at
+    a time, the totals summed in that order."""
+    total_draw = total_regen = 0.0
+    series = []
+    for _, ss in sorted(split_by_vehicle(samples).items()):
+        series.append(ss[0])
+        meter = ReferenceSocMeter(ss[0], consts, p)
+        for b in ss[1:]:
+            draw, regen, sample = meter.add(b)
+            total_draw += draw
+            total_regen += regen
+            series.append(sample)
+    return total_draw, total_regen, series
+
+
+class TestFleetMeter:
+    @settings(max_examples=100, deadline=None)
+    @given(fleets(), vehicle_constants())
+    def test_run_and_integrate_match_one_segment_at_a_time(self, fleet, consts):
+        make, n_steps = fleet
+        world = make()
+        samples = world.run(n_steps * world.dt)
+        ref_samples, meters = reference_metered_run(make(), n_steps)
+        assert samples == ref_samples
+        for row in world.summary():
+            meter = meters[row["vehicle_id"]]
+            assert (row["energy_drawn"], row["energy_regenerated"]) == (meter.drawn,
+                                                                        meter.regenerated)
+        # every vehicle's series at once, through one meter
+        assert (integrate_trajectory(samples, consts, world.battery_params)
+                == reference_integrate(samples, consts, world.battery_params))

@@ -149,7 +149,8 @@ class TestExitCodes:
     and {latin1_map}, {latin1_traj}, {latin1_cfg}, {latin1_manifest},
     {latin1_odr} the same kind of file with one byte that is not UTF-8
     ({latin1_cycle} names {latin1_traj} as its cycle), {late_traj} one vehicle
-    at t = 1e300 and {far_t_traj} two vehicles at t = -1e308 and 1e308. Rows run main
+    at t = 1e300, {far_t_traj} two vehicles at t = -1e308 and 1e308 and
+    {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64. Rows run main
     in-process; test_run_as_a_module runs two of them through
     `python -m forkfleet.cli`."""
 
@@ -239,6 +240,10 @@ class TestExitCodes:
          EXIT_CONFIG, CONFIG),
         # the second vehicle's first grid index is inf
         ("replay t=+-1e308", ["replay", "--map", "{map}", "--out-dir", "{out}", "{far_t_traj}"],
+         EXIT_CONFIG, CONFIG),
+        # times 16 apart at 1e17: a grid at dt 1 repeats its times
+        ("replay --dt 1 at t=1e17",
+         ["replay", "--map", "{map}", "--out-dir", "{out}", "--dt", "1", "{coarse_t_traj}"],
          EXIT_CONFIG, CONFIG),
         ("analyze-density x=nan",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
@@ -344,6 +349,8 @@ class TestExitCodes:
                            ("late_traj", CSV_HEADER + "1e300,0,10,10,0,0,0,0,1\n"),
                            ("far_t_traj", CSV_HEADER + "-1e308,1,10,10,0,0,0,0,1\n"
                                                        "1e308,0,10,10,0,0,0,0,1\n"),
+                           ("coarse_t_traj", CSV_HEADER + "1e17,0,10,10,0,0,0,0,1\n"
+                                                          "100000000000000064,0,11,10,0,1,0,0,1\n"),
                            ("manifest", "traj,nan\n"),
                            ("good_manifest", "traj,1000\n"),
                            ("dir_manifest", ".,1000\n"),
