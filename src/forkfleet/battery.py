@@ -16,21 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 from . import ConfigError, Infeasible, InputError, setting
-from .trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
+from .trajectory import TrajectorySample, split_by_vehicle
 
 G = 9.80665
-
-
-class NonphysicalSegment(InputError):
-    pass
-
-
-class OutOfRange(ConfigError):
-    pass
-
-
-class Underdetermined(Infeasible):
-    pass
 
 
 @dataclass(frozen=True)
@@ -61,7 +49,7 @@ def soc_band(soc: float) -> str:
     """Classify SOC: >=50% sufficient, below that a charge trip is suggested,
     below 20% the state is critical."""
     if not (0.0 <= soc <= 1.0):
-        raise OutOfRange(f"soc {soc} outside [0, 1]")
+        raise ConfigError(f"soc {soc} outside [0, 1]")
     if soc >= 0.5:
         return SUFFICIENT
     if soc >= 0.2:
@@ -74,7 +62,7 @@ def _features(dt, ds, v0, v1, dheading, mass, dh, lift_mass):
     |dheading/dt|, dh, lift mass). The energy depends on the parameters only
     through _energies, so calibrate() builds these once per cycle."""
     if ds < 0 or dt <= 0:
-        raise NonphysicalSegment(f"ds={ds}, dt={dt}")
+        raise InputError(f"ds={ds}, dt={dt}")
     return dt, ds, mass, 0.5 * mass * (v1 * v1 - v0 * v0), abs(dheading / dt), dh, lift_mass
 
 
@@ -119,9 +107,7 @@ class VehicleConstants:
 def _segment_features(a, b, consts: VehicleConstants):
     """Features of the segment between two samples of one vehicle, read by
     position: b may be a sample's first eight fields (all but soc)."""
-    dt = b[0] - a[0]
-    if dt <= 0:
-        raise UnsortedSamples(f"non-increasing sample times {a[0]} -> {b[0]}")
+    dt = b[0] - a[0]  # _features refuses dt <= 0
     # t, vehicle_id, x, y, heading, speed, fork_height, load_mass at 0..7
     return _features(dt, 0.5 * (a[5] + b[5]) * dt,  # trapezoidal in speed
                      a[5], b[5], math.remainder(b[4] - a[4], 2.0 * math.pi),
@@ -138,12 +124,14 @@ class SocMeter:
     """A fleet's running energy sums and SOC, each vehicle fed its samples in
     time order after its first. A vehicle's SOC is its first sample's soc less
     its net energy so far over the capacity, clamped to [0, 1]. drawn and
-    regenerated sum every segment in the order they were fed."""
+    regenerated sum every segment in the order they were fed. An add that makes
+    them not finite raises error: InputError for read samples, else ConfigError."""
 
-    def __init__(self, firsts, consts, p: BatteryParams):
+    def __init__(self, firsts, consts, p: BatteryParams, error=InputError):
         # vehicle_id -> [last sample, VehicleConstants, initial soc, drawn, regenerated]
         self._vehicles = {s.vehicle_id: [s, c, s.soc, 0.0, 0.0] for s, c in zip(firsts, consts)}
         self.p = p
+        self.error = error
         self.drawn = self.regenerated = 0.0
 
     def energy(self, vehicle_id):
@@ -170,6 +158,14 @@ class SocMeter:
             soc = row[2] - (row[3] - row[4]) / capacity
             soc = 0.0 if 0.0 > soc else soc  # max(soc, 0.0), then min(soc, 1.0)
             out.append(TrajectorySample(*s, 1.0 if 1.0 < soc else soc))
+        if not math.isfinite(drawn + regenerated):  # also where either one is not
+            drawn, regenerated = self.drawn, self.regenerated  # again, to name the state
+            for s, (draw, regen) in zip(states, _energies(features, self.p)):
+                drawn += draw
+                regenerated += regen
+                if not math.isfinite(drawn + regenerated):
+                    raise self.error(f"vehicle {s[1]} at t={s[0]:.12g}: the energy sum is not "
+                                     f"finite ({draw!r} J drawn, {regen!r} J regenerated)")
         self.drawn, self.regenerated = drawn, regenerated
         return out
 
@@ -218,6 +214,17 @@ def _golden_section(f, lo, hi, iters=90):
     return x, min(fc, fd)
 
 
+def _objective(res):
+    """The sum of squared residuals, or +inf where that is not finite: r ** 2
+    raises OverflowError where r * r would give inf, and nan is never smaller
+    than anything, so such a point is never picked."""
+    try:
+        total = sum(r ** 2 for r in res)
+    except OverflowError:
+        return math.inf
+    return total if total == total else math.inf
+
+
 @dataclass
 class CalibrationResult:
     params: BatteryParams
@@ -236,16 +243,16 @@ def calibrate(cycles, p0: BatteryParams, free,
     validity range. The objective is the sum of squared energy residuals
     and never increases across sweeps. Descent stops once a sweep improves
     the objective by less than 1e-9 of itself (converged) or after 200
-    sweeps.
+    sweeps. A start point whose objective is not finite is refused.
     """
     free = list(free)
     for name in free:
         if name not in PARAM_BOUNDS:
-            raise OutOfRange(f"unknown free parameter '{name}'")
+            raise ConfigError(f"unknown free parameter '{name}'")
         if free.count(name) > 1:
-            raise OutOfRange(f"free parameter '{name}' named more than once")
+            raise ConfigError(f"free parameter '{name}' named more than once")
     if len(cycles) < len(free):
-        raise Underdetermined(f"{len(cycles)} cycles for {len(free)} free parameters")
+        raise Infeasible(f"{len(cycles)} cycles for {len(free)} free parameters")
 
     # the segments' features do not depend on the parameters: build them once
     fits = [(_vehicle_features(traj, consts), measured) for traj, measured in cycles]
@@ -255,7 +262,11 @@ def calibrate(cycles, p0: BatteryParams, free,
 
     p = p0
     res = residuals(p)
-    obj = sum(r ** 2 for r in res)
+    obj = _objective(res)
+    if obj == math.inf:  # name the cycle of the largest residual, nan the largest of all
+        i = max(range(len(res)), key=lambda i: abs(res[i]) if res[i] == res[i] else math.inf)
+        raise InputError(f"cycle {i}: residual {res[i]!r} J at the start point makes the "
+                         "calibration objective not finite")
     if not free:
         return CalibrationResult(p, res, obj, 0, True)
 
@@ -266,7 +277,7 @@ def calibrate(cycles, p0: BatteryParams, free,
     def objective(q):
         key = repr(q)
         if key not in memo:
-            memo[key] = sum(r ** 2 for r in residuals(q))
+            memo[key] = _objective(residuals(q))
         return memo[key]
 
     converged = False

@@ -26,7 +26,7 @@ from . import (ConfigError, ForkfleetError, Infeasible, InputError, __version__,
 from .config import ScenarioConfig, apply_setting, dump_battery_params, load_config
 from .fleet_sim import World, replay
 from .roadnet import load_roadnet, save_roadnet
-from .trajectory import SchemaError, read_csv, write_csv
+from .trajectory import read_csv, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG, EXIT_INPUT, EXIT_INFEASIBLE = ConfigError.code, InputError.code, Infeasible.code
@@ -242,7 +242,7 @@ def cmd_calibrate(args):
     for lineno, line in _read_input(args.manifest, lambda f: list(records(f))):
         parts = line.rsplit(",", 1)
         if len(parts) != 2:
-            raise SchemaError(f"manifest line {lineno}: expected 'path,measured_joules'")
+            raise InputError(f"manifest line {lineno}: expected 'path,measured_joules'")
         path = parts[0].strip()
         if not os.path.isabs(path):
             path = os.path.join(manifest_dir, path)
@@ -253,7 +253,7 @@ def cmd_calibrate(args):
         except ValueError:
             measured = math.nan
         if not math.isfinite(measured):
-            raise SchemaError(f"manifest line {lineno}: bad energy value {parts[1]!r}")
+            raise InputError(f"manifest line {lineno}: bad energy value {parts[1]!r}")
         cycles.append((samples, measured))
     free = [s.strip() for s in args.free.split(",") if s.strip()] if args.free else []
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from . import ConfigError, Infeasible, setting
+from . import ConfigError, Infeasible, InputError, setting
 from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
@@ -27,14 +27,6 @@ from .trajectory import resample, split_by_vehicle
 # timeline. 10^8 is 800 MB; an hour of 256 vehicles at 1 s is 8.1 x 10^7.
 ENTRIES_PER_VEHICLE_TICK = 88
 MAX_ENTRIES = 10**8
-
-
-class EmptyFleet(Infeasible):
-    pass
-
-
-class TooManyTicks(ConfigError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
     no distance above `limit`.
     """
     if not states:
-        raise EmptyFleet("snapshot of an empty fleet")
+        raise Infeasible("snapshot of an empty fleet")
     states = sorted(states, key=lambda s: s[0])
     vids = [s[0] for s in states]
     positions = [(s[1], s[2]) for s in states]
@@ -143,6 +135,8 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
     out = []
     for members in partition:
         mean_speed = sum(s.speeds[i] for i in members) / len(members)
+        if not math.isfinite(mean_speed):  # the sum of finite speeds overflowed
+            raise InputError(f"t={s.t:.12g}: a cluster's mean speed is not finite")
         critical = len(members) >= 2 and mean_speed < cfg.velocity_threshold
         out.append(Cluster([s.vehicle_ids[i] for i in members], mean_speed, critical))
     return ClusterReport(s.t, out, s.vehicle_ids, s.positions)
@@ -163,7 +157,7 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     does not change, so each occupied node's Dijkstra row is computed once
     for the whole timeline, out to distance_threshold; no report keeps that
     cache, so it is freed on return. A timeline of more than MAX_ENTRIES
-    entries raises TooManyTicks before any tick is made.
+    entries raises ConfigError before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
@@ -177,9 +171,9 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     n_ticks = math.floor(intervals) + 1 if intervals < MAX_ENTRIES else math.inf
     n = len(per_vehicle)
     if n_ticks * (n + 1) * ENTRIES_PER_VEHICLE_TICK > MAX_ENTRIES:
-        raise TooManyTicks(f"density.snapshot_interval {cfg.snapshot_interval!r} over "
-                           f"{te - t0:.12g} s makes {n_ticks:.3g} ticks of {n} vehicles, "
-                           f"more than {MAX_ENTRIES} entries")
+        raise ConfigError(f"density.snapshot_interval {cfg.snapshot_interval!r} over "
+                          f"{te - t0:.12g} s makes {n_ticks:.3g} ticks of {n} vehicles, "
+                          f"more than {MAX_ENTRIES} entries")
     times = [t0 + k * cfg.snapshot_interval for k in range(n_ticks)]
     vids = sorted(per_vehicle)
     columns = [resample(per_vehicle[vid], times) for vid in vids]

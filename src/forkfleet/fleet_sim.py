@@ -56,15 +56,7 @@ class NoFreeSpot(ConfigError):
     pass
 
 
-class VehicleBusy(ConfigError):
-    pass
-
-
 class SpotOccupied(ConfigError):
-    pass
-
-
-class UnreachableDestination(Infeasible):
     pass
 
 
@@ -222,7 +214,7 @@ class World:
     def assign_task(self, vehicle_id: int, policy=("random", None)) -> Task:
         ctl = self.ctl[vehicle_id]
         if ctl.phase != PHASE_IDLE:
-            raise VehicleBusy(f"vehicle {vehicle_id} is in phase {ctl.phase}")
+            raise ConfigError(f"vehicle {vehicle_id} is in phase {ctl.phase}")
         kind, fixed_dest = policy
         if kind == "fixed":
             dest = self._spot_by_id(fixed_dest)
@@ -244,14 +236,13 @@ class World:
 
     def plan_route(self, vehicle_id: int, task: Task) -> Path:
         """Shortest path from the vehicle's snapped node to the destination
-        spot's anchor-edge start node. Raises UnreachableDestination."""
+        spot's anchor-edge start node. Raises Infeasible."""
         v = self.vehicle(vehicle_id)
         spot = self._spot_by_id(task.dest_spot)
         src = nearest_node(self.graph, v.x, v.y)
         path = astar(self.graph, src, spot.edge_src)
         if path is None:
-            raise UnreachableDestination(
-                f"vehicle {vehicle_id} cannot reach spot {task.dest_spot}")
+            raise Infeasible(f"vehicle {vehicle_id} cannot reach spot {task.dest_spot}")
         return path
 
     def _build_route(self, vehicle_id: int, task: Task) -> _Route:
@@ -387,6 +378,10 @@ class World:
                         ctl.current_spot = None
                     ctl.route = self._build_route(v.id, ctl.task)
                     ctl.phase = PHASE_DRIVE
+                    if len(ctl.route.points) == 1:  # at the anchor already: arrive now
+                        ctl.phase = PHASE_LOWER
+                        ctl.current_spot = ctl.task.dest_spot
+                        events.arrivals.append((v.id, ctl.current_spot))
             elif ctl.phase == PHASE_LOWER:
                 v.speed = 0.0
                 v.fork_height = max(0.0, v.fork_height - kin.lift_speed * dt)
@@ -490,7 +485,7 @@ class World:
                                      v.load_mass, v.soc) for v in vehicles]
             self._meter = bat.SocMeter(
                 tick, [bat.VehicleConstants(v.truck_mass, self.fork_mass) for v in vehicles],
-                self.battery_params)
+                self.battery_params, ConfigError)
             yield tick
         for _ in range(n_steps):
             self.step(auto_assign=auto_assign, policy=policy)

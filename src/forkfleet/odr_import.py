@@ -28,27 +28,7 @@ SPEED_LIMIT = 4.0  # m/s on every imported edge: the subset reads no speed recor
 MAX_POINTS = 10**5
 
 
-class MalformedDocument(InputError):
-    pass
-
-
 class UnsupportedGeometry(InputError):
-    pass
-
-
-class MissingAttribute(InputError):
-    pass
-
-
-class TooManyPoints(ConfigError):
-    pass
-
-
-class GeometryGap(InputError):
-    pass
-
-
-class DegenerateRoad(InputError):
     pass
 
 
@@ -109,13 +89,13 @@ class RoadDescription:
 def _attr(elem, name, road_id, cast=float):
     v = elem.get(name)
     if v is None:
-        raise MissingAttribute(f"road {road_id}: <{elem.tag}> missing attribute '{name}'")
+        raise InputError(f"road {road_id}: <{elem.tag}> missing attribute '{name}'")
     try:
         value = cast(v)
     except ValueError as exc:
-        raise MalformedDocument(f"road {road_id}: bad value for '{name}': {v!r}") from exc
+        raise InputError(f"road {road_id}: bad value for '{name}': {v!r}") from exc
     if not math.isfinite(value):
-        raise MalformedDocument(f"road {road_id}: non-finite value for '{name}': {v!r}")
+        raise InputError(f"road {road_id}: non-finite value for '{name}': {v!r}")
     return value
 
 
@@ -134,19 +114,19 @@ def parse_opendrive_subset(document) -> RoadDescription:
         root = ET.fromstring(document)
     except (ET.ParseError, LookupError, ValueError) as exc:
         # LookupError, ValueError: a declared encoding the parser cannot use
-        raise MalformedDocument(f"not well-formed XML: {exc}") from exc
+        raise InputError(f"not well-formed XML: {exc}") from exc
     roads = []
     for road_el in root.iter("road"):
         rid = road_el.get("id", "?")
         length = _attr(road_el, "length", rid)
         pv = road_el.find("planView")
         if pv is None:
-            raise MalformedDocument(f"road {rid}: missing planView")
+            raise InputError(f"road {rid}: missing planView")
         segments = []
         for geom in pv.findall("geometry"):
             children = list(geom)
             if not children:
-                raise MalformedDocument(f"road {rid}: geometry without shape element")
+                raise InputError(f"road {rid}: geometry without shape element")
             shape = children[0]
             if shape.tag not in SUPPORTED_GEOMETRY:
                 raise UnsupportedGeometry(f"road {rid}: planView element '{shape.tag}'")
@@ -160,24 +140,22 @@ def parse_opendrive_subset(document) -> RoadDescription:
                 curvature=_attr(shape, "curvature", rid) if shape.tag == "arc" else 0.0,
             )
             if seg.length <= 0:
-                raise MalformedDocument(f"road {rid}: non-positive segment length")
+                raise InputError(f"road {rid}: non-positive segment length")
             if seg.kind == "arc" and (seg.curvature == 0 or not math.isfinite(seg.curvature)):
-                raise MalformedDocument(f"road {rid}: arc needs nonzero finite curvature")
+                raise InputError(f"road {rid}: arc needs nonzero finite curvature")
             segments.append(seg)
         if not segments:
-            raise MalformedDocument(f"road {rid}: empty planView")
+            raise InputError(f"road {rid}: empty planView")
         segments.sort(key=lambda g: g.s)
         for a, b in zip(segments, segments[1:]):
             if b.s <= a.s:
-                raise MalformedDocument(f"road {rid}: segment s-offsets not strictly increasing")
+                raise InputError(f"road {rid}: segment s-offsets not strictly increasing")
             xe, ye, _ = a.point_at(a.length)
             if math.hypot(b.x - xe, b.y - ye) > 1e-3:
-                raise GeometryGap(f"road {rid}: planView discontinuity at s={b.s}")
+                raise InputError(f"road {rid}: planView discontinuity at s={b.s}")
         seg_total = sum(g.length for g in segments)
         if abs(seg_total - length) > 1e-3:
-            raise MalformedDocument(
-                f"road {rid}: declared length {length} != segment sum {seg_total}"
-            )
+            raise InputError(f"road {rid}: declared length {length} != segment sum {seg_total}")
         links = []
         link_el = road_el.find("link")
         if link_el is not None:
@@ -191,17 +169,17 @@ def parse_opendrive_subset(document) -> RoadDescription:
                     continue
                 eid = le.get("elementId")
                 if eid is None:
-                    raise MissingAttribute(f"road {rid}: link without elementId")
+                    raise InputError(f"road {rid}: link without elementId")
                 contact = le.get("contactPoint", "start" if kind == "successor" else "end")
                 if contact not in ("start", "end"):
-                    raise MalformedDocument(f"road {rid}: {kind} contactPoint {contact!r} "
-                                            "is neither 'start' nor 'end'")
+                    raise InputError(f"road {rid}: {kind} contactPoint {contact!r} "
+                                     "is neither 'start' nor 'end'")
                 links.append(RoadLink(kind, eid, contact))
         lanes_el = road_el.find("lanes")
         roads.append(Road(rid, length, segments, _lane_count(lanes_el, "left"),
                           _lane_count(lanes_el, "right"), links))
     if not roads:
-        raise MalformedDocument("document contains no <road> elements")
+        raise InputError("document contains no <road> elements")
     return RoadDescription(roads)
 
 
@@ -216,12 +194,12 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
         raise ConfigError(f"spacing must be finite and > 0, got {spacing}")
     for road in desc.roads:
         if road.length <= 0:
-            raise DegenerateRoad(f"road {road.id} has zero length")
+            raise InputError(f"road {road.id} has zero length")
     # summed before math.ceil, which an inf quotient would stop
     n_points = sum(road.length / spacing for road in desc.roads)
     if not n_points <= MAX_POINTS:
-        raise TooManyPoints(f"spacing {spacing!r} makes {n_points:.3g} sample points, "
-                            f"more than {MAX_POINTS}")
+        raise ConfigError(f"spacing {spacing!r} makes {n_points:.3g} sample points, "
+                          f"more than {MAX_POINTS}")
 
     raw = []   # (x, y, heading) per raw node
     edges = []
@@ -272,9 +250,8 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
                 xb, yb, _ = raw[b]
                 gap = math.hypot(xb - xa, yb - ya)
                 if gap > 1e-3:
-                    raise GeometryGap(
-                        f"linked roads {road.id}/{other.id} endpoints {gap:.4f} m apart"
-                    )
+                    raise InputError(f"linked roads {road.id}/{other.id} endpoints "
+                                     f"{gap:.4f} m apart")
                 uf.union(a, b)
 
     # Compact merged nodes into dense ids, deterministically by raw order.

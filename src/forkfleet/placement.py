@@ -13,16 +13,12 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from . import ConfigError
-from .roadnet import EmptyGraph, RoadGraph, dijkstra, nearest_node
+from . import ConfigError, InputError
+from .roadnet import RoadGraph, dijkstra, nearest_node
 from .trajectory import split_by_vehicle
 
 
 MAX_CELLS = 10**7  # per heatmap; the L map at the default 2 m cell size has ~20k
-
-
-class DegenerateGrid(ConfigError):
-    pass
 
 
 @dataclass
@@ -65,7 +61,7 @@ def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
     """Count trajectory samples per grid cell; out-of-extent samples go to
     the overflow tally so conservation is exact."""
     if cell_size <= 0 or not (width > 0 and height > 0 and width * height <= MAX_CELLS):
-        raise DegenerateGrid(f"grid {width}x{height} at cell_size {cell_size}")
+        raise ConfigError(f"grid {width}x{height} at cell_size {cell_size}")
     grid = HeatmapGrid(origin_x, origin_y, cell_size, width, height,
                        [[0] * width for _ in range(height)])
     for s in samples:
@@ -86,8 +82,8 @@ def heatmap_for_graph(samples, graph: RoadGraph, cell_size: float = 2.0) -> Heat
     rows = (y1 - y0 + 2 * margin) / cell_size
     # checked before math.ceil, which a subnormal cell_size's inf would stop
     if not cols * rows <= MAX_CELLS:
-        raise DegenerateGrid(f"cell_size {cell_size} makes a {cols:.3g}x{rows:.3g} grid, "
-                             f"more than {MAX_CELLS} cells")
+        raise ConfigError(f"cell_size {cell_size} makes a {cols:.3g}x{rows:.3g} grid, "
+                          f"more than {MAX_CELLS} cells")
     width = max(1, int(math.ceil(cols)))
     height = max(1, int(math.ceil(rows)))
     return heatmap(samples, ox, oy, cell_size, width, height)
@@ -180,7 +176,7 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
         raise ValueError("weights must be finite and >= 0")
     n = graph.n_nodes()
     if n == 0:
-        raise EmptyGraph("place_chargers on empty graph")
+        raise InputError("place_chargers on empty graph")
     weighted = [u for u in range(n) if weights[u] != 0.0]  # not yet covered
     rows = [None] * n  # forward Dijkstra rows, computed on demand
     for u in weighted:

@@ -25,34 +25,6 @@ from typing import Optional
 from . import InputError, records
 
 
-class RoadNetError(InputError):
-    pass
-
-
-class DanglingReference(RoadNetError):
-    pass
-
-
-class NonPositiveLength(RoadNetError):
-    pass
-
-
-class SelfLoop(RoadNetError):
-    pass
-
-
-class InvalidNode(RoadNetError):
-    pass
-
-
-class EmptyGraph(RoadNetError):
-    pass
-
-
-class FormatError(RoadNetError):
-    """Malformed native roadnet file."""
-
-
 def normalize_heading(h: float) -> float:
     """Wrap into [-pi, pi)."""
     h = math.fmod(h + math.pi, 2.0 * math.pi)
@@ -122,7 +94,7 @@ class RoadGraph:
 
     def bounding_box(self):
         if not self.waypoints:
-            raise EmptyGraph("bounding_box of an empty graph")
+            raise InputError("bounding_box of an empty graph")
         xs = [w.x for w in self.waypoints]
         ys = [w.y for w in self.waypoints]
         return min(xs), min(ys), max(xs), max(ys)
@@ -131,44 +103,40 @@ class RoadGraph:
 def build_graph(waypoints, edges, spots=()) -> RoadGraph:
     """Validate inputs and assemble adjacency.
 
-    Raises a RoadNetError (DanglingReference, SelfLoop, ...) on bad input.
+    Raises InputError on bad input.
     """
     n = len(waypoints)
     for i, w in enumerate(waypoints):
         if w.node != i:
-            raise DanglingReference(f"waypoint at index {i} carries node id {w.node}")
+            raise InputError(f"waypoint at index {i} carries node id {w.node}")
         if not (math.isfinite(w.x) and math.isfinite(w.y) and math.isfinite(w.heading)):
-            raise RoadNetError(f"non-finite coordinates or heading at node {i}")
+            raise InputError(f"non-finite coordinates or heading at node {i}")
     adjacency = [[] for _ in range(n)]
     for e in edges:
         if not (0 <= e.src < n) or not (0 <= e.dst < n):
-            raise DanglingReference(f"edge {e.src}->{e.dst} references a missing node")
+            raise InputError(f"edge {e.src}->{e.dst} references a missing node")
         if e.src == e.dst:
-            raise SelfLoop(f"self-loop at node {e.src}")
+            raise InputError(f"self-loop at node {e.src}")
         if not 0.0 < e.length < math.inf:
-            raise NonPositiveLength(f"edge {e.src}->{e.dst} has length {e.length}")
+            raise InputError(f"edge {e.src}->{e.dst} has length {e.length}")
         if not 0.0 < e.speed_limit < math.inf:
-            raise RoadNetError(f"edge {e.src}->{e.dst} has speed limit {e.speed_limit}")
+            raise InputError(f"edge {e.src}->{e.dst} has speed limit {e.speed_limit}")
         wa, wb = waypoints[e.src], waypoints[e.dst]
         chord = math.hypot(wb.x - wa.x, wb.y - wa.y)
         if e.length < chord - 1e-6:
-            raise NonPositiveLength(
-                f"edge {e.src}->{e.dst} length {e.length} shorter than chord {chord}"
-            )
+            raise InputError(f"edge {e.src}->{e.dst} length {e.length} shorter than chord {chord}")
         adjacency[e.src].append(e)
     g = RoadGraph(list(waypoints), list(edges), [], adjacency)
     spot_ids = set()
     for s in spots:
         if s.id in spot_ids:
-            raise RoadNetError(f"two spots with id {s.id}")
+            raise InputError(f"two spots with id {s.id}")
         spot_ids.add(s.id)
         found = g.edge_between(s.edge_src, s.edge_dst) if 0 <= s.edge_src < n else None
         if found is None:
-            raise DanglingReference(
-                f"spot {s.id} anchors to missing edge {s.edge_src}->{s.edge_dst}"
-            )
+            raise InputError(f"spot {s.id} anchors to missing edge {s.edge_src}->{s.edge_dst}")
         if not (0 <= s.offset <= found.length):
-            raise RoadNetError(f"spot {s.id} offset {s.offset} outside edge")
+            raise InputError(f"spot {s.id} offset {s.offset} outside edge")
         g.spots.append(s)
     return g
 
@@ -182,7 +150,7 @@ def dijkstra(g: RoadGraph, src: int, limit: float = math.inf) -> list:
     """
     n = g.n_nodes()
     if not (0 <= src < n):
-        raise InvalidNode(f"node {src} not in graph of {n} nodes")
+        raise InputError(f"node {src} not in graph of {n} nodes")
     dist = [math.inf] * n
     dist[src] = 0.0
     heap = [(0.0, src)]
@@ -209,7 +177,7 @@ def astar(g: RoadGraph, src: int, dst: int) -> Optional[Path]:
     """
     n = g.n_nodes()
     if not (0 <= src < n) or not (0 <= dst < n):
-        raise InvalidNode(f"invalid pair ({src}, {dst}) in graph of {n} nodes")
+        raise InputError(f"invalid pair ({src}, {dst}) in graph of {n} nodes")
     if src == dst:
         return Path((src,), 0.0)
     wd = g.waypoints[dst]
@@ -242,17 +210,17 @@ def nearest_node(g: RoadGraph, x: float, y: float) -> int:
     """Node minimizing Euclidean distance; ties go to the smallest id.
 
     A non-finite query returns node 0, as a scan finding no d < inf would.
-    A query whose squared distance to a node overflows raises RoadNetError.
+    A query whose squared distance to a node overflows raises InputError.
     """
     if g.n_nodes() == 0:
-        raise EmptyGraph("nearest_node on empty graph")
+        raise InputError("nearest_node on empty graph")
     if not (math.isfinite(x) and math.isfinite(y)):
         return 0
     try:
         return g.snap_index.nearest(x, y)
     except OverflowError as exc:
-        raise RoadNetError(f"point ({x!r}, {y!r}) is too far from the map to snap "
-                           "to a node") from exc
+        raise InputError(f"point ({x!r}, {y!r}) is too far from the map to snap "
+                         "to a node") from exc
 
 
 # A node in a cell r rings away from the query's cell (clamped to the grid)
@@ -354,12 +322,12 @@ def save_roadnet(g: RoadGraph, fileobj) -> None:
 def load_roadnet(fileobj) -> RoadGraph:
     lines = records(fileobj)
     if next(lines, (0, ""))[1].split() != ["roadnet", "v1"]:
-        raise FormatError("missing 'roadnet v1' header")
+        raise InputError("missing 'roadnet v1' header")
     waypoints, edges, spots = [], [], []
     for lineno, ln in lines:
         parts = ln.split()
         if parts[0] not in ("node", "edge", "spot"):
-            raise FormatError(f"unknown record '{parts[0]}' at line {lineno}")
+            raise InputError(f"unknown record '{parts[0]}' at line {lineno}")
         try:
             if parts[0] == "node":
                 waypoints.append(Waypoint(int(parts[1]), float(parts[2]),
@@ -371,6 +339,6 @@ def load_roadnet(fileobj) -> RoadGraph:
                 spots.append(ParkingSpot(int(parts[1]), int(parts[2]),
                                          int(parts[3]), float(parts[4])))
         except (IndexError, ValueError) as exc:
-            raise FormatError(f"bad record at line {lineno}: {ln!r}") from exc
+            raise InputError(f"bad record at line {lineno}: {ln!r}") from exc
     waypoints.sort(key=lambda w: w.node)
     return build_graph(waypoints, edges, spots)

@@ -17,14 +17,6 @@ from . import InputError, records
 CSV_HEADER = "t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc"
 
 
-class SchemaError(InputError):
-    """Trajectory CSV does not match the documented schema."""
-
-
-class UnsortedSamples(InputError):
-    """Per-vehicle samples must be strictly increasing in t."""
-
-
 class TrajectorySample(NamedTuple):
     """One vehicle's state at time t: an immutable, hashable named tuple
     whose field order is the CSV column order."""
@@ -54,48 +46,51 @@ def write_csv(samples, fileobj, header: bool = True) -> None:
 
 
 def read_csv(fileobj):
-    """Parse samples; raises SchemaError naming the first offending line,
+    """Parse samples; raises InputError naming the first offending line,
     including a line with a nan or infinite number."""
     samples = []
     last_t = {}
     lines = records(fileobj)
     lineno, header = next(lines, (1, None))
     if header is None:
-        raise SchemaError("line 1: empty file, header missing")
+        raise InputError("line 1: empty file, header missing")
     if header != CSV_HEADER:
-        raise SchemaError(f"line {lineno}: expected header '{CSV_HEADER}'")
+        raise InputError(f"line {lineno}: expected header '{CSV_HEADER}'")
     for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != 9:
-            raise SchemaError(f"line {lineno}: expected 9 columns, got {len(parts)}")
+            raise InputError(f"line {lineno}: expected 9 columns, got {len(parts)}")
         try:
             s = TrajectorySample(float(parts[0]), int(parts[1]), float(parts[2]),
                                  float(parts[3]), float(parts[4]), float(parts[5]),
                                  float(parts[6]), float(parts[7]), float(parts[8]))
         except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
         # 0 * v is 0 for every finite v and nan for nan and +-inf
         if (0.0 * s.t + 0.0 * s.x + 0.0 * s.y + 0.0 * s.heading + 0.0 * s.speed
                 + 0.0 * s.fork_height + 0.0 * s.load_mass + 0.0 * s.soc != 0.0):
-            raise SchemaError(f"line {lineno}: non-finite value")
+            raise InputError(f"line {lineno}: non-finite value")
         if s.vehicle_id in last_t and s.t <= last_t[s.vehicle_id]:
-            raise SchemaError(
-                f"line {lineno}: samples for vehicle {s.vehicle_id} not strictly increasing in t"
-            )
+            raise InputError(f"line {lineno}: samples for vehicle {s.vehicle_id} "
+                             "not strictly increasing in t")
         last_t[s.vehicle_id] = s.t
         samples.append(s)
     return samples
 
 
 def split_by_vehicle(samples):
-    """Group samples into {vehicle_id: [samples sorted by t]}; validates order."""
+    """Group samples into {vehicle_id: [samples sorted by t]}; validates order, and
+    that no two consecutive samples are so far apart that interpolating overflows."""
     out = {}
     for s in samples:
         out.setdefault(s.vehicle_id, []).append(s)
     for vid, ss in out.items():
         for a, b in zip(ss, ss[1:]):
             if b.t <= a.t:
-                raise UnsortedSamples(f"vehicle {vid} samples not strictly increasing at t={b.t}")
+                raise InputError(f"vehicle {vid} samples not strictly increasing at t={b.t}")
+            if not math.isfinite(math.dist(a, b)):
+                raise InputError(f"vehicle {vid} samples at t={a.t:.12g} and t={b.t:.12g} are "
+                                 "too far apart to interpolate")
     return out
 
 

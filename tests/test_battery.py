@@ -6,15 +6,14 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forkfleet import battery, mapgen
+from forkfleet import ConfigError, Infeasible, InputError, battery, mapgen
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
-                               CalibrationResult, NonphysicalSegment, OutOfRange,
-                               PARAM_BOUNDS, SUFFICIENT, Underdetermined,
+                               CalibrationResult, PARAM_BOUNDS, SUFFICIENT,
                                VehicleConstants, calibrate, integrate_trajectory,
                                soc_band, vertical_work, G, _energies, _features,
                                _golden_section, _net, _vehicle_features)
 from forkfleet.fleet_sim import World
-from forkfleet.trajectory import TrajectorySample, UnsortedSamples, split_by_vehicle
+from forkfleet.trajectory import TrajectorySample, split_by_vehicle
 
 FRICTIONLESS = BatteryParams(c_rr=0.0, c_steer=0.0, eta_drive=1.0, eta_regen=0.3,
                              aux_power=0.0)
@@ -63,9 +62,9 @@ class TestHorizontalWork:
         assert draw == pytest.approx(0.05 * 1000 * 0.5 * 2.0, rel=1e-12)
 
     def test_nonphysical(self):
-        with pytest.raises(NonphysicalSegment):
+        with pytest.raises(InputError, match="ds=-1.0, dt=1.0"):
             horizontal_work(0, 0, -1.0, 0, 1.0, 1000, BatteryParams())
-        with pytest.raises(NonphysicalSegment):
+        with pytest.raises(InputError, match="ds=1.0, dt=0.0"):
             horizontal_work(0, 0, 1.0, 0, 0.0, 1000, BatteryParams())
 
 
@@ -168,7 +167,7 @@ class TestIntegrateTrajectory:
     def test_unsorted_rejected(self):
         a = TrajectorySample(1.0, 0, 0, 0, 0, 0, 0, 0, 1.0)
         b = TrajectorySample(0.5, 0, 0, 0, 0, 0, 0, 0, 1.0)
-        with pytest.raises(UnsortedSamples):
+        with pytest.raises(InputError, match="vehicle 0 samples not strictly increasing at t=0.5"):
             integrate_trajectory([a, b], VehicleConstants(), BatteryParams())
 
     def test_mass_scaling_doubles_friction_and_potential(self):
@@ -210,7 +209,7 @@ class TestSocBand:
         assert soc_band(soc) == band
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ConfigError, match=r"soc 1.5 outside \[0, 1\]"):
             soc_band(1.5)
 
 
@@ -270,12 +269,12 @@ class TestCalibrate:
         assert len(res.residuals) == 2
 
     def test_underdetermined(self):
-        with pytest.raises(Underdetermined):
+        with pytest.raises(Infeasible, match="1 cycles for 2 free parameters"):
             calibrate(self.cycles(1), BatteryParams(), ["c_rr", "eta_drive"])
 
     def test_a_parameter_named_twice(self):
         # one cycle is also too few for two names; the repeated name is reported
-        with pytest.raises(OutOfRange, match="'c_rr'"):
+        with pytest.raises(ConfigError, match="free parameter 'c_rr' named more than once"):
             calibrate(self.cycles(1), BatteryParams(), ["c_rr", "c_rr"])
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
@@ -304,12 +303,12 @@ def reference_segment_energy(a, b, consts, p):
     the feature tuple, expression for expression."""
     dt = b.t - a.t
     if dt <= 0:
-        raise UnsortedSamples(f"non-increasing sample times {a.t} -> {b.t}")
+        raise InputError(f"non-increasing sample times {a.t} -> {b.t}")
     ds = 0.5 * (a.speed + b.speed) * dt
     dheading = math.remainder(b.heading - a.heading, 2.0 * math.pi)
     mass = consts.truck_mass + a.load_mass
     if ds < 0 or dt <= 0:
-        raise NonphysicalSegment(f"ds={ds}, dt={dt}")
+        raise InputError(f"ds={ds}, dt={dt}")
     w_kin = 0.5 * mass * (b.speed * b.speed - a.speed * a.speed)
     friction = p.c_rr * mass * G * ds + p.c_steer * mass * abs(dheading / dt) * ds
     w_tr = w_kin + friction
@@ -432,11 +431,11 @@ class TestCachedFeatures:
     def test_calibrate_keeps_the_sample_checks(self):
         p0 = BatteryParams()
         backwards = [TrajectorySample(1.0, 0, 0, 0, 0, 0), TrajectorySample(0.5, 0, 0, 0, 0, 0)]
-        with pytest.raises(UnsortedSamples):
+        with pytest.raises(InputError, match="vehicle 0 samples not strictly increasing"):
             calibrate([(backwards, 1.0)], p0, ["c_rr"])
         reversing = [TrajectorySample(0.0, 0, 0, 0, 0, -1.0),
                      TrajectorySample(1.0, 0, 0, 0, 0, -1.0)]
-        with pytest.raises(NonphysicalSegment):
+        with pytest.raises(InputError, match="ds=-1.0, dt=1.0"):
             calibrate([(reversing, 1.0)], p0, ["c_rr"])
 
 
@@ -564,7 +563,7 @@ def reference_segment_features(a, b, consts):
     """battery._segment_features as it was, by field name."""
     dt = b.t - a.t
     if dt <= 0:
-        raise UnsortedSamples(f"non-increasing sample times {a.t} -> {b.t}")
+        raise InputError(f"non-increasing sample times {a.t} -> {b.t}")
     return _features(dt, 0.5 * (a.speed + b.speed) * dt,
                      a.speed, b.speed, math.remainder(b.heading - a.heading, 2.0 * math.pi),
                      consts.truck_mass + a.load_mass,

@@ -120,6 +120,17 @@ edge 1 2 inf 3 1
 spot 0 0 1 5
 spot 1 1 2 inf
 """
+# two spots anchored at node 0: a task's route is the one point the truck stands on
+ONE_POINT_ROUTE = """roadnet v1
+node 0 0 0 0
+node 1 10 0 0
+node 2 20 0 0
+edge 0 1 10 3 1
+edge 1 2 10 3 1
+edge 2 0 20 3 1
+spot 0 0 1 0
+spot 1 0 1 0
+"""
 DECLARED = '<?xml version="1.0" encoding="%s"?>\n'
 # one straight two-way road, 50 m
 ONE_ROAD_ODR = """<OpenDRIVE>
@@ -133,26 +144,31 @@ ONE_ROAD_ODR = """<OpenDRIVE>
 
 
 class TestExitCodes:
-    """Bad inputs end in the documented exit code and a one-line message,
-    not a traceback. Each row: test id, full argv, exit code, stderr prefix.
-    {map} is the demo floor, {out} an output directory, {traj} a valid
-    trajectory CSV, {nan_traj} the same with x = nan on one line, {far_traj}
-    the same with x = 1e200 (its squared distance to a node overflows),
-    {manifest} a calibrate manifest whose energy is nan, {good_manifest} one
-    naming {traj} with a finite energy, {dir_manifest} one whose cycle is a
-    directory, {dup_spots} the demo floor with spot 1 renamed to 0,
-    {corridors} ONE_WAY_CORRIDORS, {nan_heading} the same with node 1's
-    heading nan, {inf_edge} INF_EDGE, {no_nodes} a map with no nodes, {odr}
+    """Bad inputs end in the documented exit code and a one-line message, not a
+    traceback. Each row: test id, full argv, exit code, stderr prefix. {map}
+    is the demo floor, {out} an output directory, {traj} a valid trajectory
+    CSV, {nan_traj} the same with x = nan on one line, {far_traj} the same
+    with x = 1e200 (its squared distance to a node overflows), {heavy_traj}
+    one truck lifting and lowering a 1e308 kg load, {jump_traj} and
+    {spin_traj} one truck whose x or heading goes from 1e308 to -1e308,
+    {fast_traj} two trucks side by side at 1e308 m/s, {manifest} a calibrate
+    manifest whose energy is nan, {good_manifest} one naming {traj} with a
+    finite energy, {huge_manifest} the same with 1e300 J, {heavy_manifest}
+    and {spin_manifest} one naming {heavy_traj} or {spin_traj},
+    {dir_manifest} one whose cycle is a directory, {dup_spots} the demo
+    floor with spot 1 renamed to 0, {corridors} ONE_WAY_CORRIDORS,
+    {nan_heading} the same with node 1's heading nan, {inf_edge} INF_EDGE,
+    {one_point} ONE_POINT_ROUTE, {no_nodes} a map with no nodes, {odr}
     ONE_ROAD_ODR and {odr_nan}, {odr_inf}, {odr_huge} the same with its
     length nan, inf or 1e308, {bogus_odr}, {utf32_odr} the same declaring an
     encoding the XML parser does not know or cannot use, {dir} a directory,
     and {latin1_map}, {latin1_traj}, {latin1_cfg}, {latin1_manifest},
     {latin1_odr} the same kind of file with one byte that is not UTF-8
-    ({latin1_cycle} names {latin1_traj} as its cycle), {late_traj} one vehicle
-    at t = 1e300, {far_t_traj} two vehicles at t = -1e308 and 1e308 and
-    {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64. Rows run main
-    in-process; test_run_as_a_module runs two of them through
-    `python -m forkfleet.cli`."""
+    ({latin1_cycle} names {latin1_traj} as its cycle), {late_traj} one
+    vehicle at t = 1e300, {far_t_traj} two vehicles at t = -1e308 and 1e308
+    and {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64. Rows run main
+    in-process; test_run_as_a_module runs two of them through `python -m
+    forkfleet.cli`."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
            "--duration", "2"]
@@ -259,6 +275,43 @@ class TestExitCodes:
         ("place-chargers x=1e200",
          ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "{far_traj}"],
          EXIT_INPUT, INPUT),
+        # a 1e308 kg load lifted 1 m: the energy sum is inf
+        ("replay energy not finite",
+         ["replay", "--map", "{map}", "--out-dir", "{out}", "--dt", "1", "{heavy_traj}"],
+         EXIT_INPUT, INPUT),
+        ("simulate pickup_mass=1e308",
+         ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "2",
+          "--duration", "3", "--set", "pickup_mass=1e308"], EXIT_CONFIG, CONFIG),
+        # the soc that inf energy makes is refused later, as "soc nan outside [0, 1]"
+        ("simulate pickup_mass=1e308 --duration 60",
+         ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "2",
+          "--duration", "60", "--set", "pickup_mass=1e308"], EXIT_CONFIG,
+         CONFIG + "vehicle 0 at t=0.1: the energy sum is not finite"),
+        # x from 1e308 to -1e308: interpolating between them overflows
+        ("replay samples too far apart",
+         ["replay", "--map", "{map}", "--out-dir", "{out}", "{jump_traj}"], EXIT_INPUT,
+         INPUT + "vehicle 0 samples at t=0 and t=1 are too far apart to interpolate"),
+        # heading from 1e308 to -1e308: math.remainder refuses their inf difference
+        ("analyze-density heading too far apart",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{spin_traj}"],
+         EXIT_INPUT, INPUT),
+        ("calibrate heading too far apart",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{spin_manifest}"],
+         EXIT_INPUT, INPUT),
+        # two trucks side by side at 1e308 m/s: their speeds' sum overflows
+        ("analyze-density mean speed not finite",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{fast_traj}"],
+         EXIT_INPUT, INPUT),
+        # inf drawn less inf regenerated: the objective is nan
+        ("calibrate objective nan",
+         ["calibrate", "--out-dir", "{out}", "{heavy_manifest}"], EXIT_INPUT, INPUT),
+        ("calibrate objective nan --free c_rr",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{heavy_manifest}"],
+         EXIT_INPUT, INPUT + "cycle 0: residual nan J"),
+        # (-1e300) ** 2 overflows
+        ("calibrate energy=1e300 --free c_rr",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{huge_manifest}"],
+         EXIT_INPUT, INPUT + "cycle 0: residual -1e+300 J"),
         ("calibrate energy=nan",
          ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{manifest}"], EXIT_INPUT, INPUT),
         ("calibrate --free bogus",
@@ -277,6 +330,9 @@ class TestExitCodes:
         ("simulate edge length inf",
          ["simulate", "--map", "{inf_edge}", "--out-dir", "{out}", "--vehicles", "1",
           "--policy", "fixed:1", "--duration", "2"], EXIT_INPUT, INPUT),
+        ("simulate one-point route",
+         ["simulate", "--map", "{one_point}", "--out-dir", "{out}", "--vehicles", "1",
+          "--duration", "20"], EXIT_OK, ""),
         ("heatmap on a map with no nodes",
          ["heatmap", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"], EXIT_INPUT, INPUT),
         ("simulate unreachable spot",
@@ -351,7 +407,19 @@ class TestExitCodes:
                                                        "1e308,0,10,10,0,0,0,0,1\n"),
                            ("coarse_t_traj", CSV_HEADER + "1e17,0,10,10,0,0,0,0,1\n"
                                                           "100000000000000064,0,11,10,0,1,0,0,1\n"),
+                           ("heavy_traj", CSV_HEADER + "0,0,10,10,0,0,0,1e308,1\n"
+                                                       "1,0,10,10,0,0,1,1e308,1\n"
+                                                       "2,0,10,10,0,0,0,1e308,1\n"),
+                           ("jump_traj", CSV_HEADER + "0,0,1e308,10,0,0,0,0,1\n"
+                                                      "1,0,-1e308,10,0,0,0,0,1\n"),
+                           ("spin_traj", CSV_HEADER + "0,0,10,10,1e308,0,0,0,1\n"
+                                                      "1,0,10,10,-1e308,0,0,0,1\n"),
+                           ("fast_traj", CSV_HEADER + "0,0,10,10,0,1e308,0,0,1\n"
+                                                      "0,1,11,10,0,1e308,0,0,1\n"),
                            ("manifest", "traj,nan\n"),
+                           ("spin_manifest", "spin_traj,5\n"),
+                           ("heavy_manifest", "heavy_traj,5\n"),
+                           ("huge_manifest", "traj,1e300\n"),
                            ("good_manifest", "traj,1000\n"),
                            ("dir_manifest", ".,1000\n"),
                            ("dup_spots", floor.replace("\nspot 1 ", "\nspot 0 ")),
@@ -359,6 +427,7 @@ class TestExitCodes:
                            ("nan_heading",
                             ONE_WAY_CORRIDORS.replace("node 1 10 0 0", "node 1 10 0 nan")),
                            ("inf_edge", INF_EDGE),
+                           ("one_point", ONE_POINT_ROUTE),
                            ("no_nodes", "roadnet v1\n"),
                            ("odr", ONE_ROAD_ODR),
                            ("odr_nan", ONE_ROAD_ODR.replace('length="50"', 'length="nan"')),

@@ -6,8 +6,8 @@ import tracemalloc
 import pytest
 
 from conftest import line_graph, one_way_pair_graph, random_graph
-from forkfleet import density
-from forkfleet.density import (Cluster, DensityConfig, EmptyFleet, TooManyTicks, UnionFind,
+from forkfleet import ConfigError, Infeasible, density
+from forkfleet.density import (Cluster, DensityConfig, UnionFind,
                                analyze_snapshot, clusters, density_timeline,
                                flag_critical, snapshot_from_states,
                                write_episode_summary, write_report_csv)
@@ -38,7 +38,7 @@ def pair_clusters(dist, threshold):
 
 class TestSnapshot:
     def test_empty_fleet(self):
-        with pytest.raises(EmptyFleet):
+        with pytest.raises(Infeasible, match="snapshot of an empty fleet"):
             snapshot_from_states(0.0, [], line_graph([10.0]))
 
     def test_snap_and_distances(self):
@@ -235,7 +235,7 @@ class TestTimeline:
         reports, _ = density_timeline(samples, self.graph(), DensityConfig())
         assert len(reports) == 5
         monkeypatch.setattr(density, "MAX_ENTRIES", 1319)
-        with pytest.raises(TooManyTicks, match="5 ticks of 2 vehicles, more than 1319"):
+        with pytest.raises(ConfigError, match="5 ticks of 2 vehicles, more than 1319"):
             density_timeline(samples, self.graph(), DensityConfig())
 
     def test_an_hour_of_256_vehicles_fits(self, monkeypatch):

@@ -1,0 +1,107 @@
+"""The CLI's exit-code contract over mutated inputs: whatever the trajectory,
+manifest or --set value, cli.main returns 0, 2, 3 or 4, writes at most one
+line to stderr and no traceback, leaves no file behind when it fails, and
+writes no nan or inf into any file it does write."""
+
+import contextlib
+import dataclasses
+import io
+import math
+import os
+import re
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from forkfleet import cli, mapgen
+from forkfleet.config import ScenarioConfig
+from forkfleet.roadnet import save_roadnet
+from forkfleet.trajectory import CSV_HEADER
+
+EXTREMES = ["0", "1e308", "-1e308", "5e-324", "nan"]
+NON_FINITE = re.compile(r"(?<![a-z])(nan|inf|infinity)(?![a-z])", re.IGNORECASE)
+
+# two trucks on the demo floor, four samples each, lifting and driving
+ROWS = [[str(t), str(v), str(10 + t + 5 * v), "10", "0", "1", str(0.5 * (t % 2)),
+         str(100 * (t % 3)), "1"] for t in range(4) for v in range(2)]
+
+
+def range_cases(obj=ScenarioConfig(), prefix=""):
+    """'key=value' for every setting() field: at each finite end of its range,
+    just past that end, just inside an open end, and at 1e308."""
+    cases = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            cases += range_cases(value, f"{prefix}{f.name}.")
+        if "range" not in f.metadata:
+            continue
+        low, high, ends = f.metadata["range"]
+        values = ["1e308"]
+        for end, outward, is_open in ((low, -math.inf, ends[0] == "("),
+                                      (high, math.inf, ends[1] == ")")):
+            if math.isfinite(end):
+                past = end + (1 if outward > 0 else -1) if isinstance(value, int) \
+                    else math.nextafter(end, outward)
+                values += [repr(end), repr(past)]
+                if is_open:
+                    values.append(repr(math.nextafter(end, -outward)))
+        cases += [f"{prefix}{f.name}={v}" for v in values]
+    return cases
+
+
+SET_CASES = range_cases()
+
+
+@st.composite
+def mutated_rows(draw):
+    """ROWS with up to three fields dropped or set to an extreme value."""
+    rows = [list(row) for row in ROWS]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        i = draw(st.integers(0, len(row) - 1))
+        value = draw(st.sampled_from([None, *EXTREMES]))
+        if value is None:
+            del row[i]
+        else:
+            row[i] = value
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+COMMANDS = ["simulate", "replay", "analyze-density", "place-chargers", "heatmap", "calibrate"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(COMMANDS), rows=mutated_rows(),
+       energy=st.sampled_from(["5000", *EXTREMES, "-5000"]),
+       free=st.sampled_from([[], ["--free", "c_rr"]]),
+       sets=st.lists(st.sampled_from(SET_CASES), max_size=2))
+def test_mutated_inputs_keep_the_exit_contract(command, rows, energy, free, sets):
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in ("floor", "cycle", "manifest", "out")}
+        with open(paths["floor"], "w") as f:
+            save_roadnet(mapgen.warehouse_map(), f)
+        with open(paths["cycle"], "w") as f:
+            f.write(f"{CSV_HEADER}\n{rows}")
+        with open(paths["manifest"], "w") as f:
+            f.write(f"cycle,{energy}\n")
+        argv = [command, "--out-dir", paths["out"], *[a for kv in sets for a in ("--set", kv)]]
+        if command == "simulate":
+            argv += ["--map", paths["floor"], "--vehicles", "2", "--duration", "2"]
+        elif command == "calibrate":
+            argv += [*free, paths["manifest"]]
+        else:
+            argv += ["--map", paths["floor"], paths["cycle"]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err and err.count("\n") == (code != 0), err
+        written = os.listdir(paths["out"]) if os.path.isdir(paths["out"]) else []
+        if code != 0:
+            assert written == [], err
+        for name in written:
+            with open(os.path.join(paths["out"], name)) as f:
+                found = NON_FINITE.search(f.read())
+            assert found is None, f"{name}: {found[0]!r} after {argv}"

@@ -5,12 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forkfleet import ConfigError, battery, mapgen
+from forkfleet import ConfigError, Infeasible, battery, mapgen
 from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
                                  PHASE_IDLE, PHASE_LIFT, PHASE_LOWER,
-                                 SpotOccupied, UnreachableDestination,
-                                 VehicleBusy, VehicleState, World, replay)
+                                 SpotOccupied, VehicleState, World, replay)
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
 from forkfleet.trajectory import read_csv, split_by_vehicle, write_csv
 
@@ -78,7 +77,7 @@ class TestSpawnAndAssign:
     def test_assign_busy_vehicle(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
         w.assign_task(0, policy=("fixed", 1))
-        with pytest.raises(VehicleBusy):
+        with pytest.raises(ConfigError, match="vehicle 0 is in phase lift"):
             w.assign_task(0, policy=("fixed", 1))
 
     def test_assign_occupied_spot(self):
@@ -106,9 +105,23 @@ class TestRouting:
         w = World.spawn_at_spots(g, 2, seed=0)
         w.vehicles = [w.vehicle(1)]
         del w.claims[0]
-        with pytest.raises(UnreachableDestination):
+        with pytest.raises(Infeasible, match="vehicle 1 cannot reach spot 0"):
             task = w.assign_task(1, policy=("fixed", 0))
             w.plan_route(1, task)
+
+    def test_one_point_route_arrives_at_once(self):
+        # both spots anchor at node 0, so the route to either is the truck's own point
+        wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0), Waypoint(2, 20, 0, 0.0)]
+        edges = [Edge(0, 1, 10.0, 3.0), Edge(1, 2, 10.0, 3.0), Edge(2, 0, 20.0, 3.0)]
+        spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 0, 1, 0.0)]
+        w = World.spawn_at_spots(build_graph(wps, edges, spots), 1, dt=0.1)
+        arrivals = []
+        for _ in range(200):
+            arrivals += w.step().arrivals
+        assert arrivals == [(0, 1), (0, 0), (0, 1)]
+        assert w.ctl[0].tasks_completed == 2
+        assert w.ctl[0].distance_driven == 0.0
+        assert (w.vehicle(0).x, w.vehicle(0).y) == (0.0, 0.0)
 
 
 def braking_envelope(b_max, dt, cap, d):

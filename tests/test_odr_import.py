@@ -3,10 +3,8 @@ import math
 
 import pytest
 
-from forkfleet import ConfigError
-from forkfleet.odr_import import (GeometryGap, MalformedDocument, MissingAttribute,
-                                  UnsupportedGeometry, parse_opendrive_subset,
-                                  to_road_graph)
+from forkfleet import ConfigError, InputError
+from forkfleet.odr_import import UnsupportedGeometry, parse_opendrive_subset, to_road_graph
 from forkfleet.roadnet import astar, dijkstra, save_roadnet
 
 
@@ -80,7 +78,7 @@ class TestParse:
                       '<geometry s="0" x="0" y="0" hdg="0" length="30"><line/></geometry>',
                       LANES_RIGHT,
                       '<link><successor elementType="road" elementId="2" contactPoint="middle"/></link>')
-        with pytest.raises(MalformedDocument, match="contactPoint 'middle'"):
+        with pytest.raises(InputError, match="contactPoint 'middle'"):
             parse_opendrive_subset(doc(r1))
 
     @pytest.mark.parametrize("lanes,counts", [
@@ -102,25 +100,25 @@ class TestParse:
         assert parse_opendrive_subset(text.encode("latin-1")).roads[0].id == "caf\xe9"
 
     def test_malformed_xml(self):
-        with pytest.raises(MalformedDocument):
+        with pytest.raises(InputError, match="not well-formed XML"):
             parse_opendrive_subset("<OpenDRIVE><road")
 
     def test_missing_attribute(self):
         text = doc(road_xml(1, 10.0, '<geometry s="0" x="0" y="0" length="10"><line/></geometry>'))
-        with pytest.raises(MissingAttribute):
+        with pytest.raises(InputError, match="road 1: <geometry> missing attribute 'hdg'"):
             parse_opendrive_subset(text)
 
     def test_length_mismatch(self):
         text = doc(road_xml(1, 99.0,
                             '<geometry s="0" x="0" y="0" hdg="0" length="50"><line/></geometry>',
                             LANES_RIGHT))
-        with pytest.raises(MalformedDocument):
+        with pytest.raises(InputError, match="declared length 99.0 != segment sum 50.0"):
             parse_opendrive_subset(text)
 
     def test_geometry_gap_detected(self):
         geom = ('<geometry s="0" x="0" y="0" hdg="0" length="10"><line/></geometry>'
                 '<geometry s="10" x="15" y="0" hdg="0" length="10"><line/></geometry>')
-        with pytest.raises(GeometryGap):
+        with pytest.raises(InputError, match="road 1: planView discontinuity at s=10.0"):
             parse_opendrive_subset(doc(road_xml(1, 20.0, geom, LANES_RIGHT)))
 
 

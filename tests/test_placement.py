@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import line_graph, random_graph
-from forkfleet import placement
+from forkfleet import ConfigError, placement
 from forkfleet.mapgen import warehouse_map
-from forkfleet.placement import (MAX_CELLS, DegenerateGrid, HeatmapGrid, heatmap,
+from forkfleet.placement import (MAX_CELLS, HeatmapGrid, heatmap,
                                  heatmap_for_graph, place_chargers,
                                  score_placement, visit_weights, write_heatmap,
                                  write_heatmap_nonzero_csv, write_placement_csv)
@@ -36,18 +36,18 @@ class TestHeatmap:
         assert grid.counts[0][1] == 1
 
     def test_degenerate_grid(self):
-        with pytest.raises(DegenerateGrid):
+        with pytest.raises(ConfigError, match="grid 2x2 at cell_size 0.0"):
             heatmap([], 0, 0, 0.0, 2, 2)
-        with pytest.raises(DegenerateGrid):
+        with pytest.raises(ConfigError, match="grid 0x2 at cell_size 1.0"):
             heatmap([], 0, 0, 1.0, 0, 2)
         # raised before a row too long to index is asked for
-        with pytest.raises(DegenerateGrid):
+        with pytest.raises(ConfigError, match=f"grid {sys.maxsize + 1}x2 at cell_size 1.0"):
             heatmap([], 0, 0, 1.0, sys.maxsize + 1, 2)
 
     def test_cell_cap(self):
         # 10,010,000 cells: refused before a row is made
         assert 10_000 * 1_000 == MAX_CELLS
-        with pytest.raises(DegenerateGrid, match="grid 10000x1001"):
+        with pytest.raises(ConfigError, match="grid 10000x1001"):
             heatmap([], 0, 0, 1.0, 10_000, 1_001)
 
     def test_for_graph_covers_all_nodes(self):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_shortest, line_graph, one_way_pair_graph, random_graph, square_graph
-from forkfleet.roadnet import (DanglingReference, EmptyGraph, Edge, FormatError,
-                               InvalidNode, NonPositiveLength, ParkingSpot, RoadGraph,
-                               RoadNetError, SelfLoop, Waypoint, astar, build_graph,
+from forkfleet import InputError
+from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, astar, build_graph,
                                dijkstra, load_roadnet, nearest_node, save_roadnet)
 
 
@@ -21,7 +20,7 @@ class TestBuildGraph:
 
     def test_dangling_edge(self):
         wps = [Waypoint(i, i, 0, 0) for i in range(3)]
-        with pytest.raises(DanglingReference):
+        with pytest.raises(InputError, match="edge 0->7 references a missing node"):
             build_graph(wps, [Edge(0, 7, 1.0, 1.0, True)])
 
     def test_square_adjacency(self):
@@ -30,50 +29,50 @@ class TestBuildGraph:
         assert all(len(adj) == 2 for adj in g.adjacency)
 
     def test_self_loop(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(InputError, match="self-loop at node 0"):
             build_graph([Waypoint(0, 0, 0, 0)], [Edge(0, 0, 1.0, 1.0, True)])
 
     def test_non_positive_length(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
-        with pytest.raises(NonPositiveLength):
+        with pytest.raises(InputError, match="edge 0->1 has length 0.0"):
             build_graph(wps, [Edge(0, 1, 0.0, 1.0, True)])
 
     @pytest.mark.parametrize("length", [math.inf, math.nan])
     def test_non_finite_length(self, length):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
-        with pytest.raises(NonPositiveLength):
+        with pytest.raises(InputError, match=f"edge 0->1 has length {length}"):
             build_graph(wps, [Edge(0, 1, length, 1.0, True)])
 
     def test_length_shorter_than_chord(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
-        with pytest.raises(NonPositiveLength):
+        with pytest.raises(InputError, match="length 4.0 shorter than chord 5.0"):
             build_graph(wps, [Edge(0, 1, 4.0, 1.0, True)])
 
     def test_spot_on_missing_edge(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
-        with pytest.raises(DanglingReference):
+        with pytest.raises(InputError, match="spot 0 anchors to missing edge 1->0"):
             build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], [ParkingSpot(0, 1, 0, 2.0)])
 
     def test_duplicate_spot_id(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         spots = [ParkingSpot(3, 0, 1, 1.0), ParkingSpot(3, 0, 1, 4.0)]
-        with pytest.raises(RoadNetError, match="two spots with id 3"):
+        with pytest.raises(InputError, match="two spots with id 3"):
             build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], spots)
 
     @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
     def test_non_finite_heading(self, heading):
-        with pytest.raises(RoadNetError, match="at node 1"):
+        with pytest.raises(InputError, match="non-finite coordinates or heading at node 1"):
             build_graph([Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, heading)],
                         [Edge(0, 1, 5.0, 1.0, True)])
 
     @pytest.mark.parametrize("limit", [0.0, -1.0, math.nan, math.inf])
     def test_speed_limit_not_finite_and_positive(self, limit):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
-        with pytest.raises(RoadNetError, match="speed limit"):
+        with pytest.raises(InputError, match="has speed limit"):
             build_graph(wps, [Edge(0, 1, 5.0, limit, True)])
 
     def test_empty_bounding_box(self):
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(InputError, match="bounding_box of an empty graph"):
             build_graph([], []).bounding_box()
 
 
@@ -109,7 +108,7 @@ class TestDijkstra:
         assert math.isinf(dijkstra(g, 2)[0])
 
     def test_invalid_node(self):
-        with pytest.raises(InvalidNode):
+        with pytest.raises(InputError, match="node 99 not in graph of 4 nodes"):
             dijkstra(square_graph(), 99)
 
     def test_matches_path_enumeration(self):
@@ -232,7 +231,7 @@ class TestNearestNode:
         assert nearest_node(g, 5.0, 3.0) == 0
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(InputError, match="nearest_node on empty graph"):
             nearest_node(RoadGraph([], [], [], []), 0, 0)
 
     def test_matches_linear_scan(self):
@@ -319,9 +318,9 @@ class TestNativeFormat:
             assert (a.x, a.y) == pytest.approx((b.x, b.y), abs=1e-9)
 
     def test_missing_header(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match="missing 'roadnet v1' header"):
             load_roadnet(io.StringIO("node 0 0 0 0\n"))
 
     def test_bad_record(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match="bad record at line 2"):
             load_roadnet(io.StringIO("roadnet v1\nnode zero 0 0 0\n"))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forkfleet.cli import _render_soc
-from forkfleet.trajectory import (CSV_HEADER, SchemaError, TrajectorySample,
-                                  UnsortedSamples, interpolate, read_csv,
+from forkfleet import InputError
+from forkfleet.trajectory import (CSV_HEADER, TrajectorySample, interpolate, read_csv,
                                   resample, split_by_vehicle, write_csv)
 
 
@@ -59,26 +59,27 @@ class TestCsv:
         assert len(read_csv(io.StringIO(text))) == 1
 
     def test_missing_header(self):
-        with pytest.raises(SchemaError, match="header"):
+        with pytest.raises(InputError, match="line 1: expected header"):
             read_csv(io.StringIO("1,0,0,0,0,0,0,0,1\n"))
 
     def test_empty_file(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="line 1: empty file, header missing"):
             read_csv(io.StringIO(""))
 
     def test_wrong_column_count_names_line(self):
         text = f"{CSV_HEADER}\n1,0,0,0\n"
-        with pytest.raises(SchemaError, match="line 2"):
+        with pytest.raises(InputError, match="line 2: expected 9 columns, got 4"):
             read_csv(io.StringIO(text))
 
     def test_bad_number(self):
         text = f"{CSV_HEADER}\n1,0,zero,0,0,0,0,0,1\n"
-        with pytest.raises(SchemaError, match="line 2"):
+        with pytest.raises(InputError, match="line 2: could not convert string to float"):
             read_csv(io.StringIO(text))
 
     def test_non_increasing_time_rejected(self):
         text = f"{CSV_HEADER}\n1,0,0,0,0,0,0,0,1\n1,0,0,0,0,0,0,0,1\n"
-        with pytest.raises(SchemaError, match="increasing"):
+        with pytest.raises(InputError,
+                           match="line 3: samples for vehicle 0 not strictly increasing"):
             read_csv(io.StringIO(text))
 
     def test_interleaved_vehicles_ok(self):
@@ -95,7 +96,7 @@ class TestSplit:
         assert [s.t for s in parts[0]] == [0, 1]
 
     def test_unsorted_rejected(self):
-        with pytest.raises(UnsortedSamples):
+        with pytest.raises(InputError, match="vehicle 0 samples not strictly increasing at t=0"):
             split_by_vehicle([smp(1, 0), smp(0, 0)])
 
 
