@@ -195,13 +195,19 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
             total += weights[u] / (1.0 + f * math.hypot(ux - x, uy - y) / d_scale)
         return total
 
+    inf = math.inf
+
     def score(node, row):
         # ascending u, zero weights and unreachable u skipped: the same sum,
-        # term for term, as a scan over all u
+        # term for term, as a scan over all u; d is min() of the pair and,
+        # as a distance >= 0, finite exactly when below inf
         total = 0.0
         for u in weighted:
-            d = min(rows[u][node], row[u])
-            if math.isfinite(d):
+            d = rows[u][node]
+            back = row[u]
+            if back < d:
+                d = back
+            if d < inf:
                 total += weights[u] / (1.0 + d / d_scale)
         return total
 

@@ -7,6 +7,18 @@ one graph can back any number of simulations, each with its own spot claims.
 adjacency[u] holds u's outgoing Edges in input order, and edge_between() is
 the one lookup of an edge by its (src, dst) pair.
 
+dijkstra() has two kernels over one flat (dst, length) adjacency, and the
+graph picks one. RoadGraph.exact_sums holds when every edge length is a
+whole multiple of one 2^-q and all lengths together are fewer than 2^53 such
+units. Then every sum of distinct edges is exact, so every label is a true
+path length and every distance the true shortest one, whatever order a
+search settles nodes in: any correct search returns the same floats. On
+such graphs (every warehouse_map) a bucket queue runs, a heap of the
+distinct distance values with one node list per value, which on a map of a
+few edge lengths makes far fewer heap entries. Other graphs (OpenDRIVE
+arcs, for one) keep the (distance, node) heap: with rounded sums, another
+order could give other floats.
+
 nearest_node() snaps through a uniform grid over the waypoints,
 RoadGraph.snap_index, a cached property built on the first query. Its answer
 is the linear scan's, bit for bit: the same squared-distance expression, ties
@@ -74,6 +86,21 @@ class RoadGraph:
     @functools.cached_property
     def snap_index(self) -> SnapIndex:
         return SnapIndex(self)
+
+    @functools.cached_property
+    def exact_sums(self) -> bool:
+        """True when every sum of distinct edge lengths is an exact float:
+        with q the smallest exponent >= 0 that makes each length a whole number
+        of 2^-q units, all lengths together come to fewer than 2^53 units. The
+        test runs on Python ints, so no length can make it overflow."""
+        ratios = [e.length.as_integer_ratio() for e in self.edges]
+        q = max((den.bit_length() - 1 for _, den in ratios), default=0)
+        return sum(num << (q - den.bit_length() + 1) for num, den in ratios) < 1 << 53
+
+    @functools.cached_property
+    def _flat_adjacency(self) -> list:
+        """adjacency as (dst, length) tuples, the form the kernels read."""
+        return [[(e.dst, e.length) for e in out] for out in self.adjacency]
 
     def n_nodes(self) -> int:
         return len(self.waypoints)
@@ -146,25 +173,60 @@ def dijkstra(g: RoadGraph, src: int, limit: float = math.inf) -> list:
 
     With a `limit`, no label above it is made. A node at distance d <= limit
     is reached only through nodes at distance <= d, so its entry is the same
-    float as in the full row; every other entry is +inf.
+    float as in the full row; every other entry is +inf. The bucket kernel
+    runs where g.exact_sums holds, the heap kernel elsewhere; both give the
+    same list there (module docstring).
     """
     n = g.n_nodes()
     if not (0 <= src < n):
         raise InputError(f"node {src} not in graph of {n} nodes")
-    dist = [math.inf] * n
+    kernel = _bucket_row if g.exact_sums else _heap_row
+    return kernel(g._flat_adjacency, src, limit)
+
+
+def _heap_row(adjacency, src, limit):
+    """Dijkstra on a heap of (distance, node) labels."""
+    dist = [math.inf] * len(adjacency)
     dist[src] = 0.0
     heap = [(0.0, src)]
-    done = [False] * n
+    done = [False] * len(adjacency)
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
         done[u] = True
-        for e in g.adjacency[u]:
-            nd = d + e.length
-            if nd < dist[e.dst] and nd <= limit:
-                dist[e.dst] = nd
-                heapq.heappush(heap, (nd, e.dst))
+        for v, length in adjacency[u]:
+            nd = d + length
+            if nd < dist[v] and nd <= limit:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def _bucket_row(adjacency, src, limit):
+    """Dijkstra on a bucket queue: a heap of the distinct label values and,
+    for each, the nodes labelled with it. Lengths are > 0, so a bucket gets
+    no node while it is scanned; a node whose label has since fallen below
+    its bucket's value was settled from a lower bucket and is skipped."""
+    dist = [math.inf] * len(adjacency)
+    dist[src] = 0.0
+    keys = [0.0]
+    buckets = {0.0: [src]}
+    while keys:
+        d = heapq.heappop(keys)
+        for u in buckets.pop(d):
+            if dist[u] < d:
+                continue
+            for v, length in adjacency[u]:
+                nd = d + length
+                if nd < dist[v] and nd <= limit:
+                    dist[v] = nd
+                    bucket = buckets.get(nd)
+                    if bucket is None:
+                        buckets[nd] = [v]
+                        heapq.heappush(keys, nd)
+                    else:
+                        bucket.append(v)
     return dist
 
 
@@ -242,8 +304,10 @@ class SnapIndex:
 
     Cells are squares of about one node's share of the bounding box (never
     below the longer side over n, so a flat box does not explode the cell
-    count). A query searches ring by ring outward from its cell and stops
-    once a ring's lower bound exceeds the best distance found.
+    count). Each cell also keeps the nodes of its 3x3 block (rings 0 and 1,
+    clamped to the grid) in ascending id, which a query scans first, with
+    no bound to test. It then searches ring by ring outward from r = 2 and
+    stops once a ring's lower bound exceeds the best distance found.
     """
 
     def __init__(self, g: RoadGraph):
@@ -254,22 +318,30 @@ class SnapIndex:
             self.cell, self.nx, self.ny = cell, int(w / cell) + 1, int(h / cell) + 1
         else:  # all nodes coincide, or the extent overflows: one cell
             self.cell, self.nx, self.ny = 1.0, 1, 1
-        self.cells = [[] for _ in range(self.nx * self.ny)]
+        nx, ny = self.nx, self.ny
+        self.cells = [[] for _ in range(nx * ny)]
         for wp in g.waypoints:  # ascending id within each cell
-            cx = _clamp_cell((wp.x - self.x0) / self.cell, self.nx)
-            cy = _clamp_cell((wp.y - self.y0) / self.cell, self.ny)
-            self.cells[cy * self.nx + cx].append((wp.x, wp.y, wp.node))
+            cx = _clamp_cell((wp.x - self.x0) / self.cell, nx)
+            cy = _clamp_cell((wp.y - self.y0) / self.cell, ny)
+            self.cells[cy * nx + cx].append((wp.x, wp.y, wp.node))
+        self.blocks = [sorted((c for yy in range(max(cy - 1, 0), min(cy + 2, ny))
+                               for xx in range(max(cx - 1, 0), min(cx + 2, nx))
+                               for c in self.cells[yy * nx + xx]), key=lambda c: c[2])
+                       for cy in range(ny) for cx in range(nx)]
 
     def nearest(self, x: float, y: float) -> int:
         cell, nx, ny, cells = self.cell, self.nx, self.ny, self.cells
         cx = _clamp_cell((x - self.x0) / cell, nx)
         cy = _clamp_cell((y - self.y0) / cell, ny)
         best_d, best_i = math.inf, 0
-        for r in range(max(cx, nx - 1 - cx, cy, ny - 1 - cy) + 1):
-            if r >= 2:
-                bound = (r - 1) * cell * _RING_SLACK
-                if bound * bound > best_d:
-                    break
+        for wx, wy, i in self.blocks[cy * nx + cx]:  # ascending id: first minimum wins
+            d = (wx - x) ** 2 + (wy - y) ** 2
+            if d < best_d:
+                best_d, best_i = d, i
+        for r in range(2, max(cx, nx - 1 - cx, cy, ny - 1 - cy) + 1):
+            bound = (r - 1) * cell * _RING_SLACK
+            if bound * bound > best_d:
+                break
             # ring r, row by row and clamped to the grid: the whole row
             # cx - r .. cx + r where |yy - cy| = r, else its cells cx - r and cx + r
             lo, hi = max(cx - r, 0), min(cx + r, nx - 1)

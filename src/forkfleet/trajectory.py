@@ -47,7 +47,7 @@ def write_csv(samples, fileobj, header: bool = True) -> None:
 
 def read_csv(fileobj):
     """Parse samples; raises InputError naming the first offending line,
-    including a line with a nan or infinite number."""
+    including a line with a nan or infinite number or a soc outside [0, 1]."""
     samples = []
     last_t = {}
     lines = records(fileobj)
@@ -70,6 +70,8 @@ def read_csv(fileobj):
         if (0.0 * s.t + 0.0 * s.x + 0.0 * s.y + 0.0 * s.heading + 0.0 * s.speed
                 + 0.0 * s.fork_height + 0.0 * s.load_mass + 0.0 * s.soc != 0.0):
             raise InputError(f"line {lineno}: non-finite value")
+        if not 0.0 <= s.soc <= 1.0:
+            raise InputError(f"line {lineno}: soc {s.soc!r} outside [0, 1]")
         if s.vehicle_id in last_t and s.t <= last_t[s.vehicle_id]:
             raise InputError(f"line {lineno}: samples for vehicle {s.vehicle_id} "
                              "not strictly increasing in t")

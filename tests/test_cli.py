@@ -147,7 +147,8 @@ class TestExitCodes:
     """Bad inputs end in the documented exit code and a one-line message, not a
     traceback. Each row: test id, full argv, exit code, stderr prefix. {map}
     is the demo floor, {out} an output directory, {traj} a valid trajectory
-    CSV, {nan_traj} the same with x = nan on one line, {far_traj} the same
+    CSV, {nan_traj} the same with x = nan on one line, {soc_traj} a two-row
+    CSV whose first soc is 5, {far_traj} the same
     with x = 1e200 (its squared distance to a node overflows), {heavy_traj}
     one truck lifting and lowering a 1e308 kg load, {jump_traj} and
     {spin_traj} one truck whose x or heading goes from 1e308 to -1e308,
@@ -261,6 +262,9 @@ class TestExitCodes:
         ("replay --dt 1 at t=1e17",
          ["replay", "--map", "{map}", "--out-dir", "{out}", "--dt", "1", "{coarse_t_traj}"],
          EXIT_CONFIG, CONFIG),
+        # a first soc outside [0, 1] would be copied to soc.csv as it is
+        ("replay soc=5", ["replay", "--map", "{map}", "--out-dir", "{out}", "{soc_traj}"],
+         EXIT_INPUT, INPUT + "line 2: soc 5.0 outside [0, 1]"),
         ("analyze-density x=nan",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{nan_traj}"],
          EXIT_INPUT, INPUT),
@@ -401,6 +405,8 @@ class TestExitCodes:
         assert "\nspot 1 " in floor
         for name, text in (("traj", CSV_HEADER + "".join(rows)),
                            ("nan_traj", CSV_HEADER + rows[0] + "1,0,nan,10,0,1,0,0,0.99\n"),
+                           ("soc_traj", CSV_HEADER + "0,0,0,0,0,0,0,0,5\n"
+                                                     "0.1,0,0,0,0,0,0,0,1\n"),
                            ("far_traj", CSV_HEADER + rows[0] + "1,0,1e200,10,0,1,0,0,0.99\n"),
                            ("late_traj", CSV_HEADER + "1e300,0,10,10,0,0,0,0,1\n"),
                            ("far_t_traj", CSV_HEADER + "-1e308,1,10,10,0,0,0,0,1\n"

@@ -1,7 +1,7 @@
 """The CLI's exit-code contract over mutated inputs: whatever the trajectory,
-manifest or --set value, cli.main returns 0, 2, 3 or 4, writes at most one
-line to stderr and no traceback, leaves no file behind when it fails, and
-writes no nan or inf into any file it does write."""
+manifest, roadnet map or --set value, cli.main returns 0, 2, 3 or 4, writes at
+most one line to stderr and no traceback, leaves no file behind when it fails,
+and writes no nan or inf into any file it does write."""
 
 import contextlib
 import dataclasses
@@ -71,6 +71,23 @@ def mutated_rows(draw):
 COMMANDS = ["simulate", "replay", "analyze-density", "place-chargers", "heatmap", "calibrate"]
 
 
+def run_main(argv, out):
+    """cli.main(argv) under the contract; out is its --out-dir."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err and err.count("\n") == (code != 0), err
+    written = os.listdir(out) if os.path.isdir(out) else []
+    if code != 0:
+        assert written == [], err
+    for name in written:
+        with open(os.path.join(out, name)) as f:
+            found = NON_FINITE.search(f.read())
+        assert found is None, f"{name}: {found[0]!r} after {argv}"
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(command=st.sampled_from(COMMANDS), rows=mutated_rows(),
        energy=st.sampled_from(["5000", *EXTREMES, "-5000"]),
@@ -92,16 +109,49 @@ def test_mutated_inputs_keep_the_exit_contract(command, rows, energy, free, sets
             argv += [*free, paths["manifest"]]
         else:
             argv += ["--map", paths["floor"], paths["cycle"]]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        err = err.getvalue()
-        assert code in (0, 2, 3, 4), err
-        assert "Traceback" not in err and err.count("\n") == (code != 0), err
-        written = os.listdir(paths["out"]) if os.path.isdir(paths["out"]) else []
-        if code != 0:
-            assert written == [], err
-        for name in written:
-            with open(os.path.join(paths["out"], name)) as f:
-                found = NON_FINITE.search(f.read())
-            assert found is None, f"{name}: {found[0]!r} after {argv}"
+        run_main(argv, paths["out"])
+
+
+def floor_lines():
+    buf = io.StringIO()
+    save_roadnet(mapgen.warehouse_map(), buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+FLOOR = floor_lines()
+EDGE_LINES = [i for i, line in enumerate(FLOOR) if line.startswith("edge ")]
+
+
+@st.composite
+def mutated_floor(draw):
+    """The demo floor's roadnet v1 text with one or two edge records
+    mutated: the length dropped, the record duplicated, or the length set to
+    nan, inf, 1e308 or 5e-324."""
+    lines = list(FLOOR)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.sampled_from(EDGE_LINES))
+        parts = lines[i].split()
+        how = draw(st.sampled_from(["drop", "duplicate", "nan", "inf", "1e308", "5e-324"]))
+        if how == "drop":
+            del parts[3]
+        elif how == "duplicate":
+            lines.append(lines[i])
+        else:
+            parts[3] = how
+        if how != "duplicate":
+            lines[i] = " ".join(parts) + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["analyze-density", "place-chargers"]), floor=mutated_floor())
+def test_mutated_maps_keep_the_exit_contract(command, floor):
+    """The trajectory is ROWS unchanged, so whatever fails is the map."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in ("floor", "cycle", "out")}
+        with open(paths["floor"], "w") as f:
+            f.write(floor)
+        with open(paths["cycle"], "w") as f:
+            f.write(CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in ROWS))
+        run_main([command, "--out-dir", paths["out"], "--map", paths["floor"], paths["cycle"]],
+                 paths["out"])

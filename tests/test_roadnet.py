@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_shortest, line_graph, one_way_pair_graph, random_graph, square_graph
-from forkfleet import InputError
-from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, astar, build_graph,
-                               dijkstra, load_roadnet, nearest_node, save_roadnet)
+from forkfleet import InputError, mapgen
+from forkfleet.odr_import import parse_opendrive_subset, to_road_graph
+from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _heap_row, astar,
+                               build_graph, dijkstra, load_roadnet, nearest_node, save_roadnet)
 
 
 class TestBuildGraph:
@@ -132,6 +133,106 @@ class TestDijkstra:
         full = dijkstra(g, src)
         cut = [d if d <= limit else math.inf for d in full]
         assert dijkstra(g, src, limit) == cut  # == on floats: the same bits
+
+
+def coincident_graph(lengths):
+    """A chain 0 -> 1 -> ... with the given lengths and every node at the
+    origin, so that any length > 0 passes the chord check."""
+    waypoints = [Waypoint(i, 0.0, 0.0, 0.0) for i in range(len(lengths) + 1)]
+    return build_graph(waypoints, [Edge(i, i + 1, length, 3.0)
+                                   for i, length in enumerate(lengths)])
+
+
+@st.composite
+def row_cases(draw, exact):
+    """(graph, source, limit) on 1-15 nodes of a small integer grid with up
+    to 4n random one-way edges, so some nodes are unreachable. With `exact`
+    the lengths are the chord rounded up plus one of a few multiples of 1/4,
+    so many lengths repeat and many distances tie; otherwise they are the
+    chord times a random factor in [1, 1.5] plus 1e-9. Limits include 0, inf,
+    integers, random floats and entries of the full row itself."""
+    n = draw(st.integers(1, 15))
+    pts = [(draw(st.integers(0, 20)), draw(st.integers(0, 20))) for _ in range(n)]
+    edges = []
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4 * n)):
+        if a != b:
+            chord = math.dist(pts[a], pts[b])
+            length = (math.ceil(chord) + draw(st.sampled_from([0.25, 1.0, 1.0, 2.5, 5.0]))
+                      if exact else chord * draw(st.floats(1.0, 1.5)) + 1e-9)
+            edges.append(Edge(a, b, length, 3.0))
+    g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+    src = draw(st.integers(0, n - 1))
+    full = _heap_row(g._flat_adjacency, src, math.inf)
+    limit = draw(st.one_of(st.sampled_from([0.0, math.inf]), st.integers(0, 40).map(float),
+                           st.floats(0.0, 100.0), st.sampled_from(full)))
+    return g, src, limit
+
+
+class TestBucketKernel:
+    """On exact-sum graphs dijkstra runs the bucket queue; its rows must be
+    the heap kernel's, list == list, so the same floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_cases(exact=True))
+    def test_exact_sum_graphs_match_the_heap_kernel(self, case):
+        g, src, limit = case
+        assert g.exact_sums
+        assert dijkstra(g, src, limit) == _heap_row(g._flat_adjacency, src, limit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_cases(exact=False))
+    def test_other_graphs_match_the_heap_kernel(self, case):
+        g, src, limit = case
+        assert dijkstra(g, src, limit) == _heap_row(g._flat_adjacency, src, limit)
+
+    def test_large_warehouse_map_matches_the_heap_kernel(self):
+        g = mapgen.warehouse_map(nx=8, ny=6)
+        assert g.exact_sums
+        for src in range(0, g.n_nodes(), 17):
+            for limit in (math.inf, 25.0, 0.0):
+                assert dijkstra(g, src, limit) == _heap_row(g._flat_adjacency, src, limit)
+
+
+ARC_ODR = ('<OpenDRIVE><road id="1" length="15.707963267948966"><planView>'
+           '<geometry s="0" x="0" y="0" hdg="0" length="15.707963267948966">'
+           '<arc curvature="0.1"/></geometry></planView><lanes><laneSection s="0"><right>'
+           '<lane id="-1" type="driving"/></right></laneSection></lanes></road></OpenDRIVE>')
+
+
+class TestExactSums:
+    def test_warehouse_maps(self, warehouse):
+        assert warehouse.exact_sums
+        assert mapgen.warehouse_map(nx=16, ny=12, n_spots=128).exact_sums
+
+    def test_warehouse_map_after_a_round_trip(self, warehouse):
+        buf = io.StringIO()
+        save_roadnet(warehouse, buf)
+        buf.seek(0)
+        assert load_roadnet(buf).exact_sums
+
+    def test_converted_arc_is_not(self):
+        g = to_road_graph(parse_opendrive_subset(ARC_ODR), spacing=1.0)
+        assert g.n_nodes() > 2 and not g.exact_sums
+
+    def test_no_edges(self):
+        assert coincident_graph([]).exact_sums
+
+    @pytest.mark.parametrize("lengths,exact", [
+        ([2.0 ** 52, 2.0 ** 52 - 1], True),            # 2^53 - 1 units of 1
+        ([2.0 ** 52, 2.0 ** 52], False),               # 2^53 units
+        ([2.0 ** 51, 2.0 ** 51 - 0.5], True),          # 2^53 - 1 units of 1/2
+        ([2.0 ** 51, 2.0 ** 51 - 0.5, 0.5], False),    # 2^53 units of 1/2
+        ([5e-324], True),                              # one unit of 2^-1074
+        ([5e-324, 5e-324, 1.0], False),
+        ([1e308], False),
+        ([1e308, 1e308, 5e-324], False),
+    ])
+    def test_boundary_and_extreme_lengths(self, lengths, exact):
+        g = coincident_graph(lengths)
+        assert g.exact_sums is exact
+        for src in range(g.n_nodes()):
+            assert dijkstra(g, src) == _heap_row(g._flat_adjacency, src, math.inf)
 
 
 @st.composite
@@ -303,6 +404,50 @@ class TestNearestNodeGrid:
     def test_non_finite_query_before_index(self):
         g = random_graph(seed=5, n_nodes=30)
         assert nearest_node(g, math.nan, 1.0) == 0
+
+
+DEGENERATE_FAR = st.floats(-1e150, 1e150)
+
+
+@st.composite
+def degenerate_snap_cases(draw):
+    """(graph, queries) whose grid is one cell (every node at one point) or
+    one row or column of cells (a flat box), with queries around the nodes,
+    far outside the box and at 1e150, where squared distances stay finite."""
+    shape = draw(st.sampled_from(["point", "row", "column"]))
+    n = draw(st.integers(1, 30))
+    c = draw(COORD)
+    if shape == "point":
+        pts = [(c, c)] * n
+    else:
+        pts = [(v, c) if shape == "row" else (c, v) for v in (draw(COORD) for _ in range(n))]
+    g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], [])
+    queries = [(draw(COORD), draw(COORD)) for _ in range(6)]
+    queries += [(draw(FAR), draw(FAR)) for _ in range(4)]
+    queries += [(draw(DEGENERATE_FAR), draw(DEGENERATE_FAR)) for _ in range(4)]
+    return shape, g, queries
+
+
+class TestSnapIndexDegenerate:
+    @settings(max_examples=200, deadline=None)
+    @given(degenerate_snap_cases())
+    def test_matches_linear_scan(self, case):
+        shape, g, queries = case
+        index = g.snap_index
+        if shape == "point":
+            assert (index.nx, index.ny) == (1, 1)
+        elif shape == "row":
+            assert index.ny == 1
+        else:
+            assert index.nx == 1
+        for x, y in queries:
+            assert nearest_node(g, x, y) == scan_nearest(g, x, y), (x, y)
+
+    def test_far_queries_on_a_flat_box(self):
+        g = build_graph([Waypoint(i, float(i), 5.0, 0.0) for i in range(50)], [])
+        assert g.snap_index.ny == 1 and g.snap_index.nx > 1
+        for x, y in ((-1e6, 5.0), (1e6, 5.0), (24.5, 1e9), (24.5, -1e9), (1e150, 1e150)):
+            assert nearest_node(g, x, y) == scan_nearest(g, x, y), (x, y)
 
 
 class TestNativeFormat:
