@@ -7,6 +7,10 @@ connected components of that relation are the clusters. A cluster of two
 or more vehicles whose mean speed falls below the velocity threshold is
 flagged critical. Directed distances stay asymmetric under one-way
 sections, which is why both directions are computed.
+
+A timeline pulls one tick at a time, one resample cursor per vehicle, and
+stitches critical clusters into episodes as each tick is made; its reports
+hold each tick's time and clusters.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
 from .trajectory import resample, split_by_vehicle
 
 
-# A timeline's peak, in entries of 8 bytes: ticks x (vehicles + 1) x this
-# (resampled samples, snapshots, clusters; a tick costs about one vehicle of
-# its own), fit with tracemalloc for 1 to 256 vehicles. Rows are held once per
-# timeline. 10^8 is 800 MB; an hour of 256 vehicles at 1 s is 8.1 x 10^7.
+# The refusal bound, in entries of 8 bytes: a timeline of ticks x (vehicles + 1)
+# x this is refused before its first tick. 88 was fit with tracemalloc when the
+# timeline held every resampled sample; holding reports and one tick it takes
+# about 27, so 88 over-counts, and it stays as the README's documented bound.
+# 10^8 is 800 MB; an hour of 256 vehicles at 1 s is 8.1 x 10^7.
 ENTRIES_PER_VEHICLE_TICK = 88
 MAX_ENTRIES = 10**8
 
@@ -63,12 +68,9 @@ class Cluster:
 
 @dataclass
 class ClusterReport:
-    """One instant's clusters, with the snapshot's vehicle ids and positions
-    but not its rows, which a timeline shares across ticks."""
+    """One instant's clusters."""
     t: float
     clusters: list
-    vehicle_ids: list
-    positions: list
 
 
 @dataclass
@@ -77,6 +79,17 @@ class CriticalEpisode:
     end: float
     peak_size: int
     centroid_node: int
+
+
+@dataclass
+class _OpenEpisode:
+    """An episode while the timeline stitches it: its latest critical
+    members (vehicle ids) and the centroid (x, y) of its peak cluster."""
+    members: list
+    start: float
+    end: float
+    peak_size: int = 0
+    centroid: tuple = None
 
 
 def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
@@ -139,33 +152,25 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
             raise InputError(f"t={s.t:.12g}: a cluster's mean speed is not finite")
         critical = len(members) >= 2 and mean_speed < cfg.velocity_threshold
         out.append(Cluster([s.vehicle_ids[i] for i in members], mean_speed, critical))
-    return ClusterReport(s.t, out, s.vehicle_ids, s.positions)
-
-
-def analyze_snapshot(t, states, graph, cfg, rows=None) -> ClusterReport:
-    """Cluster and flag one instant over rows (and `rows`) cut at
-    distance_threshold, since clustering reads no distance beyond it."""
-    s = snapshot_from_states(t, states, graph, rows, cfg.distance_threshold)
-    return flag_critical(clusters(s, cfg), s, cfg)
+    return ClusterReport(s.t, out)
 
 
 def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     """One ClusterReport per snapshot-interval tick over the trajectory span.
 
-    Returns (reports, episodes). Critical clusters are stitched into
-    episodes across consecutive ticks by >= 50% member overlap. The graph
-    does not change, so each occupied node's Dijkstra row is computed once
-    for the whole timeline, out to distance_threshold; no report keeps that
-    cache, so it is freed on return. A timeline of more than MAX_ENTRIES
-    entries raises ConfigError before any tick is made.
+    Returns (reports, episodes). Ticks are pulled one at a time, one resample
+    cursor per vehicle, and each tick's critical clusters are stitched onto the
+    open episodes as it is made: a cluster extends the first unmatched open
+    episode it overlaps by >= 50%, or opens one; an open episode that no cluster
+    matched closes. Each occupied node's Dijkstra row, cut at distance_threshold,
+    is computed once for the timeline and freed on return. A timeline of more
+    than MAX_ENTRIES entries raises ConfigError before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
         return [], []
     t0 = min(ss[0].t for ss in per_vehicle.values())
     te = max(ss[-1].t for ss in per_vehicle.values())
-    reports = []
-    rows = {}
     intervals = (te - t0) / cfg.snapshot_interval + 1e-9
     # an inf or huge count is past the cap whatever the fleet
     n_ticks = math.floor(intervals) + 1 if intervals < MAX_ENTRIES else math.inf
@@ -176,56 +181,45 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
                           f"more than {MAX_ENTRIES} entries")
     times = [t0 + k * cfg.snapshot_interval for k in range(n_ticks)]
     vids = sorted(per_vehicle)
-    columns = [resample(per_vehicle[vid], times) for vid in vids]
-    for t, tick in zip(times, zip(*columns)):
+    reports, closed, active = [], [], []
+    rows = {}
+    for t, *tick in zip(times, *[resample(per_vehicle[vid], times) for vid in vids]):
         states = [(vid, smp.x, smp.y, smp.speed)
                   for vid, smp in zip(vids, tick) if smp is not None]
         if not states:
             continue
-        reports.append(analyze_snapshot(t, states, graph, cfg, rows))
-    return reports, _stitch_episodes(reports, graph)
+        s = snapshot_from_states(t, states, graph, rows, cfg.distance_threshold)
+        partition = clusters(s, cfg)
+        report = flag_critical(partition, s, cfg)
+        reports.append(report)
+        next_active = []
+        matched = set()
+        for idx, c in zip(partition, report.clusters):
+            if not c.critical:
+                continue
+            for ai, ep in enumerate(active):
+                if ai not in matched and _overlap_ok(ep.members, c.members):
+                    matched.add(ai)
+                    ep.members, ep.end = c.members, t
+                    break
+            else:
+                ep = _OpenEpisode(c.members, t, t)
+            if len(idx) > ep.peak_size:
+                ep.peak_size = len(idx)
+                ep.centroid = (sum(s.positions[i][0] for i in idx) / len(idx),
+                               sum(s.positions[i][1] for i in idx) / len(idx))
+            next_active.append(ep)
+        closed += [ep for ai, ep in enumerate(active) if ai not in matched]
+        active = next_active
+    closed += active
+    closed.sort(key=lambda ep: (ep.start, ep.end))
+    return reports, [CriticalEpisode(ep.start, ep.end, ep.peak_size,
+                                     nearest_node(graph, *ep.centroid)) for ep in closed]
 
 
 def _overlap_ok(a, b):
     inter = len(set(a) & set(b))
     return inter >= 0.5 * max(len(a), len(b))
-
-
-def _centroid_node(members, report, graph):
-    idx = [report.vehicle_ids.index(v) for v in members]
-    cx = sum(report.positions[i][0] for i in idx) / len(idx)
-    cy = sum(report.positions[i][1] for i in idx) / len(idx)
-    return nearest_node(graph, cx, cy)
-
-
-def _stitch_episodes(reports, graph):
-    episodes = []
-    # active: dicts {members, start, end, peak_size, peak: (members, report)}
-    active = []
-    for rep in reports:
-        crit = [c.members for c in rep.clusters if c.critical]
-        next_active = []
-        matched_prev = set()
-        for members in crit:
-            for ai, a in enumerate(active):
-                if ai not in matched_prev and _overlap_ok(a["members"], members):
-                    matched_prev.add(ai)
-                    a["members"] = members
-                    a["end"] = rep.t
-                    if len(members) > a["peak_size"]:
-                        a["peak_size"] = len(members)
-                        a["peak"] = (members, rep)
-                    next_active.append(a)
-                    break
-            else:
-                next_active.append({"members": members, "start": rep.t, "end": rep.t,
-                                    "peak_size": len(members), "peak": (members, rep)})
-        episodes += [a for ai, a in enumerate(active) if ai not in matched_prev]
-        active = next_active
-    episodes.extend(active)
-    return [CriticalEpisode(a["start"], a["end"], a["peak_size"],
-                            _centroid_node(*a["peak"], graph))
-            for a in sorted(episodes, key=lambda e: (e["start"], e["end"]))]
 
 
 def write_report_csv(reports, fileobj) -> None:

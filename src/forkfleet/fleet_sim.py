@@ -559,7 +559,7 @@ def replay(samples, graph: RoadGraph, dt: float = 0.1,
                                   "finer than the sample times resolve")
             times.append(t)
             k += 1
-        regridded = resample(series, times)
+        regridded = list(resample(series, times))
         if regridded:
             regridded[0] = regridded[0]._replace(soc=series[0].soc)
         out.extend(bat.integrate_trajectory(regridded, consts, params)[2])

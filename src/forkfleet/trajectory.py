@@ -117,29 +117,30 @@ def interpolate(a: TrajectorySample, b: TrajectorySample, t: float) -> Trajector
 
 
 def resample(series, times):
-    """One vehicle's interpolated sample at each of the non-decreasing times,
-    or None where a time lies more than 1e-12 outside the series span.
+    """Yield one vehicle's interpolated sample at each of the non-decreasing
+    times, or None where a time lies more than 1e-12 outside the series span.
 
     A time is interpolated between the first sample at or after it and the
     one before; at or up to 1e-12 before the first sample it is the first,
     and up to 1e-12 after the last it is the last. The first sample at or
-    after t only moves forward as t does, so a forward cursor finds it."""
+    after t only moves forward as t does, so a forward cursor finds it, one
+    time at a time as the caller pulls."""
     if not series:
-        return [None for _ in times]
+        for _ in times:
+            yield None
+        return
     first, last = series[0].t - 1e-12, series[-1].t + 1e-12
     end = len(series) - 1
-    out = []
     i = 0
     for t in times:
         if t < first or t > last:
-            out.append(None)
+            yield None
             continue
         while i < end and series[i].t < t:
             i += 1
         b = series[i]
         if b.t >= t and i > 0:
             a = series[i - 1]
-            out.append(interpolate(a, b, min(max(t, a.t), b.t)))
+            yield interpolate(a, b, min(max(t, a.t), b.t))
         else:
-            out.append(b)
-    return out
+            yield b

@@ -4,14 +4,15 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import line_graph, one_way_pair_graph, random_graph
 from forkfleet import ConfigError, Infeasible, density
-from forkfleet.density import (Cluster, DensityConfig, UnionFind,
-                               analyze_snapshot, clusters, density_timeline,
-                               flag_critical, snapshot_from_states,
-                               write_episode_summary, write_report_csv)
-from forkfleet.roadnet import dijkstra
+from forkfleet.density import (Cluster, CriticalEpisode, DensityConfig, UnionFind,
+                               clusters, density_timeline, flag_critical,
+                               snapshot_from_states, write_episode_summary,
+                               write_report_csv)
+from forkfleet.roadnet import dijkstra, nearest_node
 from forkfleet.trajectory import TrajectorySample, split_by_vehicle
 from test_trajectory import sample_at
 
@@ -19,6 +20,12 @@ from test_trajectory import sample_at
 def states_on_line(positions_speeds):
     """(x, speed) pairs -> state tuples on the x axis, ids in order."""
     return [(i, x, 0.0, v) for i, (x, v) in enumerate(positions_speeds)]
+
+
+def analyze_snapshot(t, states, graph, cfg, rows=None):
+    """One instant's ClusterReport, over rows cut at distance_threshold."""
+    s = snapshot_from_states(t, states, graph, rows, cfg.distance_threshold)
+    return flag_critical(clusters(s, cfg), s, cfg)
 
 
 def pair_clusters(dist, threshold):
@@ -133,9 +140,9 @@ class TestFlagCritical:
         assert not rep.clusters[0].critical
 
 
-def wandering_fleet(graph, n_vehicles=6, n_steps=25):
+def wandering_fleet(graph, n_vehicles=6, n_steps=25, seed=2):
     """Vehicles hop between random nodes, some starting late."""
-    rnd = random.Random(2)
+    rnd = random.Random(seed)
     samples = []
     for vid in range(n_vehicles):
         for k in range(rnd.randrange(4), n_steps):
@@ -223,9 +230,9 @@ class TestTimeline:
             TrajectorySample(10.0, 1, 3, 0, 0, 0.0, 0, 0, 1.0),
         ]
         reports, _ = density_timeline(samples, self.graph(), cfg)
-        by_t = {r.t: r for r in reports}
-        assert len(by_t[0.0].vehicle_ids) == 1
-        assert len(by_t[6.0].vehicle_ids) == 2
+        members = {r.t: [m for c in r.clusters for m in c.members] for r in reports}
+        assert members[0.0] == [0]
+        assert members[6.0] == [0, 1]
 
     def test_entry_cap(self, monkeypatch):
         # 0..4 s: 5 ticks at 1 s of 2 vehicles, 5 x 3 x 88 = 1320 entries
@@ -269,6 +276,138 @@ class TestTimeline:
             tracemalloc.stop()
         assert len(reports) == 131
         assert peak <= 8 * len(reports) * (8 + 1) * density.ENTRIES_PER_VEHICLE_TICK
+
+
+def _overlap_ok(a, b):
+    inter = len(set(a) & set(b))
+    return inter >= 0.5 * max(len(a), len(b))
+
+
+def _centroid_node(members, snapshot, graph):
+    idx = [snapshot.vehicle_ids.index(v) for v in members]
+    cx = sum(snapshot.positions[i][0] for i in idx) / len(idx)
+    cy = sum(snapshot.positions[i][1] for i in idx) / len(idx)
+    return nearest_node(graph, cx, cy)
+
+
+def _stitch_episodes(reports, graph):
+    """The reference stitching: a second pass over (report, snapshot) pairs."""
+    episodes = []
+    # active: dicts {members, start, end, peak_size, peak: (members, snapshot)}
+    active = []
+    for rep, snap in reports:
+        crit = [c.members for c in rep.clusters if c.critical]
+        next_active = []
+        matched_prev = set()
+        for members in crit:
+            for ai, a in enumerate(active):
+                if ai not in matched_prev and _overlap_ok(a["members"], members):
+                    matched_prev.add(ai)
+                    a["members"] = members
+                    a["end"] = rep.t
+                    if len(members) > a["peak_size"]:
+                        a["peak_size"] = len(members)
+                        a["peak"] = (members, snap)
+                    next_active.append(a)
+                    break
+            else:
+                next_active.append({"members": members, "start": rep.t, "end": rep.t,
+                                    "peak_size": len(members), "peak": (members, snap)})
+        episodes += [a for ai, a in enumerate(active) if ai not in matched_prev]
+        active = next_active
+    episodes.extend(active)
+    return [CriticalEpisode(a["start"], a["end"], a["peak_size"],
+                            _centroid_node(*a["peak"], graph))
+            for a in sorted(episodes, key=lambda e: (e["start"], e["end"]))]
+
+
+def reference_timeline(samples, graph, cfg):
+    """density_timeline made the two-pass way: every tick's report and
+    snapshot from sample_at, skipping ticks with no vehicle in span, then
+    the reference stitching over them."""
+    per_vehicle = split_by_vehicle(samples)
+    t0 = min(ss[0].t for ss in per_vehicle.values())
+    te = max(ss[-1].t for ss in per_vehicle.values())
+    n_ticks = math.floor((te - t0) / cfg.snapshot_interval + 1e-9) + 1
+    pairs = []
+    for k in range(n_ticks):
+        t = t0 + k * cfg.snapshot_interval
+        states = tick_states(samples, t)
+        if states:
+            snap = snapshot_from_states(t, states, graph)
+            pairs.append((flag_critical(clusters(snap, cfg), snap, cfg), snap))
+    return [rep for rep, _ in pairs], _stitch_episodes(pairs, graph)
+
+
+def scripted(frames, dt=1.0):
+    """Samples on the x axis from frames[k] = {vehicle_id: (x, speed)} at k * dt."""
+    return sorted((TrajectorySample(k * dt, vid, x, 0.0, 0.0, v, 0.0, 0.0, 1.0)
+                   for k, frame in enumerate(frames) for vid, (x, v) in frame.items()),
+                  key=lambda s: (s.t, s.vehicle_id))
+
+
+class TestEpisodeStitching:
+    """The timeline stitches episodes as each tick is made; its episodes
+    equal those of the two-pass reference, field for field."""
+    cfg = DensityConfig(distance_threshold=15.0, velocity_threshold=0.5)
+
+    def test_split_at_half_overlap_close_and_reopen(self):
+        g = line_graph([5.0] * 12)
+        stopped = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (10.0, 0.0), 3: (20.0, 0.0)}
+        split = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (40.0, 0.0), 3: (45.0, 0.0)}
+        moving = {vid: (x, 2.0) for vid, (x, _) in split.items()}
+        samples = scripted([stopped, split, moving, split, split])
+        reports, episodes = density_timeline(samples, g, self.cfg)
+        # t=1: the episode of 0..3 overlaps both halves by exactly 50%; the
+        # first extends it and the second opens one. t=2: both close. t=3:
+        # both halves reopen.
+        assert [[c.members for c in r.clusters if c.critical] for r in reports] == [
+            [[0, 1, 2, 3]], [[0, 1], [2, 3]], [], [[0, 1], [2, 3]], [[0, 1], [2, 3]]]
+        assert [(e.start, e.end, e.peak_size) for e in episodes] == [
+            (0.0, 1.0, 4), (1.0, 1.0, 2), (3.0, 4.0, 2), (3.0, 4.0, 2)]
+        assert episodes[0].centroid_node == 2   # x = 35 / 4, at t=0
+        assert (reports, episodes) == reference_timeline(samples, g, self.cfg)
+
+    def test_under_half_overlap_opens_an_episode(self):
+        g = line_graph([5.0] * 12)
+        trio = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (10.0, 0.0), 3: (40.0, 2.0)}
+        # 1 of the 3 stays with a newcomer: 1 < 0.5 * 3
+        regrouped = {0: (0.0, 2.0), 1: (40.0, 0.0), 2: (20.0, 2.0), 3: (45.0, 0.0)}
+        samples = scripted([trio, regrouped])
+        _, episodes = density_timeline(samples, g, self.cfg)
+        assert [(e.start, e.end, e.peak_size) for e in episodes] == [
+            (0.0, 0.0, 3), (1.0, 1.0, 2)]
+        assert episodes == reference_timeline(samples, g, self.cfg)[1]
+
+    def test_tick_with_no_vehicle_in_span(self):
+        # vehicles 0 and 1 stand jammed over 0..3.5 s and 2 and 3 over
+        # 4.5..8 s; the tick at 4 s has no vehicle in span and makes no report
+        g = line_graph([5.0] * 12)
+        first = [TrajectorySample(t, vid, 5.0 * vid, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+                 for t in (0.0, 1.0, 2.0, 3.0, 3.5) for vid in (0, 1)]
+        second = [TrajectorySample(t, vid, 5.0 * vid, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+                  for t in (4.5, 5.0, 6.0, 7.0, 8.0) for vid in (2, 3)]
+        samples = sorted(first + second, key=lambda s: (s.t, s.vehicle_id))
+        reports, episodes = density_timeline(samples, g, self.cfg)
+        assert [r.t for r in reports] == [0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
+        # the episode open before the gap is still open after it, and closes
+        # at 5 s, when no cluster of 5 s overlaps it; its end is its last tick
+        assert [(e.start, e.end, e.peak_size) for e in episodes] == [
+            (0.0, 3.0, 2), (5.0, 8.0, 2)]
+        assert (reports, episodes) == reference_timeline(samples, g, self.cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_vehicles=st.integers(2, 9),
+           n_steps=st.integers(4, 20), threshold=st.sampled_from([10.0, 25.0, 60.0]),
+           velocity=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+           interval=st.sampled_from([0.5, 1.0, 1.7]))
+    def test_same_episodes_as_the_reference(self, seed, n_vehicles, n_steps, threshold,
+                                            velocity, interval):
+        graph = random_graph(seed=seed, n_nodes=20, extent=60.0)
+        samples = wandering_fleet(graph, n_vehicles, n_steps, seed=seed)
+        cfg = DensityConfig(distance_threshold=threshold, velocity_threshold=velocity,
+                            snapshot_interval=interval)
+        assert density_timeline(samples, graph, cfg) == reference_timeline(samples, graph, cfg)
 
 
 class TestTimelineRows:

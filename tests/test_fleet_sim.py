@@ -123,6 +123,22 @@ class TestRouting:
         assert w.ctl[0].distance_driven == 0.0
         assert (w.vehicle(0).x, w.vehicle(0).y) == (0.0, 0.0)
 
+    def test_route_from_mid_street_starts_at_the_truck(self):
+        # the truck stands 6 m short of node 1, the node it snaps to and spot
+        # 1's anchor, so its route starts at its own position
+        w = World(corridor_graph(), [VehicleState(0, 14.0, 0.0, 0.0)], dt=0.1)
+        w.assign_task(0, policy=("fixed", 1))
+        while w.ctl[0].phase == PHASE_LIFT:
+            w.step(auto_assign=False)
+        route = w.ctl[0].route
+        assert route.points == [(14.0, 0.0), (20.0, 0.0)]
+        assert route.seg_limits == [w.kin.v_max]
+        arrivals = []
+        for _ in range(200):
+            arrivals += w.step(auto_assign=False).arrivals
+        assert arrivals == [(0, 1)]
+        assert (w.vehicle(0).x, w.vehicle(0).y) == (20.0, 0.0)
+
 
 def braking_envelope(b_max, dt, cap, d):
     """The speed World._advance_drive allows now so that braking at b_max

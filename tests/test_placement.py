@@ -98,6 +98,13 @@ class TestVisitWeights:
         w = visit_weights(samples, g, dwell_weighting=True)
         assert w == pytest.approx([4.0, 12.0])
 
+    def test_dwell_single_sample_adds_nothing(self):
+        # vehicle 1 has one sample: no gap to reuse, so it adds 0 s to node 1
+        g = line_graph([10.0])
+        samples = [sample_at_xy(0.0, 0, 0, vid=0), sample_at_xy(2.0, 0, 0, vid=0),
+                   sample_at_xy(5.0, 10, 0, vid=1)]
+        assert visit_weights(samples, g, dwell_weighting=True) == [4.0, 0.0]
+
 
 def exhaustive_best(graph, weights, k, min_separation, d_scale):
     """Oracle: best k-subset by total decayed coverage (no greedy zeroing)."""

@@ -134,7 +134,7 @@ class TestSampleAt:
 
     def test_empty(self):
         assert sample_at([], 0.0) is None
-        assert resample([], [0.0, 0.0]) == [None, None]
+        assert list(resample([], [0.0, 0.0])) == [None, None]
 
 
 class TestResample:
@@ -153,7 +153,7 @@ class TestResample:
         mids = [(a + b) / 2 for a, b in zip(ts, ts[1:])]
         times = sorted(data.draw(st.lists(st.sampled_from(near + mids) | st.floats(-1.1e3, 1.1e3),
                                           max_size=30)))
-        got = resample(series, times)
+        got = list(resample(series, times))
         want = [sample_at(series, t) for t in times]
         assert [repr(s) for s in got] == [repr(s) for s in want]
 
