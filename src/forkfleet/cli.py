@@ -211,8 +211,11 @@ def cmd_place_chargers(args):
     cfg, graph, samples, prov = _load_analysis_inputs(args)
     pcfg = cfg.placement
     weights = plc.visit_weights(samples, graph, dwell_weighting=args.dwell)
-    result = plc.place_chargers(graph, weights, pcfg.k, pcfg.min_separation, pcfg.d_scale)
     grid = plc.heatmap_for_graph(samples, graph, cell_size=pcfg.cell_size)
+    # the last reference: the samples are freed before placement builds its
+    # rows; every input it could refuse has been refused by now
+    del samples
+    result = plc.place_chargers(graph, weights, pcfg.k, pcfg.min_separation, pcfg.d_scale)
 
     def render(placement, *heatmap):
         plc.write_placement_csv(result, graph, placement)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,8 +167,9 @@ class TestExitCodes:
     and {latin1_map}, {latin1_traj}, {latin1_cfg}, {latin1_manifest},
     {latin1_odr} the same kind of file with one byte that is not UTF-8
     ({latin1_cycle} names {latin1_traj} as its cycle), {late_traj} one
-    vehicle at t = 1e300, {far_t_traj} two vehicles at t = -1e308 and 1e308
-    and {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64. Rows run main
+    vehicle at t = 1e300, {far_t_traj} two vehicles at t = -1e308 and 1e308,
+    {wide_t_traj} one vehicle at (10, 0) at t = -1e308, 0 and 1e308 and
+    {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64. Rows run main
     in-process; test_run_as_a_module runs two of them through `python -m
     forkfleet.cli`."""
 
@@ -279,6 +281,10 @@ class TestExitCodes:
         ("place-chargers x=1e200",
          ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "{far_traj}"],
          EXIT_INPUT, INPUT),
+        # three 1e308 s dwell gaps on node 1: each finite, their sum inf
+        ("place-chargers --dwell gaps sum to inf",
+         ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "--dwell", "{wide_t_traj}"],
+         EXIT_INPUT, INPUT + "dwell time at node 1 sums past the float range"),
         # a 1e308 kg load lifted 1 m: the energy sum is inf
         ("replay energy not finite",
          ["replay", "--map", "{map}", "--out-dir", "{out}", "--dt", "1", "{heavy_traj}"],
@@ -411,6 +417,9 @@ class TestExitCodes:
                            ("late_traj", CSV_HEADER + "1e300,0,10,10,0,0,0,0,1\n"),
                            ("far_t_traj", CSV_HEADER + "-1e308,1,10,10,0,0,0,0,1\n"
                                                        "1e308,0,10,10,0,0,0,0,1\n"),
+                           ("wide_t_traj", CSV_HEADER + "-1e308,0,10,0,0,0,0,0,1\n"
+                                                        "0,0,10,0,0,0,0,0,1\n"
+                                                        "1e308,0,10,0,0,0,0,0,1\n"),
                            ("coarse_t_traj", CSV_HEADER + "1e17,0,10,10,0,0,0,0,1\n"
                                                           "100000000000000064,0,11,10,0,1,0,0,1\n"),
                            ("heavy_traj", CSV_HEADER + "0,0,10,10,0,0,0,1e308,1\n"
@@ -794,6 +803,79 @@ class TestAnalyses:
         with open(os.path.join(hout, "heatmap.txt")) as f:
             lines = [l for l in f if not l.startswith("#")]
         assert lines[0].startswith("heatmap v1 ")
+
+    def test_place_chargers_frees_the_samples_first(self, tmp_path, map_file, monkeypatch):
+        _, out = simulate(tmp_path, map_file)
+
+        class Samples(list):  # unlike a list, it can be weakly referenced
+            pass
+
+        refs = []
+
+        def read(f):
+            samples = Samples(read_csv(f))
+            refs.append(weakref.ref(samples))
+            return samples
+
+        def place(*args):
+            assert refs and refs[0]() is None, "the samples outlive visit_weights and heatmap"
+            return place_chargers(*args)
+
+        place_chargers = cli.plc.place_chargers
+        monkeypatch.setattr(cli, "read_csv", read)
+        monkeypatch.setattr(cli.plc, "place_chargers", place)
+        assert main(["place-chargers", "--map", map_file, "--out-dir", str(tmp_path / "plc"),
+                     os.path.join(out, "trajectory.csv")]) == EXIT_OK
+
+
+class TestPlaceChargersBytes:
+    """place-chargers' bodies pinned, with and without --dwell. The benchmark's
+    golden digests cover count weighting only. The trajectory is 16 trucks
+    simulated for 30 s on a 205-node floor, each kept at every 2nd to 5th
+    step by its id, so that dwell weighting picks other stations than
+    count weighting does."""
+
+    DIGESTS = {
+        (): {"placement.csv":
+             "7d8877968d78ecc955798cf44aafec943994e704ab7ea8122c3930b7c8e856ca",
+             "heatmap.txt": "5b689ff25da0b72d4d20d1158bb8e7b589f915c71e1122cdf359b673b5595407",
+             "heatmap_cells.csv":
+             "73a903bd626c1ebbb8d8d26a3385e6be94d4fda63b110c3ed63920a3a10b32de"},
+        ("--dwell",): {"placement.csv":
+                       "ff435a835ae0c1ed7e39432ce8eb169ffaf2f7acb4d7e2eddd1c2685f6282cdc",
+                       "heatmap.txt":
+                       "5b689ff25da0b72d4d20d1158bb8e7b589f915c71e1122cdf359b673b5595407",
+                       "heatmap_cells.csv":
+                       "73a903bd626c1ebbb8d8d26a3385e6be94d4fda63b110c3ed63920a3a10b32de"},
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("pin")
+        floor = str(d / "floor.roadnet")
+        with open(floor, "w") as f:
+            save_roadnet(mapgen.warehouse_map(nx=8, ny=6, n_spots=32), f)
+        sim = str(d / "sim")
+        assert main(["simulate", "--map", floor, "--out-dir", sim, "--vehicles", "16",
+                     "--duration", "30", "--seed", "7"]) == EXIT_OK
+        with open(os.path.join(sim, "trajectory.csv")) as f:
+            samples = read_csv(f)
+        traj = str(d / "thinned.csv")
+        with open(traj, "w") as f:
+            write_csv([s for s in samples if round(s.t * 10) % (2 + s.vehicle_id % 4) == 0], f)
+        return floor, traj
+
+    @pytest.mark.parametrize("flags", sorted(DIGESTS), ids=["count", "dwell"])
+    def test_bodies_are_pinned(self, tmp_path, inputs, flags):
+        floor, traj = inputs
+        out = str(tmp_path / "out")
+        assert main(["place-chargers", "--map", floor, "--out-dir", out, *flags, traj]) == EXIT_OK
+        digests = {}
+        for name in self.DIGESTS[flags]:
+            with open(os.path.join(out, name), "rb") as f:
+                f.readline()  # the provenance line
+                digests[name] = hashlib.sha256(f.read()).hexdigest()
+        assert digests == self.DIGESTS[flags]
 
 
 class TestCalibrate:

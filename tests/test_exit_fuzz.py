@@ -1,7 +1,8 @@
 """The CLI's exit-code contract over mutated inputs: whatever the trajectory,
-manifest, roadnet map or --set value, cli.main returns 0, 2, 3 or 4, writes at
-most one line to stderr and no traceback, leaves no file behind when it fails,
-and writes no nan or inf into any file it does write."""
+manifest, roadnet map or --set value, and with or without place-chargers'
+--dwell, cli.main returns 0, 2, 3 or 4, writes at most one line to stderr and
+no traceback, leaves no file behind when it fails, and writes no nan or inf
+into any file it does write."""
 
 import contextlib
 import dataclasses
@@ -91,9 +92,9 @@ def run_main(argv, out):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(command=st.sampled_from(COMMANDS), rows=mutated_rows(),
        energy=st.sampled_from(["5000", *EXTREMES, "-5000"]),
-       free=st.sampled_from([[], ["--free", "c_rr"]]),
+       free=st.sampled_from([[], ["--free", "c_rr"]]), dwell=st.booleans(),
        sets=st.lists(st.sampled_from(SET_CASES), max_size=2))
-def test_mutated_inputs_keep_the_exit_contract(command, rows, energy, free, sets):
+def test_mutated_inputs_keep_the_exit_contract(command, rows, energy, free, dwell, sets):
     with tempfile.TemporaryDirectory() as d:
         paths = {name: os.path.join(d, name) for name in ("floor", "cycle", "manifest", "out")}
         with open(paths["floor"], "w") as f:
@@ -108,6 +109,8 @@ def test_mutated_inputs_keep_the_exit_contract(command, rows, energy, free, sets
         elif command == "calibrate":
             argv += [*free, paths["manifest"]]
         else:
+            if command == "place-chargers" and dwell:
+                argv.append("--dwell")
             argv += ["--map", paths["floor"], paths["cycle"]]
         run_main(argv, paths["out"])
 
@@ -144,8 +147,9 @@ def mutated_floor(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["analyze-density", "place-chargers"]), floor=mutated_floor())
-def test_mutated_maps_keep_the_exit_contract(command, floor):
+@given(command=st.sampled_from(["analyze-density", "place-chargers"]), floor=mutated_floor(),
+       dwell=st.booleans())
+def test_mutated_maps_keep_the_exit_contract(command, floor, dwell):
     """The trajectory is ROWS unchanged, so whatever fails is the map."""
     with tempfile.TemporaryDirectory() as d:
         paths = {name: os.path.join(d, name) for name in ("floor", "cycle", "out")}
@@ -153,5 +157,6 @@ def test_mutated_maps_keep_the_exit_contract(command, floor):
             f.write(floor)
         with open(paths["cycle"], "w") as f:
             f.write(CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in ROWS))
-        run_main([command, "--out-dir", paths["out"], "--map", paths["floor"], paths["cycle"]],
-                 paths["out"])
+        flags = ["--dwell"] if command == "place-chargers" and dwell else []
+        run_main([command, *flags, "--out-dir", paths["out"], "--map", paths["floor"],
+                  paths["cycle"]], paths["out"])

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,6 +348,31 @@ class TestLazyGreedy:
     def test_bad_d_scale_rejected(self, d_scale):
         with pytest.raises(ValueError):
             place_chargers(line_graph([10.0]), [1.0, 1.0], k=1, d_scale=d_scale)
+
+
+class TestRowMemory:
+    def test_rows_are_packed(self):
+        # every node weighted, so every node gets an up-front row: n rows of n
+        # entries. A packed row holds 8 B an entry plus a 64 B header, so the
+        # rows take about 8 n^2 B; a list of floats holds an 8 B pointer and a
+        # 24 B float object an entry, at least 32 n^2 B. The bound sits at
+        # 16 n^2, between the two, plus a fixed 64 KiB for what grows only
+        # with n: the heap of n (key, node) tuples, the weights, the
+        # coordinates and one Dijkstra's working lists (about 33 KB together
+        # at n = 205).
+        g = warehouse_map(nx=8, ny=6, n_spots=32)
+        n = g.n_nodes()
+        assert 190 <= n <= 210
+        w = [1.0 + i % 3 for i in range(n)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = place_chargers(g, w, k=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(res.stations) == 5
+        assert peak < 16 * n * n + 64 * 1024
 
 
 class TestScorePlacement:
