@@ -106,12 +106,16 @@ class VehicleConstants:
 
 def _segment_features(a, b, consts: VehicleConstants):
     """Features of the segment between two samples of one vehicle, read by
-    position: b may be a sample's first eight fields (all but soc)."""
+    position: b may be a sample's first eight fields (all but soc). A refusal
+    names the vehicle and b's t."""
     dt = b[0] - a[0]  # _features refuses dt <= 0
     # t, vehicle_id, x, y, heading, speed, fork_height, load_mass at 0..7
-    return _features(dt, 0.5 * (a[5] + b[5]) * dt,  # trapezoidal in speed
-                     a[5], b[5], math.remainder(b[4] - a[4], 2.0 * math.pi),
-                     consts.truck_mass + a[7], b[6] - a[6], b[7] + consts.fork_mass)
+    try:
+        return _features(dt, 0.5 * (a[5] + b[5]) * dt,  # trapezoidal in speed
+                         a[5], b[5], math.remainder(b[4] - a[4], 2.0 * math.pi),
+                         consts.truck_mass + a[7], b[6] - a[6], b[7] + consts.fork_mass)
+    except InputError as exc:
+        raise InputError(f"vehicle {b[1]} at t={b[0]:.12g}: {exc}") from None
 
 
 def _vehicle_features(samples, consts: VehicleConstants):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -26,7 +27,7 @@ from . import (ConfigError, ForkfleetError, Infeasible, InputError, __version__,
 from .config import ScenarioConfig, apply_setting, dump_battery_params, load_config
 from .fleet_sim import World, replay
 from .roadnet import load_roadnet, save_roadnet
-from .trajectory import read_csv, write_csv
+from .trajectory import CSV_HEADER, read_csv, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG, EXIT_INPUT, EXIT_INFEASIBLE = ConfigError.code, InputError.code, Infeasible.code
@@ -150,22 +151,21 @@ def cmd_simulate(args):
     prov = _provenance([cfg.map], cfg)
 
     def render(trajectory, soc, summary):
-        write_csv((), trajectory)  # the headers
-        _render_soc((), soc)
-        for tick in world.ticks(cfg.duration, policy=policy):
-            write_csv(tick, trajectory, header=False)
-            if tick:  # _render_soc's rows; a tick's samples share one t, formatted once
-                t = "%.12g," % tick[0].t
-                soc.write("".join([t + "%s,%.12g\n" % (s.vehicle_id, s.soc) for s in tick]))
+        _render_run(world.ticks(cfg.duration, policy=policy), trajectory, soc)
         _render_summary(world, summary, prov)
     return prov, ("trajectory.csv", "soc.csv", "summary.txt"), render
 
 
-def _render_soc(samples, f):
-    w = f.write
-    w("t,vehicle_id,soc\n")
-    for s in samples:
-        w("%.12g,%s,%.12g\n" % (s.t, s.vehicle_id, s.soc))
+def _render_run(ticks, rows, soc):
+    """The trajectory CSV and soc.csv of a run: ticks are lists of samples,
+    each list's samples sharing one t, whose text is formatted once."""
+    rows.write(CSV_HEADER + "\n")
+    soc.write("t,vehicle_id,soc\n")
+    for tick in ticks:
+        write_csv(tick, rows, header=False)
+        if tick:
+            t = "%.12g," % tick[0].t
+            soc.write("".join([t + "%s,%.12g\n" % (s.vehicle_id, s.soc) for s in tick]))
 
 
 def _render_summary(world, f, prov):
@@ -184,16 +184,15 @@ def cmd_replay(args):
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
     out = replay(samples, graph, dt=cfg.dt, consts=consts, params=cfg.battery)
 
-    def render(replayed, soc):
-        write_csv(out, replayed)
-        _render_soc(out, soc)
-    return prov, ("replay.csv", "soc.csv"), render
+    # out is in (t, vehicle_id) order: a tick per run of equal t bits (-0.0 and 0.0 print apart)
+    ticks = ([*tick] for _, tick in itertools.groupby(out, key=lambda s: s.t.hex()))
+    return prov, ("replay.csv", "soc.csv"), lambda replayed, soc: _render_run(ticks, replayed, soc)
 
 
 def cmd_convert(args):
     # the bytes, so the XML parser decodes them as the document declares
-    desc = _read_input(args.input, lambda f: odr_import.parse_opendrive_subset(f.buffer.read()))
-    graph = odr_import.to_road_graph(desc, args.spacing)
+    roads = _read_input(args.input, lambda f: odr_import.parse_opendrive_subset(f.buffer.read()))
+    graph = odr_import.to_road_graph(roads, args.spacing)
     return _provenance([args.input]), (args.out,), lambda f: save_roadnet(graph, f)
 
 

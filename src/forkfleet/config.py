@@ -7,10 +7,10 @@ density.*, placement.*). '#' starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import ConfigError, records, setting  # ConfigError: re-exported
-from .battery import BatteryParams
+from .battery import BatteryParams, VehicleConstants
 from .density import DensityConfig
 from .fleet_sim import KinematicsParams
 
@@ -33,7 +33,7 @@ class ScenarioConfig:
     policy: str = "random"          # "random" | "fixed:<spot_id>"
     pickup_mass: float = setting(500.0, 0)
     lift_height: float = setting(1.0, 0)
-    fork_mass: float = setting(100.0, 0)
+    fork_mass: float = setting(VehicleConstants.fork_mass, 0)
     kin: KinematicsParams = field(default_factory=KinematicsParams)
     battery: BatteryParams = field(default_factory=BatteryParams)
     density: DensityConfig = field(default_factory=DensityConfig)
@@ -50,10 +50,6 @@ class ScenarioConfig:
         raise ConfigError(f"unknown policy '{self.policy}'")
 
 
-_GROUPS = {"kin": KinematicsParams, "battery": BatteryParams,
-           "density": DensityConfig, "placement": PlacementConfig}
-
-
 def _cast_like(current, raw, key):
     try:
         if isinstance(current, int):
@@ -65,23 +61,25 @@ def _cast_like(current, raw, key):
         raise ConfigError(f"key '{key}': cannot parse value {raw!r}") from exc
 
 
+def _field_names(obj):
+    return {f.name for f in fields(obj)}
+
+
 def apply_setting(cfg: ScenarioConfig, key: str, raw: str, where: str = "") -> ScenarioConfig:
+    """cfg with the setting that key names cast from raw like its value: a
+    field of cfg, or for 'group.name' a field of group, a field of cfg whose
+    value is a dataclass."""
     loc = f"{where}: " if where else ""
-    if "." in key:
-        group, sub = key.split(".", 1)
-        if group not in _GROUPS:
+    obj, name = cfg, key
+    group, dot, sub = key.partition(".")
+    if dot:
+        obj, name = getattr(cfg, group) if group in _field_names(cfg) else None, sub
+        if not is_dataclass(obj):
             raise ConfigError(f"{loc}unknown group '{group}'")
-        obj = getattr(cfg, group)
-        names = {f.name for f in fields(obj)}
-        if sub not in names:
-            raise ConfigError(f"{loc}unknown key '{key}'")
-        value = _cast_like(getattr(obj, sub), raw, key)
-        return replace(cfg, **{group: replace(obj, **{sub: value})})
-    names = {f.name for f in fields(cfg)}
-    if key not in names or key in _GROUPS:
+    if name not in _field_names(obj) or is_dataclass(getattr(obj, name)):
         raise ConfigError(f"{loc}unknown key '{key}'")
-    value = _cast_like(getattr(cfg, key), raw, key)
-    return replace(cfg, **{key: value})
+    value = replace(obj, **{name: _cast_like(getattr(obj, name), raw, key)})
+    return replace(cfg, **{group: value}) if dot else value
 
 
 def load_config(fileobj) -> ScenarioConfig:

@@ -172,8 +172,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     t0 = min(ss[0].t for ss in per_vehicle.values())
     te = max(ss[-1].t for ss in per_vehicle.values())
     intervals = (te - t0) / cfg.snapshot_interval + 1e-9
-    # an inf or huge count is past the cap whatever the fleet
-    n_ticks = math.floor(intervals) + 1 if intervals < MAX_ENTRIES else math.inf
+    # math.floor refuses an inf quotient, which is past the cap whatever the fleet
+    n_ticks = math.floor(intervals) + 1 if intervals < math.inf else math.inf
     n = len(per_vehicle)
     if n_ticks * (n + 1) * ENTRIES_PER_VEHICLE_TICK > MAX_ENTRIES:
         raise ConfigError(f"density.snapshot_interval {cfg.snapshot_interval!r} over "

@@ -71,9 +71,6 @@ class KinematicsParams:
     horizon: float = setting(5.0, 0, ends="(]")      # s conflict prediction horizon
     t_deadlock: float = setting(10.0, 0)             # s before a blocked vehicle gains priority
 
-    def validate(self):
-        check_ranges(self, "kin.")
-
 
 @dataclass(frozen=True)
 class Task:
@@ -89,7 +86,7 @@ class VehicleState:
     y: float
     heading: float
     speed: float = 0.0
-    truck_mass: float = 3000.0
+    truck_mass: float = bat.VehicleConstants.truck_mass
     load_mass: float = 0.0
     fork_height: float = 0.0
     soc: float = 1.0
@@ -146,11 +143,11 @@ class World:
     def __init__(self, graph: RoadGraph, vehicles, dt: float = 0.1, seed: int = 0,
                  kin: KinematicsParams = KinematicsParams(),
                  battery_params: bat.BatteryParams = bat.BatteryParams(),
-                 fork_mass: float = 100.0,
+                 fork_mass: float = bat.VehicleConstants.fork_mass,
                  pickup_mass: float = 500.0, lift_height: float = 1.0):
         if not 0.0 < dt < math.inf:
             raise ConfigError(f"dt must be finite and > 0, got {dt}")
-        kin.validate()  # the broad phase's reach bound needs finite, positive kin
+        check_ranges(kin, "kin.")  # the broad phase's reach bound needs finite, positive kin
         self.graph = graph
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
         self._vehicles_by_id = {v.id: v for v in self.vehicles}

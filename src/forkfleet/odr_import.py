@@ -81,11 +81,6 @@ class Road:
         return seg.point_at(min(s - seg.s, seg.length))
 
 
-@dataclass
-class RoadDescription:
-    roads: list
-
-
 def _attr(elem, name, road_id, cast=float):
     v = elem.get(name)
     if v is None:
@@ -108,8 +103,9 @@ def _lane_count(lanes_el, side):
                 for el in side_els if el is not None), default=0)
 
 
-def parse_opendrive_subset(document) -> RoadDescription:
-    """Parse OpenDRIVE text, or bytes in the encoding their XML declaration names."""
+def parse_opendrive_subset(document) -> list:
+    """The Roads of OpenDRIVE text, or of bytes in the encoding their XML
+    declaration names."""
     try:
         root = ET.fromstring(document)
     except (ET.ParseError, LookupError, ValueError) as exc:
@@ -180,10 +176,10 @@ def parse_opendrive_subset(document) -> RoadDescription:
                           _lane_count(lanes_el, "right"), links))
     if not roads:
         raise InputError("document contains no <road> elements")
-    return RoadDescription(roads)
+    return roads
 
 
-def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
+def to_road_graph(roads, spacing: float) -> RoadGraph:
     """Sample every road's reference line and wire up directed edge chains.
 
     Forward chains carry right-lane traffic, backward chains left-lane
@@ -192,11 +188,11 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
     """
     if not 0.0 < spacing < math.inf:
         raise ConfigError(f"spacing must be finite and > 0, got {spacing}")
-    for road in desc.roads:
+    for road in roads:
         if road.length <= 0:
             raise InputError(f"road {road.id} has zero length")
     # summed before math.ceil, which an inf quotient would stop
-    n_points = sum(road.length / spacing for road in desc.roads)
+    n_points = sum(road.length / spacing for road in roads)
     if not n_points <= MAX_POINTS:
         raise ConfigError(f"spacing {spacing!r} makes {n_points:.3g} sample points, "
                           f"more than {MAX_POINTS}")
@@ -205,7 +201,7 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
     edges = []
     # per (road id, direction) -> node index list along the chain
     chains = {}
-    for road in desc.roads:
+    for road in roads:
         n = max(1, math.ceil(road.length / spacing - 1e-12))
         step = road.length / n
         pts = [road.point_at(i * step) for i in range(n + 1)]
@@ -231,8 +227,8 @@ def to_road_graph(desc: RoadDescription, spacing: float) -> RoadGraph:
         chain = chains.get((road.id, "bwd" if end == "end" else "fwd"))
         return chain[0] if chain else None
 
-    by_id = {road.id: road for road in reversed(desc.roads)}  # the first of an id wins
-    for road in desc.roads:
+    by_id = {road.id: road for road in reversed(roads)}  # the first of an id wins
+    for road in roads:
         for link in road.links:
             other = by_id.get(link.element_id)
             if other is None:

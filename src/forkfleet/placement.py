@@ -43,9 +43,6 @@ class HeatmapGrid:
         return (self.origin_x + (cx + 0.5) * self.cell_size,
                 self.origin_y + (cy + 0.5) * self.cell_size)
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
     def top_decile_cells(self):
         """Nonzero cells with counts at or above the 90th percentile of
         nonzero counts."""

@@ -169,7 +169,9 @@ class TestExitCodes:
     ({latin1_cycle} names {latin1_traj} as its cycle), {late_traj} one
     vehicle at t = 1e300, {far_t_traj} two vehicles at t = -1e308 and 1e308,
     {wide_t_traj} one vehicle at (10, 0) at t = -1e308, 0 and 1e308 and
-    {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64. Rows run main
+    {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64, {long_traj} one
+    vehicle at t = 0 and 1e9, {back_traj} one vehicle at speed -1 and
+    {back_manifest} one naming {back_traj}. Rows run main
     in-process; test_run_as_a_module runs two of them through `python -m
     forkfleet.cli`."""
 
@@ -244,6 +246,10 @@ class TestExitCodes:
         ("analyze-density density.snapshot_interval=1.2e-6",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
           "--set", "density.snapshot_interval=1.2e-6", "{traj}"], EXIT_CONFIG, CONFIG),
+        # 1e9 s at the default 1 s: a finite count, reported as one
+        ("analyze-density 1e9 ticks",
+         ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{long_traj}"], EXIT_CONFIG,
+         CONFIG + "density.snapshot_interval 1.0 over 1000000000 s makes 1e+09 ticks of 1 "),
         # 1 s over a subnormal interval is inf ticks, which math.floor refuses
         ("analyze-density density.snapshot_interval=5e-324",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}",
@@ -285,6 +291,11 @@ class TestExitCodes:
         ("place-chargers --dwell gaps sum to inf",
          ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "--dwell", "{wide_t_traj}"],
          EXIT_INPUT, INPUT + "dwell time at node 1 sums past the float range"),
+        # a truck driving at -1 m/s: a negative distance, named by vehicle and t
+        ("replay speed -1", ["replay", "--map", "{map}", "--out-dir", "{out}", "{back_traj}"],
+         EXIT_INPUT, INPUT + "vehicle 0 at t=0.1: ds=-0.1, dt=0.1"),
+        ("calibrate speed -1", ["calibrate", "--out-dir", "{out}", "{back_manifest}"],
+         EXIT_INPUT, INPUT + "vehicle 0 at t=1: ds=-1.0, dt=1.0"),
         # a 1e308 kg load lifted 1 m: the energy sum is inf
         ("replay energy not finite",
          ["replay", "--map", "{map}", "--out-dir", "{out}", "--dt", "1", "{heavy_traj}"],
@@ -422,6 +433,11 @@ class TestExitCodes:
                                                         "1e308,0,10,0,0,0,0,0,1\n"),
                            ("coarse_t_traj", CSV_HEADER + "1e17,0,10,10,0,0,0,0,1\n"
                                                           "100000000000000064,0,11,10,0,1,0,0,1\n"),
+                           ("long_traj", CSV_HEADER + "0,0,10,10,0,0,0,0,1\n"
+                                                      "1e9,0,10,10,0,0,0,0,1\n"),
+                           ("back_traj", CSV_HEADER + "0,0,10,10,0,-1,0,0,1\n"
+                                                      "1,0,9,10,0,-1,0,0,1\n"),
+                           ("back_manifest", "back_traj,1000\n"),
                            ("heavy_traj", CSV_HEADER + "0,0,10,10,0,0,0,1e308,1\n"
                                                        "1,0,10,10,0,0,1,1e308,1\n"
                                                        "2,0,10,10,0,0,0,1e308,1\n"),
@@ -684,7 +700,8 @@ class TestStreamedSimulate:
         samples = world.run(duration, policy=cfg.policy_tuple())
         trajectory, soc = io.StringIO(), io.StringIO()
         write_csv(samples, trajectory)
-        cli._render_soc(samples, soc)
+        soc.write("t,vehicle_id,soc\n")
+        soc.write("".join(f"{s.t:.12g},{s.vehicle_id},{s.soc:.12g}\n" for s in samples))
         for name, body in (("trajectory.csv", trajectory), ("soc.csv", soc)):
             assert runs[0][name].decode().split("\n", 1)[1] == body.getvalue(), name
 
@@ -753,6 +770,22 @@ class TestReplay:
         assert len(replayed) == len(original)
         for a, b in zip(original, replayed):
             assert math.isclose(a.soc, b.soc, abs_tol=1e-9)
+
+    def test_soc_rows_are_the_replayed_rows(self, tmp_path, map_file):
+        # vehicle 0 starts at t = -0.0, vehicle 1 at 0.0: equal, so one tick,
+        # but each row prints its own t
+        traj = tmp_path / "signed_zero.csv"
+        traj.write_text("t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc\n"
+                        "-0,0,10,10,0,0,0,0,1\n0,1,20,10,0,0,0,0,1\n"
+                        "0.2,0,10,10,0,0,0,0,1\n0.2,1,20,10,0,0,0,0,1\n")
+        rout = tmp_path / "replayed"
+        assert main(["replay", "--map", map_file, "--out-dir", str(rout), str(traj)]) == EXIT_OK
+        rows = (rout / "replay.csv").read_text().splitlines()[2:]
+        soc = (rout / "soc.csv").read_text().splitlines()
+        assert soc[1] == "t,vehicle_id,soc"
+        assert soc[2:] == [",".join((r.split(",")[0], r.split(",")[1], r.split(",")[8]))
+                           for r in rows]
+        assert soc[2:4] == ["-0,0,1", "0,1,1"] and len(rows) == 6
 
     def test_corrupt_trajectory(self, tmp_path, map_file):
         bad = tmp_path / "bad.csv"

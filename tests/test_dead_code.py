@@ -1,7 +1,9 @@
 """Dead-code guard: every top-level def and class in the package, public or
 private, every module-level constant, and every public method of a public
-class has a reader in the package itself (a reference to its name), or a
-reason below why only others read it."""
+class has a reader in the package itself, or a reason below why only others
+read it. A top-level name is read by any reference to it; a method only by
+an attribute read off something that is not an imported module, so neither
+a local variable of its name nor math.dist reads a method dist."""
 
 import ast
 import pathlib
@@ -17,6 +19,7 @@ CALLED_FROM_OUTSIDE = {
     "score_placement": "acceptance test c7 scores placements with it",
     "top_decile_cells": "acceptance test c7 and test_placement.py read heatmap hot spots with it",
     "run": "the tests take a run's samples as one list from it, beside the CLI's stream",
+    "dist": "acceptance test c2 checks a snapshot's distance matrix with it",
 }
 
 
@@ -26,16 +29,15 @@ def public_defs(body):
             and not node.name.startswith("_")]
 
 
-def public_defs_and_methods(body, where):
-    """{name: where} of the public top-level defs and classes, and of the
-    public methods of the public classes."""
-    defined = {}
-    for node in public_defs(body):
-        defined[node.name] = where
-        if isinstance(node, ast.ClassDef):
-            for method in public_defs(node.body):
-                defined[method.name] = f"{where} {node.name}"
-    return defined
+def public_top_level(body, where):
+    """{name: where} of the public top-level defs and classes."""
+    return {node.name: where for node in public_defs(body)}
+
+
+def public_methods(body, where):
+    """{name: where} of the public methods of the public classes."""
+    return {method.name: f"{where} {node.name}" for node in public_defs(body)
+            if isinstance(node, ast.ClassDef) for method in public_defs(node.body)}
 
 
 def private_defs_and_constants(body, where):
@@ -54,33 +56,81 @@ def private_defs_and_constants(body, where):
     return defined
 
 
-def defined_and_referenced(kinds=public_defs_and_methods):
-    """({defined name: where}, {every name the package reads}); kinds picks
-    which definitions are collected."""
-    defined, referenced = {}, set()
+def module_names(tree):
+    """The names a module binds to modules: each `import x` or `import x.y as
+    z`, and each `from . import x` where x is one of the package's modules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            names.update(a.asname or a.name for a in node.names
+                         if (SRC / f"{a.name}.py").is_file())
+    return names
+
+
+def reads(tree):
+    """({every name tree reads}, {every attribute it reads off something that
+    is not an imported module})."""
+    referenced, attributes = set(), set()
+    modules = module_names(tree)
+    for node in ast.walk(tree):
+        # a name read, not the assignment that defines it
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                attributes.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    return referenced, attributes
+
+
+def defined_and_referenced(kinds=public_top_level):
+    """({defined name: where}, {every name the package reads}, {every
+    attribute it reads off something that is not an imported module}); kinds
+    picks which definitions are collected."""
+    defined, referenced, attributes = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         defined.update(kinds(tree.body, path.name))
-        for node in ast.walk(tree):
-            # a name read, not the assignment that defines it
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    return defined, referenced
+        names, attrs = reads(tree)
+        referenced |= names
+        attributes |= attrs
+    return defined, referenced, attributes
+
+
+def public_unread():
+    """{name: where} of the public definitions with no reader in the package:
+    top-level ones by name, methods by attribute."""
+    defined, referenced, _ = defined_and_referenced()
+    methods, _, attributes = defined_and_referenced(public_methods)
+    unread = {name: file for name, file in defined.items() if name not in referenced}
+    unread.update((name, file) for name, file in methods.items() if name not in attributes)
+    return unread, {**defined, **methods}
 
 
 def test_every_public_definition_has_a_user_in_the_package():
-    defined, referenced = defined_and_referenced()
-    unused = sorted(f"{file}: {name}" for name, file in defined.items()
-                    if name not in referenced and name not in CALLED_FROM_OUTSIDE)
+    unread, _ = public_unread()
+    unused = sorted(f"{file}: {name}" for name, file in unread.items()
+                    if name not in CALLED_FROM_OUTSIDE)
     assert unused == []
 
 
+def test_a_method_is_read_only_as_an_attribute_of_a_non_module():
+    # a local variable, math.dist or a package module's function does not read
+    # a method of its name; an attribute of anything else does
+    tree = ast.parse("import math\nfrom . import density as dens, ConfigError\n"
+                     "n = total + math.dist(a, b) + dens.clusters(s) + grid.cell_of(x, y)\n"
+                     "ConfigError.label\n")
+    referenced, attributes = reads(tree)
+    assert {"total", "dist", "clusters", "cell_of", "label"} <= referenced
+    assert attributes == {"cell_of", "label"}
+
+
 def test_every_private_definition_and_constant_has_a_reader_in_the_package():
-    defined, referenced = defined_and_referenced(private_defs_and_constants)
+    defined, referenced, _ = defined_and_referenced(private_defs_and_constants)
     assert "_ROW" in defined and "MAX_ENTRIES" in defined  # the case sees both kinds
     unused = sorted(f"{file}: {name}" for name, file in defined.items()
                     if name not in referenced and name not in CALLED_FROM_OUTSIDE)
@@ -88,7 +138,7 @@ def test_every_private_definition_and_constant_has_a_reader_in_the_package():
 
 
 def test_every_listed_name_still_needs_its_entry():
-    defined, referenced = defined_and_referenced()
+    unread, defined = public_unread()
     stale = sorted(name for name in CALLED_FROM_OUTSIDE
-                   if name not in defined or name in referenced)
+                   if name not in defined or name not in unread)
     assert stale == []

@@ -69,6 +69,21 @@ def mutated_rows(draw):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+# one truck's times, in increasing order: spans and gaps up to 2e308
+TIMES = ["-1e308", "-1e300", "-1", "0", "1", "1e300", "1e308"]
+
+
+@st.composite
+def extreme_time_rows(draw):
+    """ROWS with all four times of one truck drawn from TIMES."""
+    rows = [list(row) for row in ROWS]
+    truck = draw(st.integers(0, 1))
+    picks = draw(st.lists(st.integers(0, len(TIMES) - 1), min_size=4, max_size=4, unique=True))
+    for row, i in zip(rows[truck::2], sorted(picks)):  # ROWS is time-major, two trucks a time
+        row[0] = TIMES[i]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 COMMANDS = ["simulate", "replay", "analyze-density", "place-chargers", "heatmap", "calibrate"]
 
 
@@ -95,6 +110,20 @@ def run_main(argv, out):
        free=st.sampled_from([[], ["--free", "c_rr"]]), dwell=st.booleans(),
        sets=st.lists(st.sampled_from(SET_CASES), max_size=2))
 def test_mutated_inputs_keep_the_exit_contract(command, rows, energy, free, dwell, sets):
+    run_command(command, rows, energy, free, dwell, sets)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(COMMANDS[1:]), rows=extreme_time_rows(), dwell=st.booleans())
+def test_extreme_times_keep_the_exit_contract(command, rows, dwell):
+    """Gaps of up to 2e308 s between one truck's samples: spans and dwell sums
+    that overflow."""
+    run_command(command, rows, "5000", ["--free", "c_rr"], dwell, [])
+
+
+def run_command(command, rows, energy, free, dwell, sets):
+    """command on the demo floor, the trajectory CSV of rows and a manifest
+    of that cycle with energy, under the contract."""
     with tempfile.TemporaryDirectory() as d:
         paths = {name: os.path.join(d, name) for name in ("floor", "cycle", "manifest", "out")}
         with open(paths["floor"], "w") as f:

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forkfleet import ConfigError, Infeasible, battery, mapgen
+from forkfleet import ConfigError, Infeasible, battery, check_ranges, mapgen
 from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
                                  PHASE_IDLE, PHASE_LIFT, PHASE_LOWER,
@@ -33,20 +33,20 @@ def one_way_corridor():
 
 class TestKinematicsValidate:
     def test_defaults_and_zero_deadlock_pass(self):
-        KinematicsParams().validate()
-        KinematicsParams(t_deadlock=0.0).validate()
+        check_ranges(KinematicsParams(), "kin.")
+        check_ranges(KinematicsParams(t_deadlock=0.0), "kin.")
 
     @pytest.mark.parametrize("name", ["v_max", "a_max", "b_max", "a_lat_max", "lift_speed",
                                       "d_safe", "horizon", "t_deadlock"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_rejects(self, name, value):
         with pytest.raises(ConfigError, match=f"kin.{name}"):
-            KinematicsParams(**{name: value}).validate()
+            check_ranges(KinematicsParams(**{name: value}), "kin.")
 
     @pytest.mark.parametrize("name", ["v_max", "b_max", "d_safe", "horizon"])
     def test_rejects_zero(self, name):
         with pytest.raises(ConfigError, match=f"kin.{name} must be finite and > 0"):
-            KinematicsParams(**{name: 0.0}).validate()
+            check_ranges(KinematicsParams(**{name: 0.0}), "kin.")
 
 
 class TestSpawnAndAssign:

@@ -37,9 +37,9 @@ STRAIGHT_50 = doc(road_xml(1, 50.0,
 
 class TestParse:
     def test_minimal_line_road(self):
-        desc = parse_opendrive_subset(STRAIGHT_50)
-        assert len(desc.roads) == 1
-        road = desc.roads[0]
+        roads = parse_opendrive_subset(STRAIGHT_50)
+        assert len(roads) == 1
+        road = roads[0]
         assert road.length == 50.0
         assert len(road.plan_view) == 1
         assert road.plan_view[0].kind == "line"
@@ -68,10 +68,10 @@ class TestParse:
                       '<geometry s="0" x="30" y="0" hdg="0" length="20"><line/></geometry>',
                       LANES_RIGHT,
                       '<link><predecessor elementType="road" elementId="1" contactPoint="end"/></link>')
-        desc = parse_opendrive_subset(doc(r1, r2))
-        assert [r.id for r in desc.roads] == ["1", "2"]
-        assert desc.roads[0].links[0].element_id == "2"
-        assert desc.roads[1].links[0].element_id == "1"
+        roads = parse_opendrive_subset(doc(r1, r2))
+        assert [r.id for r in roads] == ["1", "2"]
+        assert roads[0].links[0].element_id == "2"
+        assert roads[1].links[0].element_id == "1"
 
     def test_unknown_contact_point(self):
         r1 = road_xml(1, 30.0,
@@ -91,13 +91,13 @@ class TestParse:
     ], ids=["no sections", "most of any section"])
     def test_lane_counts(self, lanes, counts):
         geom = '<geometry s="0" x="0" y="0" hdg="0" length="10"><line/></geometry>'
-        road = parse_opendrive_subset(doc(road_xml(1, 10.0, geom, lanes))).roads[0]
+        road = parse_opendrive_subset(doc(road_xml(1, 10.0, geom, lanes)))[0]
         assert (road.left_count, road.right_count) == counts
 
     def test_bytes_follow_the_xml_declaration(self):
         text = '<?xml version="1.0" encoding="ISO-8859-1"?>\n' + STRAIGHT_50.replace(
             'id="1"', 'id="caf\xe9"')
-        assert parse_opendrive_subset(text.encode("latin-1")).roads[0].id == "caf\xe9"
+        assert parse_opendrive_subset(text.encode("latin-1"))[0].id == "caf\xe9"
 
     def test_malformed_xml(self):
         with pytest.raises(InputError, match="not well-formed XML"):

@@ -30,7 +30,7 @@ class TestHeatmap:
         assert grid.counts[0][0] == 2
         assert grid.counts[1][1] == 1
         assert grid.overflow == 1
-        assert grid.total() + grid.overflow == len(samples)
+        assert sum(map(sum, grid.counts)) + grid.overflow == len(samples)
 
     def test_cell_boundary_goes_right(self):
         grid = heatmap([sample_at_xy(0, 2.0, 0.0)], 0.0, 0.0, 2.0, 2, 1)
@@ -56,7 +56,7 @@ class TestHeatmap:
         samples = [sample_at_xy(i, w.x, w.y) for i, w in enumerate(g.waypoints)]
         grid = heatmap_for_graph(samples, g, cell_size=2.0)
         assert grid.overflow == 0
-        assert grid.total() == 25
+        assert sum(map(sum, grid.counts)) == 25
 
     def test_top_decile(self):
         counts = [[0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 9, 10]]

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forkfleet.cli import _render_soc
+from forkfleet.cli import _render_run
 from forkfleet import InputError
 from forkfleet.trajectory import (CSV_HEADER, TrajectorySample, interpolate, read_csv,
                                   resample, split_by_vehicle, write_csv)
@@ -203,10 +203,14 @@ def per_field_render_soc(samples, f):
 # -0.0, subnormals, +-1e300 and integer-valued floats beside any float
 FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310, -1e-310, 1e300, -1e300,
                                         3.0, -7.0, 2.0 ** 53, 1e15])
-SAMPLES = st.builds(TrajectorySample, t=FLOATS | st.integers(-10 ** 9, 10 ** 9),
+TIMES = FLOATS | st.integers(-10 ** 9, 10 ** 9)
+SAMPLES = st.builds(TrajectorySample, t=TIMES,
                     vehicle_id=st.integers(0, 64) | st.integers(-2 ** 70, 2 ** 70),
                     x=FLOATS, y=FLOATS, heading=FLOATS, speed=FLOATS,
                     fork_height=FLOATS, load_mass=FLOATS, soc=FLOATS)
+# a run's ticks: lists of samples that share one t, empty ones too
+TICKS = st.lists(st.tuples(TIMES, st.lists(SAMPLES, max_size=4)), max_size=5).map(
+    lambda ticks: [[s._replace(t=t) for s in tick] for t, tick in ticks])
 
 
 class TestRowWriters:
@@ -215,11 +219,17 @@ class TestRowWriters:
         assert ",".join(TrajectorySample._fields) == CSV_HEADER
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(SAMPLES, max_size=10))
-    def test_same_text_as_the_per_field_writers(self, samples):
-        for new, old in ((write_csv, per_field_write_csv),
-                         (_render_soc, per_field_render_soc)):
-            a, b = io.StringIO(), io.StringIO()
-            new(samples, a)
-            old(samples, b)
-            assert a.getvalue() == b.getvalue()
+    @given(st.lists(SAMPLES, max_size=10), TICKS)
+    def test_same_text_as_the_per_field_writers(self, samples, ticks):
+        a, b = io.StringIO(), io.StringIO()
+        write_csv(samples, a)
+        per_field_write_csv(samples, b)
+        assert a.getvalue() == b.getvalue()
+        # _render_run writes a run's ticks as both writers write their samples
+        run = [s for tick in ticks for s in tick]
+        rows, soc, want_rows, want_soc = (io.StringIO() for _ in range(4))
+        _render_run(ticks, rows, soc)
+        per_field_write_csv(run, want_rows)
+        per_field_render_soc(run, want_soc)
+        assert rows.getvalue() == want_rows.getvalue()
+        assert soc.getvalue() == want_soc.getvalue()
