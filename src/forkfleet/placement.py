@@ -33,10 +33,12 @@ class HeatmapGrid:
     overflow: int = 0
 
     def cell_of(self, x: float, y: float):
-        cx = int(math.floor((x - self.origin_x) / self.cell_size))
-        cy = int(math.floor((y - self.origin_y) / self.cell_size))
-        if 0 <= cx < self.width and 0 <= cy < self.height:
-            return cx, cy
+        # the quotients are tested before they are truncated: one too far
+        # from the origin for a float is inf, and outside the grid too
+        qx = (x - self.origin_x) / self.cell_size
+        qy = (y - self.origin_y) / self.cell_size
+        if 0 <= qx < self.width and 0 <= qy < self.height:
+            return int(qx), int(qy)
         return None
 
     def cell_center(self, cx: int, cy: int):
@@ -142,6 +144,60 @@ def _path_factor(graph: RoadGraph) -> float:
     return f if math.isfinite(f * math.hypot(x1 - x0, y1 - y0)) else 0.0
 
 
+# Box distances are shrunk by this factor, and then by the smallest
+# subnormal, to fall at or below every member's hypot (place_chargers).
+_SHRINK = 1.0 - 2.0 ** -50
+
+
+def _fill_rows(graph: RoadGraph, rows: list, nodes) -> None:
+    """Set rows[u] to u's packed forward Dijkstra row for each u in nodes.
+
+    Where graph.exact_sums holds, Dijkstra runs only at the anchor of u's
+    chain: the walk from u along single out-edges ends at the first node
+    with a row already, with no or two or more out-edges (two u->v edges
+    count as two), or met before (a cycle of one-out-edge nodes closes
+    there). Every path from u to x runs along the walk first, so d(u, x)
+    is the walk's length to x for x on the walk, else its length to the
+    anchor plus d(anchor, x) (Bellman 1958: d(u, x) = l + d(v, x) for a
+    node whose only out-edge is (u, v, l)). A shortest path never passes a
+    walk node twice, so each entry is a sum of distinct edges, exact under
+    exact_sums and so the float Dijkstra returns; inf stays inf. One
+    anchor row serves every node whose walk ends there and is kept only if
+    the anchor is one of the nodes. Other graphs get one Dijkstra per row.
+    """
+    if not graph.exact_sums:
+        for u in nodes:
+            rows[u] = array("d", dijkstra(graph, u))
+        return
+    adjacency = graph.adjacency
+    walks = {}  # anchor -> the walks that end there, [] for the anchor itself
+    for u in nodes:
+        walk, seen, c = [], set(), u
+        while rows[c] is None and len(adjacency[c]) == 1 and c not in seen:
+            walk.append(c)
+            seen.add(c)
+            c = adjacency[c][0].dst
+        if c in seen:  # a cycle closes at c, which anchors the nodes before it
+            walk = walk[:walk.index(c)]
+        walks.setdefault(c, []).append(walk)
+    for anchor, ends in walks.items():
+        base = rows[anchor]
+        if base is None:
+            base = dijkstra(graph, anchor)
+        for walk in ends:
+            if not walk:
+                rows[anchor] = array("d", base)
+                continue
+            ahead, acc = [], 0.0
+            for c in walk:
+                ahead.append((c, acc))
+                acc += adjacency[c][0].length
+            row = array("d", [acc + d for d in base])
+            for c, d in ahead:
+                row[c] = d
+            rows[walk[0]] = row
+
+
 def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25.0,
                    d_scale: float = 20.0) -> PlacementResult:
     """Greedy coverage selection of up to k charger nodes.
@@ -155,22 +211,42 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
     and the feasible set only shrinks, so with weights >= 0 a node's score
     can only fall between rounds. Every heap key is an upper bound of its
     node's current score, and a popped node whose fresh score still heads
-    the heap is the pick the full scan would make.
+    the heap is the pick the full scan would make, whatever the bounds.
 
-    Lazy rows: only the Dijkstra rows of the weighted nodes are computed up
-    front. Their keys start as their scores, and every other node's as a
-    coordinate bound, so with every node weighted this is the plain lazy
-    greedy over all rows. A bound sums
-    weights[u] / (1 + f * hypot(u, node) / d_scale) over the weighted u in
-    ascending order, f from _path_factor. Term by term f * hypot is at most
-    the distance either way, and rounded + and / are monotone, so the bound
-    is >= the score in floats. A popped node without a row is checked
-    against the stations' rows, then its bound is refreshed over the weight
-    still uncovered, and only if that still heads the heap is its row
-    computed. Most nodes never get that far. Rows are packed doubles,
-    array('d'), at 8 B an entry against about 32 B in a list of floats;
-    an entry reads back as the same double, so every sum and comparison is
-    the one a list row would give.
+    Lazy rows: only the rows of the weighted nodes are made up front, by
+    _fill_rows, which on exact-sum graphs runs Dijkstra once per chain
+    anchor and derives the rows along single-exit chains. The weighted
+    nodes' keys start as their scores. A popped node without a row is
+    checked against the stations' rows, then its coordinate bound is
+    computed over the weight still uncovered, and only if that still heads
+    the heap is its row made. Rows are packed doubles, array('d'), which
+    read back as the same doubles a list row would hold.
+
+    The coordinate bound sums weights[u] / (1 + f * hypot(u, node) /
+    d_scale) over the weighted u in ascending order, f from _path_factor.
+    Term by term f * hypot is at most the distance either way, and rounded
+    + and / are monotone, so the bound is >= the score in floats.
+
+    Cell keys: a node without a row enters the heap on a cheaper key over
+    square cells of the weighted nodes, of side 2 d_scale but at least 1/64
+    of their extent. A cell's term is its summed weight / (1 + f * b /
+    d_scale), b its box's distance to the node, shrunk by 2^-50 of itself
+    and then by the smallest subnormal: hypot errs by under an ulp, so b
+    is at most every member's hypot, and each cell's denominator at most
+    each member's, in floats. The bound is then at most the same sum over
+    the cells' denominators, and that sum and the cell sum are two float
+    evaluations, grouped differently, of one real sum. Each rounding errs
+    by a factor within 1 +- 2^-53, or by at most 2^-1075 on a subnormal
+    result, and every term is >= 0; so with m weighted nodes and c cells,
+    both <= n, the first is at most the second times (1 + 2^-53)^m /
+    (1 - 2^-53)^(m + c), plus (m + c) * 2^-1075. The key adds 2^-1000,
+    far above the second part for any n below 2^70, and multiplies by
+    1 + (3n + 8) * 2^-52, about twice the first part's excess with the
+    key's own two roundings; the same margin carries an overflow to inf
+    of the bound's sum over to the key. A cell whose summed weight and
+    denominator both overflow (inf / inf) makes the key inf. Without a
+    finite f every node is put at one point, where every term is the
+    summed weight itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -182,46 +258,50 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
     n = graph.n_nodes()
     if n == 0:
         raise InputError("place_chargers on empty graph")
-    weighted = [u for u in range(n) if weights[u] != 0.0]  # not yet covered
-    rows = [None] * n  # forward Dijkstra rows, computed on demand
-    for u in weighted:
-        rows[u] = array("d", dijkstra(graph, u))
+    weighted = [u for u in range(n) if weights[u] != 0.0]
+    if not weighted:  # every score is 0, so no node can be picked
+        return PlacementResult([], [], k, min_separation)
+    rows = [None] * n  # forward Dijkstra rows, made on demand
+    _fill_rows(graph, rows, weighted)
 
     f = _path_factor(graph)
     # without a finite factor every node is put at one point, which leaves
     # the weights alone as the bound
     xy = [(p.x, p.y) if f else (0.0, 0.0) for p in graph.waypoints]
+    hypot, inf = math.hypot, math.inf
+    # the weights not yet covered, ascending u: (x, y, weight) for bound,
+    # (row, u, weight) for score
+    points = [(*xy[u], weights[u]) for u in weighted]
+    terms = [(rows[u], u, weights[u]) for u in weighted]
 
     def bound(node):
         x, y = xy[node]
         total = 0.0
-        for u in weighted:
-            ux, uy = xy[u]
-            total += weights[u] / (1.0 + f * math.hypot(ux - x, uy - y) / d_scale)
+        for ux, uy, w in points:
+            total += w / (1.0 + f * hypot(ux - x, uy - y) / d_scale)
         return total
-
-    inf = math.inf
 
     def score(node, row):
         # ascending u, zero weights and unreachable u skipped: the same sum,
         # term for term, as a scan over all u; d is min() of the pair and,
         # as a distance >= 0, finite exactly when below inf
         total = 0.0
-        for u in weighted:
-            d = rows[u][node]
+        for urow, u, w in terms:
+            d = urow[node]
             back = row[u]
             if back < d:
                 d = back
             if d < inf:
-                total += weights[u] / (1.0 + d / d_scale)
+                total += w / (1.0 + d / d_scale)
         return total
 
-    heap = [(-(bound(node) if rows[node] is None else score(node, rows[node])), node)
-            for node in range(n)]
+    heap = [(-score(u, rows[u]), u) for u in weighted]
+    rowless = [node for node in range(n) if rows[node] is None]
+    heap += zip([-key for key in _cell_keys(xy, points, f, d_scale, rowless)], rowless)
     heapq.heapify(heap)
     stations, scores = [], []
-    # with nothing left to cover every score is 0 and no node can be picked
-    while heap and weighted and len(stations) < k:
+    # with nothing left to cover, as above
+    while heap and terms and len(stations) < k:
         _, node = heapq.heappop(heap)
         # infeasible now, so for good; the stations' rows are checked first,
         # since the node's own row may not exist yet
@@ -232,7 +312,7 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
             if heap and (-b, node) > heap[0]:
                 heapq.heappush(heap, (-b, node))
                 continue
-            rows[node] = array("d", dijkstra(graph, node))
+            _fill_rows(graph, rows, (node,))
         row = rows[node]
         if not all(row[s] >= min_separation for s in stations):
             continue
@@ -247,9 +327,43 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
         # a pick stays a candidate: with min_separation <= 0 it is still
         # feasible and may be picked again, as the full scan would
         heapq.heappush(heap, (-fresh, node))
-        weighted = [u for u in weighted
-                    if not (rows[u][node] < min_separation or row[u] < min_separation)]
+        terms = [t for t in terms
+                 if not (t[0][node] < min_separation or row[t[1]] < min_separation)]
+        points = [(*xy[u], w) for _, u, w in terms]
     return PlacementResult(stations, scores, k, min_separation)
+
+
+def _cell_keys(xy, points, f, d_scale, nodes):
+    """Upper bounds of the nodes' scores over cells of the weighted points
+    (x, y, weight), at least their coordinate bounds: see place_chargers."""
+    x0, y0 = min(p[0] for p in points), min(p[1] for p in points)
+    side = max(2.0 * d_scale, (max(p[0] for p in points) - x0) / 64,
+               (max(p[1] for p in points) - y0) / 64)
+    boxes = {}  # cell -> [x0, y0, x1, y1, summed weight] of its members
+    for x, y, w in points:
+        cell = int((x - x0) / side), int((y - y0) / side)
+        box = boxes.get(cell)
+        if box is None:
+            boxes[cell] = [x, y, x, y, w]
+        else:
+            box[0], box[1] = min(box[0], x), min(box[1], y)
+            box[2], box[3] = max(box[2], x), max(box[3], y)
+            box[4] += w
+    cells = [tuple(box) for box in boxes.values()]
+    slack = 1.0 + (3 * len(xy) + 8) * 2.0 ** -52
+    hypot = math.hypot
+    keys = []
+    for node in nodes:
+        x, y = xy[node]
+        total = 0.0
+        for bx0, by0, bx1, by1, w in cells:
+            dx = bx0 - x if x < bx0 else x - bx1 if x > bx1 else 0.0
+            dy = by0 - y if y < by0 else y - by1 if y > by1 else 0.0
+            b = hypot(dx, dy) * _SHRINK - 5e-324
+            total += w / (1.0 + f * b / d_scale) if b > 0.0 else w
+        key = (total + 2.0 ** -1000) * slack
+        keys.append(key if key == key else math.inf)  # nan from inf / inf
+    return keys
 
 
 def score_placement(result: PlacementResult, samples, graph: RoadGraph) -> float:

@@ -331,8 +331,11 @@ class SnapIndex:
 
     def nearest(self, x: float, y: float) -> int:
         cell, nx, ny, cells = self.cell, self.nx, self.ny, self.cells
-        cx = _clamp_cell((x - self.x0) / cell, nx)
-        cy = _clamp_cell((y - self.y0) / cell, ny)
+        # _clamp_cell, inlined
+        t = (x - self.x0) / cell
+        cx = 0 if t < 1.0 else nx - 1 if t >= nx else int(t)
+        t = (y - self.y0) / cell
+        cy = 0 if t < 1.0 else ny - 1 if t >= ny else int(t)
         best_d, best_i = math.inf, 0
         for wx, wy, i in self.blocks[cy * nx + cx]:  # ascending id: first minimum wins
             d = (wx - x) ** 2 + (wy - y) ** 2

@@ -171,7 +171,9 @@ class TestExitCodes:
     {wide_t_traj} one vehicle at (10, 0) at t = -1e308, 0 and 1e308 and
     {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64, {long_traj} one
     vehicle at t = 0 and 1e9, {back_traj} one vehicle at speed -1 and
-    {back_manifest} one naming {back_traj}. Rows run main
+    {back_manifest} one naming {back_traj}, {far_map} nodes (-1e308, 0) and
+    (0, 0) joined both ways by 1e308 m edges and {far_x_traj} one vehicle at
+    x = 1e308 at t = 0 and 1. Rows run main
     in-process; test_run_as_a_module runs two of them through `python -m
     forkfleet.cli`."""
 
@@ -223,6 +225,11 @@ class TestExitCodes:
         ("place-chargers placement.cell_size=1e-300",
          ["place-chargers", "--map", "{map}", "--out-dir", "{out}",
           "--set", "placement.cell_size=1e-300", "{traj}"], EXIT_CONFIG, CONFIG),
+        # a 1e6-cell grid from x = -1e308; the truck at 1e308 is inf cells
+        # from its origin, so it goes to the overflow tally
+        ("heatmap sample inf cells out",
+         ["heatmap", "--map", "{far_map}", "--out-dir", "{out}", "--set",
+          "placement.cell_size=1e302", "{far_x_traj}"], EXIT_OK, ""),
         # 84 x 64 m over 1e-16 m cells: finite, but far more than MAX_CELLS
         ("heatmap placement.cell_size=1e-16",
          ["heatmap", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.cell_size=1e-16",
@@ -438,6 +445,10 @@ class TestExitCodes:
                            ("back_traj", CSV_HEADER + "0,0,10,10,0,-1,0,0,1\n"
                                                       "1,0,9,10,0,-1,0,0,1\n"),
                            ("back_manifest", "back_traj,1000\n"),
+                           ("far_map", "roadnet v1\nnode 0 -1e308 0 0\nnode 1 0 0 0\n"
+                                       "edge 0 1 1e308 3 1\nedge 1 0 1e308 3 1\n"),
+                           ("far_x_traj", CSV_HEADER + "0,0,1e308,0,0,0,0,0,1\n"
+                                                       "1,0,1e308,0,0,0,0,0,1\n"),
                            ("heavy_traj", CSV_HEADER + "0,0,10,10,0,0,0,1e308,1\n"
                                                        "1,0,10,10,0,0,1,1e308,1\n"
                                                        "2,0,10,10,0,0,0,1e308,1\n"),

@@ -189,3 +189,58 @@ def test_mutated_maps_keep_the_exit_contract(command, floor, dwell):
         flags = ["--dwell"] if command == "place-chargers" and dwell else []
         run_main([command, *flags, "--out-dir", paths["out"], "--map", paths["floor"],
                   paths["cycle"]], paths["out"])
+
+
+# one map node's and one truck's coordinates: overflowing differences,
+# squares and sums. The truck's are the node's in the opposite order, so that
+# the values drawn first put the two farthest apart.
+NODE_COORDS = ["-1e308", "1e308", "-1e300", "1e300", "-1e154", "1e154", "0"]
+TRUCK_COORDS = ["1e308", "-1e308", "1e300", "-1e300", "1e154", "-1e154", "0"]
+NODE_LINES = [i for i, line in enumerate(FLOOR) if line.startswith("node ")]
+
+
+@st.composite
+def extreme_coordinates(draw):
+    """(floor, rows): the demo floor with one node moved to a point drawn from
+    NODE_COORDS, each edge at that node lengthened to its new chord where that is
+    longer (as build_graph demands), and ROWS with each x and y of one truck
+    drawn from TRUCK_COORDS."""
+    lines = list(FLOOR)
+    i = draw(st.sampled_from(NODE_LINES))
+    parts = lines[i].split()
+    parts[2], parts[3] = draw(st.sampled_from(NODE_COORDS)), draw(st.sampled_from(NODE_COORDS))
+    lines[i] = " ".join(parts) + "\n"
+    xy = {int(p[1]): (float(p[2]), float(p[3])) for p in map(str.split, lines)
+          if p[0] == "node"}
+    for j in EDGE_LINES:
+        e = lines[j].split()
+        (ax, ay), (bx, by) = xy[int(e[1])], xy[int(e[2])]
+        e[3] = repr(max(float(e[3]), math.hypot(bx - ax, by - ay)))
+        lines[j] = " ".join(e) + "\n"
+    rows = [list(row) for row in ROWS]
+    for row in rows[draw(st.integers(0, 1))::2]:  # ROWS is time-major, two trucks a time
+        row[2], row[3] = draw(st.sampled_from(TRUCK_COORDS)), draw(st.sampled_from(TRUCK_COORDS))
+    return "".join(lines), "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=extreme_coordinates(), dwell=st.booleans())
+def test_extreme_coordinates_keep_the_exit_contract(case, dwell):
+    """Every command that reads a map or a trajectory, on one map node and
+    one truck far out. 1e306 m heatmap cells keep a grid over 1e308 m
+    within MAX_CELLS, so the heatmap is drawn, not refused."""
+    floor, rows = case
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in ("floor", "cycle")}
+        with open(paths["floor"], "w") as f:
+            f.write(floor)
+        with open(paths["cycle"], "w") as f:
+            f.write(CSV_HEADER + "\n" + rows)
+        sets = ["--set", "placement.cell_size=1e306"]
+        flags = {"simulate": ["--vehicles", "2", "--duration", "2"],
+                 "place-chargers": ["--dwell"] if dwell else []}
+        for command in ("simulate", "replay", "analyze-density", "place-chargers", "heatmap"):
+            out = os.path.join(d, command)
+            inputs = [] if command == "simulate" else [paths["cycle"]]
+            run_main([command, *sets, *flags.get(command, []), "--out-dir", out,
+                      "--map", paths["floor"], *inputs], out)

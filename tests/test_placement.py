@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -35,6 +36,14 @@ class TestHeatmap:
     def test_cell_boundary_goes_right(self):
         grid = heatmap([sample_at_xy(0, 2.0, 0.0)], 0.0, 0.0, 2.0, 2, 1)
         assert grid.counts[0][1] == 1
+
+    def test_quotient_past_the_float_range_overflows(self):
+        # (1e308 - -1e308) / 1e302 is inf: outside the grid, not an error;
+        # -0.0 cells from the origin is cell 0, as floor gave it
+        samples = [sample_at_xy(0, 1e308, 0.0), sample_at_xy(1, -1e308, -0.0)]
+        grid = heatmap(samples, -1e308, 0.0, 1e302, 1_000_000, 1)
+        assert grid.overflow == 1
+        assert grid.counts[0][0] == 1
 
     def test_degenerate_grid(self):
         with pytest.raises(ConfigError, match="grid 2x2 at cell_size 0.0"):
@@ -318,19 +327,39 @@ class TestLazyGreedy:
         g = warehouse_map()
         n = g.n_nodes()
         w = [1.0 + i % 3 if i % 6 == 0 else 0.0 for i in range(n)]  # sparse
-        sources = []
 
-        def counted(graph, src, limit=math.inf):
-            sources.append(src)
-            return dijkstra(graph, src, limit)
+        def sources_of(graph):
+            sources = []
 
-        monkeypatch.setattr(placement, "dijkstra", counted)
-        res = place_chargers(g, w, k=4, min_separation=15.0, d_scale=20.0)
+            def counted(graph, src, limit=math.inf):
+                sources.append(src)
+                return dijkstra(graph, src, limit)
+
+            monkeypatch.setattr(placement, "dijkstra", counted)
+            res = place_chargers(graph, w, k=4, min_separation=15.0, d_scale=20.0)
+            assert len(res.stations) == 4
+            assert (res.stations, res.scores) == eager_place_chargers(graph, w, 4, 15.0,
+                                                                     20.0)
+            return sources
+
+        # lengths of a tenth of a meter more are no sums of powers of two, so
+        # exact_sums fails and every row is its own Dijkstra
+        inexact = build_graph(g.waypoints, [dataclasses.replace(e, length=e.length + 0.1)
+                                            for e in g.edges])
+        assert g.exact_sums and not inexact.exact_sums
+        sources = sources_of(inexact)
         # every weighted node's row, once each, but not every node's
         assert {u for u in range(n) if w[u]} <= set(sources)
         assert len(set(sources)) == len(sources) < n
-        assert len(res.stations) == 4
-        assert (res.stations, res.scores) == eager_place_chargers(g, w, 4, 15.0, 20.0)
+        # on exact sums a row along a single-exit chain comes from its
+        # anchor's, so fewer Dijkstras run
+        assert len(sources_of(g)) < len(sources)
+        # every node weighted: one Dijkstra at each node whose out-edges are
+        # not exactly one, and every other row derived
+        w = [1.0 + i % 3 for i in range(n)]
+        sources = sources_of(g)
+        assert sorted(sources) == [u for u in range(n) if len(g.adjacency[u]) != 1]
+        assert len(sources) < n
 
     def test_larger_graph_matches_eager_scan(self):
         g = random_graph(seed=8, n_nodes=40)
@@ -348,6 +377,193 @@ class TestLazyGreedy:
     def test_bad_d_scale_rejected(self, d_scale):
         with pytest.raises(ValueError):
             place_chargers(line_graph([10.0]), [1.0, 1.0], k=1, d_scale=d_scale)
+
+
+@st.composite
+def chain_graphs(draw, exact=True):
+    """(graph, weights) on up to 12 lattice points where most nodes have one
+    out-edge: chains, cycles of one-out-edge nodes, two parallel edges,
+    nodes with none and nodes no edge reaches. Lengths are whole or half
+    meters, so exact_sums holds, or with exact=False each has 0.1 m added,
+    which breaks it."""
+    n = draw(st.integers(1, 12))
+    pts = [(draw(st.integers(0, 6)), draw(st.integers(0, 6))) for _ in range(n)]
+    edges = []
+    for a in range(n):
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])) if n > 1 else 0):
+            b = draw(st.integers(0, n - 1).filter(lambda b: b != a))
+            chord = math.hypot(pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
+            length = max(1, math.ceil(chord)) + draw(st.integers(0, 3)) / 2
+            edges.append(Edge(a, b, length + (0.0 if exact else 0.1), 3.0))
+        if draw(st.booleans()) and edges and edges[-1].src == a:  # a parallel twin
+            edges.append(edges[-1])
+    g = build_graph([Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)],
+                    edges)
+    weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300])) for _ in range(n)]
+    return g, weights
+
+
+def hexes(row):
+    return [d.hex() for d in row]
+
+
+class TestChainRows:
+    @settings(max_examples=150, deadline=None)
+    @given(chain_graphs(), st.data())
+    def test_derived_rows_are_dijkstras(self, case, data):
+        # some rows first, in one call (shared anchors), then the rest one
+        # by one, each free to stop at a node that has a row
+        g, _ = case
+        n = g.n_nodes()
+        assert g.exact_sums
+        first = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        rows = [None] * n
+        placement._fill_rows(g, rows, first)
+        for u in range(n):
+            if rows[u] is None:
+                placement._fill_rows(g, rows, [u])
+        for u in range(n):
+            assert hexes(rows[u]) == hexes(dijkstra(g, u))
+
+    def test_parallel_edges_are_two_out_edges(self, monkeypatch):
+        # 0 has two edges to 1, so its row is its own Dijkstra; 2 -> 0 derives
+        g = build_graph([Waypoint(i, float(i), 0.0, 0.0) for i in range(3)],
+                        [Edge(0, 1, 1.0, 3.0), Edge(0, 1, 2.0, 3.0), Edge(2, 0, 2.0, 3.0)])
+        sources = []
+        monkeypatch.setattr(placement, "dijkstra",
+                            lambda graph, src: sources.append(src) or dijkstra(graph, src))
+        rows = [None] * 3
+        placement._fill_rows(g, rows, [2])
+        assert sources == [0] and rows[0] is None  # the anchor's row is not kept
+        assert list(rows[2]) == [2.0, 3.0, 0.0]
+
+    def test_a_cycle_closes_at_its_first_repeat(self):
+        # 3 -> 0 -> 1 -> 2 -> 0: 3's walk closes at 0, whose row anchors it
+        g = build_graph([Waypoint(i, float(i), 0.0, 0.0) for i in range(4)],
+                        [Edge(0, 1, 1.0, 3.0), Edge(1, 2, 1.0, 3.0), Edge(2, 0, 2.0, 3.0),
+                         Edge(3, 0, 3.0, 3.0)])
+        rows = [None] * 4
+        placement._fill_rows(g, rows, [3, 1])
+        assert list(rows[3]) == [3.0, 4.0, 5.0, 0.0]
+        assert list(rows[1]) == [3.0, 0.0, 1.0, math.inf]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda exact: chain_graphs(exact)),
+           st.integers(1, 4), st.sampled_from([0.0, 1.0, 2.5, 6.0]),
+           st.sampled_from([1e-6, 1.0, 20.0]))
+    def test_matches_eager_scan(self, case, k, min_sep, d_scale):
+        g, w = case
+        res = place_chargers(g, w, k, min_sep, d_scale)
+        assert (res.stations, res.scores) == eager_place_chargers(g, w, k, min_sep, d_scale)
+
+
+def first_scores(graph, weights, d_scale):
+    """Every node's round-one score, summed as the eager scan sums it."""
+    n = graph.n_nodes()
+    rows = [dijkstra(graph, u) for u in range(n)]
+    scores = []
+    for node in range(n):
+        total = 0.0
+        for u in range(n):
+            d = min(rows[u][node], rows[node][u])
+            if weights[u] != 0.0 and math.isfinite(d):
+                total += weights[u] / (1.0 + d / d_scale)
+        scores.append(total)
+    return scores
+
+
+def keys_and_bounds(graph, weights, d_scale):
+    """(cell keys, coordinate bounds) of every node, set up as place_chargers
+    sets them up."""
+    f = placement._path_factor(graph)
+    xy = [(p.x, p.y) if f else (0.0, 0.0) for p in graph.waypoints]
+    points = [(*xy[u], w) for u, w in enumerate(weights) if w != 0.0]
+    keys = placement._cell_keys(xy, points, f, d_scale, range(graph.n_nodes()))
+    bounds = []
+    for x, y in xy:
+        total = 0.0
+        for ux, uy, w in points:
+            total += w / (1.0 + f * math.hypot(ux - x, uy - y) / d_scale)
+        bounds.append(total)
+    return keys, bounds
+
+
+class TestCellKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(placement_cases())
+    def test_key_bounds_the_coordinate_bound(self, case):
+        g, weights, _, _, d_scale = case
+        if not any(weights):
+            return
+        keys, bounds = keys_and_bounds(g, weights, d_scale)
+        scores = first_scores(g, weights, d_scale)
+        assert all(key >= b >= s for key, b, s in zip(keys, bounds, scores))
+
+    def test_slack_covers_the_regrouped_sum(self):
+        # three weights at one point, 0.07 m from the node: summed first and
+        # divided once they round below the bound's three quotients summed
+        xy = [(0.0, 0.0)] * 3 + [(0.07, 0.0)]
+        points = [(0.0, 0.0, w) for w in (1.1, 0.7, 0.2)]
+        bound = 0.0
+        for _, _, w in points:
+            bound += w / (1.0 + math.hypot(0.0 - 0.07, 0.0) / 3.0)
+        assert (1.1 + 0.7 + 0.2) / (1.0 + 0.07 * placement._SHRINK / 3.0) < bound
+        assert placement._cell_keys(xy, points, 1.0, 3.0, [3])[0] >= bound
+
+    def test_map_too_wide(self):
+        # f = 0: every node at one point, so each key is the weight sum
+        # (with its slack); the 2e308 m extent is never subtracted
+        pts = [(-1e308, 0.0), (1e308, 0.0), (0.0, 0.0)]
+        edges = [Edge(0, 2, 1e308, 3.0), Edge(2, 0, 1e308, 3.0),
+                 Edge(1, 2, 1e308, 3.0), Edge(2, 1, 1e308, 3.0)]
+        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        assert placement._path_factor(g) == 0.0
+        w = [1.0, 2.0, 0.0]
+        keys, bounds = keys_and_bounds(g, w, 20.0)
+        assert bounds == [3.0] * 3
+        assert all(3.0 < key < 3.0 + 1e-12 for key in keys)
+
+    def test_map_too_small(self):
+        pts = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)]
+        edges = [Edge(a, b, 1.0, 3.0) for a in range(3) for b in range(3) if a != b]
+        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        assert placement._path_factor(g) == 0.0
+        w = [1.0, 0.0, 4.0]
+        keys, bounds = keys_and_bounds(g, w, 3.0)
+        scores = first_scores(g, w, 3.0)
+        assert all(key >= b >= s for key, b, s in zip(keys, bounds, scores))
+        assert place_chargers(g, w, 2, 0.5, 3.0).stations == \
+            eager_place_chargers(g, w, 2, 0.5, 3.0)[0]
+
+    def test_weight_sums_that_overflow(self):
+        # two weights of 1e308 at one point, so in one cell, sum to inf, and
+        # so does every key. Over a subnormal d_scale the far nodes'
+        # denominator is inf as well, and inf / inf must not make a key nan
+        pts = [(0.0, 0.0), (0.0, 0.0), (1e6, 0.0), (1e6 + 1.0, 0.0)]
+        edges = [Edge(a, b, length, 3.0) for a, b, length in
+                 ((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1e6), (2, 1, 1e6), (2, 3, 1.0), (3, 2, 1.0))]
+        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        w = [1e308, 1e308, 0.0, 0.0]
+        for d_scale in (20.0, 5e-324):
+            keys, bounds = keys_and_bounds(g, w, d_scale)
+            assert keys == [math.inf] * 4
+            assert all(b >= s for b, s in zip(bounds, first_scores(g, w, d_scale)))
+            res = place_chargers(g, w, 2, 1.0, d_scale)
+            assert (res.stations, res.scores) == eager_place_chargers(g, w, 2, 1.0, d_scale)
+
+    def test_node_inside_a_cell_box(self):
+        # node 4 sits inside the box of the four weighted corners, which
+        # share one cell: its box distance is 0, so its term is their sum
+        pts = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0), (1.0, 1.0)]
+        edges = [e for a in range(4) for e in (Edge(a, 4, 2.0, 3.0), Edge(4, a, 2.0, 3.0))]
+        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        w = [1.0, 2.0, 3.0, 4.0, 0.0]
+        keys, bounds = keys_and_bounds(g, w, 20.0)
+        assert 10.0 < keys[4] < 10.0 + 1e-12
+        assert keys[4] >= bounds[4] >= first_scores(g, w, 20.0)[4]
+        res = place_chargers(g, w, 1, 0.0, 20.0)
+        assert res.stations == [4]
+        assert (res.stations, res.scores) == eager_place_chargers(g, w, 1, 0.0, 20.0)
 
 
 class TestRowMemory:
