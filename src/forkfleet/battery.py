@@ -5,9 +5,11 @@ resistance, gravity on forks/load, constant auxiliary power. Aerodynamic
 drag is omitted (negligible at forklift speeds). Regeneration applies only
 to kinetic and potential energy release, never to friction terms.
 
-SOC is integrated in one place, a SocMeter over a fleet. Default numeric
-parameter values are placeholders; calibrate() fits them against measured
-duty-cycle energies (e.g. VDI 2198 style cycles).
+A segment's features are built in one place, _segment_features, for the
+SocMeter and calibrate() alike. SOC is integrated in one place, a SocMeter
+over a fleet, each add one _energies pass. Default numeric parameter values
+are placeholders; calibrate() fits them against measured duty-cycle
+energies (e.g. VDI 2198 style cycles).
 """
 
 from __future__ import annotations
@@ -57,15 +59,6 @@ def soc_band(soc: float) -> str:
     return CRITICAL
 
 
-def _features(dt, ds, v0, v1, dheading, mass, dh, lift_mass):
-    """One segment's parameter-free features: (dt, ds, mass, w_kin,
-    |dheading/dt|, dh, lift mass). The energy depends on the parameters only
-    through _energies, so calibrate() builds these once per cycle."""
-    if ds < 0 or dt <= 0:
-        raise InputError(f"ds={ds}, dt={dt}")
-    return dt, ds, mass, 0.5 * mass * (v1 * v1 - v0 * v0), abs(dheading / dt), dh, lift_mass
-
-
 def _energies(features, p: BatteryParams):
     """The force balance: yield each segment's (draw, regen) in J from its
     features, reading p's fields once.
@@ -105,17 +98,21 @@ class VehicleConstants:
 
 
 def _segment_features(a, b, consts: VehicleConstants):
-    """Features of the segment between two samples of one vehicle, read by
-    position: b may be a sample's first eight fields (all but soc). A refusal
-    names the vehicle and b's t."""
-    dt = b[0] - a[0]  # _features refuses dt <= 0
+    """The parameter-free features of the segment between two samples of one
+    vehicle: (dt, ds, mass, w_kin, |dheading/dt|, dh, lift mass). The energy
+    depends on the parameters only through _energies, so calibrate() builds
+    these once per cycle. Samples are read by position: b may be a sample's
+    first eight fields (all but soc). A refusal names the vehicle and b's t."""
     # t, vehicle_id, x, y, heading, speed, fork_height, load_mass at 0..7
-    try:
-        return _features(dt, 0.5 * (a[5] + b[5]) * dt,  # trapezoidal in speed
-                         a[5], b[5], math.remainder(b[4] - a[4], 2.0 * math.pi),
-                         consts.truck_mass + a[7], b[6] - a[6], b[7] + consts.fork_mass)
-    except InputError as exc:
-        raise InputError(f"vehicle {b[1]} at t={b[0]:.12g}: {exc}") from None
+    v0, v1 = a[5], b[5]
+    dt = b[0] - a[0]
+    ds = 0.5 * (v0 + v1) * dt  # trapezoidal in speed
+    dheading = math.remainder(b[4] - a[4], 2.0 * math.pi)  # an inf change raises here first
+    if ds < 0 or dt <= 0:
+        raise InputError(f"vehicle {b[1]} at t={b[0]:.12g}: ds={ds}, dt={dt}")
+    mass = consts.truck_mass + a[7]
+    return (dt, ds, mass, 0.5 * mass * (v1 * v1 - v0 * v0), abs(dheading / dt), b[6] - a[6],
+            b[7] + consts.fork_mass)
 
 
 def _vehicle_features(samples, consts: VehicleConstants):
@@ -129,7 +126,8 @@ class SocMeter:
     time order after its first. A vehicle's SOC is its first sample's soc less
     its net energy so far over the capacity, clamped to [0, 1]. drawn and
     regenerated sum every segment in the order they were fed. An add that makes
-    them not finite raises error: InputError for read samples, else ConfigError."""
+    them not finite raises error at the state that did: InputError for read
+    samples, else ConfigError."""
 
     def __init__(self, firsts, consts, p: BatteryParams, error=InputError):
         # vehicle_id -> [last sample, VehicleConstants, initial soc, drawn, regenerated]
@@ -157,19 +155,14 @@ class SocMeter:
         for row, s, (draw, regen) in zip(rows, states, _energies(features, self.p)):
             drawn += draw
             regenerated += regen
+            if not math.isfinite(drawn + regenerated):  # also where either one is not
+                raise self.error(f"vehicle {s[1]} at t={s[0]:.12g}: the energy sum is not "
+                                 f"finite ({draw!r} J drawn, {regen!r} J regenerated)")
             row[3] += draw
             row[4] += regen
             soc = row[2] - (row[3] - row[4]) / capacity
             soc = 0.0 if 0.0 > soc else soc  # max(soc, 0.0), then min(soc, 1.0)
             out.append(TrajectorySample(*s, 1.0 if 1.0 < soc else soc))
-        if not math.isfinite(drawn + regenerated):  # also where either one is not
-            drawn, regenerated = self.drawn, self.regenerated  # again, to name the state
-            for s, (draw, regen) in zip(states, _energies(features, self.p)):
-                drawn += draw
-                regenerated += regen
-                if not math.isfinite(drawn + regenerated):
-                    raise self.error(f"vehicle {s[1]} at t={s[0]:.12g}: the energy sum is not "
-                                     f"finite ({draw!r} J drawn, {regen!r} J regenerated)")
         self.drawn, self.regenerated = drawn, regenerated
         return out
 

@@ -190,17 +190,8 @@ class World:
             world.claims[spot.id] = i
         return world
 
-    def _spot_by_id(self, spot_id: int):
-        try:
-            return self._spots_by_id[spot_id]
-        except KeyError:
-            raise KeyError(f"no spot {spot_id}") from None
-
     def vehicle(self, vid: int) -> VehicleState:
-        try:
-            return self._vehicles_by_id[vid]
-        except KeyError:
-            raise KeyError(f"no vehicle {vid}") from None
+        return self._vehicles_by_id[vid]
 
     # --- task assignment -----------------------------------------------------
 
@@ -214,7 +205,7 @@ class World:
             raise ConfigError(f"vehicle {vehicle_id} is in phase {ctl.phase}")
         kind, fixed_dest = policy
         if kind == "fixed":
-            dest = self._spot_by_id(fixed_dest)
+            dest = self._spots_by_id[fixed_dest]
             if dest.id in self.claims:
                 raise SpotOccupied(f"spot {fixed_dest} is claimed")
         else:
@@ -235,7 +226,7 @@ class World:
         """Shortest path from the vehicle's snapped node to the destination
         spot's anchor-edge start node. Raises Infeasible."""
         v = self.vehicle(vehicle_id)
-        spot = self._spot_by_id(task.dest_spot)
+        spot = self._spots_by_id[task.dest_spot]
         src = nearest_node(self.graph, v.x, v.y)
         path = astar(self.graph, src, spot.edge_src)
         if path is None:
@@ -245,7 +236,7 @@ class World:
     def _build_route(self, vehicle_id: int, task: Task) -> _Route:
         v = self.vehicle(vehicle_id)
         path = self.plan_route(vehicle_id, task)
-        spot = self._spot_by_id(task.dest_spot)
+        spot = self._spots_by_id[task.dest_spot]
         pts = []
         limits = []
         if math.hypot(v.x - self.graph.waypoints[path.nodes[0]].x,
@@ -362,10 +353,9 @@ class World:
         for v, ctl in zip(vehicles, ctls):
             if ctl.phase == PHASE_DRIVE:
                 self._advance_drive(v, ctl, caps.get(v.id, math.inf), events, drive)
-            elif ctl.phase == PHASE_IDLE:
-                v.speed = 0.0
-            elif ctl.phase == PHASE_LIFT:
-                v.speed = 0.0
+                continue
+            v.speed = 0.0
+            if ctl.phase == PHASE_LIFT:
                 v.fork_height = min(ctl.task.lift_height, v.fork_height + kin.lift_speed * dt)
                 if v.fork_height >= ctl.task.lift_height - 1e-12:
                     v.fork_height = ctl.task.lift_height
@@ -380,7 +370,6 @@ class World:
                         ctl.current_spot = ctl.task.dest_spot
                         events.arrivals.append((v.id, ctl.current_spot))
             elif ctl.phase == PHASE_LOWER:
-                v.speed = 0.0
                 v.fork_height = max(0.0, v.fork_height - kin.lift_speed * dt)
                 if v.fork_height <= 1e-12:
                     v.fork_height = 0.0
@@ -403,7 +392,7 @@ class World:
         s = route.s
         total = cumlen[-1]
         seg = route.seg
-        limit = route.seg_limits[seg] if route.seg_limits else v_max
+        limit = route.seg_limits[seg]
         v_target = limit if limit < v_max else v_max
         # braking envelope: the max speed now so that braking at b_max reaches
         # `cap` after `d`, accounting for the distance covered during this step:

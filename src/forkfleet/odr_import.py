@@ -111,9 +111,12 @@ def parse_opendrive_subset(document) -> list:
     except (ET.ParseError, LookupError, ValueError) as exc:
         # LookupError, ValueError: a declared encoding the parser cannot use
         raise InputError(f"not well-formed XML: {exc}") from exc
-    roads = []
+    roads, ids = [], set()
     for road_el in root.iter("road"):
         rid = road_el.get("id", "?")
+        if rid in ids:
+            raise InputError(f"two roads with id {rid}")
+        ids.add(rid)
         length = _attr(road_el, "length", rid)
         pv = road_el.find("planView")
         if pv is None:
@@ -227,7 +230,7 @@ def to_road_graph(roads, spacing: float) -> RoadGraph:
         chain = chains.get((road.id, "bwd" if end == "end" else "fwd"))
         return chain[0] if chain else None
 
-    by_id = {road.id: road for road in reversed(roads)}  # the first of an id wins
+    by_id = {road.id: road for road in roads}
     for road in roads:
         for link in road.links:
             other = by_id.get(link.element_id)
@@ -250,16 +253,16 @@ def to_road_graph(roads, spacing: float) -> RoadGraph:
                                      f"{gap:.4f} m apart")
                 uf.union(a, b)
 
-    # Compact merged nodes into dense ids, deterministically by raw order.
-    rep_to_node = {}
-    waypoints = []
-    for i in range(len(raw)):
+    # Compact merged nodes into dense ids by raw order: a set's root is its
+    # smallest member, so it is met first and numbered before the rest.
+    waypoints, node_of = [], []
+    for i, (x, y, h) in enumerate(raw):
         r = uf.find(i)
-        if r not in rep_to_node:
-            rep_to_node[r] = len(waypoints)
-            x, y, h = raw[r]
+        if r == i:
+            node_of.append(len(waypoints))
             waypoints.append(Waypoint(len(waypoints), x, y, h))
-    node_of = [rep_to_node[uf.find(i)] for i in range(len(raw))]
+        else:
+            node_of.append(node_of[r])
     edge_objs = {}  # (src, dst) -> the first edge between them
     for a, b, length in edges:
         na, nb = node_of[a], node_of[b]

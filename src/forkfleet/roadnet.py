@@ -8,16 +8,17 @@ adjacency[u] holds u's outgoing Edges in input order, and edge_between() is
 the one lookup of an edge by its (src, dst) pair.
 
 dijkstra() has two kernels over one flat (dst, length) adjacency, and the
-graph picks one. RoadGraph.exact_sums holds when every edge length is a
-whole multiple of one 2^-q and all lengths together are fewer than 2^53 such
-units. Then every sum of distinct edges is exact, so every label is a true
-path length and every distance the true shortest one, whatever order a
-search settles nodes in: any correct search returns the same floats. On
-such graphs (every warehouse_map) a bucket queue runs, a heap of the
-distinct distance values with one node list per value, which on a map of a
-few edge lengths makes far fewer heap entries. Other graphs (OpenDRIVE
-arcs, for one) keep the (distance, node) heap: with rounded sums, another
-order could give other floats.
+graph picks one for speed alone. Both give the same floats on any graph:
+adding a length > 0 to a float is monotone and never lowers it, so every
+label-setting search, whatever order it settles nodes in, finds each node's
+least left-to-right path sum. RoadGraph.exact_sums holds when every edge
+length is a whole multiple of one 2^-q and all lengths together are fewer
+than 2^53 such units, so every sum of distinct edges is exact. On such
+graphs (every warehouse_map) a bucket queue runs, a heap of the distinct
+distance values with one node list per value, which on a map of a few edge
+lengths makes far fewer heap entries. Other graphs (OpenDRIVE arcs, for one)
+keep the (distance, node) heap: there nearly every distance is a value of
+its own, and one bucket per node costs more than one heap entry.
 
 nearest_node() snaps through a uniform grid over the waypoints,
 RoadGraph.snap_index, a cached property built on the first query. Its answer
@@ -175,7 +176,7 @@ def dijkstra(g: RoadGraph, src: int, limit: float = math.inf) -> list:
     is reached only through nodes at distance <= d, so its entry is the same
     float as in the full row; every other entry is +inf. The bucket kernel
     runs where g.exact_sums holds, the heap kernel elsewhere; both give the
-    same list there (module docstring).
+    same list on any graph (module docstring).
     """
     n = g.n_nodes()
     if not (0 <= src < n):
@@ -205,9 +206,13 @@ def _heap_row(adjacency, src, limit):
 
 def _bucket_row(adjacency, src, limit):
     """Dijkstra on a bucket queue: a heap of the distinct label values and,
-    for each, the nodes labelled with it. Lengths are > 0, so a bucket gets
-    no node while it is scanned; a node whose label has since fallen below
-    its bucket's value was settled from a lower bucket and is skipped."""
+    for each, the nodes labelled with it. A node whose label has since
+    fallen below its bucket's value was settled from a lower bucket and is
+    skipped. On an exact-sum graph d + length > d, so no node joins a bucket
+    while it is scanned. Elsewhere a length below half an ulp of d gives
+    d + length == d; the bucket being scanned is already popped, so such a
+    node starts a new bucket of the same value, scanned next, and the row
+    is still the least path sums."""
     dist = [math.inf] * len(adjacency)
     dist[src] = 0.0
     keys = [0.0]
@@ -331,11 +336,8 @@ class SnapIndex:
 
     def nearest(self, x: float, y: float) -> int:
         cell, nx, ny, cells = self.cell, self.nx, self.ny, self.cells
-        # _clamp_cell, inlined
-        t = (x - self.x0) / cell
-        cx = 0 if t < 1.0 else nx - 1 if t >= nx else int(t)
-        t = (y - self.y0) / cell
-        cy = 0 if t < 1.0 else ny - 1 if t >= ny else int(t)
+        cx = _clamp_cell((x - self.x0) / cell, nx)
+        cy = _clamp_cell((y - self.y0) / cell, ny)
         best_d, best_i = math.inf, 0
         for wx, wy, i in self.blocks[cy * nx + cx]:  # ascending id: first minimum wins
             d = (wx - x) ** 2 + (wy - y) ** 2

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from forkfleet import ConfigError, Infeasible, InputError, battery, mapgen
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
-                               CalibrationResult, PARAM_BOUNDS, SUFFICIENT,
+                               CalibrationResult, PARAM_BOUNDS, SUFFICIENT, SocMeter,
                                VehicleConstants, calibrate, integrate_trajectory,
-                               soc_band, vertical_work, G, _energies, _features,
-                               _golden_section, _net, _vehicle_features)
+                               soc_band, vertical_work, G, _energies, _golden_section, _net,
+                               _segment_features, _vehicle_features)
 from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, split_by_vehicle
 
@@ -21,9 +21,9 @@ FRICTIONLESS = BatteryParams(c_rr=0.0, c_steer=0.0, eta_drive=1.0, eta_regen=0.3
 
 def horizontal_work(v0, v1, ds, dheading, dt, mass, p):
     """The kernel's (draw, regen) for one horizontal motion segment, without
-    the auxiliary load."""
-    _, ds, mass, w_kin, rate, _, _ = _features(dt, ds, v0, v1, dheading, mass, 0.0, 0.0)
-    return next(_energies([(0.0, ds, mass, w_kin, rate, 0.0, 0.0)], p))
+    the auxiliary load: its features written out from their formulas."""
+    w_kin = 0.5 * mass * (v1 * v1 - v0 * v0)
+    return next(_energies([(0.0, ds, mass, w_kin, abs(dheading / dt), 0.0, 0.0)], p))
 
 
 class TestHorizontalWork:
@@ -62,10 +62,20 @@ class TestHorizontalWork:
         assert draw == pytest.approx(0.05 * 1000 * 0.5 * 2.0, rel=1e-12)
 
     def test_nonphysical(self):
-        with pytest.raises(InputError, match="ds=-1.0, dt=1.0"):
-            horizontal_work(0, 0, -1.0, 0, 1.0, 1000, BatteryParams())
-        with pytest.raises(InputError, match="ds=1.0, dt=0.0"):
-            horizontal_work(0, 0, 1.0, 0, 0.0, 1000, BatteryParams())
+        consts = VehicleConstants()
+        # a truck at -1 m/s for 1 s drives a negative distance
+        a, b = TrajectorySample(0.0, 0, 0, 0, 0, -1.0), TrajectorySample(1.0, 0, -1, 0, 0, -1.0)
+        with pytest.raises(InputError, match=r"^vehicle 0 at t=1: ds=-1\.0, dt=1\.0$"):
+            _segment_features(a, b, consts)
+        # two samples at one t
+        a, b = TrajectorySample(1.0, 3, 0, 0, 0, 0.0), TrajectorySample(1.0, 3, 0, 0, 0, 0.0)
+        with pytest.raises(InputError, match=r"^vehicle 3 at t=1: ds=0\.0, dt=0\.0$"):
+            _segment_features(a, b, consts)
+        # math.remainder refuses an inf heading change before the ds/dt test
+        b = TrajectorySample(1.0, 3, 0, 0, math.inf, 0.0)
+        with pytest.raises(ValueError, match="math domain error") as exc:
+            _segment_features(a, b, consts)
+        assert type(exc.value) is ValueError
 
 
 class TestVerticalWork:
@@ -560,14 +570,18 @@ class TestWorldBattery:
 # --- the fleet SocMeter against one segment at a time ---------------------------
 
 def reference_segment_features(a, b, consts):
-    """battery._segment_features as it was, by field name."""
+    """battery._segment_features as it was, by field name, each feature
+    written out from its formula."""
     dt = b.t - a.t
     if dt <= 0:
         raise InputError(f"non-increasing sample times {a.t} -> {b.t}")
-    return _features(dt, 0.5 * (a.speed + b.speed) * dt,
-                     a.speed, b.speed, math.remainder(b.heading - a.heading, 2.0 * math.pi),
-                     consts.truck_mass + a.load_mass,
-                     b.fork_height - a.fork_height, b.load_mass + consts.fork_mass)
+    ds = 0.5 * (a.speed + b.speed) * dt
+    dheading = math.remainder(b.heading - a.heading, 2.0 * math.pi)
+    mass = consts.truck_mass + a.load_mass
+    if ds < 0:
+        raise InputError(f"ds={ds}, dt={dt}")
+    return (dt, ds, mass, 0.5 * mass * (b.speed * b.speed - a.speed * a.speed),
+            abs(dheading / dt), b.fork_height - a.fork_height, b.load_mass + consts.fork_mass)
 
 
 class ReferenceSocMeter:
@@ -643,3 +657,29 @@ class TestFleetMeter:
         # every vehicle's series at once, through one meter
         assert (integrate_trajectory(samples, consts, world.battery_params)
                 == reference_integrate(samples, consts, world.battery_params))
+
+
+class TestMeterOverflow:
+    """An add whose fleet energy sum leaves the float range names the state
+    at which it did, not just the add."""
+
+    def meter(self, load_mass):
+        firsts = [TrajectorySample(0.0, vid, 0, 0, 0, 0, 0.0, load_mass) for vid in (0, 1)]
+        return SocMeter(firsts, [VehicleConstants()] * 2, BatteryParams())
+
+    def test_finite_draws_whose_sum_overflows(self):
+        # each truck lifts 1e307 kg by 1 m: about 1.15e308 J each, inf summed
+        lift, _ = vertical_work(1.0, 1e307, VehicleConstants().fork_mass, BatteryParams())
+        draw = lift + BatteryParams().aux_power
+        assert math.isfinite(draw) and draw + draw == math.inf
+        with pytest.raises(InputError) as exc:
+            self.meter(1e307).add([(1.0, vid, 0, 0, 0, 0, 1.0, 1e307) for vid in (0, 1)])
+        assert str(exc.value) == (f"vehicle 1 at t=1: the energy sum is not finite "
+                                  f"({draw!r} J drawn, 0.0 J regenerated)")
+
+    def test_an_inf_draw_at_the_first_state(self):
+        with pytest.raises(InputError) as exc:
+            self.meter(0.0).add([(2.5, 0, 0, 0, 0, 0, math.inf, 0.0),
+                                 (2.5, 1, 0, 0, 0, 0, 1.0, 0.0)])
+        assert str(exc.value) == ("vehicle 0 at t=2.5: the energy sum is not finite "
+                                  "(inf J drawn, 0.0 J regenerated)")

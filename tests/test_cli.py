@@ -1,5 +1,6 @@
 import hashlib
 import io
+import logging
 import math
 import os
 import pathlib
@@ -142,6 +143,19 @@ ONE_ROAD_ODR = """<OpenDRIVE>
         <right><lane id="-1" type="driving"/></right>
       </laneSection></lanes>
     </road></OpenDRIVE>"""
+GEOMETRY = '<geometry s="0" x="0" y="0" hdg="0" length="50"><line/></geometry>'
+# a link from a road's start to road 1's end
+PREDECESSOR_1 = '<link><predecessor elementType="road" elementId="1" contactPoint="end"/></link>'
+
+
+def odr_roads(*roads):
+    """An OpenDRIVE document of straight two-way roads along y = 0, one for
+    each (id, start x, length, link elements)."""
+    return "<OpenDRIVE>" + "".join(
+        f'<road id="{rid}" length="{length}">{link}<planView><geometry s="0" x="{x}" y="0" '
+        f'hdg="0" length="{length}"><line/></geometry></planView><lanes><laneSection s="0">'
+        '<left><lane id="1" type="driving"/></left><right><lane id="-1" type="driving"/>'
+        '</right></laneSection></lanes></road>' for rid, x, length, link in roads) + "</OpenDRIVE>"
 
 
 class TestExitCodes:
@@ -173,7 +187,8 @@ class TestExitCodes:
     vehicle at t = 0 and 1e9, {back_traj} one vehicle at speed -1 and
     {back_manifest} one naming {back_traj}, {far_map} nodes (-1e308, 0) and
     (0, 0) joined both ways by 1e308 m edges and {far_x_traj} one vehicle at
-    x = 1e308 at t = 0 and 1. Rows run main
+    x = 1e308 at t = 0 and 1. The other {odr_*} files are ONE_ROAD_ODR or
+    odr_roads() with the one fault their row names. Rows run main
     in-process; test_run_as_a_module runs two of them through `python -m
     forkfleet.cli`."""
 
@@ -381,6 +396,32 @@ class TestExitCodes:
         ("convert length=inf", ["convert", "{odr_inf}", "--out", "{out}"], EXIT_INPUT, INPUT),
         ("convert length=1e308", ["convert", "{odr_huge}", "--out", "{out}"],
          EXIT_CONFIG, CONFIG),
+        ("convert length=abc", ["convert", "{odr_abc}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: bad value for 'length': 'abc'\n"),
+        ("convert no planView", ["convert", "{odr_no_plan_view}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: missing planView\n"),
+        ("convert geometry without shape", ["convert", "{odr_no_shape}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: geometry without shape element\n"),
+        ("convert segment length 0", ["convert", "{odr_zero_segment}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: non-positive segment length\n"),
+        ("convert arc curvature 0", ["convert", "{odr_flat_arc}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: arc needs nonzero finite curvature\n"),
+        ("convert empty planView", ["convert", "{odr_empty_plan_view}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: empty planView\n"),
+        ("convert two segments at s=0", ["convert", "{odr_two_at_s0}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: segment s-offsets not strictly increasing\n"),
+        ("convert link without elementId", ["convert", "{odr_no_element_id}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: link without elementId\n"),
+        ("convert no road", ["convert", "{odr_no_road}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "document contains no <road> elements\n"),
+        # 0.0005 m of segment is within 1e-3 of the declared 0 m
+        ("convert declared length 0", ["convert", "{odr_zero_length}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1 has zero length\n"),
+        ("convert linked roads 40 m apart", ["convert", "{odr_gap}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "linked roads 2/1 endpoints 40.0000 m apart\n"),
+        # a link would resolve to one road "1" and take its nodes from the other
+        ("convert two roads with one id", ["convert", "{odr_dup_ids}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "two roads with id 1\n"),
         ("simulate --config a directory", [*SIM, "--config", "{dir}"], EXIT_CONFIG, ERROR),
         ("analyze-density --map a directory",
          ["analyze-density", "--map", "{dir}", "--out-dir", "{out}", "{traj}"],
@@ -475,6 +516,32 @@ class TestExitCodes:
                            ("odr_nan", ONE_ROAD_ODR.replace('length="50"', 'length="nan"')),
                            ("odr_inf", ONE_ROAD_ODR.replace('length="50"', 'length="inf"')),
                            ("odr_huge", ONE_ROAD_ODR.replace('length="50"', 'length="1e308"')),
+                           ("odr_abc", ONE_ROAD_ODR.replace('id="1" length="50"',
+                                                            'id="1" length="abc"')),
+                           ("odr_no_plan_view",
+                            ONE_ROAD_ODR.replace(f"<planView>{GEOMETRY}</planView>", "")),
+                           ("odr_no_shape", ONE_ROAD_ODR.replace("<line/>", "")),
+                           ("odr_zero_segment", ONE_ROAD_ODR.replace('length="50"><line/>',
+                                                                     'length="0"><line/>')),
+                           ("odr_flat_arc",
+                            ONE_ROAD_ODR.replace("<line/>", '<arc curvature="0"/>')),
+                           ("odr_empty_plan_view", ONE_ROAD_ODR.replace(GEOMETRY, "")),
+                           ("odr_two_at_s0",
+                            ONE_ROAD_ODR.replace(GEOMETRY, GEOMETRY.replace("50", "25") * 2)),
+                           ("odr_no_element_id",
+                            odr_roads(("1", 0, 50, "<link><successor/></link>"))),
+                           ("odr_no_road", "<OpenDRIVE></OpenDRIVE>"),
+                           ("odr_zero_length",
+                            ONE_ROAD_ODR.replace('id="1" length="50"', 'id="1" length="0"')
+                            .replace('length="50"><line/>', 'length="0.0005"><line/>')),
+                           ("odr_gap", odr_roads(("1", 0, 50, ""), ("2", 90, 10, PREDECESSOR_1))),
+                           ("odr_dup_ids", odr_roads(("1", 0, 10, ""), ("1", 100, 10, ""),
+                                                     ("2", 10, 10, PREDECESSOR_1))),
+                           ("odr_junction", odr_roads(
+                               ("1", 0, 50, '<link><successor elementType="junction" '
+                                            'elementId="7"/></link>'))),
+                           ("odr_unknown_road", odr_roads(
+                               ("1", 0, 50, '<link><successor elementId="9"/></link>'))),
                            # 0xe9 is e-acute in Latin-1 and no UTF-8 sequence
                            ("latin1_map", floor.replace("\nnode 1 ", "\nnode 1 \xe9")),
                            ("latin1_traj", CSV_HEADER + rows[0] + "# caf\xe9\n" + rows[1]),
@@ -502,6 +569,16 @@ class TestExitCodes:
         if code != EXIT_OK:
             assert err.startswith(prefix)
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,warning", [
+        ("odr_junction", "road 1: skipping successor link to junction element"),
+        ("odr_unknown_road", "road 1: link to unknown road 9 ignored"),
+    ], ids=["convert link to a junction", "convert link to an unknown road"])
+    def test_convert_warning(self, files, caplog, name, warning):
+        # a link outside the subset is skipped with a warning, not refused
+        with caplog.at_level(logging.WARNING, logger="forkfleet.odr_import"):
+            assert main(["convert", files[name], "--out", files["out"]]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records] == [warning]
 
     def test_run_as_a_module(self, files):
         env = dict(os.environ,

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import enumerate_shortest, line_graph, one_way_pair_graph, random_graph, square_graph
 from forkfleet import InputError, mapgen
 from forkfleet.odr_import import parse_opendrive_subset, to_road_graph
-from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _heap_row, astar,
-                               build_graph, dijkstra, load_roadnet, nearest_node, save_roadnet)
+from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _bucket_row, _heap_row,
+                               astar, build_graph, dijkstra, load_roadnet, nearest_node,
+                               save_roadnet)
 
 
 class TestBuildGraph:
@@ -148,18 +149,27 @@ def row_cases(draw, exact):
     """(graph, source, limit) on 1-15 nodes of a small integer grid with up
     to 4n random one-way edges, so some nodes are unreachable. With `exact`
     the lengths are the chord rounded up plus one of a few multiples of 1/4,
-    so many lengths repeat and many distances tie; otherwise they are the
-    chord times a random factor in [1, 1.5] plus 1e-9. Limits include 0, inf,
-    integers, random floats and entries of the full row itself."""
+    so many lengths repeat and many distances tie. Otherwise the grid may be
+    3 x 3 or one point, so that points coincide, and a length is the chord
+    times a random factor in [1, 1.5] plus 1e-9 or plus 1e15-1e20, or,
+    between two coincident points, 1e-20-1e-16: below half an ulp of most
+    sums, so d + length == d. Limits include 0, inf, integers, random floats
+    and entries of the full row itself."""
     n = draw(st.integers(1, 15))
-    pts = [(draw(st.integers(0, 20)), draw(st.integers(0, 20))) for _ in range(n)]
+    side = 20 if exact else draw(st.sampled_from([20, 2, 0]))
+    pts = [(draw(st.integers(0, side)), draw(st.integers(0, side))) for _ in range(n)]
     edges = []
     for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=4 * n)):
         if a != b:
             chord = math.dist(pts[a], pts[b])
-            length = (math.ceil(chord) + draw(st.sampled_from([0.25, 1.0, 1.0, 2.5, 5.0]))
-                      if exact else chord * draw(st.floats(1.0, 1.5)) + 1e-9)
+            if exact:
+                length = math.ceil(chord) + draw(st.sampled_from([0.25, 1.0, 1.0, 2.5, 5.0]))
+            elif chord == 0.0 and draw(st.booleans()):
+                length = draw(st.floats(1e-20, 1e-16))
+            else:
+                length = chord * draw(st.floats(1.0, 1.5)) + draw(st.just(1e-9)
+                                                                  | st.floats(1e15, 1e20))
             edges.append(Edge(a, b, length, 3.0))
     g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
     src = draw(st.integers(0, n - 1))
@@ -183,8 +193,13 @@ class TestBucketKernel:
     @settings(max_examples=150, deadline=None)
     @given(row_cases(exact=False))
     def test_other_graphs_match_the_heap_kernel(self, case):
+        # the bucket kernel too: on any graph each entry is the least
+        # left-to-right path sum, whatever order the nodes settle in
         g, src, limit = case
-        assert dijkstra(g, src, limit) == _heap_row(g._flat_adjacency, src, limit)
+        heap = _heap_row(g._flat_adjacency, src, limit)
+        assert dijkstra(g, src, limit) == heap
+        bucket = _bucket_row(g._flat_adjacency, src, limit)
+        assert [d.hex() for d in bucket] == [d.hex() for d in heap]
 
     def test_large_warehouse_map_matches_the_heap_kernel(self):
         g = mapgen.warehouse_map(nx=8, ny=6)
