@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import compress
 
 from . import ConfigError, Infeasible, InputError, setting
-from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node
+from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node, nearest_nodes
 from .trajectory import resample, split_by_vehicle
 
 
@@ -108,7 +108,7 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
     vids = [s[0] for s in states]
     positions = [(s[1], s[2]) for s in states]
     speeds = [s[3] for s in states]
-    nodes = [nearest_node(graph, x, y) for x, y in positions]
+    nodes = nearest_nodes(graph, positions)
     if rows is None:
         rows = {}
     for node in nodes:

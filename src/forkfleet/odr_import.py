@@ -113,7 +113,9 @@ def parse_opendrive_subset(document) -> list:
         raise InputError(f"not well-formed XML: {exc}") from exc
     roads, ids = [], set()
     for road_el in root.iter("road"):
-        rid = road_el.get("id", "?")
+        rid = road_el.get("id")
+        if rid is None:
+            raise InputError("road without id")
         if rid in ids:
             raise InputError(f"two roads with id {rid}")
         ids.add(rid)

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import ConfigError, InputError
-from .roadnet import RoadGraph, dijkstra, nearest_node
+from .roadnet import RoadGraph, dijkstra, nearest_node, nearest_nodes
 from .trajectory import split_by_vehicle
 
 
@@ -98,20 +98,21 @@ def visit_weights(samples, graph: RoadGraph, dwell_weighting: bool = False):
     """
     weights = [0.0] * graph.n_nodes()
     if not dwell_weighting:
-        for s in samples:
-            weights[nearest_node(graph, s.x, s.y)] += 1.0
+        for node in nearest_nodes(graph, ((s.x, s.y) for s in samples)):
+            weights[node] += 1.0
         return weights
     # each sample covers the gap to the next one; the last sample reuses the
     # previous gap so uniform sampling matches count weighting exactly
     for series in split_by_vehicle(samples).values():
-        for i, s in enumerate(series):
+        nodes = nearest_nodes(graph, ((s.x, s.y) for s in series))
+        for i, (s, node) in enumerate(zip(series, nodes)):
             if i + 1 < len(series):
                 dt = series[i + 1].t - s.t
             elif i > 0:
                 dt = s.t - series[i - 1].t
             else:
                 dt = 0.0
-            weights[nearest_node(graph, s.x, s.y)] += dt
+            weights[node] += dt
     for node, w in enumerate(weights):
         if not w < math.inf:
             raise InputError(f"dwell time at node {node} sums past the float range")
@@ -149,7 +150,7 @@ def _path_factor(graph: RoadGraph) -> float:
 _SHRINK = 1.0 - 2.0 ** -50
 
 
-def _fill_rows(graph: RoadGraph, rows: list, nodes) -> None:
+def _fill_rows(graph: RoadGraph, rows: list, nodes, kept: dict) -> None:
     """Set rows[u] to u's packed forward Dijkstra row for each u in nodes.
 
     Where graph.exact_sums holds, Dijkstra runs only at the anchor of u's
@@ -162,8 +163,10 @@ def _fill_rows(graph: RoadGraph, rows: list, nodes) -> None:
     node whose only out-edge is (u, v, l)). A shortest path never passes a
     walk node twice, so each entry is a sum of distinct edges, exact under
     exact_sums and so the float Dijkstra returns; inf stays inf. One
-    anchor row serves every node whose walk ends there and is kept only if
-    the anchor is one of the nodes. Other graphs get one Dijkstra per row.
+    anchor row serves every node whose walk ends there; it goes into rows
+    only if the anchor is one of the nodes, else into `kept`, packed, where
+    it serves later calls whose walks end at that anchor. Other graphs get
+    one Dijkstra per row.
     """
     if not graph.exact_sums:
         for u in nodes:
@@ -183,7 +186,11 @@ def _fill_rows(graph: RoadGraph, rows: list, nodes) -> None:
     for anchor, ends in walks.items():
         base = rows[anchor]
         if base is None:
+            base = kept.get(anchor)
+        if base is None:
             base = dijkstra(graph, anchor)
+            if [] not in ends:
+                kept[anchor] = array("d", base)
         for walk in ends:
             if not walk:
                 rows[anchor] = array("d", base)
@@ -262,7 +269,8 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
     if not weighted:  # every score is 0, so no node can be picked
         return PlacementResult([], [], k, min_separation)
     rows = [None] * n  # forward Dijkstra rows, made on demand
-    _fill_rows(graph, rows, weighted)
+    anchor_rows = {}  # rows of the anchors that are not themselves in rows
+    _fill_rows(graph, rows, weighted, anchor_rows)
 
     f = _path_factor(graph)
     # without a finite factor every node is put at one point, which leaves
@@ -312,7 +320,7 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
             if heap and (-b, node) > heap[0]:
                 heapq.heappush(heap, (-b, node))
                 continue
-            _fill_rows(graph, rows, (node,))
+            _fill_rows(graph, rows, (node,), anchor_rows)
         row = rows[node]
         if not all(row[s] >= min_separation for s in stations):
             continue

@@ -20,11 +20,15 @@ lengths makes far fewer heap entries. Other graphs (OpenDRIVE arcs, for one)
 keep the (distance, node) heap: there nearly every distance is a value of
 its own, and one bucket per node costs more than one heap entry.
 
-nearest_node() snaps through a uniform grid over the waypoints,
-RoadGraph.snap_index, a cached property built on the first query. Its answer
-is the linear scan's, bit for bit: the same squared-distance expression, ties
-to the smallest id. The grid is never rebuilt, so waypoints must not change
-after the first query.
+nearest_nodes() snaps a list of points in one pass, and nearest_node() is
+its one-point case. Both go through a uniform grid over the waypoints,
+RoadGraph.snap_index, a cached property built on the first query: cells of
+half a node's share of the bounding box, each with the nodes of its 3x3
+block in ascending id, appended in id order so that no block is sorted. A
+point scans its block and goes on to the rings around it only when the
+block leaves the answer open. Every answer is the linear scan's, bit for
+bit: the same squared-distance expression, ties to the smallest id. The
+grid is never rebuilt, so waypoints must not change after the first query.
 """
 
 from __future__ import annotations
@@ -273,21 +277,26 @@ def astar(g: RoadGraph, src: int, dst: int) -> Optional[Path]:
     return None
 
 
+def nearest_nodes(g: RoadGraph, points) -> list:
+    """nearest_node() of each (x, y) of the iterable points, in one pass.
+
+    A point whose squared distance to a node overflows raises InputError
+    naming it; the points before it are snapped first.
+    """
+    if g.n_nodes() == 0:
+        for _ in points:
+            raise InputError("nearest_node on empty graph")
+        return []
+    return g.snap_index.nearest(points)
+
+
 def nearest_node(g: RoadGraph, x: float, y: float) -> int:
     """Node minimizing Euclidean distance; ties go to the smallest id.
 
     A non-finite query returns node 0, as a scan finding no d < inf would.
     A query whose squared distance to a node overflows raises InputError.
     """
-    if g.n_nodes() == 0:
-        raise InputError("nearest_node on empty graph")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return 0
-    try:
-        return g.snap_index.nearest(x, y)
-    except OverflowError as exc:
-        raise InputError(f"point ({x!r}, {y!r}) is too far from the map to snap "
-                         "to a node") from exc
+    return nearest_nodes(g, [(x, y)])[0]
 
 
 # A node in a cell r rings away from the query's cell (clamped to the grid)
@@ -307,42 +316,78 @@ def _clamp_cell(t: float, n: int) -> int:
 class SnapIndex:
     """Uniform grid of waypoints for exact nearest-node queries.
 
-    Cells are squares of about one node's share of the bounding box (never
-    below the longer side over n, so a flat box does not explode the cell
-    count). Each cell also keeps the nodes of its 3x3 block (rings 0 and 1,
-    clamped to the grid) in ascending id, which a query scans first, with
-    no bound to test. It then searches ring by ring outward from r = 2 and
-    stops once a ring's lower bound exceeds the best distance found.
+    Cells are squares of half a node's share of the bounding box (never
+    below half the longer side over n, so a flat box does not explode the
+    cell count), so a cell holds about a quarter of a node and a 3x3 block
+    about two. Each cell also keeps the nodes of its 3x3 block (rings 0 and
+    1, clamped to the grid), which a query scans first, with no bound to
+    test. The build appends each waypoint, in id order, to its cell and to
+    the blocks of the cells around it, so every cell and block is in
+    ascending id without a sort; both are tuples, and the empty ones share
+    the one empty tuple. Only when the ring-2 bound does not exceed the
+    block's best distance does the query go on, ring by ring outward from
+    r = 2, from the block's result, and it stops once a ring's lower bound
+    exceeds the best distance found.
     """
 
     def __init__(self, g: RoadGraph):
         self.x0, self.y0, x1, y1 = g.bounding_box()
         w, h, n = x1 - self.x0, y1 - self.y0, g.n_nodes()
-        cell = max(math.sqrt(w * h / n), max(w, h) / n)
+        cell = max(math.sqrt(w * h / n), max(w, h) / n) / 2
         if 0.0 < cell < math.inf:
             self.cell, self.nx, self.ny = cell, int(w / cell) + 1, int(h / cell) + 1
         else:  # all nodes coincide, or the extent overflows: one cell
             self.cell, self.nx, self.ny = 1.0, 1, 1
         nx, ny = self.nx, self.ny
-        self.cells = [[] for _ in range(nx * ny)]
-        for wp in g.waypoints:  # ascending id within each cell
+        cells = [[] for _ in range(nx * ny)]
+        # blocks on a grid padded by one cell each side, so that the 3x3
+        # cells around any cell are at fixed offsets; the pad is dropped below
+        row = nx + 2
+        padded = [[] for _ in range(row * (ny + 2))]
+        around = (-row - 1, -row, -row + 1, -1, 0, 1, row - 1, row, row + 1)
+        for wp in g.waypoints:  # ascending id, so each cell and block is too
             cx = _clamp_cell((wp.x - self.x0) / self.cell, nx)
             cy = _clamp_cell((wp.y - self.y0) / self.cell, ny)
-            self.cells[cy * nx + cx].append((wp.x, wp.y, wp.node))
-        self.blocks = [sorted((c for yy in range(max(cy - 1, 0), min(cy + 2, ny))
-                               for xx in range(max(cx - 1, 0), min(cx + 2, nx))
-                               for c in self.cells[yy * nx + xx]), key=lambda c: c[2])
-                       for cy in range(ny) for cx in range(nx)]
+            node = (wp.x, wp.y, wp.node)
+            cells[cy * nx + cx].append(node)
+            k = (cy + 1) * row + cx + 1
+            for o in around:
+                padded[k + o].append(node)
+        self.cells = [tuple(c) for c in cells]
+        self.blocks = [tuple(b) for k in range(row + 1, row * (ny + 1), row)
+                       for b in padded[k:k + nx]]
 
-    def nearest(self, x: float, y: float) -> int:
+    def nearest(self, points) -> list:
+        """The nearest node of each (x, y) in points: node 0 for a
+        non-finite point, InputError for one whose squared distance to a
+        node overflows."""
+        x0, y0, cell, nx, ny, blocks = self.x0, self.y0, self.cell, self.nx, self.ny, self.blocks
+        ring2 = cell * _RING_SLACK
+        ring2 *= ring2
+        inf, out = math.inf, []
+        try:
+            for x, y in points:
+                if 0.0 * x + 0.0 * y != 0.0:  # nan for nan and +-inf
+                    out.append(0)
+                    continue
+                cx = _clamp_cell((x - x0) / cell, nx)
+                cy = _clamp_cell((y - y0) / cell, ny)
+                best_d, best_i = inf, 0
+                for wx, wy, i in blocks[cy * nx + cx]:  # ascending id: first minimum wins
+                    d = (wx - x) ** 2 + (wy - y) ** 2
+                    if d < best_d:
+                        best_d, best_i = d, i
+                if not ring2 > best_d:
+                    best_i = self._rings(x, y, cx, cy, best_d, best_i)
+                out.append(best_i)
+        except OverflowError as exc:
+            raise InputError(f"point ({x!r}, {y!r}) is too far from the map to snap "
+                             "to a node") from exc
+        return out
+
+    def _rings(self, x, y, cx, cy, best_d, best_i):
+        """Go on from the block's (best_d, best_i) through rings 2, 3, ..."""
         cell, nx, ny, cells = self.cell, self.nx, self.ny, self.cells
-        cx = _clamp_cell((x - self.x0) / cell, nx)
-        cy = _clamp_cell((y - self.y0) / cell, ny)
-        best_d, best_i = math.inf, 0
-        for wx, wy, i in self.blocks[cy * nx + cx]:  # ascending id: first minimum wins
-            d = (wx - x) ** 2 + (wy - y) ** 2
-            if d < best_d:
-                best_d, best_i = d, i
         for r in range(2, max(cx, nx - 1 - cx, cy, ny - 1 - cy) + 1):
             bound = (r - 1) * cell * _RING_SLACK
             if bound * bound > best_d:

@@ -56,27 +56,28 @@ def read_csv(fileobj):
         raise InputError("line 1: empty file, header missing")
     if header != CSV_HEADER:
         raise InputError(f"line {lineno}: expected header '{CSV_HEADER}'")
+    new = tuple.__new__
     for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != 9:
             raise InputError(f"line {lineno}: expected 9 columns, got {len(parts)}")
-        try:
-            s = TrajectorySample(float(parts[0]), int(parts[1]), float(parts[2]),
-                                 float(parts[3]), float(parts[4]), float(parts[5]),
-                                 float(parts[6]), float(parts[7]), float(parts[8]))
+        try:  # column order, so the error names the first bad column
+            t, vid = float(parts[0]), int(parts[1])
+            x, y, heading, speed, fork_height, load_mass, soc = map(float, parts[2:])
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
         # 0 * v is 0 for every finite v and nan for nan and +-inf
-        if (0.0 * s.t + 0.0 * s.x + 0.0 * s.y + 0.0 * s.heading + 0.0 * s.speed
-                + 0.0 * s.fork_height + 0.0 * s.load_mass + 0.0 * s.soc != 0.0):
+        if (0.0 * t + 0.0 * x + 0.0 * y + 0.0 * heading + 0.0 * speed
+                + 0.0 * fork_height + 0.0 * load_mass + 0.0 * soc != 0.0):
             raise InputError(f"line {lineno}: non-finite value")
-        if not 0.0 <= s.soc <= 1.0:
-            raise InputError(f"line {lineno}: soc {s.soc!r} outside [0, 1]")
-        if s.vehicle_id in last_t and s.t <= last_t[s.vehicle_id]:
-            raise InputError(f"line {lineno}: samples for vehicle {s.vehicle_id} "
+        if not 0.0 <= soc <= 1.0:
+            raise InputError(f"line {lineno}: soc {soc!r} outside [0, 1]")
+        if vid in last_t and t <= last_t[vid]:
+            raise InputError(f"line {lineno}: samples for vehicle {vid} "
                              "not strictly increasing in t")
-        last_t[s.vehicle_id] = s.t
-        samples.append(s)
+        last_t[vid] = t
+        samples.append(new(TrajectorySample, (t, vid, x, y, heading, speed, fork_height,
+                                              load_mass, soc)))
     return samples
 
 

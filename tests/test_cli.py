@@ -422,6 +422,9 @@ class TestExitCodes:
         # a link would resolve to one road "1" and take its nodes from the other
         ("convert two roads with one id", ["convert", "{odr_dup_ids}", "--out", "{out}"],
          EXIT_INPUT, INPUT + "two roads with id 1\n"),
+        # else it would be read as a road of its own, and a link could name it
+        ("convert road without id", ["convert", "{odr_no_id}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road without id\n"),
         ("simulate --config a directory", [*SIM, "--config", "{dir}"], EXIT_CONFIG, ERROR),
         ("analyze-density --map a directory",
          ["analyze-density", "--map", "{dir}", "--out-dir", "{out}", "{traj}"],
@@ -537,6 +540,7 @@ class TestExitCodes:
                            ("odr_gap", odr_roads(("1", 0, 50, ""), ("2", 90, 10, PREDECESSOR_1))),
                            ("odr_dup_ids", odr_roads(("1", 0, 10, ""), ("1", 100, 10, ""),
                                                      ("2", 10, 10, PREDECESSOR_1))),
+                           ("odr_no_id", ONE_ROAD_ODR.replace('<road id="1" ', '<road ')),
                            ("odr_junction", odr_roads(
                                ("1", 0, 50, '<link><successor elementType="junction" '
                                             'elementId="7"/></link>'))),

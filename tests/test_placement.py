@@ -412,16 +412,17 @@ class TestChainRows:
     @given(chain_graphs(), st.data())
     def test_derived_rows_are_dijkstras(self, case, data):
         # some rows first, in one call (shared anchors), then the rest one
-        # by one, each free to stop at a node that has a row
+        # by one, each free to stop at a node that has a row and to start
+        # from a row kept at the anchor of an earlier call
         g, _ = case
         n = g.n_nodes()
         assert g.exact_sums
         first = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-        rows = [None] * n
-        placement._fill_rows(g, rows, first)
+        rows, kept = [None] * n, {}
+        placement._fill_rows(g, rows, first, kept)
         for u in range(n):
             if rows[u] is None:
-                placement._fill_rows(g, rows, [u])
+                placement._fill_rows(g, rows, [u], kept)
         for u in range(n):
             assert hexes(rows[u]) == hexes(dijkstra(g, u))
 
@@ -432,10 +433,25 @@ class TestChainRows:
         sources = []
         monkeypatch.setattr(placement, "dijkstra",
                             lambda graph, src: sources.append(src) or dijkstra(graph, src))
-        rows = [None] * 3
-        placement._fill_rows(g, rows, [2])
-        assert sources == [0] and rows[0] is None  # the anchor's row is not kept
+        rows, kept = [None] * 3, {}
+        placement._fill_rows(g, rows, [2], kept)
+        assert sources == [0] and rows[0] is None  # the anchor's row is kept aside
+        assert list(kept) == [0] and list(kept[0]) == [0.0, 1.0, math.inf]
         assert list(rows[2]) == [2.0, 3.0, 0.0]
+
+    def test_popped_nodes_share_their_anchors_rows(self, monkeypatch):
+        # every sixth node weighted: without the kept anchor rows, sources 5,
+        # 13, 19, 22 and 34 would run again at later pops, 23 Dijkstras for
+        # 17 sources
+        g = warehouse_map()
+        w = [1.0 if u % 6 == 0 else 0.0 for u in range(g.n_nodes())]
+        sources = []
+        monkeypatch.setattr(placement, "dijkstra",
+                            lambda graph, src: sources.append(src) or dijkstra(graph, src))
+        res = place_chargers(g, w, 4, 15.0, 20.0)
+        assert res.stations == [11, 24, 18, 6]
+        assert len(sources) == len(set(sources)) == 17
+        assert (res.stations, res.scores) == eager_place_chargers(g, w, 4, 15.0, 20.0)
 
     def test_a_cycle_closes_at_its_first_repeat(self):
         # 3 -> 0 -> 1 -> 2 -> 0: 3's walk closes at 0, whose row anchors it
@@ -443,7 +459,7 @@ class TestChainRows:
                         [Edge(0, 1, 1.0, 3.0), Edge(1, 2, 1.0, 3.0), Edge(2, 0, 2.0, 3.0),
                          Edge(3, 0, 3.0, 3.0)])
         rows = [None] * 4
-        placement._fill_rows(g, rows, [3, 1])
+        placement._fill_rows(g, rows, [3, 1], {})
         assert list(rows[3]) == [3.0, 4.0, 5.0, 0.0]
         assert list(rows[1]) == [3.0, 0.0, 1.0, math.inf]
 

@@ -10,7 +10,7 @@ from forkfleet import InputError, mapgen
 from forkfleet.odr_import import parse_opendrive_subset, to_road_graph
 from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _bucket_row, _heap_row,
                                astar, build_graph, dijkstra, load_roadnet, nearest_node,
-                               save_roadnet)
+                               nearest_nodes, save_roadnet)
 
 
 class TestBuildGraph:
@@ -403,6 +403,7 @@ class TestNearestNodeGrid:
     @given(snap_cases())
     def test_matches_linear_scan(self, case):
         g, queries = case
+        assert nearest_nodes(g, queries) == [scan_nearest(g, x, y) for x, y in queries]
         for x, y in queries:
             assert nearest_node(g, x, y) == scan_nearest(g, x, y), (x, y)
         for x, y in NON_FINITE:
@@ -414,11 +415,54 @@ class TestNearestNodeGrid:
         nearest_node(g, 1.0, 2.0)
         index = g.snap_index
         nearest_node(g, 50.0, 60.0)
+        nearest_nodes(g, [(3.0, 4.0), (70.0, 80.0)])
         assert g.snap_index is index
 
-    def test_non_finite_query_before_index(self):
+    def test_blocks_in_ascending_id(self):
+        # the build appends in id order and never sorts
+        for g in (random_graph(seed=5, n_nodes=30), mapgen.warehouse_map()):
+            index = g.snap_index
+            assert len(index.blocks) == len(index.cells) == index.nx * index.ny
+            for block in index.blocks + index.cells:
+                ids = [i for _, _, i in block]
+                assert ids == sorted(ids)
+            # each node is in its cell's block and in no block more than one cell away
+            for k, block in enumerate(index.blocks):
+                cy, cx = divmod(k, index.nx)
+                near = [c for yy in range(max(cy - 1, 0), min(cy + 2, index.ny))
+                        for xx in range(max(cx - 1, 0), min(cx + 2, index.nx))
+                        for c in index.cells[yy * index.nx + xx]]
+                assert sorted(block, key=lambda c: c[2]) == sorted(near, key=lambda c: c[2])
+
+    def test_non_finite_points_in_a_batch(self):
         g = random_graph(seed=5, n_nodes=30)
+        points = [(1.0, 2.0), *NON_FINITE, (50.0, 60.0), NON_FINITE[0]]
+        assert nearest_nodes(g, points) == [scan_nearest(g, x, y) for x, y in points]
+        assert nearest_nodes(g, NON_FINITE) == [0] * len(NON_FINITE)
+
+    def test_overflow_in_a_batch_names_its_point(self):
+        g = random_graph(seed=5, n_nodes=30)
+        far = (1e200, 10.0)
+        with pytest.raises(InputError) as one:
+            nearest_node(g, *far)
+        with pytest.raises(InputError) as batch:
+            nearest_nodes(g, [(1.0, 2.0), (math.nan, 0.0), far, (50.0, 60.0)])
+        assert str(batch.value) == str(one.value) == (
+            "point (1e+200, 10.0) is too far from the map to snap to a node")
+
+    def test_empty_batch_and_empty_graph(self):
+        empty = RoadGraph([], [], [], [])
+        assert nearest_nodes(empty, []) == []
+        with pytest.raises(InputError, match="nearest_node on empty graph"):
+            nearest_nodes(empty, [(0.0, 0.0)])
+
+    def test_non_finite_query_before_index(self):
+        # a first query that is not finite gives node 0 through the index,
+        # which it builds, as nearest_node is the batch's one-point case
+        g = random_graph(seed=5, n_nodes=30)
+        assert "snap_index" not in vars(g)
         assert nearest_node(g, math.nan, 1.0) == 0
+        assert "snap_index" in vars(g)
 
 
 DEGENERATE_FAR = st.floats(-1e150, 1e150)
@@ -455,6 +499,7 @@ class TestSnapIndexDegenerate:
             assert index.ny == 1
         else:
             assert index.nx == 1
+        assert nearest_nodes(g, queries) == [scan_nearest(g, x, y) for x, y in queries]
         for x, y in queries:
             assert nearest_node(g, x, y) == scan_nearest(g, x, y), (x, y)
 
