@@ -86,11 +86,6 @@ def _energies(features, p: BatteryParams):
         yield draw + vd + aux_power * dt, regen + vr
 
 
-def vertical_work(dh: float, load_mass: float, fork_mass: float, p: BatteryParams):
-    """Lift/lower energy -> (draw, regen), J."""
-    return next(_energies([(0.0, 0.0, 0.0, 0.0, 0.0, dh, load_mass + fork_mass)], p))
-
-
 @dataclass(frozen=True)
 class VehicleConstants:
     truck_mass: float = 3000.0

@@ -180,9 +180,10 @@ def _render_summary(world, f, prov):
 
 
 def cmd_replay(args):
-    cfg, graph, samples, prov = _load_analysis_inputs(args)
+    # the map is loaded, so a bad one is refused, and named in prov, but not read
+    cfg, _, samples, prov = _load_analysis_inputs(args)
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
-    out = replay(samples, graph, dt=cfg.dt, consts=consts, params=cfg.battery)
+    out = replay(samples, dt=cfg.dt, consts=consts, params=cfg.battery)
 
     # out is in (t, vehicle_id) order: a tick per run of equal t bits (-0.0 and 0.0 print apart)
     ticks = ([*tick] for _, tick in itertools.groupby(out, key=lambda s: s.t.hex()))

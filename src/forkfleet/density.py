@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 
 from . import ConfigError, Infeasible, InputError, setting
@@ -52,11 +51,6 @@ class Snapshot:
     speeds: list
     positions: list   # (x, y) per vehicle
     rows: dict
-
-    @cached_property
-    def dist(self):
-        """dist[i][j] = directed network distance i -> j; inf past the rows."""
-        return [[self.rows[a].get(b, math.inf) for b in self.nodes] for a in self.nodes]
 
 
 @dataclass

@@ -3,10 +3,10 @@
 Single-threaded explicit-Euler world stepping: task assignment onto free
 parking spots, A* route planning, trapezoidal speed profiles with curvature
 slowdown, top-down collision avoidance and fork lift/lower phases. step() is
-kinematics only; ticks() streams one sample per vehicle per step, a step's
-samples made with their SOC by one add to the fleet's battery.SocMeter (as
-replay's integrate_trajectory does per vehicle series), holding one tick at a
-time, and run() collects the ticks into a list. All randomness flows from one
+kinematics only and returns nothing; ticks() streams one sample per vehicle
+per step, a step's samples made with their SOC by one add to the fleet's
+battery.SocMeter (as replay's integrate_trajectory does per vehicle series),
+holding one tick at a time. All randomness flows from one
 splitmix64 generator seeded by the scenario seed, so (scenario, seed, dt)
 fully determines every emitted sample.
 
@@ -38,7 +38,7 @@ visited in, so the caps equal those of testing all N(N-1)/2 pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import ConfigError, Infeasible, battery as bat, check_ranges, setting
@@ -121,13 +121,6 @@ class _VehicleCtl:
     tasks_completed: int = 0
 
 
-@dataclass
-class StepEvents:
-    assignments: list = field(default_factory=list)   # (vehicle_id, Task)
-    arrivals: list = field(default_factory=list)      # (vehicle_id, spot_id)
-    completions: list = field(default_factory=list)   # (vehicle_id, Task)
-
-
 def _menger_radius(p0, p1, p2):
     """Circumradius of three points; inf when (near) collinear."""
     a = math.dist(p1, p2)
@@ -166,7 +159,6 @@ class World:
         self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
         self._meter = None  # the fleet's battery.SocMeter, from the first tick on
-        self._history = []  # every sample run() recorded
 
     @property
     def clock(self) -> float:
@@ -330,8 +322,7 @@ class World:
 
     # --- stepping ------------------------------------------------------------
 
-    def step(self, auto_assign: bool = True, policy=("random", None)) -> StepEvents:
-        events = StepEvents()
+    def step(self, auto_assign: bool = True, policy=("random", None)) -> None:
         dt = self.dt
         kin = self.kin
         vehicles = self.vehicles
@@ -340,8 +331,7 @@ class World:
             for v, ctl in zip(vehicles, ctls):
                 if ctl.phase == PHASE_IDLE:
                     try:
-                        task = self.assign_task(v.id, policy)
-                        events.assignments.append((v.id, task))
+                        self.assign_task(v.id, policy)
                     except (NoFreeSpot, SpotOccupied):
                         pass
         caps = self.resolve_conflicts()
@@ -352,7 +342,7 @@ class World:
                  kin.v_max * kin.v_max / (2.0 * kin.b_max) + kin.v_max * dt + 1.0, kin.a_max * dt)
         for v, ctl in zip(vehicles, ctls):
             if ctl.phase == PHASE_DRIVE:
-                self._advance_drive(v, ctl, caps.get(v.id, math.inf), events, drive)
+                self._advance_drive(v, ctl, caps.get(v.id, math.inf), drive)
                 continue
             v.speed = 0.0
             if ctl.phase == PHASE_LIFT:
@@ -368,20 +358,17 @@ class World:
                     if len(ctl.route.points) == 1:  # at the anchor already: arrive now
                         ctl.phase = PHASE_LOWER
                         ctl.current_spot = ctl.task.dest_spot
-                        events.arrivals.append((v.id, ctl.current_spot))
             elif ctl.phase == PHASE_LOWER:
                 v.fork_height = max(0.0, v.fork_height - kin.lift_speed * dt)
                 if v.fork_height <= 1e-12:
                     v.fork_height = 0.0
                     v.load_mass = 0.0
-                    events.completions.append((v.id, ctl.task))
                     ctl.tasks_completed += 1
                     ctl.task = None
                     ctl.phase = PHASE_IDLE
         self.step_count += 1
-        return events
 
-    def _advance_drive(self, v, ctl, conflict_cap, events, drive):
+    def _advance_drive(self, v, ctl, conflict_cap, drive):
         """Move a driving vehicle one step along its route. Each min and max of
         two floats is written as the comparison that gives its bits."""
         bd, bd2, two_b, lookahead, a_max_dt = drive
@@ -451,7 +438,6 @@ class World:
         if arrived:
             ctl.phase = PHASE_LOWER
             ctl.current_spot = ctl.task.dest_spot
-            events.arrivals.append((v.id, ctl.current_spot))
 
     # --- recording / running ---------------------------------------------------
 
@@ -482,14 +468,6 @@ class World:
                 v.soc = sample[8]
             yield tick
 
-    def run(self, duration: float, auto_assign: bool = True, policy=("random", None)):
-        """ticks() for the given duration, appended to one time-major history.
-        Returns every sample run() has recorded so far, in (t, vehicle_id)
-        order."""
-        for tick in self.ticks(duration, auto_assign, policy):
-            self._history += tick
-        return list(self._history)
-
     def summary(self):
         out = []
         for v in self.vehicles:
@@ -507,7 +485,7 @@ class World:
         return out
 
 
-def replay(samples, graph: RoadGraph, dt: float = 0.1,
+def replay(samples, dt: float = 0.1,
            consts: bat.VehicleConstants = bat.VehicleConstants(),
            params: bat.BatteryParams = bat.BatteryParams()):
     """Re-grid recorded samples onto a fixed dt timeline and recompute SOC.

@@ -3,8 +3,9 @@
 Stations are chosen by visit-weighted greedy coverage with distance decay,
 restricted to road-network nodes and subject to a minimum pairwise network
 separation. This is a documented stand-in for a centrality-based placement
-method published elsewhere; the mean-detour metric keeps alternatives
-comparable. The occupancy heatmap provides the visual cross-check.
+method published elsewhere; the tests' mean-detour score (tests/conftest.py)
+keeps alternatives comparable. The occupancy heatmap provides the visual
+cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import ConfigError, InputError
-from .roadnet import RoadGraph, dijkstra, nearest_node, nearest_nodes
+from .roadnet import RoadGraph, dijkstra, nearest_nodes
 from .trajectory import split_by_vehicle
 
 
@@ -44,16 +45,6 @@ class HeatmapGrid:
     def cell_center(self, cx: int, cy: int):
         return (self.origin_x + (cx + 0.5) * self.cell_size,
                 self.origin_y + (cy + 0.5) * self.cell_size)
-
-    def top_decile_cells(self):
-        """Nonzero cells with counts at or above the 90th percentile of
-        nonzero counts."""
-        nz = sorted(c for row in self.counts for c in row if c > 0)
-        if not nz:
-            return []
-        threshold = nz[min(len(nz) - 1, int(math.ceil(0.9 * len(nz))) - 1)]
-        return [(cx, cy) for cy in range(self.height) for cx in range(self.width)
-                if self.counts[cy][cx] >= threshold and self.counts[cy][cx] > 0]
 
 
 def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
@@ -372,26 +363,6 @@ def _cell_keys(xy, points, f, d_scale, nodes):
         key = (total + 2.0 ** -1000) * slack
         keys.append(key if key == key else math.inf)  # nan from inf / inf
     return keys
-
-
-def score_placement(result: PlacementResult, samples, graph: RoadGraph) -> float:
-    """Mean network distance from each sample's node to its nearest station."""
-    if not result.stations:
-        raise ValueError("empty placement")
-    dist_to = {s: dijkstra(graph, s) for s in result.stations}
-    dist_from = {}
-    total = 0.0
-    count = 0
-    for smp in samples:
-        node = nearest_node(graph, smp.x, smp.y)
-        if node not in dist_from:
-            dist_from[node] = dijkstra(graph, node)
-        best = math.inf
-        for st in result.stations:
-            best = min(best, dist_from[node][st], dist_to[st][node])
-        total += best
-        count += 1
-    return total / count if count else 0.0
 
 
 # --- file formats -----------------------------------------------------------

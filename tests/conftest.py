@@ -4,7 +4,52 @@ import random
 import pytest
 
 from forkfleet import mapgen
-from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
+from forkfleet.roadnet import (Edge, ParkingSpot, Waypoint, build_graph, dijkstra,
+                               nearest_node)
+
+
+def run_samples(world, duration, auto_assign=True, policy=("random", None)):
+    """world.ticks(duration, ...) flattened into one list, in (t, vehicle_id)
+    order."""
+    return [s for tick in world.ticks(duration, auto_assign, policy) for s in tick]
+
+
+def dist_matrix(snapshot):
+    """dist[i][j] = the directed network distance from a density.Snapshot's
+    vehicle i to its vehicle j; inf past the snapshot's rows."""
+    return [[snapshot.rows[a].get(b, math.inf) for b in snapshot.nodes] for a in snapshot.nodes]
+
+
+def score_placement(result, samples, graph):
+    """Mean network distance from each sample's node to its nearest station:
+    the reference that placements are compared by."""
+    if not result.stations:
+        raise ValueError("empty placement")
+    dist_to = {s: dijkstra(graph, s) for s in result.stations}
+    dist_from = {}
+    total = 0.0
+    count = 0
+    for smp in samples:
+        node = nearest_node(graph, smp.x, smp.y)
+        if node not in dist_from:
+            dist_from[node] = dijkstra(graph, node)
+        best = math.inf
+        for st in result.stations:
+            best = min(best, dist_from[node][st], dist_to[st][node])
+        total += best
+        count += 1
+    return total / count if count else 0.0
+
+
+def top_decile_cells(grid):
+    """A placement.HeatmapGrid's nonzero cells with counts at or above the
+    90th percentile of nonzero counts."""
+    nz = sorted(c for row in grid.counts for c in row if c > 0)
+    if not nz:
+        return []
+    threshold = nz[min(len(nz) - 1, int(math.ceil(0.9 * len(nz))) - 1)]
+    return [(cx, cy) for cy in range(grid.height) for cx in range(grid.width)
+            if grid.counts[cy][cx] >= threshold and grid.counts[cy][cx] > 0]
 
 
 def random_graph(seed, n_nodes, extra_edges=None, extent=100.0):

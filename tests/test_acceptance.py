@@ -13,15 +13,14 @@ import time
 
 import pytest
 
-from conftest import random_graph
+from conftest import dist_matrix, random_graph, run_samples, score_placement, top_decile_cells
 from forkfleet import mapgen
-from forkfleet.battery import (BatteryParams, G, VehicleConstants, calibrate,
-                               integrate_trajectory, vertical_work)
+from forkfleet.battery import (BatteryParams, G, VehicleConstants, _energies, calibrate,
+                               integrate_trajectory)
 from forkfleet.density import DensityConfig, clusters, density_timeline, snapshot_from_states
 from forkfleet.fleet_sim import World, replay
 from forkfleet.odr_import import UnsupportedGeometry, parse_opendrive_subset, to_road_graph
-from forkfleet.placement import (heatmap_for_graph, place_chargers,
-                                 score_placement, visit_weights)
+from forkfleet.placement import heatmap_for_graph, place_chargers, visit_weights
 from forkfleet.roadnet import astar, dijkstra
 from forkfleet.trajectory import TrajectorySample, read_csv, split_by_vehicle, write_csv
 
@@ -60,7 +59,8 @@ def test_c1_routing_equivalence():
 def brute_force_clusters(snapshot, threshold):
     """Transitive closure of the thresholded link relation by BFS."""
     n = len(snapshot.vehicle_ids)
-    linked = [[min(snapshot.dist[i][j], snapshot.dist[j][i]) <= threshold
+    dist = dist_matrix(snapshot)
+    linked = [[min(dist[i][j], dist[j][i]) <= threshold
                for j in range(n)] for i in range(n)]
     seen = [False] * n
     out = []
@@ -118,13 +118,14 @@ def test_c3_battery_physics():
 
     # (b) lift 1100 kg by 1.5 m at eta_drive 0.85
     oracle = 1100.0 * G * 1.5 / 0.85
-    draw_b, _ = vertical_work(1.5, 1000.0, 100.0, BatteryParams(eta_drive=0.85))
+    draw_b, _ = next(_energies([(0.0, 0.0, 0.0, 0.0, 0.0, 1.5, 1000.0 + 100.0)],
+                               BatteryParams(eta_drive=0.85)))
     ok_b = abs(draw_b - oracle) <= 1e-6 * oracle and abs(oracle - 19036.4) < 0.1
 
     # (c) SOC non-increasing over a simulated run with eta_regen = 0
     w = World.spawn_at_spots(mapgen.warehouse_map(), 3, seed=4,
                              battery_params=BatteryParams(eta_regen=0.0))
-    samples = w.run(120.0)
+    samples = run_samples(w, 120.0)
     ok_c = True
     for series in split_by_vehicle(samples).values():
         socs = [s.soc for s in series]
@@ -199,7 +200,7 @@ def test_c4_calibration_recovery():
 
 def run_scenario(seed):
     w = World.spawn_at_spots(mapgen.warehouse_map(), 3, seed=seed)
-    samples = w.run(90.0)
+    samples = run_samples(w, 90.0)
     buf = io.StringIO()
     write_csv(samples, buf)
     return w, buf.getvalue()
@@ -212,8 +213,7 @@ def test_c5_determinism_and_replay():
 
     exported = read_csv(io.StringIO(text1))
     consts = VehicleConstants(3000.0, w.fork_mass)
-    replayed = replay(exported, w.graph, dt=w.dt, consts=consts,
-                      params=w.battery_params)
+    replayed = replay(exported, dt=w.dt, consts=consts, params=w.battery_params)
     ok_replay = len(replayed) == len(exported)
     for a, b in zip(exported, replayed):
         if (abs(a.x - b.x) > 1e-9 or abs(a.y - b.y) > 1e-9
@@ -322,7 +322,7 @@ def test_c7_placement():
     weights = visit_weights(samples, g)
     res = place_chargers(g, weights, k=5, min_separation=25.0, d_scale=20.0)
     grid = heatmap_for_graph(samples, g, cell_size=2.0)
-    top = [grid.cell_center(cx, cy) for cx, cy in grid.top_decile_cells()]
+    top = [grid.cell_center(cx, cy) for cx, cy in top_decile_cells(grid)]
 
     ok_count = len(res.stations) == 5
     dist_rows = {s: dijkstra(g, s) for s in res.stations}
@@ -397,7 +397,7 @@ def test_c9_collision_safety():
     ok = True
     for seed in range(20):
         w = World.spawn_at_spots(mapgen.warehouse_map(), 6, seed=seed)
-        samples = w.run(300.0)
+        samples = run_samples(w, 300.0)
         limit = w.kin.d_safe - w.kin.v_max * w.dt
         by_t = {}
         for s in samples:

@@ -6,11 +6,12 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_samples
 from forkfleet import ConfigError, Infeasible, InputError, battery, mapgen
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
                                CalibrationResult, PARAM_BOUNDS, SUFFICIENT, SocMeter,
                                VehicleConstants, calibrate, integrate_trajectory,
-                               soc_band, vertical_work, G, _energies, _golden_section, _net,
+                               soc_band, G, _energies, _golden_section, _net,
                                _segment_features, _vehicle_features)
 from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, split_by_vehicle
@@ -24,6 +25,12 @@ def horizontal_work(v0, v1, ds, dheading, dt, mass, p):
     the auxiliary load: its features written out from their formulas."""
     w_kin = 0.5 * mass * (v1 * v1 - v0 * v0)
     return next(_energies([(0.0, ds, mass, w_kin, abs(dheading / dt), 0.0, 0.0)], p))
+
+
+def vertical_segment(dh, lift_mass, p):
+    """The kernel's (draw, regen) for one segment that only moves the forks,
+    with lift_mass on them, by dh, without the auxiliary load."""
+    return next(_energies([(0.0, 0.0, 0.0, 0.0, 0.0, dh, lift_mass)], p))
 
 
 class TestHorizontalWork:
@@ -80,16 +87,16 @@ class TestHorizontalWork:
 
 class TestVerticalWork:
     def test_zero(self):
-        assert vertical_work(0.0, 1000, 100, BatteryParams()) == (0.0, 0.0)
+        assert vertical_segment(0.0, 1000 + 100, BatteryParams()) == (0.0, 0.0)
 
     def test_lift(self):
-        draw, regen = vertical_work(1.5, 1000, 100, BatteryParams(eta_drive=0.85))
+        draw, regen = vertical_segment(1.5, 1000 + 100, BatteryParams(eta_drive=0.85))
         assert draw == pytest.approx(1100 * G * 1.5 / 0.85, rel=1e-12)
         assert draw == pytest.approx(19036.4, abs=0.1)
         assert regen == 0.0
 
     def test_lower(self):
-        draw, regen = vertical_work(-1.5, 1000, 100, BatteryParams(eta_regen=0.2))
+        draw, regen = vertical_segment(-1.5, 1000 + 100, BatteryParams(eta_regen=0.2))
         assert draw == 0.0
         assert regen == pytest.approx(1100 * G * 1.5 * 0.2, rel=1e-12)
         assert regen == pytest.approx(3236.2, abs=0.05)
@@ -138,8 +145,8 @@ class TestIntegrateTrajectory:
             TrajectorySample(10.0, 0, 0, 0, 0, 0, 0.0, 800.0, 1.0),
         ]
         draw, regen, _ = integrate_trajectory(samples, consts, p)
-        up, _ = vertical_work(1.5, 800, 100, p)
-        _, down = vertical_work(-1.5, 800, 100, p)
+        up, _ = vertical_segment(1.5, 800 + 100, p)
+        _, down = vertical_segment(-1.5, 800 + 100, p)
         assert draw == pytest.approx(up + 100.0 * 10.0, rel=1e-12)
         assert regen == pytest.approx(down, rel=1e-12)
 
@@ -158,8 +165,8 @@ class TestIntegrateTrajectory:
         assert draw == pytest.approx(exp_draw, rel=1e-12)
         assert regen == pytest.approx(exp_regen, rel=1e-12)
         # closed form for the vertical part alone
-        up, _ = vertical_work(2.0, 500, 100, p)
-        _, down = vertical_work(-2.0, 500, 100, p)
+        up, _ = vertical_segment(2.0, 500 + 100, p)
+        _, down = vertical_segment(-2.0, 500 + 100, p)
         vertical_draw = reps * up
         assert draw > vertical_draw  # horizontal part adds on top
 
@@ -449,7 +456,7 @@ class TestCachedFeatures:
             calibrate([(reversing, 1.0)], p0, ["c_rr"])
 
 
-# --- World.run's battery pass against the per-step update it replaced ---------
+# --- World.ticks's battery pass against the per-step update it replaced -------
 
 @dataclass
 class ReferenceSocState:
@@ -473,7 +480,7 @@ def reference_apply_energy(state, draw, regen, p):
 
 
 def reference_run(world, n_steps):
-    """World.run as it was: after every step, each vehicle's battery takes
+    """A run as World.run did it: after every step, each vehicle's battery takes
     that step's segment. -> (samples, {vehicle_id: ReferenceSocState})."""
     def sample_of(v, t):
         return TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed,
@@ -531,7 +538,7 @@ class TestWorldBattery:
     def test_run_matches_the_per_step_update(self, fleet):
         make, n_steps = fleet
         world = make()
-        samples = world.run(n_steps * world.dt)
+        samples = run_samples(world, n_steps * world.dt)
         ref_samples, states = reference_run(make(), n_steps)
         assert samples == ref_samples
         for row in world.summary():
@@ -547,7 +554,7 @@ class TestWorldBattery:
         # over a whole series
         make, n_steps = fleet
         world = make()
-        samples = world.run(n_steps * world.dt)
+        samples = run_samples(world, n_steps * world.dt)
         totals = [integrate_trajectory([s for s in samples if s.vehicle_id == v.id],
                                        VehicleConstants(v.truck_mass, world.fork_mass),
                                        world.battery_params)
@@ -564,7 +571,7 @@ class TestWorldBattery:
         for _ in range(2):  # a run of no steps makes no tick
             assert [(row["energy_drawn"], row["energy_regenerated"])
                     for row in world.summary()] == [(0.0, 0.0)] * 3
-            world.run(0.0)
+            assert run_samples(world, 0.0) == []
 
 
 # --- the fleet SocMeter against one segment at a time ---------------------------
@@ -647,7 +654,7 @@ class TestFleetMeter:
     def test_run_and_integrate_match_one_segment_at_a_time(self, fleet, consts):
         make, n_steps = fleet
         world = make()
-        samples = world.run(n_steps * world.dt)
+        samples = run_samples(world, n_steps * world.dt)
         ref_samples, meters = reference_metered_run(make(), n_steps)
         assert samples == ref_samples
         for row in world.summary():
@@ -669,7 +676,7 @@ class TestMeterOverflow:
 
     def test_finite_draws_whose_sum_overflows(self):
         # each truck lifts 1e307 kg by 1 m: about 1.15e308 J each, inf summed
-        lift, _ = vertical_work(1.0, 1e307, VehicleConstants().fork_mass, BatteryParams())
+        lift, _ = vertical_segment(1.0, 1e307 + VehicleConstants().fork_mass, BatteryParams())
         draw = lift + BatteryParams().aux_power
         assert math.isfinite(draw) and draw + draw == math.inf
         with pytest.raises(InputError) as exc:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import forkfleet
+from conftest import run_samples
 from forkfleet import cli, mapgen
 from forkfleet.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, _write_atomic,
                            main)
@@ -93,11 +94,20 @@ class TestSimulate:
             samples = read_csv(f)
         assert len({s.vehicle_id for s in samples}) == 2
 
-    def test_corrupt_map(self, tmp_path):
+    @pytest.mark.parametrize("command", ["simulate", "replay", "analyze-density",
+                                         "place-chargers", "heatmap"])
+    def test_corrupt_map(self, tmp_path, capsys, command):
+        # the trajectory is valid, so the one refusal is the map's; replay
+        # loads the map although it never reads it
         bad = tmp_path / "bad.roadnet"
         bad.write_text("roadnet v1\nnode zero 0 0 0\n")
-        assert main(["simulate", "--map", str(bad),
-                     "--out-dir", str(tmp_path)]) == EXIT_INPUT
+        traj = tmp_path / "traj.csv"
+        traj.write_text(CSV_HEADER + "0,0,10,10,0,0,0,0,1\n1,0,11,10,0,1,0,0,1\n")
+        inputs = [] if command == "simulate" else [str(traj)]
+        assert main([command, "--map", str(bad), "--out-dir", str(tmp_path / "out"),
+                     *inputs]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: bad record at line 2: 'node zero 0 0 0'\n"
+        assert not (tmp_path / "out").exists()
 
 
 CSV_HEADER = "t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc\n"
@@ -789,7 +799,7 @@ class TestStreamedSimulate:
         world = World.spawn_at_spots(
             graph, vehicles, dt=dt, seed=seed, kin=cfg.kin, battery_params=cfg.battery,
             fork_mass=cfg.fork_mass, pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
-        samples = world.run(duration, policy=cfg.policy_tuple())
+        samples = run_samples(world, duration, policy=cfg.policy_tuple())
         trajectory, soc = io.StringIO(), io.StringIO()
         write_csv(samples, trajectory)
         soc.write("t,vehicle_id,soc\n")

@@ -4,6 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_samples
 from forkfleet import mapgen
 from forkfleet.fleet_sim import KinematicsParams, VehicleState, World
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
@@ -137,7 +138,8 @@ def test_vehicle_order_does_not_matter():
         for i, spot in enumerate(spots):
             world.ctl[i].current_spot = spot.id
             world.claims[spot.id] = i
-        return world.run(60.0)
+        return run_samples(world, 60.0)
 
     assert run([5, 2, 0, 4, 1, 3]) == run(range(6))
-    assert run(range(6)) == World.spawn_at_spots(mapgen.warehouse_map(), 6, seed=4).run(60.0)
+    assert run(range(6)) == run_samples(World.spawn_at_spots(mapgen.warehouse_map(), 6, seed=4),
+                                        60.0)

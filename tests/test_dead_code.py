@@ -15,11 +15,6 @@ SRC = pathlib.Path(forkfleet.__file__).parent
 # name -> why it stays although nothing in the package refers to it
 CALLED_FROM_OUTSIDE = {
     "warehouse_map": "the README's quick start and the benchmark build maps with it",
-    "vertical_work": "acceptance test c3 checks the lift energy with it",
-    "score_placement": "acceptance test c7 scores placements with it",
-    "top_decile_cells": "acceptance test c7 and test_placement.py read heatmap hot spots with it",
-    "run": "the tests take a run's samples as one list from it, beside the CLI's stream",
-    "dist": "acceptance test c2 checks a snapshot's distance matrix with it",
 }
 
 

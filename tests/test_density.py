@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import line_graph, one_way_pair_graph, random_graph
+from conftest import dist_matrix, line_graph, one_way_pair_graph, random_graph
 from forkfleet import ConfigError, Infeasible, density
 from forkfleet.density import (Cluster, CriticalEpisode, DensityConfig, UnionFind,
                                clusters, density_timeline, flag_critical,
@@ -52,15 +52,16 @@ class TestSnapshot:
         g = line_graph([10.0, 10.0])
         s = snapshot_from_states(0.0, states_on_line([(1.0, 0), (9.0, 0), (21.0, 0)]), g)
         assert s.nodes == [0, 1, 2]
-        assert s.dist[0][1] == 10.0
-        assert s.dist[0][2] == 20.0
-        assert math.isinf(s.dist[2][0])  # one-way line, no way back
+        d = dist_matrix(s)
+        assert d[0][1] == 10.0
+        assert d[0][2] == 20.0
+        assert math.isinf(d[2][0])  # one-way line, no way back
 
     def test_shared_node_distance_zero(self):
         g = line_graph([10.0])
         s = snapshot_from_states(0.0, states_on_line([(0.5, 0), (1.5, 0)]), g)
         assert s.nodes == [0, 0]
-        assert s.dist[0][1] == 0.0
+        assert dist_matrix(s)[0][1] == 0.0
 
     def test_states_sorted_by_vehicle_id(self):
         g = line_graph([10.0])
@@ -86,7 +87,7 @@ class TestClusters:
         # A->B is 10 m but B->A only via a 20 m loop; min is 10 <= 15
         g = one_way_pair_graph()
         s = snapshot_from_states(0.0, [(0, 0, 0, 0.0), (1, 10, 0, 0.0)], g)
-        assert s.dist[1][0] == 20.0
+        assert dist_matrix(s)[1][0] == 20.0
         assert clusters(s, DensityConfig(distance_threshold=15.0)) == [[0, 1]]
         assert clusters(s, DensityConfig(distance_threshold=5.0)) == [[0], [1]]
 
@@ -430,7 +431,8 @@ class TestTimelineRows:
 
         with monkeypatch.context() as m:
             m.setattr(density, "dijkstra", counted)
-            m.setattr(density.Snapshot, "dist", property(no_matrix))
+            # Snapshot has no matrix; this keeps the timeline from reading one
+            m.setattr(density.Snapshot, "dist", property(no_matrix), raising=False)
             reports, _ = density_timeline(samples, graph, cfg)
         # every row is cut at the threshold
         assert {limit for _, limit in calls} == {cfg.distance_threshold}
@@ -489,8 +491,9 @@ class TestTimelineRows:
         cut_entries = shared = one_way = 0
         for rep, cut in zip(reports, snapshots):
             full = snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
-            d = full.dist
-            assert cut.dist == [[x if x <= threshold else math.inf for x in row] for row in d]
+            d = dist_matrix(full)
+            assert dist_matrix(cut) == [[x if x <= threshold else math.inf for x in row]
+                                        for row in d]
             part = pair_clusters(d, threshold)
             assert clusters(full, cfg) == part
             assert [c.members for c in rep.clusters] == [

@@ -244,3 +244,42 @@ def test_extreme_coordinates_keep_the_exit_contract(case, dwell):
             inputs = [] if command == "simulate" else [paths["cycle"]]
             run_main([command, *sets, *flags.get(command, []), "--out-dir", out,
                       "--map", paths["floor"], *inputs], out)
+
+
+SPOT_LINES = [i for i, line in enumerate(FLOOR) if line.startswith("spot ")]
+RECORD_LINES = {"node": NODE_LINES, "edge": EDGE_LINES, "spot": SPOT_LINES}
+# EXTREMES, -1, and the first node id past the floor's
+FIELD_VALUES = [*EXTREMES, "-1", str(len(NODE_LINES))]
+
+
+@st.composite
+def mutated_records(draw):
+    """The demo floor's roadnet v1 text with one or two fields after the
+    record kind, each of a node, edge or spot record, set to a value drawn
+    from FIELD_VALUES."""
+    lines = list(FLOOR)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.sampled_from(RECORD_LINES[draw(st.sampled_from(sorted(RECORD_LINES)))]))
+        parts = lines[i].split()
+        parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(FIELD_VALUES))
+        lines[i] = " ".join(parts) + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(floor=mutated_records())
+def test_mutated_records_keep_the_exit_contract(floor):
+    """simulate, replay and heatmap on one mutated map each; the trajectory
+    is ROWS unchanged, so whatever fails is the map. simulate starts a truck
+    on every spot, so each spot record is read beyond its load."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in ("floor", "cycle")}
+        with open(paths["floor"], "w") as f:
+            f.write(floor)
+        with open(paths["cycle"], "w") as f:
+            f.write(CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in ROWS))
+        for command in ("simulate", "replay", "heatmap"):
+            out = os.path.join(d, command)
+            args = ["--vehicles", str(len(SPOT_LINES)), "--duration", "2"] \
+                if command == "simulate" else [paths["cycle"]]
+            run_main([command, "--out-dir", out, "--map", paths["floor"], *args], out)

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_samples
 from forkfleet import ConfigError, Infeasible, battery, check_ranges, mapgen
 from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
@@ -29,6 +30,16 @@ def one_way_corridor():
     edges = [Edge(0, 1, 20.0, 5.0, True), Edge(1, 2, 1.0, 5.0, True)]
     spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 1, 2, 0.0)]
     return build_graph(wps, edges, spots)
+
+
+def step_arrivals(world, **kwargs):
+    """world.step(**kwargs) -> [(vehicle_id, spot)] of the vehicles that
+    reached their destination in it, read off world.ctl: the ones whose
+    phase turned to lower."""
+    before = {vid: ctl.phase for vid, ctl in world.ctl.items()}
+    world.step(**kwargs)
+    return [(vid, ctl.current_spot) for vid, ctl in world.ctl.items()
+            if ctl.phase == PHASE_LOWER and before[vid] != PHASE_LOWER]
 
 
 class TestKinematicsValidate:
@@ -117,7 +128,7 @@ class TestRouting:
         w = World.spawn_at_spots(build_graph(wps, edges, spots), 1, dt=0.1)
         arrivals = []
         for _ in range(200):
-            arrivals += w.step().arrivals
+            arrivals += step_arrivals(w)
         assert arrivals == [(0, 1), (0, 0), (0, 1)]
         assert w.ctl[0].tasks_completed == 2
         assert w.ctl[0].distance_driven == 0.0
@@ -135,7 +146,7 @@ class TestRouting:
         assert route.seg_limits == [w.kin.v_max]
         arrivals = []
         for _ in range(200):
-            arrivals += w.step(auto_assign=False).arrivals
+            arrivals += step_arrivals(w, auto_assign=False)
         assert arrivals == [(0, 1)]
         assert (w.vehicle(0).x, w.vehicle(0).y) == (20.0, 0.0)
 
@@ -200,7 +211,7 @@ class TestDriveKinematics:
         g = corridor_graph()
         w = World.spawn_at_spots(g, 1, seed=0, kin=kin)
         w.assign_task(0, policy=("fixed", 1))
-        samples = w.run(30.0, auto_assign=False)
+        samples = run_samples(w, 30.0, auto_assign=False)
         # corridor limit is 5, v_max is 4: never exceed 4
         assert max(s.speed for s in samples) <= 4.0 + 1e-9
 
@@ -269,14 +280,14 @@ class TestFleet:
     def test_separation_maintained(self):
         g = mapgen.warehouse_map()
         w = World.spawn_at_spots(g, 4, seed=3)
-        samples = w.run(120.0)
+        samples = run_samples(w, 120.0)
         kin = w.kin
         assert min_pairwise_separation(samples) >= kin.d_safe - kin.v_max * w.dt
 
     def test_tasks_complete_and_occupancy_consistent(self):
         g = mapgen.warehouse_map()
         w = World.spawn_at_spots(g, 3, seed=5)
-        w.run(180.0)
+        run_samples(w, 180.0)
         done = [w.ctl[v.id].tasks_completed for v in w.vehicles]
         assert all(n >= 1 for n in done)
         assert w.claims == claims_of(w)
@@ -296,9 +307,9 @@ class TestFleet:
 
     def test_one_graph_backs_many_worlds(self):
         g = mapgen.warehouse_map()
-        World.spawn_at_spots(g, 4, seed=3).run(47.0)
-        again = World.spawn_at_spots(g, 2, seed=3).run(60.0)
-        assert again == World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=3).run(60.0)
+        run_samples(World.spawn_at_spots(g, 4, seed=3), 47.0)
+        again = run_samples(World.spawn_at_spots(g, 2, seed=3), 60.0)
+        assert again == run_samples(World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=3), 60.0)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_dt_not_finite_and_positive_rejected(self, dt):
@@ -314,7 +325,7 @@ class TestFleet:
         def run_once():
             g = mapgen.warehouse_map()
             w = World.spawn_at_spots(g, 3, seed=42)
-            return w.run(60.0)
+            return run_samples(w, 60.0)
 
         assert run_once() == run_once()
 
@@ -324,8 +335,10 @@ class TestFleet:
             w = World.spawn_at_spots(g, 3, seed=seed)
             out = []
             for _ in range(600):
-                ev = w.step()
-                out.extend(t.dest_spot for _, t in ev.assignments)
+                idle = [vid for vid, ctl in w.ctl.items() if ctl.phase == PHASE_IDLE]
+                w.step()
+                out.extend(w.ctl[vid].task.dest_spot for vid in idle
+                           if w.ctl[vid].phase != PHASE_IDLE)
             return out
 
         assert dests(1) != dests(2)
@@ -333,7 +346,7 @@ class TestFleet:
     def test_battery_drains(self):
         g = mapgen.warehouse_map()
         w = World.spawn_at_spots(g, 2, seed=9)
-        w.run(120.0)
+        run_samples(w, 120.0)
         for row in w.summary():
             assert row["final_soc"] < 1.0
             assert row["energy_drawn"] > 0.0
@@ -348,18 +361,20 @@ class TestFleet:
 
     def test_zero_duration_run(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        assert w.run(0.0) == []
-        # after a run, a zero duration returns every sample recorded so far
+        assert list(w.ticks(0.0)) == []  # no tick, not even the initial one
+        # after a run, a zero duration yields nothing, and the t = 0 tick is
+        # not repeated by the next run
         w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
-        first = w.run(1.0)
+        first = run_samples(w, 1.0)
         assert len(first) == 22
-        assert w.run(0.0) == first
-        assert len(w.run(0.1)) == 24
+        assert run_samples(w, 0.0) == []
+        nxt = run_samples(w, 0.1)
+        assert [(s.t, s.vehicle_id) for s in nxt] == [(w.clock, 0), (w.clock, 1)]
 
     def test_soc_set_after_construction_is_the_start(self):
         w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
         w.vehicles[0].soc = 0.8
-        socs = [s.soc for s in w.run(0.3) if s.vehicle_id == 0]
+        socs = [s.soc for s in run_samples(w, 0.3) if s.vehicle_id == 0]
         assert socs[0] == 0.8
         assert all(0.8 - 1e-3 < soc <= 0.8 for soc in socs)
         assert socs[-1] < 0.8
@@ -367,8 +382,7 @@ class TestFleet:
 
     def test_second_run_continues_without_repeating_the_boundary(self):
         w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
-        w.run(1.0)
-        samples = w.run(1.0)
+        samples = run_samples(w, 1.0) + run_samples(w, 1.0)
         for vid, ss in split_by_vehicle(samples).items():
             times = [s.t for s in ss]
             assert len(times) == 21  # t = 0, and 20 steps of 0.1 s
@@ -391,27 +405,28 @@ class TestFleet:
 
         monkeypatch.setattr(battery, "_energies", counted)
         whole = World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=4)
-        expected = whole.run(6.0)
+        expected = run_samples(whole, 6.0)
         n_whole = len(calls)
         pieces = World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=4)
+        samples = []
         for _ in range(60):
-            samples = pieces.run(0.1)
+            samples += run_samples(pieces, 0.1)
         assert samples == expected
         assert pieces.summary() == whole.summary()
         assert n_whole == 4 * 60 and len(calls) == 2 * n_whole
 
     def test_a_fleet_of_none_runs(self):
         w = World.spawn_at_spots(mapgen.warehouse_map(), 0, seed=4)
-        assert w.run(1.0) == [] and w.run(1.0) == [] and w.summary() == []
+        assert run_samples(w, 1.0) == [] and run_samples(w, 1.0) == [] and w.summary() == []
 
 
 class TestReplay:
     def test_identity_on_gridded_samples(self):
         g = mapgen.warehouse_map()
         w = World.spawn_at_spots(g, 2, seed=7)
-        samples = w.run(60.0)
+        samples = run_samples(w, 60.0)
         consts = VehicleConstants(3000.0, w.fork_mass)
-        out = replay(samples, g, dt=w.dt, consts=consts, params=w.battery_params)
+        out = replay(samples, dt=w.dt, consts=consts, params=w.battery_params)
         assert len(out) == len(samples)
         for a, b in zip(samples, out):
             assert a.t == pytest.approx(b.t, abs=1e-9)
@@ -421,18 +436,17 @@ class TestReplay:
             assert a.soc == pytest.approx(b.soc, abs=1e-9)
 
     def test_empty(self):
-        assert replay([], mapgen.warehouse_map()) == []
+        assert replay([]) == []
 
     def test_late_vehicle_spawns_at_first_sample(self):
         from forkfleet.trajectory import TrajectorySample
-        g = corridor_graph()
         samples = [
             TrajectorySample(0.0, 0, 0, 0, 0, 0, 0, 0, 1.0),
             TrajectorySample(1.0, 0, 0, 0, 0, 0, 0, 0, 1.0),
             TrajectorySample(0.5, 1, 20, 0, 0, 0, 0, 0, 1.0),
             TrajectorySample(1.0, 1, 20, 0, 0, 0, 0, 0, 1.0),
         ]
-        out = replay(samples, g, dt=0.5)
+        out = replay(samples, dt=0.5)
         v1 = [s for s in out if s.vehicle_id == 1]
         assert [s.t for s in v1] == [0.5, 1.0]
 
@@ -446,7 +460,7 @@ class TestReplay:
             TrajectorySample(2.0, 0, 10, 10, 0, 0, 0, 0, 1.0),
             TrajectorySample(2.0, 1, 20, 10, 0, 0, 0, 0, 0.9),
         ]
-        out = replay(samples, mapgen.warehouse_map(), dt=0.1)
+        out = replay(samples, dt=0.1)
         v1 = [s for s in out if s.vehicle_id == 1]
         assert v1[0] == samples[1]
         assert len(v1) == 8  # grid times 1.3, 1.4, ..., 2.0

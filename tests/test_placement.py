@@ -8,12 +8,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import line_graph, random_graph
+from conftest import line_graph, random_graph, score_placement, top_decile_cells
 from forkfleet import ConfigError, placement
 from forkfleet.mapgen import warehouse_map
 from forkfleet.placement import (MAX_CELLS, HeatmapGrid, heatmap,
                                  heatmap_for_graph, place_chargers,
-                                 score_placement, visit_weights, write_heatmap,
+                                 visit_weights, write_heatmap,
                                  write_heatmap_nonzero_csv, write_placement_csv)
 from forkfleet.roadnet import Edge, Waypoint, build_graph, dijkstra
 from forkfleet.trajectory import TrajectorySample
@@ -71,11 +71,11 @@ class TestHeatmap:
         counts = [[0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 9, 10]]
         grid = HeatmapGrid(0, 0, 1.0, 4, 3, counts)
         # 11 nonzero cells; 90th percentile index ceil(0.9*11)-1 = 9 -> value 9
-        assert set(grid.top_decile_cells()) == {(2, 2), (3, 2)}
+        assert set(top_decile_cells(grid)) == {(2, 2), (3, 2)}
 
     def test_top_decile_empty(self):
         grid = HeatmapGrid(0, 0, 1.0, 2, 2, [[0, 0], [0, 0]])
-        assert grid.top_decile_cells() == []
+        assert top_decile_cells(grid) == []
 
 
 class TestVisitWeights:
