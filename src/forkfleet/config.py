@@ -12,15 +12,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from . import ConfigError, records, setting  # ConfigError: re-exported
 from .battery import BatteryParams, VehicleConstants
 from .density import DensityConfig
-from .fleet_sim import KinematicsParams
-
-
-@dataclass
-class PlacementConfig:
-    k: int = setting(5, 1)
-    min_separation: float = setting(25.0, 0)
-    d_scale: float = setting(20.0, 0, ends="(]")
-    cell_size: float = setting(2.0, 0, ends="(]")
+from .fleet_sim import DT, KinematicsParams, Task
+from .placement import PlacementConfig
 
 
 @dataclass
@@ -28,11 +21,11 @@ class ScenarioConfig:
     map: str = ""
     vehicles: int = setting(3, 0)
     seed: int = 0                   # any int: the generator takes it mod 2^64
-    dt: float = setting(0.1, 0, ends="(]")
+    dt: float = setting(DT, 0, ends="(]")
     duration: float = setting(60.0, 0)
     policy: str = "random"          # "random" | "fixed:<spot_id>"
-    pickup_mass: float = setting(500.0, 0)
-    lift_height: float = setting(1.0, 0)
+    pickup_mass: float = setting(Task.pickup_mass, 0)
+    lift_height: float = setting(Task.lift_height, 0)
     fork_mass: float = setting(VehicleConstants.fork_mass, 0)
     kin: KinematicsParams = field(default_factory=KinematicsParams)
     battery: BatteryParams = field(default_factory=BatteryParams)

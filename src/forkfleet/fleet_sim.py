@@ -47,6 +47,8 @@ from .roadnet import Path, RoadGraph, astar, nearest_node
 from .trajectory import TrajectorySample, resample, split_by_vehicle
 
 
+DT = 0.1  # s, the default step of a simulated or replayed run
+
 # replay's grid over all vehicles: about 470 B a point at its peak (tracemalloc,
 # 2-8 vehicles), so 1.9 GB; an hour of 64 vehicles at 0.1 s is 2.3 x 10^6 points
 MAX_GRID_POINTS = 4 * 10**6
@@ -75,8 +77,8 @@ class KinematicsParams:
 @dataclass(frozen=True)
 class Task:
     dest_spot: int
-    pickup_mass: float
-    lift_height: float
+    pickup_mass: float = 500.0  # kg
+    lift_height: float = 1.0    # m
 
 
 @dataclass
@@ -133,11 +135,12 @@ def _menger_radius(p0, p1, p2):
 
 
 class World:
-    def __init__(self, graph: RoadGraph, vehicles, dt: float = 0.1, seed: int = 0,
+    def __init__(self, graph: RoadGraph, vehicles, dt: float = DT, seed: int = 0,
                  kin: KinematicsParams = KinematicsParams(),
                  battery_params: bat.BatteryParams = bat.BatteryParams(),
                  fork_mass: float = bat.VehicleConstants.fork_mass,
-                 pickup_mass: float = 500.0, lift_height: float = 1.0):
+                 pickup_mass: float = Task.pickup_mass,
+                 lift_height: float = Task.lift_height):
         if not 0.0 < dt < math.inf:
             raise ConfigError(f"dt must be finite and > 0, got {dt}")
         check_ranges(kin, "kin.")  # the broad phase's reach bound needs finite, positive kin
@@ -485,7 +488,7 @@ class World:
         return out
 
 
-def replay(samples, dt: float = 0.1,
+def replay(samples, dt: float = DT,
            consts: bat.VehicleConstants = bat.VehicleConstants(),
            params: bat.BatteryParams = bat.BatteryParams()):
     """Re-grid recorded samples onto a fixed dt timeline and recompute SOC.

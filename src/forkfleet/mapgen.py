@@ -41,7 +41,7 @@ def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
     def add_chain(points, heading, speed):
         ids = [node_at(x, y, heading) for x, y in points]
         for a, b in zip(ids, ids[1:]):
-            edges.append(Edge(a, b, node_spacing, speed, True))
+            edges.append(Edge(a, b, node_spacing, speed))
 
     # Perimeter runs counterclockwise (bottom east, right north, top west,
     # left south); interior streets alternate. Every interior street starts
@@ -84,8 +84,8 @@ def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
         m = nodes[(round(xm, 6), round(y, 6))]
         hdg = math.pi / 2 if dy > 0 else -math.pi / 2
         s = node_at(xm, y + dy, hdg)
-        edges.append(Edge(m, s, SPUR_LEN, SPUR_SPEED, True))
-        edges.append(Edge(s, m, SPUR_LEN, SPUR_SPEED, True))
+        edges.append(Edge(m, s, SPUR_LEN, SPUR_SPEED))
+        edges.append(Edge(s, m, SPUR_LEN, SPUR_SPEED))
         spots.append(ParkingSpot(used, m, s, SPUR_LEN))
         used += 1
     return build_graph(waypoints, edges, spots)

@@ -269,5 +269,5 @@ def to_road_graph(roads, spacing: float) -> RoadGraph:
     for a, b, length in edges:
         na, nb = node_of[a], node_of[b]
         if na != nb:
-            edge_objs.setdefault((na, nb), Edge(na, nb, length, SPEED_LIMIT, True))
+            edge_objs.setdefault((na, nb), Edge(na, nb, length, SPEED_LIMIT))
     return build_graph(waypoints, list(edge_objs.values()), [])

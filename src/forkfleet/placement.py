@@ -15,12 +15,20 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from . import ConfigError, InputError
+from . import ConfigError, InputError, setting
 from .roadnet import RoadGraph, dijkstra, nearest_nodes
 from .trajectory import split_by_vehicle
 
 
 MAX_CELLS = 10**7  # per heatmap; the L map at the default 2 m cell size has ~20k
+
+
+@dataclass
+class PlacementConfig:
+    k: int = setting(5, 1)
+    min_separation: float = setting(25.0, 0)
+    d_scale: float = setting(20.0, 0, ends="(]")
+    cell_size: float = setting(2.0, 0, ends="(]")
 
 
 @dataclass
@@ -64,7 +72,8 @@ def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
     return grid
 
 
-def heatmap_for_graph(samples, graph: RoadGraph, cell_size: float = 2.0) -> HeatmapGrid:
+def heatmap_for_graph(samples, graph: RoadGraph,
+                      cell_size: float = PlacementConfig.cell_size) -> HeatmapGrid:
     """Heatmap sized to the graph bounding box plus a 2 m margin."""
     margin = 2.0
     x0, y0, x1, y1 = graph.bounding_box()
@@ -75,9 +84,7 @@ def heatmap_for_graph(samples, graph: RoadGraph, cell_size: float = 2.0) -> Heat
     if not cols * rows <= MAX_CELLS:
         raise ConfigError(f"cell_size {cell_size} makes a {cols:.3g}x{rows:.3g} grid, "
                           f"more than {MAX_CELLS} cells")
-    width = max(1, int(math.ceil(cols)))
-    height = max(1, int(math.ceil(rows)))
-    return heatmap(samples, ox, oy, cell_size, width, height)
+    return heatmap(samples, ox, oy, cell_size, max(1, math.ceil(cols)), max(1, math.ceil(rows)))
 
 
 def visit_weights(samples, graph: RoadGraph, dwell_weighting: bool = False):
@@ -114,8 +121,6 @@ def visit_weights(samples, graph: RoadGraph, dwell_weighting: bool = False):
 class PlacementResult:
     stations: list   # node ids, in selection order
     scores: list     # score each station had when picked
-    k: int
-    min_separation: float
 
 
 def _path_factor(graph: RoadGraph) -> float:
@@ -196,8 +201,9 @@ def _fill_rows(graph: RoadGraph, rows: list, nodes, kept: dict) -> None:
             rows[walk[0]] = row
 
 
-def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25.0,
-                   d_scale: float = 20.0) -> PlacementResult:
+def place_chargers(graph: RoadGraph, weights, k: int,
+                   min_separation: float = PlacementConfig.min_separation,
+                   d_scale: float = PlacementConfig.d_scale) -> PlacementResult:
     """Greedy coverage selection of up to k charger nodes.
 
     score(node) = sum over u of weights[u] * 1/(1 + d(u, node)/d_scale) with
@@ -258,7 +264,7 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
         raise InputError("place_chargers on empty graph")
     weighted = [u for u in range(n) if weights[u] != 0.0]
     if not weighted:  # every score is 0, so no node can be picked
-        return PlacementResult([], [], k, min_separation)
+        return PlacementResult([], [])
     rows = [None] * n  # forward Dijkstra rows, made on demand
     anchor_rows = {}  # rows of the anchors that are not themselves in rows
     _fill_rows(graph, rows, weighted, anchor_rows)
@@ -329,7 +335,7 @@ def place_chargers(graph: RoadGraph, weights, k: int, min_separation: float = 25
         terms = [t for t in terms
                  if not (t[0][node] < min_separation or row[t[1]] < min_separation)]
         points = [(*xy[u], w) for _, u, w in terms]
-    return PlacementResult(stations, scores, k, min_separation)
+    return PlacementResult(stations, scores)
 
 
 def _cell_keys(xy, points, f, d_scale, nodes):

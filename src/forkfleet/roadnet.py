@@ -64,7 +64,6 @@ class Edge:
     dst: int
     length: float
     speed_limit: float
-    one_way: bool = True
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,7 @@ class RoadGraph:
         return len(self.waypoints)
 
     def edge_between(self, a: int, b: int) -> Optional[Edge]:
-        for e in self.adjacency[a]:
-            if e.dst == b:
-                return e
-        return None
+        return next((e for e in self.adjacency[a] if e.dst == b), None)
 
     def spot_anchor_xy(self, spot: ParkingSpot):
         """Position of a spot: its offset along the anchor edge's chord."""
@@ -436,7 +432,7 @@ def save_roadnet(g: RoadGraph, fileobj) -> None:
     for wp in g.waypoints:
         w(f"node {wp.node} {wp.x:.12g} {wp.y:.12g} {wp.heading:.12g}\n")
     for e in g.edges:
-        w(f"edge {e.src} {e.dst} {e.length:.12g} {e.speed_limit:.12g} {1 if e.one_way else 0}\n")
+        w(f"edge {e.src} {e.dst} {e.length:.12g} {e.speed_limit:.12g} 1\n")
     for s in g.spots:
         w(f"spot {s.id} {s.edge_src} {s.edge_dst} {s.offset:.12g}\n")
 
@@ -455,8 +451,8 @@ def load_roadnet(fileobj) -> RoadGraph:
                 waypoints.append(Waypoint(int(parts[1]), float(parts[2]),
                                           float(parts[3]), float(parts[4])))
             elif parts[0] == "edge":
-                edges.append(Edge(int(parts[1]), int(parts[2]), float(parts[3]),
-                                  float(parts[4]), parts[5] == "1"))
+                src, dst, length, speed_limit, _one_way = parts[1:6]  # the flag is not read
+                edges.append(Edge(int(src), int(dst), float(length), float(speed_limit)))
             else:
                 spots.append(ParkingSpot(int(parts[1]), int(parts[2]),
                                          int(parts[3]), float(parts[4])))

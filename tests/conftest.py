@@ -67,7 +67,7 @@ def random_graph(seed, n_nodes, extra_edges=None, extent=100.0):
             return
         seen.add((a, b))
         chord = math.dist(pts[a], pts[b])
-        edges.append(Edge(a, b, chord * rnd.uniform(1.0, 1.5) + 1e-9, 3.0, True))
+        edges.append(Edge(a, b, chord * rnd.uniform(1.0, 1.5) + 1e-9, 3.0))
 
     # random spanning cycle keeps everything reachable
     order = list(range(n_nodes))
@@ -85,9 +85,9 @@ def one_way_pair_graph():
     """Two nodes connected A->B only, plus a long way back B->C->A."""
     waypoints = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0), Waypoint(2, 5, 8, 0.0)]
     edges = [
-        Edge(0, 1, 10.0, 3.0, True),
-        Edge(1, 2, 10.0, 3.0, True),
-        Edge(2, 0, 10.0, 3.0, True),
+        Edge(0, 1, 10.0, 3.0),
+        Edge(1, 2, 10.0, 3.0),
+        Edge(2, 0, 10.0, 3.0),
     ]
     return build_graph(waypoints, edges)
 
@@ -98,8 +98,8 @@ def square_graph():
                  Waypoint(2, 10, 10, 0.0), Waypoint(3, 0, 10, 0.0)]
     edges = []
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-        edges.append(Edge(a, b, 10.0, 3.0, True))
-        edges.append(Edge(b, a, 10.0, 3.0, True))
+        edges.append(Edge(a, b, 10.0, 3.0))
+        edges.append(Edge(b, a, 10.0, 3.0))
     return build_graph(waypoints, edges)
 
 
@@ -109,7 +109,7 @@ def line_graph(lengths):
     for L in lengths:
         xs.append(xs[-1] + L)
     waypoints = [Waypoint(i, x, 0.0, 0.0) for i, x in enumerate(xs)]
-    edges = [Edge(i, i + 1, L, 3.0, True) for i, L in enumerate(lengths)]
+    edges = [Edge(i, i + 1, L, 3.0) for i, L in enumerate(lengths)]
     return build_graph(waypoints, edges)
 
 

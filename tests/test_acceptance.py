@@ -232,8 +232,8 @@ def corner_graph():
     wps = [Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)]
     edges = []
     for i in range(len(pts) - 1):
-        edges.append(Edge(i, i + 1, 5.0, 3.0, True))
-        edges.append(Edge(i + 1, i, 5.0, 3.0, True))
+        edges.append(Edge(i, i + 1, 5.0, 3.0))
+        edges.append(Edge(i + 1, i, 5.0, 3.0))
     return build_graph(wps, edges)
 
 
@@ -351,7 +351,7 @@ def test_c7_placement():
         if sym(*pair) < 25.0:
             continue
         from forkfleet.placement import PlacementResult
-        cand = PlacementResult(list(pair), [0.0, 0.0], 2, 25.0)
+        cand = PlacementResult(list(pair), [0.0, 0.0])
         best = min(best, score_placement(cand, s15, g15))
     ok_detour = len(greedy.stations) == 2 and greedy_detour <= 2.0 * best
 

@@ -963,56 +963,6 @@ class TestAnalyses:
                      os.path.join(out, "trajectory.csv")]) == EXIT_OK
 
 
-class TestPlaceChargersBytes:
-    """place-chargers' bodies pinned, with and without --dwell. The benchmark's
-    golden digests cover count weighting only. The trajectory is 16 trucks
-    simulated for 30 s on a 205-node floor, each kept at every 2nd to 5th
-    step by its id, so that dwell weighting picks other stations than
-    count weighting does."""
-
-    DIGESTS = {
-        (): {"placement.csv":
-             "7d8877968d78ecc955798cf44aafec943994e704ab7ea8122c3930b7c8e856ca",
-             "heatmap.txt": "5b689ff25da0b72d4d20d1158bb8e7b589f915c71e1122cdf359b673b5595407",
-             "heatmap_cells.csv":
-             "73a903bd626c1ebbb8d8d26a3385e6be94d4fda63b110c3ed63920a3a10b32de"},
-        ("--dwell",): {"placement.csv":
-                       "ff435a835ae0c1ed7e39432ce8eb169ffaf2f7acb4d7e2eddd1c2685f6282cdc",
-                       "heatmap.txt":
-                       "5b689ff25da0b72d4d20d1158bb8e7b589f915c71e1122cdf359b673b5595407",
-                       "heatmap_cells.csv":
-                       "73a903bd626c1ebbb8d8d26a3385e6be94d4fda63b110c3ed63920a3a10b32de"},
-    }
-
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        d = tmp_path_factory.mktemp("pin")
-        floor = str(d / "floor.roadnet")
-        with open(floor, "w") as f:
-            save_roadnet(mapgen.warehouse_map(nx=8, ny=6, n_spots=32), f)
-        sim = str(d / "sim")
-        assert main(["simulate", "--map", floor, "--out-dir", sim, "--vehicles", "16",
-                     "--duration", "30", "--seed", "7"]) == EXIT_OK
-        with open(os.path.join(sim, "trajectory.csv")) as f:
-            samples = read_csv(f)
-        traj = str(d / "thinned.csv")
-        with open(traj, "w") as f:
-            write_csv([s for s in samples if round(s.t * 10) % (2 + s.vehicle_id % 4) == 0], f)
-        return floor, traj
-
-    @pytest.mark.parametrize("flags", sorted(DIGESTS), ids=["count", "dwell"])
-    def test_bodies_are_pinned(self, tmp_path, inputs, flags):
-        floor, traj = inputs
-        out = str(tmp_path / "out")
-        assert main(["place-chargers", "--map", floor, "--out-dir", out, *flags, traj]) == EXIT_OK
-        digests = {}
-        for name in self.DIGESTS[flags]:
-            with open(os.path.join(out, name), "rb") as f:
-                f.readline()  # the provenance line
-                digests[name] = hashlib.sha256(f.read()).hexdigest()
-        assert digests == self.DIGESTS[flags]
-
-
 class TestCalibrate:
     def make_manifest(self, tmp_path, map_file, n):
         paths = []

@@ -12,6 +12,7 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from forkfleet import cli, mapgen
@@ -283,3 +284,46 @@ def test_mutated_records_keep_the_exit_contract(floor):
             args = ["--vehicles", str(len(SPOT_LINES)), "--duration", "2"] \
                 if command == "simulate" else [paths["cycle"]]
             run_main([command, "--out-dir", out, "--map", paths["floor"], *args], out)
+
+
+SHAPES = ["header only", "one sample", "one sample per truck", "trucks out of t order",
+          "extreme ids", "two trucks at one t far apart", "t decreasing"]
+IDS = [0, 1, 7, -1, -2**63, 2**64, 2**64 + 1, 2**100]
+
+
+@st.composite
+def trajectory_shape(draw, shape):
+    """The rows of a trajectory CSV of shape, one of SHAPES; sample times,
+    truck ids and offsets are drawn."""
+    ids = draw(st.lists(st.sampled_from(IDS[:3] if shape != "extreme ids" else IDS[3:]),
+                        min_size=2, max_size=3, unique=True))
+    t0 = draw(st.sampled_from([0.0, 1.5, -3.0, 1e6]))
+    far = {}
+    if shape == "header only":
+        samples = []
+    elif shape == "one sample":
+        samples = [(t0, ids[0])]
+    elif shape == "one sample per truck":
+        samples = [(t0 + draw(st.sampled_from([0.0, 1.0])) * i, v) for i, v in enumerate(ids)]
+    elif shape == "t decreasing":
+        samples = [(t0 + 2 - k, ids[0]) for k in range(3)] + [(t0 + k, ids[1]) for k in range(3)]
+    else:
+        # truck-major rows: each truck's times increase, the file's do not
+        samples = [(t0 + k, v) for v in draw(st.permutations(ids)) for k in range(3)]
+        if shape == "two trucks at one t far apart":
+            far = {ids[1]: draw(st.sampled_from([1e5, -1e7]))}
+    return "".join(f"{t!r},{v},{10 + k + far.get(v, 0)!r},{10 - far.get(v, 0)!r},0,1,0,0,1\n"
+                   for k, (t, v) in enumerate(samples))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trajectory_shapes_keep_the_exit_contract(shape, data):
+    """Empty, single-sample, unsorted and mixed-truck trajectories through
+    every command that reads one: each exits 0 or refuses cleanly."""
+    rows = data.draw(trajectory_shape(shape))
+    for command, dwell in (("replay", False), ("analyze-density", False),
+                           ("place-chargers", False), ("place-chargers", True),
+                           ("heatmap", False), ("calibrate", False)):
+        run_command(command, rows, "5000", ["--free", "c_rr"], dwell, [])

@@ -18,8 +18,8 @@ from forkfleet.trajectory import read_csv, split_by_vehicle, write_csv
 def corridor_graph():
     """Straight 0 -> 1 -> 2 corridor with a spot at each end node."""
     wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 20, 0, 0.0), Waypoint(2, 21, 0, 0.0)]
-    edges = [Edge(0, 1, 20.0, 5.0, True), Edge(1, 2, 1.0, 5.0, True),
-             Edge(2, 1, 1.0, 5.0, True), Edge(1, 0, 20.0, 5.0, True)]
+    edges = [Edge(0, 1, 20.0, 5.0), Edge(1, 2, 1.0, 5.0),
+             Edge(2, 1, 1.0, 5.0), Edge(1, 0, 20.0, 5.0)]
     spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 1, 2, 0.0)]
     return build_graph(wps, edges, spots)
 
@@ -27,7 +27,7 @@ def corridor_graph():
 def one_way_corridor():
     """Same corridor but without return edges."""
     wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 20, 0, 0.0), Waypoint(2, 21, 0, 0.0)]
-    edges = [Edge(0, 1, 20.0, 5.0, True), Edge(1, 2, 1.0, 5.0, True)]
+    edges = [Edge(0, 1, 20.0, 5.0), Edge(1, 2, 1.0, 5.0)]
     spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 1, 2, 0.0)]
     return build_graph(wps, edges, spots)
 
@@ -231,9 +231,9 @@ class TestDriveKinematics:
         wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 14, 0, 0.0),
                Waypoint(2, 15, 0, 0.0), Waypoint(3, 15, 1, 0.0),
                Waypoint(4, 15, 15, 0.0), Waypoint(5, 15, 16, 0.0)]
-        edges = [Edge(0, 1, 14.0, 5.0, True), Edge(1, 2, 1.0, 5.0, True),
-                 Edge(2, 3, 1.0, 5.0, True), Edge(3, 4, 14.0, 5.0, True),
-                 Edge(4, 5, 1.0, 5.0, True)]
+        edges = [Edge(0, 1, 14.0, 5.0), Edge(1, 2, 1.0, 5.0),
+                 Edge(2, 3, 1.0, 5.0), Edge(3, 4, 14.0, 5.0),
+                 Edge(4, 5, 1.0, 5.0)]
         spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 4, 5, 0.0)]
         g = build_graph(wps, edges, spots)
         kin = KinematicsParams(v_max=3.0, a_lat_max=1.0)

@@ -255,10 +255,10 @@ def placement_cases(draw):
             length = float(max(1, math.ceil(chord)) + draw(st.integers(0, 2)))
         else:  # shorter than the chord; never below 5e-7, as lengths are > 0
             length = max(chord - draw(st.floats(0.0, 1e-6)), 5e-7)
-        edges.append(Edge(a, b, length, 3.0, True))
+        edges.append(Edge(a, b, length, 3.0))
         if draw(st.booleans()) and (b, a) not in seen:  # two-way
             seen.add((b, a))
-            edges.append(Edge(b, a, length, 3.0, True))
+            edges.append(Edge(b, a, length, 3.0))
     g = build_graph([Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)],
                     edges)
     weight = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 0.5]),
@@ -286,7 +286,7 @@ class TestLazyGreedy:
         # build_graph allows: a bound taking paths to be at least the straight
         # line would rank the hub below a leaf, though the hub scores best
         pts = [(0.0, 0.0), (1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6)]
-        edges = [Edge(a, b, 1e-8, 3.0, True) for leaf in (1, 2, 3)
+        edges = [Edge(a, b, 1e-8, 3.0) for leaf in (1, 2, 3)
                  for a, b in ((0, leaf), (leaf, 0))]
         g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
         w = [0.0, 1.0, 1.0, 1.0]

@@ -16,14 +16,14 @@ from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _bucket_r
 class TestBuildGraph:
     def test_minimal(self):
         g = build_graph([Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)],
-                        [Edge(0, 1, 5.0, 2.0, True)])
+                        [Edge(0, 1, 5.0, 2.0)])
         assert len(g.adjacency[0]) == 1
         assert len(g.adjacency[1]) == 0
 
     def test_dangling_edge(self):
         wps = [Waypoint(i, i, 0, 0) for i in range(3)]
         with pytest.raises(InputError, match="edge 0->7 references a missing node"):
-            build_graph(wps, [Edge(0, 7, 1.0, 1.0, True)])
+            build_graph(wps, [Edge(0, 7, 1.0, 1.0)])
 
     def test_square_adjacency(self):
         g = square_graph()
@@ -32,46 +32,46 @@ class TestBuildGraph:
 
     def test_self_loop(self):
         with pytest.raises(InputError, match="self-loop at node 0"):
-            build_graph([Waypoint(0, 0, 0, 0)], [Edge(0, 0, 1.0, 1.0, True)])
+            build_graph([Waypoint(0, 0, 0, 0)], [Edge(0, 0, 1.0, 1.0)])
 
     def test_non_positive_length(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         with pytest.raises(InputError, match="edge 0->1 has length 0.0"):
-            build_graph(wps, [Edge(0, 1, 0.0, 1.0, True)])
+            build_graph(wps, [Edge(0, 1, 0.0, 1.0)])
 
     @pytest.mark.parametrize("length", [math.inf, math.nan])
     def test_non_finite_length(self, length):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         with pytest.raises(InputError, match=f"edge 0->1 has length {length}"):
-            build_graph(wps, [Edge(0, 1, length, 1.0, True)])
+            build_graph(wps, [Edge(0, 1, length, 1.0)])
 
     def test_length_shorter_than_chord(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         with pytest.raises(InputError, match="length 4.0 shorter than chord 5.0"):
-            build_graph(wps, [Edge(0, 1, 4.0, 1.0, True)])
+            build_graph(wps, [Edge(0, 1, 4.0, 1.0)])
 
     def test_spot_on_missing_edge(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         with pytest.raises(InputError, match="spot 0 anchors to missing edge 1->0"):
-            build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], [ParkingSpot(0, 1, 0, 2.0)])
+            build_graph(wps, [Edge(0, 1, 5.0, 1.0)], [ParkingSpot(0, 1, 0, 2.0)])
 
     def test_duplicate_spot_id(self):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         spots = [ParkingSpot(3, 0, 1, 1.0), ParkingSpot(3, 0, 1, 4.0)]
         with pytest.raises(InputError, match="two spots with id 3"):
-            build_graph(wps, [Edge(0, 1, 5.0, 1.0, True)], spots)
+            build_graph(wps, [Edge(0, 1, 5.0, 1.0)], spots)
 
     @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
     def test_non_finite_heading(self, heading):
         with pytest.raises(InputError, match="non-finite coordinates or heading at node 1"):
             build_graph([Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, heading)],
-                        [Edge(0, 1, 5.0, 1.0, True)])
+                        [Edge(0, 1, 5.0, 1.0)])
 
     @pytest.mark.parametrize("limit", [0.0, -1.0, math.nan, math.inf])
     def test_speed_limit_not_finite_and_positive(self, limit):
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
         with pytest.raises(InputError, match="has speed limit"):
-            build_graph(wps, [Edge(0, 1, 5.0, limit, True)])
+            build_graph(wps, [Edge(0, 1, 5.0, limit)])
 
     def test_empty_bounding_box(self):
         with pytest.raises(InputError, match="bounding_box of an empty graph"):
@@ -268,7 +268,7 @@ def sparse_graphs(draw):
                 chord = math.dist(pts[src], pts[dst])
                 length = (math.ceil(chord) + 1.0 if integer
                           else chord * draw(st.floats(1.0, 1.5)) + 1e-9)
-                edges.append(Edge(src, dst, length, 3.0, not two_way))
+                edges.append(Edge(src, dst, length, 3.0))
     return build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
 
 
@@ -331,8 +331,8 @@ class TestAstar:
         wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 1, 1, 0),
                Waypoint(2, 1, -1, 0), Waypoint(3, 2, 0, 0)]
         L = math.sqrt(2.0)
-        edges = [Edge(0, 1, L, 1, True), Edge(0, 2, L, 1, True),
-                 Edge(1, 3, L, 1, True), Edge(2, 3, L, 1, True)]
+        edges = [Edge(0, 1, L, 1), Edge(0, 2, L, 1),
+                 Edge(1, 3, L, 1), Edge(2, 3, L, 1)]
         g = build_graph(wps, edges)
         assert astar(g, 0, 3).nodes == (0, 1, 3)
 
@@ -529,3 +529,10 @@ class TestNativeFormat:
     def test_bad_record(self):
         with pytest.raises(InputError, match="bad record at line 2"):
             load_roadnet(io.StringIO("roadnet v1\nnode zero 0 0 0\n"))
+
+    def test_edge_flag_is_required_but_not_read(self):
+        text = "roadnet v1\nnode 0 0 0 0\nnode 1 5 0 0\nedge 0 1 5 3 {}\n"
+        for flag in ("1", "0", "x"):
+            assert load_roadnet(io.StringIO(text.format(flag))).edges == [Edge(0, 1, 5.0, 3.0)]
+        with pytest.raises(InputError, match="bad record at line 4: 'edge 0 1 5 3'"):
+            load_roadnet(io.StringIO(text.format("")))
