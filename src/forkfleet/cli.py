@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import hashlib
 import itertools
+import logging
 import math
 import os
 import sys
@@ -191,9 +192,17 @@ def cmd_replay(args):
 
 
 def cmd_convert(args):
-    # the bytes, so the XML parser decodes them as the document declares
-    roads = _read_input(args.input, lambda f: odr_import.parse_opendrive_subset(f.buffer.read()))
-    graph = odr_import.to_road_graph(roads, args.spacing)
+    # each importer warning as one labelled stderr line, before any error line
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    odr_import.log.addHandler(warnings)
+    try:
+        # the bytes, so the XML parser decodes them as the document declares
+        roads = _read_input(args.input,
+                            lambda f: odr_import.parse_opendrive_subset(f.buffer.read()))
+        graph = odr_import.to_road_graph(roads, args.spacing)
+    finally:
+        odr_import.log.removeHandler(warnings)
     return _provenance([args.input]), (args.out,), lambda f: save_roadnet(graph, f)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from . import ConfigError, records, setting  # ConfigError: re-exported
 from .battery import BatteryParams, VehicleConstants
 from .density import DensityConfig
-from .fleet_sim import DT, KinematicsParams, Task
+from .fleet_sim import DT, LIFT_HEIGHT, PICKUP_MASS, KinematicsParams
 from .placement import PlacementConfig
 
 
@@ -24,8 +24,8 @@ class ScenarioConfig:
     dt: float = setting(DT, 0, ends="(]")
     duration: float = setting(60.0, 0)
     policy: str = "random"          # "random" | "fixed:<spot_id>"
-    pickup_mass: float = setting(Task.pickup_mass, 0)
-    lift_height: float = setting(Task.lift_height, 0)
+    pickup_mass: float = setting(PICKUP_MASS, 0)
+    lift_height: float = setting(LIFT_HEIGHT, 0)
     fork_mass: float = setting(VehicleConstants.fork_mass, 0)
     kin: KinematicsParams = field(default_factory=KinematicsParams)
     battery: BatteryParams = field(default_factory=BatteryParams)

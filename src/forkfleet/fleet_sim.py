@@ -48,6 +48,8 @@ from .trajectory import TrajectorySample, resample, split_by_vehicle
 
 
 DT = 0.1  # s, the default step of a simulated or replayed run
+PICKUP_MASS = 500.0  # kg, the load each task picks up
+LIFT_HEIGHT = 1.0    # m, the fork height each task lifts to
 
 # replay's grid over all vehicles: about 470 B a point at its peak (tracemalloc,
 # 2-8 vehicles), so 1.9 GB; an hour of 64 vehicles at 0.1 s is 2.3 x 10^6 points
@@ -72,13 +74,6 @@ class KinematicsParams:
     d_safe: float = setting(3.0, 0, ends="(]")       # m minimum pairwise separation
     horizon: float = setting(5.0, 0, ends="(]")      # s conflict prediction horizon
     t_deadlock: float = setting(10.0, 0)             # s before a blocked vehicle gains priority
-
-
-@dataclass(frozen=True)
-class Task:
-    dest_spot: int
-    pickup_mass: float = 500.0  # kg
-    lift_height: float = 1.0    # m
 
 
 @dataclass
@@ -115,7 +110,7 @@ class _Route:
 class _VehicleCtl:
     """Per-vehicle controller bookkeeping, internal to the world."""
     phase: str = PHASE_IDLE
-    task: Optional[Task] = None
+    dest_spot: Optional[int] = None  # the spot of the task under way
     route: Optional[_Route] = None
     current_spot: Optional[int] = None
     blocked_for: float = 0.0
@@ -139,8 +134,8 @@ class World:
                  kin: KinematicsParams = KinematicsParams(),
                  battery_params: bat.BatteryParams = bat.BatteryParams(),
                  fork_mass: float = bat.VehicleConstants.fork_mass,
-                 pickup_mass: float = Task.pickup_mass,
-                 lift_height: float = Task.lift_height):
+                 pickup_mass: float = PICKUP_MASS,
+                 lift_height: float = LIFT_HEIGHT):
         if not 0.0 < dt < math.inf:
             raise ConfigError(f"dt must be finite and > 0, got {dt}")
         check_ranges(kin, "kin.")  # the broad phase's reach bound needs finite, positive kin
@@ -194,7 +189,8 @@ class World:
         """The unclaimed spots, in id order."""
         return [s for s in self._spots_by_id.values() if s.id not in self.claims]
 
-    def assign_task(self, vehicle_id: int, policy=("random", None)) -> Task:
+    def assign_task(self, vehicle_id: int, policy=("random", None)) -> int:
+        """Send an idle vehicle to a free spot -> the spot's id."""
         ctl = self.ctl[vehicle_id]
         if ctl.phase != PHASE_IDLE:
             raise ConfigError(f"vehicle {vehicle_id} is in phase {ctl.phase}")
@@ -208,30 +204,29 @@ class World:
             if not free:
                 raise NoFreeSpot("no unclaimed parking spot available")
             dest = free[self.rng.randrange(len(free))]
-        task = Task(dest.id, self.pickup_mass, self.lift_height)
         self.claims[dest.id] = vehicle_id
-        ctl.task = task
+        ctl.dest_spot = dest.id
         ctl.phase = PHASE_LIFT
-        self.vehicle(vehicle_id).load_mass = task.pickup_mass
-        return task
+        self.vehicle(vehicle_id).load_mass = self.pickup_mass
+        return dest.id
 
     # --- routing -------------------------------------------------------------
 
-    def plan_route(self, vehicle_id: int, task: Task) -> Path:
+    def plan_route(self, vehicle_id: int, dest_spot: int) -> Path:
         """Shortest path from the vehicle's snapped node to the destination
         spot's anchor-edge start node. Raises Infeasible."""
         v = self.vehicle(vehicle_id)
-        spot = self._spots_by_id[task.dest_spot]
+        spot = self._spots_by_id[dest_spot]
         src = nearest_node(self.graph, v.x, v.y)
         path = astar(self.graph, src, spot.edge_src)
         if path is None:
-            raise Infeasible(f"vehicle {vehicle_id} cannot reach spot {task.dest_spot}")
+            raise Infeasible(f"vehicle {vehicle_id} cannot reach spot {dest_spot}")
         return path
 
-    def _build_route(self, vehicle_id: int, task: Task) -> _Route:
+    def _build_route(self, vehicle_id: int, dest_spot: int) -> _Route:
         v = self.vehicle(vehicle_id)
-        path = self.plan_route(vehicle_id, task)
-        spot = self._spots_by_id[task.dest_spot]
+        path = self.plan_route(vehicle_id, dest_spot)
+        spot = self._spots_by_id[dest_spot]
         pts = []
         limits = []
         if math.hypot(v.x - self.graph.waypoints[path.nodes[0]].x,
@@ -349,25 +344,25 @@ class World:
                 continue
             v.speed = 0.0
             if ctl.phase == PHASE_LIFT:
-                v.fork_height = min(ctl.task.lift_height, v.fork_height + kin.lift_speed * dt)
-                if v.fork_height >= ctl.task.lift_height - 1e-12:
-                    v.fork_height = ctl.task.lift_height
+                v.fork_height = min(self.lift_height, v.fork_height + kin.lift_speed * dt)
+                if v.fork_height >= self.lift_height - 1e-12:
+                    v.fork_height = self.lift_height
                     # load picked; leave the origin spot and drive off
                     if ctl.current_spot is not None:
                         del self.claims[ctl.current_spot]
                         ctl.current_spot = None
-                    ctl.route = self._build_route(v.id, ctl.task)
+                    ctl.route = self._build_route(v.id, ctl.dest_spot)
                     ctl.phase = PHASE_DRIVE
                     if len(ctl.route.points) == 1:  # at the anchor already: arrive now
                         ctl.phase = PHASE_LOWER
-                        ctl.current_spot = ctl.task.dest_spot
+                        ctl.current_spot = ctl.dest_spot
             elif ctl.phase == PHASE_LOWER:
                 v.fork_height = max(0.0, v.fork_height - kin.lift_speed * dt)
                 if v.fork_height <= 1e-12:
                     v.fork_height = 0.0
                     v.load_mass = 0.0
                     ctl.tasks_completed += 1
-                    ctl.task = None
+                    ctl.dest_spot = None
                     ctl.phase = PHASE_IDLE
         self.step_count += 1
 
@@ -440,7 +435,7 @@ class World:
         v.speed = new_v
         if arrived:
             ctl.phase = PHASE_LOWER
-            ctl.current_spot = ctl.task.dest_spot
+            ctl.current_spot = ctl.dest_spot
 
     # --- recording / running ---------------------------------------------------
 

@@ -146,8 +146,9 @@ def _path_factor(graph: RoadGraph) -> float:
 _SHRINK = 1.0 - 2.0 ** -50
 
 
-def _fill_rows(graph: RoadGraph, rows: list, nodes, kept: dict) -> None:
-    """Set rows[u] to u's packed forward Dijkstra row for each u in nodes.
+def _fill_rows(graph: RoadGraph, rows: dict, nodes) -> None:
+    """Put each node's packed forward Dijkstra row into rows, the one store
+    of every row the call makes.
 
     Where graph.exact_sums holds, Dijkstra runs only at the anchor of u's
     chain: the walk from u along single out-edges ends at the first node
@@ -158,47 +159,31 @@ def _fill_rows(graph: RoadGraph, rows: list, nodes, kept: dict) -> None:
     anchor plus d(anchor, x) (Bellman 1958: d(u, x) = l + d(v, x) for a
     node whose only out-edge is (u, v, l)). A shortest path never passes a
     walk node twice, so each entry is a sum of distinct edges, exact under
-    exact_sums and so the float Dijkstra returns; inf stays inf. One
-    anchor row serves every node whose walk ends there; it goes into rows
-    only if the anchor is one of the nodes, else into `kept`, packed, where
-    it serves later calls whose walks end at that anchor. Other graphs get
-    one Dijkstra per row.
+    exact_sums and so the float Dijkstra returns; inf stays inf. A missing
+    anchor row is made and kept in rows, where it serves every later walk
+    that ends there, so no Dijkstra runs twice. On other graphs every walk
+    is empty: one Dijkstra per row.
     """
-    if not graph.exact_sums:
-        for u in nodes:
-            rows[u] = array("d", dijkstra(graph, u))
-        return
     adjacency = graph.adjacency
-    walks = {}  # anchor -> the walks that end there, [] for the anchor itself
     for u in nodes:
         walk, seen, c = [], set(), u
-        while rows[c] is None and len(adjacency[c]) == 1 and c not in seen:
+        while graph.exact_sums and c not in rows and len(adjacency[c]) == 1 and c not in seen:
             walk.append(c)
             seen.add(c)
             c = adjacency[c][0].dst
         if c in seen:  # a cycle closes at c, which anchors the nodes before it
             walk = walk[:walk.index(c)]
-        walks.setdefault(c, []).append(walk)
-    for anchor, ends in walks.items():
-        base = rows[anchor]
-        if base is None:
-            base = kept.get(anchor)
-        if base is None:
-            base = dijkstra(graph, anchor)
-            if [] not in ends:
-                kept[anchor] = array("d", base)
-        for walk in ends:
-            if not walk:
-                rows[anchor] = array("d", base)
-                continue
-            ahead, acc = [], 0.0
+        if c not in rows:
+            rows[c] = array("d", dijkstra(graph, c))
+        if walk:
+            base, ahead, acc = rows[c], [], 0.0
             for c in walk:
                 ahead.append((c, acc))
                 acc += adjacency[c][0].length
             row = array("d", [acc + d for d in base])
             for c, d in ahead:
                 row[c] = d
-            rows[walk[0]] = row
+            rows[u] = row
 
 
 def place_chargers(graph: RoadGraph, weights, k: int,
@@ -217,14 +202,16 @@ def place_chargers(graph: RoadGraph, weights, k: int,
     node's current score, and a popped node whose fresh score still heads
     the heap is the pick the full scan would make, whatever the bounds.
 
-    Lazy rows: only the rows of the weighted nodes are made up front, by
+    Lazy rows: one dict, rows, holds every row the call makes, node ->
+    row. Only the rows of the weighted nodes are made up front, by
     _fill_rows, which on exact-sum graphs runs Dijkstra once per chain
-    anchor and derives the rows along single-exit chains. The weighted
-    nodes' keys start as their scores. A popped node without a row is
-    checked against the stations' rows, then its coordinate bound is
-    computed over the weight still uncovered, and only if that still heads
-    the heap is its row made. Rows are packed doubles, array('d'), which
-    read back as the same doubles a list row would hold.
+    anchor, keeps the anchor's row in rows too and derives the rows along
+    single-exit chains. Every node in rows starts on its score as key. A
+    popped node without a row is checked against the stations' rows, then
+    its coordinate bound is computed over the weight still uncovered, and
+    only if that still heads the heap is its row made. Rows are packed
+    doubles, array('d'), which read back as the same doubles a list row
+    would hold.
 
     The coordinate bound sums weights[u] / (1 + f * hypot(u, node) /
     d_scale) over the weighted u in ascending order, f from _path_factor.
@@ -265,9 +252,8 @@ def place_chargers(graph: RoadGraph, weights, k: int,
     weighted = [u for u in range(n) if weights[u] != 0.0]
     if not weighted:  # every score is 0, so no node can be picked
         return PlacementResult([], [])
-    rows = [None] * n  # forward Dijkstra rows, made on demand
-    anchor_rows = {}  # rows of the anchors that are not themselves in rows
-    _fill_rows(graph, rows, weighted, anchor_rows)
+    rows = {}  # node -> its forward Dijkstra row, made on demand
+    _fill_rows(graph, rows, weighted)
 
     f = _path_factor(graph)
     # without a finite factor every node is put at one point, which leaves
@@ -300,8 +286,8 @@ def place_chargers(graph: RoadGraph, weights, k: int,
                 total += w / (1.0 + d / d_scale)
         return total
 
-    heap = [(-score(u, rows[u]), u) for u in weighted]
-    rowless = [node for node in range(n) if rows[node] is None]
+    heap = [(-score(u, row), u) for u, row in rows.items()]
+    rowless = [node for node in range(n) if node not in rows]
     heap += zip([-key for key in _cell_keys(xy, points, f, d_scale, rowless)], rowless)
     heapq.heapify(heap)
     stations, scores = [], []
@@ -312,12 +298,12 @@ def place_chargers(graph: RoadGraph, weights, k: int,
         # since the node's own row may not exist yet
         if not all(rows[s][node] >= min_separation for s in stations):
             continue
-        if rows[node] is None:
+        if node not in rows:
             b = bound(node)
             if heap and (-b, node) > heap[0]:
                 heapq.heappush(heap, (-b, node))
                 continue
-            _fill_rows(graph, rows, (node,), anchor_rows)
+            _fill_rows(graph, rows, (node,))
         row = rows[node]
         if not all(row[s] >= min_separation for s in stations):
             continue

@@ -181,8 +181,10 @@ class TestExitCodes:
     manifest whose energy is nan, {good_manifest} one naming {traj} with a
     finite energy, {huge_manifest} the same with 1e300 J, {heavy_manifest}
     and {spin_manifest} one naming {heavy_traj} or {spin_traj},
-    {dir_manifest} one whose cycle is a directory, {dup_spots} the demo
-    floor with spot 1 renamed to 0, {corridors} ONE_WAY_CORRIDORS,
+    {dir_manifest} one whose cycle is a directory, {abc_manifest} one
+    naming {traj} with the energy abc, {dup_spots} the demo floor with spot
+    1 renamed to 0, {bogus_record} the same with a bogus record on line 2,
+    {corridors} ONE_WAY_CORRIDORS,
     {nan_heading} the same with node 1's heading nan, {inf_edge} INF_EDGE,
     {one_point} ONE_POINT_ROUTE, {no_nodes} a map with no nodes, {odr}
     ONE_ROAD_ODR and {odr_nan}, {odr_inf}, {odr_huge} the same with its
@@ -232,6 +234,10 @@ class TestExitCodes:
          EXIT_CONFIG, CONFIG),
         ("--policy fixed:99", [*SIM, "--policy", "fixed:99"], EXIT_CONFIG, CONFIG),
         ("--set battery.g=9.81", [*SIM, "--set", "battery.g=9.81"], EXIT_CONFIG, CONFIG),
+        ("--set without =", [*SIM, "--set", "foo"], EXIT_CONFIG,
+         CONFIG + "--set expects key=value, got 'foo'\n"),
+        ("simulate without --map", ["simulate", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_CONFIG, ERROR + "missing required file path\n"),
         ("place-chargers placement.k=0",
          ["place-chargers", "--map", "{map}", "--out-dir", "{out}", "--set", "placement.k=0",
           "{traj}"], EXIT_CONFIG, CONFIG),
@@ -367,6 +373,9 @@ class TestExitCodes:
          EXIT_INPUT, INPUT + "cycle 0: residual -1e+300 J"),
         ("calibrate energy=nan",
          ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{manifest}"], EXIT_INPUT, INPUT),
+        ("calibrate energy=abc",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{abc_manifest}"], EXIT_INPUT,
+         INPUT + "manifest line 1: bad energy value 'abc'\n"),
         ("calibrate --free bogus",
          ["calibrate", "--out-dir", "{out}", "--free", "bogus", "{good_manifest}"],
          EXIT_CONFIG, CONFIG),
@@ -377,6 +386,9 @@ class TestExitCodes:
         ("simulate two spots with one id",
          ["simulate", "--map", "{dup_spots}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT),
+        ("simulate unknown map record",
+         ["simulate", "--map", "{bogus_record}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "unknown record 'bogus' at line 2\n"),
         ("simulate heading=nan",
          ["simulate", "--map", "{nan_heading}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT),
@@ -516,9 +528,12 @@ class TestExitCodes:
                            ("spin_manifest", "spin_traj,5\n"),
                            ("heavy_manifest", "heavy_traj,5\n"),
                            ("huge_manifest", "traj,1e300\n"),
+                           ("abc_manifest", "traj,abc\n"),
                            ("good_manifest", "traj,1000\n"),
                            ("dir_manifest", ".,1000\n"),
                            ("dup_spots", floor.replace("\nspot 1 ", "\nspot 0 ")),
+                           ("bogus_record",
+                            floor.replace("roadnet v1\n", "roadnet v1\nbogus 1 2 3\n")),
                            ("corridors", ONE_WAY_CORRIDORS),
                            ("nan_heading",
                             ONE_WAY_CORRIDORS.replace("node 1 10 0 0", "node 1 10 0 nan")),

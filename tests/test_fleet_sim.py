@@ -79,8 +79,8 @@ class TestSpawnAndAssign:
 
     def test_assign_reserves_and_loads(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        task = w.assign_task(0, policy=("fixed", 1))
-        assert task.dest_spot == 1
+        assert w.assign_task(0, policy=("fixed", 1)) == 1
+        assert w.ctl[0].dest_spot == 1
         assert w.claims[1] == 0
         assert w.ctl[0].phase == PHASE_LIFT
         assert w.vehicle(0).load_mass == w.pickup_mass
@@ -98,15 +98,13 @@ class TestSpawnAndAssign:
 
     def test_random_policy_excludes_own_spot(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        task = w.assign_task(0, policy=("random", None))
-        assert task.dest_spot == 1
+        assert w.assign_task(0, policy=("random", None)) == 1
 
 
 class TestRouting:
     def test_plan_route_reaches_spot_edge(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        task = w.assign_task(0, policy=("fixed", 1))
-        path = w.plan_route(0, task)
+        path = w.plan_route(0, w.assign_task(0, policy=("fixed", 1)))
         assert path.nodes[-1] == 1
         assert path.total_length == 20.0
 
@@ -117,8 +115,7 @@ class TestRouting:
         w.vehicles = [w.vehicle(1)]
         del w.claims[0]
         with pytest.raises(Infeasible, match="vehicle 1 cannot reach spot 0"):
-            task = w.assign_task(1, policy=("fixed", 0))
-            w.plan_route(1, task)
+            w.plan_route(1, w.assign_task(1, policy=("fixed", 0)))
 
     def test_one_point_route_arrives_at_once(self):
         # both spots anchor at node 0, so the route to either is the truck's own point
@@ -256,7 +253,7 @@ def claims_of(world):
     fails if two vehicles name one spot."""
     out = {}
     for vid, ctl in world.ctl.items():
-        for spot in {ctl.current_spot, ctl.task.dest_spot if ctl.task else None} - {None}:
+        for spot in {ctl.current_spot, ctl.dest_spot} - {None}:
             assert out.setdefault(spot, vid) == vid, f"vehicles {out[spot]} and {vid}: spot {spot}"
     return out
 
@@ -337,7 +334,7 @@ class TestFleet:
             for _ in range(600):
                 idle = [vid for vid, ctl in w.ctl.items() if ctl.phase == PHASE_IDLE]
                 w.step()
-                out.extend(w.ctl[vid].task.dest_spot for vid in idle
+                out.extend(w.ctl[vid].dest_spot for vid in idle
                            if w.ctl[vid].phase != PHASE_IDLE)
             return out
 

@@ -28,7 +28,6 @@ import functools
 import hashlib
 import io
 import json
-import logging
 import math
 import os
 import sys
@@ -432,13 +431,8 @@ class Work:
             if map_name != "-":
                 full[1:1] = ["--map", self.map(map_name)]
         err = io.StringIO()
-        log = logging.StreamHandler(err)  # convert's warnings
-        logging.getLogger("forkfleet").addHandler(log)
-        try:
-            with contextlib.redirect_stderr(err):
-                code = cli.main(full)
-        finally:
-            logging.getLogger("forkfleet").removeHandler(log)
+        with contextlib.redirect_stderr(err):
+            code = cli.main(full)
         digests = {}
         for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
             with open(os.path.join(out, name), "rb") as f:

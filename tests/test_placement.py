@@ -411,18 +411,29 @@ class TestChainRows:
     @settings(max_examples=150, deadline=None)
     @given(chain_graphs(), st.data())
     def test_derived_rows_are_dijkstras(self, case, data):
-        # some rows first, in one call (shared anchors), then the rest one
-        # by one, each free to stop at a node that has a row and to start
-        # from a row kept at the anchor of an earlier call
+        # some rows first, in one call, then the rest one by one in a drawn
+        # order, each free to stop at a node that has a row and to start
+        # from an anchor's row an earlier call made; no source runs twice
         g, _ = case
         n = g.n_nodes()
         assert g.exact_sums
         first = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-        rows, kept = [None] * n, {}
-        placement._fill_rows(g, rows, first, kept)
-        for u in range(n):
-            if rows[u] is None:
-                placement._fill_rows(g, rows, [u], kept)
+        rest = data.draw(st.permutations(range(n)))
+        sources = []
+
+        def counted(graph, src):
+            sources.append(src)
+            return dijkstra(graph, src)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(placement, "dijkstra", counted)
+            rows = {}
+            placement._fill_rows(g, rows, first)
+            for u in rest:
+                if u not in rows:
+                    placement._fill_rows(g, rows, [u])
+        assert len(sources) == len(set(sources))
+        assert sorted(rows) == list(range(n))
         for u in range(n):
             assert hexes(rows[u]) == hexes(dijkstra(g, u))
 
@@ -433,10 +444,10 @@ class TestChainRows:
         sources = []
         monkeypatch.setattr(placement, "dijkstra",
                             lambda graph, src: sources.append(src) or dijkstra(graph, src))
-        rows, kept = [None] * 3, {}
-        placement._fill_rows(g, rows, [2], kept)
-        assert sources == [0] and rows[0] is None  # the anchor's row is kept aside
-        assert list(kept) == [0] and list(kept[0]) == [0.0, 1.0, math.inf]
+        rows = {}
+        placement._fill_rows(g, rows, [2])
+        assert sources == [0] and sorted(rows) == [0, 2]  # the anchor's row is kept too
+        assert list(rows[0]) == [0.0, 1.0, math.inf]
         assert list(rows[2]) == [2.0, 3.0, 0.0]
 
     def test_popped_nodes_share_their_anchors_rows(self, monkeypatch):
@@ -458,8 +469,8 @@ class TestChainRows:
         g = build_graph([Waypoint(i, float(i), 0.0, 0.0) for i in range(4)],
                         [Edge(0, 1, 1.0, 3.0), Edge(1, 2, 1.0, 3.0), Edge(2, 0, 2.0, 3.0),
                          Edge(3, 0, 3.0, 3.0)])
-        rows = [None] * 4
-        placement._fill_rows(g, rows, [3, 1], {})
+        rows = {}
+        placement._fill_rows(g, rows, [3, 1])
         assert list(rows[3]) == [3.0, 4.0, 5.0, 0.0]
         assert list(rows[1]) == [3.0, 0.0, 1.0, math.inf]
 
