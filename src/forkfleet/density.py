@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 from . import ConfigError, Infeasible, InputError, setting
-from .roadnet import RoadGraph, UnionFind, dijkstra, nearest_node, nearest_nodes
+from .roadnet import RoadGraph, UnionFind, nearest_node, nearest_nodes, within
 from .trajectory import resample, split_by_vehicle
 
 
@@ -90,11 +89,12 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
                          limit: float = math.inf) -> Snapshot:
     """Build a snapshot from (vehicle_id, x, y, speed) tuples.
 
-    One Dijkstra per distinct occupied node; vehicles sharing a node get
-    distance zero regardless of intra-edge offsets. `rows` ({node: {node:
-    distance}}) reuses rows computed earlier on the same graph with the same
-    `limit`, gains the new ones and becomes the snapshot's rows. A row holds
-    no distance above `limit`.
+    One bounded search, roadnet.within, per distinct occupied node; its
+    {node: distance} dict is the node's row, holding only the distances up to
+    `limit`. Vehicles sharing a node get distance zero regardless of
+    intra-edge offsets. `rows` ({node: {node: distance}}) reuses rows
+    computed earlier on the same graph with the same `limit`, gains the new
+    ones and becomes the snapshot's rows.
     """
     if not states:
         raise Infeasible("snapshot of an empty fleet")
@@ -107,9 +107,7 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
         rows = {}
     for node in nodes:
         if node not in rows:
-            row = dijkstra(graph, node, limit)
-            fin = list(map(math.isfinite, row))
-            rows[node] = dict(zip(compress(range(len(row)), fin), compress(row, fin)))
+            rows[node] = within(graph, node, limit)
     return Snapshot(t, vids, nodes, speeds, positions, rows)
 
 
@@ -156,9 +154,10 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     cursor per vehicle, and each tick's critical clusters are stitched onto the
     open episodes as it is made: a cluster extends the first unmatched open
     episode it overlaps by >= 50%, or opens one; an open episode that no cluster
-    matched closes. Each occupied node's Dijkstra row, cut at distance_threshold,
-    is computed once for the timeline and freed on return. A timeline of more
-    than MAX_ENTRIES entries raises ConfigError before any tick is made.
+    matched closes. Each occupied node's row, a bounded search that labels only
+    the nodes within distance_threshold, is computed once for the timeline and
+    freed on return. A timeline of more than MAX_ENTRIES entries raises
+    ConfigError before any tick is made.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:

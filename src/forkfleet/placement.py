@@ -151,38 +151,51 @@ def _fill_rows(graph: RoadGraph, rows: dict, nodes) -> None:
     of every row the call makes.
 
     Where graph.exact_sums holds, Dijkstra runs only at the anchor of u's
-    chain: the walk from u along single out-edges ends at the first node
-    with a row already, with no or two or more out-edges (two u->v edges
-    count as two), or met before (a cycle of one-out-edge nodes closes
-    there). Every path from u to x runs along the walk first, so d(u, x)
-    is the walk's length to x for x on the walk, else its length to the
-    anchor plus d(anchor, x) (Bellman 1958: d(u, x) = l + d(v, x) for a
-    node whose only out-edge is (u, v, l)). A shortest path never passes a
-    walk node twice, so each entry is a sum of distinct edges, exact under
-    exact_sums and so the float Dijkstra returns; inf stays inf. A missing
-    anchor row is made and kept in rows, where it serves every later walk
-    that ends there, so no Dijkstra runs twice. On other graphs every walk
-    is empty: one Dijkstra per row.
+    chain. A dead-end spur of c is an out-edge c->s where s's only
+    out-edge is s->c and c->s is s's only in-edge (two parallel edges count
+    as two); a node whose other out-edges are all dead-end spurs has one
+    real way on. The walk from u along real ways on ends at the first node
+    with a row already, with no or two or more real ways on, or met before
+    (a cycle of such nodes closes there). Every path from u runs along the
+    walk, and a detour into a spur only comes straight back, which adds a
+    positive cycle. So d(u, x) is the walk's length to x for x on the walk,
+    its length to c plus l(c, s) for a spur node s of a walk node c, else
+    its length to the anchor plus d(anchor, x) (Bellman 1958: d(u, x) = l +
+    d(v, x) for a node whose only way on is (u, v, l)). The walk's entries
+    override the spurs', since u may itself be a spur node. A shortest path
+    never passes a walk node twice, so each entry is a sum of distinct
+    edges, exact under exact_sums and so the float Dijkstra returns; inf
+    stays inf. A missing anchor row is made and kept in rows, where it
+    serves every later walk that ends there, so no Dijkstra runs twice. On
+    other graphs every walk is empty: one Dijkstra per row.
     """
-    adjacency = graph.adjacency
+    adjacency, in_degree = graph.adjacency, graph.in_degree
     for u in nodes:
-        walk, seen, c = [], set(), u
-        while graph.exact_sums and c not in rows and len(adjacency[c]) == 1 and c not in seen:
-            walk.append(c)
-            seen.add(c)
-            c = adjacency[c][0].dst
+        walk, seen, c = [], {}, u  # seen: walk node -> its place in walk
+        while graph.exact_sums and c not in rows and c not in seen:
+            ways, spurs = [], []
+            for e in adjacency[c]:
+                back = adjacency[e.dst]
+                dead_end = len(back) == 1 and back[0].dst == c and in_degree[e.dst] == 1
+                (spurs if dead_end else ways).append(e)
+            if len(ways) != 1:
+                break
+            seen[c] = len(walk)
+            walk.append((c, ways[0], spurs))
+            c = ways[0].dst
         if c in seen:  # a cycle closes at c, which anchors the nodes before it
-            walk = walk[:walk.index(c)]
+            walk = walk[:seen[c]]
         if c not in rows:
             rows[c] = array("d", dijkstra(graph, c))
         if walk:
-            base, ahead, acc = rows[c], [], 0.0
-            for c in walk:
+            base, ahead, aside, acc = rows[c], [], [], 0.0
+            for c, way, spurs in walk:
                 ahead.append((c, acc))
-                acc += adjacency[c][0].length
+                aside += [(e.dst, acc + e.length) for e in spurs]
+                acc += way.length
             row = array("d", [acc + d for d in base])
-            for c, d in ahead:
-                row[c] = d
+            for x, d in aside + ahead:  # ahead last: u may be a spur node
+                row[x] = d
             rows[u] = row
 
 
@@ -206,7 +219,8 @@ def place_chargers(graph: RoadGraph, weights, k: int,
     row. Only the rows of the weighted nodes are made up front, by
     _fill_rows, which on exact-sum graphs runs Dijkstra once per chain
     anchor, keeps the anchor's row in rows too and derives the rows along
-    single-exit chains. Every node in rows starts on its score as key. A
+    chains of nodes with one real way on, past their dead-end parking
+    spurs. Every node in rows starts on its score as key. A
     popped node without a row is checked against the stations' rows, then
     its coordinate bound is computed over the weight still uncovered, and
     only if that still heads the heap is its row made. Rows are packed

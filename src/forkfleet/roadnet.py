@@ -11,12 +11,15 @@ dijkstra() has two kernels over one flat (dst, length) adjacency, and the
 graph picks one for speed alone. Both give the same floats on any graph:
 adding a length > 0 to a float is monotone and never lowers it, so every
 label-setting search, whatever order it settles nodes in, finds each node's
-least left-to-right path sum. RoadGraph.exact_sums holds when every edge
-length is a whole multiple of one 2^-q and all lengths together are fewer
-than 2^53 such units, so every sum of distinct edges is exact. On such
-graphs (every warehouse_map) a bucket queue runs, a heap of the distinct
-distance values with one node list per value, which on a map of a few edge
-lengths makes far fewer heap entries. Other graphs (OpenDRIVE arcs, for one)
+least left-to-right path sum. within(), the one bounded search, labels only
+the nodes within a limit: no prefix of a path is longer than the path, so
+such a node is reached only through such nodes, with the full row's float.
+RoadGraph.exact_sums holds when every edge length is a whole multiple of
+one 2^-q and all lengths together are fewer than 2^53 such units, so every
+sum of distinct edges is exact. On such graphs (every warehouse_map) a
+bucket queue runs, a heap of the distinct distance values with one node
+list per value, which on a map of a few edge lengths makes far fewer heap
+entries. Other graphs (OpenDRIVE arcs, for one)
 keep the (distance, node) heap: there nearly every distance is a value of
 its own, and one bucket per node costs more than one heap entry.
 
@@ -102,6 +105,14 @@ class RoadGraph:
         return sum(num << (q - den.bit_length() + 1) for num, den in ratios) < 1 << 53
 
     @functools.cached_property
+    def in_degree(self) -> list:
+        """node -> its number of incoming edges, each parallel edge counted."""
+        counts = [0] * len(self.waypoints)
+        for e in self.edges:
+            counts[e.dst] += 1
+        return counts
+
+    @functools.cached_property
     def _flat_adjacency(self) -> list:
         """adjacency as (dst, length) tuples, the form the kernels read."""
         return [[(e.dst, e.length) for e in out] for out in self.adjacency]
@@ -169,23 +180,45 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
     return g
 
 
-def dijkstra(g: RoadGraph, src: int, limit: float = math.inf) -> list:
+def dijkstra(g: RoadGraph, src: int) -> list:
     """Single-source shortest distances (meters); unreachable = +inf.
 
-    With a `limit`, no label above it is made. A node at distance d <= limit
-    is reached only through nodes at distance <= d, so its entry is the same
-    float as in the full row; every other entry is +inf. The bucket kernel
-    runs where g.exact_sums holds, the heap kernel elsewhere; both give the
-    same list on any graph (module docstring).
+    The bucket kernel runs where g.exact_sums holds, the heap kernel
+    elsewhere; both give the same list on any graph (module docstring).
     """
+    _check_source(g, src)
+    kernel = _bucket_row if g.exact_sums else _heap_row
+    return kernel(g._flat_adjacency, src)
+
+
+def within(g: RoadGraph, src: int, limit: float) -> dict:
+    """{node: distance} of every node src reaches within distance <= limit:
+    the finite entries of dijkstra(g, src) that are <= limit, the same
+    floats, with nothing beyond the limit labelled (module docstring)."""
+    _check_source(g, src)
+    if not 0.0 <= limit:  # below 0 or nan: not even src is within it
+        return {}
+    adjacency, inf = g._flat_adjacency, math.inf
+    dist, heap = {src: 0.0}, [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:  # a stale label: u was settled lower
+            continue
+        for v, length in adjacency[u]:
+            nd = d + length
+            if nd <= limit and nd < dist.get(v, inf):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def _check_source(g: RoadGraph, src: int) -> None:
     n = g.n_nodes()
     if not (0 <= src < n):
         raise InputError(f"node {src} not in graph of {n} nodes")
-    kernel = _bucket_row if g.exact_sums else _heap_row
-    return kernel(g._flat_adjacency, src, limit)
 
 
-def _heap_row(adjacency, src, limit):
+def _heap_row(adjacency, src):
     """Dijkstra on a heap of (distance, node) labels."""
     dist = [math.inf] * len(adjacency)
     dist[src] = 0.0
@@ -198,13 +231,13 @@ def _heap_row(adjacency, src, limit):
         done[u] = True
         for v, length in adjacency[u]:
             nd = d + length
-            if nd < dist[v] and nd <= limit:
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
 
 
-def _bucket_row(adjacency, src, limit):
+def _bucket_row(adjacency, src):
     """Dijkstra on a bucket queue: a heap of the distinct label values and,
     for each, the nodes labelled with it. A node whose label has since
     fallen below its bucket's value was settled from a lower bucket and is
@@ -224,7 +257,7 @@ def _bucket_row(adjacency, src, limit):
                 continue
             for v, length in adjacency[u]:
                 nd = d + length
-                if nd < dist[v] and nd <= limit:
+                if nd < dist[v]:
                     dist[v] = nd
                     bucket = buckets.get(nd)
                     if bucket is None:

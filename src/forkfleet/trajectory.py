@@ -104,17 +104,18 @@ def interpolate(a: TrajectorySample, b: TrajectorySample, t: float) -> Trajector
     u = (t - a.t) / (b.t - a.t)
     # shortest angular interpolation for heading
     dh = math.remainder(b.heading - a.heading, 2.0 * math.pi)
-    return TrajectorySample(
-        t=t,
-        vehicle_id=a.vehicle_id,
-        x=a.x + (b.x - a.x) * u,
-        y=a.y + (b.y - a.y) * u,
-        heading=a.heading + dh * u,
-        speed=a.speed + (b.speed - a.speed) * u,
-        fork_height=a.fork_height + (b.fork_height - a.fork_height) * u,
-        load_mass=a.load_mass + (b.load_mass - a.load_mass) * u,
-        soc=a.soc + (b.soc - a.soc) * u,
-    )
+    # the fields in column order, built positionally as read_csv does
+    return tuple.__new__(TrajectorySample, (
+        t,
+        a.vehicle_id,
+        a.x + (b.x - a.x) * u,
+        a.y + (b.y - a.y) * u,
+        a.heading + dh * u,
+        a.speed + (b.speed - a.speed) * u,
+        a.fork_height + (b.fork_height - a.fork_height) * u,
+        a.load_mass + (b.load_mass - a.load_mass) * u,
+        a.soc + (b.soc - a.soc) * u,
+    ))
 
 
 def resample(series, times):

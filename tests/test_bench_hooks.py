@@ -15,7 +15,8 @@ from forkfleet.roadnet import save_roadnet
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # layers the tracer names whose functions the package no longer has
 GONE = {"forkfleet.fleet_sim.sample_at", "forkfleet.battery.segment_energy",
-        "forkfleet.density.sample_at", "World.run", "forkfleet.placement.nearest_node"}
+        "forkfleet.density.sample_at", "World.run", "forkfleet.placement.nearest_node",
+        "forkfleet.density.dijkstra"}
 VEHICLES, STEPS = 4, 200
 
 

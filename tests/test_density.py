@@ -12,7 +12,7 @@ from forkfleet.density import (Cluster, CriticalEpisode, DensityConfig, UnionFin
                                clusters, density_timeline, flag_critical,
                                snapshot_from_states, write_episode_summary,
                                write_report_csv)
-from forkfleet.roadnet import dijkstra, nearest_node
+from forkfleet.roadnet import nearest_node, within
 from forkfleet.trajectory import TrajectorySample, split_by_vehicle
 from test_trajectory import sample_at
 
@@ -412,8 +412,8 @@ class TestEpisodeStitching:
 
 
 class TestTimelineRows:
-    """density_timeline computes one Dijkstra row per snapped node for the
-    whole timeline, cut off at the distance threshold; its reports equal
+    """density_timeline makes one row per snapped node for the whole
+    timeline, a bounded search to the distance threshold; its reports equal
     those of fresh per-tick snapshots and keep none of the rows."""
 
     def test_one_dijkstra_per_snapped_node(self, monkeypatch):
@@ -422,15 +422,15 @@ class TestTimelineRows:
         samples = wandering_fleet(graph)
         calls = []
 
-        def counted(g, src, limit=math.inf):
+        def counted(g, src, limit):
             calls.append((src, limit))
-            return dijkstra(g, src, limit)
+            return within(g, src, limit)
 
         def no_matrix(snapshot):
             raise AssertionError("the timeline built a vehicles x vehicles matrix")
 
         with monkeypatch.context() as m:
-            m.setattr(density, "dijkstra", counted)
+            m.setattr(density, "within", counted)
             # Snapshot has no matrix; this keeps the timeline from reading one
             m.setattr(density.Snapshot, "dist", property(no_matrix), raising=False)
             reports, _ = density_timeline(samples, graph, cfg)

@@ -331,9 +331,9 @@ class TestLazyGreedy:
         def sources_of(graph):
             sources = []
 
-            def counted(graph, src, limit=math.inf):
+            def counted(graph, src):
                 sources.append(src)
-                return dijkstra(graph, src, limit)
+                return dijkstra(graph, src)
 
             monkeypatch.setattr(placement, "dijkstra", counted)
             res = place_chargers(graph, w, k=4, min_separation=15.0, d_scale=20.0)
@@ -354,11 +354,11 @@ class TestLazyGreedy:
         # on exact sums a row along a single-exit chain comes from its
         # anchor's, so fewer Dijkstras run
         assert len(sources_of(g)) < len(sources)
-        # every node weighted: one Dijkstra at each node whose out-edges are
-        # not exactly one, and every other row derived
+        # every node weighted: one Dijkstra at each node without exactly one
+        # real way on, and every other row derived
         w = [1.0 + i % 3 for i in range(n)]
         sources = sources_of(g)
-        assert sorted(sources) == [u for u in range(n) if len(g.adjacency[u]) != 1]
+        assert sorted(sources) == [u for u in range(n) if len(real_ways(g, u)) != 1]
         assert len(sources) < n
 
     def test_larger_graph_matches_eager_scan(self):
@@ -401,6 +401,14 @@ def chain_graphs(draw, exact=True):
                     edges)
     weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300])) for _ in range(n)]
     return g, weights
+
+
+def real_ways(g, c):
+    """c's out-edges that are not dead-end spurs, an edge c -> s being one
+    when s's only out-edge leads back to c and no other edge enters s."""
+    into = [e.dst for e in g.edges]
+    return [e for e in g.adjacency[c]
+            if not ([b.dst for b in g.adjacency[e.dst]] == [c] and into.count(e.dst) == 1)]
 
 
 def hexes(row):
@@ -451,9 +459,8 @@ class TestChainRows:
         assert list(rows[2]) == [2.0, 3.0, 0.0]
 
     def test_popped_nodes_share_their_anchors_rows(self, monkeypatch):
-        # every sixth node weighted: without the kept anchor rows, sources 5,
-        # 13, 19, 22 and 34 would run again at later pops, 23 Dijkstras for
-        # 17 sources
+        # every sixth node weighted: without the kept anchor rows, sources 13,
+        # 22 and 31 would run again at later pops, 15 Dijkstras for 11 sources
         g = warehouse_map()
         w = [1.0 if u % 6 == 0 else 0.0 for u in range(g.n_nodes())]
         sources = []
@@ -461,7 +468,7 @@ class TestChainRows:
                             lambda graph, src: sources.append(src) or dijkstra(graph, src))
         res = place_chargers(g, w, 4, 15.0, 20.0)
         assert res.stations == [11, 24, 18, 6]
-        assert len(sources) == len(set(sources)) == 17
+        assert len(sources) == len(set(sources)) == 11
         assert (res.stations, res.scores) == eager_place_chargers(g, w, 4, 15.0, 20.0)
 
     def test_a_cycle_closes_at_its_first_repeat(self):
@@ -480,6 +487,116 @@ class TestChainRows:
            st.sampled_from([1e-6, 1.0, 20.0]))
     def test_matches_eager_scan(self, case, k, min_sep, d_scale):
         g, w = case
+        res = place_chargers(g, w, k, min_sep, d_scale)
+        assert (res.stations, res.scores) == eager_place_chargers(g, w, k, min_sep, d_scale)
+
+
+@st.composite
+def spur_graphs(draw, exact=True):
+    """(graph, weights, spur starts) on up to 8 street nodes, a chain of
+    one-out-edge nodes, which may close into a ring with a tail, with a few
+    extra edges, each carrying 0-2 parking spurs c -> s -> c. Some would-be spurs are spoiled: a second edge
+    into s, a parallel c -> s or s -> c edge, or a second edge out of s.
+    Lengths are whole or half meters, so exact_sums holds, or with
+    exact=False each has 0.1 m added. Spur starts are the spur nodes, drawn
+    in an order, to start walks from before any other node."""
+    n = draw(st.integers(1, 8))
+    pts = [(draw(st.integers(0, 6)), draw(st.integers(0, 6))) for _ in range(n)]
+    pairs = [(a, a + 1) for a in range(n - 1)]
+    if n > 1 and draw(st.booleans()):  # a ring from node j, 0..j-1 its tail
+        pairs.append((n - 1, draw(st.integers(0, n - 2))))
+    for a in range(n):
+        if n > 1 and draw(st.integers(0, 3)) == 0:
+            pairs.append((a, draw(st.integers(0, n - 1).filter(lambda b: b != a))))
+    spur_nodes = []
+    for c in range(n):
+        for _ in range(draw(st.integers(0, 2))):
+            sn = len(pts)
+            pts.append((draw(st.integers(0, 6)), draw(st.integers(0, 6))))
+            pairs += [(c, sn), (sn, c)]
+            spur_nodes.append(sn)
+            spoil = draw(st.sampled_from([None, None, None, "in", "twin", "twin back", "out"]))
+            if spoil == "twin":
+                pairs.append((c, sn))
+            elif spoil == "twin back":
+                pairs.append((sn, c))
+            elif spoil in ("in", "out") and n > 1:
+                other = draw(st.integers(0, n - 1).filter(lambda b: b != c))
+                pairs.append((other, sn) if spoil == "in" else (sn, other))
+    edges = []
+    for a, b in pairs:
+        chord = math.hypot(pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
+        length = max(1, math.ceil(chord)) + draw(st.integers(0, 3)) / 2
+        edges.append(Edge(a, b, length + (0.0 if exact else 0.1), 3.0))
+    g = build_graph([Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)],
+                    edges)
+    weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300])) for _ in pts]
+    return g, weights, draw(st.permutations(spur_nodes))
+
+
+class TestSpurRows:
+    """Chain walks go on past dead-end parking spurs; every row they derive
+    must be Dijkstra's, bit for bit, and the placement the eager scan's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spur_graphs(), st.data())
+    def test_derived_rows_are_dijkstras(self, case, data):
+        # the spur nodes start walks first, then every other node in a drawn
+        # order; no source runs twice
+        g, _, starts = case
+        n = g.n_nodes()
+        assert g.exact_sums
+        sources = []
+
+        def counted(graph, src):
+            sources.append(src)
+            return dijkstra(graph, src)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(placement, "dijkstra", counted)
+            rows = {}
+            for u in starts + data.draw(st.permutations(range(n))):
+                if u not in rows:
+                    placement._fill_rows(g, rows, [u])
+        assert len(sources) == len(set(sources))
+        assert sorted(rows) == list(range(n))
+        for u in range(n):
+            assert hexes(rows[u]) == hexes(dijkstra(g, u))
+
+    def test_walks_pass_dead_end_spurs(self, monkeypatch):
+        # street 0 -> 1 -> 2, spurs 3 off 0, 4 off 1 and 5 off 2, whose only
+        # out-edge is its spur: a walk from spur node 3 runs to 2, the one
+        # Dijkstra; spur 6 off 0 with a second in-edge 2 -> 6 is a way on,
+        # and so is a twin 1 -> 4, each making its node an anchor of its own
+        pts = [(0, 0), (10, 0), (20, 0), (0, 5), (10, 5), (20, 5), (0, -5)]
+        street = [Edge(0, 1, 10.0, 3.0), Edge(1, 2, 10.0, 3.0)]
+        spurs = [Edge(a, b, 5.0, 3.0) for c, s in ((0, 3), (1, 4), (2, 5))
+                 for a, b in ((c, s), (s, c))]
+        wps = [Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)]
+        sources = []
+        monkeypatch.setattr(placement, "dijkstra",
+                            lambda graph, src: sources.append(src) or dijkstra(graph, src))
+        g = build_graph(wps, street + spurs)
+        rows = {}
+        placement._fill_rows(g, rows, [3])
+        assert sources == [2] and sorted(rows) == [2, 3]
+        assert list(rows[3]) == [5.0, 15.0, 25.0, 0.0, 20.0, 30.0, math.inf]
+        for extra, anchor in (([Edge(0, 6, 5.0, 3.0), Edge(6, 0, 5.0, 3.0),
+                                Edge(2, 6, 25.0, 3.0)], 0),
+                              ([Edge(1, 4, 6.0, 3.0)], 1)):
+            g = build_graph(wps, street + spurs + extra)
+            sources.clear()
+            rows = {}
+            placement._fill_rows(g, rows, [3])
+            assert sources == [anchor]
+            assert hexes(rows[3]) == hexes(dijkstra(g, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda exact: spur_graphs(exact)),
+           st.integers(1, 4), st.sampled_from([0.0, 1.0, 2.5, 6.0]),
+           st.sampled_from([1e-6, 1.0, 20.0]))
+    def test_matches_eager_scan(self, case, k, min_sep, d_scale):
+        g, w, _ = case
         res = place_chargers(g, w, k, min_sep, d_scale)
         assert (res.stations, res.scores) == eager_place_chargers(g, w, k, min_sep, d_scale)
 

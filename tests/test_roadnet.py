@@ -10,7 +10,7 @@ from forkfleet import InputError, mapgen
 from forkfleet.odr_import import parse_opendrive_subset, to_road_graph
 from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _bucket_row, _heap_row,
                                astar, build_graph, dijkstra, load_roadnet, nearest_node,
-                               nearest_nodes, save_roadnet)
+                               nearest_nodes, save_roadnet, within)
 
 
 class TestBuildGraph:
@@ -96,6 +96,16 @@ def bounded_row_cases(draw):
     return g, src, limit
 
 
+def cut(row, limit):
+    """{node: distance.hex()} of the finite entries of a full row that are
+    <= limit; an unreachable node has no entry."""
+    return {v: d.hex() for v, d in enumerate(row) if d <= limit and d < math.inf}
+
+
+def hexed(labels):
+    return {v: d.hex() for v, d in labels.items()}
+
+
 class TestDijkstra:
     def test_src_is_zero(self):
         g = square_graph()
@@ -112,6 +122,16 @@ class TestDijkstra:
     def test_invalid_node(self):
         with pytest.raises(InputError, match="node 99 not in graph of 4 nodes"):
             dijkstra(square_graph(), 99)
+
+    @pytest.mark.parametrize("src", [99, 4, -1])
+    def test_bounded_search_refuses_a_node_out_of_range(self, src):
+        with pytest.raises(InputError, match=f"^node {src} not in graph of 4 nodes$"):
+            within(square_graph(), src, 10.0)
+
+    @pytest.mark.parametrize("limit", [-1.0, -5e-324, math.nan, -math.inf])
+    def test_bounded_search_below_zero_is_empty(self, limit):
+        # no entry of the full row, not even the source's 0.0, is <= limit
+        assert within(square_graph(), 0, limit) == {}
 
     def test_matches_path_enumeration(self):
         g = random_graph(seed=13, n_nodes=12)
@@ -131,9 +151,7 @@ class TestDijkstra:
     @given(bounded_row_cases())
     def test_bounded_row_is_cut_full_row(self, case):
         g, src, limit = case
-        full = dijkstra(g, src)
-        cut = [d if d <= limit else math.inf for d in full]
-        assert dijkstra(g, src, limit) == cut  # == on floats: the same bits
+        assert hexed(within(g, src, limit)) == cut(dijkstra(g, src), limit)
 
 
 def coincident_graph(lengths):
@@ -173,7 +191,7 @@ def row_cases(draw, exact):
             edges.append(Edge(a, b, length, 3.0))
     g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
     src = draw(st.integers(0, n - 1))
-    full = _heap_row(g._flat_adjacency, src, math.inf)
+    full = _heap_row(g._flat_adjacency, src)
     limit = draw(st.one_of(st.sampled_from([0.0, math.inf]), st.integers(0, 40).map(float),
                            st.floats(0.0, 100.0), st.sampled_from(full)))
     return g, src, limit
@@ -181,14 +199,17 @@ def row_cases(draw, exact):
 
 class TestBucketKernel:
     """On exact-sum graphs dijkstra runs the bucket queue; its rows must be
-    the heap kernel's, list == list, so the same floats."""
+    the heap kernel's, list == list, so the same floats. The bounded search
+    must label the heap row's entries <= limit, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(row_cases(exact=True))
     def test_exact_sum_graphs_match_the_heap_kernel(self, case):
         g, src, limit = case
         assert g.exact_sums
-        assert dijkstra(g, src, limit) == _heap_row(g._flat_adjacency, src, limit)
+        heap = _heap_row(g._flat_adjacency, src)
+        assert dijkstra(g, src) == heap
+        assert hexed(within(g, src, limit)) == cut(heap, limit)
 
     @settings(max_examples=150, deadline=None)
     @given(row_cases(exact=False))
@@ -196,17 +217,20 @@ class TestBucketKernel:
         # the bucket kernel too: on any graph each entry is the least
         # left-to-right path sum, whatever order the nodes settle in
         g, src, limit = case
-        heap = _heap_row(g._flat_adjacency, src, limit)
-        assert dijkstra(g, src, limit) == heap
-        bucket = _bucket_row(g._flat_adjacency, src, limit)
+        heap = _heap_row(g._flat_adjacency, src)
+        assert dijkstra(g, src) == heap
+        bucket = _bucket_row(g._flat_adjacency, src)
         assert [d.hex() for d in bucket] == [d.hex() for d in heap]
+        assert hexed(within(g, src, limit)) == cut(heap, limit)
 
     def test_large_warehouse_map_matches_the_heap_kernel(self):
         g = mapgen.warehouse_map(nx=8, ny=6)
         assert g.exact_sums
         for src in range(0, g.n_nodes(), 17):
+            heap = _heap_row(g._flat_adjacency, src)
+            assert dijkstra(g, src) == heap
             for limit in (math.inf, 25.0, 0.0):
-                assert dijkstra(g, src, limit) == _heap_row(g._flat_adjacency, src, limit)
+                assert hexed(within(g, src, limit)) == cut(heap, limit)
 
 
 ARC_ODR = ('<OpenDRIVE><road id="1" length="15.707963267948966"><planView>'
@@ -247,7 +271,7 @@ class TestExactSums:
         g = coincident_graph(lengths)
         assert g.exact_sums is exact
         for src in range(g.n_nodes()):
-            assert dijkstra(g, src) == _heap_row(g._flat_adjacency, src, math.inf)
+            assert dijkstra(g, src) == _heap_row(g._flat_adjacency, src)
 
 
 @st.composite
