@@ -146,6 +146,7 @@ class SocMeter:
             row[0] = s
         capacity = self.p.capacity
         drawn, regenerated = self.drawn, self.regenerated
+        new = tuple.__new__
         out = []
         for row, s, (draw, regen) in zip(rows, states, _energies(features, self.p)):
             drawn += draw
@@ -157,7 +158,7 @@ class SocMeter:
             row[4] += regen
             soc = row[2] - (row[3] - row[4]) / capacity
             soc = 0.0 if 0.0 > soc else soc  # max(soc, 0.0), then min(soc, 1.0)
-            out.append(TrajectorySample(*s, 1.0 if 1.0 < soc else soc))
+            out.append(new(TrajectorySample, (*s, 1.0 if 1.0 < soc else soc)))
         self.drawn, self.regenerated = drawn, regenerated
         return out
 

@@ -21,18 +21,23 @@ drops below d_safe between steps. A vehicle stopped by conflicts for longer
 than t_deadlock gets priority over its blockers.
 
 Pairs are found by a sort-and-sweep broad phase (Cohen et al., "I-COLLIDE",
-SI3D 1995): vehicles are swept in x order, and a pair is skipped once its x or
-y distance reaches
+SI3D 1995) over swept boxes (Ericson, "Real-Time Collision Detection", 2005,
+4.2 and 5.5). A vehicle's box holds its straight-line motion over the horizon
+h, from (x, y) to (x + vx * h, y + vy * h), widened on every side by
 
-    reach = max(trigger, d_safe + 2 * s_max * horizon) + 1 m
+    pad = trigger / 2 + 0.5 m + 2**-49 * (trigger + |x| + |y| + |speed| * h)
 
-where trigger is the hard-cap radius, s_max the largest |speed| in the fleet
-this step, and the extra metre absorbs float rounding. A skipped pair cannot
-cap: its gap is at least max(|dx|, |dy|) >= reach, so the hard cap (gap <
-trigger) does not fire, and its predicted miss distance over the horizon is
-at least gap - (|v_a| + |v_b|) * horizon >= d_safe + 1 m, so neither does the
-soft cap. Caps combine by min, which does not depend on the order pairs are
-visited in, so the caps equal those of testing all N(N-1)/2 pairs.
+where trigger is the hard-cap radius. A pair whose boxes are apart in x or in
+y is skipped: on that axis the two predicted positions differ by more than
+trigger + 1 m at every t in [0, h], so the gap (t = 0) is not below trigger
+and the miss distance (t = t*) not below d_safe: neither cap fires.
+Rounding: the box edges and the narrow phase's r + dv * t on that axis are
+together off by less than 7 * 2**-53 of |x_a| + |x_b| + (|speed_a| +
+|speed_b|) * h and of the pads, which the 2**-49 term exceeds at any finite
+coordinate and horizon; overflow only rounds away from zero, underflow stays
+inside the 1 m, and an edge may be infinite but never nan. Caps combine by
+min, which does not depend on the order pairs are visited in, so the caps
+equal those of testing all N(N-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class World:
                  lift_height: float = LIFT_HEIGHT):
         if not 0.0 < dt < math.inf:
             raise ConfigError(f"dt must be finite and > 0, got {dt}")
-        check_ranges(kin, "kin.")  # the broad phase's reach bound needs finite, positive kin
+        check_ranges(kin, "kin.")  # the swept boxes need finite, positive kin
         self.graph = graph
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
         self._vehicles_by_id = {v.id: v for v in self.vehicles}
@@ -262,42 +267,51 @@ class World:
     def resolve_conflicts(self):
         """Per-vehicle speed caps for this step -> {vehicle_id: cap}.
 
-        Sweeps one (x, y, id, vx, vy, speed) row per vehicle in x order and
-        tests only pairs closer than `reach` in both x and y (see the module
-        docstring); each such pair is tested with a = its lower id. A cap is
-        min(its caps so far, max(0.0, cap)), each min and max written as the
-        comparison that gives its bits."""
+        Sweeps one swept box per vehicle in order of its low x edge and tests
+        only pairs whose boxes overlap in both x and y (see the module
+        docstring). A pair's r and dv are taken in sweep order: swapping it
+        negates them exactly, so gap, t*, the miss distance and every cap keep
+        their bits, and the lower id is sorted out only when a cap fires. A cap
+        is min(its caps so far, max(0.0, cap)), each min and max written as
+        the comparison that gives its bits."""
         kin = self.kin
         dt = self.dt
         d_safe, horizon, t_deadlock, v_max = kin.d_safe, kin.horizon, kin.t_deadlock, kin.v_max
         a_max_dt = kin.a_max * dt
-        ctl, hypot, inf = self.ctl, math.hypot, math.inf
+        ctl, hypot, inf, cos, sin = self.ctl, math.hypot, math.inf, math.cos, math.sin
         caps = {}
         trigger = d_safe + 2.0 * (v_max + a_max_dt) * dt + 1.0
-        rows = sorted([(v.x, v.y, v.id, v.speed * math.cos(v.heading),
-                        v.speed * math.sin(v.heading), v.speed) for v in self.vehicles])
-        s_max = max([abs(row[5]) for row in rows], default=0.0)
-        reach = max(trigger, d_safe + 2.0 * s_max * horizon) + 1.0
-        for i, p in enumerate(rows):
-            px, py = p[0], p[1]
-            for q in rows[i + 1:]:
-                if q[0] - px >= reach:
+        pad0 = 0.5 * trigger + 0.5 + 2**-49 * trigger
+        rel_h = 2**-49 * horizon
+        boxes = []
+        for v in self.vehicles:
+            x, y, speed = v.x, v.y, v.speed
+            vx, vy = speed * cos(v.heading), speed * sin(v.heading)
+            pad = pad0 + 2**-49 * (abs(x) + abs(y)) + rel_h * abs(speed)
+            ex, ey = vx * horizon, vy * horizon
+            xlo, xhi = (x + ex - pad, x + pad) if ex < 0.0 else (x - pad, x + ex + pad)
+            ylo, yhi = (y + ey - pad, y + pad) if ey < 0.0 else (y - pad, y + ey + pad)
+            boxes.append((xlo, xhi, ylo, yhi, x, y, vx, vy, v.id, speed))
+        boxes.sort()
+        for i, p in enumerate(boxes):
+            _, p_xhi, p_ylo, p_yhi, px, py, pvx, pvy, pid, pspeed = p
+            for q in boxes[i + 1:]:
+                if q[0] > p_xhi:
                     break
-                dy = q[1] - py
-                if dy >= reach or -dy >= reach:
+                if q[2] > p_yhi or q[3] < p_ylo:
                     continue
-                ax, ay, aid, avx, avy, aspeed = p if p[2] < q[2] else q
-                bx, by, bid, bvx, bvy, _ = q if p[2] < q[2] else p
-                rx, ry = bx - ax, by - ay
+                _, _, _, _, qx, qy, qvx, qvy, qid, qspeed = q
+                rx, ry = qx - px, qy - py
                 gap = hypot(rx, ry)
                 # soft horizon-based yielding
-                dvx, dvy = bvx - avx, bvy - avy
+                dvx, dvy = qvx - pvx, qvy - pvy
                 dv2 = dvx * dvx + dvy * dvy
                 t_star = 0.0 if dv2 < 1e-12 else -(rx * dvx + ry * dvy) / dv2
                 t_star = 0.0 if 0.0 > t_star else t_star
                 t_star = horizon if horizon < t_star else t_star
                 if hypot(rx + dvx * t_star, ry + dvy * t_star) < d_safe:
                     # deadlock breaker: a long-blocked yielder gains priority
+                    aid, bid = (pid, qid) if pid < qid else (qid, pid)
                     yielder = bid
                     if ctl[bid].blocked_for > t_deadlock and ctl[aid].blocked_for <= t_deadlock:
                         yielder = aid
@@ -307,6 +321,7 @@ class World:
                     caps[yielder] = cap if cap < old else old
                 # hard proximity caps keep the pair >= d_safe across one step
                 if gap < trigger:
+                    aid, bid, aspeed = (pid, qid, pspeed) if pid < qid else (qid, pid, qspeed)
                     slack = (gap - d_safe) / dt
                     slack = slack if slack > 0.0 else 0.0
                     # priority vehicle may close at most the whole slack

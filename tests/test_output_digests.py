@@ -86,6 +86,7 @@ SIMULATE = [
     ("demo", ["--policy", "fixed:2", *_sim(3, 60, 4)]),
     ("demo", ["--policy", "fixed:99", *_sim(3, 60, 4)]),
     ("L", _sim(24, 15, 3)),
+    ("demo", _sim(4, 600, 11)),  # gridlocked for good from about 400 s
 ]
 
 # The made inputs, named short to keep the test ids short (Work.inputs makes
