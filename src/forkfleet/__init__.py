@@ -1,7 +1,9 @@
 """Headless electric forklift fleet simulator and trajectory analyses."""
 
 import math
+import operator
 from dataclasses import field, fields, is_dataclass
+from functools import reduce
 
 __version__ = "0.1.0"
 
@@ -34,6 +36,12 @@ def records(f):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def total(xs):
+    """The float sum of xs from 0.0, left to right: the same bits on every
+    Python, where the builtin sum() of floats is compensated since 3.12."""
+    return reduce(operator.add, xs, 0.0)
 
 
 def setting(default, low, high=math.inf, ends="[]"):

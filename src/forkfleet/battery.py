@@ -7,17 +7,21 @@ to kinetic and potential energy release, never to friction terms.
 
 A segment's features are built in one place, _segment_features, for the
 SocMeter and calibrate() alike. SOC is integrated in one place, a SocMeter
-over a fleet, each add one _energies pass. Default numeric parameter values
-are placeholders; calibrate() fits them against measured duty-cycle
-energies (e.g. VDI 2198 style cycles).
+over a fleet, each add one _energies pass. calibrate() runs _energies once
+per distinct segment of its cycles, not once per segment. Every float sum
+runs left to right from 0.0 (forkfleet.total), so it gives the same bits on
+every Python. Default numeric parameter values are placeholders;
+calibrate() fits them against measured duty-cycle energies (e.g. VDI 2198
+style cycles).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
-from . import ConfigError, Infeasible, InputError, setting
+from . import ConfigError, Infeasible, InputError, setting, total
 from .trajectory import TrajectorySample, split_by_vehicle
 
 G = 9.80665
@@ -177,16 +181,6 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     return meter.drawn, meter.regenerated, series
 
 
-def _net(features, p: BatteryParams):
-    """Total draw - total regen over a cycle's features, summed in the
-    order integrate_trajectory sums them."""
-    total_draw = total_regen = 0.0
-    for draw, regen in _energies(features, p):
-        total_draw += draw
-        total_regen += regen
-    return total_draw - total_regen
-
-
 def _golden_section(f, lo, hi, iters=90):
     """Minimize a unimodal-ish f on [lo, hi]; returns (x, f(x))."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -212,10 +206,10 @@ def _objective(res):
     raises OverflowError where r * r would give inf, and nan is never smaller
     than anything, so such a point is never picked."""
     try:
-        total = sum(r ** 2 for r in res)
+        obj = total(r ** 2 for r in res)
     except OverflowError:
         return math.inf
-    return total if total == total else math.inf
+    return obj if obj == obj else math.inf
 
 
 @dataclass
@@ -237,6 +231,11 @@ def calibrate(cycles, p0: BatteryParams, free,
     and never increases across sweeps. Descent stops once a sweep improves
     the objective by less than 1e-9 of itself (converged) or after 200
     sweeps. A start point whose objective is not finite is refused.
+
+    Each evaluation runs the force balance once per distinct segment of all
+    the cycles, then sums each cycle's draws and regens left to right in
+    segment order, so a residual has the bits of integrate_trajectory's net
+    energy for that cycle.
     """
     free = list(free)
     for name in free:
@@ -247,11 +246,31 @@ def calibrate(cycles, p0: BatteryParams, free,
     if len(cycles) < len(free):
         raise Infeasible(f"{len(cycles)} cycles for {len(free)} free parameters")
 
-    # the segments' features do not depend on the parameters: build them once
-    fits = [(_vehicle_features(traj, consts), measured) for traj, measured in cycles]
+    # The segments' features do not depend on the parameters: build them once,
+    # keep one copy of each distinct tuple, keyed by its bits (so -0.0 and nan
+    # need no rule), and hold each cycle as indices into those copies.
+    index, distinct, fits = {}, [], []
+    for traj, measured in cycles:
+        ix = []
+        for f in _vehicle_features(traj, consts):
+            key = struct.pack("7d", *f)
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(f)
+            ix.append(index[key])
+        fits.append((ix, measured))
 
     def residuals(p):
-        return [_net(features, p) - measured for features, measured in fits]
+        energies = list(_energies(distinct, p))
+        out = []
+        for ix, measured in fits:
+            drawn = regenerated = 0.0
+            for i in ix:
+                draw, regen = energies[i]
+                drawn += draw
+                regenerated += regen
+            out.append(drawn - regenerated - measured)
+        return out
 
     p = p0
     res = residuals(p)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import ConfigError, Infeasible, InputError, setting
+from . import ConfigError, Infeasible, InputError, setting, total
 from .roadnet import RoadGraph, UnionFind, nearest_node, nearest_nodes, within
 from .trajectory import resample, split_by_vehicle
 
@@ -139,7 +139,7 @@ def flag_critical(partition, s: Snapshot, cfg: DensityConfig) -> ClusterReport:
     """Mean-speed check per cluster; singletons are never critical."""
     out = []
     for members in partition:
-        mean_speed = sum(s.speeds[i] for i in members) / len(members)
+        mean_speed = total(s.speeds[i] for i in members) / len(members)
         if not math.isfinite(mean_speed):  # the sum of finite speeds overflowed
             raise InputError(f"t={s.t:.12g}: a cluster's mean speed is not finite")
         critical = len(members) >= 2 and mean_speed < cfg.velocity_threshold
@@ -199,8 +199,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
                 ep = _OpenEpisode(c.members, t, t)
             if len(idx) > ep.peak_size:
                 ep.peak_size = len(idx)
-                ep.centroid = (sum(s.positions[i][0] for i in idx) / len(idx),
-                               sum(s.positions[i][1] for i in idx) / len(idx))
+                ep.centroid = (total(s.positions[i][0] for i in idx) / len(idx),
+                               total(s.positions[i][1] for i in idx) / len(idx))
             next_active.append(ep)
         closed += [ep for ai, ep in enumerate(active) if ai not in matched]
         active = next_active

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import ConfigError, Infeasible, battery as bat, check_ranges, setting
+from . import ConfigError, Infeasible, battery as bat, check_ranges, setting, total
 from .rng import SplitMix64
 from .roadnet import Path, RoadGraph, astar, nearest_node
 from .trajectory import TrajectorySample, resample, split_by_vehicle
@@ -514,8 +514,8 @@ def replay(samples, dt: float = DT,
     t0 = min(ss[0].t for ss in per_vehicle.values())
     # bound the grid before making it: each span over dt, the 1e-9 slack at both
     # ends, and t0 + k * dt's rounding, which repeats times finer than their ulp
-    points = sum((ss[-1].t - ss[0].t + 2e-9 + 2**-50 * (abs(t0) + abs(ss[-1].t))) / dt + 2
-                 for ss in per_vehicle.values())
+    points = total((ss[-1].t - ss[0].t + 2e-9 + 2**-50 * (abs(t0) + abs(ss[-1].t))) / dt + 2
+                   for ss in per_vehicle.values())
     if not points <= MAX_GRID_POINTS:
         raise ConfigError(f"replay at dt {dt} makes more than {MAX_GRID_POINTS} grid points")
     out = []

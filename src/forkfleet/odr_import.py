@@ -15,7 +15,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from . import ConfigError, InputError
+from . import ConfigError, InputError, total
 from .roadnet import Edge, RoadGraph, UnionFind, Waypoint, build_graph, normalize_heading
 
 log = logging.getLogger(__name__)
@@ -154,7 +154,7 @@ def parse_opendrive_subset(document) -> list:
             xe, ye, _ = a.point_at(a.length)
             if math.hypot(b.x - xe, b.y - ye) > 1e-3:
                 raise InputError(f"road {rid}: planView discontinuity at s={b.s}")
-        seg_total = sum(g.length for g in segments)
+        seg_total = total(g.length for g in segments)
         if abs(seg_total - length) > 1e-3:
             raise InputError(f"road {rid}: declared length {length} != segment sum {seg_total}")
         links = []
@@ -197,7 +197,7 @@ def to_road_graph(roads, spacing: float) -> RoadGraph:
         if road.length <= 0:
             raise InputError(f"road {road.id} has zero length")
     # summed before math.ceil, which an inf quotient would stop
-    n_points = sum(road.length / spacing for road in roads)
+    n_points = total(road.length / spacing for road in roads)
     if not n_points <= MAX_POINTS:
         raise ConfigError(f"spacing {spacing!r} makes {n_points:.3g} sample points, "
                           f"more than {MAX_POINTS}")

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_samples
-from forkfleet import ConfigError, Infeasible, InputError, battery, mapgen
+from forkfleet import ConfigError, Infeasible, InputError, battery, mapgen, total
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
                                CalibrationResult, PARAM_BOUNDS, SUFFICIENT, SocMeter,
                                VehicleConstants, calibrate, integrate_trajectory,
-                               soc_band, G, _energies, _golden_section, _net,
+                               soc_band, G, _energies, _golden_section,
                                _segment_features, _vehicle_features)
 from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, split_by_vehicle
@@ -296,21 +296,26 @@ class TestCalibrate:
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         # sweep 2's line search repeats sweep 1's, whose points (and those its
-        # interval repeats below float resolution) come from the cache
+        # interval repeats below float resolution) come from the cache; each
+        # point is one force-balance pass over the cycles' distinct segments
+        cycles = self.cycles(3)
+        cycles.append(cycles[1])  # a cycle given twice adds no segment to evaluate
         calls = []
-        net = battery._net
+        energies = battery._energies
 
         def counted(features, p):
-            calls.append((id(features), repr(p)))
-            return net(features, p)
+            calls.append((len(features), repr(p)))
+            return energies(features, p)
 
-        monkeypatch.setattr(battery, "_net", counted)
-        res = calibrate(self.cycles(3), BatteryParams(c_rr=0.05, aux_power=0.0), ["c_rr"])
+        monkeypatch.setattr(battery, "_energies", counted)
+        res = calibrate(cycles, BatteryParams(c_rr=0.05, aux_power=0.0), ["c_rr"])
         assert res.sweeps >= 2
-        search, final = calls[:-3], calls[-3:]
-        assert len(set(search)) == len(search)
-        assert len(search) == 3 * len({p for _, p in search})
-        assert {p for _, p in final} == {repr(res.params)}
+        features = [f for traj, _ in cycles for f in _vehicle_features(traj, VehicleConstants())]
+        search, final = calls[:-1], calls[-1]
+        assert len({p for _, p in search}) == len(search)
+        assert final == (len(set(features)), repr(res.params))
+        assert {n for n, _ in search} == {len(set(features))}
+        assert len(set(features)) < len(features)
 
 
 # --- the cached-feature kernel against the per-segment code it replaced -------
@@ -359,8 +364,12 @@ def reference_net_energy(samples, consts, p):
 def reference_calibrate(cycles, p0, free, consts):
     """calibrate() as it was: every probe integrates every cycle afresh."""
     def objective(p):
-        return sum((reference_net_energy(traj, consts, p) - measured) ** 2
-                   for traj, measured in cycles)
+        # left to right from 0.0: the builtin sum() of floats is compensated
+        # since Python 3.12
+        squares = 0.0
+        for traj, measured in cycles:
+            squares += (reference_net_energy(traj, consts, p) - measured) ** 2
+        return squares
 
     p = p0
     obj = objective(p)
@@ -402,6 +411,25 @@ def trajectories(draw, max_vehicles=3, max_samples=12):
     return samples
 
 
+@st.composite
+def repeating_trajectories(draw):
+    """Samples of 1-2 vehicles whose fields come from a few values each, so
+    that segments repeat: dyadic time steps, -0.0 among the speeds and fork
+    heights, and now and then a speed of 1e200."""
+    samples = []
+    for vid in range(draw(st.integers(1, 2))):
+        t = 0.0
+        for _ in range(draw(st.integers(1, 10))):
+            samples.append(TrajectorySample(
+                t, vid, 0.0, 0.0, draw(st.sampled_from([0.0, -0.0, 1.0, 3.0])),
+                draw(st.sampled_from([0.0, -0.0, 1.0, 2.5] * 4 + [1e200])),
+                draw(st.sampled_from([0.0, -0.0, 1.5])),
+                draw(st.sampled_from([0.0, 500.0])), 1.0))
+            t += draw(st.sampled_from([0.25, 0.5]))
+    samples.sort(key=lambda s: (s.t, s.vehicle_id))
+    return samples
+
+
 def battery_params():
     return st.builds(BatteryParams, **{name: st.floats(lo, hi)
                                        for name, (lo, hi) in PARAM_BOUNDS.items()})
@@ -415,11 +443,34 @@ class TestCachedFeatures:
     @settings(max_examples=200, deadline=None)
     @given(trajectories(), vehicle_constants(), battery_params())
     def test_net_energy_matches_the_segment_loop(self, samples, consts, p):
+        # with no free parameter calibrate returns the start point's residuals
         draw, regen, _ = integrate_trajectory(samples, consts, p)
-        features = _vehicle_features(samples, consts)
-        net = _net(features, p)
+        [net] = calibrate([(samples, 0.0)], p, [], consts).residuals
         assert net == draw - regen
         assert net == reference_net_energy(samples, consts, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(repeating_trajectories(), min_size=1, max_size=3),
+           st.lists(st.integers(0, 2), max_size=3), vehicle_constants(), battery_params(),
+           st.lists(st.floats(-1e5, 1e5), min_size=6, max_size=6))
+    def test_distinct_segments_give_the_reference_residuals(self, trajs, again, consts, p,
+                                                            measured):
+        # whole cycles given twice, segments repeated within and across
+        # cycles, -0.0 speeds and fork heights, and speeds whose squares
+        # overflow, so that w_kin is inf or inf - inf = nan
+        trajs += [trajs[i % len(trajs)] for i in again]
+        cycles = list(zip(trajs, measured))
+        ref = [reference_net_energy(traj, consts, p) - m for traj, m in cycles]
+        try:
+            res = calibrate(cycles, p, [], consts).residuals
+        except InputError as e:
+            # the start point is refused, naming the largest residual, nan above all
+            i = max(range(len(ref)), key=lambda i: abs(ref[i]) if ref[i] == ref[i] else math.inf)
+            assert str(e) == (f"cycle {i}: residual {ref[i]!r} J at the start point makes "
+                              "the calibration objective not finite")
+            assert not math.isfinite(total(r * r for r in ref))
+        else:
+            assert [r.hex() for r in res] == [r.hex() for r in ref]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(trajectories(max_vehicles=2, max_samples=8),
