@@ -121,32 +121,34 @@ def _vehicle_features(samples, consts: VehicleConstants):
 
 
 class SocMeter:
-    """A fleet's running energy sums and SOC, each vehicle fed its samples in
-    time order after its first. A vehicle's SOC is its first sample's soc less
-    its net energy so far over the capacity, clamped to [0, 1]. drawn and
-    regenerated sum every segment in the order they were fed. An add that makes
-    them not finite raises error at the state that did: InputError for read
-    samples, else ConfigError."""
+    """A fleet's running energy sums and SOC, all its vehicles with one consts,
+    each vehicle fed its samples in time order after its first. A vehicle's
+    SOC is its first sample's soc less its net energy so far over the
+    capacity, clamped to [0, 1]. drawn and regenerated sum every segment in
+    the order they were fed. An add that makes them not finite raises error at
+    the state that did: InputError for read samples, else ConfigError."""
 
-    def __init__(self, firsts, consts, p: BatteryParams, error=InputError):
-        # vehicle_id -> [last sample, VehicleConstants, initial soc, drawn, regenerated]
-        self._vehicles = {s.vehicle_id: [s, c, s.soc, 0.0, 0.0] for s, c in zip(firsts, consts)}
+    def __init__(self, firsts, consts: VehicleConstants, p: BatteryParams, error=InputError):
+        # vehicle_id -> [last sample, initial soc, drawn, regenerated]
+        self._vehicles = {s.vehicle_id: [s, s.soc, 0.0, 0.0] for s in firsts}
+        self.consts = consts
         self.p = p
         self.error = error
         self.drawn = self.regenerated = 0.0
 
     def energy(self, vehicle_id):
         """(drawn, regenerated) of one vehicle so far, J."""
-        return tuple(self._vehicles[vehicle_id][3:])
+        return tuple(self._vehicles[vehicle_id][2:])
 
     def add(self, states):
         """Integrate each state's segment from its vehicle's last sample, in
         order and through one _energies pass; a state is a sample's first
         eight fields. -> the samples, each with the SOC after its segment."""
         rows = [self._vehicles[s[1]] for s in states]
+        consts = self.consts
         features = []
         for row, s in zip(rows, states):
-            features.append(_segment_features(row[0], s, row[1]))
+            features.append(_segment_features(row[0], s, consts))
             row[0] = s
         capacity = self.p.capacity
         drawn, regenerated = self.drawn, self.regenerated
@@ -158,9 +160,9 @@ class SocMeter:
             if not math.isfinite(drawn + regenerated):  # also where either one is not
                 raise self.error(f"vehicle {s[1]} at t={s[0]:.12g}: the energy sum is not "
                                  f"finite ({draw!r} J drawn, {regen!r} J regenerated)")
-            row[3] += draw
-            row[4] += regen
-            soc = row[2] - (row[3] - row[4]) / capacity
+            row[2] += draw
+            row[3] += regen
+            soc = row[1] - (row[2] - row[3]) / capacity
             soc = 0.0 if 0.0 > soc else soc  # max(soc, 0.0), then min(soc, 1.0)
             out.append(new(TrajectorySample, (*s, 1.0 if 1.0 < soc else soc)))
         self.drawn, self.regenerated = drawn, regenerated
@@ -173,7 +175,7 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     total_regen, the samples with their SOC), vehicles in id order.
     """
     per_vehicle = [ss for _, ss in sorted(split_by_vehicle(samples).items())]
-    meter = SocMeter([ss[0] for ss in per_vehicle], [consts] * len(per_vehicle), p)
+    meter = SocMeter([ss[0] for ss in per_vehicle], consts, p)
     series = []
     for ss in per_vehicle:
         series.append(ss[0])

@@ -10,8 +10,9 @@ holding one tick at a time. All randomness flows from one
 splitmix64 generator seeded by the scenario seed, so (scenario, seed, dt)
 fully determines every emitted sample.
 
-Spot occupancy is the world's own ({spot: vehicle} in World.claims), never
-written to the road graph, so one graph can back any number of worlds.
+Spot occupancy is read off the vehicles, each one's current and destination
+spot, never written to the road graph, so one graph can back any number of
+worlds.
 
 Collision policy (ours; the underlying idea is only a top-down scheme with
 global knowledge of poses and velocities): the higher-id vehicle of a
@@ -88,7 +89,6 @@ class VehicleState:
     y: float
     heading: float
     speed: float = 0.0
-    truck_mass: float = bat.VehicleConstants.truck_mass
     load_mass: float = 0.0
     fork_height: float = 0.0
     soc: float = 1.0
@@ -155,11 +155,10 @@ class World:
         self.rng = SplitMix64(seed)
         self.kin = kin
         self.battery_params = battery_params
-        self.fork_mass = fork_mass
+        self.consts = bat.VehicleConstants(fork_mass=fork_mass)
         self.pickup_mass = pickup_mass
         self.lift_height = lift_height
         self.step_count = 0
-        self.claims = {}  # spot_id -> vehicle_id: where it stands or is bound
         self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
         self._meter = None  # the fleet's battery.SocMeter, from the first tick on
 
@@ -172,7 +171,7 @@ class World:
     @classmethod
     def spawn_at_spots(cls, graph: RoadGraph, n_vehicles: int, **kwargs) -> "World":
         """Place vehicles 0..n-1 on the n parking spots of lowest id, each
-        claiming its spot."""
+        standing on its spot."""
         if n_vehicles > len(graph.spots):
             raise NoFreeSpot(f"{n_vehicles} vehicles but only {len(graph.spots)} spots")
         spots = sorted(graph.spots, key=lambda s: s.id)[:n_vehicles]
@@ -182,7 +181,6 @@ class World:
         world = cls(graph, vehicles, **kwargs)
         for i, spot in enumerate(spots):
             world.ctl[i].current_spot = spot.id
-            world.claims[spot.id] = i
         return world
 
     def vehicle(self, vid: int) -> VehicleState:
@@ -191,8 +189,9 @@ class World:
     # --- task assignment -----------------------------------------------------
 
     def free_spots(self):
-        """The unclaimed spots, in id order."""
-        return [s for s in self._spots_by_id.values() if s.id not in self.claims]
+        """The spots no vehicle stands on or is bound for, in id order."""
+        taken = {spot for ctl in self.ctl.values() for spot in (ctl.current_spot, ctl.dest_spot)}
+        return [s for s in self._spots_by_id.values() if s.id not in taken]
 
     def assign_task(self, vehicle_id: int, policy=("random", None)) -> int:
         """Send an idle vehicle to a free spot -> the spot's id."""
@@ -202,14 +201,13 @@ class World:
         kind, fixed_dest = policy
         if kind == "fixed":
             dest = self._spots_by_id[fixed_dest]
-            if dest.id in self.claims:
+            if dest not in self.free_spots():
                 raise SpotOccupied(f"spot {fixed_dest} is claimed")
         else:
             free = self.free_spots()
             if not free:
                 raise NoFreeSpot("no unclaimed parking spot available")
             dest = free[self.rng.randrange(len(free))]
-        self.claims[dest.id] = vehicle_id
         ctl.dest_spot = dest.id
         ctl.phase = PHASE_LIFT
         self.vehicle(vehicle_id).load_mass = self.pickup_mass
@@ -335,18 +333,19 @@ class World:
 
     # --- stepping ------------------------------------------------------------
 
-    def step(self, auto_assign: bool = True, policy=("random", None)) -> None:
+    def step(self, policy=("random", None)) -> None:
+        """Send each idle vehicle to a spot by policy where one is free, then
+        move every vehicle one step."""
         dt = self.dt
         kin = self.kin
         vehicles = self.vehicles
         ctls = [self.ctl[v.id] for v in vehicles]
-        if auto_assign:
-            for v, ctl in zip(vehicles, ctls):
-                if ctl.phase == PHASE_IDLE:
-                    try:
-                        self.assign_task(v.id, policy)
-                    except (NoFreeSpot, SpotOccupied):
-                        pass
+        for v, ctl in zip(vehicles, ctls):
+            if ctl.phase == PHASE_IDLE:
+                try:
+                    self.assign_task(v.id, policy)
+                except (NoFreeSpot, SpotOccupied):
+                    break  # no spot is freed in this loop, so every later one fails too
         caps = self.resolve_conflicts()
         # the drive's kin-only constants: b_max * dt, its square, 2 * b_max, the
         # braking envelope's lookahead and a_max * dt
@@ -363,9 +362,7 @@ class World:
                 if v.fork_height >= self.lift_height - 1e-12:
                     v.fork_height = self.lift_height
                     # load picked; leave the origin spot and drive off
-                    if ctl.current_spot is not None:
-                        del self.claims[ctl.current_spot]
-                        ctl.current_spot = None
+                    ctl.current_spot = None
                     ctl.route = self._build_route(v.id, ctl.dest_spot)
                     ctl.phase = PHASE_DRIVE
                     if len(ctl.route.points) == 1:  # at the anchor already: arrive now
@@ -454,7 +451,7 @@ class World:
 
     # --- recording / running ---------------------------------------------------
 
-    def ticks(self, duration: float, auto_assign: bool = True, policy=("random", None)):
+    def ticks(self, duration: float, policy=("random", None)):
         """Step for the given duration, yielding each step's samples, one per
         vehicle in id order, after the initial state if no tick came before.
         Each step's samples are made with their SOC by one add to the fleet's
@@ -468,12 +465,10 @@ class World:
             t = self.clock
             tick = [TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed, v.fork_height,
                                      v.load_mass, v.soc) for v in vehicles]
-            self._meter = bat.SocMeter(
-                tick, [bat.VehicleConstants(v.truck_mass, self.fork_mass) for v in vehicles],
-                self.battery_params, ConfigError)
+            self._meter = bat.SocMeter(tick, self.consts, self.battery_params, ConfigError)
             yield tick
         for _ in range(n_steps):
-            self.step(auto_assign=auto_assign, policy=policy)
+            self.step(policy)
             t = self.clock
             tick = self._meter.add([(t, v.id, v.x, v.y, v.heading, v.speed, v.fork_height,
                                      v.load_mass) for v in vehicles])

@@ -13,19 +13,17 @@ import math
 
 from .roadnet import Edge, ParkingSpot, RoadGraph, Waypoint, build_graph
 
+BLOCK = 20.0         # m between parallel streets
+NODE_SPACING = 10.0  # m between street nodes, half a block
 SPUR_LEN = 5.0       # m from street to parking spot
 STREET_SPEED = 3.0   # m/s
 SPUR_SPEED = 1.5     # m/s
 
 
-def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
-                  node_spacing: float = 10.0, n_spots: int = 8) -> RoadGraph:
+def warehouse_map(nx: int = 4, ny: int = 3, n_spots: int = 8) -> RoadGraph:
     """Grid of (nx x ny) blocks; horizontal streets run east on even rows and
     west on odd rows, vertical streets alternate the same way."""
-    if block % node_spacing != 0 or (block / 2.0) % node_spacing != 0:
-        raise ValueError("node_spacing must divide half a block")
-    per_block = int(block / node_spacing)
-    width, height = nx * block, ny * block
+    per_block = int(BLOCK / NODE_SPACING)
 
     nodes = {}
     waypoints = []
@@ -41,22 +39,22 @@ def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
     def add_chain(points, heading, speed):
         ids = [node_at(x, y, heading) for x, y in points]
         for a, b in zip(ids, ids[1:]):
-            edges.append(Edge(a, b, node_spacing, speed))
+            edges.append(Edge(a, b, NODE_SPACING, speed))
 
     # Perimeter runs counterclockwise (bottom east, right north, top west,
     # left south); interior streets alternate. Every interior street starts
     # and ends on the ring, so the network is strongly connected.
     for j in range(ny + 1):
-        y = j * block
-        xs = [i * node_spacing for i in range(nx * per_block + 1)]
+        y = j * BLOCK
+        xs = [i * NODE_SPACING for i in range(nx * per_block + 1)]
         eastward = j == 0 or (j != ny and j % 2 == 0)
         if eastward:
             add_chain([(x, y) for x in xs], 0.0, STREET_SPEED)
         else:
             add_chain([(x, y) for x in reversed(xs)], math.pi, STREET_SPEED)
     for i in range(nx + 1):
-        x = i * block
-        ys = [j * node_spacing for j in range(ny * per_block + 1)]
+        x = i * BLOCK
+        ys = [j * NODE_SPACING for j in range(ny * per_block + 1)]
         northward = i == nx or (i != 0 and i % 2 == 1)
         if northward:
             add_chain([(x, y) for y in ys], math.pi / 2, STREET_SPEED)
@@ -66,10 +64,10 @@ def warehouse_map(nx: int = 4, ny: int = 3, block: float = 20.0,
     # spur parking spots off horizontal street segment midpoints
     midpoints = []
     for j in range(ny + 1):
-        y = j * block
+        y = j * BLOCK
         dy = SPUR_LEN if j < ny else -SPUR_LEN
         for i in range(nx):
-            xm = i * block + block / 2.0
+            xm = i * BLOCK + BLOCK / 2.0
             midpoints.append((xm, y, dy))
     if n_spots > len(midpoints):
         raise ValueError(f"at most {len(midpoints)} spots fit this grid")

@@ -3,7 +3,7 @@
 Edge weights are geometric lengths in meters. Speed limits ride along on the
 edges for the simulator but never enter shortest-path weights. The graph is
 immutable after build_graph(), so concurrent read-only queries are safe and
-one graph can back any number of simulations, each with its own spot claims.
+one graph can back any number of simulations, each with its own vehicles.
 adjacency[u] holds u's outgoing Edges in input order, and edge_between() is
 the one lookup of an edge by its (src, dst) pair.
 
@@ -219,16 +219,15 @@ def _check_source(g: RoadGraph, src: int) -> None:
 
 
 def _heap_row(adjacency, src):
-    """Dijkstra on a heap of (distance, node) labels."""
+    """Dijkstra on a heap of (distance, node) labels. A node is pushed only
+    when its label strictly falls, so it is popped once at its final label."""
     dist = [math.inf] * len(adjacency)
     dist[src] = 0.0
     heap = [(0.0, src)]
-    done = [False] * len(adjacency)
     while heap:
         d, u = heapq.heappop(heap)
-        if done[u]:
+        if d > dist[u]:  # a stale label: u was settled lower
             continue
-        done[u] = True
         for v, length in adjacency[u]:
             nd = d + length
             if nd < dist[v]:

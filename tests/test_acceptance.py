@@ -212,8 +212,7 @@ def test_c5_determinism_and_replay():
     ok_bytes = text1 == text2
 
     exported = read_csv(io.StringIO(text1))
-    consts = VehicleConstants(3000.0, w.fork_mass)
-    replayed = replay(exported, dt=w.dt, consts=consts, params=w.battery_params)
+    replayed = replay(exported, dt=w.dt, consts=w.consts, params=w.battery_params)
     ok_replay = len(replayed) == len(exported)
     for a, b in zip(exported, replayed):
         if (abs(a.x - b.x) > 1e-9 or abs(a.y - b.y) > 1e-9

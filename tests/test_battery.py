@@ -544,8 +544,7 @@ def reference_run(world, n_steps):
         world.step()
         t = world.clock
         for v in world.vehicles:
-            consts = VehicleConstants(v.truck_mass, world.fork_mass)
-            draw, regen = reference_segment_energy(prev[v.id], sample_of(v, t), consts,
+            draw, regen = reference_segment_energy(prev[v.id], sample_of(v, t), world.consts,
                                                    world.battery_params)
             states[v.id] = reference_apply_energy(states[v.id], draw, regen,
                                                   world.battery_params)
@@ -558,8 +557,8 @@ def reference_run(world, n_steps):
 @st.composite
 def fleets(draw):
     """(world factory, steps): a random warehouse map, 1-6 vehicles with
-    random initial SOC and truck mass, a seed, a dt, a fork mass and battery
-    parameters."""
+    random initial SOC, a seed, a dt, a truck and a fork mass for the fleet and
+    battery parameters."""
     nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     n_vehicles = draw(st.integers(1, min(6, nx * (ny + 1))))
     n_spots = draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
@@ -567,7 +566,7 @@ def fleets(draw):
     dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
     socs = [draw(st.sampled_from([1.0, 0.8]) | st.floats(0.0, 1.0))
             for _ in range(n_vehicles)]
-    masses = [draw(st.just(3000.0) | st.floats(500.0, 5000.0)) for _ in range(n_vehicles)]
+    truck_mass = draw(st.just(3000.0) | st.floats(500.0, 5000.0))
     fork_mass = draw(st.just(100.0) | st.floats(0.0, 300.0))
     p = replace(draw(st.just(BatteryParams()) | battery_params()),
                 capacity=draw(st.sampled_from([1.0368e8, 1e5, 1e4])))
@@ -576,8 +575,9 @@ def fleets(draw):
         g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
         world = World.spawn_at_spots(g, n_vehicles, seed=seed, dt=dt, battery_params=p,
                                      fork_mass=fork_mass)
-        for v, soc, mass in zip(world.vehicles, socs, masses):
-            v.soc, v.truck_mass = soc, mass
+        world.consts = replace(world.consts, truck_mass=truck_mass)
+        for v, soc in zip(world.vehicles, socs):
+            v.soc = soc
         return world
 
     return make, draw(st.integers(1, int(20.0 / dt)))
@@ -607,8 +607,7 @@ class TestWorldBattery:
         world = make()
         samples = run_samples(world, n_steps * world.dt)
         totals = [integrate_trajectory([s for s in samples if s.vehicle_id == v.id],
-                                       VehicleConstants(v.truck_mass, world.fork_mass),
-                                       world.battery_params)
+                                       world.consts, world.battery_params)
                   for v in world.vehicles]
         integrated = sorted((s for _, _, series in totals for s in series),
                             key=lambda s: (s.t, s.vehicle_id))
@@ -671,9 +670,8 @@ def reference_metered_run(world, n_steps):
                                 v.fork_height, v.load_mass, v.soc)
 
     samples = [sample_of(v, world.clock) for v in world.vehicles]
-    meters = {s.vehicle_id: ReferenceSocMeter(s, VehicleConstants(v.truck_mass, world.fork_mass),
-                                              world.battery_params)
-              for v, s in zip(world.vehicles, samples)}
+    meters = {s.vehicle_id: ReferenceSocMeter(s, world.consts, world.battery_params)
+              for s in samples}
     for _ in range(n_steps):
         world.step()
         for v in world.vehicles:
@@ -723,7 +721,7 @@ class TestMeterOverflow:
 
     def meter(self, load_mass):
         firsts = [TrajectorySample(0.0, vid, 0, 0, 0, 0, 0.0, load_mass) for vid in (0, 1)]
-        return SocMeter(firsts, [VehicleConstants()] * 2, BatteryParams())
+        return SocMeter(firsts, VehicleConstants(), BatteryParams())
 
     def test_finite_draws_whose_sum_overflows(self):
         # each truck lifts 1e307 kg by 1 m: about 1.15e308 J each, inf summed

@@ -270,7 +270,6 @@ def test_vehicle_order_does_not_matter():
         world = World(g, [vehicles[i] for i in order], seed=4)
         for i, spot in enumerate(spots):
             world.ctl[i].current_spot = spot.id
-            world.claims[spot.id] = i
         return run_samples(world, 60.0)
 
     assert run([5, 2, 0, 4, 1, 3]) == run(range(6))

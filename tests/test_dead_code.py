@@ -1,9 +1,11 @@
 """Dead-code guard: every top-level def and class in the package, public or
-private, every module-level constant, and every public method of a public
-class has a reader in the package itself, or a reason below why only others
-read it. A top-level name is read by any reference to it; a method only by
-an attribute read off something that is not an imported module, so neither
-a local variable of its name nor math.dist reads a method dist."""
+private, every module-level constant, every public method of a public class
+and every annotated class field has a reader in the package itself, or a
+reason below why only others read it. A top-level name is read by any
+reference to it; a method only by an attribute read off something that is
+not an imported module, so neither a local variable of its name nor
+math.dist reads a method dist; a field only by such an attribute loaded, so
+neither an assignment to it nor an augmented one reads it."""
 
 import ast
 import pathlib
@@ -15,6 +17,13 @@ SRC = pathlib.Path(forkfleet.__file__).parent
 # name -> why it stays although nothing in the package refers to it
 CALLED_FROM_OUTSIDE = {
     "warehouse_map": "the README's quick start and the benchmark build maps with it",
+}
+
+# Class.field -> why it stays although nothing in the package loads it
+FIELDS_READ_OUTSIDE = {
+    "HeatmapGrid.overflow": "the conservation tally, which the tests check and no output "
+                            "writes yet",
+    "Path.total_length": "the tests' A*-vs-Dijkstra checks read it",
 }
 
 
@@ -137,3 +146,54 @@ def test_every_listed_name_still_needs_its_entry():
     stale = sorted(name for name in CALLED_FROM_OUTSIDE
                    if name not in defined or name not in unread)
     assert stale == []
+
+
+def annotated_fields(body, where):
+    """{Class.field: where} of the annotated fields of every class,
+    dataclass and NamedTuple fields alike."""
+    return {f"{node.name}.{stmt.target.id}": where for node in body
+            if isinstance(node, ast.ClassDef) for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+
+
+def attribute_loads(tree):
+    """Every attribute tree loads off something that is not an imported
+    module: the target of an assignment, augmented or not, is no load."""
+    modules = module_names(tree)
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
+
+
+def unread_fields():
+    """({Class.field: where} of the fields no attribute load reads,
+    {Class.field: where} of them all)."""
+    defined, loaded = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update(annotated_fields(tree.body, path.name))
+        loaded |= attribute_loads(tree)
+    unread = {name: file for name, file in defined.items()
+              if name.split(".")[1] not in loaded}
+    return unread, defined
+
+
+def test_a_field_is_read_only_by_an_attribute_load():
+    tree = ast.parse("import math\ngrid.overflow += 1\npath.total_length = 2.0\n"
+                     "x = math.pi + sample.soc\n"
+                     "class Sample:\n    soc: float\n    pi: float = 0.0\n    n = 1\n")
+    assert attribute_loads(tree) == {"soc"}
+    assert annotated_fields(tree.body, "m.py") == {"Sample.soc": "m.py", "Sample.pi": "m.py"}
+
+
+def test_every_annotated_field_is_read_in_the_package():
+    unread, defined = unread_fields()
+    assert "VehicleState.speed" in defined and "TrajectorySample.soc" in defined
+    unused = sorted(f"{file}: {name}" for name, file in unread.items()
+                    if name not in FIELDS_READ_OUTSIDE)
+    assert unused == []
+
+
+def test_every_listed_field_still_needs_its_entry():
+    unread, _ = unread_fields()
+    assert sorted(name for name in FIELDS_READ_OUTSIDE if name not in unread) == []

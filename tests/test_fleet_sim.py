@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_samples
 from forkfleet import ConfigError, Infeasible, battery, check_ranges, mapgen
-from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
                                  PHASE_IDLE, PHASE_LIFT, PHASE_LOWER,
                                  SpotOccupied, VehicleState, World, replay)
@@ -66,7 +65,7 @@ class TestSpawnAndAssign:
         w = World.spawn_at_spots(g, 3, seed=1)
         assert len(w.vehicles) == 3
         spots = sorted(g.spots, key=lambda s: s.id)
-        assert w.claims == {s.id: i for i, s in enumerate(spots[:3])}
+        assert claims_of(w) == {s.id: i for i, s in enumerate(spots[:3])}
         for i in range(3):
             ax, ay = g.spot_anchor_xy(spots[i])
             v = w.vehicle(i)
@@ -81,7 +80,7 @@ class TestSpawnAndAssign:
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
         assert w.assign_task(0, policy=("fixed", 1)) == 1
         assert w.ctl[0].dest_spot == 1
-        assert w.claims[1] == 0
+        assert claims_of(w)[1] == 0
         assert w.ctl[0].phase == PHASE_LIFT
         assert w.vehicle(0).load_mass == w.pickup_mass
 
@@ -113,7 +112,7 @@ class TestRouting:
         # vehicle parked at the downstream spot cannot drive back
         w = World.spawn_at_spots(g, 2, seed=0)
         w.vehicles = [w.vehicle(1)]
-        del w.claims[0]
+        w.ctl[0].current_spot = None
         with pytest.raises(Infeasible, match="vehicle 1 cannot reach spot 0"):
             w.plan_route(1, w.assign_task(1, policy=("fixed", 0)))
 
@@ -137,13 +136,15 @@ class TestRouting:
         w = World(corridor_graph(), [VehicleState(0, 14.0, 0.0, 0.0)], dt=0.1)
         w.assign_task(0, policy=("fixed", 1))
         while w.ctl[0].phase == PHASE_LIFT:
-            w.step(auto_assign=False)
+            w.step()
         route = w.ctl[0].route
         assert route.points == [(14.0, 0.0), (20.0, 0.0)]
         assert route.seg_limits == [w.kin.v_max]
         arrivals = []
         for _ in range(200):
-            arrivals += step_arrivals(w, auto_assign=False)
+            arrivals = step_arrivals(w)
+            if arrivals:
+                break
         assert arrivals == [(0, 1)]
         assert (w.vehicle(0).x, w.vehicle(0).y) == (20.0, 0.0)
 
@@ -174,7 +175,7 @@ def drive_duration(world, vid):
     t_drive_start = t_drive_end = None
     for _ in range(10000):
         phase_before = world.ctl[vid].phase
-        world.step(auto_assign=False)
+        world.step()
         phase = world.ctl[vid].phase
         if phase_before != PHASE_DRIVE and phase == PHASE_DRIVE:
             t_drive_start = world.clock - world.dt
@@ -198,7 +199,7 @@ class TestDriveKinematics:
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
         w.assign_task(0, policy=("fixed", 1))
         drive_duration(w, 0)
-        assert w.claims == {1: 0}  # spot 0 released, spot 1 held
+        assert claims_of(w) == {1: 0}  # spot 0 released, spot 1 held
         v = w.vehicle(0)
         assert (v.x, v.y) == pytest.approx((20.0, 0.0), abs=1e-9)
         assert v.fork_height == 0.0 and v.load_mass == 0.0
@@ -208,7 +209,7 @@ class TestDriveKinematics:
         g = corridor_graph()
         w = World.spawn_at_spots(g, 1, seed=0, kin=kin)
         w.assign_task(0, policy=("fixed", 1))
-        samples = run_samples(w, 30.0, auto_assign=False)
+        samples = run_samples(w, 30.0)
         # corridor limit is 5, v_max is 4: never exceed 4
         assert max(s.speed for s in samples) <= 4.0 + 1e-9
 
@@ -219,7 +220,7 @@ class TestDriveKinematics:
         w.assign_task(0, policy=("fixed", 1))
         steps = 0
         while w.ctl[0].phase == PHASE_LIFT:
-            w.step(auto_assign=False)
+            w.step()
             steps += 1
         assert steps == 20  # 1.0 m at 0.5 m/s, dt 0.1
 
@@ -238,7 +239,7 @@ class TestDriveKinematics:
         w.assign_task(0, policy=("fixed", 1))
         corner_speeds = []
         for _ in range(1000):
-            w.step(auto_assign=False)
+            w.step()
             v = w.vehicle(0)
             if math.dist((v.x, v.y), (15.0, 0.0)) < 0.5 and w.ctl[0].phase == PHASE_DRIVE:
                 corner_speeds.append(v.speed)
@@ -287,20 +288,44 @@ class TestFleet:
         run_samples(w, 180.0)
         done = [w.ctl[v.id].tasks_completed for v in w.vehicles]
         assert all(n >= 1 for n in done)
-        assert w.claims == claims_of(w)
+        assert [s.id for s in w.free_spots()] == sorted(
+            s.id for s in g.spots if s.id not in claims_of(w))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32), st.data())
     def test_claims_are_positions_and_destinations(self, nx, ny, seed, data):
-        # after every step, claims hold exactly each vehicle's spot and
-        # destination, and no spot is named by two vehicles
+        # after every step no spot is named by two vehicles (claims_of fails
+        # if one is), and the free spots are exactly the others, in id order
         n_vehicles = data.draw(st.integers(1, min(6, nx * (ny + 1))))
         n_spots = data.draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
         g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
         w = World.spawn_at_spots(g, n_vehicles, seed=seed)
+        ids = sorted(s.id for s in g.spots)
         for _ in range(400):
             w.step()
-            assert w.claims == claims_of(w)
+            claims = claims_of(w)
+            assert [s.id for s in w.free_spots()] == [i for i in ids if i not in claims]
+
+    @pytest.mark.parametrize("n_vehicles,n_spots,policy", [
+        (8, 8, ("random", None)), (7, 8, ("random", None)), (6, 12, ("random", None)),
+        (6, 12, ("fixed", 9))])
+    def test_a_failed_assignment_ends_the_steps_assignments(self, n_vehicles, n_spots, policy):
+        # step stops offering tasks at the first idle vehicle that gets none;
+        # the samples are those of offering one to every idle vehicle
+        class EveryIdleVehicle(World):
+            def step(self, policy=("random", None)):
+                for vid, ctl in self.ctl.items():
+                    if ctl.phase == PHASE_IDLE:
+                        try:
+                            self.assign_task(vid, policy)
+                        except (NoFreeSpot, SpotOccupied):
+                            pass
+                super().step(policy)
+
+        g = mapgen.warehouse_map(n_spots=n_spots)
+        runs = [run_samples(cls.spawn_at_spots(g, n_vehicles, seed=5), 200.0, policy)
+                for cls in (World, EveryIdleVehicle)]
+        assert runs[0] == runs[1]
 
     def test_one_graph_backs_many_worlds(self):
         g = mapgen.warehouse_map()
@@ -422,8 +447,7 @@ class TestReplay:
         g = mapgen.warehouse_map()
         w = World.spawn_at_spots(g, 2, seed=7)
         samples = run_samples(w, 60.0)
-        consts = VehicleConstants(3000.0, w.fork_mass)
-        out = replay(samples, dt=w.dt, consts=consts, params=w.battery_params)
+        out = replay(samples, dt=w.dt, consts=w.consts, params=w.battery_params)
         assert len(out) == len(samples)
         for a, b in zip(samples, out):
             assert a.t == pytest.approx(b.t, abs=1e-9)

@@ -28,10 +28,6 @@ class TestWarehouseMap:
             x, y = g.spot_anchor_xy(spot)
             assert y not in street_ys  # anchored on the spur stub, 5 m off
 
-    def test_spacing_validation(self):
-        with pytest.raises(ValueError):
-            mapgen.warehouse_map(block=20.0, node_spacing=7.0)
-
     def test_too_many_spots(self):
         with pytest.raises(ValueError):
             mapgen.warehouse_map(nx=2, ny=1, n_spots=50)
