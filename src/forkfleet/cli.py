@@ -146,13 +146,13 @@ def cmd_simulate(args):
         graph, cfg.vehicles, dt=cfg.dt, seed=cfg.seed, kin=cfg.kin,
         battery_params=cfg.battery, fork_mass=cfg.fork_mass,
         pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
-    policy = cfg.policy_tuple()
-    if policy[0] == "fixed" and all(s.id != policy[1] for s in graph.spots):
-        raise ConfigError(f"policy '{cfg.policy}': the map has no spot {policy[1]}")
+    spot = cfg.fixed_spot()
+    if spot is not None and all(s.id != spot for s in graph.spots):
+        raise ConfigError(f"policy '{cfg.policy}': the map has no spot {spot}")
     prov = _provenance([cfg.map], cfg)
 
     def render(trajectory, soc, summary):
-        _render_run(world.ticks(cfg.duration, policy=policy), trajectory, soc)
+        _render_run(world.ticks(cfg.duration, spot), trajectory, soc)
         _render_summary(world, summary, prov)
     return prov, ("trajectory.csv", "soc.csv", "summary.txt"), render
 
@@ -351,9 +351,7 @@ def main(argv=None) -> int:
                 os.makedirs(out_dir, exist_ok=True)
             _write_atomic(paths, prov, render)
         except OSError as exc:
-            print(f"error: cannot write {out_dir or paths[0]}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise CliError(f"cannot write {out_dir or paths[0]}: {exc.strerror or exc}")
     except ForkfleetError as exc:  # its class carries the exit code and label
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.code

@@ -32,12 +32,13 @@ class ScenarioConfig:
     density: DensityConfig = field(default_factory=DensityConfig)
     placement: PlacementConfig = field(default_factory=PlacementConfig)
 
-    def policy_tuple(self):
+    def fixed_spot(self):
+        """The spot every task goes to, or None for a random free one."""
         if self.policy == "random":
-            return ("random", None)
+            return None
         if self.policy.startswith("fixed:"):
             try:
-                return ("fixed", int(self.policy.split(":", 1)[1]))
+                return int(self.policy.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"bad policy '{self.policy}'")
         raise ConfigError(f"unknown policy '{self.policy}'")

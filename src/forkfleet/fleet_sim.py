@@ -17,9 +17,14 @@ worlds.
 Collision policy (ours; the underlying idea is only a top-down scheme with
 global knowledge of poses and velocities): the higher-id vehicle of a
 conflicting pair yields via a horizon-based speed cap, and a hard proximity
-cap applies to both vehicles so that pairwise center distance provably never
-drops below d_safe between steps. A vehicle stopped by conflicts for longer
-than t_deadlock gets priority over its blockers.
+cap applies to both vehicles so that in exact arithmetic the pairwise center
+distance never drops below d_safe between steps. In floats it can end a few
+ulps below: the priority vehicle may close its whole slack, and the rounding
+of its new position can land under d_safe. On warehouse_map(nx=2, ny=1,
+n_spots=4) with 2 vehicles, dt 0.25 and seed 14767053134445368162, vehicles 0
+and 1 are 2.999999999999993 m apart at t = 562.25 s (d_safe 3); the least over
+600 random runs was 2.999999999999986 m. A vehicle stopped by conflicts for
+longer than t_deadlock gets priority over its blockers.
 
 Pairs are found by a sort-and-sweep broad phase (Cohen et al., "I-COLLIDE",
 SI3D 1995) over swept boxes (Ericson, "Real-Time Collision Detection", 2005,
@@ -60,14 +65,6 @@ LIFT_HEIGHT = 1.0    # m, the fork height each task lifts to
 # replay's grid over all vehicles: about 470 B a point at its peak (tracemalloc,
 # 2-8 vehicles), so 1.9 GB; an hour of 64 vehicles at 0.1 s is 2.3 x 10^6 points
 MAX_GRID_POINTS = 4 * 10**6
-
-
-class NoFreeSpot(ConfigError):
-    pass
-
-
-class SpotOccupied(ConfigError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -145,10 +142,10 @@ class World:
             raise ConfigError(f"dt must be finite and > 0, got {dt}")
         check_ranges(kin, "kin.")  # the swept boxes need finite, positive kin
         self.graph = graph
+        # a vehicle's id is its index, as a waypoint's is
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
-        self._vehicles_by_id = {v.id: v for v in self.vehicles}
-        if len(self._vehicles_by_id) != len(self.vehicles):
-            raise ValueError("two vehicles with one id")
+        if [v.id for v in self.vehicles] != list(range(len(self.vehicles))):
+            raise ConfigError(f"vehicle ids must be 0 to {len(self.vehicles) - 1}, one each")
         # in id order, so free_spots() lists them in id order
         self._spots_by_id = {s.id: s for s in sorted(graph.spots, key=lambda s: s.id)}
         self.dt = dt
@@ -159,7 +156,7 @@ class World:
         self.pickup_mass = pickup_mass
         self.lift_height = lift_height
         self.step_count = 0
-        self.ctl = {v.id: _VehicleCtl() for v in self.vehicles}
+        self.ctl = [_VehicleCtl() for _ in self.vehicles]
         self._meter = None  # the fleet's battery.SocMeter, from the first tick on
 
     @property
@@ -173,7 +170,7 @@ class World:
         """Place vehicles 0..n-1 on the n parking spots of lowest id, each
         standing on its spot."""
         if n_vehicles > len(graph.spots):
-            raise NoFreeSpot(f"{n_vehicles} vehicles but only {len(graph.spots)} spots")
+            raise ConfigError(f"{n_vehicles} vehicles but only {len(graph.spots)} spots")
         spots = sorted(graph.spots, key=lambda s: s.id)[:n_vehicles]
         vehicles = [VehicleState(i, *graph.spot_anchor_xy(spot),
                                  heading=graph.waypoints[spot.edge_src].heading)
@@ -183,42 +180,38 @@ class World:
             world.ctl[i].current_spot = spot.id
         return world
 
-    def vehicle(self, vid: int) -> VehicleState:
-        return self._vehicles_by_id[vid]
-
     # --- task assignment -----------------------------------------------------
 
     def free_spots(self):
         """The spots no vehicle stands on or is bound for, in id order."""
-        taken = {spot for ctl in self.ctl.values() for spot in (ctl.current_spot, ctl.dest_spot)}
+        taken = {spot for ctl in self.ctl for spot in (ctl.current_spot, ctl.dest_spot)}
         return [s for s in self._spots_by_id.values() if s.id not in taken]
 
-    def assign_task(self, vehicle_id: int, policy=("random", None)) -> int:
-        """Send an idle vehicle to a free spot -> the spot's id."""
+    def assign_task(self, vehicle_id: int, spot: Optional[int] = None) -> Optional[int]:
+        """Send an idle vehicle to the given spot, or with spot None to a free
+        spot drawn from the world's generator -> the spot's id. None when that
+        spot, or with spot None every spot, is taken; then nothing is drawn."""
         ctl = self.ctl[vehicle_id]
         if ctl.phase != PHASE_IDLE:
             raise ConfigError(f"vehicle {vehicle_id} is in phase {ctl.phase}")
-        kind, fixed_dest = policy
-        if kind == "fixed":
-            dest = self._spots_by_id[fixed_dest]
-            if dest not in self.free_spots():
-                raise SpotOccupied(f"spot {fixed_dest} is claimed")
-        else:
-            free = self.free_spots()
-            if not free:
-                raise NoFreeSpot("no unclaimed parking spot available")
-            dest = free[self.rng.randrange(len(free))]
-        ctl.dest_spot = dest.id
+        if spot is not None and spot not in self._spots_by_id:
+            raise ConfigError(f"the map has no spot {spot}")
+        free = [s.id for s in self.free_spots()]
+        if spot is None and free:
+            spot = free[self.rng.randrange(len(free))]
+        elif spot not in free:
+            return None
+        ctl.dest_spot = spot
         ctl.phase = PHASE_LIFT
-        self.vehicle(vehicle_id).load_mass = self.pickup_mass
-        return dest.id
+        self.vehicles[vehicle_id].load_mass = self.pickup_mass
+        return spot
 
     # --- routing -------------------------------------------------------------
 
     def plan_route(self, vehicle_id: int, dest_spot: int) -> Path:
         """Shortest path from the vehicle's snapped node to the destination
         spot's anchor-edge start node. Raises Infeasible."""
-        v = self.vehicle(vehicle_id)
+        v = self.vehicles[vehicle_id]
         spot = self._spots_by_id[dest_spot]
         src = nearest_node(self.graph, v.x, v.y)
         path = astar(self.graph, src, spot.edge_src)
@@ -227,7 +220,7 @@ class World:
         return path
 
     def _build_route(self, vehicle_id: int, dest_spot: int) -> _Route:
-        v = self.vehicle(vehicle_id)
+        v = self.vehicles[vehicle_id]
         path = self.plan_route(vehicle_id, dest_spot)
         spot = self._spots_by_id[dest_spot]
         pts = []
@@ -333,26 +326,22 @@ class World:
 
     # --- stepping ------------------------------------------------------------
 
-    def step(self, policy=("random", None)) -> None:
-        """Send each idle vehicle to a spot by policy where one is free, then
-        move every vehicle one step."""
+    def step(self, spot: Optional[int] = None) -> None:
+        """Send each idle vehicle to the given spot, or with spot None to a
+        random free one, while one is free, then move every vehicle one step."""
         dt = self.dt
         kin = self.kin
         vehicles = self.vehicles
-        ctls = [self.ctl[v.id] for v in vehicles]
-        for v, ctl in zip(vehicles, ctls):
-            if ctl.phase == PHASE_IDLE:
-                try:
-                    self.assign_task(v.id, policy)
-                except (NoFreeSpot, SpotOccupied):
-                    break  # no spot is freed in this loop, so every later one fails too
+        for v, ctl in zip(vehicles, self.ctl):
+            if ctl.phase == PHASE_IDLE and self.assign_task(v.id, spot) is None:
+                break  # no spot is freed in this loop, so every later one fails too
         caps = self.resolve_conflicts()
         # the drive's kin-only constants: b_max * dt, its square, 2 * b_max, the
         # braking envelope's lookahead and a_max * dt
         bd = kin.b_max * dt
         drive = (bd, bd * bd, 2.0 * kin.b_max,
                  kin.v_max * kin.v_max / (2.0 * kin.b_max) + kin.v_max * dt + 1.0, kin.a_max * dt)
-        for v, ctl in zip(vehicles, ctls):
+        for v, ctl in zip(vehicles, self.ctl):
             if ctl.phase == PHASE_DRIVE:
                 self._advance_drive(v, ctl, caps.get(v.id, math.inf), drive)
                 continue
@@ -451,7 +440,7 @@ class World:
 
     # --- recording / running ---------------------------------------------------
 
-    def ticks(self, duration: float, policy=("random", None)):
+    def ticks(self, duration: float, spot: Optional[int] = None):
         """Step for the given duration, yielding each step's samples, one per
         vehicle in id order, after the initial state if no tick came before.
         Each step's samples are made with their SOC by one add to the fleet's
@@ -468,7 +457,7 @@ class World:
             self._meter = bat.SocMeter(tick, self.consts, self.battery_params, ConfigError)
             yield tick
         for _ in range(n_steps):
-            self.step(policy)
+            self.step(spot)
             t = self.clock
             tick = self._meter.add([(t, v.id, v.x, v.y, v.heading, v.speed, v.fork_height,
                                      v.load_mass) for v in vehicles])
@@ -478,8 +467,7 @@ class World:
 
     def summary(self):
         out = []
-        for v in self.vehicles:
-            ctl = self.ctl[v.id]
+        for v, ctl in zip(self.vehicles, self.ctl):
             drawn, regenerated = self._meter.energy(v.id) if self._meter else (0.0, 0.0)
             out.append({
                 "vehicle_id": v.id,

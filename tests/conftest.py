@@ -8,10 +8,10 @@ from forkfleet.roadnet import (Edge, ParkingSpot, Waypoint, build_graph, dijkstr
                                nearest_node)
 
 
-def run_samples(world, duration, policy=("random", None)):
-    """world.ticks(duration, policy) flattened into one list, in (t,
+def run_samples(world, duration, spot=None):
+    """world.ticks(duration, spot) flattened into one list, in (t,
     vehicle_id) order."""
-    return [s for tick in world.ticks(duration, policy) for s in tick]
+    return [s for tick in world.ticks(duration, spot) for s in tick]
 
 
 def dist_matrix(snapshot):

@@ -814,7 +814,7 @@ class TestStreamedSimulate:
         world = World.spawn_at_spots(
             graph, vehicles, dt=dt, seed=seed, kin=cfg.kin, battery_params=cfg.battery,
             fork_mass=cfg.fork_mass, pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
-        samples = run_samples(world, duration, policy=cfg.policy_tuple())
+        samples = run_samples(world, duration, cfg.fixed_spot())
         trajectory, soc = io.StringIO(), io.StringIO()
         write_csv(samples, trajectory)
         soc.write("t,vehicle_id,soc\n")

@@ -62,19 +62,19 @@ class TestLoadConfig:
 
 class TestPolicy:
     def test_random(self):
-        assert ScenarioConfig().policy_tuple() == ("random", None)
+        assert ScenarioConfig().fixed_spot() is None
 
     def test_fixed(self):
         cfg = apply_setting(ScenarioConfig(), "policy", "fixed:3")
-        assert cfg.policy_tuple() == ("fixed", 3)
+        assert cfg.fixed_spot() == 3
 
     def test_bad(self):
         cfg = apply_setting(ScenarioConfig(), "policy", "fixed:northwest")
-        with pytest.raises(ConfigError):
-            cfg.policy_tuple()
+        with pytest.raises(ConfigError, match="bad policy 'fixed:northwest'"):
+            cfg.fixed_spot()
         cfg = apply_setting(ScenarioConfig(), "policy", "roundrobin")
-        with pytest.raises(ConfigError):
-            cfg.policy_tuple()
+        with pytest.raises(ConfigError, match="unknown policy 'roundrobin'"):
+            cfg.fixed_spot()
 
 
 class TestDump:

@@ -249,8 +249,8 @@ def test_in_run_caps_equal_all_pairs():
     for _ in range(1200):
         caps = world.resolve_conflicts()
         assert hexed(caps) == hexed(all_pairs_caps(world))
-        stopped += any(world.vehicle(vid).speed == 0.0 for vid in caps)
-        breaker += any(c.blocked_for > kin.t_deadlock for c in world.ctl.values())
+        stopped += any(world.vehicles[vid].speed == 0.0 for vid in caps)
+        breaker += any(c.blocked_for > kin.t_deadlock for c in world.ctl)
         zero += 0.0 in caps.values()
         world.step()
     assert min(stopped, breaker, zero) > 0, (stopped, breaker, zero)

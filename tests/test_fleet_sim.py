@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_samples
 from forkfleet import ConfigError, Infeasible, battery, check_ranges, mapgen
-from forkfleet.fleet_sim import (KinematicsParams, NoFreeSpot, PHASE_DRIVE,
-                                 PHASE_IDLE, PHASE_LIFT, PHASE_LOWER,
-                                 SpotOccupied, VehicleState, World, replay)
+from forkfleet.fleet_sim import (KinematicsParams, PHASE_DRIVE, PHASE_IDLE, PHASE_LIFT,
+                                 PHASE_LOWER, VehicleState, World, replay)
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
 from forkfleet.trajectory import read_csv, split_by_vehicle, write_csv
 
@@ -35,9 +34,9 @@ def step_arrivals(world, **kwargs):
     """world.step(**kwargs) -> [(vehicle_id, spot)] of the vehicles that
     reached their destination in it, read off world.ctl: the ones whose
     phase turned to lower."""
-    before = {vid: ctl.phase for vid, ctl in world.ctl.items()}
+    before = [ctl.phase for ctl in world.ctl]
     world.step(**kwargs)
-    return [(vid, ctl.current_spot) for vid, ctl in world.ctl.items()
+    return [(vid, ctl.current_spot) for vid, ctl in enumerate(world.ctl)
             if ctl.phase == PHASE_LOWER and before[vid] != PHASE_LOWER]
 
 
@@ -68,42 +67,62 @@ class TestSpawnAndAssign:
         assert claims_of(w) == {s.id: i for i, s in enumerate(spots[:3])}
         for i in range(3):
             ax, ay = g.spot_anchor_xy(spots[i])
-            v = w.vehicle(i)
+            v = w.vehicles[i]
             assert (v.x, v.y) == (ax, ay)
 
     def test_spawn_too_many(self):
         g = corridor_graph()
-        with pytest.raises(NoFreeSpot):
+        with pytest.raises(ConfigError, match="^3 vehicles but only 2 spots$"):
             World.spawn_at_spots(g, 3)
 
     def test_assign_reserves_and_loads(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        assert w.assign_task(0, policy=("fixed", 1)) == 1
+        assert w.assign_task(0, 1) == 1
         assert w.ctl[0].dest_spot == 1
         assert claims_of(w)[1] == 0
         assert w.ctl[0].phase == PHASE_LIFT
-        assert w.vehicle(0).load_mass == w.pickup_mass
+        assert w.vehicles[0].load_mass == w.pickup_mass
 
     def test_assign_busy_vehicle(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        w.assign_task(0, policy=("fixed", 1))
+        w.assign_task(0, 1)
         with pytest.raises(ConfigError, match="vehicle 0 is in phase lift"):
-            w.assign_task(0, policy=("fixed", 1))
+            w.assign_task(0, 1)
+
+    @staticmethod
+    def assert_refused(w, spot):
+        """assign_task(0, spot) returns None, draws nothing and leaves truck 0
+        idle, unloaded and bound nowhere."""
+        state = w.rng._state
+        assert w.assign_task(0, spot) is None
+        assert w.rng._state == state
+        assert (w.ctl[0].phase, w.ctl[0].dest_spot, w.vehicles[0].load_mass) == (
+            PHASE_IDLE, None, 0.0)
+
+    def test_assign_a_spot_the_map_lacks(self):
+        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
+        with pytest.raises(ConfigError, match="the map has no spot 2"):
+            w.assign_task(0, 2)
 
     def test_assign_occupied_spot(self):
-        w = World.spawn_at_spots(corridor_graph(), 2, seed=0)
-        with pytest.raises(SpotOccupied):
-            w.assign_task(0, policy=("fixed", 1))
+        # truck 1 stands on spot 1, and truck 0 on spot 0
+        self.assert_refused(World.spawn_at_spots(corridor_graph(), 2, seed=0), 1)
+        self.assert_refused(World.spawn_at_spots(corridor_graph(), 1, seed=0), 0)
+
+    def test_assign_on_a_full_floor(self):
+        self.assert_refused(World.spawn_at_spots(corridor_graph(), 2, seed=0), None)
 
     def test_random_policy_excludes_own_spot(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        assert w.assign_task(0, policy=("random", None)) == 1
+        state = w.rng._state
+        assert w.assign_task(0) == 1
+        assert w.rng._state != state
 
 
 class TestRouting:
     def test_plan_route_reaches_spot_edge(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        path = w.plan_route(0, w.assign_task(0, policy=("fixed", 1)))
+        path = w.plan_route(0, w.assign_task(0, 1))
         assert path.nodes[-1] == 1
         assert path.total_length == 20.0
 
@@ -111,10 +130,9 @@ class TestRouting:
         g = one_way_corridor()
         # vehicle parked at the downstream spot cannot drive back
         w = World.spawn_at_spots(g, 2, seed=0)
-        w.vehicles = [w.vehicle(1)]
         w.ctl[0].current_spot = None
         with pytest.raises(Infeasible, match="vehicle 1 cannot reach spot 0"):
-            w.plan_route(1, w.assign_task(1, policy=("fixed", 0)))
+            w.plan_route(1, w.assign_task(1, 0))
 
     def test_one_point_route_arrives_at_once(self):
         # both spots anchor at node 0, so the route to either is the truck's own point
@@ -128,13 +146,13 @@ class TestRouting:
         assert arrivals == [(0, 1), (0, 0), (0, 1)]
         assert w.ctl[0].tasks_completed == 2
         assert w.ctl[0].distance_driven == 0.0
-        assert (w.vehicle(0).x, w.vehicle(0).y) == (0.0, 0.0)
+        assert (w.vehicles[0].x, w.vehicles[0].y) == (0.0, 0.0)
 
     def test_route_from_mid_street_starts_at_the_truck(self):
         # the truck stands 6 m short of node 1, the node it snaps to and spot
         # 1's anchor, so its route starts at its own position
         w = World(corridor_graph(), [VehicleState(0, 14.0, 0.0, 0.0)], dt=0.1)
-        w.assign_task(0, policy=("fixed", 1))
+        w.assign_task(0, 1)
         while w.ctl[0].phase == PHASE_LIFT:
             w.step()
         route = w.ctl[0].route
@@ -146,7 +164,7 @@ class TestRouting:
             if arrivals:
                 break
         assert arrivals == [(0, 1)]
-        assert (w.vehicle(0).x, w.vehicle(0).y) == (20.0, 0.0)
+        assert (w.vehicles[0].x, w.vehicles[0].y) == (20.0, 0.0)
 
 
 def braking_envelope(b_max, dt, cap, d):
@@ -191,16 +209,16 @@ class TestDriveKinematics:
         # 20 m straight, v_max 2, a = b = 1: accel 2 s, cruise 8 s, brake 2 s
         kin = KinematicsParams(v_max=2.0, a_max=1.0, b_max=1.0)
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0, dt=0.1, kin=kin)
-        w.assign_task(0, policy=("fixed", 1))
+        w.assign_task(0, 1)
         drive, _ = drive_duration(w, 0)
         assert drive == pytest.approx(12.0, abs=0.1 + 1e-9)
 
     def test_arrival_occupies_spot(self):
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        w.assign_task(0, policy=("fixed", 1))
+        w.assign_task(0, 1)
         drive_duration(w, 0)
         assert claims_of(w) == {1: 0}  # spot 0 released, spot 1 held
-        v = w.vehicle(0)
+        v = w.vehicles[0]
         assert (v.x, v.y) == pytest.approx((20.0, 0.0), abs=1e-9)
         assert v.fork_height == 0.0 and v.load_mass == 0.0
 
@@ -208,7 +226,7 @@ class TestDriveKinematics:
         kin = KinematicsParams(v_max=4.0)
         g = corridor_graph()
         w = World.spawn_at_spots(g, 1, seed=0, kin=kin)
-        w.assign_task(0, policy=("fixed", 1))
+        w.assign_task(0, 1)
         samples = run_samples(w, 30.0)
         # corridor limit is 5, v_max is 4: never exceed 4
         assert max(s.speed for s in samples) <= 4.0 + 1e-9
@@ -217,7 +235,7 @@ class TestDriveKinematics:
         kin = KinematicsParams(lift_speed=0.5)
         w = World.spawn_at_spots(corridor_graph(), 1, seed=0, dt=0.1, kin=kin,
                                  lift_height=1.0)
-        w.assign_task(0, policy=("fixed", 1))
+        w.assign_task(0, 1)
         steps = 0
         while w.ctl[0].phase == PHASE_LIFT:
             w.step()
@@ -236,11 +254,11 @@ class TestDriveKinematics:
         g = build_graph(wps, edges, spots)
         kin = KinematicsParams(v_max=3.0, a_lat_max=1.0)
         w = World.spawn_at_spots(g, 1, seed=0, kin=kin)
-        w.assign_task(0, policy=("fixed", 1))
+        w.assign_task(0, 1)
         corner_speeds = []
         for _ in range(1000):
             w.step()
-            v = w.vehicle(0)
+            v = w.vehicles[0]
             if math.dist((v.x, v.y), (15.0, 0.0)) < 0.5 and w.ctl[0].phase == PHASE_DRIVE:
                 corner_speeds.append(v.speed)
             if w.ctl[0].tasks_completed:
@@ -253,7 +271,7 @@ def claims_of(world):
     """{spot: vehicle} from each vehicle's own spot and task destination;
     fails if two vehicles name one spot."""
     out = {}
-    for vid, ctl in world.ctl.items():
+    for vid, ctl in enumerate(world.ctl):
         for spot in {ctl.current_spot, ctl.dest_spot} - {None}:
             assert out.setdefault(spot, vid) == vid, f"vehicles {out[spot]} and {vid}: spot {spot}"
     return out
@@ -282,6 +300,30 @@ class TestFleet:
         kin = w.kin
         assert min_pairwise_separation(samples) >= kin.d_safe - kin.v_max * w.dt
 
+    def test_separation_float_floor(self):
+        # the fleet_sim module docstring's case: the hard cap keeps d_safe in
+        # exact arithmetic, and rounding puts the pair a few ulps below it
+        w = World.spawn_at_spots(mapgen.warehouse_map(nx=2, ny=1, n_spots=4), 2, dt=0.25,
+                                 seed=14767053134445368162)
+        *_, tick = w.ticks(562.25)
+        assert tick[0].t == 562.25
+        assert math.dist((tick[0].x, tick[0].y), (tick[1].x, tick[1].y)) == 2.999999999999993
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**64 - 1),
+           st.sampled_from([0.05, 0.1, 0.25]), st.data())
+    def test_separation_on_random_floors(self, nx, ny, seed, dt, data):
+        # d_safe - v_max * dt, one step's travel at full speed, is the bound
+        # the invariant is stated with; the least distance seen is a few ulps
+        # below d_safe (the fleet_sim module docstring). Two trucks or more
+        # wherever the floor has four spots, so that most examples have a pair
+        n_spots = data.draw(st.integers(2, nx * (ny + 1)))
+        n_vehicles = data.draw(st.integers(min(2, n_spots // 2), n_spots // 2))
+        w = World.spawn_at_spots(mapgen.warehouse_map(nx, ny, n_spots), n_vehicles,
+                                 dt=dt, seed=seed)
+        bound = w.kin.d_safe - w.kin.v_max * dt
+        assert min_pairwise_separation(run_samples(w, 120.0)) >= bound
+
     def test_tasks_complete_and_occupancy_consistent(self):
         g = mapgen.warehouse_map()
         w = World.spawn_at_spots(g, 3, seed=5)
@@ -306,24 +348,21 @@ class TestFleet:
             claims = claims_of(w)
             assert [s.id for s in w.free_spots()] == [i for i in ids if i not in claims]
 
-    @pytest.mark.parametrize("n_vehicles,n_spots,policy", [
-        (8, 8, ("random", None)), (7, 8, ("random", None)), (6, 12, ("random", None)),
-        (6, 12, ("fixed", 9))])
-    def test_a_failed_assignment_ends_the_steps_assignments(self, n_vehicles, n_spots, policy):
+    @pytest.mark.parametrize("n_vehicles,n_spots,spot", [
+        (8, 8, None), (7, 8, None), (6, 12, None), (6, 12, 9)],
+        ids=["8-8-policy0", "7-8-policy1", "6-12-policy2", "6-12-policy3"])
+    def test_a_failed_assignment_ends_the_steps_assignments(self, n_vehicles, n_spots, spot):
         # step stops offering tasks at the first idle vehicle that gets none;
         # the samples are those of offering one to every idle vehicle
         class EveryIdleVehicle(World):
-            def step(self, policy=("random", None)):
-                for vid, ctl in self.ctl.items():
+            def step(self, spot=None):
+                for vid, ctl in enumerate(self.ctl):
                     if ctl.phase == PHASE_IDLE:
-                        try:
-                            self.assign_task(vid, policy)
-                        except (NoFreeSpot, SpotOccupied):
-                            pass
-                super().step(policy)
+                        self.assign_task(vid, spot)
+                super().step(spot)
 
         g = mapgen.warehouse_map(n_spots=n_spots)
-        runs = [run_samples(cls.spawn_at_spots(g, n_vehicles, seed=5), 200.0, policy)
+        runs = [run_samples(cls.spawn_at_spots(g, n_vehicles, seed=5), 200.0, spot)
                 for cls in (World, EveryIdleVehicle)]
         assert runs[0] == runs[1]
 
@@ -340,8 +379,15 @@ class TestFleet:
 
     def test_duplicate_vehicle_ids_rejected(self):
         g = corridor_graph()
-        with pytest.raises(ValueError, match="two vehicles with one id"):
+        with pytest.raises(ConfigError, match="vehicle ids must be 0 to 1, one each"):
             World(g, [VehicleState(0, 0.0, 0.0, 0.0), VehicleState(0, 21.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize("ids", [[0, 2], [1], [-1, 0], [-1]])
+    def test_vehicle_ids_other_than_their_indices_rejected(self, ids):
+        # a vehicle's id is its index in World.vehicles and World.ctl
+        vehicles = [VehicleState(i, 0.0, 21.0 * k, 0.0) for k, i in enumerate(ids)]
+        with pytest.raises(ConfigError, match="vehicle ids must be 0 to"):
+            World(corridor_graph(), vehicles)
 
     def test_determinism(self):
         def run_once():
@@ -357,7 +403,7 @@ class TestFleet:
             w = World.spawn_at_spots(g, 3, seed=seed)
             out = []
             for _ in range(600):
-                idle = [vid for vid, ctl in w.ctl.items() if ctl.phase == PHASE_IDLE]
+                idle = [vid for vid, ctl in enumerate(w.ctl) if ctl.phase == PHASE_IDLE]
                 w.step()
                 out.extend(w.ctl[vid].dest_spot for vid in idle
                            if w.ctl[vid].phase != PHASE_IDLE)
