@@ -7,12 +7,13 @@ to kinetic and potential energy release, never to friction terms.
 
 A segment's features are built in one place, _segment_features, for the
 SocMeter and calibrate() alike. SOC is integrated in one place, a SocMeter
-over a fleet, each add one _energies pass. calibrate() runs _energies once
-per distinct segment of its cycles, not once per segment. Every float sum
-runs left to right from 0.0 (forkfleet.total), so it gives the same bits on
-every Python. Default numeric parameter values are placeholders;
-calibrate() fits them against measured duty-cycle energies (e.g. VDI 2198
-style cycles).
+over a fleet, each add one _energies pass: simulate adds each step of its
+whole fleet, replay a chunk of one vehicle's states to that vehicle's own
+meter. calibrate() runs _energies once per distinct segment of its cycles,
+not once per segment. Every float sum runs left to right from 0.0
+(forkfleet.total), so it gives the same bits on every Python. Default
+numeric parameter values are placeholders; calibrate() fits them against
+measured duty-cycle energies (e.g. VDI 2198 style cycles).
 """
 
 from __future__ import annotations
@@ -169,20 +170,6 @@ class SocMeter:
         return out
 
 
-def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
-    """Integrate one vehicle's (or many vehicles') samples through a SocMeter,
-    each vehicle from its first sample and in one pass. Returns (total_draw,
-    total_regen, the samples with their SOC), vehicles in id order.
-    """
-    per_vehicle = [ss for _, ss in sorted(split_by_vehicle(samples).items())]
-    meter = SocMeter([ss[0] for ss in per_vehicle], consts, p)
-    series = []
-    for ss in per_vehicle:
-        series.append(ss[0])
-        series += meter.add([s[:8] for s in ss[1:]])
-    return meter.drawn, meter.regenerated, series
-
-
 def _golden_section(f, lo, hi, iters=90):
     """Minimize a unimodal-ish f on [lo, hi]; returns (x, f(x))."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -236,8 +223,8 @@ def calibrate(cycles, p0: BatteryParams, free,
 
     Each evaluation runs the force balance once per distinct segment of all
     the cycles, then sums each cycle's draws and regens left to right in
-    segment order, so a residual has the bits of integrate_trajectory's net
-    energy for that cycle.
+    segment order, so a residual has the bits of the net energy of one
+    SocMeter fed the cycle's vehicles one after another in id order.
     """
     free = list(free)
     for name in free:

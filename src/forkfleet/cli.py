@@ -3,10 +3,10 @@
 Subcommands: simulate, replay, convert, analyze-density, place-chargers,
 calibrate, heatmap. Exit codes: 0 success, 2 config/usage error, 3
 input-data error, 4 infeasible analysis. Flag > config file > default.
-Output files are written into temp files, simulate's tick by tick, and
-renamed together once the command has succeeded; each starts with one
-provenance comment line: tool version, seed, a digest of the effective
-config and a digest of each input file.
+Output files are written into temp files, simulate's and replay's tick
+by tick, and renamed together once the command has succeeded; each starts
+with one provenance comment line: tool version, seed, a digest of the
+effective config and a digest of each input file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import itertools
 import logging
 import math
 import os
@@ -135,9 +134,9 @@ def _load_analysis_inputs(args):
 
 # --- subcommands -------------------------------------------------------------
 # Each returns (provenance line, file names, render); main calls render with
-# one open temp file per name. simulate steps its fleet inside render. Renders
-# look up write_csv and _render_summary at call time, where a tracer or test
-# may have replaced them.
+# one open temp file per name. simulate steps its fleet, and replay regrids
+# and integrates its vehicles, inside render. Renders look up write_csv and
+# _render_summary at call time, where a tracer or test may have replaced them.
 
 def cmd_simulate(args):
     cfg = _load_scenario(args)
@@ -184,10 +183,7 @@ def cmd_replay(args):
     # the map is loaded, so a bad one is refused, and named in prov, but not read
     cfg, _, samples, prov = _load_analysis_inputs(args)
     consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
-    out = replay(samples, dt=cfg.dt, consts=consts, params=cfg.battery)
-
-    # out is in (t, vehicle_id) order: a tick per run of equal t bits (-0.0 and 0.0 print apart)
-    ticks = ([*tick] for _, tick in itertools.groupby(out, key=lambda s: s.t.hex()))
+    ticks = replay(samples, dt=cfg.dt, consts=consts, params=cfg.battery)
     return prov, ("replay.csv", "soc.csv"), lambda replayed, soc: _render_run(ticks, replayed, soc)
 
 

@@ -5,10 +5,11 @@ parking spots, A* route planning, trapezoidal speed profiles with curvature
 slowdown, top-down collision avoidance and fork lift/lower phases. step() is
 kinematics only and returns nothing; ticks() streams one sample per vehicle
 per step, a step's samples made with their SOC by one add to the fleet's
-battery.SocMeter (as replay's integrate_trajectory does per vehicle series),
-holding one tick at a time. All randomness flows from one
-splitmix64 generator seeded by the scenario seed, so (scenario, seed, dt)
-fully determines every emitted sample.
+battery.SocMeter, holding one tick at a time. replay() streams ticks of the
+same shape from recorded samples, each vehicle regridded and fed to a
+SocMeter of its own a chunk at a time, and merged by time. All randomness
+flows from one splitmix64 generator seeded by the scenario seed, so
+(scenario, seed, dt) fully determines every emitted sample.
 
 Spot occupancy is read off the vehicles, each one's current and destination
 spot, never written to the road graph, so one graph can back any number of
@@ -48,8 +49,12 @@ equal those of testing all N(N-1)/2 pairs.
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Optional
 
 from . import ConfigError, Infeasible, battery as bat, check_ranges, setting, total
@@ -62,9 +67,15 @@ DT = 0.1  # s, the default step of a simulated or replayed run
 PICKUP_MASS = 500.0  # kg, the load each task picks up
 LIFT_HEIGHT = 1.0    # m, the fork height each task lifts to
 
-# replay's grid over all vehicles: about 470 B a point at its peak (tracemalloc,
-# 2-8 vehicles), so 1.9 GB; an hour of 64 vehicles at 0.1 s is 2.3 x 10^6 points
+# replay's grid over all vehicles, whose times it holds from the call on: 8.2 B
+# a point (tracemalloc), so 33 MB; an hour of 64 vehicles at 0.1 s is 2.3 x
+# 10^6 points
 MAX_GRID_POINTS = 4 * 10**6
+# the states one add to a replayed vehicle's SocMeter takes. Replaying and
+# rendering 300 s of 4 demo-floor trucks in process took a median 98, 98 and
+# 109 ms at 64, 256 and 1,024 (2-core x86-64 VM, Python 3.11), and the
+# tracemalloc peak past the input at 60 s was 0.19, 0.60 and 1.3 MB
+REPLAY_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -489,11 +500,26 @@ def replay(samples, dt: float = DT,
     Replayed vehicles are passive: poses interpolate linearly between input
     samples, there is no planning or collision logic, but every segment
     feeds the battery model. A vehicle appearing mid-stream simply spawns at
-    its first sample. Returns the regridded samples with recomputed SOC.
+    its first sample. Returns an iterator of ticks, as World.ticks yields
+    them: lists of regridded samples with recomputed SOC that share one t's
+    bits, in (t, vehicle_id) order.
+
+    The checks of the whole input run in this call, before it returns:
+    split_by_vehicle's, the grid's size and each vehicle's grid times, whose
+    ConfigError comes for the lowest vehicle id first. Each vehicle is then
+    regridded and integrated as the ticks are pulled, through a SocMeter of
+    its own, so besides the input and the grid times (8 B a point) only
+    O(vehicles) states are held. The InputErrors of that work come while the
+    ticks are pulled, which the CLI does into temp files, so it still exits 3
+    with one stderr line and no files: a negative interpolated speed, a
+    non-finite energy sum, or regridded samples too far apart to interpolate.
+    Where the input holds more than one such fault, the one named is the
+    first the time-ordered pull reaches, which may be another one, of
+    another vehicle, than replaying one whole vehicle after another named.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
-        return []
+        return iter(())
     t0 = min(ss[0].t for ss in per_vehicle.values())
     # bound the grid before making it: each span over dt, the 1e-9 slack at both
     # ends, and t0 + k * dt's rounding, which repeats times finer than their ulp
@@ -501,11 +527,11 @@ def replay(samples, dt: float = DT,
                    for ss in per_vehicle.values())
     if not points <= MAX_GRID_POINTS:
         raise ConfigError(f"replay at dt {dt} makes more than {MAX_GRID_POINTS} grid points")
-    out = []
+    streams = []
     for vid in sorted(per_vehicle):
         series = per_vehicle[vid]
         first, last = series[0].t, series[-1].t
-        times = []
+        times = array("d")
         k = math.ceil((first - t0) / dt - 1e-9)
         while True:
             t = t0 + k * dt
@@ -519,9 +545,26 @@ def replay(samples, dt: float = DT,
                                   "finer than the sample times resolve")
             times.append(t)
             k += 1
-        regridded = list(resample(series, times))
-        if regridded:
-            regridded[0] = regridded[0]._replace(soc=series[0].soc)
-        out.extend(bat.integrate_trajectory(regridded, consts, params)[2])
-    out.sort(key=lambda s: (s.t, s.vehicle_id))
-    return out
+        streams.append(_replayed(series, times, consts, params))
+    merged = heapq.merge(*streams, key=itemgetter(0, 1))  # (t, vehicle_id)
+    # a tick per run of equal t bits: -0.0 and 0.0 print apart
+    return ([*tick] for _, tick in groupby(merged, key=lambda s: s.t.hex()))
+
+
+def _replayed(series, times, consts, params):
+    """Yield one vehicle's samples at the grid times, its first with the
+    first recorded soc and each later one with the SOC its meter gives,
+    resampled and integrated REPLAY_CHUNK states at a time as they are
+    pulled. Each chunk is checked, with the state before it, as
+    split_by_vehicle checks any series."""
+    states = resample(series, times)
+    last = next(states, None)
+    if last is None:
+        return
+    last = last._replace(soc=series[0].soc)
+    meter = bat.SocMeter([last], consts, params)
+    yield last
+    while chunk := list(islice(states, REPLAY_CHUNK)):
+        split_by_vehicle([last, *chunk])
+        last = chunk[-1]
+        yield from meter.add([s[:8] for s in chunk])

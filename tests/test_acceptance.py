@@ -14,9 +14,9 @@ import time
 import pytest
 
 from conftest import dist_matrix, random_graph, run_samples, score_placement, top_decile_cells
+from eager import integrate_trajectory
 from forkfleet import mapgen
-from forkfleet.battery import (BatteryParams, G, VehicleConstants, _energies, calibrate,
-                               integrate_trajectory)
+from forkfleet.battery import BatteryParams, G, VehicleConstants, _energies, calibrate
 from forkfleet.density import DensityConfig, clusters, density_timeline, snapshot_from_states
 from forkfleet.fleet_sim import World, replay
 from forkfleet.odr_import import UnsupportedGeometry, parse_opendrive_subset, to_road_graph
@@ -212,7 +212,8 @@ def test_c5_determinism_and_replay():
     ok_bytes = text1 == text2
 
     exported = read_csv(io.StringIO(text1))
-    replayed = replay(exported, dt=w.dt, consts=w.consts, params=w.battery_params)
+    replayed = [s for tick in replay(exported, dt=w.dt, consts=w.consts,
+                                     params=w.battery_params) for s in tick]
     ok_replay = len(replayed) == len(exported)
     for a, b in zip(exported, replayed):
         if (abs(a.x - b.x) > 1e-9 or abs(a.y - b.y) > 1e-9

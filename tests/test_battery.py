@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_samples
+from eager import integrate_trajectory
 from forkfleet import ConfigError, Infeasible, InputError, battery, mapgen, total
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
                                CalibrationResult, PARAM_BOUNDS, SUFFICIENT, SocMeter,
-                               VehicleConstants, calibrate, integrate_trajectory,
-                               soc_band, G, _energies, _golden_section,
-                               _segment_features, _vehicle_features)
+                               VehicleConstants, calibrate, soc_band, G, _energies,
+                               _golden_section, _segment_features, _vehicle_features)
 from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, split_by_vehicle
 

@@ -16,7 +16,7 @@ TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.
 # layers the tracer names whose functions the package no longer has
 GONE = {"forkfleet.fleet_sim.sample_at", "forkfleet.battery.segment_energy",
         "forkfleet.density.sample_at", "World.run", "forkfleet.placement.nearest_node",
-        "forkfleet.density.dijkstra"}
+        "forkfleet.density.dijkstra", "forkfleet.battery.integrate_trajectory"}
 VEHICLES, STEPS = 4, 200
 
 
@@ -71,6 +71,6 @@ def test_traced_simulate_and_replay(tmp_path):
     assert layers["fleet_sim.step"]["calls"] == STEPS
     assert layers["fleet_sim.resolve_conflicts"]["calls"] == STEPS
     for name in ("roadnet.load_roadnet", "roadnet.astar", "roadnet.nearest_node",
-                 "fleet_sim.replay", "battery.integrate_trajectory"):
+                 "fleet_sim.replay"):
         assert layers[name]["calls"] >= 1, name
     assert set(by_command) == {"cli.simulate", "cli.replay"}

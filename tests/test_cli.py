@@ -21,7 +21,7 @@ from forkfleet import cli, mapgen
 from forkfleet.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, _write_atomic,
                            main)
 from forkfleet.config import ScenarioConfig
-from forkfleet.fleet_sim import World
+from forkfleet.fleet_sim import World, replay
 from forkfleet.roadnet import load_roadnet, save_roadnet
 from forkfleet.trajectory import read_csv, write_csv
 
@@ -889,8 +889,8 @@ class TestReplay:
             assert math.isclose(a.soc, b.soc, abs_tol=1e-9)
 
     def test_soc_rows_are_the_replayed_rows(self, tmp_path, map_file):
-        # vehicle 0 starts at t = -0.0, vehicle 1 at 0.0: equal, so one tick,
-        # but each row prints its own t
+        # vehicle 0 starts at t = -0.0, vehicle 1 at 0.0: equal as floats, but
+        # ticks group by t's bits, so two ticks, and each row prints its own t
         traj = tmp_path / "signed_zero.csv"
         traj.write_text("t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc\n"
                         "-0,0,10,10,0,0,0,0,1\n0,1,20,10,0,0,0,0,1\n"
@@ -903,6 +903,10 @@ class TestReplay:
         assert soc[2:] == [",".join((r.split(",")[0], r.split(",")[1], r.split(",")[8]))
                            for r in rows]
         assert soc[2:4] == ["-0,0,1", "0,1,1"] and len(rows) == 6
+        with open(traj) as f:
+            ticks = list(replay(read_csv(f)))
+        assert [[(s.t.hex(), s.vehicle_id) for s in tick] for tick in ticks[:2]] == [
+            [("-0x0.0p+0", 0)], [("0x0.0p+0", 1)]]
 
     def test_corrupt_trajectory(self, tmp_path, map_file):
         bad = tmp_path / "bad.csv"
@@ -985,7 +989,8 @@ class TestCalibrate:
             _, out = simulate(tmp_path / f"c{i}", map_file, "--set", f"seed={i}")
             paths.append(os.path.join(out, "trajectory.csv"))
         # measured energy: net draw under the default parameters
-        from forkfleet.battery import BatteryParams, VehicleConstants, integrate_trajectory
+        from eager import integrate_trajectory
+        from forkfleet.battery import BatteryParams, VehicleConstants
         lines = []
         for p in paths:
             with open(p) as f:

@@ -1,16 +1,19 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eager
 from conftest import run_samples
-from forkfleet import ConfigError, Infeasible, battery, check_ranges, mapgen
+from forkfleet import (ConfigError, Infeasible, InputError, battery, check_ranges, cli,
+                       fleet_sim, mapgen)
 from forkfleet.fleet_sim import (KinematicsParams, PHASE_DRIVE, PHASE_IDLE, PHASE_LIFT,
                                  PHASE_LOWER, VehicleState, World, replay)
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
-from forkfleet.trajectory import read_csv, split_by_vehicle, write_csv
+from forkfleet.trajectory import TrajectorySample, read_csv, split_by_vehicle, write_csv
 
 
 def corridor_graph():
@@ -493,7 +496,8 @@ class TestReplay:
         g = mapgen.warehouse_map()
         w = World.spawn_at_spots(g, 2, seed=7)
         samples = run_samples(w, 60.0)
-        out = replay(samples, dt=w.dt, consts=w.consts, params=w.battery_params)
+        out = [s for tick in replay(samples, dt=w.dt, consts=w.consts, params=w.battery_params)
+               for s in tick]
         assert len(out) == len(samples)
         for a, b in zip(samples, out):
             assert a.t == pytest.approx(b.t, abs=1e-9)
@@ -503,7 +507,7 @@ class TestReplay:
             assert a.soc == pytest.approx(b.soc, abs=1e-9)
 
     def test_empty(self):
-        assert replay([]) == []
+        assert list(replay([])) == []
 
     def test_late_vehicle_spawns_at_first_sample(self):
         from forkfleet.trajectory import TrajectorySample
@@ -513,8 +517,7 @@ class TestReplay:
             TrajectorySample(0.5, 1, 20, 0, 0, 0, 0, 0, 1.0),
             TrajectorySample(1.0, 1, 20, 0, 0, 0, 0, 0, 1.0),
         ]
-        out = replay(samples, dt=0.5)
-        v1 = [s for s in out if s.vehicle_id == 1]
+        v1 = [s for tick in replay(samples, dt=0.5) for s in tick if s.vehicle_id == 1]
         assert [s.t for s in v1] == [0.5, 1.0]
 
     def test_first_sample_just_after_a_grid_time(self):
@@ -527,7 +530,111 @@ class TestReplay:
             TrajectorySample(2.0, 0, 10, 10, 0, 0, 0, 0, 1.0),
             TrajectorySample(2.0, 1, 20, 10, 0, 0, 0, 0, 0.9),
         ]
-        out = replay(samples, dt=0.1)
-        v1 = [s for s in out if s.vehicle_id == 1]
+        v1 = [s for tick in replay(samples, dt=0.1) for s in tick if s.vehicle_id == 1]
         assert v1[0] == samples[1]
         assert len(v1) == 8  # grid times 1.3, 1.4, ..., 2.0
+
+
+@st.composite
+def recorded_fleets(draw):
+    """(rows, dt): 1 to 5 trucks' recorded samples, off the grid. Truck 0
+    starts at the grid's base; a later truck starts late, on a grid time, or
+    within the regrid's 1e-9 slack of one, or between two. With -0.0 drawn,
+    truck 0 starts at -0.0 and truck 1 at 0.0. Each truck's rows keep their
+    order, and the trucks' rows are interleaved in any order."""
+    dt = draw(st.sampled_from([0.04, 0.1, 0.25, 0.5]))
+    n = draw(st.integers(1, 5))
+    signed_zero = n > 1 and draw(st.booleans())
+    base = 0.0 if signed_zero else draw(st.sampled_from([0.0, 3.7, 1000.1]))
+    queues = []
+    for vid in range(n):
+        if signed_zero and vid < 2:
+            t = -0.0 if vid == 0 else 0.0
+        elif vid == 0:
+            t = base
+        else:
+            nudge = draw(st.sampled_from([0.0, 5e-10, -5e-10, 1e-11, -1e-11, dt / 3]))
+            t = base + draw(st.integers(0, 40)) * dt + nudge
+        series = []
+        for _ in range(draw(st.integers(1, 30))):
+            series.append(TrajectorySample(
+                t, vid, draw(st.floats(-100, 100)), draw(st.floats(-100, 100)),
+                draw(st.floats(-7, 7)), draw(st.floats(0, 5)), draw(st.floats(0, 3)),
+                draw(st.sampled_from([0.0, 500.0])), draw(st.floats(0, 1))))
+            t += draw(st.floats(0.01, 3.0))
+        queues.append(series[::-1])
+    rows = []
+    while queues:
+        queue = queues[draw(st.integers(0, len(queues) - 1))]
+        rows.append(queue.pop())
+        queues = [q for q in queues if q]
+    return rows, dt
+
+
+def bits(sample):
+    return tuple(v.hex() if isinstance(v, float) else v for v in sample)
+
+
+class TestStreamedReplay:
+    """replay against the whole-grid replay it replaced (tests/eager.py)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(recorded_fleets(), st.sampled_from([1, 2, 5, fleet_sim.REPLAY_CHUNK]))
+    def test_equals_the_eager_replay(self, fleet, chunk):
+        rows, dt = fleet
+        consts, params = battery.VehicleConstants(fork_mass=250.0), battery.BatteryParams()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fleet_sim, "REPLAY_CHUNK", chunk)
+            ticks = list(replay(rows, dt, consts, params))
+        expected = eager.replay(rows, dt, consts, params)
+        assert [bits(s) for tick in ticks for s in tick] == [bits(s) for s in expected]
+        # a tick per run of equal t bits
+        assert [len(tick) for tick in ticks] == [
+            len([*run]) for _, run in itertools.groupby(expected, key=lambda s: s.t.hex())]
+
+    def test_grid_refusals_come_at_the_call(self):
+        # trucks 1 and 2 at 1e17 and 2e17, where times are 16 and 32 apart: at
+        # dt 1 both grids repeat a time, and truck 1's is named
+        rows = [TrajectorySample(t, vid, 0.0, 0.0, 0.0, 0.0)
+                for vid, t0 in ((0, 0.0), (1, 1e17), (2, 2e17)) for t in (t0, t0 + 64)]
+        with pytest.raises(ConfigError, match=r"grid time 1e\+17 repeats"):
+            replay(rows, dt=1.0)
+
+    def test_segment_refusals_come_as_the_ticks_are_pulled(self):
+        # a truck driving at -1 m/s: each segment's distance is negative
+        rows = [TrajectorySample(t, 0, 0.0, 0.0, 0.0, -1.0) for t in (0.0, 1.0)]
+        ticks = replay(rows, dt=0.5)
+        with pytest.raises(InputError, match="vehicle 0 at t=0.5: ds=-0.5, dt=0.5"):
+            list(ticks)
+
+    def test_regridded_samples_too_far_apart(self):
+        # each recorded step is 1e308 m, the grid's one step 2e308 m: refused
+        # as the eager replay refused it, by the check any series gets
+        rows = [TrajectorySample(t, 0, x, 0.0, 0.0, 0.0)
+                for t, x in ((0.0, -1e308), (0.05, 0.0), (0.1, 1e308))]
+        message = "vehicle 0 samples at t=0 and t=0.1 are too far apart to interpolate"
+        with pytest.raises(InputError, match=message):
+            eager.replay(rows, dt=0.1)
+        with pytest.raises(InputError, match=message):
+            list(replay(rows, dt=0.1))
+
+    def test_memory_is_flat_in_duration(self):
+        # From the call on, replay holds its input's per-truck lists (8 B a
+        # sample) and each truck's grid times (8 B a point), and besides them
+        # O(trucks) states: 16 B a grid point, bounded here by 32 B for the
+        # lists' and arrays' spare room. The whole grid held at once, as
+        # replay once did, grew the peak by about 470 B a point.
+        def peak(duration):
+            samples = run_samples(World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=11),
+                                  duration)
+            sink = io.StringIO()
+            sink.write = len  # formats every row, keeps none
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli._render_run(replay(samples), sink, sink)
+                return len(samples), tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        (n_short, short), (n_long, long) = peak(60.0), peak(600.0)
+        assert n_long == 4 * 6001 and long - short <= 32 * (n_long - n_short), (short, long)

@@ -13,15 +13,19 @@ are simulated trajectories, thinned ones, a walk along the converted ring,
 calibration cycles with SplitMix64 noise on their energies, and OpenDRIVE
 documents, one of them a seeded batch whose runs share one entry.
 
-    PYTHONPATH=src python tests/test_output_digests.py
+    PYTHONPATH=src python tests/test_output_digests.py [--check]
 
 re-records the corpus and prints each key whose result changed. Record only
 on a known-good commit, for a change meant to move output bits, and name
-the changed keys in CHANGES.md.
+the changed keys in CHANGES.md. With --check it writes nothing, and exits 1
+if a key's result changed. The module needs only the standard library and
+the package, so any interpreter can run it: test_other_pythons.py checks
+the corpus on each installed Python.
 """
 
 from __future__ import annotations
 
+import argparse
 import collections
 import contextlib
 import functools
@@ -33,10 +37,9 @@ import os
 import sys
 import tempfile
 
-import pytest
-
+from eager import integrate_trajectory
 from forkfleet import cli, mapgen
-from forkfleet.battery import BatteryParams, VehicleConstants, integrate_trajectory
+from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.rng import SplitMix64
 from forkfleet.roadnet import load_roadnet, save_roadnet
 from forkfleet.trajectory import TrajectorySample, read_csv, split_by_vehicle, write_csv
@@ -449,13 +452,20 @@ def load_recorded():
         return json.load(f)
 
 
-@pytest.fixture(scope="module")
-def work(tmp_path_factory):
-    return Work(str(tmp_path_factory.mktemp("corpus")))
+def pytest_generate_tests(metafunc):
+    """A test_pinned test per case, named by its key."""
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", CASES, ids=key)
 
 
-@pytest.mark.parametrize("case", CASES, ids=key)
-def test_pinned(work, case):
+@functools.cache
+def corpus_work(basetemp):
+    """The one Work of a test session, so that each input is made once."""
+    return Work(tempfile.mkdtemp(prefix="corpus", dir=basetemp))
+
+
+def test_pinned(tmp_path_factory, case):
+    work = corpus_work(tmp_path_factory.getbasetemp())
     assert work.run(case) == load_recorded()[key(case)]
 
 
@@ -487,16 +497,30 @@ def test_batch_is_both_converted_and_refused():
     assert set(codes) == {"0", "3"} and min(codes.values()) >= 20
 
 
-if __name__ == "__main__":
+def main(argv):
+    """Run every case; print each key whose result is new, changed or
+    dropped. -> 1 under --check if one is, else 0; without --check, record
+    the results first."""
+    ap = argparse.ArgumentParser(description="Record the output digest corpus.")
+    ap.add_argument("--check", action="store_true",
+                    help="compare with the recorded corpus, write nothing, exit 1 on a change")
+    check = ap.parse_args(argv).check
     old = load_recorded() if os.path.exists(DATA) else {}
     with tempfile.TemporaryDirectory() as d:
         work = Work(d)
         new = {key(case): work.run(case) for case in CASES}
-    for k in new:
-        if old.get(k) != new[k]:
-            print(("changed: " if k in old else "new: ") + k, file=sys.stderr)
-    for k in sorted(set(old) - set(new)):
-        print("dropped: " + k, file=sys.stderr)
+    moved = [("changed: " if k in old else "new: ") + k for k in new if old.get(k) != new[k]]
+    moved += ["dropped: " + k for k in sorted(set(old) - set(new))]
+    for line in moved:
+        print(line, file=sys.stderr)
+    if check:
+        print(f"{len(new)} keys on Python {sys.version.split()[0]}: {len(moved)} moved")
+        return 1 if moved else 0
     with open(DATA, "w") as f:
         json.dump(new, f, indent=1, ensure_ascii=False)
         f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
