@@ -53,10 +53,8 @@ CRITICAL = "critical"
 
 
 def soc_band(soc: float) -> str:
-    """Classify SOC: >=50% sufficient, below that a charge trip is suggested,
-    below 20% the state is critical."""
-    if not (0.0 <= soc <= 1.0):
-        raise ConfigError(f"soc {soc} outside [0, 1]")
+    """Classify a SOC in [0, 1]: >=50% sufficient, below that a charge trip is
+    suggested, below 20% the state is critical."""
     if soc >= 0.5:
         return SUFFICIENT
     if soc >= 0.2:

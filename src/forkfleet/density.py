@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import ConfigError, Infeasible, InputError, setting, total
+from . import ConfigError, InputError, setting, total
 from .roadnet import RoadGraph, UnionFind, nearest_node, nearest_nodes, within
 from .trajectory import resample, split_by_vehicle
 
@@ -96,8 +96,6 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
     computed earlier on the same graph with the same `limit`, gains the new
     ones and becomes the snapshot's rows.
     """
-    if not states:
-        raise Infeasible("snapshot of an empty fleet")
     states = sorted(states, key=lambda s: s[0])
     vids = [s[0] for s in states]
     positions = [(s[1], s[2]) for s in states]

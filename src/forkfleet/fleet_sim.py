@@ -57,7 +57,7 @@ from itertools import groupby, islice
 from operator import itemgetter
 from typing import Optional
 
-from . import ConfigError, Infeasible, battery as bat, check_ranges, setting, total
+from . import ConfigError, Infeasible, battery as bat, setting, total
 from .rng import SplitMix64
 from .roadnet import Path, RoadGraph, astar, nearest_node
 from .trajectory import TrajectorySample, resample, split_by_vehicle
@@ -149,9 +149,7 @@ class World:
                  fork_mass: float = bat.VehicleConstants.fork_mass,
                  pickup_mass: float = PICKUP_MASS,
                  lift_height: float = LIFT_HEIGHT):
-        if not 0.0 < dt < math.inf:
-            raise ConfigError(f"dt must be finite and > 0, got {dt}")
-        check_ranges(kin, "kin.")  # the swept boxes need finite, positive kin
+        # dt and kin come range-checked, by the scenario's check_ranges
         self.graph = graph
         # a vehicle's id is its index, as a waypoint's is
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
@@ -199,14 +197,11 @@ class World:
         return [s for s in self._spots_by_id.values() if s.id not in taken]
 
     def assign_task(self, vehicle_id: int, spot: Optional[int] = None) -> Optional[int]:
-        """Send an idle vehicle to the given spot, or with spot None to a free
-        spot drawn from the world's generator -> the spot's id. None when that
-        spot, or with spot None every spot, is taken; then nothing is drawn."""
+        """Send an idle vehicle to the given spot of the map, or with spot None
+        to a free spot drawn from the world's generator -> the spot's id. None
+        when that spot, or with spot None every spot, is taken; then nothing
+        is drawn."""
         ctl = self.ctl[vehicle_id]
-        if ctl.phase != PHASE_IDLE:
-            raise ConfigError(f"vehicle {vehicle_id} is in phase {ctl.phase}")
-        if spot is not None and spot not in self._spots_by_id:
-            raise ConfigError(f"the map has no spot {spot}")
         free = [s.id for s in self.free_spots()]
         if spot is None and free:
             spot = free[self.rng.randrange(len(free))]

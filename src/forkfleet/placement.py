@@ -207,7 +207,8 @@ def place_chargers(graph: RoadGraph, weights, k: int,
     score(node) = sum over u of weights[u] * 1/(1 + d(u, node)/d_scale) with
     d the symmetric-min network distance. Each round picks the best feasible
     node (>= min_separation from all picks, ties to the smaller id), then
-    zeroes the weights it covers within min_separation.
+    zeroes the weights it covers within min_separation. PlacementConfig keeps
+    k >= 1 and d_scale > 0; visit_weights makes the weights finite and >= 0.
 
     Lazy greedy (Minoux 1978): covered nodes only leave the weighted set
     and the feasible set only shrinks, so with weights >= 0 a node's score
@@ -253,16 +254,8 @@ def place_chargers(graph: RoadGraph, weights, k: int,
     finite f every node is put at one point, where every term is the
     summed weight itself.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not d_scale > 0:
-        raise ValueError(f"d_scale must be > 0, got {d_scale}")
     weights = list(weights)
-    if not all(0.0 <= w < math.inf for w in weights):
-        raise ValueError("weights must be finite and >= 0")
     n = graph.n_nodes()
-    if n == 0:
-        raise InputError("place_chargers on empty graph")
     weighted = [u for u in range(n) if weights[u] != 0.0]
     if not weighted:  # every score is 0, so no node can be picked
         return PlacementResult([], [])

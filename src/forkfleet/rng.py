@@ -22,7 +22,5 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        """Integer in [0, n). Modulo bias is < 2^-50 for any practical n."""
-        if n <= 0:
-            raise ValueError("randrange needs n > 0")
+        """Integer in [0, n), n > 0. Modulo bias is < 2^-50 for any practical n."""
         return self.next_u64() % n

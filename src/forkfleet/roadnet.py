@@ -181,12 +181,12 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
 
 
 def dijkstra(g: RoadGraph, src: int) -> list:
-    """Single-source shortest distances (meters); unreachable = +inf.
+    """Single-source shortest distances (meters) from src, a node of g;
+    unreachable = +inf.
 
     The bucket kernel runs where g.exact_sums holds, the heap kernel
     elsewhere; both give the same list on any graph (module docstring).
     """
-    _check_source(g, src)
     kernel = _bucket_row if g.exact_sums else _heap_row
     return kernel(g._flat_adjacency, src)
 
@@ -194,10 +194,8 @@ def dijkstra(g: RoadGraph, src: int) -> list:
 def within(g: RoadGraph, src: int, limit: float) -> dict:
     """{node: distance} of every node src reaches within distance <= limit:
     the finite entries of dijkstra(g, src) that are <= limit, the same
-    floats, with nothing beyond the limit labelled (module docstring)."""
-    _check_source(g, src)
-    if not 0.0 <= limit:  # below 0 or nan: not even src is within it
-        return {}
+    floats, with nothing beyond the limit labelled (module docstring). src
+    is a node of g and limit is >= 0, as DensityConfig's range keeps it."""
     adjacency, inf = g._flat_adjacency, math.inf
     dist, heap = {src: 0.0}, [(0.0, src)]
     while heap:
@@ -210,12 +208,6 @@ def within(g: RoadGraph, src: int, limit: float) -> dict:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
-
-
-def _check_source(g: RoadGraph, src: int) -> None:
-    n = g.n_nodes()
-    if not (0 <= src < n):
-        raise InputError(f"node {src} not in graph of {n} nodes")
 
 
 def _heap_row(adjacency, src):
@@ -272,11 +264,8 @@ def astar(g: RoadGraph, src: int, dst: int) -> Optional[Path]:
 
     Among equal-length shortest paths the lexicographically smallest node
     sequence is returned, so outputs are deterministic. Returns None when
-    dst is unreachable from src.
+    dst, like src a node of g, is unreachable from src.
     """
-    n = g.n_nodes()
-    if not (0 <= src < n) or not (0 <= dst < n):
-        raise InputError(f"invalid pair ({src}, {dst}) in graph of {n} nodes")
     if src == dst:
         return Path((src,), 0.0)
     wd = g.waypoints[dst]

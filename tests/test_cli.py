@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import logging
@@ -24,6 +25,8 @@ from forkfleet.config import ScenarioConfig
 from forkfleet.fleet_sim import World, replay
 from forkfleet.roadnet import load_roadnet, save_roadnet
 from forkfleet.trajectory import read_csv, write_csv
+
+SRC = pathlib.Path(forkfleet.__file__).parent
 
 
 @pytest.fixture()
@@ -158,6 +161,61 @@ GEOMETRY = '<geometry s="0" x="0" y="0" hdg="0" length="50"><line/></geometry>'
 PREDECESSOR_1 = '<link><predecessor elementType="road" elementId="1" contactPoint="end"/></link>'
 
 
+# "module.function: message" of a raise site -> why it stays although
+# no TestExitCodes row reaches it
+REACHED_FROM_OUTSIDE = {
+    "fleet_sim.World.__init__: vehicle ids must be 0 to {}, one each":
+        "the one statement that a truck's id is its index, for fleets the tests build "
+        "directly; spawn_at_spots numbers the CLI's",
+    "mapgen.warehouse_map: at most {} spots fit this grid":
+        "the README's quick start and the benchmark call warehouse_map; the CLI builds no map",
+}
+
+
+def raise_sites():
+    """{(file, line): "module.function: message"} of every `raise X(...)` in
+    the package; the message shows each formatted value as {}."""
+    sites = {}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                parts = child.exc.args[:1]
+                if parts and isinstance(parts[0], ast.JoinedStr):
+                    parts = parts[0].values
+                message = "".join(p.value if isinstance(p, ast.Constant) else "{}"
+                                  for p in parts)
+                sites[str(path), child.lineno] = f"{'.'.join(scope)}: {message}"
+            visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        module = "forkfleet" if path.stem == "__init__" else path.stem
+        visit(ast.parse(path.read_text(), str(path)), path, [module])
+    return sites
+
+
+def lines_run(run):
+    """run() under sys.settrace -> the (file, line) pairs of the package that
+    it executes."""
+    files, seen = {str(p) for p in SRC.glob("*.py")}, set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename in files else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
 def odr_roads(*roads):
     """An OpenDRIVE document of straight two-way roads along y = 0, one for
     each (id, start x, length, link elements)."""
@@ -199,10 +257,14 @@ class TestExitCodes:
     vehicle at t = 0 and 1e9, {back_traj} one vehicle at speed -1 and
     {back_manifest} one naming {back_traj}, {far_map} nodes (-1e308, 0) and
     (0, 0) joined both ways by 1e308 m edges and {far_x_traj} one vehicle at
-    x = 1e308 at t = 0 and 1. The other {odr_*} files are ONE_ROAD_ODR or
-    odr_roads() with the one fault their row names. Rows run main
-    in-process; test_run_as_a_module runs two of them through `python -m
-    forkfleet.cli`."""
+    x = 1e308 at t = 0 and 1, {thin_map} two nodes 39,999,990 m apart in x
+    and 4e-7 m in y, {no_eq_cfg} a config line without '=' and
+    {no_comma_manifest} a manifest line without a comma. The other {odr_*}
+    files are ONE_ROAD_ODR or odr_roads(), the other maps ONE_WAY_CORRIDORS
+    and the other {*_traj} files a trajectory CSV, each with the one fault
+    their row names. Rows run main in-process; test_run_as_a_module runs two
+    of them through `python -m forkfleet.cli`, and
+    test_every_refusal_has_a_row all of them under a tracer."""
 
     SIM = ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "6",
            "--duration", "2"]
@@ -341,7 +403,7 @@ class TestExitCodes:
         ("simulate pickup_mass=1e308",
          ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "2",
           "--duration", "3", "--set", "pickup_mass=1e308"], EXIT_CONFIG, CONFIG),
-        # the soc that inf energy makes is refused later, as "soc nan outside [0, 1]"
+        # lifting the 1e308 kg load makes the energy sum inf, which the meter refuses
         ("simulate pickup_mass=1e308 --duration 60",
          ["simulate", "--map", "{map}", "--out-dir", "{out}", "--vehicles", "2",
           "--duration", "60", "--set", "pickup_mass=1e308"], EXIT_CONFIG,
@@ -484,6 +546,86 @@ class TestExitCodes:
         ("analyze-density --map unreadable",
          ["analyze-density", "--map", "/proc/self/mem", "--out-dir", "{out}", "{traj}"],
          EXIT_CONFIG, ERROR),
+        ("--set kin.v_max=fast", [*SIM, "--set", "kin.v_max=fast"], EXIT_CONFIG,
+         CONFIG + "key 'kin.v_max': cannot parse value 'fast'\n"),
+        ("--set bogus.x=1", [*SIM, "--set", "bogus.x=1"], EXIT_CONFIG,
+         CONFIG + "unknown group 'bogus'\n"),
+        ("--policy fixed:abc", [*SIM, "--policy", "fixed:abc"], EXIT_CONFIG,
+         CONFIG + "bad policy 'fixed:abc'\n"),
+        ("--policy nearest", [*SIM, "--policy", "nearest"], EXIT_CONFIG,
+         CONFIG + "unknown policy 'nearest'\n"),
+        ("--config line without =", [*SIM, "--config", "{no_eq_cfg}"], EXIT_CONFIG,
+         CONFIG + "line 1: expected 'key = value', got 'vehicles 2'\n"),
+        ("simulate --map missing",
+         ["simulate", "--map", "{dir}/missing.roadnet", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_CONFIG, ERROR + "file not found: "),
+        ("calibrate manifest line without a comma",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr", "{no_comma_manifest}"],
+         EXIT_INPUT, INPUT + "manifest line 1: expected 'path,measured_joules'\n"),
+        ("calibrate one cycle for two parameters",
+         ["calibrate", "--out-dir", "{out}", "--free", "c_rr,c_steer", "{good_manifest}"],
+         EXIT_INFEASIBLE, INFEASIBLE + "1 cycles for 2 free parameters\n"),
+        ("convert missing attribute", ["convert", "{odr_no_hdg}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: <geometry> missing attribute 'hdg'\n"),
+        ("convert declared length 60 of 50", ["convert", "{odr_long}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: declared length 60.0 != segment sum 50.0\n"),
+        ("convert planView discontinuity", ["convert", "{odr_jump}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: planView discontinuity at s=25.0\n"),
+        ("convert bad contactPoint", ["convert", "{odr_middle}", "--out", "{out}"],
+         EXIT_INPUT,
+         INPUT + "road 2: predecessor contactPoint 'middle' is neither 'start' nor 'end'\n"),
+        ("convert spiral", ["convert", "{odr_spiral}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: planView element 'spiral'\n"),
+        ("simulate node id out of place",
+         ["simulate", "--map", "{twin_node}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "waypoint at index 1 carries node id 0\n"),
+        ("simulate edge to a missing node",
+         ["simulate", "--map", "{edge_to_7}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "edge 2->7 references a missing node\n"),
+        ("simulate self-loop",
+         ["simulate", "--map", "{self_loop}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "self-loop at node 2\n"),
+        ("simulate speed limit 0",
+         ["simulate", "--map", "{stopped_edge}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "edge 2->3 has speed limit 0.0\n"),
+        ("simulate edge shorter than its chord",
+         ["simulate", "--map", "{short_edge}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "edge 2->3 length 9.0 shorter than chord 10.0\n"),
+        ("simulate spot on a missing edge",
+         ["simulate", "--map", "{spot_off_road}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "spot 1 anchors to missing edge 3->2\n"),
+        ("simulate spot past its edge",
+         ["simulate", "--map", "{spot_past_edge}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "spot 1 offset 11.0 outside edge\n"),
+        ("simulate map without header",
+         ["simulate", "--map", "{headless_map}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "missing 'roadnet v1' header\n"),
+        ("simulate bad map record",
+         ["simulate", "--map", "{bad_record}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "bad record at line 3: 'node 1 10 zero 0'\n"),
+        ("analyze-density on a map with no nodes",
+         ["analyze-density", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"],
+         EXIT_INPUT, INPUT + "nearest_node on empty graph\n"),
+        ("heatmap empty trajectory",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{empty_traj}"],
+         EXIT_INPUT, INPUT + "line 1: empty file, header missing\n"),
+        ("heatmap wrong header",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{header_traj}"],
+         EXIT_INPUT, INPUT + "line 1: expected header '" + CSV_HEADER.strip() + "'\n"),
+        ("heatmap 8 columns",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{columns_traj}"],
+         EXIT_INPUT, INPUT + "line 2: expected 9 columns, got 8\n"),
+        ("heatmap x=abc", ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{abc_traj}"],
+         EXIT_INPUT, INPUT + "line 2: could not convert string to float: 'abc'\n"),
+        ("heatmap t going back",
+         ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{unsorted_traj}"],
+         EXIT_INPUT, INPUT + "line 3: samples for vehicle 0 not strictly increasing in t\n"),
+        # 9,999,998.5 x 1.0000001 cells pass the check before rounding up;
+        # 9,999,999 x 2 after it are more than MAX_CELLS
+        ("heatmap grid past MAX_CELLS once rounded up",
+         ["heatmap", "--map", "{thin_map}", "--out-dir", "{out}", "--set",
+          "placement.cell_size=4", "{traj}"],
+         EXIT_CONFIG, CONFIG + "grid 9999999x2 at cell_size 4.0\n"),
     ]
 
     @pytest.fixture()
@@ -579,7 +721,36 @@ class TestExitCodes:
                            ("latin1_cycle", "latin1_traj,1000\n"),
                            ("latin1_odr", ONE_ROAD_ODR.replace('id="1"', 'id="caf\xe9"')),
                            ("bogus_odr", DECLARED % "bogus" + ONE_ROAD_ODR),
-                           ("utf32_odr", DECLARED % "UTF-32" + ONE_ROAD_ODR)):
+                           ("utf32_odr", DECLARED % "UTF-32" + ONE_ROAD_ODR),
+                           ("no_eq_cfg", "vehicles 2\n"),
+                           ("no_comma_manifest", "traj\n"),
+                           ("odr_no_hdg", ONE_ROAD_ODR.replace(' hdg="0"', "")),
+                           ("odr_long", ONE_ROAD_ODR.replace('id="1" length="50"',
+                                                             'id="1" length="60"')),
+                           # the second half starts 5 m past the first's end
+                           ("odr_jump", ONE_ROAD_ODR.replace(GEOMETRY, GEOMETRY.replace("50", "25")
+                                                             + GEOMETRY.replace("50", "25").replace(
+                                                                 's="0" x="0"', 's="25" x="30"'))),
+                           ("odr_middle", odr_roads(("1", 0, 50, ""), ("2", 50, 10, PREDECESSOR_1
+                                                    .replace('"end"', '"middle"')))),
+                           ("odr_spiral", ONE_ROAD_ODR.replace("<line/>", "<spiral/>")),
+                           *((name, ONE_WAY_CORRIDORS.replace(old, new)) for name, old, new in (
+                               ("twin_node", "node 1 10 0 0", "node 0 10 0 0"),
+                               ("edge_to_7", "edge 2 3 ", "edge 2 7 "),
+                               ("self_loop", "edge 2 3 ", "edge 2 2 "),
+                               ("stopped_edge", "edge 2 3 10 3 ", "edge 2 3 10 0 "),
+                               ("short_edge", "edge 2 3 10 ", "edge 2 3 9 "),
+                               ("spot_off_road", "spot 1 2 3 ", "spot 1 3 2 "),
+                               ("spot_past_edge", "spot 1 2 3 5", "spot 1 2 3 11"),
+                               ("headless_map", "roadnet v1\n", ""),
+                               ("bad_record", "node 1 10 0 0", "node 1 10 zero 0"))),
+                           # 39,999,990 m wide and 4e-7 m tall, with no edges
+                           ("thin_map", "roadnet v1\nnode 0 0 0 0\nnode 1 39999990 4e-7 0\n"),
+                           ("empty_traj", ""),
+                           ("header_traj", "t,x,y\n0,10,10\n"),
+                           ("columns_traj", CSV_HEADER + "0,0,10,10,0,0,0,0\n"),
+                           ("abc_traj", CSV_HEADER + "0,0,abc,10,0,0,0,0,1\n"),
+                           ("unsorted_traj", CSV_HEADER + rows[1] + rows[0])):
             paths[name] = str(tmp_path / name)
             with open(paths[name], "w", encoding="latin-1") as f:
                 f.write(text)
@@ -598,6 +769,20 @@ class TestExitCodes:
         if code != EXIT_OK:
             assert err.startswith(prefix)
             assert err.count("\n") == 1
+
+    def test_every_refusal_has_a_row(self, files, tmp_path):
+        # every raise site in the package is reached by some row, or listed
+        # with its reason; a listed site that a row reaches is a stale entry
+        def run_rows():
+            for i, (name, argv, code, _) in enumerate(self.CASES):
+                # each row writes to an output directory of its own
+                fmt = dict(files, out=str(tmp_path / f"out{i}"))
+                assert main([a.format(**fmt) for a in argv]) == code, name
+        sites, executed = raise_sites(), lines_run(run_rows)
+        unreached = {site: key for site, key in sites.items() if site not in executed}
+        assert sorted(f"{pathlib.Path(f).name}:{n} {key}" for (f, n), key in unreached.items()
+                      if key not in REACHED_FROM_OUTSIDE) == []
+        assert sorted(set(REACHED_FROM_OUTSIDE) - set(unreached.values())) == []
 
     @pytest.mark.parametrize("name,warning", [
         ("odr_junction", "road 1: skipping successor link to junction element"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dist_matrix, line_graph, one_way_pair_graph, random_graph
-from forkfleet import ConfigError, Infeasible, density
+from forkfleet import ConfigError, density
 from forkfleet.density import (Cluster, CriticalEpisode, DensityConfig, UnionFind,
                                clusters, density_timeline, flag_critical,
                                snapshot_from_states, write_episode_summary,
@@ -44,10 +44,6 @@ def pair_clusters(dist, threshold):
 
 
 class TestSnapshot:
-    def test_empty_fleet(self):
-        with pytest.raises(Infeasible, match="snapshot of an empty fleet"):
-            snapshot_from_states(0.0, [], line_graph([10.0]))
-
     def test_snap_and_distances(self):
         g = line_graph([10.0, 10.0])
         s = snapshot_from_states(0.0, states_on_line([(1.0, 0), (9.0, 0), (21.0, 0)]), g)

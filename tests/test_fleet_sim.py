@@ -10,6 +10,7 @@ import eager
 from conftest import run_samples
 from forkfleet import (ConfigError, Infeasible, InputError, battery, check_ranges, cli,
                        fleet_sim, mapgen)
+from forkfleet.config import ScenarioConfig
 from forkfleet.fleet_sim import (KinematicsParams, PHASE_DRIVE, PHASE_IDLE, PHASE_LIFT,
                                  PHASE_LOWER, VehicleState, World, replay)
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
@@ -86,12 +87,6 @@ class TestSpawnAndAssign:
         assert w.ctl[0].phase == PHASE_LIFT
         assert w.vehicles[0].load_mass == w.pickup_mass
 
-    def test_assign_busy_vehicle(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        w.assign_task(0, 1)
-        with pytest.raises(ConfigError, match="vehicle 0 is in phase lift"):
-            w.assign_task(0, 1)
-
     @staticmethod
     def assert_refused(w, spot):
         """assign_task(0, spot) returns None, draws nothing and leaves truck 0
@@ -101,11 +96,6 @@ class TestSpawnAndAssign:
         assert w.rng._state == state
         assert (w.ctl[0].phase, w.ctl[0].dest_spot, w.vehicles[0].load_mass) == (
             PHASE_IDLE, None, 0.0)
-
-    def test_assign_a_spot_the_map_lacks(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        with pytest.raises(ConfigError, match="the map has no spot 2"):
-            w.assign_task(0, 2)
 
     def test_assign_occupied_spot(self):
         # truck 1 stands on spot 1, and truck 0 on spot 0
@@ -377,8 +367,9 @@ class TestFleet:
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_dt_not_finite_and_positive_rejected(self, dt):
+        # refused where it enters, by the scenario's ranges; World takes it as checked
         with pytest.raises(ConfigError, match="dt must be finite and > 0"):
-            World(corridor_graph(), [], dt=dt)
+            check_ranges(ScenarioConfig(dt=dt))
 
     def test_duplicate_vehicle_ids_rejected(self):
         g = corridor_graph()

@@ -119,20 +119,6 @@ class TestDijkstra:
         g = line_graph([3.0, 4.0])
         assert math.isinf(dijkstra(g, 2)[0])
 
-    def test_invalid_node(self):
-        with pytest.raises(InputError, match="node 99 not in graph of 4 nodes"):
-            dijkstra(square_graph(), 99)
-
-    @pytest.mark.parametrize("src", [99, 4, -1])
-    def test_bounded_search_refuses_a_node_out_of_range(self, src):
-        with pytest.raises(InputError, match=f"^node {src} not in graph of 4 nodes$"):
-            within(square_graph(), src, 10.0)
-
-    @pytest.mark.parametrize("limit", [-1.0, -5e-324, math.nan, -math.inf])
-    def test_bounded_search_below_zero_is_empty(self, limit):
-        # no entry of the full row, not even the source's 0.0, is <= limit
-        assert within(square_graph(), 0, limit) == {}
-
     def test_matches_path_enumeration(self):
         g = random_graph(seed=13, n_nodes=12)
         d = dijkstra(g, 0)

@@ -95,10 +95,6 @@ class TestSplit:
         assert sorted(parts) == [0, 1]
         assert [s.t for s in parts[0]] == [0, 1]
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(InputError, match="vehicle 0 samples not strictly increasing at t=0"):
-            split_by_vehicle([smp(1, 0), smp(0, 0)])
-
 
 class TestInterpolate:
     def test_midpoint(self):
@@ -131,10 +127,6 @@ class TestSampleAt:
         s = self.series()
         assert sample_at(s, -0.5) is None
         assert sample_at(s, 3.5) is None
-
-    def test_empty(self):
-        assert sample_at([], 0.0) is None
-        assert list(resample([], [0.0, 0.0])) == [None, None]
 
 
 class TestResample:
