@@ -141,10 +141,9 @@ def _load_analysis_inputs(args):
 def cmd_simulate(args):
     cfg = _load_scenario(args)
     graph = _read_input(cfg.map, load_roadnet)
-    world = World.spawn_at_spots(
-        graph, cfg.vehicles, dt=cfg.dt, seed=cfg.seed, kin=cfg.kin,
-        battery_params=cfg.battery, fork_mass=cfg.fork_mass,
-        pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
+    world = World(graph, cfg.vehicles, dt=cfg.dt, seed=cfg.seed, kin=cfg.kin,
+                  battery_params=cfg.battery, fork_mass=cfg.fork_mass,
+                  pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
     spot = cfg.fixed_spot()
     if spot is not None and all(s.id != spot for s in graph.spots):
         raise ConfigError(f"policy '{cfg.policy}': the map has no spot {spot}")

@@ -85,8 +85,7 @@ class _OpenEpisode:
     centroid: tuple = None
 
 
-def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
-                         limit: float = math.inf) -> Snapshot:
+def snapshot_from_states(t: float, states, graph: RoadGraph, rows, limit: float) -> Snapshot:
     """Build a snapshot from (vehicle_id, x, y, speed) tuples.
 
     One bounded search, roadnet.within, per distinct occupied node; its
@@ -101,8 +100,6 @@ def snapshot_from_states(t: float, states, graph: RoadGraph, rows=None,
     positions = [(s[1], s[2]) for s in states]
     speeds = [s[3] for s in states]
     nodes = nearest_nodes(graph, positions)
-    if rows is None:
-        rows = {}
     for node in nodes:
         if node not in rows:
             rows[node] = within(graph, node, limit)

@@ -59,7 +59,7 @@ from typing import Optional
 
 from . import ConfigError, Infeasible, battery as bat, setting, total
 from .rng import SplitMix64
-from .roadnet import Path, RoadGraph, astar, nearest_node
+from .roadnet import RoadGraph, astar, nearest_node
 from .trajectory import TrajectorySample, resample, split_by_vehicle
 
 
@@ -92,7 +92,6 @@ class KinematicsParams:
 
 @dataclass
 class VehicleState:
-    id: int
     x: float
     y: float
     heading: float
@@ -143,20 +142,26 @@ def _menger_radius(p0, p1, p2):
 
 
 class World:
-    def __init__(self, graph: RoadGraph, vehicles, dt: float = DT, seed: int = 0,
+    def __init__(self, graph: RoadGraph, n_vehicles: int, dt: float = DT, seed: int = 0,
                  kin: KinematicsParams = KinematicsParams(),
                  battery_params: bat.BatteryParams = bat.BatteryParams(),
                  fork_mass: float = bat.VehicleConstants.fork_mass,
                  pickup_mass: float = PICKUP_MASS,
                  lift_height: float = LIFT_HEIGHT):
+        """Place vehicles 0..n-1 on the n parking spots of lowest id, each
+        standing on its spot. A vehicle's id is its index, as a waypoint's
+        is."""
         # dt and kin come range-checked, by the scenario's check_ranges
+        if n_vehicles > len(graph.spots):
+            raise ConfigError(f"{n_vehicles} vehicles but only {len(graph.spots)} spots")
         self.graph = graph
-        # a vehicle's id is its index, as a waypoint's is
-        self.vehicles = sorted(vehicles, key=lambda v: v.id)
-        if [v.id for v in self.vehicles] != list(range(len(self.vehicles))):
-            raise ConfigError(f"vehicle ids must be 0 to {len(self.vehicles) - 1}, one each")
         # in id order, so free_spots() lists them in id order
         self._spots_by_id = {s.id: s for s in sorted(graph.spots, key=lambda s: s.id)}
+        spots = list(self._spots_by_id.values())[:n_vehicles]
+        self.vehicles = [VehicleState(*graph.spot_anchor_xy(spot),
+                                      heading=graph.waypoints[spot.edge_src].heading)
+                         for spot in spots]
+        self.ctl = [_VehicleCtl(current_spot=spot.id) for spot in spots]
         self.dt = dt
         self.rng = SplitMix64(seed)
         self.kin = kin
@@ -165,29 +170,11 @@ class World:
         self.pickup_mass = pickup_mass
         self.lift_height = lift_height
         self.step_count = 0
-        self.ctl = [_VehicleCtl() for _ in self.vehicles]
         self._meter = None  # the fleet's battery.SocMeter, from the first tick on
 
     @property
     def clock(self) -> float:
         return self.step_count * self.dt
-
-    # --- construction helpers ------------------------------------------------
-
-    @classmethod
-    def spawn_at_spots(cls, graph: RoadGraph, n_vehicles: int, **kwargs) -> "World":
-        """Place vehicles 0..n-1 on the n parking spots of lowest id, each
-        standing on its spot."""
-        if n_vehicles > len(graph.spots):
-            raise ConfigError(f"{n_vehicles} vehicles but only {len(graph.spots)} spots")
-        spots = sorted(graph.spots, key=lambda s: s.id)[:n_vehicles]
-        vehicles = [VehicleState(i, *graph.spot_anchor_xy(spot),
-                                 heading=graph.waypoints[spot.edge_src].heading)
-                    for i, spot in enumerate(spots)]
-        world = cls(graph, vehicles, **kwargs)
-        for i, spot in enumerate(spots):
-            world.ctl[i].current_spot = spot.id
-        return world
 
     # --- task assignment -----------------------------------------------------
 
@@ -214,30 +201,23 @@ class World:
 
     # --- routing -------------------------------------------------------------
 
-    def plan_route(self, vehicle_id: int, dest_spot: int) -> Path:
-        """Shortest path from the vehicle's snapped node to the destination
-        spot's anchor-edge start node. Raises Infeasible."""
-        v = self.vehicles[vehicle_id]
-        spot = self._spots_by_id[dest_spot]
-        src = nearest_node(self.graph, v.x, v.y)
-        path = astar(self.graph, src, spot.edge_src)
-        if path is None:
-            raise Infeasible(f"vehicle {vehicle_id} cannot reach spot {dest_spot}")
-        return path
-
     def _build_route(self, vehicle_id: int, dest_spot: int) -> _Route:
+        """The route from the vehicle through the shortest path from its
+        snapped node to the destination spot's anchor-edge start node, and on
+        to the spot. Raises Infeasible."""
         v = self.vehicles[vehicle_id]
-        path = self.plan_route(vehicle_id, dest_spot)
         spot = self._spots_by_id[dest_spot]
+        nodes = astar(self.graph, nearest_node(self.graph, v.x, v.y), spot.edge_src)
+        if nodes is None:
+            raise Infeasible(f"vehicle {vehicle_id} cannot reach spot {dest_spot}")
         pts = []
         limits = []
-        if math.hypot(v.x - self.graph.waypoints[path.nodes[0]].x,
-                      v.y - self.graph.waypoints[path.nodes[0]].y) > 1e-9:
+        if math.hypot(v.x - self.graph.waypoints[nodes[0]].x,
+                      v.y - self.graph.waypoints[nodes[0]].y) > 1e-9:
             pts.append((v.x, v.y))
             limits.append(self.kin.v_max)
-        pts += [(self.graph.waypoints[n].x, self.graph.waypoints[n].y) for n in path.nodes]
-        limits += [self.graph.edge_between(a, b).speed_limit
-                   for a, b in zip(path.nodes, path.nodes[1:])]
+        pts += [(self.graph.waypoints[n].x, self.graph.waypoints[n].y) for n in nodes]
+        limits += [self.graph.edge_between(a, b).speed_limit for a, b in zip(nodes, nodes[1:])]
         if spot.offset > 1e-9:
             pts.append(self.graph.spot_anchor_xy(spot))
             limits.append(self.graph.edge_between(spot.edge_src, spot.edge_dst).speed_limit)
@@ -262,7 +242,8 @@ class World:
     # --- collision avoidance -------------------------------------------------
 
     def resolve_conflicts(self):
-        """Per-vehicle speed caps for this step -> {vehicle_id: cap}.
+        """Per-vehicle speed caps for this step -> [cap], one per vehicle, inf
+        for one no pair caps.
 
         Sweeps one swept box per vehicle in order of its low x edge and tests
         only pairs whose boxes overlap in both x and y (see the module
@@ -276,19 +257,19 @@ class World:
         d_safe, horizon, t_deadlock, v_max = kin.d_safe, kin.horizon, kin.t_deadlock, kin.v_max
         a_max_dt = kin.a_max * dt
         ctl, hypot, inf, cos, sin = self.ctl, math.hypot, math.inf, math.cos, math.sin
-        caps = {}
+        caps = [inf] * len(self.vehicles)
         trigger = d_safe + 2.0 * (v_max + a_max_dt) * dt + 1.0
         pad0 = 0.5 * trigger + 0.5 + 2**-49 * trigger
         rel_h = 2**-49 * horizon
         boxes = []
-        for v in self.vehicles:
+        for vid, v in enumerate(self.vehicles):
             x, y, speed = v.x, v.y, v.speed
             vx, vy = speed * cos(v.heading), speed * sin(v.heading)
             pad = pad0 + 2**-49 * (abs(x) + abs(y)) + rel_h * abs(speed)
             ex, ey = vx * horizon, vy * horizon
             xlo, xhi = (x + ex - pad, x + pad) if ex < 0.0 else (x - pad, x + ex + pad)
             ylo, yhi = (y + ey - pad, y + pad) if ey < 0.0 else (y - pad, y + ey + pad)
-            boxes.append((xlo, xhi, ylo, yhi, x, y, vx, vy, v.id, speed))
+            boxes.append((xlo, xhi, ylo, yhi, x, y, vx, vy, vid, speed))
         boxes.sort()
         for i, p in enumerate(boxes):
             _, p_xhi, p_ylo, p_yhi, px, py, pvx, pvy, pid, pspeed = p
@@ -314,7 +295,7 @@ class World:
                         yielder = aid
                     cap = (gap - d_safe) / horizon
                     cap = cap if cap > 0.0 else 0.0
-                    old = caps.get(yielder, inf)
+                    old = caps[yielder]
                     caps[yielder] = cap if cap < old else old
                 # hard proximity caps keep the pair >= d_safe across one step
                 if gap < trigger:
@@ -322,11 +303,11 @@ class World:
                     slack = (gap - d_safe) / dt
                     slack = slack if slack > 0.0 else 0.0
                     # priority vehicle may close at most the whole slack
-                    old = caps.get(aid, inf)
+                    old = caps[aid]
                     caps[aid] = slack if slack < old else old
                     cap = slack - min(v_max, aspeed + a_max_dt, slack)
                     cap = cap if cap > 0.0 else 0.0
-                    old = caps.get(bid, inf)
+                    old = caps[bid]
                     caps[bid] = cap if cap < old else old
         return caps
 
@@ -338,8 +319,8 @@ class World:
         dt = self.dt
         kin = self.kin
         vehicles = self.vehicles
-        for v, ctl in zip(vehicles, self.ctl):
-            if ctl.phase == PHASE_IDLE and self.assign_task(v.id, spot) is None:
+        for vid, ctl in enumerate(self.ctl):
+            if ctl.phase == PHASE_IDLE and self.assign_task(vid, spot) is None:
                 break  # no spot is freed in this loop, so every later one fails too
         caps = self.resolve_conflicts()
         # the drive's kin-only constants: b_max * dt, its square, 2 * b_max, the
@@ -347,9 +328,9 @@ class World:
         bd = kin.b_max * dt
         drive = (bd, bd * bd, 2.0 * kin.b_max,
                  kin.v_max * kin.v_max / (2.0 * kin.b_max) + kin.v_max * dt + 1.0, kin.a_max * dt)
-        for v, ctl in zip(vehicles, self.ctl):
+        for vid, (v, ctl) in enumerate(zip(vehicles, self.ctl)):
             if ctl.phase == PHASE_DRIVE:
-                self._advance_drive(v, ctl, caps.get(v.id, math.inf), drive)
+                self._advance_drive(v, ctl, caps[vid], drive)
                 continue
             v.speed = 0.0
             if ctl.phase == PHASE_LIFT:
@@ -358,7 +339,7 @@ class World:
                     v.fork_height = self.lift_height
                     # load picked; leave the origin spot and drive off
                     ctl.current_spot = None
-                    ctl.route = self._build_route(v.id, ctl.dest_spot)
+                    ctl.route = self._build_route(vid, ctl.dest_spot)
                     ctl.phase = PHASE_DRIVE
                     if len(ctl.route.points) == 1:  # at the anchor already: arrive now
                         ctl.phase = PHASE_LOWER
@@ -458,25 +439,25 @@ class World:
         vehicles = self.vehicles
         if n_steps > 0 and self._meter is None:
             t = self.clock
-            tick = [TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed, v.fork_height,
-                                     v.load_mass, v.soc) for v in vehicles]
+            tick = [TrajectorySample(t, vid, v.x, v.y, v.heading, v.speed, v.fork_height,
+                                     v.load_mass, v.soc) for vid, v in enumerate(vehicles)]
             self._meter = bat.SocMeter(tick, self.consts, self.battery_params, ConfigError)
             yield tick
         for _ in range(n_steps):
             self.step(spot)
             t = self.clock
-            tick = self._meter.add([(t, v.id, v.x, v.y, v.heading, v.speed, v.fork_height,
-                                     v.load_mass) for v in vehicles])
+            tick = self._meter.add([(t, vid, v.x, v.y, v.heading, v.speed, v.fork_height,
+                                     v.load_mass) for vid, v in enumerate(vehicles)])
             for v, sample in zip(vehicles, tick):
                 v.soc = sample[8]
             yield tick
 
     def summary(self):
         out = []
-        for v, ctl in zip(self.vehicles, self.ctl):
-            drawn, regenerated = self._meter.energy(v.id) if self._meter else (0.0, 0.0)
+        for vid, (v, ctl) in enumerate(zip(self.vehicles, self.ctl)):
+            drawn, regenerated = self._meter.energy(vid) if self._meter else (0.0, 0.0)
             out.append({
-                "vehicle_id": v.id,
+                "vehicle_id": vid,
                 "distance_driven": ctl.distance_driven,
                 "tasks_completed": ctl.tasks_completed,
                 "energy_drawn": drawn,

@@ -58,8 +58,9 @@ class HeatmapGrid:
 def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
             width: int, height: int) -> HeatmapGrid:
     """Count trajectory samples per grid cell; out-of-extent samples go to
-    the overflow tally so conservation is exact."""
-    if cell_size <= 0 or not (width > 0 and height > 0 and width * height <= MAX_CELLS):
+    the overflow tally so conservation is exact. cell_size is > 0 and width
+    and height >= 1, as heatmap_for_graph, the one caller, gives them."""
+    if not width * height <= MAX_CELLS:
         raise ConfigError(f"grid {width}x{height} at cell_size {cell_size}")
     grid = HeatmapGrid(origin_x, origin_y, cell_size, width, height,
                        [[0] * width for _ in range(height)])

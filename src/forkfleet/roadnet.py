@@ -77,12 +77,6 @@ class ParkingSpot:
     offset: float
 
 
-@dataclass(frozen=True)
-class Path:
-    nodes: tuple
-    total_length: float
-
-
 @dataclass
 class RoadGraph:
     waypoints: list
@@ -259,15 +253,15 @@ def _bucket_row(adjacency, src):
     return dist
 
 
-def astar(g: RoadGraph, src: int, dst: int) -> Optional[Path]:
-    """Shortest path by A* with Euclidean heuristic.
+def astar(g: RoadGraph, src: int, dst: int) -> Optional[tuple]:
+    """Shortest path by A* with Euclidean heuristic -> its nodes, src to dst.
 
     Among equal-length shortest paths the lexicographically smallest node
     sequence is returned, so outputs are deterministic. Returns None when
     dst, like src a node of g, is unreachable from src.
     """
     if src == dst:
-        return Path((src,), 0.0)
+        return (src,)
     wd = g.waypoints[dst]
 
     def h(u):
@@ -283,7 +277,7 @@ def astar(g: RoadGraph, src: int, dst: int) -> Optional[Path]:
         if (gc, path) != best.get(u, (math.inf, ())):
             continue
         if u == dst:
-            return Path(path, gc)
+            return path
         for e in g.adjacency[u]:
             ng = gc + e.length
             npath = path + (e.dst,)

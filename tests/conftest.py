@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from forkfleet import mapgen
+from forkfleet import mapgen, total
+from forkfleet.fleet_sim import World, _VehicleCtl
 from forkfleet.roadnet import (Edge, ParkingSpot, Waypoint, build_graph, dijkstra,
                                nearest_node)
 
@@ -12,6 +13,24 @@ def run_samples(world, duration, spot=None):
     """world.ticks(duration, spot) flattened into one list, in (t,
     vehicle_id) order."""
     return [s for tick in world.ticks(duration, spot) for s in tick]
+
+
+def world_at(graph, vehicles, **kwargs):
+    """A World on graph whose trucks are the given VehicleStates, in id
+    order, each idle on no spot: World(graph, 0, **kwargs) with its vehicles
+    and controllers set."""
+    world = World(graph, 0, **kwargs)
+    world.vehicles = list(vehicles)
+    world.ctl = [_VehicleCtl() for _ in world.vehicles]
+    return world
+
+
+def path_length(graph, nodes):
+    """The length of an astar node path: forkfleet.total, left to right, of
+    the shortest of the parallel edges at each hop, the float that astar's
+    label held and that dijkstra's row holds."""
+    return total(min(e.length for e in graph.adjacency[a] if e.dst == b)
+                 for a, b in zip(nodes, nodes[1:]))
 
 
 def dist_matrix(snapshot):

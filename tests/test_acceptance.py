@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from conftest import dist_matrix, random_graph, run_samples, score_placement, top_decile_cells
+from conftest import (dist_matrix, path_length, random_graph, run_samples, score_placement,
+                      top_decile_cells)
 from eager import integrate_trajectory
 from forkfleet import mapgen
 from forkfleet.battery import BatteryParams, G, VehicleConstants, _energies, calibrate
@@ -46,7 +47,7 @@ def test_c1_routing_equivalence():
                 dist_cache[s] = dijkstra(g, s)
             p = astar(g, s, d)
             want = dist_cache[s][d]
-            got = math.inf if p is None else p.total_length
+            got = math.inf if p is None else path_length(g, p)
             if got != want:
                 ok = False
     elapsed = time.perf_counter() - t0
@@ -88,7 +89,7 @@ def test_c2_clustering_oracle():
         n_veh = rnd.randrange(2, 13)
         states = [(vid, rnd.uniform(0, 60), rnd.uniform(0, 60), rnd.uniform(0, 2))
                   for vid in range(n_veh)]
-        s = snapshot_from_states(0.0, states, g)
+        s = snapshot_from_states(0.0, states, g, {}, math.inf)
         prev = None
         for t in (5.0, 10.0, 20.0, 40.0):
             part = clusters(s, DensityConfig(distance_threshold=t))
@@ -123,8 +124,7 @@ def test_c3_battery_physics():
     ok_b = abs(draw_b - oracle) <= 1e-6 * oracle and abs(oracle - 19036.4) < 0.1
 
     # (c) SOC non-increasing over a simulated run with eta_regen = 0
-    w = World.spawn_at_spots(mapgen.warehouse_map(), 3, seed=4,
-                             battery_params=BatteryParams(eta_regen=0.0))
+    w = World(mapgen.warehouse_map(), 3, seed=4, battery_params=BatteryParams(eta_regen=0.0))
     samples = run_samples(w, 120.0)
     ok_c = True
     for series in split_by_vehicle(samples).values():
@@ -199,7 +199,7 @@ def test_c4_calibration_recovery():
 # --- 5 determinism / replay --------------------------------------------------
 
 def run_scenario(seed):
-    w = World.spawn_at_spots(mapgen.warehouse_map(), 3, seed=seed)
+    w = World(mapgen.warehouse_map(), 3, seed=seed)
     samples = run_samples(w, 90.0)
     buf = io.StringIO()
     write_csv(samples, buf)
@@ -396,7 +396,7 @@ def test_c9_collision_safety():
     worst = math.inf
     ok = True
     for seed in range(20):
-        w = World.spawn_at_spots(mapgen.warehouse_map(), 6, seed=seed)
+        w = World(mapgen.warehouse_map(), 6, seed=seed)
         samples = run_samples(w, 300.0)
         limit = w.kin.d_safe - w.kin.v_max * w.dt
         by_t = {}

@@ -530,24 +530,24 @@ def reference_apply_energy(state, draw, regen, p):
 def reference_run(world, n_steps):
     """A run as World.run did it: after every step, each vehicle's battery takes
     that step's segment. -> (samples, {vehicle_id: ReferenceSocState})."""
-    def sample_of(v, t):
-        return TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed,
+    def sample_of(vid, v, t):
+        return TrajectorySample(t, vid, v.x, v.y, v.heading, v.speed,
                                 v.fork_height, v.load_mass, v.soc)
 
-    states = {v.id: ReferenceSocState(v.soc) for v in world.vehicles}
-    prev = {v.id: sample_of(v, world.clock) for v in world.vehicles}
+    states = {vid: ReferenceSocState(v.soc) for vid, v in enumerate(world.vehicles)}
+    prev = {vid: sample_of(vid, v, world.clock) for vid, v in enumerate(world.vehicles)}
     samples = list(prev.values())
     for _ in range(n_steps):
         world.step()
         t = world.clock
-        for v in world.vehicles:
-            draw, regen = reference_segment_energy(prev[v.id], sample_of(v, t), world.consts,
+        for vid, v in enumerate(world.vehicles):
+            draw, regen = reference_segment_energy(prev[vid], sample_of(vid, v, t), world.consts,
                                                    world.battery_params)
-            states[v.id] = reference_apply_energy(states[v.id], draw, regen,
-                                                  world.battery_params)
-            v.soc = states[v.id].soc
-            prev[v.id] = sample_of(v, t)
-            samples.append(prev[v.id])
+            states[vid] = reference_apply_energy(states[vid], draw, regen,
+                                                 world.battery_params)
+            v.soc = states[vid].soc
+            prev[vid] = sample_of(vid, v, t)
+            samples.append(prev[vid])
     return samples, states
 
 
@@ -570,8 +570,7 @@ def fleets(draw):
 
     def make():
         g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
-        world = World.spawn_at_spots(g, n_vehicles, seed=seed, dt=dt, battery_params=p,
-                                     fork_mass=fork_mass)
+        world = World(g, n_vehicles, seed=seed, dt=dt, battery_params=p, fork_mass=fork_mass)
         world.consts = replace(world.consts, truck_mass=truck_mass)
         for v, soc in zip(world.vehicles, socs):
             v.soc = soc
@@ -603,9 +602,9 @@ class TestWorldBattery:
         make, n_steps = fleet
         world = make()
         samples = run_samples(world, n_steps * world.dt)
-        totals = [integrate_trajectory([s for s in samples if s.vehicle_id == v.id],
+        totals = [integrate_trajectory([s for s in samples if s.vehicle_id == vid],
                                        world.consts, world.battery_params)
-                  for v in world.vehicles]
+                  for vid in range(len(world.vehicles))]
         integrated = sorted((s for _, _, series in totals for s in series),
                             key=lambda s: (s.t, s.vehicle_id))
         assert samples == integrated
@@ -614,7 +613,7 @@ class TestWorldBattery:
             assert row["energy_regenerated"] == regen
 
     def test_summary_before_any_tick(self):
-        world = World.spawn_at_spots(mapgen.warehouse_map(), 3)
+        world = World(mapgen.warehouse_map(), 3)
         for _ in range(2):  # a run of no steps makes no tick
             assert [(row["energy_drawn"], row["energy_regenerated"])
                     for row in world.summary()] == [(0.0, 0.0)] * 3
@@ -662,17 +661,17 @@ class ReferenceSocMeter:
 def reference_metered_run(world, n_steps):
     """World.ticks as it was: after every step, each vehicle's own meter takes
     its new sample. -> (samples, {vehicle_id: ReferenceSocMeter})."""
-    def sample_of(v, t):
-        return TrajectorySample(t, v.id, v.x, v.y, v.heading, v.speed,
+    def sample_of(vid, v, t):
+        return TrajectorySample(t, vid, v.x, v.y, v.heading, v.speed,
                                 v.fork_height, v.load_mass, v.soc)
 
-    samples = [sample_of(v, world.clock) for v in world.vehicles]
+    samples = [sample_of(vid, v, world.clock) for vid, v in enumerate(world.vehicles)]
     meters = {s.vehicle_id: ReferenceSocMeter(s, world.consts, world.battery_params)
               for s in samples}
     for _ in range(n_steps):
         world.step()
-        for v in world.vehicles:
-            sample = meters[v.id].add(sample_of(v, world.clock))[2]
+        for vid, v in enumerate(world.vehicles):
+            sample = meters[vid].add(sample_of(vid, v, world.clock))[2]
             v.soc = sample.soc
             samples.append(sample)
     return samples, meters

@@ -164,9 +164,6 @@ PREDECESSOR_1 = '<link><predecessor elementType="road" elementId="1" contactPoin
 # "module.function: message" of a raise site -> why it stays although
 # no TestExitCodes row reaches it
 REACHED_FROM_OUTSIDE = {
-    "fleet_sim.World.__init__: vehicle ids must be 0 to {}, one each":
-        "the one statement that a truck's id is its index, for fleets the tests build "
-        "directly; spawn_at_spots numbers the CLI's",
     "mapgen.warehouse_map: at most {} spots fit this grid":
         "the README's quick start and the benchmark call warehouse_map; the CLI builds no map",
 }
@@ -996,7 +993,7 @@ class TestStreamedSimulate:
             with open(map_path) as f:
                 graph = load_roadnet(f)
         cfg = ScenarioConfig()
-        world = World.spawn_at_spots(
+        world = World(
             graph, vehicles, dt=dt, seed=seed, kin=cfg.kin, battery_params=cfg.battery,
             fork_mass=cfg.fork_mass, pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
         samples = run_samples(world, duration, cfg.fixed_spot())

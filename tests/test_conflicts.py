@@ -14,7 +14,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_samples
+from conftest import world_at
 from forkfleet import mapgen
 from forkfleet.fleet_sim import KinematicsParams, VehicleState, World
 from forkfleet.roadnet import Edge, ParkingSpot, Waypoint, build_graph
@@ -24,12 +24,12 @@ def all_pairs_caps(world):
     """Reference: every one of the N(N-1)/2 pairs, in id order."""
     kin = world.kin
     dt = world.dt
-    caps = {}
+    vs = world.vehicles
+    caps = [math.inf] * len(vs)
 
     def tighten(vid, cap):
-        caps[vid] = min(caps.get(vid, math.inf), max(0.0, cap))
+        caps[vid] = min(caps[vid], max(0.0, cap))
 
-    vs = sorted(world.vehicles, key=lambda v: v.id)
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             a, b = vs[i], vs[j]
@@ -43,22 +43,27 @@ def all_pairs_caps(world):
                                                  kin.horizon)
             min_sep = math.hypot(rx + dvx * t_star, ry + dvy * t_star)
             if min_sep < kin.d_safe:
-                yielder = b
-                if (world.ctl[b.id].blocked_for > kin.t_deadlock
-                        and world.ctl[a.id].blocked_for <= kin.t_deadlock):
-                    yielder = a
-                tighten(yielder.id, (gap - kin.d_safe) / kin.horizon)
+                yielder = j
+                if (world.ctl[j].blocked_for > kin.t_deadlock
+                        and world.ctl[i].blocked_for <= kin.t_deadlock):
+                    yielder = i
+                tighten(yielder, (gap - kin.d_safe) / kin.horizon)
             trigger = kin.d_safe + 2.0 * (kin.v_max + kin.a_max * dt) * dt + 1.0
             if gap < trigger:
                 slack = max(0.0, (gap - kin.d_safe) / dt)
-                tighten(a.id, slack)
+                tighten(i, slack)
                 a_bound = min(kin.v_max, a.speed + kin.a_max * dt, slack)
-                tighten(b.id, slack - a_bound)
+                tighten(j, slack - a_bound)
     return caps
 
 
 def hexed(caps):
-    return {vid: cap.hex() for vid, cap in caps.items()}
+    return [cap.hex() for cap in caps]
+
+
+def capped(caps):
+    """The ids of the vehicles that some pair caps."""
+    return [vid for vid, cap in enumerate(caps) if cap < math.inf]
 
 
 def bounds(kin, dt):
@@ -94,11 +99,10 @@ GRAPH = build_graph([Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0)],
 
 
 def make_world(kin, dt, poses, blocked):
-    """poses: (id, x, y, heading, speed) in the order handed to World."""
-    vehicles = [VehicleState(id=i, x=x, y=y, heading=h, speed=s) for i, x, y, h, s in poses]
-    world = World(GRAPH, vehicles, dt=dt, kin=kin)
-    for (vid, *_), b in zip(poses, blocked):
-        world.ctl[vid].blocked_for = b
+    """poses: (x, y, heading, speed) of each vehicle in id order."""
+    world = world_at(GRAPH, [VehicleState(x, y, h, s) for x, y, h, s in poses], dt=dt, kin=kin)
+    for ctl, b in zip(world.ctl, blocked):
+        ctl.blocked_for = b
     return world
 
 
@@ -138,7 +142,7 @@ def worlds(draw):
     for k in range(n):
         heading = draw(st.sampled_from(AXIS_ANGLES) | st.floats(-math.pi, math.pi))
         speed = draw(st.sampled_from([0.0, kin.v_max]) | st.floats(0.0, kin.v_max))
-        v = VehicleState(k, ox + draw(st.floats(0.0, 400.0)), oy + draw(st.floats(0.0, 300.0)),
+        v = VehicleState(ox + draw(st.floats(0.0, 400.0)), oy + draw(st.floats(0.0, 300.0)),
                          heading, speed)
         kind = draw(st.sampled_from(["free", "bound", "box", "end"])) if k else "free"
         a = vs[draw(st.integers(0, k - 1))] if k else None
@@ -171,11 +175,12 @@ def worlds(draw):
             for _ in range(draw(st.integers(0, 2))):
                 v.x = math.nextafter(v.x, draw(st.sampled_from([-math.inf, math.inf])))
         vs.append(v)
-    ids = draw(st.permutations(range(n)))
+    # the trucks drawn, in an id order of their own, so that a partner may have the lower id
+    order = draw(st.permutations(range(n)))
     td = kin.t_deadlock
     blocked = [draw(st.sampled_from([0.0, td - 1e-9, td, td + 1e-9])
                     | st.floats(0.0, 2.0 * td + 1.0)) for _ in range(n)]
-    poses = [(ids[k], v.x, v.y, v.heading, v.speed) for k, v in enumerate(vs)]
+    poses = [(v.x, v.y, v.heading, v.speed) for v in (vs[k] for k in order)]
     return make_world(kin, dt, poses, blocked)
 
 
@@ -196,20 +201,20 @@ def test_bounds_are_exercised():
     _, soft, pad = bounds(kin, 0.1)
     run = kin.v_max * kin.horizon
 
-    def check(poses, tested, capped):
+    def check(poses, tested, is_capped):
         world = make_world(kin, 0.1, poses, [0.0] * len(poses))
         caps, pairs = narrow_pairs(world)
         assert hexed(caps) == hexed(all_pairs_caps(world))
-        assert (pairs, bool(caps)) == (tested, capped)
+        assert (pairs, bool(capped(caps))) == (tested, is_capped)
 
-    check([(0, 0.0, 0.0, 0.0, kin.v_max), (1, soft - 0.01, 0.0, math.pi, kin.v_max)], 1, True)
+    check([(0.0, 0.0, 0.0, kin.v_max), (soft - 0.01, 0.0, math.pi, kin.v_max)], 1, True)
     for margin, tested in ((0.01, 0), (-0.01, 1)):
         ahead = run + 2 * pad + margin
-        check([(0, 0.0, 0.0, 0.0, kin.v_max), (1, ahead, 0.0, 0.0, kin.v_max)], tested, False)
-        check([(0, 0.0, 0.0, math.pi, kin.v_max), (1, -ahead, 0.0, math.pi, kin.v_max)],
+        check([(0.0, 0.0, 0.0, kin.v_max), (ahead, 0.0, 0.0, kin.v_max)], tested, False)
+        check([(0.0, 0.0, math.pi, kin.v_max), (-ahead, 0.0, math.pi, kin.v_max)],
               tested, False)
         beside = 2 * pad + margin
-        check([(0, 0.0, 0.0, 0.0, kin.v_max), (1, run / 2, beside, math.pi, 0.0)],
+        check([(0.0, 0.0, 0.0, kin.v_max), (run / 2, beside, math.pi, 0.0)],
               tested, False)
 
 
@@ -228,14 +233,14 @@ def test_far_out_edges_round():
     cases += [(KinematicsParams(horizon=h), -h, s, ulps(-h + s * h, k))
               for h in (2.0**60, 1e20, 1e300) for s in (0.5, 1.5, 2.5, 3.0, 4.0)
               for k in range(4)]
-    capped = 0
+    n_capped = 0
     for kin, x, speed, stopped_x in cases:
-        world = make_world(kin, 0.1, [(0, x, 0.0, 0.0, speed), (1, stopped_x, 0.0, 0.0, 0.0)],
+        world = make_world(kin, 0.1, [(x, 0.0, 0.0, speed), (stopped_x, 0.0, 0.0, 0.0)],
                            [0.0, 0.0])
         caps = world.resolve_conflicts()
         assert hexed(caps) == hexed(all_pairs_caps(world)), (kin.horizon, x, speed, stopped_x)
-        capped += bool(caps)
-    assert capped > len(cases) // 4
+        n_capped += bool(capped(caps))
+    assert n_capped > len(cases) // 4
 
 
 def test_in_run_caps_equal_all_pairs():
@@ -243,35 +248,14 @@ def test_in_run_caps_equal_all_pairs():
     every step the caps equal all pairs' bit for bit, through stopped trucks,
     queues and deadlock-breaker states."""
     kin = KinematicsParams(t_deadlock=2.0)
-    world = World.spawn_at_spots(mapgen.warehouse_map(nx=5, ny=3, n_spots=20), 16, seed=3,
-                                 kin=kin)
+    world = World(mapgen.warehouse_map(nx=5, ny=3, n_spots=20), 16, seed=3, kin=kin)
     stopped = breaker = zero = 0
     for _ in range(1200):
         caps = world.resolve_conflicts()
         assert hexed(caps) == hexed(all_pairs_caps(world))
-        stopped += any(world.vehicles[vid].speed == 0.0 for vid in caps)
+        stopped += any(world.vehicles[vid].speed == 0.0 for vid in capped(caps))
         breaker += any(c.blocked_for > kin.t_deadlock for c in world.ctl)
-        zero += 0.0 in caps.values()
+        zero += 0.0 in caps
         world.step()
     assert min(stopped, breaker, zero) > 0, (stopped, breaker, zero)
 
-
-def test_vehicle_order_does_not_matter():
-    """Vehicles handed to World out of id order give the samples of the
-    id-ordered run."""
-    def run(order):
-        g = mapgen.warehouse_map()
-        spots = sorted(g.spots, key=lambda s: s.id)[:6]
-        vehicles = []
-        for i, spot in enumerate(spots):
-            x, y = g.spot_anchor_xy(spot)
-            vehicles.append(VehicleState(id=i, x=x, y=y,
-                                         heading=g.waypoints[spot.edge_src].heading))
-        world = World(g, [vehicles[i] for i in order], seed=4)
-        for i, spot in enumerate(spots):
-            world.ctl[i].current_spot = spot.id
-        return run_samples(world, 60.0)
-
-    assert run([5, 2, 0, 4, 1, 3]) == run(range(6))
-    assert run(range(6)) == run_samples(World.spawn_at_spots(mapgen.warehouse_map(), 6, seed=4),
-                                        60.0)

@@ -23,7 +23,6 @@ CALLED_FROM_OUTSIDE = {
 FIELDS_READ_OUTSIDE = {
     "HeatmapGrid.overflow": "the conservation tally, which the tests check and no output "
                             "writes yet",
-    "Path.total_length": "the tests' A*-vs-Dijkstra checks read it",
 }
 
 

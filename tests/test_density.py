@@ -22,9 +22,9 @@ def states_on_line(positions_speeds):
     return [(i, x, 0.0, v) for i, (x, v) in enumerate(positions_speeds)]
 
 
-def analyze_snapshot(t, states, graph, cfg, rows=None):
+def analyze_snapshot(t, states, graph, cfg):
     """One instant's ClusterReport, over rows cut at distance_threshold."""
-    s = snapshot_from_states(t, states, graph, rows, cfg.distance_threshold)
+    s = snapshot_from_states(t, states, graph, {}, cfg.distance_threshold)
     return flag_critical(clusters(s, cfg), s, cfg)
 
 
@@ -46,7 +46,8 @@ def pair_clusters(dist, threshold):
 class TestSnapshot:
     def test_snap_and_distances(self):
         g = line_graph([10.0, 10.0])
-        s = snapshot_from_states(0.0, states_on_line([(1.0, 0), (9.0, 0), (21.0, 0)]), g)
+        s = snapshot_from_states(0.0, states_on_line([(1.0, 0), (9.0, 0), (21.0, 0)]), g, {},
+                                 math.inf)
         assert s.nodes == [0, 1, 2]
         d = dist_matrix(s)
         assert d[0][1] == 10.0
@@ -55,13 +56,13 @@ class TestSnapshot:
 
     def test_shared_node_distance_zero(self):
         g = line_graph([10.0])
-        s = snapshot_from_states(0.0, states_on_line([(0.5, 0), (1.5, 0)]), g)
+        s = snapshot_from_states(0.0, states_on_line([(0.5, 0), (1.5, 0)]), g, {}, math.inf)
         assert s.nodes == [0, 0]
         assert dist_matrix(s)[0][1] == 0.0
 
     def test_states_sorted_by_vehicle_id(self):
         g = line_graph([10.0])
-        s = snapshot_from_states(0.0, [(5, 0, 0, 1.0), (2, 10, 0, 2.0)], g)
+        s = snapshot_from_states(0.0, [(5, 0, 0, 1.0), (2, 10, 0, 2.0)], g, {}, math.inf)
         assert s.vehicle_ids == [2, 5]
         assert s.speeds == [2.0, 1.0]
 
@@ -69,34 +70,34 @@ class TestSnapshot:
 class TestClusters:
     def test_all_separate(self):
         g = line_graph([30.0, 30.0])
-        s = snapshot_from_states(0.0, states_on_line([(0, 0), (30, 0), (60, 0)]), g)
+        s = snapshot_from_states(0.0, states_on_line([(0, 0), (30, 0), (60, 0)]), g, {}, math.inf)
         assert clusters(s, DensityConfig(distance_threshold=15.0)) == [[0], [1], [2]]
 
     def test_chain_links_transitively(self):
         # pairwise gaps of 10 m chain three vehicles into one cluster even
         # though the ends are 20 m apart
         g = line_graph([10.0, 10.0])
-        s = snapshot_from_states(0.0, states_on_line([(0, 0), (10, 0), (20, 0)]), g)
+        s = snapshot_from_states(0.0, states_on_line([(0, 0), (10, 0), (20, 0)]), g, {}, math.inf)
         assert clusters(s, DensityConfig(distance_threshold=15.0)) == [[0, 1, 2]]
 
     def test_one_way_uses_min_direction(self):
         # A->B is 10 m but B->A only via a 20 m loop; min is 10 <= 15
         g = one_way_pair_graph()
-        s = snapshot_from_states(0.0, [(0, 0, 0, 0.0), (1, 10, 0, 0.0)], g)
+        s = snapshot_from_states(0.0, [(0, 0, 0, 0.0), (1, 10, 0, 0.0)], g, {}, math.inf)
         assert dist_matrix(s)[1][0] == 20.0
         assert clusters(s, DensityConfig(distance_threshold=15.0)) == [[0, 1]]
         assert clusters(s, DensityConfig(distance_threshold=5.0)) == [[0], [1]]
 
     def test_threshold_boundary_inclusive(self):
         g = line_graph([15.0])
-        s = snapshot_from_states(0.0, states_on_line([(0, 0), (15, 0)]), g)
+        s = snapshot_from_states(0.0, states_on_line([(0, 0), (15, 0)]), g, {}, math.inf)
         assert clusters(s, DensityConfig(distance_threshold=15.0)) == [[0, 1]]
 
     def test_monotone_in_threshold(self):
         # coarser thresholds can only merge clusters, never split them
         g = line_graph([8.0, 12.0, 25.0, 6.0])
         xs = [0, 8, 20, 45, 51]
-        s = snapshot_from_states(0.0, states_on_line([(x, 0) for x in xs]), g)
+        s = snapshot_from_states(0.0, states_on_line([(x, 0) for x in xs]), g, {}, math.inf)
         prev = None
         for t in (5.0, 10.0, 20.0, 40.0):
             part = clusters(s, DensityConfig(distance_threshold=t))
@@ -331,7 +332,7 @@ def reference_timeline(samples, graph, cfg):
         t = t0 + k * cfg.snapshot_interval
         states = tick_states(samples, t)
         if states:
-            snap = snapshot_from_states(t, states, graph)
+            snap = snapshot_from_states(t, states, graph, {}, math.inf)
             pairs.append((flag_critical(clusters(snap, cfg), snap, cfg), snap))
     return [rep for rep, _ in pairs], _stitch_episodes(pairs, graph)
 
@@ -432,7 +433,7 @@ class TestTimelineRows:
             reports, _ = density_timeline(samples, graph, cfg)
         # every row is cut at the threshold
         assert {limit for _, limit in calls} == {cfg.distance_threshold}
-        fresh = [snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
+        fresh = [snapshot_from_states(rep.t, tick_states(samples, rep.t), graph, {}, math.inf)
                  for rep in reports]
         snapped = {node for s in fresh for node in s.nodes}
         assert sorted(src for src, _ in calls) == sorted(snapped)
@@ -486,7 +487,7 @@ class TestTimelineRows:
         assert [s.t for s in snapshots] == [rep.t for rep in reports]
         cut_entries = shared = one_way = 0
         for rep, cut in zip(reports, snapshots):
-            full = snapshot_from_states(rep.t, tick_states(samples, rep.t), graph)
+            full = snapshot_from_states(rep.t, tick_states(samples, rep.t), graph, {}, math.inf)
             d = dist_matrix(full)
             assert dist_matrix(cut) == [[x if x <= threshold else math.inf for x in row]
                                         for row in d]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eager
-from conftest import run_samples
+from conftest import run_samples, world_at
 from forkfleet import (ConfigError, Infeasible, InputError, battery, check_ranges, cli,
                        fleet_sim, mapgen)
 from forkfleet.config import ScenarioConfig
@@ -65,7 +65,7 @@ class TestKinematicsValidate:
 class TestSpawnAndAssign:
     def test_spawn_marks_spots(self):
         g = mapgen.warehouse_map()
-        w = World.spawn_at_spots(g, 3, seed=1)
+        w = World(g, 3, seed=1)
         assert len(w.vehicles) == 3
         spots = sorted(g.spots, key=lambda s: s.id)
         assert claims_of(w) == {s.id: i for i, s in enumerate(spots[:3])}
@@ -77,10 +77,10 @@ class TestSpawnAndAssign:
     def test_spawn_too_many(self):
         g = corridor_graph()
         with pytest.raises(ConfigError, match="^3 vehicles but only 2 spots$"):
-            World.spawn_at_spots(g, 3)
+            World(g, 3)
 
     def test_assign_reserves_and_loads(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
+        w = World(corridor_graph(), 1, seed=0)
         assert w.assign_task(0, 1) == 1
         assert w.ctl[0].dest_spot == 1
         assert claims_of(w)[1] == 0
@@ -99,14 +99,14 @@ class TestSpawnAndAssign:
 
     def test_assign_occupied_spot(self):
         # truck 1 stands on spot 1, and truck 0 on spot 0
-        self.assert_refused(World.spawn_at_spots(corridor_graph(), 2, seed=0), 1)
-        self.assert_refused(World.spawn_at_spots(corridor_graph(), 1, seed=0), 0)
+        self.assert_refused(World(corridor_graph(), 2, seed=0), 1)
+        self.assert_refused(World(corridor_graph(), 1, seed=0), 0)
 
     def test_assign_on_a_full_floor(self):
-        self.assert_refused(World.spawn_at_spots(corridor_graph(), 2, seed=0), None)
+        self.assert_refused(World(corridor_graph(), 2, seed=0), None)
 
     def test_random_policy_excludes_own_spot(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
+        w = World(corridor_graph(), 1, seed=0)
         state = w.rng._state
         assert w.assign_task(0) == 1
         assert w.rng._state != state
@@ -114,25 +114,25 @@ class TestSpawnAndAssign:
 
 class TestRouting:
     def test_plan_route_reaches_spot_edge(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
-        path = w.plan_route(0, w.assign_task(0, 1))
-        assert path.nodes[-1] == 1
-        assert path.total_length == 20.0
+        w = World(corridor_graph(), 1, seed=0)
+        route = w._build_route(0, w.assign_task(0, 1))
+        assert route.points == [(0.0, 0.0), (20.0, 0.0)]
+        assert route.cumlen == [0.0, 20.0]
 
     def test_unreachable(self):
         g = one_way_corridor()
         # vehicle parked at the downstream spot cannot drive back
-        w = World.spawn_at_spots(g, 2, seed=0)
+        w = World(g, 2, seed=0)
         w.ctl[0].current_spot = None
         with pytest.raises(Infeasible, match="vehicle 1 cannot reach spot 0"):
-            w.plan_route(1, w.assign_task(1, 0))
+            w._build_route(1, w.assign_task(1, 0))
 
     def test_one_point_route_arrives_at_once(self):
         # both spots anchor at node 0, so the route to either is the truck's own point
         wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0), Waypoint(2, 20, 0, 0.0)]
         edges = [Edge(0, 1, 10.0, 3.0), Edge(1, 2, 10.0, 3.0), Edge(2, 0, 20.0, 3.0)]
         spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 0, 1, 0.0)]
-        w = World.spawn_at_spots(build_graph(wps, edges, spots), 1, dt=0.1)
+        w = World(build_graph(wps, edges, spots), 1, dt=0.1)
         arrivals = []
         for _ in range(200):
             arrivals += step_arrivals(w)
@@ -144,7 +144,7 @@ class TestRouting:
     def test_route_from_mid_street_starts_at_the_truck(self):
         # the truck stands 6 m short of node 1, the node it snaps to and spot
         # 1's anchor, so its route starts at its own position
-        w = World(corridor_graph(), [VehicleState(0, 14.0, 0.0, 0.0)], dt=0.1)
+        w = world_at(corridor_graph(), [VehicleState(14.0, 0.0, 0.0)], dt=0.1)
         w.assign_task(0, 1)
         while w.ctl[0].phase == PHASE_LIFT:
             w.step()
@@ -201,13 +201,13 @@ class TestDriveKinematics:
     def test_trapezoid_timing(self):
         # 20 m straight, v_max 2, a = b = 1: accel 2 s, cruise 8 s, brake 2 s
         kin = KinematicsParams(v_max=2.0, a_max=1.0, b_max=1.0)
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0, dt=0.1, kin=kin)
+        w = World(corridor_graph(), 1, seed=0, dt=0.1, kin=kin)
         w.assign_task(0, 1)
         drive, _ = drive_duration(w, 0)
         assert drive == pytest.approx(12.0, abs=0.1 + 1e-9)
 
     def test_arrival_occupies_spot(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
+        w = World(corridor_graph(), 1, seed=0)
         w.assign_task(0, 1)
         drive_duration(w, 0)
         assert claims_of(w) == {1: 0}  # spot 0 released, spot 1 held
@@ -218,7 +218,7 @@ class TestDriveKinematics:
     def test_speed_limit_respected(self):
         kin = KinematicsParams(v_max=4.0)
         g = corridor_graph()
-        w = World.spawn_at_spots(g, 1, seed=0, kin=kin)
+        w = World(g, 1, seed=0, kin=kin)
         w.assign_task(0, 1)
         samples = run_samples(w, 30.0)
         # corridor limit is 5, v_max is 4: never exceed 4
@@ -226,8 +226,7 @@ class TestDriveKinematics:
 
     def test_lift_phase_duration(self):
         kin = KinematicsParams(lift_speed=0.5)
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0, dt=0.1, kin=kin,
-                                 lift_height=1.0)
+        w = World(corridor_graph(), 1, seed=0, dt=0.1, kin=kin, lift_height=1.0)
         w.assign_task(0, 1)
         steps = 0
         while w.ctl[0].phase == PHASE_LIFT:
@@ -246,7 +245,7 @@ class TestDriveKinematics:
         spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 4, 5, 0.0)]
         g = build_graph(wps, edges, spots)
         kin = KinematicsParams(v_max=3.0, a_lat_max=1.0)
-        w = World.spawn_at_spots(g, 1, seed=0, kin=kin)
+        w = World(g, 1, seed=0, kin=kin)
         w.assign_task(0, 1)
         corner_speeds = []
         for _ in range(1000):
@@ -288,7 +287,7 @@ def split_by_time(samples):
 class TestFleet:
     def test_separation_maintained(self):
         g = mapgen.warehouse_map()
-        w = World.spawn_at_spots(g, 4, seed=3)
+        w = World(g, 4, seed=3)
         samples = run_samples(w, 120.0)
         kin = w.kin
         assert min_pairwise_separation(samples) >= kin.d_safe - kin.v_max * w.dt
@@ -296,8 +295,8 @@ class TestFleet:
     def test_separation_float_floor(self):
         # the fleet_sim module docstring's case: the hard cap keeps d_safe in
         # exact arithmetic, and rounding puts the pair a few ulps below it
-        w = World.spawn_at_spots(mapgen.warehouse_map(nx=2, ny=1, n_spots=4), 2, dt=0.25,
-                                 seed=14767053134445368162)
+        w = World(mapgen.warehouse_map(nx=2, ny=1, n_spots=4), 2, dt=0.25,
+                  seed=14767053134445368162)
         *_, tick = w.ticks(562.25)
         assert tick[0].t == 562.25
         assert math.dist((tick[0].x, tick[0].y), (tick[1].x, tick[1].y)) == 2.999999999999993
@@ -312,16 +311,15 @@ class TestFleet:
         # wherever the floor has four spots, so that most examples have a pair
         n_spots = data.draw(st.integers(2, nx * (ny + 1)))
         n_vehicles = data.draw(st.integers(min(2, n_spots // 2), n_spots // 2))
-        w = World.spawn_at_spots(mapgen.warehouse_map(nx, ny, n_spots), n_vehicles,
-                                 dt=dt, seed=seed)
+        w = World(mapgen.warehouse_map(nx, ny, n_spots), n_vehicles, dt=dt, seed=seed)
         bound = w.kin.d_safe - w.kin.v_max * dt
         assert min_pairwise_separation(run_samples(w, 120.0)) >= bound
 
     def test_tasks_complete_and_occupancy_consistent(self):
         g = mapgen.warehouse_map()
-        w = World.spawn_at_spots(g, 3, seed=5)
+        w = World(g, 3, seed=5)
         run_samples(w, 180.0)
-        done = [w.ctl[v.id].tasks_completed for v in w.vehicles]
+        done = [ctl.tasks_completed for ctl in w.ctl]
         assert all(n >= 1 for n in done)
         assert [s.id for s in w.free_spots()] == sorted(
             s.id for s in g.spots if s.id not in claims_of(w))
@@ -334,7 +332,7 @@ class TestFleet:
         n_vehicles = data.draw(st.integers(1, min(6, nx * (ny + 1))))
         n_spots = data.draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
         g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
-        w = World.spawn_at_spots(g, n_vehicles, seed=seed)
+        w = World(g, n_vehicles, seed=seed)
         ids = sorted(s.id for s in g.spots)
         for _ in range(400):
             w.step()
@@ -355,15 +353,15 @@ class TestFleet:
                 super().step(spot)
 
         g = mapgen.warehouse_map(n_spots=n_spots)
-        runs = [run_samples(cls.spawn_at_spots(g, n_vehicles, seed=5), 200.0, spot)
+        runs = [run_samples(cls(g, n_vehicles, seed=5), 200.0, spot)
                 for cls in (World, EveryIdleVehicle)]
         assert runs[0] == runs[1]
 
     def test_one_graph_backs_many_worlds(self):
         g = mapgen.warehouse_map()
-        run_samples(World.spawn_at_spots(g, 4, seed=3), 47.0)
-        again = run_samples(World.spawn_at_spots(g, 2, seed=3), 60.0)
-        assert again == run_samples(World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=3), 60.0)
+        run_samples(World(g, 4, seed=3), 47.0)
+        again = run_samples(World(g, 2, seed=3), 60.0)
+        assert again == run_samples(World(mapgen.warehouse_map(), 2, seed=3), 60.0)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_dt_not_finite_and_positive_rejected(self, dt):
@@ -371,22 +369,10 @@ class TestFleet:
         with pytest.raises(ConfigError, match="dt must be finite and > 0"):
             check_ranges(ScenarioConfig(dt=dt))
 
-    def test_duplicate_vehicle_ids_rejected(self):
-        g = corridor_graph()
-        with pytest.raises(ConfigError, match="vehicle ids must be 0 to 1, one each"):
-            World(g, [VehicleState(0, 0.0, 0.0, 0.0), VehicleState(0, 21.0, 0.0, 0.0)])
-
-    @pytest.mark.parametrize("ids", [[0, 2], [1], [-1, 0], [-1]])
-    def test_vehicle_ids_other_than_their_indices_rejected(self, ids):
-        # a vehicle's id is its index in World.vehicles and World.ctl
-        vehicles = [VehicleState(i, 0.0, 21.0 * k, 0.0) for k, i in enumerate(ids)]
-        with pytest.raises(ConfigError, match="vehicle ids must be 0 to"):
-            World(corridor_graph(), vehicles)
-
     def test_determinism(self):
         def run_once():
             g = mapgen.warehouse_map()
-            w = World.spawn_at_spots(g, 3, seed=42)
+            w = World(g, 3, seed=42)
             return run_samples(w, 60.0)
 
         assert run_once() == run_once()
@@ -394,7 +380,7 @@ class TestFleet:
     def test_seed_changes_assignments(self):
         def dests(seed):
             g = mapgen.warehouse_map()
-            w = World.spawn_at_spots(g, 3, seed=seed)
+            w = World(g, 3, seed=seed)
             out = []
             for _ in range(600):
                 idle = [vid for vid, ctl in enumerate(w.ctl) if ctl.phase == PHASE_IDLE]
@@ -407,7 +393,7 @@ class TestFleet:
 
     def test_battery_drains(self):
         g = mapgen.warehouse_map()
-        w = World.spawn_at_spots(g, 2, seed=9)
+        w = World(g, 2, seed=9)
         run_samples(w, 120.0)
         for row in w.summary():
             assert row["final_soc"] < 1.0
@@ -415,18 +401,18 @@ class TestFleet:
             assert row["distance_driven"] > 0.0
 
     def test_summary_keys(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
+        w = World(corridor_graph(), 1, seed=0)
         row = w.summary()[0]
         assert set(row) == {"vehicle_id", "distance_driven", "tasks_completed",
                             "energy_drawn", "energy_regenerated", "final_soc",
                             "soc_band"}
 
     def test_zero_duration_run(self):
-        w = World.spawn_at_spots(corridor_graph(), 1, seed=0)
+        w = World(corridor_graph(), 1, seed=0)
         assert list(w.ticks(0.0)) == []  # no tick, not even the initial one
         # after a run, a zero duration yields nothing, and the t = 0 tick is
         # not repeated by the next run
-        w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
+        w = World(mapgen.warehouse_map(), 2, seed=4)
         first = run_samples(w, 1.0)
         assert len(first) == 22
         assert run_samples(w, 0.0) == []
@@ -434,7 +420,7 @@ class TestFleet:
         assert [(s.t, s.vehicle_id) for s in nxt] == [(w.clock, 0), (w.clock, 1)]
 
     def test_soc_set_after_construction_is_the_start(self):
-        w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
+        w = World(mapgen.warehouse_map(), 2, seed=4)
         w.vehicles[0].soc = 0.8
         socs = [s.soc for s in run_samples(w, 0.3) if s.vehicle_id == 0]
         assert socs[0] == 0.8
@@ -443,7 +429,7 @@ class TestFleet:
         assert w.summary()[0]["final_soc"] == socs[-1]
 
     def test_second_run_continues_without_repeating_the_boundary(self):
-        w = World.spawn_at_spots(mapgen.warehouse_map(), 2, seed=4)
+        w = World(mapgen.warehouse_map(), 2, seed=4)
         samples = run_samples(w, 1.0) + run_samples(w, 1.0)
         for vid, ss in split_by_vehicle(samples).items():
             times = [s.t for s in ss]
@@ -466,10 +452,10 @@ class TestFleet:
                 yield energy
 
         monkeypatch.setattr(battery, "_energies", counted)
-        whole = World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=4)
+        whole = World(mapgen.warehouse_map(), 4, seed=4)
         expected = run_samples(whole, 6.0)
         n_whole = len(calls)
-        pieces = World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=4)
+        pieces = World(mapgen.warehouse_map(), 4, seed=4)
         samples = []
         for _ in range(60):
             samples += run_samples(pieces, 0.1)
@@ -478,14 +464,14 @@ class TestFleet:
         assert n_whole == 4 * 60 and len(calls) == 2 * n_whole
 
     def test_a_fleet_of_none_runs(self):
-        w = World.spawn_at_spots(mapgen.warehouse_map(), 0, seed=4)
+        w = World(mapgen.warehouse_map(), 0, seed=4)
         assert run_samples(w, 1.0) == [] and run_samples(w, 1.0) == [] and w.summary() == []
 
 
 class TestReplay:
     def test_identity_on_gridded_samples(self):
         g = mapgen.warehouse_map()
-        w = World.spawn_at_spots(g, 2, seed=7)
+        w = World(g, 2, seed=7)
         samples = run_samples(w, 60.0)
         out = [s for tick in replay(samples, dt=w.dt, consts=w.consts, params=w.battery_params)
                for s in tick]
@@ -616,8 +602,7 @@ class TestStreamedReplay:
         # lists' and arrays' spare room. The whole grid held at once, as
         # replay once did, grew the peak by about 470 B a point.
         def peak(duration):
-            samples = run_samples(World.spawn_at_spots(mapgen.warehouse_map(), 4, seed=11),
-                                  duration)
+            samples = run_samples(World(mapgen.warehouse_map(), 4, seed=11), duration)
             sink = io.StringIO()
             sink.write = len  # formats every row, keeps none
             tracemalloc.start()

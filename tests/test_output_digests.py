@@ -7,11 +7,13 @@ inputs). A case is keyed by (command, map, input, argv): simulate's seed is
 in its argv, and a made input's seed is fixed with its name. The results are
 kept in output_digests.json.
 
-The maps are warehouse floors from 59 to 761 nodes and an OpenDRIVE ring
-converted here, the only kind of map whose edge sums are inexact. The inputs
-are simulated trajectories, thinned ones, a walk along the converted ring,
-calibration cycles with SplitMix64 noise on their energies, and OpenDRIVE
-documents, one of them a seeded batch whose runs share one entry.
+The maps are warehouse floors from 59 to 761 nodes, an OpenDRIVE ring
+converted here, the only kind of map whose edge sums are inexact, and two
+small maps written out as text. The inputs are simulated trajectories,
+thinned ones, a walk along the converted ring, three short trajectories
+written out as text, calibration cycles with SplitMix64 noise on their
+energies, and OpenDRIVE documents, one of them a seeded batch whose runs
+share one entry.
 
     PYTHONPATH=src python tests/test_output_digests.py [--check]
 
@@ -42,7 +44,8 @@ from forkfleet import cli, mapgen
 from forkfleet.battery import BatteryParams, VehicleConstants
 from forkfleet.rng import SplitMix64
 from forkfleet.roadnet import load_roadnet, save_roadnet
-from forkfleet.trajectory import TrajectorySample, read_csv, split_by_vehicle, write_csv
+from forkfleet.trajectory import (CSV_HEADER, TrajectorySample, read_csv, split_by_vehicle,
+                                  write_csv)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_digests.json")
 
@@ -57,6 +60,19 @@ MAPS = {
     "10x4-48": {"nx": 10, "ny": 4, "n_spots": 48},
     "8x6-32": {"nx": 8, "ny": 6, "n_spots": 32},      # 205 nodes
     "L": {"nx": 16, "ny": 12, "n_spots": 128},        # 761 nodes
+}
+
+# name -> the text of a map written as it stands
+MAP_TEXTS = {
+    # 0 <-> 1 <-> 2 along x, 20 m edges, spots 7 m into 0 -> 1 and 1 -> 2: a
+    # truck starts mid-edge, so its first route starts at the truck
+    "corridor": "roadnet v1\nnode 0 0 0 0\nnode 1 20 0 0\nnode 2 40 0 0\n"
+                "edge 0 1 20 3 1\nedge 1 0 20 3 1\nedge 1 2 20 3 1\nedge 2 1 20 3 1\n"
+                "spot 0 0 1 7\nspot 1 1 2 7\n",
+    # a one-way 10 m square 0 -> 1 -> 2 -> 3 -> 0: a chain row's walk closes a cycle
+    "square": "roadnet v1\nnode 0 0 0 0\nnode 1 10 0 1.57079632679\n"
+              "node 2 10 10 3.14159265359\nnode 3 0 10 -1.57079632679\n"
+              "edge 0 1 10 3 1\nedge 1 2 10 3 1\nedge 2 3 10 3 1\nedge 3 0 10 3 1\n",
 }
 
 
@@ -90,6 +106,8 @@ SIMULATE = [
     ("demo", ["--policy", "fixed:99", *_sim(3, 60, 4)]),
     ("L", _sim(24, 15, 3)),
     ("demo", _sim(4, 600, 11)),  # gridlocked for good from about 400 s
+    # ends at soc 0.416699, in the charge_suggested band
+    ("corridor", _sim(1, 60, 1) + _sets("battery.capacity=3e5")),
 ]
 
 # The made inputs, named short to keep the test ids short (Work.inputs makes
@@ -101,6 +119,19 @@ L_RUN = "L24"                 # simulate on the L map, 24 trucks, 15 s, seed 3
 WALK = "walk3"                # 3 trucks walking the ring's waypoints for 60 s
 CYCLES = "cycles9"            # 4 one-truck cycles of a 20 s demo-floor run, seed 9
 BATCH = "batch200"            # 200 OpenDRIVE documents from SplitMix64 seed 28
+LATE = "late2"                # 2 trucks, truck 1's samples between two 0.1 s grid times
+APART = "apart2"              # 2 trucks, over 0-1 s and 5-6 s
+CORNERS = "corners1"          # 1 truck at nodes 0, 1 and 2 of the square
+
+# name -> the text of a trajectory written as it stands
+CSV_TEXTS = {
+    # truck 1 has no time of replay's grid, so no sample in replay.csv
+    LATE: "0,0,0,0,0,0,0,0,1\n0.31,1,20,0,0,0,0,0,0.9\n0.32,1,20,0,0,0,0,0,0.9\n"
+          "0.5,0,1,0,0,2,0,0,1\n",
+    # the density ticks at 2, 3 and 4 s hold no truck
+    APART: "0,0,0,0,0,0,0,0,1\n1,0,2,0,0,2,0,0,1\n5,1,20,0,0,0,0,0,1\n6,1,22,0,0,2,0,0,1\n",
+    CORNERS: "0,0,0,0,0,0,0,0,1\n1,0,10,0,0,0,0,0,1\n2,0,10,10,0,0,0,0,1\n",
+}
 
 DENSITY = _sets("density.distance_threshold=25", "density.velocity_threshold=1.2",
                 "density.snapshot_interval=0.5")
@@ -133,6 +164,9 @@ ANALYSES = [
     ("calibrate", "-", CYCLES, ["--free", "c_rr"]),
     ("calibrate", "-", CYCLES, ["--free", "c_steer,eta_regen"]),
     ("calibrate", "-", CYCLES, _sets("battery.c_rr=0.03")),
+    ("replay", "corridor", LATE, []),
+    ("analyze-density", "corridor", APART, []),
+    ("place-chargers", "square", CORNERS, []),
 ]
 
 CONVERT = [
@@ -331,6 +365,9 @@ class Work:
         path = self.path(f"map {name}.roadnet")
         if name == "ring":
             assert cli.main(["convert", self.document("ring"), "--out", path]) == 0
+        elif name in MAP_TEXTS:
+            with open(path, "w") as f:
+                f.write(MAP_TEXTS[name])
         else:
             with open(path, "w") as f:
                 save_roadnet(mapgen.warehouse_map(**MAPS[name]), f)
@@ -382,6 +419,13 @@ class Work:
             f.writelines(lines)
         return path
 
+    def written(self, name):
+        """The trajectory CSV_TEXTS holds under name."""
+        path = self.path(f"{name}.csv")
+        with open(path, "w") as f:
+            f.write(CSV_HEADER + "\n" + CSV_TEXTS[name])
+        return path
+
     def walk(self):
         with open(self.map("ring")) as f:
             graph = load_roadnet(f)
@@ -403,6 +447,8 @@ class Work:
                     f.write(text)
                 docs.append([path, "--spacing", spacing])
             return docs
+        if name in CSV_TEXTS:
+            return [[self.written(name)]]
         made = {DEMO: lambda: self.simulated("demo", 4, 120, 5),
                 DEMO_THINNED: lambda: self.thinned(self.simulated("demo", 4, 120, 5)),
                 FLOOR_205: lambda: self.thinned(self.simulated("8x6-32", 16, 30, 7)),
