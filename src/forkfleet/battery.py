@@ -26,6 +26,8 @@ from . import ConfigError, Infeasible, InputError, setting, total
 from .trajectory import TrajectorySample, split_by_vehicle
 
 G = 9.80665
+TRUCK_MASS = 3000.0  # kg, an empty truck
+FORK_MASS = 100.0    # kg, the forks, which every lift and lowering moves
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,7 @@ def _energies(features, p: BatteryParams):
         yield draw + vd + aux_power * dt, regen + vr
 
 
-@dataclass(frozen=True)
-class VehicleConstants:
-    truck_mass: float = 3000.0
-    fork_mass: float = 100.0
-
-
-def _segment_features(a, b, consts: VehicleConstants):
+def _segment_features(a, b, fork_mass: float):
     """The parameter-free features of the segment between two samples of one
     vehicle: (dt, ds, mass, w_kin, |dheading/dt|, dh, lift mass). The energy
     depends on the parameters only through _energies, so calibrate() builds
@@ -108,29 +104,29 @@ def _segment_features(a, b, consts: VehicleConstants):
     dheading = math.remainder(b[4] - a[4], 2.0 * math.pi)  # an inf change raises here first
     if ds < 0 or dt <= 0:
         raise InputError(f"vehicle {b[1]} at t={b[0]:.12g}: ds={ds}, dt={dt}")
-    mass = consts.truck_mass + a[7]
+    mass = TRUCK_MASS + a[7]
     return (dt, ds, mass, 0.5 * mass * (v1 * v1 - v0 * v0), abs(dheading / dt), b[6] - a[6],
-            b[7] + consts.fork_mass)
+            b[7] + fork_mass)
 
 
-def _vehicle_features(samples, consts: VehicleConstants):
+def _vehicle_features(samples, fork_mass: float):
     """Every segment's features, vehicles in id order."""
-    return [_segment_features(a, b, consts)
+    return [_segment_features(a, b, fork_mass)
             for _, ss in sorted(split_by_vehicle(samples).items()) for a, b in zip(ss, ss[1:])]
 
 
 class SocMeter:
-    """A fleet's running energy sums and SOC, all its vehicles with one consts,
+    """A fleet's running energy sums and SOC, all its vehicles with one fork_mass,
     each vehicle fed its samples in time order after its first. A vehicle's
     SOC is its first sample's soc less its net energy so far over the
     capacity, clamped to [0, 1]. drawn and regenerated sum every segment in
     the order they were fed. An add that makes them not finite raises error at
     the state that did: InputError for read samples, else ConfigError."""
 
-    def __init__(self, firsts, consts: VehicleConstants, p: BatteryParams, error=InputError):
+    def __init__(self, firsts, fork_mass: float, p: BatteryParams, error=InputError):
         # vehicle_id -> [last sample, initial soc, drawn, regenerated]
         self._vehicles = {s.vehicle_id: [s, s.soc, 0.0, 0.0] for s in firsts}
-        self.consts = consts
+        self.fork_mass = fork_mass
         self.p = p
         self.error = error
         self.drawn = self.regenerated = 0.0
@@ -144,10 +140,10 @@ class SocMeter:
         order and through one _energies pass; a state is a sample's first
         eight fields. -> the samples, each with the SOC after its segment."""
         rows = [self._vehicles[s[1]] for s in states]
-        consts = self.consts
+        fork_mass = self.fork_mass
         features = []
         for row, s in zip(rows, states):
-            features.append(_segment_features(row[0], s, consts))
+            features.append(_segment_features(row[0], s, fork_mass))
             row[0] = s
         capacity = self.p.capacity
         drawn, regenerated = self.drawn, self.regenerated
@@ -208,8 +204,7 @@ class CalibrationResult:
     converged: bool
 
 
-def calibrate(cycles, p0: BatteryParams, free,
-              consts: VehicleConstants = VehicleConstants()) -> CalibrationResult:
+def calibrate(cycles, p0: BatteryParams, free, fork_mass: float = FORK_MASS) -> CalibrationResult:
     """Fit the free parameters to measured cycle energies.
 
     cycles: list of (samples, measured_joules). Coordinate descent over the
@@ -239,7 +234,7 @@ def calibrate(cycles, p0: BatteryParams, free,
     index, distinct, fits = {}, [], []
     for traj, measured in cycles:
         ix = []
-        for f in _vehicle_features(traj, consts):
+        for f in _vehicle_features(traj, fork_mass):
             key = struct.pack("7d", *f)
             if key not in index:
                 index[key] = len(distinct)

@@ -181,8 +181,7 @@ def _render_summary(world, f, prov):
 def cmd_replay(args):
     # the map is loaded, so a bad one is refused, and named in prov, but not read
     cfg, _, samples, prov = _load_analysis_inputs(args)
-    consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
-    ticks = replay(samples, dt=cfg.dt, consts=consts, params=cfg.battery)
+    ticks = replay(samples, dt=cfg.dt, fork_mass=cfg.fork_mass, params=cfg.battery)
     return prov, ("replay.csv", "soc.csv"), lambda replayed, soc: _render_run(ticks, replayed, soc)
 
 
@@ -263,8 +262,7 @@ def cmd_calibrate(args):
             raise InputError(f"manifest line {lineno}: bad energy value {parts[1]!r}")
         cycles.append((samples, measured))
     free = [s.strip() for s in args.free.split(",") if s.strip()] if args.free else []
-    consts = bat.VehicleConstants(fork_mass=cfg.fork_mass)
-    result = bat.calibrate(cycles, cfg.battery, free, consts=consts)
+    result = bat.calibrate(cycles, cfg.battery, free, fork_mass=cfg.fork_mass)
 
     def render(fitted, residuals):
         dump_battery_params(result.params, fitted)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import ConfigError, records, setting  # ConfigError: re-exported
-from .battery import BatteryParams, VehicleConstants
+from .battery import FORK_MASS, BatteryParams
 from .density import DensityConfig
 from .fleet_sim import DT, LIFT_HEIGHT, PICKUP_MASS, KinematicsParams
 from .placement import PlacementConfig
@@ -26,7 +26,7 @@ class ScenarioConfig:
     policy: str = "random"          # "random" | "fixed:<spot_id>"
     pickup_mass: float = setting(PICKUP_MASS, 0)
     lift_height: float = setting(LIFT_HEIGHT, 0)
-    fork_mass: float = setting(VehicleConstants.fork_mass, 0)
+    fork_mass: float = setting(FORK_MASS, 0)
     kin: KinematicsParams = field(default_factory=KinematicsParams)
     battery: BatteryParams = field(default_factory=BatteryParams)
     density: DensityConfig = field(default_factory=DensityConfig)

@@ -90,17 +90,6 @@ class KinematicsParams:
     t_deadlock: float = setting(10.0, 0)             # s before a blocked vehicle gains priority
 
 
-@dataclass
-class VehicleState:
-    x: float
-    y: float
-    heading: float
-    speed: float = 0.0
-    load_mass: float = 0.0
-    fork_height: float = 0.0
-    soc: float = 1.0
-
-
 PHASE_IDLE = "idle"
 PHASE_LIFT = "lift"
 PHASE_DRIVE = "drive"
@@ -119,8 +108,14 @@ class _Route:
 
 
 @dataclass
-class _VehicleCtl:
-    """Per-vehicle controller bookkeeping, internal to the world."""
+class VehicleState:  # one truck: its pose, load and SOC, and its controller's task
+    x: float
+    y: float
+    heading: float
+    speed: float = 0.0
+    load_mass: float = 0.0
+    fork_height: float = 0.0
+    soc: float = 1.0
     phase: str = PHASE_IDLE
     dest_spot: Optional[int] = None  # the spot of the task under way
     route: Optional[_Route] = None
@@ -145,7 +140,7 @@ class World:
     def __init__(self, graph: RoadGraph, n_vehicles: int, dt: float = DT, seed: int = 0,
                  kin: KinematicsParams = KinematicsParams(),
                  battery_params: bat.BatteryParams = bat.BatteryParams(),
-                 fork_mass: float = bat.VehicleConstants.fork_mass,
+                 fork_mass: float = bat.FORK_MASS,
                  pickup_mass: float = PICKUP_MASS,
                  lift_height: float = LIFT_HEIGHT):
         """Place vehicles 0..n-1 on the n parking spots of lowest id, each
@@ -159,14 +154,14 @@ class World:
         self._spots_by_id = {s.id: s for s in sorted(graph.spots, key=lambda s: s.id)}
         spots = list(self._spots_by_id.values())[:n_vehicles]
         self.vehicles = [VehicleState(*graph.spot_anchor_xy(spot),
-                                      heading=graph.waypoints[spot.edge_src].heading)
+                                      heading=graph.waypoints[spot.edge_src].heading,
+                                      current_spot=spot.id)
                          for spot in spots]
-        self.ctl = [_VehicleCtl(current_spot=spot.id) for spot in spots]
         self.dt = dt
         self.rng = SplitMix64(seed)
         self.kin = kin
         self.battery_params = battery_params
-        self.consts = bat.VehicleConstants(fork_mass=fork_mass)
+        self.fork_mass = fork_mass
         self.pickup_mass = pickup_mass
         self.lift_height = lift_height
         self.step_count = 0
@@ -180,7 +175,7 @@ class World:
 
     def free_spots(self):
         """The spots no vehicle stands on or is bound for, in id order."""
-        taken = {spot for ctl in self.ctl for spot in (ctl.current_spot, ctl.dest_spot)}
+        taken = {spot for v in self.vehicles for spot in (v.current_spot, v.dest_spot)}
         return [s for s in self._spots_by_id.values() if s.id not in taken]
 
     def assign_task(self, vehicle_id: int, spot: Optional[int] = None) -> Optional[int]:
@@ -188,15 +183,15 @@ class World:
         to a free spot drawn from the world's generator -> the spot's id. None
         when that spot, or with spot None every spot, is taken; then nothing
         is drawn."""
-        ctl = self.ctl[vehicle_id]
+        v = self.vehicles[vehicle_id]
         free = [s.id for s in self.free_spots()]
         if spot is None and free:
             spot = free[self.rng.randrange(len(free))]
         elif spot not in free:
             return None
-        ctl.dest_spot = spot
-        ctl.phase = PHASE_LIFT
-        self.vehicles[vehicle_id].load_mass = self.pickup_mass
+        v.dest_spot = spot
+        v.phase = PHASE_LIFT
+        v.load_mass = self.pickup_mass
         return spot
 
     # --- routing -------------------------------------------------------------
@@ -256,13 +251,13 @@ class World:
         dt = self.dt
         d_safe, horizon, t_deadlock, v_max = kin.d_safe, kin.horizon, kin.t_deadlock, kin.v_max
         a_max_dt = kin.a_max * dt
-        ctl, hypot, inf, cos, sin = self.ctl, math.hypot, math.inf, math.cos, math.sin
-        caps = [inf] * len(self.vehicles)
+        vehicles, hypot, inf, cos, sin = self.vehicles, math.hypot, math.inf, math.cos, math.sin
+        caps = [inf] * len(vehicles)
         trigger = d_safe + 2.0 * (v_max + a_max_dt) * dt + 1.0
         pad0 = 0.5 * trigger + 0.5 + 2**-49 * trigger
         rel_h = 2**-49 * horizon
         boxes = []
-        for vid, v in enumerate(self.vehicles):
+        for vid, v in enumerate(vehicles):
             x, y, speed = v.x, v.y, v.speed
             vx, vy = speed * cos(v.heading), speed * sin(v.heading)
             pad = pad0 + 2**-49 * (abs(x) + abs(y)) + rel_h * abs(speed)
@@ -291,7 +286,7 @@ class World:
                     # deadlock breaker: a long-blocked yielder gains priority
                     aid, bid = (pid, qid) if pid < qid else (qid, pid)
                     yielder = bid
-                    if ctl[bid].blocked_for > t_deadlock and ctl[aid].blocked_for <= t_deadlock:
+                    if vehicles[bid].blocked_for > t_deadlock >= vehicles[aid].blocked_for:
                         yielder = aid
                     cap = (gap - d_safe) / horizon
                     cap = cap if cap > 0.0 else 0.0
@@ -319,8 +314,8 @@ class World:
         dt = self.dt
         kin = self.kin
         vehicles = self.vehicles
-        for vid, ctl in enumerate(self.ctl):
-            if ctl.phase == PHASE_IDLE and self.assign_task(vid, spot) is None:
+        for vid, v in enumerate(vehicles):
+            if v.phase == PHASE_IDLE and self.assign_task(vid, spot) is None:
                 break  # no spot is freed in this loop, so every later one fails too
         caps = self.resolve_conflicts()
         # the drive's kin-only constants: b_max * dt, its square, 2 * b_max, the
@@ -328,39 +323,39 @@ class World:
         bd = kin.b_max * dt
         drive = (bd, bd * bd, 2.0 * kin.b_max,
                  kin.v_max * kin.v_max / (2.0 * kin.b_max) + kin.v_max * dt + 1.0, kin.a_max * dt)
-        for vid, (v, ctl) in enumerate(zip(vehicles, self.ctl)):
-            if ctl.phase == PHASE_DRIVE:
-                self._advance_drive(v, ctl, caps[vid], drive)
+        for vid, v in enumerate(vehicles):
+            if v.phase == PHASE_DRIVE:
+                self._advance_drive(v, caps[vid], drive)
                 continue
             v.speed = 0.0
-            if ctl.phase == PHASE_LIFT:
+            if v.phase == PHASE_LIFT:
                 v.fork_height = min(self.lift_height, v.fork_height + kin.lift_speed * dt)
                 if v.fork_height >= self.lift_height - 1e-12:
                     v.fork_height = self.lift_height
                     # load picked; leave the origin spot and drive off
-                    ctl.current_spot = None
-                    ctl.route = self._build_route(vid, ctl.dest_spot)
-                    ctl.phase = PHASE_DRIVE
-                    if len(ctl.route.points) == 1:  # at the anchor already: arrive now
-                        ctl.phase = PHASE_LOWER
-                        ctl.current_spot = ctl.dest_spot
-            elif ctl.phase == PHASE_LOWER:
+                    v.current_spot = None
+                    v.route = self._build_route(vid, v.dest_spot)
+                    v.phase = PHASE_DRIVE
+                    if len(v.route.points) == 1:  # at the anchor already: arrive now
+                        v.phase = PHASE_LOWER
+                        v.current_spot = v.dest_spot
+            elif v.phase == PHASE_LOWER:
                 v.fork_height = max(0.0, v.fork_height - kin.lift_speed * dt)
                 if v.fork_height <= 1e-12:
                     v.fork_height = 0.0
                     v.load_mass = 0.0
-                    ctl.tasks_completed += 1
-                    ctl.dest_spot = None
-                    ctl.phase = PHASE_IDLE
+                    v.tasks_completed += 1
+                    v.dest_spot = None
+                    v.phase = PHASE_IDLE
         self.step_count += 1
 
-    def _advance_drive(self, v, ctl, conflict_cap, drive):
+    def _advance_drive(self, v, conflict_cap, drive):
         """Move a driving vehicle one step along its route. Each min and max of
         two floats is written as the comparison that gives its bits."""
         bd, bd2, two_b, lookahead, a_max_dt = drive
         v_max = self.kin.v_max
         dt = self.dt
-        route = ctl.route
+        route = v.route
         cumlen = route.cumlen
         s = route.s
         total = cumlen[-1]
@@ -393,9 +388,9 @@ class World:
             new_v = new_v if new_v > v_target else v_target
         new_v = conflict_cap if conflict_cap < new_v else new_v
         if new_v < 0.01 and conflict_cap < 0.01:
-            ctl.blocked_for += dt
+            v.blocked_for += dt
         else:
-            ctl.blocked_for = 0.0
+            v.blocked_for = 0.0
         # trapezoidal displacement, but never beyond the conflict cap so the
         # pairwise separation argument stays valid
         v_eff = 0.5 * (speed + new_v)
@@ -418,12 +413,12 @@ class World:
         v.x = x0 + (x1 - x0) * frac
         v.y = y0 + (y1 - y0) * frac
         v.heading = route.headings[seg]
-        ctl.distance_driven += new_s - s
+        v.distance_driven += new_s - s
         route.s = new_s
         v.speed = new_v
         if arrived:
-            ctl.phase = PHASE_LOWER
-            ctl.current_spot = ctl.dest_spot
+            v.phase = PHASE_LOWER
+            v.current_spot = v.dest_spot
 
     # --- recording / running ---------------------------------------------------
 
@@ -441,7 +436,7 @@ class World:
             t = self.clock
             tick = [TrajectorySample(t, vid, v.x, v.y, v.heading, v.speed, v.fork_height,
                                      v.load_mass, v.soc) for vid, v in enumerate(vehicles)]
-            self._meter = bat.SocMeter(tick, self.consts, self.battery_params, ConfigError)
+            self._meter = bat.SocMeter(tick, self.fork_mass, self.battery_params, ConfigError)
             yield tick
         for _ in range(n_steps):
             self.step(spot)
@@ -454,12 +449,12 @@ class World:
 
     def summary(self):
         out = []
-        for vid, (v, ctl) in enumerate(zip(self.vehicles, self.ctl)):
+        for vid, v in enumerate(self.vehicles):
             drawn, regenerated = self._meter.energy(vid) if self._meter else (0.0, 0.0)
             out.append({
                 "vehicle_id": vid,
-                "distance_driven": ctl.distance_driven,
-                "tasks_completed": ctl.tasks_completed,
+                "distance_driven": v.distance_driven,
+                "tasks_completed": v.tasks_completed,
                 "energy_drawn": drawn,
                 "energy_regenerated": regenerated,
                 "final_soc": v.soc,
@@ -468,8 +463,7 @@ class World:
         return out
 
 
-def replay(samples, dt: float = DT,
-           consts: bat.VehicleConstants = bat.VehicleConstants(),
+def replay(samples, dt: float = DT, fork_mass: float = bat.FORK_MASS,
            params: bat.BatteryParams = bat.BatteryParams()):
     """Re-grid recorded samples onto a fixed dt timeline and recompute SOC.
 
@@ -521,13 +515,13 @@ def replay(samples, dt: float = DT,
                                   "finer than the sample times resolve")
             times.append(t)
             k += 1
-        streams.append(_replayed(series, times, consts, params))
+        streams.append(_replayed(series, times, fork_mass, params))
     merged = heapq.merge(*streams, key=itemgetter(0, 1))  # (t, vehicle_id)
     # a tick per run of equal t bits: -0.0 and 0.0 print apart
     return ([*tick] for _, tick in groupby(merged, key=lambda s: s.t.hex()))
 
 
-def _replayed(series, times, consts, params):
+def _replayed(series, times, fork_mass, params):
     """Yield one vehicle's samples at the grid times, its first with the
     first recorded soc and each later one with the SOC its meter gives,
     resampled and integrated REPLAY_CHUNK states at a time as they are
@@ -538,7 +532,7 @@ def _replayed(series, times, consts, params):
     if last is None:
         return
     last = last._replace(soc=series[0].soc)
-    meter = bat.SocMeter([last], consts, params)
+    meter = bat.SocMeter([last], fork_mass, params)
     yield last
     while chunk := list(islice(states, REPLAY_CHUNK)):
         split_by_vehicle([last, *chunk])

@@ -33,7 +33,7 @@ def warehouse_map(nx: int = 4, ny: int = 3, n_spots: int = 8) -> RoadGraph:
         key = (round(x, 6), round(y, 6))
         if key not in nodes:
             nodes[key] = len(waypoints)
-            waypoints.append(Waypoint(len(waypoints), x, y, heading))
+            waypoints.append(Waypoint(x, y, heading))
         return nodes[key]
 
     def add_chain(points, heading, speed):

@@ -262,7 +262,7 @@ def to_road_graph(roads, spacing: float) -> RoadGraph:
         r = uf.find(i)
         if r == i:
             node_of.append(len(waypoints))
-            waypoints.append(Waypoint(len(waypoints), x, y, h))
+            waypoints.append(Waypoint(x, y, h))
         else:
             node_of.append(node_of[r])
     edge_objs = {}  # (src, dst) -> the first edge between them

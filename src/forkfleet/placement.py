@@ -124,24 +124,6 @@ class PlacementResult:
     scores: list     # score each station had when picked
 
 
-def _path_factor(graph: RoadGraph) -> float:
-    """f with f * hypot(a, b) <= d(a, b) in floats for every pair of nodes.
-
-    Each edge is at least f times its chord, so by the triangle inequality
-    each path is at least f times the straight line between its ends. The
-    smallest length/chord ratio (1.0 without a chord > 0) is shrunk by 1e-9,
-    which absorbs the rounding of chords and of path sums. 0.0 when f times
-    the map's extent is not finite.
-    """
-    wps = graph.waypoints
-    chords = ((e.length, math.hypot(wps[e.dst].x - wps[e.src].x, wps[e.dst].y - wps[e.src].y))
-              for e in graph.edges)
-    f = min((length / chord for length, chord in chords if chord > 0), default=1.0)
-    f *= 1.0 - 1e-9
-    x0, y0, x1, y1 = graph.bounding_box()
-    return f if math.isfinite(f * math.hypot(x1 - x0, y1 - y0)) else 0.0
-
-
 # Box distances are shrunk by this factor, and then by the smallest
 # subnormal, to fall at or below every member's hypot (place_chargers).
 _SHRINK = 1.0 - 2.0 ** -50
@@ -230,7 +212,7 @@ def place_chargers(graph: RoadGraph, weights, k: int,
     would hold.
 
     The coordinate bound sums weights[u] / (1 + f * hypot(u, node) /
-    d_scale) over the weighted u in ascending order, f from _path_factor.
+    d_scale) over the weighted u in ascending order, f = graph.path_factor.
     Term by term f * hypot is at most the distance either way, and rounded
     + and / are monotone, so the bound is >= the score in floats.
 
@@ -263,7 +245,7 @@ def place_chargers(graph: RoadGraph, weights, k: int,
     rows = {}  # node -> its forward Dijkstra row, made on demand
     _fill_rows(graph, rows, weighted)
 
-    f = _path_factor(graph)
+    f = graph.path_factor
     # without a finite factor every node is put at one point, which leaves
     # the weights alone as the bound
     xy = [(p.x, p.y) if f else (0.0, 0.0) for p in graph.waypoints]

@@ -54,8 +54,7 @@ def normalize_heading(h: float) -> float:
 
 
 @dataclass(frozen=True)
-class Waypoint:
-    node: int
+class Waypoint:  # a node, whose id is its index in RoadGraph.waypoints
     x: float
     y: float
     heading: float
@@ -99,6 +98,24 @@ class RoadGraph:
         return sum(num << (q - den.bit_length() + 1) for num, den in ratios) < 1 << 53
 
     @functools.cached_property
+    def path_factor(self) -> float:
+        """f with f * hypot(a, b) <= d(a, b) in floats for every pair of nodes.
+
+        Each edge is at least f times its chord, so by the triangle inequality
+        each path is at least f times the straight line between its ends. The
+        smallest length/chord ratio (1.0 without a chord > 0) is shrunk by 1e-9,
+        which absorbs the rounding of chords and of path sums. 0.0 when f times
+        the map's extent is not finite.
+        """
+        wps = self.waypoints
+        chords = ((e.length, math.hypot(wps[e.dst].x - wps[e.src].x, wps[e.dst].y - wps[e.src].y))
+                  for e in self.edges)
+        f = min((length / chord for length, chord in chords if chord > 0), default=1.0)
+        f *= 1.0 - 1e-9
+        x0, y0, x1, y1 = self.bounding_box()
+        return f if math.isfinite(f * math.hypot(x1 - x0, y1 - y0)) else 0.0
+
+    @functools.cached_property
     def in_degree(self) -> list:
         """node -> its number of incoming edges, each parallel edge counted."""
         counts = [0] * len(self.waypoints)
@@ -140,8 +157,6 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
     """
     n = len(waypoints)
     for i, w in enumerate(waypoints):
-        if w.node != i:
-            raise InputError(f"waypoint at index {i} carries node id {w.node}")
         if not (math.isfinite(w.x) and math.isfinite(w.y) and math.isfinite(w.heading)):
             raise InputError(f"non-finite coordinates or heading at node {i}")
     adjacency = [[] for _ in range(n)]
@@ -254,19 +269,20 @@ def _bucket_row(adjacency, src):
 
 
 def astar(g: RoadGraph, src: int, dst: int) -> Optional[tuple]:
-    """Shortest path by A* with Euclidean heuristic -> its nodes, src to dst.
-
-    Among equal-length shortest paths the lexicographically smallest node
-    sequence is returned, so outputs are deterministic. Returns None when
-    dst, like src a node of g, is unreachable from src.
+    """Shortest path by A* -> its nodes, src to dst. The heuristic,
+    g.path_factor times the straight line to dst, never exceeds the network
+    distance in floats. Among equal-length shortest paths the lexicographically
+    smallest node sequence is returned, so outputs are deterministic. Returns
+    None when dst, like src a node of g, is unreachable from src.
     """
     if src == dst:
         return (src,)
     wd = g.waypoints[dst]
+    factor = g.path_factor
 
     def h(u):
         w = g.waypoints[u]
-        return math.hypot(wd.x - w.x, wd.y - w.y)
+        return factor * math.hypot(wd.x - w.x, wd.y - w.y)
 
     # best[u] = (g-cost, path tuple) of the best settled label at u
     best = {src: (0.0, (src,))}
@@ -356,10 +372,10 @@ class SnapIndex:
         row = nx + 2
         padded = [[] for _ in range(row * (ny + 2))]
         around = (-row - 1, -row, -row + 1, -1, 0, 1, row - 1, row, row + 1)
-        for wp in g.waypoints:  # ascending id, so each cell and block is too
+        for i, wp in enumerate(g.waypoints):  # ascending id, so each cell and block is too
             cx = _clamp_cell((wp.x - self.x0) / self.cell, nx)
             cy = _clamp_cell((wp.y - self.y0) / self.cell, ny)
-            node = (wp.x, wp.y, wp.node)
+            node = (wp.x, wp.y, i)
             cells[cy * nx + cx].append(node)
             k = (cy + 1) * row + cx + 1
             for o in around:
@@ -444,8 +460,8 @@ class UnionFind:
 def save_roadnet(g: RoadGraph, fileobj) -> None:
     w = fileobj.write
     w("roadnet v1\n")
-    for wp in g.waypoints:
-        w(f"node {wp.node} {wp.x:.12g} {wp.y:.12g} {wp.heading:.12g}\n")
+    for i, wp in enumerate(g.waypoints):
+        w(f"node {i} {wp.x:.12g} {wp.y:.12g} {wp.heading:.12g}\n")
     for e in g.edges:
         w(f"edge {e.src} {e.dst} {e.length:.12g} {e.speed_limit:.12g} 1\n")
     for s in g.spots:
@@ -456,15 +472,15 @@ def load_roadnet(fileobj) -> RoadGraph:
     lines = records(fileobj)
     if next(lines, (0, ""))[1].split() != ["roadnet", "v1"]:
         raise InputError("missing 'roadnet v1' header")
-    waypoints, edges, spots = [], [], []
+    nodes, edges, spots = [], [], []  # nodes: (id, Waypoint)
     for lineno, ln in lines:
         parts = ln.split()
         if parts[0] not in ("node", "edge", "spot"):
             raise InputError(f"unknown record '{parts[0]}' at line {lineno}")
         try:
             if parts[0] == "node":
-                waypoints.append(Waypoint(int(parts[1]), float(parts[2]),
-                                          float(parts[3]), float(parts[4])))
+                nodes.append((int(parts[1]), Waypoint(float(parts[2]), float(parts[3]),
+                                                      float(parts[4]))))
             elif parts[0] == "edge":
                 src, dst, length, speed_limit, _one_way = parts[1:6]  # the flag is not read
                 edges.append(Edge(int(src), int(dst), float(length), float(speed_limit)))
@@ -473,5 +489,8 @@ def load_roadnet(fileobj) -> RoadGraph:
                                          int(parts[3]), float(parts[4])))
         except (IndexError, ValueError) as exc:
             raise InputError(f"bad record at line {lineno}: {ln!r}") from exc
-    waypoints.sort(key=lambda w: w.node)
-    return build_graph(waypoints, edges, spots)
+    nodes.sort(key=lambda node: node[0])
+    for i, (node, _) in enumerate(nodes):
+        if node != i:
+            raise InputError(f"waypoint at index {i} carries node id {node}")
+    return build_graph([w for _, w in nodes], edges, spots)

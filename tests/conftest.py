@@ -4,7 +4,7 @@ import random
 import pytest
 
 from forkfleet import mapgen, total
-from forkfleet.fleet_sim import World, _VehicleCtl
+from forkfleet.fleet_sim import World
 from forkfleet.roadnet import (Edge, ParkingSpot, Waypoint, build_graph, dijkstra,
                                nearest_node)
 
@@ -17,11 +17,9 @@ def run_samples(world, duration, spot=None):
 
 def world_at(graph, vehicles, **kwargs):
     """A World on graph whose trucks are the given VehicleStates, in id
-    order, each idle on no spot: World(graph, 0, **kwargs) with its vehicles
-    and controllers set."""
+    order: World(graph, 0, **kwargs) with its vehicles set."""
     world = World(graph, 0, **kwargs)
     world.vehicles = list(vehicles)
-    world.ctl = [_VehicleCtl() for _ in world.vehicles]
     return world
 
 
@@ -77,7 +75,7 @@ def random_graph(seed, n_nodes, extra_edges=None, extent=100.0):
     admissible). Deterministic per seed."""
     rnd = random.Random(seed)
     pts = [(rnd.uniform(0, extent), rnd.uniform(0, extent)) for _ in range(n_nodes)]
-    waypoints = [Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)]
+    waypoints = [Waypoint(x, y, 0.0) for x, y in pts]
     edges = []
     seen = set()
 
@@ -102,7 +100,7 @@ def random_graph(seed, n_nodes, extra_edges=None, extent=100.0):
 
 def one_way_pair_graph():
     """Two nodes connected A->B only, plus a long way back B->C->A."""
-    waypoints = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0), Waypoint(2, 5, 8, 0.0)]
+    waypoints = [Waypoint(0, 0, 0.0), Waypoint(10, 0, 0.0), Waypoint(5, 8, 0.0)]
     edges = [
         Edge(0, 1, 10.0, 3.0),
         Edge(1, 2, 10.0, 3.0),
@@ -113,8 +111,8 @@ def one_way_pair_graph():
 
 def square_graph():
     """4-node square with both directions on every side (8 edges)."""
-    waypoints = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0),
-                 Waypoint(2, 10, 10, 0.0), Waypoint(3, 0, 10, 0.0)]
+    waypoints = [Waypoint(0, 0, 0.0), Waypoint(10, 0, 0.0),
+                 Waypoint(10, 10, 0.0), Waypoint(0, 10, 0.0)]
     edges = []
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
         edges.append(Edge(a, b, 10.0, 3.0))
@@ -127,7 +125,7 @@ def line_graph(lengths):
     xs = [0.0]
     for L in lengths:
         xs.append(xs[-1] + L)
-    waypoints = [Waypoint(i, x, 0.0, 0.0) for i, x in enumerate(xs)]
+    waypoints = [Waypoint(x, 0.0, 0.0) for x in xs]
     edges = [Edge(i, i + 1, L, 3.0) for i, L in enumerate(lengths)]
     return build_graph(waypoints, edges)
 

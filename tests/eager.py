@@ -8,18 +8,18 @@ from __future__ import annotations
 import math
 
 from forkfleet import ConfigError, total
-from forkfleet.battery import BatteryParams, SocMeter, VehicleConstants
+from forkfleet.battery import FORK_MASS, BatteryParams, SocMeter
 from forkfleet.fleet_sim import DT, MAX_GRID_POINTS
 from forkfleet.trajectory import resample, split_by_vehicle
 
 
-def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
+def integrate_trajectory(samples, fork_mass: float, p: BatteryParams):
     """Integrate one vehicle's (or many vehicles') samples through a SocMeter,
     each vehicle from its first sample and in one pass. Returns (total_draw,
     total_regen, the samples with their SOC), vehicles in id order.
     """
     per_vehicle = [ss for _, ss in sorted(split_by_vehicle(samples).items())]
-    meter = SocMeter([ss[0] for ss in per_vehicle], consts, p)
+    meter = SocMeter([ss[0] for ss in per_vehicle], fork_mass, p)
     series = []
     for ss in per_vehicle:
         series.append(ss[0])
@@ -27,7 +27,7 @@ def integrate_trajectory(samples, consts: VehicleConstants, p: BatteryParams):
     return meter.drawn, meter.regenerated, series
 
 
-def replay(samples, dt: float = DT, consts: VehicleConstants = VehicleConstants(),
+def replay(samples, dt: float = DT, fork_mass: float = FORK_MASS,
            params: BatteryParams = BatteryParams()):
     """fleet_sim.replay as it was: every vehicle's whole grid regridded and
     integrated in id order, then sorted by (t, vehicle_id). -> the samples."""
@@ -58,6 +58,6 @@ def replay(samples, dt: float = DT, consts: VehicleConstants = VehicleConstants(
         regridded = list(resample(series, times))
         if regridded:
             regridded[0] = regridded[0]._replace(soc=series[0].soc)
-        out.extend(integrate_trajectory(regridded, consts, params)[2])
+        out.extend(integrate_trajectory(regridded, fork_mass, params)[2])
     out.sort(key=lambda s: (s.t, s.vehicle_id))
     return out

@@ -17,7 +17,7 @@ from conftest import (dist_matrix, path_length, random_graph, run_samples, score
                       top_decile_cells)
 from eager import integrate_trajectory
 from forkfleet import mapgen
-from forkfleet.battery import BatteryParams, G, VehicleConstants, _energies, calibrate
+from forkfleet.battery import FORK_MASS, BatteryParams, G, _energies, calibrate
 from forkfleet.density import DensityConfig, clusters, density_timeline, snapshot_from_states
 from forkfleet.fleet_sim import World, replay
 from forkfleet.odr_import import UnsupportedGeometry, parse_opendrive_subset, to_road_graph
@@ -109,12 +109,11 @@ def test_c2_clustering_oracle():
 # --- 3 battery physics -------------------------------------------------------
 
 def test_c3_battery_physics():
-    consts = VehicleConstants(3000.0, 100.0)
     # (a) zero motion, zero aux -> zero draw
     p = BatteryParams(aux_power=0.0)
     still = [TrajectorySample(float(t), 0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0, 1.0)
              for t in range(10)]
-    draw_a, regen_a, _ = integrate_trajectory(still, consts, p)
+    draw_a, regen_a, _ = integrate_trajectory(still, FORK_MASS, p)
     ok_a = draw_a == 0.0 and regen_a == 0.0
 
     # (b) lift 1100 kg by 1.5 m at eta_drive 0.85
@@ -140,7 +139,7 @@ def test_c3_battery_physics():
         TrajectorySample(45, 0, 15, 0, math.pi, 2, 0, 0, 1.0),
         TrajectorySample(60, 0, 0, 0, 0.0, 0, 0, 0, 1.0),
     ]
-    d, r, _ = integrate_trajectory(loop, consts,
+    d, r, _ = integrate_trajectory(loop, FORK_MASS,
                                    BatteryParams(c_rr=0.02, eta_regen=0.9, aux_power=0.0))
     ok_d = d - r > 0
 
@@ -171,24 +170,23 @@ def synthetic_cycle(i):
 def test_c4_calibration_recovery():
     t0 = time.perf_counter()
     truth = BatteryParams(c_rr=0.0145, aux_power=0.0)
-    consts = VehicleConstants()
     p0 = BatteryParams(c_rr=0.08, aux_power=0.0)
 
     clean = []
     for i in range(5):
         traj = synthetic_cycle(i)
-        d, r, _ = integrate_trajectory(traj, consts, truth)
+        d, r, _ = integrate_trajectory(traj, FORK_MASS, truth)
         clean.append((traj, d - r))
-    fit = calibrate(clean, p0, ["c_rr"], consts=consts)
+    fit = calibrate(clean, p0, ["c_rr"])
     ok_clean = abs(fit.params.c_rr - 0.0145) <= 1e-6 * 0.0145
 
     rnd = random.Random(99)
     noisy = []
     for i in range(20):
         traj = synthetic_cycle(i)
-        d, r, _ = integrate_trajectory(traj, consts, truth)
+        d, r, _ = integrate_trajectory(traj, FORK_MASS, truth)
         noisy.append((traj, (d - r) * (1.0 + 0.05 * rnd.gauss(0, 1))))
-    fit_n = calibrate(noisy, p0, ["c_rr"], consts=consts)
+    fit_n = calibrate(noisy, p0, ["c_rr"])
     ok_noisy = abs(fit_n.params.c_rr - 0.0145) <= 0.05 * 0.0145
 
     elapsed = time.perf_counter() - t0
@@ -212,7 +210,7 @@ def test_c5_determinism_and_replay():
     ok_bytes = text1 == text2
 
     exported = read_csv(io.StringIO(text1))
-    replayed = [s for tick in replay(exported, dt=w.dt, consts=w.consts,
+    replayed = [s for tick in replay(exported, dt=w.dt, fork_mass=w.fork_mass,
                                      params=w.battery_params) for s in tick]
     ok_replay = len(replayed) == len(exported)
     for a, b in zip(exported, replayed):
@@ -229,7 +227,7 @@ def corner_graph():
     """L-shaped two-way corridor, nodes every 5 m, corner at (30, 0)."""
     pts = [(x, 0.0) for x in range(0, 31, 5)] + [(30.0, y) for y in range(5, 31, 5)]
     from forkfleet.roadnet import Edge, Waypoint, build_graph
-    wps = [Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)]
+    wps = [Waypoint(x, y, 0.0) for x, y in pts]
     edges = []
     for i in range(len(pts) - 1):
         edges.append(Edge(i, i + 1, 5.0, 3.0))

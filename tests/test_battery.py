@@ -11,7 +11,7 @@ from eager import integrate_trajectory
 from forkfleet import ConfigError, Infeasible, InputError, battery, mapgen, total
 from forkfleet.battery import (BatteryParams, CHARGE_SUGGESTED, CRITICAL,
                                CalibrationResult, PARAM_BOUNDS, SUFFICIENT, SocMeter,
-                               VehicleConstants, calibrate, soc_band, G, _energies,
+                               FORK_MASS, TRUCK_MASS, calibrate, soc_band, G, _energies,
                                _golden_section, _segment_features, _vehicle_features)
 from forkfleet.fleet_sim import World
 from forkfleet.trajectory import TrajectorySample, split_by_vehicle
@@ -69,19 +69,18 @@ class TestHorizontalWork:
         assert draw == pytest.approx(0.05 * 1000 * 0.5 * 2.0, rel=1e-12)
 
     def test_nonphysical(self):
-        consts = VehicleConstants()
         # a truck at -1 m/s for 1 s drives a negative distance
         a, b = TrajectorySample(0.0, 0, 0, 0, 0, -1.0), TrajectorySample(1.0, 0, -1, 0, 0, -1.0)
         with pytest.raises(InputError, match=r"^vehicle 0 at t=1: ds=-1\.0, dt=1\.0$"):
-            _segment_features(a, b, consts)
+            _segment_features(a, b, FORK_MASS)
         # two samples at one t
         a, b = TrajectorySample(1.0, 3, 0, 0, 0, 0.0), TrajectorySample(1.0, 3, 0, 0, 0, 0.0)
         with pytest.raises(InputError, match=r"^vehicle 3 at t=1: ds=0\.0, dt=0\.0$"):
-            _segment_features(a, b, consts)
+            _segment_features(a, b, FORK_MASS)
         # math.remainder refuses an inf heading change before the ds/dt test
         b = TrajectorySample(1.0, 3, 0, 0, math.inf, 0.0)
         with pytest.raises(ValueError, match="math domain error") as exc:
-            _segment_features(a, b, consts)
+            _segment_features(a, b, FORK_MASS)
         assert type(exc.value) is ValueError
 
 
@@ -133,18 +132,17 @@ def drive_cycle(reps=1, leg=30.0, lift=2.0, speed=1.0, dt=1.0, vid=0):
 
 class TestIntegrateTrajectory:
     def test_empty(self):
-        draw, regen, series = integrate_trajectory([], VehicleConstants(), BatteryParams())
+        draw, regen, series = integrate_trajectory([], FORK_MASS, BatteryParams())
         assert draw == 0.0 and regen == 0.0 and series == []
 
     def test_pure_lift_cycle(self):
         p = BatteryParams(aux_power=100.0)
-        consts = VehicleConstants(3000, 100)
         samples = [
             TrajectorySample(0.0, 0, 0, 0, 0, 0, 0.0, 800.0, 1.0),
             TrajectorySample(5.0, 0, 0, 0, 0, 0, 1.5, 800.0, 1.0),
             TrajectorySample(10.0, 0, 0, 0, 0, 0, 0.0, 800.0, 1.0),
         ]
-        draw, regen, _ = integrate_trajectory(samples, consts, p)
+        draw, regen, _ = integrate_trajectory(samples, FORK_MASS, p)
         up, _ = vertical_segment(1.5, 800 + 100, p)
         _, down = vertical_segment(-1.5, 800 + 100, p)
         assert draw == pytest.approx(up + 100.0 * 10.0, rel=1e-12)
@@ -153,13 +151,12 @@ class TestIntegrateTrajectory:
     def test_vdi_style_cycle_closed_form(self):
         reps = 40
         p = BatteryParams(aux_power=0.0)
-        consts = VehicleConstants(3000, 100)
         samples = drive_cycle(reps=reps)
-        draw, regen, _ = integrate_trajectory(samples, consts, p)
+        draw, regen, _ = integrate_trajectory(samples, FORK_MASS, p)
         # cross-check the whole-trajectory totals against per-segment sums
         exp_draw = exp_regen = 0.0
         for a, b in zip(samples, samples[1:]):
-            d, r = reference_segment_energy(a, b, consts, p)
+            d, r = reference_segment_energy(a, b, FORK_MASS, p)
             exp_draw += d
             exp_regen += r
         assert draw == pytest.approx(exp_draw, rel=1e-12)
@@ -172,12 +169,11 @@ class TestIntegrateTrajectory:
 
     def test_additivity_under_splitting(self):
         p = BatteryParams(aux_power=50.0)
-        consts = VehicleConstants()
         a = TrajectorySample(0.0, 0, 0, 0, 0, 2.0, 0, 0, 1.0)
         b = TrajectorySample(10.0, 0, 20, 0, 0, 2.0, 0, 0, 1.0)
         mid = TrajectorySample(5.0, 0, 10, 0, 0, 2.0, 0, 0, 1.0)
-        d1, r1, _ = integrate_trajectory([a, b], consts, p)
-        d2, r2, _ = integrate_trajectory([a, mid, b], consts, p)
+        d1, r1, _ = integrate_trajectory([a, b], FORK_MASS, p)
+        d2, r2, _ = integrate_trajectory([a, mid, b], FORK_MASS, p)
         assert d1 == pytest.approx(d2, rel=1e-9)
         assert r1 == pytest.approx(r2, rel=1e-9)
 
@@ -186,20 +182,21 @@ class TestIntegrateTrajectory:
         a = TrajectorySample(1.0, 0, 0, 0, 0, 0, 0, 0, 1.0)
         b = TrajectorySample(0.5, 0, 0, 0, 0, 0, 0, 0, 1.0)
         with pytest.raises(InputError, match="vehicle 0 at t=0.5: ds=-0.0, dt=-0.5"):
-            integrate_trajectory([a, b], VehicleConstants(), BatteryParams())
+            integrate_trajectory([a, b], FORK_MASS, BatteryParams())
 
     def test_mass_scaling_doubles_friction_and_potential(self):
         p = BatteryParams(aux_power=0.0, c_steer=0.0, eta_regen=0.0)
-        s = drive_cycle(reps=2)
-        d1, _, _ = integrate_trajectory(s, VehicleConstants(1500, 50), p)
-        s2 = [TrajectorySample(x.t, x.vehicle_id, x.x, x.y, x.heading, x.speed,
-                               x.fork_height, 2 * x.load_mass, x.soc) for x in s]
-        d2, _, _ = integrate_trajectory(s2, VehicleConstants(3000, 100), p)
+        features = _vehicle_features(drive_cycle(reps=2), FORK_MASS)
+        # twice the mass moved and lifted, so twice the kinetic work too
+        doubled = [(dt, ds, 2 * mass, 2 * w_kin, rate, dh, 2 * lift_mass)
+                   for dt, ds, mass, w_kin, rate, dh, lift_mass in features]
+        d1 = total(draw for draw, _ in _energies(features, p))
+        d2 = total(draw for draw, _ in _energies(doubled, p))
         assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
     def test_soc_monotone_without_regen(self):
         p = BatteryParams(eta_regen=0.0, capacity=1e6)
-        _, _, series = integrate_trajectory(drive_cycle(reps=5), VehicleConstants(), p)
+        _, _, series = integrate_trajectory(drive_cycle(reps=5), FORK_MASS, p)
         socs = [s.soc for s in series]
         assert all(a >= b for a, b in zip(socs, socs[1:]))
 
@@ -213,7 +210,7 @@ class TestIntegrateTrajectory:
             TrajectorySample(30, 0, 10, 0, math.pi, 1, 0, 0, 1.0),
             TrajectorySample(40, 0, 0, 0, 0, 0, 0, 0, 1.0),
         ]
-        draw, regen, _ = integrate_trajectory(samples, VehicleConstants(), p)
+        draw, regen, _ = integrate_trajectory(samples, FORK_MASS, p)
         assert draw - regen > 0
 
 
@@ -232,7 +229,7 @@ class TestSocSeries:
         # 1000 J of auxiliary load from a 100 J battery
         p = BatteryParams(capacity=100.0, aux_power=1000.0)
         samples = [TrajectorySample(0.0, 0, 0, 0, 0, 0), TrajectorySample(1.0, 0, 0, 0, 0, 0)]
-        draw, _, series = integrate_trajectory(samples, VehicleConstants(), p)
+        draw, _, series = integrate_trajectory(samples, FORK_MASS, p)
         assert draw == 1000.0
         assert [s.soc for s in series] == [1.0, 0.0]
 
@@ -241,7 +238,7 @@ class TestSocSeries:
         p = BatteryParams(capacity=1000.0, aux_power=0.0, eta_regen=0.5)
         samples = [TrajectorySample(0.0, 0, 0, 0, 0, 0, 1.0, 20.0, 0.5),
                    TrajectorySample(1.0, 0, 0, 0, 0, 0, 0.0, 20.0, 0.5)]
-        draw, regen, series = integrate_trajectory(samples, VehicleConstants(3000, 0.0), p)
+        draw, regen, series = integrate_trajectory(samples, 0.0, p)
         assert draw == 0.0 and regen == pytest.approx(20.0 * G * 0.5, rel=1e-12)
         assert series[-1].soc == pytest.approx(0.5 + regen / 1000.0, rel=1e-12)
         assert series[-1].soc > 0.5
@@ -253,12 +250,11 @@ class TestCalibrate:
 
     def cycles(self, n, noise=0.0, seed=0):
         rnd = random.Random(seed)
-        consts = VehicleConstants(3000, 100)
         p_true = self.truth()
         out = []
         for i in range(n):
             traj = drive_cycle(reps=1 + i % 3, leg=20.0 + 5 * (i % 4), vid=0)
-            draw, regen, _ = integrate_trajectory(traj, consts, p_true)
+            draw, regen, _ = integrate_trajectory(traj, FORK_MASS, p_true)
             measured = (draw - regen) * (1.0 + noise * rnd.gauss(0, 1))
             out.append((traj, measured))
         return out
@@ -307,7 +303,7 @@ class TestCalibrate:
         monkeypatch.setattr(battery, "_energies", counted)
         res = calibrate(cycles, BatteryParams(c_rr=0.05, aux_power=0.0), ["c_rr"])
         assert res.sweeps >= 2
-        features = [f for traj, _ in cycles for f in _vehicle_features(traj, VehicleConstants())]
+        features = [f for traj, _ in cycles for f in _vehicle_features(traj, FORK_MASS)]
         search, final = calls[:-1], calls[-1]
         assert len({p for _, p in search}) == len(search)
         assert final == (len(set(features)), repr(res.params))
@@ -317,7 +313,7 @@ class TestCalibrate:
 
 # --- the cached-feature kernel against the per-segment code it replaced -------
 
-def reference_segment_energy(a, b, consts, p):
+def reference_segment_energy(a, b, fork_mass, p):
     """The force balance as the per-segment energy functions wrote it before
     the feature tuple, expression for expression."""
     dt = b.t - a.t
@@ -325,7 +321,7 @@ def reference_segment_energy(a, b, consts, p):
         raise InputError(f"non-increasing sample times {a.t} -> {b.t}")
     ds = 0.5 * (a.speed + b.speed) * dt
     dheading = math.remainder(b.heading - a.heading, 2.0 * math.pi)
-    mass = consts.truck_mass + a.load_mass
+    mass = TRUCK_MASS + a.load_mass
     if ds < 0 or dt <= 0:
         raise InputError(f"ds={ds}, dt={dt}")
     w_kin = 0.5 * mass * (b.speed * b.speed - a.speed * a.speed)
@@ -335,7 +331,7 @@ def reference_segment_energy(a, b, consts, p):
         draw, regen = w_tr / p.eta_drive, 0.0
     else:
         draw, regen = 0.0, max(0.0, -w_kin - friction) * p.eta_regen
-    m = b.load_mass + consts.fork_mass
+    m = b.load_mass + fork_mass
     dh = b.fork_height - a.fork_height
     vd = vr = 0.0
     if dh > 0:
@@ -345,27 +341,27 @@ def reference_segment_energy(a, b, consts, p):
     return draw + vd + p.aux_power * dt, regen + vr
 
 
-def reference_net_energy(samples, consts, p):
+def reference_net_energy(samples, fork_mass, p):
     """Total draw - total regen, vehicles in id order, one segment at a time."""
     per_vehicle = split_by_vehicle(samples)
     draw = regen = 0.0
     for vid in sorted(per_vehicle):
         ss = per_vehicle[vid]
         for a, b in zip(ss, ss[1:]):
-            d, r = reference_segment_energy(a, b, consts, p)
+            d, r = reference_segment_energy(a, b, fork_mass, p)
             draw += d
             regen += r
     return draw - regen
 
 
-def reference_calibrate(cycles, p0, free, consts):
+def reference_calibrate(cycles, p0, free, fork_mass):
     """calibrate() as it was: every probe integrates every cycle afresh."""
     def objective(p):
         # left to right from 0.0: the builtin sum() of floats is compensated
         # since Python 3.12
         squares = 0.0
         for traj, measured in cycles:
-            squares += (reference_net_energy(traj, consts, p) - measured) ** 2
+            squares += (reference_net_energy(traj, fork_mass, p) - measured) ** 2
         return squares
 
     p = p0
@@ -384,7 +380,7 @@ def reference_calibrate(cycles, p0, free, consts):
         if prev == 0 or (prev - obj) / prev < 1e-9:
             converged = True
             break
-    residuals = [reference_net_energy(traj, consts, p) - m for traj, m in cycles]
+    residuals = [reference_net_energy(traj, fork_mass, p) - m for traj, m in cycles]
     return CalibrationResult(p, residuals, obj, sweeps, converged)
 
 
@@ -432,34 +428,34 @@ def battery_params():
                                        for name, (lo, hi) in PARAM_BOUNDS.items()})
 
 
-def vehicle_constants():
-    return st.builds(VehicleConstants, st.floats(500.0, 5000.0), st.floats(0.0, 300.0))
+def fork_masses():
+    return st.floats(0.0, 300.0)
 
 
 class TestCachedFeatures:
     @settings(max_examples=200, deadline=None)
-    @given(trajectories(), vehicle_constants(), battery_params())
-    def test_net_energy_matches_the_segment_loop(self, samples, consts, p):
+    @given(trajectories(), fork_masses(), battery_params())
+    def test_net_energy_matches_the_segment_loop(self, samples, fork_mass, p):
         # with no free parameter calibrate returns the start point's residuals
-        draw, regen, _ = integrate_trajectory(samples, consts, p)
-        [net] = calibrate([(samples, 0.0)], p, [], consts).residuals
+        draw, regen, _ = integrate_trajectory(samples, fork_mass, p)
+        [net] = calibrate([(samples, 0.0)], p, [], fork_mass).residuals
         assert net == draw - regen
-        assert net == reference_net_energy(samples, consts, p)
+        assert net == reference_net_energy(samples, fork_mass, p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(repeating_trajectories(), min_size=1, max_size=3),
-           st.lists(st.integers(0, 2), max_size=3), vehicle_constants(), battery_params(),
+           st.lists(st.integers(0, 2), max_size=3), fork_masses(), battery_params(),
            st.lists(st.floats(-1e5, 1e5), min_size=6, max_size=6))
-    def test_distinct_segments_give_the_reference_residuals(self, trajs, again, consts, p,
+    def test_distinct_segments_give_the_reference_residuals(self, trajs, again, fork_mass, p,
                                                             measured):
         # whole cycles given twice, segments repeated within and across
         # cycles, -0.0 speeds and fork heights, and speeds whose squares
         # overflow, so that w_kin is inf or inf - inf = nan
         trajs += [trajs[i % len(trajs)] for i in again]
         cycles = list(zip(trajs, measured))
-        ref = [reference_net_energy(traj, consts, p) - m for traj, m in cycles]
+        ref = [reference_net_energy(traj, fork_mass, p) - m for traj, m in cycles]
         try:
-            res = calibrate(cycles, p, [], consts).residuals
+            res = calibrate(cycles, p, [], fork_mass).residuals
         except InputError as e:
             # the start point is refused, naming the largest residual, nan above all
             i = max(range(len(ref)), key=lambda i: abs(ref[i]) if ref[i] == ref[i] else math.inf)
@@ -472,26 +468,26 @@ class TestCachedFeatures:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(trajectories(max_vehicles=2, max_samples=8),
                               st.floats(0.5, 1.5)), min_size=1, max_size=3),
-           vehicle_constants(), battery_params(), battery_params(),
+           fork_masses(), battery_params(), battery_params(),
            st.sampled_from(sorted(PARAM_BOUNDS)))
-    def test_calibrate_matches_the_reference(self, cases, consts, truth, p0, name):
-        cycles = [(samples, reference_net_energy(samples, consts, truth) * scale)
+    def test_calibrate_matches_the_reference(self, cases, fork_mass, truth, p0, name):
+        cycles = [(samples, reference_net_energy(samples, fork_mass, truth) * scale)
                   for samples, scale in cases]
-        assert (calibrate(cycles, p0, [name], consts)
-                == reference_calibrate(cycles, p0, [name], consts))
+        assert (calibrate(cycles, p0, [name], fork_mass)
+                == reference_calibrate(cycles, p0, [name], fork_mass))
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(trajectories(max_vehicles=1, max_samples=4),
                               st.floats(0.5, 1.5)), min_size=2, max_size=2),
-           vehicle_constants(), battery_params(), battery_params(),
+           fork_masses(), battery_params(), battery_params(),
            st.lists(st.sampled_from(sorted(PARAM_BOUNDS)), min_size=2, max_size=2,
                     unique=True))
-    def test_two_parameters_match_the_reference(self, cases, consts, truth, p0, names):
+    def test_two_parameters_match_the_reference(self, cases, fork_mass, truth, p0, names):
         # a line search is reused only while the other parameter is unchanged
-        cycles = [(samples, reference_net_energy(samples, consts, truth) * scale)
+        cycles = [(samples, reference_net_energy(samples, fork_mass, truth) * scale)
                   for samples, scale in cases]
-        assert (calibrate(cycles, p0, names, consts)
-                == reference_calibrate(cycles, p0, names, consts))
+        assert (calibrate(cycles, p0, names, fork_mass)
+                == reference_calibrate(cycles, p0, names, fork_mass))
 
     def test_calibrate_keeps_the_sample_checks(self):
         p0 = BatteryParams()
@@ -541,8 +537,8 @@ def reference_run(world, n_steps):
         world.step()
         t = world.clock
         for vid, v in enumerate(world.vehicles):
-            draw, regen = reference_segment_energy(prev[vid], sample_of(vid, v, t), world.consts,
-                                                   world.battery_params)
+            draw, regen = reference_segment_energy(prev[vid], sample_of(vid, v, t),
+                                                   world.fork_mass, world.battery_params)
             states[vid] = reference_apply_energy(states[vid], draw, regen,
                                                  world.battery_params)
             v.soc = states[vid].soc
@@ -554,8 +550,8 @@ def reference_run(world, n_steps):
 @st.composite
 def fleets(draw):
     """(world factory, steps): a random warehouse map, 1-6 vehicles with
-    random initial SOC, a seed, a dt, a truck and a fork mass for the fleet and
-    battery parameters."""
+    random initial SOC, a seed, a dt, a fork mass for the fleet and battery
+    parameters."""
     nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     n_vehicles = draw(st.integers(1, min(6, nx * (ny + 1))))
     n_spots = draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
@@ -563,7 +559,6 @@ def fleets(draw):
     dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
     socs = [draw(st.sampled_from([1.0, 0.8]) | st.floats(0.0, 1.0))
             for _ in range(n_vehicles)]
-    truck_mass = draw(st.just(3000.0) | st.floats(500.0, 5000.0))
     fork_mass = draw(st.just(100.0) | st.floats(0.0, 300.0))
     p = replace(draw(st.just(BatteryParams()) | battery_params()),
                 capacity=draw(st.sampled_from([1.0368e8, 1e5, 1e4])))
@@ -571,7 +566,6 @@ def fleets(draw):
     def make():
         g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
         world = World(g, n_vehicles, seed=seed, dt=dt, battery_params=p, fork_mass=fork_mass)
-        world.consts = replace(world.consts, truck_mass=truck_mass)
         for v, soc in zip(world.vehicles, socs):
             v.soc = soc
         return world
@@ -603,7 +597,7 @@ class TestWorldBattery:
         world = make()
         samples = run_samples(world, n_steps * world.dt)
         totals = [integrate_trajectory([s for s in samples if s.vehicle_id == vid],
-                                       world.consts, world.battery_params)
+                                       world.fork_mass, world.battery_params)
                   for vid in range(len(world.vehicles))]
         integrated = sorted((s for _, _, series in totals for s in series),
                             key=lambda s: (s.t, s.vehicle_id))
@@ -622,7 +616,7 @@ class TestWorldBattery:
 
 # --- the fleet SocMeter against one segment at a time ---------------------------
 
-def reference_segment_features(a, b, consts):
+def reference_segment_features(a, b, fork_mass):
     """battery._segment_features as it was, by field name, each feature
     written out from its formula."""
     dt = b.t - a.t
@@ -630,27 +624,27 @@ def reference_segment_features(a, b, consts):
         raise InputError(f"non-increasing sample times {a.t} -> {b.t}")
     ds = 0.5 * (a.speed + b.speed) * dt
     dheading = math.remainder(b.heading - a.heading, 2.0 * math.pi)
-    mass = consts.truck_mass + a.load_mass
+    mass = TRUCK_MASS + a.load_mass
     if ds < 0:
         raise InputError(f"ds={ds}, dt={dt}")
     return (dt, ds, mass, 0.5 * mass * (b.speed * b.speed - a.speed * a.speed),
-            abs(dheading / dt), b.fork_height - a.fork_height, b.load_mass + consts.fork_mass)
+            abs(dheading / dt), b.fork_height - a.fork_height, b.load_mass + fork_mass)
 
 
 class ReferenceSocMeter:
     """battery.SocMeter as it was: one vehicle, fed one sample per add, each
     segment through an _energies generator of its own."""
 
-    def __init__(self, first, consts, p):
+    def __init__(self, first, fork_mass, p):
         self.last = first
-        self.consts = consts
+        self.fork_mass = fork_mass
         self.p = p
         self.initial = first.soc
         self.drawn = self.regenerated = 0.0
 
     def add(self, sample):
-        draw, regen = next(_energies((reference_segment_features(self.last, sample, self.consts),),
-                                     self.p))
+        features = reference_segment_features(self.last, sample, self.fork_mass)
+        draw, regen = next(_energies((features,), self.p))
         self.last = sample
         self.drawn += draw
         self.regenerated += regen
@@ -666,7 +660,7 @@ def reference_metered_run(world, n_steps):
                                 v.fork_height, v.load_mass, v.soc)
 
     samples = [sample_of(vid, v, world.clock) for vid, v in enumerate(world.vehicles)]
-    meters = {s.vehicle_id: ReferenceSocMeter(s, world.consts, world.battery_params)
+    meters = {s.vehicle_id: ReferenceSocMeter(s, world.fork_mass, world.battery_params)
               for s in samples}
     for _ in range(n_steps):
         world.step()
@@ -677,14 +671,14 @@ def reference_metered_run(world, n_steps):
     return samples, meters
 
 
-def reference_integrate(samples, consts, p):
+def reference_integrate(samples, fork_mass, p):
     """integrate_trajectory as it was: each vehicle's meter fed one sample at
     a time, the totals summed in that order."""
     total_draw = total_regen = 0.0
     series = []
     for _, ss in sorted(split_by_vehicle(samples).items()):
         series.append(ss[0])
-        meter = ReferenceSocMeter(ss[0], consts, p)
+        meter = ReferenceSocMeter(ss[0], fork_mass, p)
         for b in ss[1:]:
             draw, regen, sample = meter.add(b)
             total_draw += draw
@@ -695,8 +689,8 @@ def reference_integrate(samples, consts, p):
 
 class TestFleetMeter:
     @settings(max_examples=100, deadline=None)
-    @given(fleets(), vehicle_constants())
-    def test_run_and_integrate_match_one_segment_at_a_time(self, fleet, consts):
+    @given(fleets(), fork_masses())
+    def test_run_and_integrate_match_one_segment_at_a_time(self, fleet, fork_mass):
         make, n_steps = fleet
         world = make()
         samples = run_samples(world, n_steps * world.dt)
@@ -707,8 +701,8 @@ class TestFleetMeter:
             assert (row["energy_drawn"], row["energy_regenerated"]) == (meter.drawn,
                                                                         meter.regenerated)
         # every vehicle's series at once, through one meter
-        assert (integrate_trajectory(samples, consts, world.battery_params)
-                == reference_integrate(samples, consts, world.battery_params))
+        assert (integrate_trajectory(samples, fork_mass, world.battery_params)
+                == reference_integrate(samples, fork_mass, world.battery_params))
 
 
 class TestMeterOverflow:
@@ -717,11 +711,11 @@ class TestMeterOverflow:
 
     def meter(self, load_mass):
         firsts = [TrajectorySample(0.0, vid, 0, 0, 0, 0, 0.0, load_mass) for vid in (0, 1)]
-        return SocMeter(firsts, VehicleConstants(), BatteryParams())
+        return SocMeter(firsts, FORK_MASS, BatteryParams())
 
     def test_finite_draws_whose_sum_overflows(self):
         # each truck lifts 1e307 kg by 1 m: about 1.15e308 J each, inf summed
-        lift, _ = vertical_segment(1.0, 1e307 + VehicleConstants().fork_mass, BatteryParams())
+        lift, _ = vertical_segment(1.0, 1e307 + FORK_MASS, BatteryParams())
         draw = lift + BatteryParams().aux_power
         assert math.isfinite(draw) and draw + draw == math.inf
         with pytest.raises(InputError) as exc:

@@ -240,7 +240,8 @@ class TestExitCodes:
     naming {traj} with the energy abc, {dup_spots} the demo floor with spot
     1 renamed to 0, {bogus_record} the same with a bogus record on line 2,
     {corridors} ONE_WAY_CORRIDORS,
-    {nan_heading} the same with node 1's heading nan, {inf_edge} INF_EDGE,
+    {nan_heading} the same with node 1's heading nan, {nan_twin_node} the
+    same with node 0's x nan and node 2 renamed 1, {inf_edge} INF_EDGE,
     {one_point} ONE_POINT_ROUTE, {no_nodes} a map with no nodes, {odr}
     ONE_ROAD_ODR and {odr_nan}, {odr_inf}, {odr_huge} the same with its
     length nan, inf or 1e308, {bogus_odr}, {utf32_odr} the same declaring an
@@ -576,6 +577,10 @@ class TestExitCodes:
         ("simulate node id out of place",
          ["simulate", "--map", "{twin_node}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT + "waypoint at index 1 carries node id 0\n"),
+        # of two faults, the node id out of place is named, not node 0's nan
+        ("simulate node id out of place and a nan node",
+         ["simulate", "--map", "{nan_twin_node}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "waypoint at index 2 carries node id 1\n"),
         ("simulate edge to a missing node",
          ["simulate", "--map", "{edge_to_7}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT + "edge 2->7 references a missing node\n"),
@@ -676,6 +681,9 @@ class TestExitCodes:
                            ("corridors", ONE_WAY_CORRIDORS),
                            ("nan_heading",
                             ONE_WAY_CORRIDORS.replace("node 1 10 0 0", "node 1 10 0 nan")),
+                           ("nan_twin_node",
+                            ONE_WAY_CORRIDORS.replace("node 0 0 0 0", "node 0 nan 0 0")
+                            .replace("node 2 0 20 0", "node 1 0 20 0")),
                            ("inf_edge", INF_EDGE),
                            ("one_point", ONE_POINT_ROUTE),
                            ("no_nodes", "roadnet v1\n"),
@@ -1172,12 +1180,12 @@ class TestCalibrate:
             paths.append(os.path.join(out, "trajectory.csv"))
         # measured energy: net draw under the default parameters
         from eager import integrate_trajectory
-        from forkfleet.battery import BatteryParams, VehicleConstants
+        from forkfleet.battery import FORK_MASS, BatteryParams
         lines = []
         for p in paths:
             with open(p) as f:
                 samples = read_csv(f)
-            draw, regen, _ = integrate_trajectory(samples, VehicleConstants(),
+            draw, regen, _ = integrate_trajectory(samples, FORK_MASS,
                                                   BatteryParams(c_rr=0.017))
             lines.append(f"{p},{draw - regen:.6f}")
         manifest = tmp_path / "cycles.csv"

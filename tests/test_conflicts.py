@@ -44,8 +44,8 @@ def all_pairs_caps(world):
             min_sep = math.hypot(rx + dvx * t_star, ry + dvy * t_star)
             if min_sep < kin.d_safe:
                 yielder = j
-                if (world.ctl[j].blocked_for > kin.t_deadlock
-                        and world.ctl[i].blocked_for <= kin.t_deadlock):
+                if (world.vehicles[j].blocked_for > kin.t_deadlock
+                        and world.vehicles[i].blocked_for <= kin.t_deadlock):
                     yielder = i
                 tighten(yielder, (gap - kin.d_safe) / kin.horizon)
             trigger = kin.d_safe + 2.0 * (kin.v_max + kin.a_max * dt) * dt + 1.0
@@ -94,15 +94,15 @@ def narrow_pairs(world):
     return caps, len(calls) // 2
 
 
-GRAPH = build_graph([Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0)],
+GRAPH = build_graph([Waypoint(0, 0, 0.0), Waypoint(10, 0, 0.0)],
                     [Edge(0, 1, 10.0, 3.0)], [ParkingSpot(0, 0, 1, 0.0)])
 
 
 def make_world(kin, dt, poses, blocked):
     """poses: (x, y, heading, speed) of each vehicle in id order."""
     world = world_at(GRAPH, [VehicleState(x, y, h, s) for x, y, h, s in poses], dt=dt, kin=kin)
-    for ctl, b in zip(world.ctl, blocked):
-        ctl.blocked_for = b
+    for v, b in zip(world.vehicles, blocked):
+        v.blocked_for = b
     return world
 
 
@@ -254,7 +254,7 @@ def test_in_run_caps_equal_all_pairs():
         caps = world.resolve_conflicts()
         assert hexed(caps) == hexed(all_pairs_caps(world))
         stopped += any(world.vehicles[vid].speed == 0.0 for vid in capped(caps))
-        breaker += any(c.blocked_for > kin.t_deadlock for c in world.ctl)
+        breaker += any(c.blocked_for > kin.t_deadlock for c in world.vehicles)
         zero += 0.0 in caps
         world.step()
     assert min(stopped, breaker, zero) > 0, (stopped, breaker, zero)

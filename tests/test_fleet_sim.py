@@ -19,7 +19,7 @@ from forkfleet.trajectory import TrajectorySample, read_csv, split_by_vehicle, w
 
 def corridor_graph():
     """Straight 0 -> 1 -> 2 corridor with a spot at each end node."""
-    wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 20, 0, 0.0), Waypoint(2, 21, 0, 0.0)]
+    wps = [Waypoint(0, 0, 0.0), Waypoint(20, 0, 0.0), Waypoint(21, 0, 0.0)]
     edges = [Edge(0, 1, 20.0, 5.0), Edge(1, 2, 1.0, 5.0),
              Edge(2, 1, 1.0, 5.0), Edge(1, 0, 20.0, 5.0)]
     spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 1, 2, 0.0)]
@@ -28,7 +28,7 @@ def corridor_graph():
 
 def one_way_corridor():
     """Same corridor but without return edges."""
-    wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 20, 0, 0.0), Waypoint(2, 21, 0, 0.0)]
+    wps = [Waypoint(0, 0, 0.0), Waypoint(20, 0, 0.0), Waypoint(21, 0, 0.0)]
     edges = [Edge(0, 1, 20.0, 5.0), Edge(1, 2, 1.0, 5.0)]
     spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 1, 2, 0.0)]
     return build_graph(wps, edges, spots)
@@ -36,12 +36,12 @@ def one_way_corridor():
 
 def step_arrivals(world, **kwargs):
     """world.step(**kwargs) -> [(vehicle_id, spot)] of the vehicles that
-    reached their destination in it, read off world.ctl: the ones whose
+    reached their destination in it, read off world.vehicles: the ones whose
     phase turned to lower."""
-    before = [ctl.phase for ctl in world.ctl]
+    before = [v.phase for v in world.vehicles]
     world.step(**kwargs)
-    return [(vid, ctl.current_spot) for vid, ctl in enumerate(world.ctl)
-            if ctl.phase == PHASE_LOWER and before[vid] != PHASE_LOWER]
+    return [(vid, v.current_spot) for vid, v in enumerate(world.vehicles)
+            if v.phase == PHASE_LOWER and before[vid] != PHASE_LOWER]
 
 
 class TestKinematicsValidate:
@@ -82,9 +82,9 @@ class TestSpawnAndAssign:
     def test_assign_reserves_and_loads(self):
         w = World(corridor_graph(), 1, seed=0)
         assert w.assign_task(0, 1) == 1
-        assert w.ctl[0].dest_spot == 1
+        assert w.vehicles[0].dest_spot == 1
         assert claims_of(w)[1] == 0
-        assert w.ctl[0].phase == PHASE_LIFT
+        assert w.vehicles[0].phase == PHASE_LIFT
         assert w.vehicles[0].load_mass == w.pickup_mass
 
     @staticmethod
@@ -94,7 +94,7 @@ class TestSpawnAndAssign:
         state = w.rng._state
         assert w.assign_task(0, spot) is None
         assert w.rng._state == state
-        assert (w.ctl[0].phase, w.ctl[0].dest_spot, w.vehicles[0].load_mass) == (
+        assert (w.vehicles[0].phase, w.vehicles[0].dest_spot, w.vehicles[0].load_mass) == (
             PHASE_IDLE, None, 0.0)
 
     def test_assign_occupied_spot(self):
@@ -123,13 +123,13 @@ class TestRouting:
         g = one_way_corridor()
         # vehicle parked at the downstream spot cannot drive back
         w = World(g, 2, seed=0)
-        w.ctl[0].current_spot = None
+        w.vehicles[0].current_spot = None
         with pytest.raises(Infeasible, match="vehicle 1 cannot reach spot 0"):
             w._build_route(1, w.assign_task(1, 0))
 
     def test_one_point_route_arrives_at_once(self):
         # both spots anchor at node 0, so the route to either is the truck's own point
-        wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 10, 0, 0.0), Waypoint(2, 20, 0, 0.0)]
+        wps = [Waypoint(0, 0, 0.0), Waypoint(10, 0, 0.0), Waypoint(20, 0, 0.0)]
         edges = [Edge(0, 1, 10.0, 3.0), Edge(1, 2, 10.0, 3.0), Edge(2, 0, 20.0, 3.0)]
         spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 0, 1, 0.0)]
         w = World(build_graph(wps, edges, spots), 1, dt=0.1)
@@ -137,8 +137,8 @@ class TestRouting:
         for _ in range(200):
             arrivals += step_arrivals(w)
         assert arrivals == [(0, 1), (0, 0), (0, 1)]
-        assert w.ctl[0].tasks_completed == 2
-        assert w.ctl[0].distance_driven == 0.0
+        assert w.vehicles[0].tasks_completed == 2
+        assert w.vehicles[0].distance_driven == 0.0
         assert (w.vehicles[0].x, w.vehicles[0].y) == (0.0, 0.0)
 
     def test_route_from_mid_street_starts_at_the_truck(self):
@@ -146,9 +146,9 @@ class TestRouting:
         # 1's anchor, so its route starts at its own position
         w = world_at(corridor_graph(), [VehicleState(14.0, 0.0, 0.0)], dt=0.1)
         w.assign_task(0, 1)
-        while w.ctl[0].phase == PHASE_LIFT:
+        while w.vehicles[0].phase == PHASE_LIFT:
             w.step()
-        route = w.ctl[0].route
+        route = w.vehicles[0].route
         assert route.points == [(14.0, 0.0), (20.0, 0.0)]
         assert route.seg_limits == [w.kin.v_max]
         arrivals = []
@@ -185,14 +185,14 @@ def drive_duration(world, vid):
     """Run until the task completes; return (drive_time, total_time)."""
     t_drive_start = t_drive_end = None
     for _ in range(10000):
-        phase_before = world.ctl[vid].phase
+        phase_before = world.vehicles[vid].phase
         world.step()
-        phase = world.ctl[vid].phase
+        phase = world.vehicles[vid].phase
         if phase_before != PHASE_DRIVE and phase == PHASE_DRIVE:
             t_drive_start = world.clock - world.dt
         if phase_before == PHASE_DRIVE and phase != PHASE_DRIVE:
             t_drive_end = world.clock
-        if phase == PHASE_IDLE and world.ctl[vid].tasks_completed > 0:
+        if phase == PHASE_IDLE and world.vehicles[vid].tasks_completed > 0:
             return t_drive_end - t_drive_start, world.clock
     raise AssertionError("task never completed")
 
@@ -229,16 +229,16 @@ class TestDriveKinematics:
         w = World(corridor_graph(), 1, seed=0, dt=0.1, kin=kin, lift_height=1.0)
         w.assign_task(0, 1)
         steps = 0
-        while w.ctl[0].phase == PHASE_LIFT:
+        while w.vehicles[0].phase == PHASE_LIFT:
             w.step()
             steps += 1
         assert steps == 20  # 1.0 m at 0.5 m/s, dt 0.1
 
     def test_curve_slows_down(self):
         # tight right-angle corner (1 m legs) forces a slowdown below cruise
-        wps = [Waypoint(0, 0, 0, 0.0), Waypoint(1, 14, 0, 0.0),
-               Waypoint(2, 15, 0, 0.0), Waypoint(3, 15, 1, 0.0),
-               Waypoint(4, 15, 15, 0.0), Waypoint(5, 15, 16, 0.0)]
+        wps = [Waypoint(0, 0, 0.0), Waypoint(14, 0, 0.0),
+               Waypoint(15, 0, 0.0), Waypoint(15, 1, 0.0),
+               Waypoint(15, 15, 0.0), Waypoint(15, 16, 0.0)]
         edges = [Edge(0, 1, 14.0, 5.0), Edge(1, 2, 1.0, 5.0),
                  Edge(2, 3, 1.0, 5.0), Edge(3, 4, 14.0, 5.0),
                  Edge(4, 5, 1.0, 5.0)]
@@ -251,9 +251,9 @@ class TestDriveKinematics:
         for _ in range(1000):
             w.step()
             v = w.vehicles[0]
-            if math.dist((v.x, v.y), (15.0, 0.0)) < 0.5 and w.ctl[0].phase == PHASE_DRIVE:
+            if math.dist((v.x, v.y), (15.0, 0.0)) < 0.5 and w.vehicles[0].phase == PHASE_DRIVE:
                 corner_speeds.append(v.speed)
-            if w.ctl[0].tasks_completed:
+            if w.vehicles[0].tasks_completed:
                 break
         assert corner_speeds
         assert min(corner_speeds) < 1.0  # well below the 3.0 cruise
@@ -263,8 +263,8 @@ def claims_of(world):
     """{spot: vehicle} from each vehicle's own spot and task destination;
     fails if two vehicles name one spot."""
     out = {}
-    for vid, ctl in enumerate(world.ctl):
-        for spot in {ctl.current_spot, ctl.dest_spot} - {None}:
+    for vid, v in enumerate(world.vehicles):
+        for spot in {v.current_spot, v.dest_spot} - {None}:
             assert out.setdefault(spot, vid) == vid, f"vehicles {out[spot]} and {vid}: spot {spot}"
     return out
 
@@ -319,7 +319,7 @@ class TestFleet:
         g = mapgen.warehouse_map()
         w = World(g, 3, seed=5)
         run_samples(w, 180.0)
-        done = [ctl.tasks_completed for ctl in w.ctl]
+        done = [v.tasks_completed for v in w.vehicles]
         assert all(n >= 1 for n in done)
         assert [s.id for s in w.free_spots()] == sorted(
             s.id for s in g.spots if s.id not in claims_of(w))
@@ -347,8 +347,8 @@ class TestFleet:
         # the samples are those of offering one to every idle vehicle
         class EveryIdleVehicle(World):
             def step(self, spot=None):
-                for vid, ctl in enumerate(self.ctl):
-                    if ctl.phase == PHASE_IDLE:
+                for vid, v in enumerate(self.vehicles):
+                    if v.phase == PHASE_IDLE:
                         self.assign_task(vid, spot)
                 super().step(spot)
 
@@ -383,10 +383,10 @@ class TestFleet:
             w = World(g, 3, seed=seed)
             out = []
             for _ in range(600):
-                idle = [vid for vid, ctl in enumerate(w.ctl) if ctl.phase == PHASE_IDLE]
+                idle = [vid for vid, v in enumerate(w.vehicles) if v.phase == PHASE_IDLE]
                 w.step()
-                out.extend(w.ctl[vid].dest_spot for vid in idle
-                           if w.ctl[vid].phase != PHASE_IDLE)
+                out.extend(w.vehicles[vid].dest_spot for vid in idle
+                           if w.vehicles[vid].phase != PHASE_IDLE)
             return out
 
         assert dests(1) != dests(2)
@@ -473,8 +473,8 @@ class TestReplay:
         g = mapgen.warehouse_map()
         w = World(g, 2, seed=7)
         samples = run_samples(w, 60.0)
-        out = [s for tick in replay(samples, dt=w.dt, consts=w.consts, params=w.battery_params)
-               for s in tick]
+        out = [s for tick in replay(samples, dt=w.dt, fork_mass=w.fork_mass,
+                                    params=w.battery_params) for s in tick]
         assert len(out) == len(samples)
         for a, b in zip(samples, out):
             assert a.t == pytest.approx(b.t, abs=1e-9)
@@ -559,11 +559,11 @@ class TestStreamedReplay:
     @given(recorded_fleets(), st.sampled_from([1, 2, 5, fleet_sim.REPLAY_CHUNK]))
     def test_equals_the_eager_replay(self, fleet, chunk):
         rows, dt = fleet
-        consts, params = battery.VehicleConstants(fork_mass=250.0), battery.BatteryParams()
+        fork_mass, params = 250.0, battery.BatteryParams()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fleet_sim, "REPLAY_CHUNK", chunk)
-            ticks = list(replay(rows, dt, consts, params))
-        expected = eager.replay(rows, dt, consts, params)
+            ticks = list(replay(rows, dt, fork_mass, params))
+        expected = eager.replay(rows, dt, fork_mass, params)
         assert [bits(s) for tick in ticks for s in tick] == [bits(s) for s in expected]
         # a tick per run of equal t bits
         assert [len(tick) for tick in ticks] == [

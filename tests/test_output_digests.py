@@ -41,7 +41,7 @@ import tempfile
 
 from eager import integrate_trajectory
 from forkfleet import cli, mapgen
-from forkfleet.battery import BatteryParams, VehicleConstants
+from forkfleet.battery import FORK_MASS, BatteryParams
 from forkfleet.rng import SplitMix64
 from forkfleet.roadnet import load_roadnet, save_roadnet
 from forkfleet.trajectory import (CSV_HEADER, TrajectorySample, read_csv, split_by_vehicle,
@@ -411,7 +411,7 @@ class Work:
             path = self.path(f"cycle {vid}.csv")
             with open(path, "w") as f:
                 write_csv(samples, f)
-            draw, regen, _ = integrate_trajectory(samples, VehicleConstants(), BatteryParams())
+            draw, regen, _ = integrate_trajectory(samples, FORK_MASS, BatteryParams())
             noise = (rng.randrange(2001) - 1000) / 1e5
             lines.append(f"{os.path.basename(path)},{(draw - regen) * (1.2 + noise):.6f}\n")
         path = self.path("cycles.csv")

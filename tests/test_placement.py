@@ -256,7 +256,7 @@ def placement_cases(draw):
         if draw(st.booleans()) and (b, a) not in seen:  # two-way
             seen.add((b, a))
             edges.append(Edge(b, a, length, 3.0))
-    g = build_graph([Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)],
+    g = build_graph([Waypoint(float(x), float(y), 0.0) for x, y in pts],
                     edges)
     weight = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 0.5]),
                        st.floats(0.0, 10.0))
@@ -285,7 +285,7 @@ class TestLazyGreedy:
         pts = [(0.0, 0.0), (1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6)]
         edges = [Edge(a, b, 1e-8, 3.0) for leaf in (1, 2, 3)
                  for a, b in ((0, leaf), (leaf, 0))]
-        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
         w = [0.0, 1.0, 1.0, 1.0]
         res = place_chargers(g, w, k=1, min_separation=0.0, d_scale=1e-6)
         assert res.stations == [0]
@@ -300,7 +300,7 @@ class TestLazyGreedy:
                  Edge(1, 5, 1e308, 3.0), Edge(5, 1, 1e308, 3.0)]
         for a in range(2, 5):
             edges += [Edge(a, a + 1, 3.0, 3.0), Edge(a + 1, a, 3.0, 3.0)]
-        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
         w = [1.0, 1.0, 0.0, 1.0, 5.0, 0.0]
         for k in (1, 2, 3):
             res = place_chargers(g, w, k, 2.0, 3.0)
@@ -313,7 +313,7 @@ class TestLazyGreedy:
         pts = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (5e-324, 5e-324)]
         edges = [Edge(a, b, 1.0 if 1 in (a, b) else 100.0, 3.0)
                  for a in range(4) for b in range(4) if a != b]
-        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
         w = [1.0, 0.0, 1.0, 1.0]
         for k in (1, 2):
             res = place_chargers(g, w, k, 0.5, 3.0)
@@ -390,7 +390,7 @@ def chain_graphs(draw, exact=True):
             edges.append(Edge(a, b, length + (0.0 if exact else 0.1), 3.0))
         if draw(st.booleans()) and edges and edges[-1].src == a:  # a parallel twin
             edges.append(edges[-1])
-    g = build_graph([Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)],
+    g = build_graph([Waypoint(float(x), float(y), 0.0) for x, y in pts],
                     edges)
     weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300])) for _ in range(n)]
     return g, weights
@@ -440,7 +440,7 @@ class TestChainRows:
 
     def test_parallel_edges_are_two_out_edges(self, monkeypatch):
         # 0 has two edges to 1, so its row is its own Dijkstra; 2 -> 0 derives
-        g = build_graph([Waypoint(i, float(i), 0.0, 0.0) for i in range(3)],
+        g = build_graph([Waypoint(float(i), 0.0, 0.0) for i in range(3)],
                         [Edge(0, 1, 1.0, 3.0), Edge(0, 1, 2.0, 3.0), Edge(2, 0, 2.0, 3.0)])
         sources = []
         monkeypatch.setattr(placement, "dijkstra",
@@ -466,7 +466,7 @@ class TestChainRows:
 
     def test_a_cycle_closes_at_its_first_repeat(self):
         # 3 -> 0 -> 1 -> 2 -> 0: 3's walk closes at 0, whose row anchors it
-        g = build_graph([Waypoint(i, float(i), 0.0, 0.0) for i in range(4)],
+        g = build_graph([Waypoint(float(i), 0.0, 0.0) for i in range(4)],
                         [Edge(0, 1, 1.0, 3.0), Edge(1, 2, 1.0, 3.0), Edge(2, 0, 2.0, 3.0),
                          Edge(3, 0, 3.0, 3.0)])
         rows = {}
@@ -521,7 +521,7 @@ def spur_graphs(draw, exact=True):
         chord = math.hypot(pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
         length = max(1, math.ceil(chord)) + draw(st.integers(0, 3)) / 2
         edges.append(Edge(a, b, length + (0.0 if exact else 0.1), 3.0))
-    g = build_graph([Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)],
+    g = build_graph([Waypoint(float(x), float(y), 0.0) for x, y in pts],
                     edges)
     weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300])) for _ in pts]
     return g, weights, draw(st.permutations(spur_nodes))
@@ -565,7 +565,7 @@ class TestSpurRows:
         street = [Edge(0, 1, 10.0, 3.0), Edge(1, 2, 10.0, 3.0)]
         spurs = [Edge(a, b, 5.0, 3.0) for c, s in ((0, 3), (1, 4), (2, 5))
                  for a, b in ((c, s), (s, c))]
-        wps = [Waypoint(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pts)]
+        wps = [Waypoint(float(x), float(y), 0.0) for x, y in pts]
         sources = []
         monkeypatch.setattr(placement, "dijkstra",
                             lambda graph, src: sources.append(src) or dijkstra(graph, src))
@@ -612,7 +612,7 @@ def first_scores(graph, weights, d_scale):
 def keys_and_bounds(graph, weights, d_scale):
     """(cell keys, coordinate bounds) of every node, set up as place_chargers
     sets them up."""
-    f = placement._path_factor(graph)
+    f = graph.path_factor
     xy = [(p.x, p.y) if f else (0.0, 0.0) for p in graph.waypoints]
     points = [(*xy[u], w) for u, w in enumerate(weights) if w != 0.0]
     keys = placement._cell_keys(xy, points, f, d_scale, range(graph.n_nodes()))
@@ -653,8 +653,8 @@ class TestCellKeys:
         pts = [(-1e308, 0.0), (1e308, 0.0), (0.0, 0.0)]
         edges = [Edge(0, 2, 1e308, 3.0), Edge(2, 0, 1e308, 3.0),
                  Edge(1, 2, 1e308, 3.0), Edge(2, 1, 1e308, 3.0)]
-        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
-        assert placement._path_factor(g) == 0.0
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
+        assert g.path_factor == 0.0
         w = [1.0, 2.0, 0.0]
         keys, bounds = keys_and_bounds(g, w, 20.0)
         assert bounds == [3.0] * 3
@@ -663,8 +663,8 @@ class TestCellKeys:
     def test_map_too_small(self):
         pts = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)]
         edges = [Edge(a, b, 1.0, 3.0) for a in range(3) for b in range(3) if a != b]
-        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
-        assert placement._path_factor(g) == 0.0
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
+        assert g.path_factor == 0.0
         w = [1.0, 0.0, 4.0]
         keys, bounds = keys_and_bounds(g, w, 3.0)
         scores = first_scores(g, w, 3.0)
@@ -679,7 +679,7 @@ class TestCellKeys:
         pts = [(0.0, 0.0), (0.0, 0.0), (1e6, 0.0), (1e6 + 1.0, 0.0)]
         edges = [Edge(a, b, length, 3.0) for a, b, length in
                  ((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1e6), (2, 1, 1e6), (2, 3, 1.0), (3, 2, 1.0))]
-        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
         w = [1e308, 1e308, 0.0, 0.0]
         for d_scale in (20.0, 5e-324):
             keys, bounds = keys_and_bounds(g, w, d_scale)
@@ -693,7 +693,7 @@ class TestCellKeys:
         # share one cell: its box distance is 0, so its term is their sum
         pts = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0), (1.0, 1.0)]
         edges = [e for a in range(4) for e in (Edge(a, 4, 2.0, 3.0), Edge(4, a, 2.0, 3.0))]
-        g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
         w = [1.0, 2.0, 3.0, 4.0, 0.0]
         keys, bounds = keys_and_bounds(g, w, 20.0)
         assert 10.0 < keys[4] < 10.0 + 1e-12

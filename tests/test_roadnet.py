@@ -16,13 +16,13 @@ from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _bucket_r
 
 class TestBuildGraph:
     def test_minimal(self):
-        g = build_graph([Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)],
+        g = build_graph([Waypoint(0, 0, 0), Waypoint(5, 0, 0)],
                         [Edge(0, 1, 5.0, 2.0)])
         assert len(g.adjacency[0]) == 1
         assert len(g.adjacency[1]) == 0
 
     def test_dangling_edge(self):
-        wps = [Waypoint(i, i, 0, 0) for i in range(3)]
+        wps = [Waypoint(i, 0, 0) for i in range(3)]
         with pytest.raises(InputError, match="edge 0->7 references a missing node"):
             build_graph(wps, [Edge(0, 7, 1.0, 1.0)])
 
@@ -33,31 +33,31 @@ class TestBuildGraph:
 
     def test_self_loop(self):
         with pytest.raises(InputError, match="self-loop at node 0"):
-            build_graph([Waypoint(0, 0, 0, 0)], [Edge(0, 0, 1.0, 1.0)])
+            build_graph([Waypoint(0, 0, 0)], [Edge(0, 0, 1.0, 1.0)])
 
     def test_non_positive_length(self):
-        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
         with pytest.raises(InputError, match="edge 0->1 has length 0.0"):
             build_graph(wps, [Edge(0, 1, 0.0, 1.0)])
 
     @pytest.mark.parametrize("length", [math.inf, math.nan])
     def test_non_finite_length(self, length):
-        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
         with pytest.raises(InputError, match=f"edge 0->1 has length {length}"):
             build_graph(wps, [Edge(0, 1, length, 1.0)])
 
     def test_length_shorter_than_chord(self):
-        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
         with pytest.raises(InputError, match="length 4.0 shorter than chord 5.0"):
             build_graph(wps, [Edge(0, 1, 4.0, 1.0)])
 
     def test_spot_on_missing_edge(self):
-        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
         with pytest.raises(InputError, match="spot 0 anchors to missing edge 1->0"):
             build_graph(wps, [Edge(0, 1, 5.0, 1.0)], [ParkingSpot(0, 1, 0, 2.0)])
 
     def test_duplicate_spot_id(self):
-        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
         spots = [ParkingSpot(3, 0, 1, 1.0), ParkingSpot(3, 0, 1, 4.0)]
         with pytest.raises(InputError, match="two spots with id 3"):
             build_graph(wps, [Edge(0, 1, 5.0, 1.0)], spots)
@@ -65,12 +65,12 @@ class TestBuildGraph:
     @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
     def test_non_finite_heading(self, heading):
         with pytest.raises(InputError, match="non-finite coordinates or heading at node 1"):
-            build_graph([Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, heading)],
+            build_graph([Waypoint(0, 0, 0), Waypoint(5, 0, heading)],
                         [Edge(0, 1, 5.0, 1.0)])
 
     @pytest.mark.parametrize("limit", [0.0, -1.0, math.nan, math.inf])
     def test_speed_limit_not_finite_and_positive(self, limit):
-        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 5, 0, 0)]
+        wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
         with pytest.raises(InputError, match="has speed limit"):
             build_graph(wps, [Edge(0, 1, 5.0, limit)])
 
@@ -144,7 +144,7 @@ class TestDijkstra:
 def coincident_graph(lengths):
     """A chain 0 -> 1 -> ... with the given lengths and every node at the
     origin, so that any length > 0 passes the chord check."""
-    waypoints = [Waypoint(i, 0.0, 0.0, 0.0) for i in range(len(lengths) + 1)]
+    waypoints = [Waypoint(0.0, 0.0, 0.0) for _ in range(len(lengths) + 1)]
     return build_graph(waypoints, [Edge(i, i + 1, length, 3.0)
                                    for i, length in enumerate(lengths)])
 
@@ -176,7 +176,7 @@ def row_cases(draw, exact):
                 length = chord * draw(st.floats(1.0, 1.5)) + draw(st.just(1e-9)
                                                                   | st.floats(1e15, 1e20))
             edges.append(Edge(a, b, length, 3.0))
-    g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+    g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
     src = draw(st.integers(0, n - 1))
     full = _heap_row(g._flat_adjacency, src)
     limit = draw(st.one_of(st.sampled_from([0.0, math.inf]), st.integers(0, 40).map(float),
@@ -280,10 +280,92 @@ def sparse_graphs(draw):
                 length = (math.ceil(chord) + 1.0 if integer
                           else chord * draw(st.floats(1.0, 1.5)) + 1e-9)
                 edges.append(Edge(src, dst, length, 3.0))
-    return build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], edges)
+    return build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
+
+
+# an edge's chord on a tie grid is 2.1 give or take a few ulps, so these
+# lengths tie, and some fall an ulp or two below the chord
+TIE_LENGTHS = (2.1, 2.0999999999999996, 2.1000000000000005)
+
+
+@st.composite
+def tie_grids(draw):
+    """Grids of 2-5 x 2-5 nodes whose coordinates are built by adding 2.1
+    again and again, from an origin that is itself such a sum, with one-way,
+    two-way or no edges between neighbours. Each edge's length is one of
+    TIE_LENGTHS, kept wherever build_graph would (>= chord - 1e-6)."""
+    nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    axes = []
+    for n in (nx, ny):
+        c = 0.0
+        for _ in range(draw(st.integers(0, 6))):
+            c += 2.1
+        axis = [c]
+        for _ in range(n - 1):
+            axis.append(axis[-1] + 2.1)
+        axes.append(axis)
+    xs, ys = axes
+    pts = [(x, y) for y in ys for x in xs]
+    neighbours = ([(i, i + 1) for i in range(len(pts)) if (i + 1) % nx]
+                  + [(i, i + nx) for i in range(len(pts) - nx)])
+    edges = []
+    for i, j in neighbours:
+        for src, dst in draw(st.sampled_from([(), ((i, j),), ((j, i),), ((i, j), (j, i))])):
+            length = draw(st.sampled_from(TIE_LENGTHS))
+            if length >= math.dist(pts[src], pts[dst]) - 1e-6:
+                edges.append(Edge(src, dst, length, 3.0))
+    return build_graph([Waypoint(x, y, 0.0) for x, y in pts], edges)
+
+
+def tight_walk(g, src, dst, row):
+    """The lexicographically smallest walk from src to dst over tight edges,
+    those with row[u] + length == row[v], row being dijkstra(g, src): from
+    each node the smallest-id tight successor from which dst is reached
+    over tight edges."""
+    back = {}
+    for e in g.edges:
+        if row[e.src] + e.length == row[e.dst]:
+            back.setdefault(e.dst, []).append(e.src)
+    reaches, stack = {dst}, [dst]
+    while stack:
+        for u in back.get(stack.pop(), ()):
+            if u not in reaches:
+                reaches.add(u)
+                stack.append(u)
+    walk = [src]
+    while walk[-1] != dst:
+        u = walk[-1]
+        walk.append(min(e.dst for e in g.adjacency[u]
+                        if e.dst in reaches and row[u] + e.length == row[e.dst]))
+    return tuple(walk)
 
 
 class TestAstar:
+    def test_edge_a_hair_shorter_than_its_chord(self):
+        # 0 -> 1 is 1.4e-15 m shorter than its chord: a straight-line
+        # heuristic overestimates there and settles 3 through 1 at 4.2
+        pts = [(8.399999999999999, 2.0999999999999996), (10.5, 2.0999999999999996),
+               (8.399999999999999, 4.199999999999999), (10.5, 4.199999999999999)]
+        g = build_graph([Waypoint(x, y, 0.0) for x, y in pts],
+                        [Edge(0, 1, 2.1, 3.0), Edge(0, 2, 2.0999999999999996, 3.0),
+                         Edge(1, 3, 2.1, 3.0), Edge(2, 3, 2.0999999999999996, 3.0)])
+        path = astar(g, 0, 3)
+        assert path == (0, 2, 3)
+        assert path_length(g, path) == dijkstra(g, 0)[3] == 4.199999999999999
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_grids())
+    def test_tie_grids_give_the_smallest_tight_walk(self, g):
+        for s in range(g.n_nodes()):
+            row = dijkstra(g, s)
+            for d in range(g.n_nodes()):
+                path = astar(g, s, d)
+                if math.isinf(row[d]):
+                    assert path is None
+                else:
+                    assert path_length(g, path) == row[d]
+                    assert path == tight_walk(g, s, d, row)
+
     @settings(max_examples=150, deadline=None)
     @given(sparse_graphs())
     def test_matches_dijkstra_with_unreachable_nodes(self, g):
@@ -332,8 +414,8 @@ class TestAstar:
 
     def test_lexicographic_tiebreak(self):
         # two equal-length routes 0->1->3 and 0->2->3; smaller sequence wins
-        wps = [Waypoint(0, 0, 0, 0), Waypoint(1, 1, 1, 0),
-               Waypoint(2, 1, -1, 0), Waypoint(3, 2, 0, 0)]
+        wps = [Waypoint(0, 0, 0), Waypoint(1, 1, 0),
+               Waypoint(1, -1, 0), Waypoint(2, 0, 0)]
         L = math.sqrt(2.0)
         edges = [Edge(0, 1, L, 1), Edge(0, 2, L, 1),
                  Edge(1, 3, L, 1), Edge(2, 3, L, 1)]
@@ -367,10 +449,10 @@ class TestNearestNode:
 def scan_nearest(g, x, y):
     """Reference: the linear scan over every waypoint that the grid replaced."""
     best_i, best_d = 0, math.inf
-    for w in g.waypoints:
+    for i, w in enumerate(g.waypoints):
         d = (w.x - x) ** 2 + (w.y - y) ** 2
         if d < best_d:
-            best_d, best_i = d, w.node
+            best_d, best_i = d, i
     return best_i
 
 
@@ -393,7 +475,7 @@ def snap_cases(draw):
         pts = [(x, pts[0][1]) for x, _ in pts]
     elif shape == "column":
         pts = [(pts[0][0], y) for _, y in pts]
-    g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], [])
+    g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], [])
     queries = [(draw(COORD), draw(COORD)) for _ in range(10)]
     queries += [(draw(FAR), draw(FAR)) for _ in range(4)]
     for _ in range(6):
@@ -484,7 +566,7 @@ def degenerate_snap_cases(draw):
         pts = [(c, c)] * n
     else:
         pts = [(v, c) if shape == "row" else (c, v) for v in (draw(COORD) for _ in range(n))]
-    g = build_graph([Waypoint(i, x, y, 0.0) for i, (x, y) in enumerate(pts)], [])
+    g = build_graph([Waypoint(x, y, 0.0) for x, y in pts], [])
     queries = [(draw(COORD), draw(COORD)) for _ in range(6)]
     queries += [(draw(FAR), draw(FAR)) for _ in range(4)]
     queries += [(draw(DEGENERATE_FAR), draw(DEGENERATE_FAR)) for _ in range(4)]
@@ -508,7 +590,7 @@ class TestSnapIndexDegenerate:
             assert nearest_node(g, x, y) == scan_nearest(g, x, y), (x, y)
 
     def test_far_queries_on_a_flat_box(self):
-        g = build_graph([Waypoint(i, float(i), 5.0, 0.0) for i in range(50)], [])
+        g = build_graph([Waypoint(float(i), 5.0, 0.0) for i in range(50)], [])
         assert g.snap_index.ny == 1 and g.snap_index.nx > 1
         for x, y in ((-1e6, 5.0), (1e6, 5.0), (24.5, 1e9), (24.5, -1e9), (1e150, 1e150)):
             assert nearest_node(g, x, y) == scan_nearest(g, x, y), (x, y)
