@@ -7,7 +7,10 @@ kinematics only and returns nothing; ticks() streams one sample per vehicle
 per step, a step's samples made with their SOC by one add to the fleet's
 battery.SocMeter, holding one tick at a time. replay() streams ticks of the
 same shape from recorded samples, each vehicle regridded and fed to a
-SocMeter of its own a chunk at a time, and merged by time. All randomness
+SocMeter of its own a chunk at a time, each chunk's gaps checked by
+trajectory.check_gaps, the one gap check of any series. The vehicles' streams
+are merged in the samples' own tuple order, (t, vehicle_id) first, and cut
+into ticks by t, a run at t == 0 again by t's bits. All randomness
 flows from one splitmix64 generator seeded by the scenario seed, so
 (scenario, seed, dt) fully determines every emitted sample.
 
@@ -60,7 +63,7 @@ from typing import Optional
 from . import ConfigError, Infeasible, battery as bat, setting, total
 from .rng import SplitMix64
 from .roadnet import RoadGraph, astar, nearest_node
-from .trajectory import TrajectorySample, resample, split_by_vehicle
+from .trajectory import TrajectorySample, check_gaps, resample, split_by_vehicle
 
 
 DT = 0.1  # s, the default step of a simulated or replayed run
@@ -516,17 +519,28 @@ def replay(samples, dt: float = DT, fork_mass: float = bat.FORK_MASS,
             times.append(t)
             k += 1
         streams.append(_replayed(series, times, fork_mass, params))
-    merged = heapq.merge(*streams, key=itemgetter(0, 1))  # (t, vehicle_id)
-    # a tick per run of equal t bits: -0.0 and 0.0 print apart
-    return ([*tick] for _, tick in groupby(merged, key=lambda s: s.t.hex()))
+    # each stream is one vehicle's, in strictly increasing t, so the samples'
+    # own tuple order is (t, vehicle_id) before any other field
+    return _ticks(heapq.merge(*streams))
+
+
+def _ticks(merged):
+    """Yield the merged samples a tick per run of equal t bits. Equal floats
+    have equal bits but for -0.0 and 0.0, which print apart, so only a run at
+    t == 0 is split again by its bits."""
+    for t, tick in groupby(merged, key=itemgetter(0)):
+        if t == 0.0:
+            yield from ([*run] for _, run in groupby(tick, key=lambda s: s[0].hex()))
+        else:
+            yield [*tick]
 
 
 def _replayed(series, times, fork_mass, params):
     """Yield one vehicle's samples at the grid times, its first with the
     first recorded soc and each later one with the SOC its meter gives,
     resampled and integrated REPLAY_CHUNK states at a time as they are
-    pulled. Each chunk is checked, with the state before it, as
-    split_by_vehicle checks any series."""
+    pulled. Each chunk is checked, with the state before it, by check_gaps,
+    the one check of any series' gaps."""
     states = resample(series, times)
     last = next(states, None)
     if last is None:
@@ -535,6 +549,6 @@ def _replayed(series, times, fork_mass, params):
     meter = bat.SocMeter([last], fork_mass, params)
     yield last
     while chunk := list(islice(states, REPLAY_CHUNK)):
-        split_by_vehicle([last, *chunk])
+        check_gaps([last, *chunk])
         last = chunk[-1]
         yield from meter.add([s[:8] for s in chunk])

@@ -83,35 +83,43 @@ def read_csv(fileobj):
 
 def split_by_vehicle(samples):
     """Group samples, each vehicle's in strictly increasing t as read_csv and
-    the simulator give them, into {vehicle_id: [samples]}; refuses two
-    consecutive samples so far apart that interpolating overflows."""
+    the simulator give them, into {vehicle_id: [samples]}, each vehicle's
+    series checked by check_gaps."""
     out = {}
     for s in samples:
         out.setdefault(s.vehicle_id, []).append(s)
-    for vid, ss in out.items():
-        for a, b in zip(ss, ss[1:]):
-            if not math.isfinite(math.dist(a, b)):
-                raise InputError(f"vehicle {vid} samples at t={a.t:.12g} and t={b.t:.12g} are "
-                                 "too far apart to interpolate")
+    for ss in out.values():
+        check_gaps(ss)
     return out
+
+
+def check_gaps(series):
+    """Refuse two consecutive samples of one vehicle's series so far apart
+    that interpolating between them overflows."""
+    for a, b in zip(series, series[1:]):
+        if not math.isfinite(math.dist(a, b)):
+            raise InputError(f"vehicle {a[1]} samples at t={a[0]:.12g} and t={b[0]:.12g} are "
+                             "too far apart to interpolate")
 
 
 def interpolate(a: TrajectorySample, b: TrajectorySample, t: float) -> TrajectorySample:
     """Linear pose/speed interpolation between two samples of one vehicle."""
-    u = (t - a.t) / (b.t - a.t)
+    at, vid, ax, ay, ah, av, af, am, ac = a
+    bt, _, bx, by, bh, bv, bf, bm, bc = b
+    u = (t - at) / (bt - at)
     # shortest angular interpolation for heading
-    dh = math.remainder(b.heading - a.heading, 2.0 * math.pi)
+    dh = math.remainder(bh - ah, 2.0 * math.pi)
     # the fields in column order, built positionally as read_csv does
     return tuple.__new__(TrajectorySample, (
         t,
-        a.vehicle_id,
-        a.x + (b.x - a.x) * u,
-        a.y + (b.y - a.y) * u,
-        a.heading + dh * u,
-        a.speed + (b.speed - a.speed) * u,
-        a.fork_height + (b.fork_height - a.fork_height) * u,
-        a.load_mass + (b.load_mass - a.load_mass) * u,
-        a.soc + (b.soc - a.soc) * u,
+        vid,
+        ax + (bx - ax) * u,
+        ay + (by - ay) * u,
+        ah + dh * u,
+        av + (bv - av) * u,
+        af + (bf - af) * u,
+        am + (bm - am) * u,
+        ac + (bc - ac) * u,
     ))
 
 
@@ -125,18 +133,19 @@ def resample(series, times):
     and up to 1e-12 after the last it is the last. The first sample at or
     after t only moves forward as t does, so a forward cursor finds it, one
     time at a time as the caller pulls."""
-    first, last = series[0].t - 1e-12, series[-1].t + 1e-12
+    first, last = series[0][0] - 1e-12, series[-1][0] + 1e-12
     end = len(series) - 1
     i = 0
+    b = series[0]  # the cursor's sample, series[i]
     for t in times:
         if t < first or t > last:
             yield None
             continue
-        while i < end and series[i].t < t:
+        while i < end and b[0] < t:
             i += 1
-        b = series[i]
-        if b.t >= t and i > 0:
+            b = series[i]
+        if b[0] >= t and i > 0:
             a = series[i - 1]
-            yield interpolate(a, b, min(max(t, a.t), b.t))
+            yield interpolate(a, b, min(max(t, a[0]), b[0]))
         else:
             yield b

@@ -569,6 +569,26 @@ class TestStreamedReplay:
         assert [len(tick) for tick in ticks] == [
             len([*run]) for _, run in itertools.groupby(expected, key=lambda s: s.t.hex())]
 
+    def test_signed_zeros_at_t0_are_a_tick_each(self):
+        # trucks 0, 1 and 2 first recorded at 0.0, -0.0 and 0.0: one run of
+        # equal t in (t, vehicle_id) order, whose bits change twice
+        rows = [TrajectorySample(t, vid, float(vid), 0.0, 0.0, 1.0)
+                for vid, t0 in ((0, 0.0), (1, -0.0), (2, 0.0)) for t in (t0, 1.0)]
+        ticks = list(replay(rows, dt=0.5))
+        expected = eager.replay(rows, dt=0.5)
+        assert [bits(s) for tick in ticks for s in tick] == [bits(s) for s in expected]
+        assert [[(s.t.hex(), s.vehicle_id) for s in tick] for tick in ticks] == [
+            [(s.t.hex(), s.vehicle_id) for s in run]
+            for _, run in itertools.groupby(expected, key=lambda s: s.t.hex())]
+        assert [len(tick) for tick in ticks] == [1, 1, 1, 3, 3]
+
+    def test_a_64_truck_merge_equals_the_eager_replay(self):
+        samples = run_samples(World(mapgen.warehouse_map(16, 12, 128), 64, seed=5), 3.0)
+        ticks = list(replay(samples))
+        expected = eager.replay(samples)
+        assert [bits(s) for tick in ticks for s in tick] == [bits(s) for s in expected]
+        assert [len(tick) for tick in ticks] == [64] * 31
+
     def test_grid_refusals_come_at_the_call(self):
         # trucks 1 and 2 at 1e17 and 2e17, where times are 16 and 32 apart: at
         # dt 1 both grids repeat a time, and truck 1's is named
