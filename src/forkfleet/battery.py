@@ -95,8 +95,9 @@ def _segment_features(a, b, fork_mass: float):
     """The parameter-free features of the segment between two samples of one
     vehicle: (dt, ds, mass, w_kin, |dheading/dt|, dh, lift mass). The energy
     depends on the parameters only through _energies, so calibrate() builds
-    these once per cycle. Samples are read by position: b may be a sample's
-    first eight fields (all but soc). A refusal names the vehicle and b's t."""
+    these once per cycle. Samples are read by position, so either one may be
+    a state, a sample's first eight fields (all but soc). A refusal names the
+    vehicle and b's t."""
     # t, vehicle_id, x, y, heading, speed, fork_height, load_mass at 0..7
     v0, v1 = a[5], b[5]
     dt = b[0] - a[0]

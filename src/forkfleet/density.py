@@ -152,7 +152,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     matched closes. Each occupied node's row, a bounded search that labels only
     the nodes within distance_threshold, is computed once for the timeline and
     freed on return. A timeline of more than MAX_ENTRIES entries raises
-    ConfigError before any tick is made.
+    ConfigError before any tick is made; a peak cluster whose centroid is not
+    finite raises InputError, as nearest_node would snap it to node 0.
     """
     per_vehicle = split_by_vehicle(samples)
     if not per_vehicle:
@@ -172,8 +173,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
     reports, closed, active = [], [], []
     rows = {}
     for t, *tick in zip(times, *[resample(per_vehicle[vid], times) for vid in vids]):
-        states = [(vid, smp.x, smp.y, smp.speed)
-                  for vid, smp in zip(vids, tick) if smp is not None]
+        # a state's x, y and speed are at 2, 3 and 5
+        states = [(vid, st[2], st[3], st[5]) for vid, st in zip(vids, tick) if st is not None]
         if not states:
             continue
         s = snapshot_from_states(t, states, graph, rows, cfg.distance_threshold)
@@ -196,6 +197,8 @@ def density_timeline(samples, graph: RoadGraph, cfg: DensityConfig):
                 ep.peak_size = len(idx)
                 ep.centroid = (total(s.positions[i][0] for i in idx) / len(idx),
                                total(s.positions[i][1] for i in idx) / len(idx))
+                if not all(map(math.isfinite, ep.centroid)):  # a sum of positions overflowed
+                    raise InputError(f"t={t:.12g}: a critical cluster's centroid is not finite")
             next_active.append(ep)
         closed += [ep for ai, ep in enumerate(active) if ai not in matched]
         active = next_active

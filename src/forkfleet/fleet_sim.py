@@ -536,19 +536,19 @@ def _ticks(merged):
 
 
 def _replayed(series, times, fork_mass, params):
-    """Yield one vehicle's samples at the grid times, its first with the
-    first recorded soc and each later one with the SOC its meter gives,
-    resampled and integrated REPLAY_CHUNK states at a time as they are
-    pulled. Each chunk is checked, with the state before it, by check_gaps,
-    the one check of any series' gaps."""
+    """Yield one vehicle's samples at the grid times: the first is its first
+    state with the first recorded soc, and each later state is handed to the
+    vehicle's meter, which gives it its SOC, REPLAY_CHUNK states at a time
+    as they are pulled. Each chunk is checked, with the state before it, by
+    check_gaps, the one check of any series' gaps."""
     states = resample(series, times)
     last = next(states, None)
     if last is None:
         return
-    last = last._replace(soc=series[0].soc)
-    meter = bat.SocMeter([last], fork_mass, params)
-    yield last
+    first = TrajectorySample(*last, series[0][8])
+    meter = bat.SocMeter([first], fork_mass, params)
+    yield first
     while chunk := list(islice(states, REPLAY_CHUNK)):
         check_gaps([last, *chunk])
         last = chunk[-1]
-        yield from meter.add([s[:8] for s in chunk])
+        yield from meter.add(chunk)

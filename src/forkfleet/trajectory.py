@@ -3,7 +3,9 @@
 The trajectory CSV is the single source of motion truth shared by the
 simulator, the replay path, the battery model and both analyses. Columns:
 t,vehicle_id,x,y,heading,speed,fork_height,load_mass,soc. Lines starting
-with '#' are provenance comments and are skipped on read.
+with '#' are provenance comments and are skipped on read. Regridding
+(interpolate, resample) makes states, a sample's first eight fields without
+its soc; only battery.SocMeter turns a state into a sample with a SOC.
 """
 
 from __future__ import annotations
@@ -102,37 +104,29 @@ def check_gaps(series):
                              "too far apart to interpolate")
 
 
-def interpolate(a: TrajectorySample, b: TrajectorySample, t: float) -> TrajectorySample:
-    """Linear pose/speed interpolation between two samples of one vehicle."""
-    at, vid, ax, ay, ah, av, af, am, ac = a
-    bt, _, bx, by, bh, bv, bf, bm, bc = b
+def interpolate(a: TrajectorySample, b: TrajectorySample, t: float) -> tuple:
+    """The state at t between two samples of one vehicle, linear in t: a
+    sample's first eight fields, t through load_mass, and no soc."""
+    at, vid, ax, ay, ah, av, af, am, _ = a
+    bt, _, bx, by, bh, bv, bf, bm, _ = b
     u = (t - at) / (bt - at)
     # shortest angular interpolation for heading
     dh = math.remainder(bh - ah, 2.0 * math.pi)
-    # the fields in column order, built positionally as read_csv does
-    return tuple.__new__(TrajectorySample, (
-        t,
-        vid,
-        ax + (bx - ax) * u,
-        ay + (by - ay) * u,
-        ah + dh * u,
-        av + (bv - av) * u,
-        af + (bf - af) * u,
-        am + (bm - am) * u,
-        ac + (bc - ac) * u,
-    ))
+    return (t, vid, ax + (bx - ax) * u, ay + (by - ay) * u, ah + dh * u,
+            av + (bv - av) * u, af + (bf - af) * u, am + (bm - am) * u)
 
 
 def resample(series, times):
-    """Yield one vehicle's interpolated sample at each of the non-decreasing
-    times, or None where a time lies more than 1e-12 outside the span of the
-    series, a non-empty one of split_by_vehicle.
+    """Yield one vehicle's state (interpolate's eight fields) at each of the
+    non-decreasing times, or None where a time lies more than 1e-12 outside
+    the span of the series, a non-empty one of split_by_vehicle.
 
     A time is interpolated between the first sample at or after it and the
     one before; at or up to 1e-12 before the first sample it is the first,
     and up to 1e-12 after the last it is the last. The first sample at or
     after t only moves forward as t does, so a forward cursor finds it, one
-    time at a time as the caller pulls."""
+    time at a time as the caller pulls. Where it interpolates, it stops at b
+    with a[0] < t <= b[0], so t needs no clamp to the segment."""
     first, last = series[0][0] - 1e-12, series[-1][0] + 1e-12
     end = len(series) - 1
     i = 0
@@ -145,7 +139,6 @@ def resample(series, times):
             i += 1
             b = series[i]
         if b[0] >= t and i > 0:
-            a = series[i - 1]
-            yield interpolate(a, b, min(max(t, a[0]), b[0]))
+            yield interpolate(series[i - 1], b, t)
         else:
-            yield b
+            yield b[:8]

@@ -10,7 +10,7 @@ import math
 from forkfleet import ConfigError, total
 from forkfleet.battery import FORK_MASS, BatteryParams, SocMeter
 from forkfleet.fleet_sim import DT, MAX_GRID_POINTS
-from forkfleet.trajectory import resample, split_by_vehicle
+from forkfleet.trajectory import TrajectorySample, check_gaps, resample, split_by_vehicle
 
 
 def integrate_trajectory(samples, fork_mass: float, p: BatteryParams):
@@ -55,9 +55,10 @@ def replay(samples, dt: float = DT, fork_mass: float = FORK_MASS,
                                   "finer than the sample times resolve")
             times.append(t)
             k += 1
-        regridded = list(resample(series, times))
-        if regridded:
-            regridded[0] = regridded[0]._replace(soc=series[0].soc)
-        out.extend(integrate_trajectory(regridded, fork_mass, params)[2])
+        states = list(resample(series, times))
+        if states:
+            check_gaps(states)
+            first = TrajectorySample(*states[0], series[0].soc)
+            out += [first, *SocMeter([first], fork_mass, params).add(states[1:])]
     out.sort(key=lambda s: (s.t, s.vehicle_id))
     return out

@@ -254,8 +254,9 @@ class TestExitCodes:
     {coarse_t_traj} one vehicle at t = 1e17 and 1e17 + 64, {long_traj} one
     vehicle at t = 0 and 1e9, {back_traj} one vehicle at speed -1 and
     {back_manifest} one naming {back_traj}, {far_map} nodes (-1e308, 0) and
-    (0, 0) joined both ways by 1e308 m edges and {far_x_traj} one vehicle at
-    x = 1e308 at t = 0 and 1, {thin_map} two nodes 39,999,990 m apart in x
+    (0, 0) joined both ways by 1e308 m edges, {far_x_traj} one vehicle at
+    x = 1e308 at t = 0 and 1 and {far_pair_traj} two vehicles stopped at
+    (-1e308, 0) at t = 0 and 1, {thin_map} two nodes 39,999,990 m apart in x
     and 4e-7 m in y, {no_eq_cfg} a config line without '=' and
     {no_comma_manifest} a manifest line without a comma. The other {odr_*}
     files are ONE_ROAD_ODR or odr_roads(), the other maps ONE_WAY_CORRIDORS
@@ -421,6 +422,10 @@ class TestExitCodes:
         ("analyze-density mean speed not finite",
          ["analyze-density", "--map", "{map}", "--out-dir", "{out}", "{fast_traj}"],
          EXIT_INPUT, INPUT),
+        # two trucks stopped on far_map's node at x = -1e308: their x sum overflows
+        ("analyze-density centroid not finite",
+         ["analyze-density", "--map", "{far_map}", "--out-dir", "{out}", "{far_pair_traj}"],
+         EXIT_INPUT, INPUT + "t=0: a critical cluster's centroid is not finite"),
         # inf drawn less inf regenerated: the objective is nan
         ("calibrate objective nan",
          ["calibrate", "--out-dir", "{out}", "{heavy_manifest}"], EXIT_INPUT, INPUT),
@@ -659,6 +664,10 @@ class TestExitCodes:
                                        "edge 0 1 1e308 3 1\nedge 1 0 1e308 3 1\n"),
                            ("far_x_traj", CSV_HEADER + "0,0,1e308,0,0,0,0,0,1\n"
                                                        "1,0,1e308,0,0,0,0,0,1\n"),
+                           ("far_pair_traj", CSV_HEADER + "0,0,-1e308,0,0,0,0,0,1\n"
+                                                          "0,1,-1e308,0,0,0,0,0,1\n"
+                                                          "1,0,-1e308,0,0,0,0,0,1\n"
+                                                          "1,1,-1e308,0,0,0,0,0,1\n"),
                            ("heavy_traj", CSV_HEADER + "0,0,10,10,0,0,0,1e308,1\n"
                                                        "1,0,10,10,0,0,1,1e308,1\n"
                                                        "2,0,10,10,0,0,0,1e308,1\n"),

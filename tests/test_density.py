@@ -155,8 +155,8 @@ def wandering_fleet(graph, n_vehicles=6, n_steps=25, seed=2):
 def tick_states(samples, t):
     """The state tuples of the vehicles present at t."""
     per_vehicle = split_by_vehicle(samples)
-    return [(vid, smp.x, smp.y, smp.speed) for vid in sorted(per_vehicle)
-            for smp in [sample_at(per_vehicle[vid], t)] if smp is not None]
+    return [(vid, st[2], st[3], st[5]) for vid in sorted(per_vehicle)
+            for st in [sample_at(per_vehicle[vid], t)] if st is not None]
 
 
 def stopped_pair_trajectory(t_jam_start, t_jam_end, t_total, dt=1.0):

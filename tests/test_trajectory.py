@@ -11,7 +11,7 @@ from forkfleet.trajectory import (CSV_HEADER, TrajectorySample, interpolate, rea
 
 
 def sample_at(series, t: float):
-    """The reference for resample: one vehicle's interpolated sample at time
+    """The reference for resample: one vehicle's interpolated state at time
     t by binary search, or None if t is outside the series span."""
     if not series or t < series[0].t - 1e-12 or t > series[-1].t + 1e-12:
         return None
@@ -27,7 +27,7 @@ def sample_at(series, t: float):
     else:
         a = b = series[lo]
     if a is b:
-        return a
+        return a[:8]
     return interpolate(a, b, min(max(t, a.t), b.t))
 
 
@@ -101,14 +101,14 @@ class TestInterpolate:
         a = smp(0.0, x=0.0, speed=1.0)
         b = smp(2.0, x=4.0, speed=3.0)
         m = interpolate(a, b, 1.0)
-        assert m.x == 2.0 and m.speed == 2.0 and m.t == 1.0
+        assert m[2] == 2.0 and m[5] == 2.0 and m[0] == 1.0 and len(m) == 8
 
     def test_heading_wraps_short_way(self):
         a = smp(0.0, heading=3.0)
         b = smp(1.0, heading=-3.0)  # 0.28 rad apart through pi, not 6 rad
         m = interpolate(a, b, 0.5)
         expected = 3.0 + 0.5 * (2 * math.pi - 6.0)
-        assert m.heading == pytest.approx(expected)
+        assert m[4] == pytest.approx(expected)
 
 
 class TestSampleAt:
@@ -117,11 +117,11 @@ class TestSampleAt:
 
     def test_exact_hits(self):
         s = self.series()
-        assert sample_at(s, 0.0).x == 0.0
-        assert sample_at(s, 3.0).x == 8.0
+        assert sample_at(s, 0.0)[2] == 0.0
+        assert sample_at(s, 3.0)[2] == 8.0
 
     def test_between(self):
-        assert sample_at(self.series(), 2.0).x == pytest.approx(5.0)
+        assert sample_at(self.series(), 2.0)[2] == pytest.approx(5.0)
 
     def test_outside_span(self):
         s = self.series()
@@ -148,6 +148,11 @@ class TestResample:
         got = list(resample(series, times))
         want = [sample_at(series, t) for t in times]
         assert [repr(s) for s in got] == [repr(s) for s in want]
+        # the reference clamps t to [a.t, b.t]; every state resample
+        # interpolates, inside (series[0].t, series[-1].t], carries t bit for
+        # bit, so the clamp leaves t as it is
+        inner = [(s, t) for s, t in zip(got, times) if ts[0] < t <= ts[-1]]
+        assert [s[0].hex() for s, _ in inner] == [t.hex() for _, t in inner]
 
 
 class TestSampleType:
