@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 from . import (ConfigError, ForkfleetError, Infeasible, InputError, __version__,
@@ -67,17 +66,13 @@ def _write_atomic(paths, prov: str, render) -> None:
         with contextlib.ExitStack() as stack:
             files = []
             for path in paths:
-                fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                                           dir=os.path.dirname(path) or ".")
+                # "x" is O_EXCL: the file is this call's own, with open()'s mode
+                tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+                files.append(stack.enter_context(open(tmp, "x", newline="")))
                 tmps.append(tmp)
-                files.append(stack.enter_context(open(fd, "w", newline="")))
                 files[-1].write(f"# {prov}\n")
             render(*files)
-        # mkstemp creates the file private (0600); give it open()'s mode
-        umask = os.umask(0)
-        os.umask(umask)
         for tmp, path in zip(tmps, paths):
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
@@ -145,7 +140,7 @@ def cmd_simulate(args):
                   battery_params=cfg.battery, fork_mass=cfg.fork_mass,
                   pickup_mass=cfg.pickup_mass, lift_height=cfg.lift_height)
     spot = cfg.fixed_spot()
-    if spot is not None and all(s.id != spot for s in graph.spots):
+    if spot is not None and not 0 <= spot < len(graph.spots):
         raise ConfigError(f"policy '{cfg.policy}': the map has no spot {spot}")
     prov = _provenance([cfg.map], cfg)
 

@@ -146,20 +146,17 @@ class World:
                  fork_mass: float = bat.FORK_MASS,
                  pickup_mass: float = PICKUP_MASS,
                  lift_height: float = LIFT_HEIGHT):
-        """Place vehicles 0..n-1 on the n parking spots of lowest id, each
-        standing on its spot. A vehicle's id is its index, as a waypoint's
-        is."""
+        """Place vehicles 0..n-1 on spots 0..n-1, each on the spot of its
+        own id. A vehicle's id is its index, as a waypoint's and a spot's
+        are."""
         # dt and kin come range-checked, by the scenario's check_ranges
         if n_vehicles > len(graph.spots):
             raise ConfigError(f"{n_vehicles} vehicles but only {len(graph.spots)} spots")
         self.graph = graph
-        # in id order, so free_spots() lists them in id order
-        self._spots_by_id = {s.id: s for s in sorted(graph.spots, key=lambda s: s.id)}
-        spots = list(self._spots_by_id.values())[:n_vehicles]
         self.vehicles = [VehicleState(*graph.spot_anchor_xy(spot),
                                       heading=graph.waypoints[spot.edge_src].heading,
-                                      current_spot=spot.id)
-                         for spot in spots]
+                                      current_spot=i)
+                         for i, spot in enumerate(graph.spots[:n_vehicles])]
         self.dt = dt
         self.rng = SplitMix64(seed)
         self.kin = kin
@@ -177,9 +174,9 @@ class World:
     # --- task assignment -----------------------------------------------------
 
     def free_spots(self):
-        """The spots no vehicle stands on or is bound for, in id order."""
+        """The ids of the spots no vehicle stands on or is bound for, ascending."""
         taken = {spot for v in self.vehicles for spot in (v.current_spot, v.dest_spot)}
-        return [s for s in self._spots_by_id.values() if s.id not in taken]
+        return [i for i in range(len(self.graph.spots)) if i not in taken]
 
     def assign_task(self, vehicle_id: int, spot: Optional[int] = None) -> Optional[int]:
         """Send an idle vehicle to the given spot of the map, or with spot None
@@ -187,7 +184,7 @@ class World:
         when that spot, or with spot None every spot, is taken; then nothing
         is drawn."""
         v = self.vehicles[vehicle_id]
-        free = [s.id for s in self.free_spots()]
+        free = self.free_spots()
         if spot is None and free:
             spot = free[self.rng.randrange(len(free))]
         elif spot not in free:
@@ -204,7 +201,7 @@ class World:
         snapped node to the destination spot's anchor-edge start node, and on
         to the spot. Raises Infeasible."""
         v = self.vehicles[vehicle_id]
-        spot = self._spots_by_id[dest_spot]
+        spot = self.graph.spots[dest_spot]
         nodes = astar(self.graph, nearest_node(self.graph, v.x, v.y), spot.edge_src)
         if nodes is None:
             raise Infeasible(f"vehicle {vehicle_id} cannot reach spot {dest_spot}")

@@ -74,9 +74,8 @@ def warehouse_map(nx: int = 4, ny: int = 3, n_spots: int = 8) -> RoadGraph:
     # spread the spots over the available midpoints
     stride = max(1, len(midpoints) // n_spots) if n_spots else 1
     spots = []
-    used = 0
     for idx in range(0, len(midpoints), stride):
-        if used >= n_spots:
+        if len(spots) >= n_spots:
             break
         xm, y, dy = midpoints[idx]
         m = nodes[(round(xm, 6), round(y, 6))]
@@ -84,6 +83,5 @@ def warehouse_map(nx: int = 4, ny: int = 3, n_spots: int = 8) -> RoadGraph:
         s = node_at(xm, y + dy, hdg)
         edges.append(Edge(m, s, SPUR_LEN, SPUR_SPEED))
         edges.append(Edge(s, m, SPUR_LEN, SPUR_SPEED))
-        spots.append(ParkingSpot(used, m, s, SPUR_LEN))
-        used += 1
+        spots.append(ParkingSpot(m, s, SPUR_LEN))
     return build_graph(waypoints, edges, spots)

@@ -69,8 +69,7 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class ParkingSpot:
-    id: int
+class ParkingSpot:  # a spot, whose id is its index in RoadGraph.spots
     edge_src: int
     edge_dst: int
     offset: float
@@ -151,7 +150,8 @@ class RoadGraph:
 
 
 def build_graph(waypoints, edges, spots=()) -> RoadGraph:
-    """Validate inputs and assemble adjacency.
+    """Validate inputs and assemble adjacency. A node's id is its index in
+    waypoints, and a spot's its index in spots.
 
     Raises InputError on bad input.
     """
@@ -174,18 +174,13 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
         if e.length < chord - 1e-6:
             raise InputError(f"edge {e.src}->{e.dst} length {e.length} shorter than chord {chord}")
         adjacency[e.src].append(e)
-    g = RoadGraph(list(waypoints), list(edges), [], adjacency)
-    spot_ids = set()
-    for s in spots:
-        if s.id in spot_ids:
-            raise InputError(f"two spots with id {s.id}")
-        spot_ids.add(s.id)
+    g = RoadGraph(list(waypoints), list(edges), list(spots), adjacency)
+    for i, s in enumerate(g.spots):
         found = g.edge_between(s.edge_src, s.edge_dst) if 0 <= s.edge_src < n else None
         if found is None:
-            raise InputError(f"spot {s.id} anchors to missing edge {s.edge_src}->{s.edge_dst}")
+            raise InputError(f"spot {i} anchors to missing edge {s.edge_src}->{s.edge_dst}")
         if not (0 <= s.offset <= found.length):
-            raise InputError(f"spot {s.id} offset {s.offset} outside edge")
-        g.spots.append(s)
+            raise InputError(f"spot {i} offset {s.offset} outside edge")
     return g
 
 
@@ -464,15 +459,26 @@ def save_roadnet(g: RoadGraph, fileobj) -> None:
         w(f"node {i} {wp.x:.12g} {wp.y:.12g} {wp.heading:.12g}\n")
     for e in g.edges:
         w(f"edge {e.src} {e.dst} {e.length:.12g} {e.speed_limit:.12g} 1\n")
-    for s in g.spots:
-        w(f"spot {s.id} {s.edge_src} {s.edge_dst} {s.offset:.12g}\n")
+    for i, s in enumerate(g.spots):
+        w(f"spot {i} {s.edge_src} {s.edge_dst} {s.offset:.12g}\n")
+
+
+def _by_id(pairs, kind, label):
+    """The items of (id, item) pairs in id order; refuses the first id that is not its index."""
+    pairs.sort(key=lambda pair: pair[0])
+    for i, (got, _) in enumerate(pairs):
+        if got != i:
+            raise InputError(f"{kind} at index {i} carries {label} id {got}")
+    return [item for _, item in pairs]
 
 
 def load_roadnet(fileobj) -> RoadGraph:
+    """A graph from roadnet v1 text. Node and spot ids are 0 .. n-1, each
+    once, in any order: a record's id is its index in the graph."""
     lines = records(fileobj)
     if next(lines, (0, ""))[1].split() != ["roadnet", "v1"]:
         raise InputError("missing 'roadnet v1' header")
-    nodes, edges, spots = [], [], []  # nodes: (id, Waypoint)
+    nodes, edges, spots = [], [], []  # nodes, spots: (id, record)
     for lineno, ln in lines:
         parts = ln.split()
         if parts[0] not in ("node", "edge", "spot"):
@@ -485,12 +491,9 @@ def load_roadnet(fileobj) -> RoadGraph:
                 src, dst, length, speed_limit, _one_way = parts[1:6]  # the flag is not read
                 edges.append(Edge(int(src), int(dst), float(length), float(speed_limit)))
             else:
-                spots.append(ParkingSpot(int(parts[1]), int(parts[2]),
-                                         int(parts[3]), float(parts[4])))
+                spots.append((int(parts[1]), ParkingSpot(int(parts[2]), int(parts[3]),
+                                                         float(parts[4]))))
         except (IndexError, ValueError) as exc:
             raise InputError(f"bad record at line {lineno}: {ln!r}") from exc
-    nodes.sort(key=lambda node: node[0])
-    for i, (node, _) in enumerate(nodes):
-        if node != i:
-            raise InputError(f"waypoint at index {i} carries node id {node}")
-    return build_graph([w for _, w in nodes], edges, spots)
+    return build_graph(_by_id(nodes, "waypoint", "node"), edges,
+                       _by_id(spots, "spot", "spot"))

@@ -238,7 +238,8 @@ class TestExitCodes:
     and {spin_manifest} one naming {heavy_traj} or {spin_traj},
     {dir_manifest} one whose cycle is a directory, {abc_manifest} one
     naming {traj} with the energy abc, {dup_spots} the demo floor with spot
-    1 renamed to 0, {bogus_record} the same with a bogus record on line 2,
+    1 renumbered 0, so that two spots carry id 0, {sparse_spots} the same
+    with spot 1 renumbered 9, so that no spot carries id 1, {bogus_record} the same with a bogus record on line 2,
     {corridors} ONE_WAY_CORRIDORS,
     {nan_heading} the same with node 1's heading nan, {nan_twin_node} the
     same with node 0's x nan and node 2 renamed 1, {inf_edge} INF_EDGE,
@@ -450,7 +451,10 @@ class TestExitCodes:
          EXIT_CONFIG, CONFIG),
         ("simulate two spots with one id",
          ["simulate", "--map", "{dup_spots}", "--out-dir", "{out}", "--duration", "2"],
-         EXIT_INPUT, INPUT),
+         EXIT_INPUT, INPUT + "spot at index 1 carries spot id 0\n"),
+        ("simulate spot ids with a gap",
+         ["simulate", "--map", "{sparse_spots}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "spot at index 1 carries spot id 2\n"),
         ("simulate unknown map record",
          ["simulate", "--map", "{bogus_record}", "--out-dir", "{out}", "--duration", "2"],
          EXIT_INPUT, INPUT + "unknown record 'bogus' at line 2\n"),
@@ -685,6 +689,7 @@ class TestExitCodes:
                            ("good_manifest", "traj,1000\n"),
                            ("dir_manifest", ".,1000\n"),
                            ("dup_spots", floor.replace("\nspot 1 ", "\nspot 0 ")),
+                           ("sparse_spots", floor.replace("\nspot 1 ", "\nspot 9 ")),
                            ("bogus_record",
                             floor.replace("roadnet v1\n", "roadnet v1\nbogus 1 2 3\n")),
                            ("corridors", ONE_WAY_CORRIDORS),
@@ -930,6 +935,16 @@ class TestWriteAtomic:
         assert path.read_bytes() == plain.read_bytes() == self.TEXT.encode()
         assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
         assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain.csv"]
+
+    def test_the_process_umask_is_never_changed(self, tmp_path, map_file, monkeypatch):
+        # setting the umask, even to read it, would give another thread's
+        # files the wrong mode until it is set back
+        def umask(mask):
+            raise AssertionError(f"os.umask({mask:#o})")
+        monkeypatch.setattr(os, "umask", umask)
+        code, out = simulate(tmp_path, map_file)
+        assert code == EXIT_OK
+        assert sorted(os.listdir(out)) == ["soc.csv", "summary.txt", "trajectory.csv"]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"

@@ -95,7 +95,7 @@ def narrow_pairs(world):
 
 
 GRAPH = build_graph([Waypoint(0, 0, 0.0), Waypoint(10, 0, 0.0)],
-                    [Edge(0, 1, 10.0, 3.0)], [ParkingSpot(0, 0, 1, 0.0)])
+                    [Edge(0, 1, 10.0, 3.0)], [ParkingSpot(0, 1, 0.0)])
 
 
 def make_world(kin, dt, poses, blocked):

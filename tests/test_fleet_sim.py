@@ -22,7 +22,7 @@ def corridor_graph():
     wps = [Waypoint(0, 0, 0.0), Waypoint(20, 0, 0.0), Waypoint(21, 0, 0.0)]
     edges = [Edge(0, 1, 20.0, 5.0), Edge(1, 2, 1.0, 5.0),
              Edge(2, 1, 1.0, 5.0), Edge(1, 0, 20.0, 5.0)]
-    spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 1, 2, 0.0)]
+    spots = [ParkingSpot(0, 1, 0.0), ParkingSpot(1, 2, 0.0)]
     return build_graph(wps, edges, spots)
 
 
@@ -30,7 +30,7 @@ def one_way_corridor():
     """Same corridor but without return edges."""
     wps = [Waypoint(0, 0, 0.0), Waypoint(20, 0, 0.0), Waypoint(21, 0, 0.0)]
     edges = [Edge(0, 1, 20.0, 5.0), Edge(1, 2, 1.0, 5.0)]
-    spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 1, 2, 0.0)]
+    spots = [ParkingSpot(0, 1, 0.0), ParkingSpot(1, 2, 0.0)]
     return build_graph(wps, edges, spots)
 
 
@@ -67,10 +67,9 @@ class TestSpawnAndAssign:
         g = mapgen.warehouse_map()
         w = World(g, 3, seed=1)
         assert len(w.vehicles) == 3
-        spots = sorted(g.spots, key=lambda s: s.id)
-        assert claims_of(w) == {s.id: i for i, s in enumerate(spots[:3])}
+        assert claims_of(w) == {0: 0, 1: 1, 2: 2}
         for i in range(3):
-            ax, ay = g.spot_anchor_xy(spots[i])
+            ax, ay = g.spot_anchor_xy(g.spots[i])
             v = w.vehicles[i]
             assert (v.x, v.y) == (ax, ay)
 
@@ -131,7 +130,7 @@ class TestRouting:
         # both spots anchor at node 0, so the route to either is the truck's own point
         wps = [Waypoint(0, 0, 0.0), Waypoint(10, 0, 0.0), Waypoint(20, 0, 0.0)]
         edges = [Edge(0, 1, 10.0, 3.0), Edge(1, 2, 10.0, 3.0), Edge(2, 0, 20.0, 3.0)]
-        spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 0, 1, 0.0)]
+        spots = [ParkingSpot(0, 1, 0.0), ParkingSpot(0, 1, 0.0)]
         w = World(build_graph(wps, edges, spots), 1, dt=0.1)
         arrivals = []
         for _ in range(200):
@@ -242,7 +241,7 @@ class TestDriveKinematics:
         edges = [Edge(0, 1, 14.0, 5.0), Edge(1, 2, 1.0, 5.0),
                  Edge(2, 3, 1.0, 5.0), Edge(3, 4, 14.0, 5.0),
                  Edge(4, 5, 1.0, 5.0)]
-        spots = [ParkingSpot(0, 0, 1, 0.0), ParkingSpot(1, 4, 5, 0.0)]
+        spots = [ParkingSpot(0, 1, 0.0), ParkingSpot(4, 5, 0.0)]
         g = build_graph(wps, edges, spots)
         kin = KinematicsParams(v_max=3.0, a_lat_max=1.0)
         w = World(g, 1, seed=0, kin=kin)
@@ -321,8 +320,7 @@ class TestFleet:
         run_samples(w, 180.0)
         done = [v.tasks_completed for v in w.vehicles]
         assert all(n >= 1 for n in done)
-        assert [s.id for s in w.free_spots()] == sorted(
-            s.id for s in g.spots if s.id not in claims_of(w))
+        assert w.free_spots() == [i for i in range(len(g.spots)) if i not in claims_of(w)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32), st.data())
@@ -333,11 +331,10 @@ class TestFleet:
         n_spots = data.draw(st.integers(n_vehicles, min(8, nx * (ny + 1))))
         g = mapgen.warehouse_map(nx=nx, ny=ny, n_spots=n_spots)
         w = World(g, n_vehicles, seed=seed)
-        ids = sorted(s.id for s in g.spots)
         for _ in range(400):
             w.step()
             claims = claims_of(w)
-            assert [s.id for s in w.free_spots()] == [i for i in ids if i not in claims]
+            assert w.free_spots() == [i for i in range(n_spots) if i not in claims]
 
     @pytest.mark.parametrize("n_vehicles,n_spots,spot", [
         (8, 8, None), (7, 8, None), (6, 12, None), (6, 12, 9)],

@@ -54,13 +54,14 @@ class TestBuildGraph:
     def test_spot_on_missing_edge(self):
         wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
         with pytest.raises(InputError, match="spot 0 anchors to missing edge 1->0"):
-            build_graph(wps, [Edge(0, 1, 5.0, 1.0)], [ParkingSpot(0, 1, 0, 2.0)])
+            build_graph(wps, [Edge(0, 1, 5.0, 1.0)], [ParkingSpot(1, 0, 2.0)])
 
     def test_duplicate_spot_id(self):
-        wps = [Waypoint(0, 0, 0), Waypoint(5, 0, 0)]
-        spots = [ParkingSpot(3, 0, 1, 1.0), ParkingSpot(3, 0, 1, 4.0)]
-        with pytest.raises(InputError, match="two spots with id 3"):
-            build_graph(wps, [Edge(0, 1, 5.0, 1.0)], spots)
+        # a spot's id is its index, so load_roadnet refuses the second record of one id
+        text = ("roadnet v1\nnode 0 0 0 0\nnode 1 5 0 0\nedge 0 1 5 1 1\n"
+                "spot 0 0 1 1\nspot 0 0 1 4\n")
+        with pytest.raises(InputError, match="^spot at index 1 carries spot id 0$"):
+            load_roadnet(io.StringIO(text))
 
     @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
     def test_non_finite_heading(self, heading):
@@ -607,6 +608,9 @@ class TestNativeFormat:
         assert len(g2.spots) == len(warehouse.spots)
         for a, b in zip(warehouse.waypoints, g2.waypoints):
             assert (a.x, a.y) == pytest.approx((b.x, b.y), abs=1e-9)
+        assert g2.edges == warehouse.edges
+        # a spot's id is its index, so save and load keep each one's place
+        assert g2.spots == warehouse.spots
 
     def test_missing_header(self):
         with pytest.raises(InputError, match="missing 'roadnet v1' header"):
