@@ -41,51 +41,38 @@ class HeatmapGrid:
     counts: list          # row-major, height rows of width ints
     overflow: int = 0
 
-    def cell_of(self, x: float, y: float):
-        # the quotients are tested before they are truncated: one too far
-        # from the origin for a float is inf, and outside the grid too
-        qx = (x - self.origin_x) / self.cell_size
-        qy = (y - self.origin_y) / self.cell_size
-        if 0 <= qx < self.width and 0 <= qy < self.height:
-            return int(qx), int(qy)
-        return None
-
     def cell_center(self, cx: int, cy: int):
         return (self.origin_x + (cx + 0.5) * self.cell_size,
                 self.origin_y + (cy + 0.5) * self.cell_size)
 
 
-def heatmap(samples, origin_x: float, origin_y: float, cell_size: float,
-            width: int, height: int) -> HeatmapGrid:
-    """Count trajectory samples per grid cell; out-of-extent samples go to
-    the overflow tally so conservation is exact. cell_size is > 0 and width
-    and height >= 1, as heatmap_for_graph, the one caller, gives them."""
-    if not width * height <= MAX_CELLS:
-        raise ConfigError(f"grid {width}x{height} at cell_size {cell_size}")
-    grid = HeatmapGrid(origin_x, origin_y, cell_size, width, height,
-                       [[0] * width for _ in range(height)])
-    for s in samples:
-        cell = grid.cell_of(s.x, s.y)
-        if cell is None:
-            grid.overflow += 1
-        else:
-            grid.counts[cell[1]][cell[0]] += 1
-    return grid
-
-
 def heatmap_for_graph(samples, graph: RoadGraph,
                       cell_size: float = PlacementConfig.cell_size) -> HeatmapGrid:
-    """Heatmap sized to the graph bounding box plus a 2 m margin."""
+    """Count trajectory samples per cell of a grid over the graph's bounding
+    box plus a 2 m margin; samples outside it go to the overflow tally, so
+    conservation is exact. cell_size is finite and > 0 (PlacementConfig), so
+    each side spans > 0 cells; a grid of more than MAX_CELLS once each side
+    is rounded up is a ConfigError."""
     margin = 2.0
     x0, y0, x1, y1 = graph.bounding_box()
     ox, oy = x0 - margin, y0 - margin
     cols = (x1 - x0 + 2 * margin) / cell_size
     rows = (y1 - y0 + 2 * margin) / cell_size
-    # checked before math.ceil, which a subnormal cell_size's inf would stop
-    if not cols * rows <= MAX_CELLS:
-        raise ConfigError(f"cell_size {cell_size} makes a {cols:.3g}x{rows:.3g} grid, "
-                          f"more than {MAX_CELLS} cells")
-    return heatmap(samples, ox, oy, cell_size, max(1, math.ceil(cols)), max(1, math.ceil(rows)))
+    # a side past MAX_CELLS is not rounded: math.ceil would stop at inf
+    width, height = (math.ceil(n) if n <= MAX_CELLS else MAX_CELLS + 1 for n in (cols, rows))
+    if width * height > MAX_CELLS:
+        raise ConfigError(f"cell_size {cell_size} makes a grid of {cols:.12g} x {rows:.12g} "
+                          f"cells, more than {MAX_CELLS} once each side is rounded up")
+    grid = HeatmapGrid(ox, oy, cell_size, width, height, [[0] * width for _ in range(height)])
+    for s in samples:
+        # the quotients are tested before they are truncated: one too far
+        # from the origin for a float is inf, and outside the grid too
+        qx, qy = (s.x - ox) / cell_size, (s.y - oy) / cell_size
+        if 0 <= qx < width and 0 <= qy < height:
+            grid.counts[int(qy)][int(qx)] += 1
+        else:
+            grid.overflow += 1
+    return grid
 
 
 def visit_weights(samples, graph: RoadGraph, dwell_weighting: bool = False):

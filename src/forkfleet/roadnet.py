@@ -138,12 +138,11 @@ class RoadGraph:
         wa = self.waypoints[spot.edge_src]
         wb = self.waypoints[spot.edge_dst]
         e = self.edge_between(spot.edge_src, spot.edge_dst)
-        frac = spot.offset / e.length if e.length > 0 else 0.0
+        frac = spot.offset / e.length
         return (wa.x + (wb.x - wa.x) * frac, wa.y + (wb.y - wa.y) * frac)
 
     def bounding_box(self):
-        if not self.waypoints:
-            raise InputError("bounding_box of an empty graph")
+        """(min x, min y, max x, max y); build_graph keeps a node at least."""
         xs = [w.x for w in self.waypoints]
         ys = [w.y for w in self.waypoints]
         return min(xs), min(ys), max(xs), max(ys)
@@ -153,9 +152,12 @@ def build_graph(waypoints, edges, spots=()) -> RoadGraph:
     """Validate inputs and assemble adjacency. A node's id is its index in
     waypoints, and a spot's its index in spots.
 
-    Raises InputError on bad input.
+    Raises InputError on bad input, a map with no nodes too: every map is
+    built here, so no query meets a graph without a node.
     """
     n = len(waypoints)
+    if n == 0:
+        raise InputError("the map has no nodes")
     for i, w in enumerate(waypoints):
         if not (math.isfinite(w.x) and math.isfinite(w.y) and math.isfinite(w.heading)):
             raise InputError(f"non-finite coordinates or heading at node {i}")
@@ -303,12 +305,8 @@ def nearest_nodes(g: RoadGraph, points) -> list:
     """nearest_node() of each (x, y) of the iterable points, in one pass.
 
     A point whose squared distance to a node overflows raises InputError
-    naming it; the points before it are snapped first.
+    naming it, after the points before it; g has a node (build_graph).
     """
-    if g.n_nodes() == 0:
-        for _ in points:
-            raise InputError("nearest_node on empty graph")
-        return []
     return g.snap_index.nearest(points)
 
 
@@ -474,7 +472,8 @@ def _by_id(pairs, kind, label):
 
 def load_roadnet(fileobj) -> RoadGraph:
     """A graph from roadnet v1 text. Node and spot ids are 0 .. n-1, each
-    once, in any order: a record's id is its index in the graph."""
+    once, in any order: a record's id is its index in the graph. A node or
+    spot record has 5 fields and an edge 6; any other count is a bad record."""
     lines = records(fileobj)
     if next(lines, (0, ""))[1].split() != ["roadnet", "v1"]:
         raise InputError("missing 'roadnet v1' header")
@@ -485,15 +484,15 @@ def load_roadnet(fileobj) -> RoadGraph:
             raise InputError(f"unknown record '{parts[0]}' at line {lineno}")
         try:
             if parts[0] == "node":
-                nodes.append((int(parts[1]), Waypoint(float(parts[2]), float(parts[3]),
-                                                      float(parts[4]))))
+                _, i, x, y, heading = parts
+                nodes.append((int(i), Waypoint(float(x), float(y), float(heading))))
             elif parts[0] == "edge":
-                src, dst, length, speed_limit, _one_way = parts[1:6]  # the flag is not read
+                _, src, dst, length, speed_limit, _one_way = parts  # the flag is not read
                 edges.append(Edge(int(src), int(dst), float(length), float(speed_limit)))
             else:
-                spots.append((int(parts[1]), ParkingSpot(int(parts[2]), int(parts[3]),
-                                                         float(parts[4]))))
-        except (IndexError, ValueError) as exc:
+                _, i, edge_src, edge_dst, offset = parts
+                spots.append((int(i), ParkingSpot(int(edge_src), int(edge_dst), float(offset))))
+        except ValueError as exc:
             raise InputError(f"bad record at line {lineno}: {ln!r}") from exc
     return build_graph(_by_id(nodes, "waypoint", "node"), edges,
                        _by_id(spots, "spot", "spot"))

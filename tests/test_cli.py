@@ -245,7 +245,8 @@ class TestExitCodes:
     same with node 0's x nan and node 2 renamed 1, {inf_edge} INF_EDGE,
     {one_point} ONE_POINT_ROUTE, {no_nodes} a map with no nodes, {odr}
     ONE_ROAD_ODR and {odr_nan}, {odr_inf}, {odr_huge} the same with its
-    length nan, inf or 1e308, {bogus_odr}, {utf32_odr} the same declaring an
+    length nan, inf or 1e308, {odr_no_lanes} the same without its lanes,
+    {bogus_odr}, {utf32_odr} the same declaring an
     encoding the XML parser does not know or cannot use, {dir} a directory,
     and {latin1_map}, {latin1_traj}, {latin1_cfg}, {latin1_manifest},
     {latin1_odr} the same kind of file with one byte that is not UTF-8
@@ -468,12 +469,29 @@ class TestExitCodes:
          ["simulate", "--map", "{one_point}", "--out-dir", "{out}", "--vehicles", "1",
           "--duration", "20"], EXIT_OK, ""),
         ("heatmap on a map with no nodes",
-         ["heatmap", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"], EXIT_INPUT, INPUT),
+         ["heatmap", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"],
+         EXIT_INPUT, INPUT + "the map has no nodes\n"),
+        ("replay on a map with no nodes",
+         ["replay", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"],
+         EXIT_INPUT, INPUT + "the map has no nodes\n"),
+        # no truck would ask the map for a node, so the load must refuse it
+        ("simulate --vehicles 0 on a map with no nodes",
+         ["simulate", "--map", "{no_nodes}", "--out-dir", "{out}", "--vehicles", "0",
+          "--duration", "2"], EXIT_INPUT, INPUT + "the map has no nodes\n"),
+        ("simulate node record with a sixth field",
+         ["simulate", "--map", "{long_node}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "bad record at line 3: 'node 1 10 0 0 junk'\n"),
+        ("simulate edge record with a seventh field",
+         ["simulate", "--map", "{long_edge}", "--out-dir", "{out}", "--duration", "2"],
+         EXIT_INPUT, INPUT + "bad record at line 7: 'edge 2 3 10 3 1 9'\n"),
         ("simulate unreachable spot",
          ["simulate", "--map", "{corridors}", "--out-dir", "{out}", "--vehicles", "1",
           "--duration", "5"], EXIT_INFEASIBLE, INFEASIBLE),
         ("convert --spacing 0", ["convert", "{odr}", "--out", "{out}", "--spacing", "0"],
          EXIT_CONFIG, CONFIG),
+        # a road with no driving lane makes no node
+        ("convert road without lanes", ["convert", "{odr_no_lanes}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "the map has no nodes\n"),
         ("convert --spacing nan", ["convert", "{odr}", "--out", "{out}", "--spacing", "nan"],
          EXIT_CONFIG, CONFIG),
         ("convert --spacing -1", ["convert", "{odr}", "--out", "{out}", "--spacing", "-1"],
@@ -616,7 +634,7 @@ class TestExitCodes:
          EXIT_INPUT, INPUT + "bad record at line 3: 'node 1 10 zero 0'\n"),
         ("analyze-density on a map with no nodes",
          ["analyze-density", "--map", "{no_nodes}", "--out-dir", "{out}", "{traj}"],
-         EXIT_INPUT, INPUT + "nearest_node on empty graph\n"),
+         EXIT_INPUT, INPUT + "the map has no nodes\n"),
         ("heatmap empty trajectory",
          ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{empty_traj}"],
          EXIT_INPUT, INPUT + "line 1: empty file, header missing\n"),
@@ -631,12 +649,13 @@ class TestExitCodes:
         ("heatmap t going back",
          ["heatmap", "--map", "{map}", "--out-dir", "{out}", "{unsorted_traj}"],
          EXIT_INPUT, INPUT + "line 3: samples for vehicle 0 not strictly increasing in t\n"),
-        # 9,999,998.5 x 1.0000001 cells pass the check before rounding up;
-        # 9,999,999 x 2 after it are more than MAX_CELLS
+        # 9,999,998.5 x 1.0000001 cells are fewer than MAX_CELLS, but
+        # 9,999,999 x 2, each side rounded up, are more
         ("heatmap grid past MAX_CELLS once rounded up",
          ["heatmap", "--map", "{thin_map}", "--out-dir", "{out}", "--set",
           "placement.cell_size=4", "{traj}"],
-         EXIT_CONFIG, CONFIG + "grid 9999999x2 at cell_size 4.0\n"),
+         EXIT_CONFIG, CONFIG + "cell_size 4.0 makes a grid of 9999998.5 x 1.0000001 cells, "
+                               "more than 10000000 once each side is rounded up\n"),
     ]
 
     @pytest.fixture()
@@ -702,6 +721,8 @@ class TestExitCodes:
                            ("one_point", ONE_POINT_ROUTE),
                            ("no_nodes", "roadnet v1\n"),
                            ("odr", ONE_ROAD_ODR),
+                           ("odr_no_lanes", re.sub("<lanes>.*</lanes>", "", ONE_ROAD_ODR,
+                                                   flags=re.S)),
                            ("odr_nan", ONE_ROAD_ODR.replace('length="50"', 'length="nan"')),
                            ("odr_inf", ONE_ROAD_ODR.replace('length="50"', 'length="inf"')),
                            ("odr_huge", ONE_ROAD_ODR.replace('length="50"', 'length="1e308"')),
@@ -762,7 +783,9 @@ class TestExitCodes:
                                ("spot_off_road", "spot 1 2 3 ", "spot 1 3 2 "),
                                ("spot_past_edge", "spot 1 2 3 5", "spot 1 2 3 11"),
                                ("headless_map", "roadnet v1\n", ""),
-                               ("bad_record", "node 1 10 0 0", "node 1 10 zero 0"))),
+                               ("bad_record", "node 1 10 0 0", "node 1 10 zero 0"),
+                               ("long_node", "node 1 10 0 0", "node 1 10 0 0 junk"),
+                               ("long_edge", "edge 2 3 10 3 1", "edge 2 3 10 3 1 9"))),
                            # 39,999,990 m wide and 4e-7 m tall, with no edges
                            ("thin_map", "roadnet v1\nnode 0 0 0 0\nnode 1 39999990 4e-7 0\n"),
                            ("empty_traj", ""),

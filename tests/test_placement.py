@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import line_graph, random_graph, score_placement, top_decile_cells
 from forkfleet import ConfigError, check_ranges, placement
 from forkfleet.mapgen import warehouse_map
-from forkfleet.placement import (MAX_CELLS, HeatmapGrid, PlacementConfig, heatmap,
+from forkfleet.placement import (MAX_CELLS, HeatmapGrid, PlacementConfig,
                                  heatmap_for_graph, place_chargers,
                                  visit_weights, write_heatmap,
                                  write_heatmap_nonzero_csv, write_placement_csv)
@@ -23,38 +23,59 @@ def sample_at_xy(t, x, y, vid=0):
     return TrajectorySample(t, vid, x, y, 0.0, 1.0, 0.0, 0.0, 1.0)
 
 
+def nodes_at(*points):
+    """A graph of nodes at points and no edges: its heatmap grid starts 2 m
+    below and left of the nodes' bounding box and ends 2 m past it."""
+    return build_graph([Waypoint(x, y, 0.0) for x, y in points], [])
+
+
 class TestHeatmap:
     def test_counts_and_conservation(self):
+        # a 2 x 2 grid of 2 m cells from (0, 0)
         samples = [sample_at_xy(i, x, y) for i, (x, y) in
                    enumerate([(0.5, 0.5), (0.7, 0.3), (3.0, 3.0), (-1.0, 0.0)])]
-        grid = heatmap(samples, 0.0, 0.0, 2.0, 2, 2)
+        grid = heatmap_for_graph(samples, nodes_at((2.0, 2.0)), 2.0)
+        assert (grid.origin_x, grid.origin_y, grid.width, grid.height) == (0.0, 0.0, 2, 2)
         assert grid.counts[0][0] == 2
         assert grid.counts[1][1] == 1
         assert grid.overflow == 1
         assert sum(map(sum, grid.counts)) + grid.overflow == len(samples)
 
     def test_cell_boundary_goes_right(self):
-        grid = heatmap([sample_at_xy(0, 2.0, 0.0)], 0.0, 0.0, 2.0, 2, 1)
+        # a 2 x 1 grid from (0, 0); its 4 m margin makes a row of 4 m cells
+        grid = heatmap_for_graph([sample_at_xy(0, 4.0, 0.0)], nodes_at((2.0, 2.0), (6.0, 2.0)),
+                                 4.0)
+        assert (grid.origin_x, grid.origin_y, grid.width, grid.height) == (0.0, 0.0, 2, 1)
         assert grid.counts[0][1] == 1
 
     def test_quotient_past_the_float_range_overflows(self):
         # (1e308 - -1e308) / 1e302 is inf: outside the grid, not an error;
         # -0.0 cells from the origin is cell 0, as floor gave it
+        g = nodes_at((-1e308, 2.0), (0.0, 2.0))
         samples = [sample_at_xy(0, 1e308, 0.0), sample_at_xy(1, -1e308, -0.0)]
-        grid = heatmap(samples, -1e308, 0.0, 1e302, 1_000_000, 1)
+        grid = heatmap_for_graph(samples, g, 1e302)
+        assert (grid.origin_x, grid.origin_y, grid.width, grid.height) == (-1e308, 0.0,
+                                                                           1_000_000, 1)
         assert grid.overflow == 1
         assert grid.counts[0][0] == 1
 
     def test_degenerate_grid(self):
-        # raised before a row too long to index is asked for
-        with pytest.raises(ConfigError, match=f"grid {sys.maxsize + 1}x2 at cell_size 1.0"):
-            heatmap([], 0, 0, 1.0, sys.maxsize + 1, 2)
+        # 2^63 x 2 cells: raised before a row too long to index is asked for
+        assert (2.0 ** 64 + 4) / 2 == sys.maxsize + 1
+        with pytest.raises(ConfigError, match=r"^cell_size 2.0 makes a grid of "
+                                              r"9.22337203685e\+18 x 2 cells, more than"):
+            heatmap_for_graph([], nodes_at((0.0, 0.0), (2.0 ** 64, 0.0)), 2.0)
 
     def test_cell_cap(self):
-        # 10,010,000 cells: refused before a row is made
+        # 10,010,000 cells: refused before a row is made; 10,000,000 are drawn
         assert 10_000 * 1_000 == MAX_CELLS
-        with pytest.raises(ConfigError, match="grid 10000x1001"):
-            heatmap([], 0, 0, 1.0, 10_000, 1_001)
+        with pytest.raises(ConfigError, match=f"^cell_size 1.0 makes a grid of 10000 x 1001 "
+                                              f"cells, more than {MAX_CELLS} once each side "
+                                              f"is rounded up$"):
+            heatmap_for_graph([], nodes_at((0.0, 0.0), (9_996.0, 997.0)), 1.0)
+        grid = heatmap_for_graph([], nodes_at((0.0, 0.0), (9_996.0, 996.0)), 1.0)
+        assert (grid.width, grid.height, len(grid.counts), len(grid.counts[0])) == (
+            10_000, 1_000, 1_000, 10_000)
 
     def test_for_graph_covers_all_nodes(self):
         g = random_graph(seed=1, n_nodes=25)

@@ -9,7 +9,7 @@ from conftest import (enumerate_shortest, line_graph, one_way_pair_graph, path_l
                       random_graph, square_graph)
 from forkfleet import InputError, mapgen
 from forkfleet.odr_import import parse_opendrive_subset, to_road_graph
-from forkfleet.roadnet import (Edge, ParkingSpot, RoadGraph, Waypoint, _bucket_row, _heap_row,
+from forkfleet.roadnet import (Edge, ParkingSpot, Waypoint, _bucket_row, _heap_row,
                                astar, build_graph, dijkstra, load_roadnet, nearest_node,
                                nearest_nodes, save_roadnet, within)
 
@@ -76,8 +76,12 @@ class TestBuildGraph:
             build_graph(wps, [Edge(0, 1, 5.0, limit)])
 
     def test_empty_bounding_box(self):
-        with pytest.raises(InputError, match="bounding_box of an empty graph"):
-            build_graph([], []).bounding_box()
+        # a graph with no nodes, which would have no bounding box, is refused
+        # where it is built, and a map with none where it is loaded
+        with pytest.raises(InputError, match="^the map has no nodes$"):
+            build_graph([], [])
+        with pytest.raises(InputError, match="^the map has no nodes$"):
+            load_roadnet(io.StringIO("roadnet v1\n# no records\n"))
 
 
 @st.composite
@@ -434,8 +438,9 @@ class TestNearestNode:
         assert nearest_node(g, 5.0, 3.0) == 0
 
     def test_empty_graph(self):
-        with pytest.raises(InputError, match="nearest_node on empty graph"):
-            nearest_node(RoadGraph([], [], [], []), 0, 0)
+        # no graph to snap to is built without a node, spots or not
+        with pytest.raises(InputError, match="^the map has no nodes$"):
+            build_graph([], [], [ParkingSpot(0, 1, 0.0)])
 
     def test_matches_linear_scan(self):
         g = random_graph(seed=3, n_nodes=40)
@@ -538,10 +543,10 @@ class TestNearestNodeGrid:
             "point (1e+200, 10.0) is too far from the map to snap to a node")
 
     def test_empty_batch_and_empty_graph(self):
-        empty = RoadGraph([], [], [], [])
-        assert nearest_nodes(empty, []) == []
-        with pytest.raises(InputError, match="nearest_node on empty graph"):
-            nearest_nodes(empty, [(0.0, 0.0)])
+        assert nearest_nodes(random_graph(seed=5, n_nodes=30), []) == []
+        assert nearest_nodes(line_graph([10.0]), iter(())) == []
+        with pytest.raises(InputError, match="^the map has no nodes$"):
+            load_roadnet(io.StringIO("roadnet v1\n"))
 
     def test_non_finite_query_before_index(self):
         # a first query that is not finite gives node 0 through the index,
