@@ -6,14 +6,15 @@ drag is omitted (negligible at forklift speeds). Regeneration applies only
 to kinetic and potential energy release, never to friction terms.
 
 A segment's features are built in one place, _segment_features, for the
-SocMeter and calibrate() alike. SOC is integrated in one place, a SocMeter
-over a fleet, each add one _energies pass: simulate adds each step of its
-whole fleet, replay a chunk of one vehicle's states to that vehicle's own
-meter. calibrate() runs _energies once per distinct segment of its cycles,
-not once per segment. Every float sum runs left to right from 0.0
-(forkfleet.total), so it gives the same bits on every Python. Default
-numeric parameter values are placeholders; calibrate() fits them against
-measured duty-cycle energies (e.g. VDI 2198 style cycles).
+SocMeter and calibrate() alike. SOC is integrated in one place, one
+SocMeter per run that holds each vehicle's energy sums, each add one
+_energies pass: simulate adds each step of its whole fleet, replay a chunk
+of one vehicle's states. calibrate() runs _energies once per distinct
+segment of its cycles, not once per segment. Every float sum runs left to
+right from 0.0 (forkfleet.total), so it gives the same bits on every
+Python. Default numeric parameter values are placeholders; calibrate()
+fits them against measured duty-cycle energies (e.g. VDI 2198 style
+cycles).
 """
 
 from __future__ import annotations
@@ -117,12 +118,13 @@ def _vehicle_features(samples, fork_mass: float):
 
 
 class SocMeter:
-    """A fleet's running energy sums and SOC, all its vehicles with one fork_mass,
-    each vehicle fed its samples in time order after its first. A vehicle's
-    SOC is its first sample's soc less its net energy so far over the
-    capacity, clamped to [0, 1]. drawn and regenerated sum every segment in
-    the order they were fed. An add that makes them not finite raises error at
-    the state that did: InputError for read samples, else ConfigError."""
+    """Each vehicle's running energy sums and SOC, all vehicles with one
+    fork_mass, each vehicle fed its samples in time order after its first. A
+    vehicle's drawn and regenerated sum its segments in the order they were
+    fed, and its SOC is its first sample's soc less that net energy over the
+    capacity, clamped to [0, 1]. An add that makes a vehicle's sums not finite
+    raises error at the state that did: InputError for read samples, else
+    ConfigError."""
 
     def __init__(self, firsts, fork_mass: float, p: BatteryParams, error=InputError):
         # vehicle_id -> [last sample, initial soc, drawn, regenerated]
@@ -130,7 +132,6 @@ class SocMeter:
         self.fork_mass = fork_mass
         self.p = p
         self.error = error
-        self.drawn = self.regenerated = 0.0
 
     def energy(self, vehicle_id):
         """(drawn, regenerated) of one vehicle so far, J."""
@@ -147,21 +148,17 @@ class SocMeter:
             features.append(_segment_features(row[0], s, fork_mass))
             row[0] = s
         capacity = self.p.capacity
-        drawn, regenerated = self.drawn, self.regenerated
         new = tuple.__new__
         out = []
         for row, s, (draw, regen) in zip(rows, states, _energies(features, self.p)):
-            drawn += draw
-            regenerated += regen
-            if not math.isfinite(drawn + regenerated):  # also where either one is not
-                raise self.error(f"vehicle {s[1]} at t={s[0]:.12g}: the energy sum is not "
-                                 f"finite ({draw!r} J drawn, {regen!r} J regenerated)")
             row[2] += draw
             row[3] += regen
+            if not math.isfinite(row[2] + row[3]):  # also where either one is not
+                raise self.error(f"vehicle {s[1]} at t={s[0]:.12g}: the energy sum is not "
+                                 f"finite ({draw!r} J drawn, {regen!r} J regenerated)")
             soc = row[1] - (row[2] - row[3]) / capacity
             soc = 0.0 if 0.0 > soc else soc  # max(soc, 0.0), then min(soc, 1.0)
             out.append(new(TrajectorySample, (*s, 1.0 if 1.0 < soc else soc)))
-        self.drawn, self.regenerated = drawn, regenerated
         return out
 
 
@@ -217,8 +214,7 @@ def calibrate(cycles, p0: BatteryParams, free, fork_mass: float = FORK_MASS) -> 
 
     Each evaluation runs the force balance once per distinct segment of all
     the cycles, then sums each cycle's draws and regens left to right in
-    segment order, so a residual has the bits of the net energy of one
-    SocMeter fed the cycle's vehicles one after another in id order.
+    segment order, vehicles in id order.
     """
     free = list(free)
     for name in free:

@@ -6,8 +6,8 @@ slowdown, top-down collision avoidance and fork lift/lower phases. step() is
 kinematics only and returns nothing; ticks() streams one sample per vehicle
 per step, a step's samples made with their SOC by one add to the fleet's
 battery.SocMeter, holding one tick at a time. replay() streams ticks of the
-same shape from recorded samples, each vehicle regridded and fed to a
-SocMeter of its own a chunk at a time, each chunk's gaps checked by
+same shape from recorded samples, each vehicle regridded and fed to the
+run's SocMeter a chunk at a time, each chunk's gaps checked by
 trajectory.check_gaps, the one gap check of any series. The vehicles' streams
 are merged in the samples' own tuple order, (t, vehicle_id) first, and cut
 into ticks by t, a run at t == 0 again by t's bits. All randomness
@@ -74,10 +74,10 @@ LIFT_HEIGHT = 1.0    # m, the fork height each task lifts to
 # a point (tracemalloc), so 33 MB; an hour of 64 vehicles at 0.1 s is 2.3 x
 # 10^6 points
 MAX_GRID_POINTS = 4 * 10**6
-# the states one add to a replayed vehicle's SocMeter takes. Replaying and
-# rendering 300 s of 4 demo-floor trucks in process took a median 98, 98 and
-# 109 ms at 64, 256 and 1,024 (2-core x86-64 VM, Python 3.11), and the
-# tracemalloc peak past the input at 60 s was 0.19, 0.60 and 1.3 MB
+# the states of one replayed vehicle that one add to the run's SocMeter takes.
+# Replaying and rendering 300 s of 4 demo-floor trucks in process took a median
+# 98, 98 and 109 ms at 64, 256 and 1,024 (2-core x86-64 VM, Python 3.11), and
+# the tracemalloc peak past the input at 60 s was 0.19, 0.60 and 1.3 MB
 REPLAY_CHUNK = 64
 
 
@@ -477,8 +477,8 @@ def replay(samples, dt: float = DT, fork_mass: float = bat.FORK_MASS,
     The checks of the whole input run in this call, before it returns:
     split_by_vehicle's, the grid's size and each vehicle's grid times, whose
     ConfigError comes for the lowest vehicle id first. Each vehicle is then
-    regridded and integrated as the ticks are pulled, through a SocMeter of
-    its own, so besides the input and the grid times (8 B a point) only
+    regridded and integrated as the ticks are pulled, through the run's one
+    SocMeter, so besides the input and the grid times (8 B a point) only
     O(vehicles) states are held. The InputErrors of that work come while the
     ticks are pulled, which the CLI does into temp files, so it still exits 3
     with one stderr line and no files: a negative interpolated speed, a
@@ -497,7 +497,7 @@ def replay(samples, dt: float = DT, fork_mass: float = bat.FORK_MASS,
                    for ss in per_vehicle.values())
     if not points <= MAX_GRID_POINTS:
         raise ConfigError(f"replay at dt {dt} makes more than {MAX_GRID_POINTS} grid points")
-    streams = []
+    streams = []  # (first sample, later states) of each vehicle with a grid time
     for vid in sorted(per_vehicle):
         series = per_vehicle[vid]
         first, last = series[0].t, series[-1].t
@@ -515,10 +515,14 @@ def replay(samples, dt: float = DT, fork_mass: float = bat.FORK_MASS,
                                   "finer than the sample times resolve")
             times.append(t)
             k += 1
-        streams.append(_replayed(series, times, fork_mass, params))
+        states = resample(series, times)
+        state = next(states, None)
+        if state is not None:
+            streams.append((TrajectorySample(*state, series[0][8]), states))
+    meter = bat.SocMeter([first for first, _ in streams], fork_mass, params)
     # each stream is one vehicle's, in strictly increasing t, so the samples'
     # own tuple order is (t, vehicle_id) before any other field
-    return _ticks(heapq.merge(*streams))
+    return _ticks(heapq.merge(*(_replayed(first, states, meter) for first, states in streams)))
 
 
 def _ticks(merged):
@@ -532,19 +536,14 @@ def _ticks(merged):
             yield [*tick]
 
 
-def _replayed(series, times, fork_mass, params):
-    """Yield one vehicle's samples at the grid times: the first is its first
-    state with the first recorded soc, and each later state is handed to the
-    vehicle's meter, which gives it its SOC, REPLAY_CHUNK states at a time
-    as they are pulled. Each chunk is checked, with the state before it, by
+def _replayed(first, states, meter):
+    """Yield one vehicle's samples at its grid times: first, its first state
+    with the first recorded soc, then each of its later states handed to the
+    run's meter, which gives it its SOC, REPLAY_CHUNK states at a time as
+    they are pulled. Each chunk is checked, with the state before it, by
     check_gaps, the one check of any series' gaps."""
-    states = resample(series, times)
-    last = next(states, None)
-    if last is None:
-        return
-    first = TrajectorySample(*last, series[0][8])
-    meter = bat.SocMeter([first], fork_mass, params)
     yield first
+    last = first[:8]  # a state, as the chunk's are: math.dist needs equal lengths
     while chunk := list(islice(states, REPLAY_CHUNK)):
         check_gaps([last, *chunk])
         last = chunk[-1]

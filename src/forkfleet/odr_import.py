@@ -142,7 +142,7 @@ def parse_opendrive_subset(document) -> list:
             )
             if seg.length <= 0:
                 raise InputError(f"road {rid}: non-positive segment length")
-            if seg.kind == "arc" and (seg.curvature == 0 or not math.isfinite(seg.curvature)):
+            if seg.kind == "arc" and seg.curvature == 0:  # _attr refused a non-finite one
                 raise InputError(f"road {rid}: arc needs nonzero finite curvature")
             segments.append(seg)
         if not segments:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 from forkfleet import ConfigError, total
-from forkfleet.battery import FORK_MASS, BatteryParams, SocMeter
+from forkfleet.battery import FORK_MASS, BatteryParams, SocMeter, _energies, _vehicle_features
 from forkfleet.fleet_sim import DT, MAX_GRID_POINTS
 from forkfleet.trajectory import TrajectorySample, check_gaps, resample, split_by_vehicle
 
@@ -16,7 +16,8 @@ from forkfleet.trajectory import TrajectorySample, check_gaps, resample, split_b
 def integrate_trajectory(samples, fork_mass: float, p: BatteryParams):
     """Integrate one vehicle's (or many vehicles') samples through a SocMeter,
     each vehicle from its first sample and in one pass. Returns (total_draw,
-    total_regen, the samples with their SOC), vehicles in id order.
+    total_regen, the samples with their SOC), vehicles in id order, each
+    total summed left to right over the segments in that order.
     """
     per_vehicle = [ss for _, ss in sorted(split_by_vehicle(samples).items())]
     meter = SocMeter([ss[0] for ss in per_vehicle], fork_mass, p)
@@ -24,7 +25,9 @@ def integrate_trajectory(samples, fork_mass: float, p: BatteryParams):
     for ss in per_vehicle:
         series.append(ss[0])
         series += meter.add([s[:8] for s in ss[1:]])
-    return meter.drawn, meter.regenerated, series
+    energies = list(_energies(_vehicle_features(samples, fork_mass), p))
+    return (total(draw for draw, _ in energies), total(regen for _, regen in energies),
+            series)
 
 
 def replay(samples, dt: float = DT, fork_mass: float = FORK_MASS,

@@ -706,21 +706,34 @@ class TestFleetMeter:
 
 
 class TestMeterOverflow:
-    """An add whose fleet energy sum leaves the float range names the state
-    at which it did, not just the add."""
+    """An add that makes a vehicle's own energy sum leave the float range
+    names the state at which it did, not just the add; the vehicles' sums
+    are never added together."""
 
     def meter(self, load_mass):
         firsts = [TrajectorySample(0.0, vid, 0, 0, 0, 0, 0.0, load_mass) for vid in (0, 1)]
         return SocMeter(firsts, FORK_MASS, BatteryParams())
 
-    def test_finite_draws_whose_sum_overflows(self):
-        # each truck lifts 1e307 kg by 1 m: about 1.15e308 J each, inf summed
+    def lift_draw(self):
+        # a lift of 1e307 kg by 1 m: about 1.15e308 J, inf twice over
         lift, _ = vertical_segment(1.0, 1e307 + FORK_MASS, BatteryParams())
         draw = lift + BatteryParams().aux_power
         assert math.isfinite(draw) and draw + draw == math.inf
+        return draw
+
+    def test_finite_sums_of_two_trucks_whose_total_overflows(self):
+        draw = self.lift_draw()
+        meter = self.meter(1e307)
+        assert (meter.add([(1.0, vid, 0, 0, 0, 0, 1.0, 1e307) for vid in (0, 1)])
+                == [TrajectorySample(1.0, vid, 0, 0, 0, 0, 1.0, 1e307, 0.0) for vid in (0, 1)])
+        assert meter.energy(0) == meter.energy(1) == (draw, 0.0)
+
+    def test_finite_draws_whose_sum_in_one_truck_overflows(self):
+        draw = self.lift_draw()
         with pytest.raises(InputError) as exc:
-            self.meter(1e307).add([(1.0, vid, 0, 0, 0, 0, 1.0, 1e307) for vid in (0, 1)])
-        assert str(exc.value) == (f"vehicle 1 at t=1: the energy sum is not finite "
+            self.meter(1e307).add([(1.0, 0, 0, 0, 0, 0, 1.0, 1e307),
+                                   (2.0, 0, 0, 0, 0, 0, 2.0, 1e307)])
+        assert str(exc.value) == (f"vehicle 0 at t=2: the energy sum is not finite "
                                   f"({draw!r} J drawn, 0.0 J regenerated)")
 
     def test_an_inf_draw_at_the_first_state(self):

@@ -515,6 +515,8 @@ class TestExitCodes:
          EXIT_INPUT, INPUT + "road 1: non-positive segment length\n"),
         ("convert arc curvature 0", ["convert", "{odr_flat_arc}", "--out", "{out}"],
          EXIT_INPUT, INPUT + "road 1: arc needs nonzero finite curvature\n"),
+        ("convert arc curvature inf", ["convert", "{odr_inf_arc}", "--out", "{out}"],
+         EXIT_INPUT, INPUT + "road 1: non-finite value for 'curvature': 'inf'\n"),
         ("convert empty planView", ["convert", "{odr_empty_plan_view}", "--out", "{out}"],
          EXIT_INPUT, INPUT + "road 1: empty planView\n"),
         ("convert two segments at s=0", ["convert", "{odr_two_at_s0}", "--out", "{out}"],
@@ -735,6 +737,8 @@ class TestExitCodes:
                                                                      'length="0"><line/>')),
                            ("odr_flat_arc",
                             ONE_ROAD_ODR.replace("<line/>", '<arc curvature="0"/>')),
+                           ("odr_inf_arc",
+                            ONE_ROAD_ODR.replace("<line/>", '<arc curvature="inf"/>')),
                            ("odr_empty_plan_view", ONE_ROAD_ODR.replace(GEOMETRY, "")),
                            ("odr_two_at_s0",
                             ONE_ROAD_ODR.replace(GEOMETRY, GEOMETRY.replace("50", "25") * 2)),

@@ -586,6 +586,20 @@ class TestStreamedReplay:
         assert [bits(s) for tick in ticks for s in tick] == [bits(s) for s in expected]
         assert [len(tick) for tick in ticks] == [64] * 31
 
+    def test_one_meter_per_run(self):
+        made = []
+
+        class CountedMeter(battery.SocMeter):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        samples = run_samples(World(mapgen.warehouse_map(), 4, seed=3), 2.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fleet_sim.bat, "SocMeter", CountedMeter)
+            ticks = list(replay(samples, dt=0.5))
+        assert len(made) == 1 and [len(tick) for tick in ticks] == [4] * 5
+
     def test_grid_refusals_come_at_the_call(self):
         # trucks 1 and 2 at 1e17 and 2e17, where times are 16 and 32 apart: at
         # dt 1 both grids repeat a time, and truck 1's is named
